@@ -151,21 +151,3 @@ def test_a4_optimization_speedups(benchmark, save_artifact):
     save_artifact("ablation_a4_optimizations", text)
     assert "km_1km" in text
 
-
-# ---------------------------------------------------------------------------
-# A2-measured — original vs optimized halo path in the REAL model
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("variant", ["optimized", "original"])
-def test_a2_model_step_halo_variants(benchmark, variant):
-    """End-to-end model step with the paper's halo optimizations on/off
-    (naive element-loop pack + per-level 3-D messages vs sliced pack +
-    transposed single-message exchange).  Results are bitwise identical
-    (asserted in tests); only the cost differs."""
-    from repro.ocean import LICOMKpp, ModelParams, demo
-
-    params = ModelParams() if variant == "optimized" else ModelParams(
-        halo_packer="naive", halo_method3d="per_level")
-    model = LICOMKpp(demo("small"), params=params)
-    model.run_steps(2)
-    benchmark(model.step)

@@ -38,8 +38,8 @@ their stable ``rule:kernel:view`` key.
 Entry points: :func:`check_graph` (all families, one sealed graph),
 :func:`check_fusion_legality` / :func:`certify_fusion` (the
 ``seal(certify=True)`` hook), and :func:`run_graphcheck` (the
-``python -m repro lint --graph`` driver: builds the demo model on every
-backend in both jit modes and verifies each sealed step graph).
+``python -m repro lint --graph`` driver: builds the production-path demo
+model on every backend and verifies each sealed step graph).
 """
 
 from __future__ import annotations
@@ -631,19 +631,18 @@ def check_graph(graph: LaunchGraph, passes: int = 3) -> List[Finding]:
 class GraphLintConfig:
     """Configuration for :func:`run_graphcheck`.
 
-    The driver builds the demo model with graph capture on for every
-    ``backend`` x ``jit`` combination, steps it until both step
+    The driver builds the demo model on its production path
+    (``graph=True``) for every ``backend``, steps it until both step
     variants (startup forward step, leapfrog) have sealed, and walks
-    each sealed graph.  Identical findings from different combinations
-    are reported once, tagged with the first configuration that hit
-    them.
+    each sealed graph.  Identical findings from different
+    configurations are reported once, tagged with the first
+    configuration that hit them.
     """
 
     backends: Sequence[str] = ("serial", "openmp", "athread", "cuda")
-    jit_modes: Sequence[bool] = (False, True)
     #: Precision presets to verify; "mixed" exercises the
     #: precision-promotion rules on a schedule with real cast
-    #: boundaries (serial/jit-off only, to bound the matrix).
+    #: boundaries (first backend only, to bound the matrix).
     precisions: Sequence[str] = ("double", "mixed")
     size: str = "tiny"
     steps: int = 2
@@ -663,17 +662,16 @@ def run_graphcheck(config: Optional[GraphLintConfig] = None) -> Report:
     report = Report(rules_run=list(GRAPH_RULES), tool="graphcheck")
     seen: Dict[str, Finding] = {}
     kernels = 0
-    combos = [(b, j, cfg.precisions[0] if cfg.precisions else "double")
-              for b in cfg.backends for j in cfg.jit_modes]
-    # non-default presets verified once each on the serial/jit-off
-    # schedule (the graphs are backend-independent node lists)
-    combos += [(cfg.backends[0], False, p) for p in cfg.precisions[1:]]
-    for backend, jit, precision in combos:
-        tag = (f"backend={backend}, jit={'on' if jit else 'off'}, "
-               f"precision={precision}")
+    combos = [(b, cfg.precisions[0] if cfg.precisions else "double")
+              for b in cfg.backends]
+    # non-default presets verified once each on the first backend
+    # (the graphs are backend-independent node lists)
+    combos += [(cfg.backends[0], p) for p in cfg.precisions[1:]]
+    for backend, precision in combos:
+        tag = f"backend={backend}, precision={precision}"
         model = LICOMKpp(
             demo(cfg.size), backend=backend,
-            params=ModelParams(graph=True, jit=jit, check_every=0,
+            params=ModelParams(graph=True, check_every=0,
                                precision=precision))
         try:
             model.run_steps(cfg.steps)

@@ -83,7 +83,7 @@ from .graph import (
     KernelNode,
     LaunchGraph,
 )
-from .jit import JitCache, numba_available, resolve_jit
+from .jit import JitCache, numba_available
 from .instrument import (
     GLOBAL_INSTRUMENTATION,
     Instrumentation,
@@ -127,7 +127,7 @@ __all__ = [
     "DeviceBackend", "make_backend", "Reducer", "Sum", "Prod", "Min", "Max",
     # graph capture / workspace arena
     "LaunchGraph", "KernelNode", "HostNode", "HostEffects", "FusedTileFunctor",
-    "FusedStencilFunctor", "JitCache", "numba_available", "resolve_jit",
+    "FusedStencilFunctor", "JitCache", "numba_available",
     "Workspace", "null_workspace",
     # instrumentation / ldm
     "Instrumentation", "KernelStats", "WorkspaceStats", "GLOBAL_INSTRUMENTATION",

@@ -254,10 +254,10 @@ class ExecutionContext:
             self._traffic = TrafficLedger()
         return self._traffic
 
-    def make_workspace(self, enabled: bool = True) -> Workspace:
+    def make_workspace(self) -> Workspace:
         """A scratch arena counted in this context's ledger and released
         when the context closes."""
-        ws = Workspace(enabled=enabled, inst=self.inst)
+        ws = Workspace(inst=self.inst)
         self._workspaces.append(ws)
         return ws
 

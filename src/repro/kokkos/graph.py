@@ -39,12 +39,11 @@ iteration ranges and no intervening host node:
   because the compiled sweep runs each part whole-range with a stage
   barrier between parts, reproducing the eager sequence exactly.
 
-Finally, when the ``jit`` knob resolves on (default; see
-:func:`repro.kokkos.jit.resolve_jit` / ``REPRO_JIT``), every sealed
-plan is lowered through :mod:`repro.kokkos.jit` into a compiled sweep
-cached on the owning execution space; plans that fail to lower degrade
-to their eager tier, and dependent stencil chains that cannot be
-compiled are un-fused back into the captured launches.
+Finally, with ``jit`` on (the default), every sealed plan is lowered
+through :mod:`repro.kokkos.jit` into a compiled sweep cached on the
+owning execution space; plans that fail to lower degrade to their eager
+tier, and dependent stencil chains that cannot be compiled are un-fused
+back into the captured launches.
 """
 
 from __future__ import annotations
@@ -212,12 +211,11 @@ class LaunchGraph:
     """A captured launch sequence, sealable into a replayable plan list."""
 
     def __init__(self, space: ExecutionSpace, fuse: bool = True,
-                 jit: Optional[bool] = None) -> None:
+                 jit: bool = True) -> None:
         self.space = space
         self.fuse = fuse
-        #: Compiled execution tier (resolved: explicit arg beats the
-        #: ``REPRO_JIT`` environment override beats the on-default).
-        self.jit = _jit.resolve_jit(jit)
+        #: Lower sealed plans through the compiled execution tier.
+        self.jit = jit
         self.nodes: List[object] = []
         self.sealed = False
         #: Binding signature the owner compares to decide re-capture.

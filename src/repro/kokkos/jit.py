@@ -43,7 +43,6 @@ is reached through the space / functor instances handed in.
 from __future__ import annotations
 
 import logging
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,34 +69,6 @@ def numba_available() -> bool:
         except Exception:
             _NUMBA_OK = False
     return _NUMBA_OK
-
-
-_ENV_TRUE = frozenset({"1", "on", "true", "yes"})
-_ENV_FALSE = frozenset({"0", "off", "false", "no"})
-
-
-def resolve_jit(flag: Optional[bool] = None) -> bool:
-    """Resolve the compiled-tier knob.
-
-    An explicit ``flag`` wins; otherwise the ``REPRO_JIT`` environment
-    variable (``0/off/false/no`` disables, ``1/on/true/yes`` enables)
-    overrides the default of **on** — mirroring ``REPRO_NUM_THREADS``'s
-    explicit-beats-env precedence.
-    """
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get("REPRO_JIT")
-    if env is not None and env.strip():
-        val = env.strip().lower()
-        if val in _ENV_TRUE:
-            return True
-        if val in _ENV_FALSE:
-            return False
-        raise ValueError(
-            f"REPRO_JIT must be one of {sorted(_ENV_TRUE | _ENV_FALSE)}, "
-            f"got {env!r}"
-        )
-    return True
 
 
 class CompiledSweep:

@@ -98,27 +98,11 @@ class ModelParams:
                                     # PrecisionPolicy: per-kernel-family
                                     # dtypes (SViii mixed precision)
     n_passive: int = 0              # extra passive (dye/age) tracers
-    halo_packer: str = "sliced"     # "sliced" | "kernel" | "naive" (SV-D pack)
-    halo_method3d: str = "transposed"  # "transposed" | "per_level" (Fig. 5)
-    halo_fused: bool = True         # fused multi-field halo fast path
-                                    # (one message per neighbour per phase,
-                                    # persistent buffers, zero-copy sends);
-                                    # bitwise identical to the per-field path
-    graph: bool = False             # capture the step's launch sequence once
-                                    # and replay it through cached per-backend
-                                    # plans (bitwise identical to eager)
-    graph_fuse: bool = True         # merge adjacent compatible elementwise
-                                    # launches into one sweep on graph seal
-    jit: Optional[bool] = None      # compiled execution tier for sealed
-                                    # graphs (repro.kokkos.jit): lower each
-                                    # launch plan into a generated (or,
-                                    # with numba, njit) sweep and fuse
-                                    # dependent stencil chains; None defers
-                                    # to REPRO_JIT (default on); only
-                                    # meaningful with graph=True
-    arena: bool = True              # workspace arena for kernel scratch
-                                    # arrays (zero steady-state allocations);
-                                    # False reverts to per-call allocation
+    graph: bool = False             # False: eager stepping, the reference
+                                    # oracle; True: the production path --
+                                    # capture each step variant once, seal
+                                    # it (launch fusion + compiled sweeps)
+                                    # and replay; bitwise identical to eager
     trace: bool = False             # span tracing: record kernel launches,
                                     # halo phases, transfers and step/timer
                                     # regions on the context's Tracer for
@@ -210,10 +194,9 @@ class LICOMKpp:
             self.grid, self.topo, self.decomp, self.rank
         )
         d = self.domain
-        # scratch arena the kernel apply bodies draw temporaries from;
-        # disabled => fresh allocation per request, identical numerics.
+        # scratch arena the kernel apply bodies draw temporaries from.
         # Owned by the context: released (all threads' pools) on close.
-        d.workspace = self.context.make_workspace(enabled=self.params.arena)
+        d.workspace = self.context.make_workspace()
         #: Per-kernel-family precision policy (presets "double"/"single"/
         #: "mixed" or per-family overrides; see repro.ocean.precision).
         self.policy: PrecisionPolicy = resolve_precision(self.params.precision)
@@ -234,8 +217,6 @@ class LICOMKpp:
         self.dom_eos = d.at_dtype(famdt("eos"))
         self.dom_scan = d.at_dtype(famdt("scan"))
         self.halo = HaloUpdater(self.comm, self.decomp, self.rank,
-                                method3d=self.params.halo_method3d,
-                                packer=self.params.halo_packer,
                                 tracer=context.tracer)
 
         # -- work views -----------------------------------------------------
@@ -436,34 +417,13 @@ class LICOMKpp:
             tr.record_d2h(nbytes)
             tr.record_h2d(nbytes)
 
-    def _halo3(self, view: View, sign: float = 1.0, fill: float = 0.0) -> None:
-        self.space.fence()  # exchange reads results of in-flight launches
-        d = self.domain
-        h = d.halo
-        nz = view.raw.shape[0]
-        self._ledger_halo(nz * 2 * h * (d.ly + d.lx) * float(view.raw.itemsize))
-        self.halo.update3d(view.raw, sign=sign, fill=fill)
-
-    def _halo2(self, view: View, sign: float = 1.0, fill: float = 0.0) -> None:
-        self.space.fence()  # exchange reads results of in-flight launches
-        d = self.domain
-        h = d.halo
-        self._ledger_halo(2 * h * (d.ly + d.lx) * float(view.raw.itemsize))
-        self.halo.update2d(view.raw, sign=sign, fill=fill)
-
     def _halo3_group(self, specs) -> None:
-        """Halo-update several 3-D fields: fused (one message per
-        neighbour per phase) when enabled, per-field otherwise.
+        """Halo-update several 3-D fields in one fused exchange (one
+        message per neighbour per phase, persistent pack buffers).
 
-        ``specs`` is a list of ``(view, sign, fill)`` triples.  Both
-        paths are bitwise identical; the fused one aggregates messages
-        and reuses persistent pack buffers.
+        ``specs`` is a list of ``(view, sign, fill)`` triples.
         """
         self.space.fence()  # exchange reads results of in-flight launches
-        if not self.params.halo_fused:
-            for v, sign, fill in specs:
-                self._halo3(v, sign=sign, fill=fill)
-            return
         d = self.domain
         h = d.halo
         fields = []
@@ -477,10 +437,6 @@ class LICOMKpp:
     def _halo2_group(self, specs) -> None:
         """2-D counterpart of :meth:`_halo3_group`."""
         self.space.fence()  # exchange reads results of in-flight launches
-        if not self.params.halo_fused:
-            for v, sign, fill in specs:
-                self._halo2(v, sign=sign, fill=fill)
-            return
         d = self.domain
         h = d.halo
         fields = []
@@ -556,8 +512,7 @@ class LICOMKpp:
                 self.visc, self.bivisc, self.tdiff, self.eta_diff,
                 self.params.asselin, self.params.bottom_drag,
                 self.params.advect_momentum, self.params.n_passive,
-                self.params.halo_fused, self.params.canuto_every,
-                self.params.graph_fuse, self.params.jit,
+                self.params.canuto_every,
                 self.config.dt_baroclinic, self.config.dt_barotropic,
                 self.gamma_t, self.gamma_s)
         return (tuple(id(v) for v in views), nums)
@@ -595,8 +550,7 @@ class LICOMKpp:
             if graph is None:
                 if tr.enabled:
                     tr.instant("graph_capture", cat="model", step=self.nstep)
-                graph = LaunchGraph(self.space, fuse=self.params.graph_fuse,
-                                    jit=self.params.jit)
+                graph = LaunchGraph(self.space)
                 self._capture = graph
                 try:
                     self._step_body(dt2, canuto)
@@ -836,14 +790,16 @@ class LICOMKpp:
     def _tracer_suite(self, dt2: float) -> None:
         """Advance every tracer (T, S, passives) one step.
 
-        With the fused halo path the suite runs *stage by stage across
-        all tracers* — horizontal diffusion of every tracer, one fused
-        halo; predictor of every tracer, one fused halo; FCT limits with
-        all R+/R- bundled into one message; apply + implicit vertical,
-        one fused halo — so the number of halo messages is independent
-        of the tracer count.  Per-field mode steps each tracer through
-        :meth:`_tracer_step` sequentially; both orders are bitwise
-        identical because tracers only share read-only velocity fields.
+        The suite runs *stage by stage across all tracers* — horizontal
+        diffusion of every tracer, one fused halo; predictor of every
+        tracer, one fused halo; FCT limits with all R+/R- bundled into
+        one message; apply + implicit vertical, one fused halo — so the
+        number of halo messages is independent of the tracer count.
+        Within a tracer, horizontal diffusion runs first (its explicit
+        maximum principle keeps the field inside its bounds), then the
+        FCT advection of the diffused field, then the implicit vertical
+        operator — so the whole tracer step is strictly
+        bounds-preserving (the dye test relies on it).
         """
         st = self.state
         tracers = [(st.t, self.sst_star, self.gamma_t),
@@ -855,11 +811,6 @@ class LICOMKpp:
         self._cast(st.v.cur, self.v_tr)
         self._cast(st.w, self.w_tr)
         self._cast(st.kappa_h, self.kappa_h_tr)
-        if not self.params.halo_fused:
-            for i, (fld, star2d, gamma) in enumerate(tracers):
-                self._tracer_step(i, fld, star2d, gamma, dt2)
-            return
-
         d = self.dom_tracer
         run = self._run
         n = len(tracers)
@@ -924,61 +875,6 @@ class LICOMKpp:
         self._host(halo_new, "halo_tracer",
                    HostEffects(halo_refresh=[fld.new for fld, _, _ in tracers],
                                fences=True))
-
-    def _tracer_step(self, i: int, fld, star2d: np.ndarray, gamma: float,
-                     dt2: float) -> None:
-        """Two-step shape-preserving advection + diffusion for one tracer.
-
-        Horizontal diffusion runs first (its explicit maximum principle
-        keeps the field inside its bounds), then the FCT advection of
-        the diffused field, then the implicit vertical operator — so the
-        whole tracer step is strictly bounds-preserving (the dye test
-        relies on it).
-        """
-        st = self.state
-        d = self.dom_tracer
-        run = self._run
-        work, tst = self.tdiff_work_all[i], self.tstar_all[i]
-        rp, rm = self.rplus_all[i], self.rminus_all[i]
-
-        def seed_work() -> None:
-            work.raw[...] = fld.old.raw
-
-        def halo_one(view, fill=0.0):
-            def fn() -> None:
-                with self.timers.timer("halo_tracer"):
-                    self._halo3(view, fill=fill)
-            return fn
-
-        def halo_limits() -> None:
-            with self.timers.timer("halo_tracer"):
-                self._halo3(rp, fill=1.0)
-                self._halo3(rm, fill=1.0)
-
-        def refresh(*views) -> HostEffects:
-            return HostEffects(halo_refresh=views, fences=True)
-
-        # diffuse-then-advect: work = old + dt * div(k grad old)
-        self._host(seed_work, "tracer_seed",
-                   HostEffects(reads=(fld.old,), writes=(work,)))
-        run("tracer_hdiff", self.p_int2,
-            TracerHDiffusionFunctor(fld.old, work, d, dt2, self.tdiff))
-        self._host(halo_one(work), "halo_tracer", refresh(work))
-        run("advect_tracer_predictor", self.p_int2,
-            AdvectPredictorFunctor(work, self.u_tr, self.v_tr, self.w_tr,
-                                   tst, d, dt2))
-        self._host(halo_one(tst), "halo_tracer", refresh(tst))
-        run("advect_tracer_limits", self.p_int2,
-            FCTLimitFunctor(work, tst, self.u_tr, self.v_tr,
-                            self.w_tr, rp, rm, d, dt2))
-        self._host(halo_limits, "halo_tracer", refresh(rp, rm))
-        run("advect_tracer_apply", self.p_int2,
-            FCTApplyFunctor(tst, self.u_tr, self.v_tr, self.w_tr,
-                            rp, rm, fld.new, d, dt2))
-        run("vertical_tracer_diffusion", self.p_int2,
-            VerticalTracerDiffusionFunctor(fld.new, self.kappa_h_tr,
-                                           star2d, gamma, d, dt2))
-        self._host(halo_one(fld.new), "halo_tracer", refresh(fld.new))
 
     # ------------------------------------------------------------------
     # driving and output

@@ -327,15 +327,11 @@ class HaloUpdater:
         comm: SimComm,
         decomp: BlockDecomposition,
         rank: Optional[int] = None,
-        method3d: str = "transposed",
-        packer: str = "sliced",
         tracer=None,
     ) -> None:
         self.comm = comm
         self.decomp = decomp
         self.rank = comm.rank if rank is None else rank
-        self.method3d = method3d
-        self.packer = packer
         #: Optional span tracer handed to the fused fast path.
         self.tracer = tracer
         #: Count of halo updates performed (for the cost model).  Fused
@@ -373,14 +369,14 @@ class HaloUpdater:
         if self.events is not None:
             self.events.append(ExchangeEvent("2d", None, 1, (arr.shape,), 4))
         return exchange2d(self.comm, self.decomp, self.rank, arr,
-                          sign=sign, fill=fill, packer=self.packer)
+                          sign=sign, fill=fill)
 
     def update3d(self, arr: np.ndarray, sign: float = 1.0, fill: float = 0.0) -> np.ndarray:
         self.updates3d += 1
         if self.events is not None:
             self.events.append(ExchangeEvent("3d", None, 1, (arr.shape,), 4))
         return exchange3d(self.comm, self.decomp, self.rank, arr,
-                          sign=sign, fill=fill, method=self.method3d)
+                          sign=sign, fill=fill)
 
     def update_many(self, fields, phase: Optional[str] = None) -> None:
         """Fused halo update of several fields at once.

@@ -26,7 +26,7 @@ from .machines import MachineSpec
 #: dispatch) but not the launch itself — spawn/join on the CPEs or the
 #: device kernel launch — so a compiled launch is modelled as a
 #: constant fraction of the machine's ``launch_overhead``, calibrated
-#: against the BENCH_step wallclock split.
+#: against the measured interpreted-vs-compiled step wall-clock split.
 JIT_DISPATCH_FRACTION = 0.3
 
 
@@ -169,7 +169,7 @@ def measure_jit_coverage(size: str = "tiny", steps: int = 3) -> float:
     """Replayed launches per step on the compiled tier, measured live.
 
     The live counterpart of ``DEFAULT_PROFILE.launches_compiled``:
-    steps the real model with graph capture and the compiled tier on
+    steps the real model on its production path (``graph=True``)
     and reads the sealed steady-state graph's per-kernel tiers.
     """
     from ..kokkos import Instrumentation, SerialBackend
@@ -178,7 +178,7 @@ def measure_jit_coverage(size: str = "tiny", steps: int = 3) -> float:
 
     cfg = demo(size)
     model = LICOMKpp(cfg, backend=SerialBackend(inst=Instrumentation()),
-                     params=ModelParams(graph=True, jit=True))
+                     params=ModelParams(graph=True))
     model.run_steps(max(2, steps))
     steady = [g for (startup, _), g in model._graphs.items() if not startup]
     graph = steady[0] if steady else next(iter(model._graphs.values()))

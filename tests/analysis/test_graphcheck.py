@@ -7,8 +7,10 @@ Three layers of coverage:
   read, redundant exchange, dead store, missing fence), asserting the
   verifier reports exactly the intended finding.
 * **Seed model** — the tiny demo model's sealed step graphs walk clean
-  on every backend in both jit modes, and every fusion group the seal
-  pass accepted is independently certified (differential test).
+  on every backend, both fully compiled and with lowering unavailable
+  (the un-fused interpreted fallback, the only schedule whose fusion
+  groups need tiling-safety), and every fusion group the seal pass
+  accepted is independently certified (differential test).
 * **Certification hook** — ``seal(certify=True)`` rejects a
   deliberately corrupted fusion group and accepts a legal one.
 """
@@ -221,17 +223,22 @@ BACKENDS = ("serial", "openmp", "athread", "cuda")
 class TestSeedModelClean:
     @pytest.mark.parametrize("jit", [False, True], ids=["eager", "jit"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sealed_step_graphs_walk_clean(self, backend, jit):
+    def test_sealed_step_graphs_walk_clean(self, backend, jit, monkeypatch):
+        from repro.kokkos import jit as jit_mod
         from repro.ocean import LICOMKpp, ModelParams, demo
 
+        if not jit:
+            # no plan lowers: every launch stays on its interpreted plan
+            monkeypatch.setattr(jit_mod, "compile_sweep",
+                                lambda *a, **k: None)
         model = LICOMKpp(demo("tiny"), backend=backend,
-                         params=ModelParams(graph=True, jit=jit,
-                                            check_every=0))
+                         params=ModelParams(graph=True, check_every=0))
         try:
             model.run_steps(2)
             graphs = [g for g in model._graphs.values() if g.sealed]
             assert len(graphs) == 2  # startup + steady variants
             for graph in graphs:
+                assert graph.jit_coverage == float(jit)
                 assert check_graph(graph) == []
                 # differential: every fusion group the seal pass
                 # accepted is certified by the independent prover

@@ -147,7 +147,7 @@ class TestContextRegistry:
 class TestWorkspaceLifetime:
     def test_context_releases_all_thread_pools_on_close(self):
         ctx = ExecutionContext("serial")
-        ws = ctx.make_workspace(enabled=True)
+        ws = ctx.make_workspace()
         took = threading.Barrier(5)
         hold = threading.Event()
 
@@ -171,7 +171,7 @@ class TestWorkspaceLifetime:
 
     def test_take_after_release_still_works(self):
         ctx = ExecutionContext("serial")
-        ws = ctx.make_workspace(enabled=True)
+        ws = ctx.make_workspace()
         a = ws.take("k", (8,), fill=1.0)
         ctx.close()
         b = ws.take("k", (8,), fill=2.0)      # eager allocation now

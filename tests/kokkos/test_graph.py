@@ -128,6 +128,8 @@ class TestLaunchGraph:
         g.seal()
         assert g.fused_groups == 0
         assert g.launches_per_replay == 3
+        g.replay()
+        np.testing.assert_array_equal(x.data, (1.5 + 2.0) * 0.5)
 
     def test_dependent_stencil_chain_not_fused_without_jit(self):
         # scale writes x, the stencil reads x: a dependent chain, which
@@ -165,6 +167,27 @@ class TestLaunchGraph:
         g.replay()
         np.testing.assert_array_equal(x.data, ref_x)
         np.testing.assert_array_equal(out.data, ref_out)
+
+    def test_dependent_stencil_chain_unfuses_when_lowering_fails(
+            self, monkeypatch):
+        # without a compiled sweep nothing guarantees the stage barrier,
+        # so seal falls back to the captured launches
+        from repro.kokkos import jit as jit_mod
+
+        monkeypatch.setattr(jit_mod, "compile_sweep", lambda *a, **k: None)
+        be = SerialBackend(inst=Instrumentation())
+        x = View("x", data=np.ones((4, 6)))
+        out = View("out", data=np.zeros((4, 6)))
+        pol = MDRangePolicy([(0, 4), (0, 4)])
+        g = LaunchGraph(be, fuse=True, jit=True)
+        g.add_kernel("scale", pol, ScaleFunctor(x, 2.0))
+        g.add_kernel("stencil", pol, StencilFunctor(x, out))
+        g.seal()
+        assert g.fused_groups == 0
+        assert g.launches_per_replay == 2
+        assert g.compiled_launches == 0
+        g.replay()
+        np.testing.assert_array_equal(out.data[:, 0:3], 2.0)
 
     def test_sealed_graph_rejects_recording(self):
         be = SerialBackend(inst=Instrumentation())

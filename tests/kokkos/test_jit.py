@@ -1,11 +1,11 @@
 """The compiled execution tier (``repro.kokkos.jit``).
 
-Covers the ``REPRO_JIT`` knob resolution, codegen-tier bitwise identity
-against the eager plans, the per-context cache lifecycle (factories
-cached, re-seal hits, ``close()`` clears), structural degradation (one
-warning, plan stays eager), the ``jit_spec``/njit lowering path (pure
-Python when numba is absent, compiled when present) and the empty-range
-short-circuits in the reference sweeps.  Model-level identity is in
+Covers codegen-tier bitwise identity against the eager plans, the
+per-context cache lifecycle (factories cached, re-seal hits, ``close()``
+clears), structural degradation (one warning, plan stays eager), the
+``jit_spec``/njit lowering path (pure Python when numba is absent,
+compiled when present) and the empty-range short-circuits in the
+reference sweeps.  Model-level identity is in
 ``tests/ocean/test_graph_replay.py``.
 """
 
@@ -31,7 +31,6 @@ from repro.kokkos.jit import (
     _LoweredNjit,
     compile_sweep,
     numba_available,
-    resolve_jit,
     sweep_key,
 )
 
@@ -109,38 +108,6 @@ class BrokenLowering:
     @property
     def parts(self):
         raise RuntimeError("poisoned lowering path")
-
-
-class TestResolveJit:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        assert resolve_jit() is True
-
-    @pytest.mark.parametrize("val", ["0", "off", "FALSE", "no"])
-    def test_env_disables(self, monkeypatch, val):
-        monkeypatch.setenv("REPRO_JIT", val)
-        assert resolve_jit() is False
-
-    @pytest.mark.parametrize("val", ["1", "on", "True", "yes"])
-    def test_env_enables(self, monkeypatch, val):
-        monkeypatch.setenv("REPRO_JIT", val)
-        assert resolve_jit() is True
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "0")
-        assert resolve_jit(True) is True
-        monkeypatch.setenv("REPRO_JIT", "1")
-        assert resolve_jit(False) is False
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "maybe")
-        with pytest.raises(ValueError, match="REPRO_JIT"):
-            resolve_jit()
-
-    def test_graph_honours_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "0")
-        g = LaunchGraph(SerialBackend(inst=Instrumentation()))
-        assert g.jit is False
 
 
 class TestCodegenTier:

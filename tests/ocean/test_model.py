@@ -210,26 +210,3 @@ class TestDiagnostics:
     def test_tracer_content_positive(self, tiny_model_session):
         assert tiny_model_session.tracer_content("t") > 0.0
         assert tiny_model_session.tracer_content("s") > 0.0
-
-
-class TestHaloStrategyOptions:
-    def test_unoptimized_halo_path_bitwise_identical(self):
-        """The SV-D optimizations change cost, never results."""
-        cfg = demo("tiny")
-        opt = LICOMKpp(cfg)
-        opt.run_steps(4)
-        orig = LICOMKpp(cfg, params=ModelParams(
-            halo_packer="naive", halo_method3d="per_level"))
-        orig.run_steps(4)
-        for fld in ("u", "v", "t", "s", "ssh"):
-            assert np.array_equal(
-                getattr(opt.state, fld).cur.raw,
-                getattr(orig.state, fld).cur.raw), fld
-
-    def test_kernel_packer_bitwise_identical(self):
-        cfg = demo("tiny")
-        opt = LICOMKpp(cfg)
-        opt.run_steps(3)
-        kern = LICOMKpp(cfg, params=ModelParams(halo_packer="kernel"))
-        kern.run_steps(3)
-        assert np.array_equal(opt.state.t.cur.raw, kern.state.t.cur.raw)

