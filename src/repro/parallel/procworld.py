@@ -11,11 +11,24 @@ get faster.  This module is the real-parallel substrate behind
   split of a placement step feeding a dumb worker runtime).  Each rank
   builds its own :class:`~repro.kokkos.context.ExecutionContext` end to
   end — jit tier, sealed graphs and tracer all live worker-side.
-* **Transport** — one ``multiprocessing`` queue per rank carrying only
-  small control frames (:mod:`.wire`).  Bulk data — the fused halo
-  exchange's ``move=True`` pack buffers — crosses as a shared-memory
-  segment name (:mod:`.shm`); the receiver maps the same pages and
-  unpacks in place.  Zero copies, zero pickling of field data.
+* **Transport** — one pipe per rank as its inbox, written by the
+  *sending thread* itself (a ``multiprocessing.Queue``'s feeder thread
+  must first win the sender's GIL from the computing thread, which
+  cost more than the exchange).  The write ends are non-blocking and
+  carry only **bounded frames** (:data:`.wire.MAX_FRAME`: length
+  prefix + frame <= ``PIPE_BUF``), so writes from several ranks and
+  threads are atomic without a lock and land whole or not at all.
+  Bulk data — the fused halo exchange's ``move=True`` pack buffers —
+  crosses as a shared-memory segment name (:mod:`.shm`); the receiver
+  maps the same pages and unpacks in place.  Zero copies, zero
+  pickling of field data.  An object frame too big for the pipe (a
+  gather of global fields, an array sent without ``move=``) is staged
+  in a pool slab and crosses the same way; the receiver decodes it
+  from the slab and recycles the slab.  ``send`` stays *buffered*:
+  when the destination pipe is full the sender makes MPI-style
+  progress — drains its own inbox into the unexpected-message store,
+  retries — and raises :class:`~repro.errors.CommunicationError` only
+  after the world ``timeout``, or at once if that rank has exited.
 * **Collectives** — rank 0 coordinates: every rank contributes one
   small object frame, rank 0 applies the *same* rank-ordered combine
   closure thread mode uses and broadcasts the result, so collective
@@ -40,8 +53,10 @@ exact as in thread mode.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import queue
+import select
 import threading
 import time
 import traceback
@@ -62,7 +77,15 @@ from .comm import (
 )
 from .decomp import Placement
 from .shm import SharedBufferPool, sweep_world_segments, unlink_segments
-from .wire import FLAG_MOVE, ObjFrame, ShmFrame, decode, encode_obj, encode_shm
+from .wire import (
+    FLAG_MOVE,
+    FLAG_OBJ,
+    MAX_FRAME,
+    ObjFrame,
+    decode,
+    encode_obj,
+    encode_shm,
+)
 
 #: Reserved tags for the collective rendezvous protocol (far above the
 #: halo tags 11..15 and anything user programs plausibly pick).
@@ -126,11 +149,13 @@ class ProcComm(SimComm):
     thread-mode ones by construction; only the transport differs.
     """
 
-    def __init__(self, world: _RankWorldView, rank: int,
-                 inboxes: Sequence, pool: SharedBufferPool) -> None:
+    def __init__(self, world: _RankWorldView, rank: int, inbox,
+                 outboxes: Sequence, pool: SharedBufferPool) -> None:
         super().__init__(world, rank)  # type: ignore[arg-type]
-        self._inboxes = inboxes
-        self._inbox = inboxes[rank]
+        #: Read end of this rank's pipe; ``outboxes[r]`` is the
+        #: non-blocking write end of rank ``r``'s.
+        self._inbox = inbox
+        self._outboxes = outboxes
         self._pool = pool
         #: MPI-style unexpected-message store: (src, tag) -> frames.
         self._pending: Dict[Tuple[int, int], deque] = {}
@@ -156,12 +181,41 @@ class ProcComm(SimComm):
             tr.instant("send", cat="comm", dest=dest, tag=tag,
                        bytes=float(nbytes),
                        **({"phase": phase} if phase else {}))
-        self._inboxes[dest].put(self._encode(obj, tag, move))
+        self._post(dest, self._encode(obj, tag, move))
+
+    def _post(self, dest: int, frame: bytes) -> None:
+        """Write one bounded frame into ``dest``'s inbox, from this thread.
+
+        A full pipe must not turn the buffered send into a rendezvous
+        (two ranks flooding each other would deadlock): while waiting
+        for room the sender keeps draining its own inbox, which is what
+        lets the peer's writes — and so the peer — move on.
+        """
+        out = self._outboxes[dest]
+        timeout = self.world.timeout
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                out.send_bytes(frame)  # atomic: len(frame) <= MAX_FRAME
+                return
+            except BlockingIOError:
+                pass
+            except BrokenPipeError:
+                raise CommunicationError(
+                    f"send to rank {dest} failed: the rank has exited"
+                ) from None
+            self._drain_nowait()
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise CommunicationError(
+                    f"send to rank {dest} timed out after {timeout}s "
+                    "(its inbox stayed full; deadlock?)")
+            select.select([self._inbox], [out], [], remaining)
 
     def _encode(self, obj: Any, tag: int, move: bool) -> bytes:
+        pool = self._pool
         if move and isinstance(obj, np.ndarray):
             # ownership handoff: the segment handle crosses, not bytes.
-            pool = self._pool
             seg = pool.handle_of(obj)
             if seg is None:
                 # a move of an ordinary array: stage it into a slab once
@@ -171,7 +225,15 @@ class ProcComm(SimComm):
             return encode_shm(self.rank, tag, FLAG_MOVE, seg.name, seg.kind,
                               obj.dtype.str, obj.shape)
         # buffered small-object path: pickling is the copy
-        return encode_obj(self.rank, tag, obj)
+        frame = encode_obj(self.rank, tag, obj)
+        if len(frame) <= MAX_FRAME:
+            return frame
+        # too big for one atomic pipe write: the frame crosses in a slab
+        slab = pool.acquire_bytes(len(frame))
+        slab[:len(frame)] = np.frombuffer(frame, np.uint8)
+        seg = pool.handle_of(slab)
+        return encode_shm(self.rank, tag, FLAG_OBJ, seg.name, seg.kind,
+                          slab.dtype.str, slab.shape)
 
     def _deliver(self, fr) -> Any:
         if isinstance(fr, ObjFrame):
@@ -181,21 +243,25 @@ class ProcComm(SimComm):
             nelem *= d
         canon = self._pool.adopt(fr.segment, fr.kind, nelem,
                                  np.dtype(fr.dtype))
-        view = canon.reshape(fr.shape)
-        if fr.flags & FLAG_MOVE:
-            return view  # receiver now owns the slab (keep-it recycling)
-        out = view.copy()
-        self._pool.release(fr.kind, canon)
-        return out
+        if fr.flags & FLAG_OBJ:
+            obj = decode(canon).body  # the pickle ends itself; rest is slack
+            self._pool.release(fr.kind, canon)
+            return obj
+        # FLAG_MOVE: receiver now owns the slab (keep-it recycling)
+        return canon.reshape(fr.shape)
 
     def _drain_nowait(self) -> None:
-        while True:
-            try:
-                raw = self._inbox.get_nowait()
-            except queue.Empty:
-                return
-            fr = decode(raw)
+        while self._inbox.poll():
+            fr = decode(self._inbox.recv_bytes())
             self._pending.setdefault((fr.src, fr.tag), deque()).append(fr)
+
+    def _next_frame(self, deadline: float, timeout: float):
+        """The next frame off the pipe, whoever sent it, by ``deadline``."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not self._inbox.poll(remaining):
+            raise CommunicationError(
+                f"receive timed out after {timeout}s (deadlock?)")
+        return decode(self._inbox.recv_bytes())
 
     def _take(self, source: int, tag: int, timeout: float) -> Any:
         key = (source, tag)
@@ -204,15 +270,7 @@ class ProcComm(SimComm):
             return self._deliver(q.popleft())
         deadline = time.monotonic() + timeout
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise CommunicationError(
-                    f"receive timed out after {timeout}s (deadlock?)")
-            try:
-                raw = self._inbox.get(timeout=remaining)
-            except queue.Empty:
-                continue
-            fr = decode(raw)
+            fr = self._next_frame(deadline, timeout)
             if (fr.src, fr.tag) == key:
                 return self._deliver(fr)
             self._pending.setdefault((fr.src, fr.tag), deque()).append(fr)
@@ -224,15 +282,7 @@ class ProcComm(SimComm):
                 return src, self._deliver(q.popleft())
         deadline = time.monotonic() + timeout
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise CommunicationError(
-                    f"receive timed out after {timeout}s (deadlock?)")
-            try:
-                raw = self._inbox.get(timeout=remaining)
-            except queue.Empty:
-                continue
-            fr = decode(raw)
+            fr = self._next_frame(deadline, timeout)
             if fr.tag == tag:
                 return fr.src, self._deliver(fr)
             self._pending.setdefault((fr.src, fr.tag), deque()).append(fr)
@@ -266,8 +316,7 @@ class ProcComm(SimComm):
         seq = self._next_seq()
         timeout = self.world.timeout
         if self.rank != 0:
-            self._inboxes[0].put(
-                encode_obj(self.rank, TAG_COLL, (seq, name, value)))
+            self._post(0, self._encode((seq, name, value), TAG_COLL, False))
             ok, payload = self._take(0, TAG_COLL_RESULT, timeout)
             if not ok:
                 raise CommunicationError(payload)
@@ -311,19 +360,25 @@ class ProcComm(SimComm):
         return result
 
     def _broadcast_result(self, ok: bool, payload: Any) -> None:
+        undelivered = None
         for dst in range(1, self.size):
-            self._inboxes[dst].put(
-                encode_obj(0, TAG_COLL_RESULT, (ok, payload)))
+            try:
+                self._post(dst, self._encode((ok, payload),
+                                             TAG_COLL_RESULT, False))
+            except CommunicationError as exc:
+                undelivered = undelivered or exc  # still tell the rest
+        if ok and undelivered is not None:
+            raise undelivered
 
 
 # -- worker entry point ------------------------------------------------------
 
 
-def _run_rank(rank: int, size: int, uid: str, timeout: float, inboxes,
-              program, args) -> Dict[str, Any]:
+def _run_rank(rank: int, size: int, uid: str, timeout: float, inbox,
+              outboxes, program, args) -> Dict[str, Any]:
     pool = SharedBufferPool(uid, rank)
     world = _RankWorldView(size, timeout, uid)
-    comm = ProcComm(world, rank, inboxes, pool)
+    comm = ProcComm(world, rank, inbox, outboxes, pool)
     try:
         result = program(comm, *args)
         report: Dict[str, Any] = {"status": "ok", "rank": rank,
@@ -338,17 +393,23 @@ def _run_rank(rank: int, size: int, uid: str, timeout: float, inboxes,
     report["rank_traffic"] = comm.ledger
     report["segments"] = pool.created_names()
     pool.close()
+    inbox.close()  # a later send to this rank fails instead of piling up
     return report
 
 
 def _worker_main(worker_id: int, ranks: Tuple[int, ...], size: int, uid: str,
-                 timeout: float, inboxes, report_q, program, args) -> None:
-    """Spawn target: run this worker's ranks (threads when several)."""
+                 timeout: float, inboxes, outboxes, report_q, program,
+                 args) -> None:
+    """Spawn target: run this worker's ranks (threads when several).
+
+    ``inboxes`` maps this worker's own ranks to their pipes' read ends;
+    ``outboxes`` lists every rank's write end.
+    """
     reports: Dict[int, Dict[str, Any]] = {}
 
     def run_one(rank: int) -> None:
-        reports[rank] = _run_rank(rank, size, uid, timeout, inboxes,
-                                  program, args)
+        reports[rank] = _run_rank(rank, size, uid, timeout, inboxes[rank],
+                                  outboxes, program, args)
 
     if len(ranks) == 1:
         run_one(ranks[0])
@@ -421,18 +482,29 @@ def run_process_world(
     uid = uuid.uuid4().hex[:10]
     with _ACTIVE_LOCK:
         _ACTIVE_UIDS.add(uid)
-    inboxes = [ctx.Queue() for _ in range(size)]
+    inboxes, outboxes = zip(*(ctx.Pipe(duplex=False) for _ in range(size)))
+    for out in outboxes:
+        # O_NONBLOCK lives on the open file description, so every
+        # worker inherits it with the descriptor
+        os.set_blocking(out.fileno(), False)
     report_q = ctx.Queue()
     procs: List[Tuple[Any, Tuple[int, ...]]] = []
-    for worker_id, ranks in enumerate(placement.groups):
-        p = ctx.Process(
-            target=_worker_main,
-            args=(worker_id, tuple(ranks), size, uid, timeout, inboxes,
-                  report_q, program, tuple(args)),
-            name=f"rprworker{worker_id}",
-        )
-        p.start()
-        procs.append((p, tuple(ranks)))
+    try:
+        for worker_id, ranks in enumerate(placement.groups):
+            p = ctx.Process(
+                target=_worker_main,
+                args=(worker_id, tuple(ranks), size, uid, timeout,
+                      {r: inboxes[r] for r in ranks}, outboxes,
+                      report_q, program, tuple(args)),
+                name=f"rprworker{worker_id}",
+            )
+            p.start()
+            procs.append((p, tuple(ranks)))
+    finally:
+        # the workers hold their own copies now; a read end left open
+        # here would hide a dead rank from the ranks sending to it
+        for conn in (*inboxes, *outboxes):
+            conn.close()
 
     reports: Dict[int, Dict[str, Any]] = {}
     suspect_since: Dict[int, float] = {}

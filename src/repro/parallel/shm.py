@@ -45,6 +45,9 @@ SEGMENT_PREFIX = "rpr"
 #: Linux tmpfs where POSIX shared memory appears as files.
 _SHM_DIR = "/dev/shm"
 
+#: Free-list kind of the slabs that carry oversize object frames.
+OBJ_KIND = "obj"
+
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:
     """Withdraw a freshly *created* segment from the resource tracker.
@@ -125,6 +128,21 @@ class SharedBufferPool(BufferPool):
 
     # release() is inherited: adopted slabs land in this pool's free
     # list (keep-it recycling) exactly like locally created ones.
+
+    def acquire_bytes(self, nbytes: int) -> np.ndarray:
+        """A ``uint8`` slab of at least ``nbytes`` for an oversize object.
+
+        Object traffic is not symmetric the way halos are — a gather's
+        contribution is smaller than the result that comes back — so
+        capacities are powers of two and the smallest free slab that is
+        large enough serves.  A rank then re-sends in the slabs it was
+        handed and the pool still reaches a fixed point instead of
+        creating a segment per call.
+        """
+        fits = [key[1] for key, stack in self._free.items()
+                if stack and key[0] == OBJ_KIND and key[1] >= nbytes]
+        size = min(fits) if fits else 1 << max(0, nbytes - 1).bit_length()
+        return self.acquire(OBJ_KIND, size, np.uint8)
 
     # -- segment management ---------------------------------------------------
 

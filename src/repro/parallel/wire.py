@@ -5,11 +5,18 @@ payload between ranks:
 
 * **bulk data** — packed halo slabs living in
   ``multiprocessing.shared_memory`` segments.  Only a tiny *control
-  frame* crosses the queue: the segment name plus enough dtype/shape
+  frame* crosses the pipe: the segment name plus enough dtype/shape
   metadata for the receiver to map a NumPy view onto the same physical
   pages.  No byte of field data is serialised.
 * **small objects** — collective contributions, scalars, arbitrary
   user payloads.  These ride as a pickled body behind a fixed header.
+
+Every frame is **bounded** (:data:`MAX_FRAME`): a rank's inbox is one
+pipe that every other rank writes without a lock, and POSIX makes a
+write atomic — never interleaved, and all-or-nothing on a non-blocking
+descriptor — only up to ``PIPE_BUF`` bytes.  An OBJ frame that does
+not fit is staged in a shared-memory slab by the sender and crosses as
+a SHM frame flagged :data:`FLAG_OBJ`.
 
 Frames are flat ``bytes`` built with :mod:`struct` — decoding a SHM
 frame touches no allocator beyond the few strings it returns, so the
@@ -30,6 +37,7 @@ where ``str`` is a u16 length followed by UTF-8 bytes.
 from __future__ import annotations
 
 import pickle
+import select
 import struct
 from typing import Any, Tuple
 
@@ -41,9 +49,13 @@ FRAME_OBJ = 2
 
 #: Flags on SHM frames.
 FLAG_MOVE = 0x01     #: ownership handoff: receiver keeps the segment view
-FLAG_COPYOUT = 0x02  #: receiver copies out and recycles the slab
+FLAG_OBJ = 0x02      #: slab holds an oversize OBJ frame: decode, recycle
 
 _HEADER = struct.Struct("<BBii")
+
+#: Largest frame one atomic pipe write can carry: ``Connection.send_bytes``
+#: prepends a 4-byte length to the same ``write``.
+MAX_FRAME = select.PIPE_BUF - 4
 _U16 = struct.Struct("<H")
 _I64 = struct.Struct("<q")
 
@@ -108,8 +120,12 @@ class ObjFrame:
         self.body = body
 
 
-def decode(frame: bytes):
-    """Decode one wire frame into a :class:`ShmFrame` / :class:`ObjFrame`."""
+def decode(frame):
+    """Decode one wire frame into a :class:`ShmFrame` / :class:`ObjFrame`.
+
+    ``frame`` is any buffer that starts with a frame (``bytes`` off the
+    pipe, or the ``uint8`` slab an oversize OBJ frame was staged in).
+    """
     ftype, flags, src, tag = _HEADER.unpack_from(frame, 0)
     off = _HEADER.size
     if ftype == FRAME_SHM:

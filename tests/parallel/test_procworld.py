@@ -7,6 +7,7 @@ so spawned workers can import this module).
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -126,7 +127,142 @@ def prog_ledgered(comm):
     return None
 
 
+# Buffered-send programs: each posts more than a pipe holds, or an object
+# bigger than a bounded frame, *before* anyone receives.
+
+
+def prog_mutual_big(comm):
+    peer = 1 - comm.rank
+    comm.send(np.full(1 << 18, float(comm.rank)), peer, tag=4)  # 2 MiB
+    return _same(comm.recv(peer, tag=4), np.full(1 << 18, float(peer)))
+
+
+def prog_many_small(comm, n):
+    peer = 1 - comm.rank
+    for i in range(n):
+        comm.send((comm.rank, i), peer, tag=8)
+    return [comm.recv(peer, tag=8) for _ in range(n)] == \
+        [(peer, i) for i in range(n)]
+
+
+def prog_flood_root(comm, n):
+    if comm.rank != 0:
+        for i in range(n):
+            comm.send(i, 0, tag=9)
+        return True
+    time.sleep(0.3)  # let the inbox fill: senders must wait, not fail
+    got = {src: [] for src in range(1, comm.size)}
+    for _ in range(n):
+        for src in reversed(range(1, comm.size)):
+            got[src].append(comm.recv(src, tag=9))
+    return all(seq == list(range(n)) for seq in got.values())
+
+
+def prog_send_until_error(comm, peer_sleeps):
+    """Rank 0 sends until the wire refuses; rank 1 never receives."""
+    if comm.rank == 1:
+        time.sleep(peer_sleeps)
+        return None
+    t0 = time.monotonic()
+    try:
+        while time.monotonic() - t0 < 15.0:
+            comm.send("x" * 64, 1, tag=1)
+    except CommunicationError as exc:
+        return (str(exc), time.monotonic() - t0)
+    return ("no error", time.monotonic() - t0)
+
+
+def _big(rank):
+    return (np.arange(1 << 16, dtype=np.float32) * (rank + 1)).reshape(256, -1)
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def prog_repeated_gather(comm):
+    pool = comm.make_halo_pool()
+    allocations, ok = [], True
+    for _ in range(20):
+        got = comm.gather(_big(comm.rank), root=0)
+        allocations.append(pool.allocations)
+        if comm.rank == 0:
+            ok = ok and all(_same(g, _big(r)) for r, g in enumerate(got))
+    return allocations, ok
+
+
+def prog_wire_mechanism(comm):
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    for i in range(200):
+        comm.send(i, right, tag=3)
+    threads = threading.active_count()
+    small = [comm.recv(left, tag=3) for _ in range(200)] == list(range(200))
+    comm.send(_big(comm.rank), right, tag=4)       # 256 KiB, no move=
+    comm.send(list(range(5000)), right, tag=5)     # oversize non-array
+    p2p = _same(comm.recv(left, tag=4), _big(left)) and \
+        comm.recv(left, tag=5) == list(range(5000))
+    bcast = _same(comm.bcast(_big(7) if comm.rank == 1 else None, root=1),
+                  _big(7))
+    got = comm.gather(_big(comm.rank), root=0)
+    gather = comm.rank != 0 or all(_same(g, _big(r))
+                                   for r, g in enumerate(got))
+    return threads, small, p2p, bcast, gather
+
+
 # -- tests -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("program,size,args,groups", [
+    (prog_mutual_big, 2, (), None),
+    (prog_many_small, 2, (5000,), None),
+    (prog_flood_root, 4, (2000,), None),
+    # two rank threads per worker: concurrent writers inside one process
+    (prog_flood_root, 4, (2000,), ((0, 1), (2, 3))),
+], ids=["mutual-2MiB", "5000-small", "flood-rank0", "flood-rank0-threads"])
+def test_send_stays_buffered(program, size, args, groups):
+    """``send`` never waits for the peer to receive (a blocking pipe
+    write hangs the first case, a lossy one breaks the others)."""
+    got = run_process_world(
+        program, size, timeout=20.0, args=args,
+        placement=groups and Placement(groups=groups)).results
+    assert got == [True] * size
+    assert _shm_leaks() == []
+
+
+class TestWireFailure:
+    def test_send_to_exited_rank_raises(self):
+        got = SimWorld.run(prog_send_until_error, 2, timeout=20.0,
+                           args=(0.0,), mode="process")
+        message, elapsed = got[0]
+        assert "rank 1" in message and "exited" in message
+        assert elapsed < 10.0  # the broken pipe, not the full-inbox timeout
+        assert _shm_leaks() == []
+
+    def test_send_to_full_inbox_times_out(self):
+        got = SimWorld.run(prog_send_until_error, 2, timeout=1.0,
+                           args=(4.0,), mode="process")
+        message, elapsed = got[0]
+        assert "rank 1" in message and "timed out after 1.0s" in message
+        assert 1.0 <= elapsed < 4.0
+        assert _shm_leaks() == []
+
+    def test_oversize_gather_reaches_pool_fixed_point(self):
+        got = SimWorld.run(prog_repeated_gather, 3, timeout=TIMEOUT,
+                           mode="process")
+        for allocations, ok in got:
+            assert ok
+            # slabs recycle: no shared-memory segment per call
+            assert allocations[2:] == [allocations[2]] * 18
+            assert allocations[-1] <= 3
+        assert _shm_leaks() == []
+
+    def test_no_feeder_thread_and_oversize_roundtrip(self):
+        got = SimWorld.run(prog_wire_mechanism, 3, timeout=TIMEOUT,
+                           mode="process")
+        # sends are written by the sending thread itself
+        assert got == [(1, True, True, True, True)] * 3
+        assert _shm_leaks() == []
 
 
 class TestProcessWorld:
