@@ -15,7 +15,7 @@ from repro.perfmodel import (
     cpe_pipeline_time,
     double_buffer_speedup,
     format_breakdown_table,
-    mixed_precision_projection,
+    policy_projection,
     step_breakdown,
 )
 
@@ -55,7 +55,7 @@ def test_mixed_precision_projection(benchmark, save_artifact):
     def build():
         lines = [f"{'machine':<14s} {'double':>8s} {'single':>8s} {'speedup':>8s}"]
         for machine, units in (("new_sunway", 590250), ("orise", 16000)):
-            d, s, sp = mixed_precision_projection(CFG1, machine, units)
+            d, s, sp = policy_projection(CFG1, machine, units, "single")
             lines.append(f"{machine:<14s} {d:>8.3f} {s:>8.3f} {sp:>7.2f}x")
         lines.append("(SViii: the bandwidth-bound Sunway benefits most)")
         return "\n".join(lines)

@@ -14,7 +14,7 @@ from repro.perfmodel import (
     cpe_pipeline_time,
     double_buffer_speedup,
     format_breakdown_table,
-    mixed_precision_projection,
+    policy_projection,
     step_breakdown,
 )
 
@@ -51,7 +51,7 @@ def main() -> None:
         ("new_sunway", 590250, "new Sunway, 38,366,250 cores"),
         ("orise", 16000, "ORISE, 16,000 HIP GPUs"),
     ):
-        d, s, sp = mixed_precision_projection(cfg, machine, units)
+        d, s, sp = policy_projection(cfg, machine, units, "single")
         print(f"{label:<32s} {d:6.3f} -> {s:6.3f} SYPD  ({sp:.2f}x)")
     print("(the bandwidth-bound Sunway gains most from halved traffic)")
 

@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from repro.kokkos import GLOBAL_INSTRUMENTATION
 from repro.ocean import LICOMKpp, demo, rossby_stats, sst_stats
 
 
@@ -50,7 +49,8 @@ def main(days: float = 5.0) -> None:
     print(model.timers.report())
 
     print("\nkernel instrumentation (top rows feed the machine model):")
-    print("\n".join(GLOBAL_INSTRUMENTATION.report().splitlines()[:10]))
+    print("\n".join(model.context.inst.report().splitlines()[:10]))
+    model.close()
 
 
 if __name__ == "__main__":

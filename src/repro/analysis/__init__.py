@@ -36,14 +36,11 @@ from .graphcheck import (
 from .rules import ALL_RULES, GRAPH_RULES, RuleConfig, run_rules
 from .runner import (
     DRIVER_MODULES,
-    GLOBAL_ALLOWLIST,
-    GLOBAL_SINGLETONS,
     OCEAN_KERNEL_MODULES,
     LintConfig,
     collect_footprints,
     run_kernelcheck,
     scan_fence_discipline,
-    scan_global_state,
 )
 
 __all__ = [
@@ -51,10 +48,8 @@ __all__ = [
     "Baseline",
     "DRIVER_MODULES",
     "Finding",
-    "GLOBAL_ALLOWLIST",
     "GRAPH_RULES",
     "GraphLintConfig",
-    "GLOBAL_SINGLETONS",
     "KernelAnalysis",
     "KernelFootprint",
     "LintConfig",
@@ -74,6 +69,5 @@ __all__ = [
     "run_kernelcheck",
     "run_rules",
     "scan_fence_discipline",
-    "scan_global_state",
     "static_cost",
 ]

@@ -36,17 +36,6 @@ records:
     after writing the same view: the numpy statements see already
     updated neighbours, so ``apply`` is no longer elementwise-equivalent
     to ``__call__`` (and both orders are backend-dependent).
-
-``global-state``
-    Library code naming a process-wide singleton
-    (``GLOBAL_INSTRUMENTATION``, ``GLOBAL_REGISTRY``, ``GLOBAL_TIMERS``)
-    directly instead of taking an
-    :class:`~repro.kokkos.context.ExecutionContext` (or using the
-    deprecated ``default_context()`` / ``default_registry()`` shims).
-    Direct singleton reads couple every rank in the process: counters
-    commingle and concurrent model instances stop being separable.
-    Scanned module-wide by :mod:`repro.analysis.runner` (the shims'
-    home modules are allowlisted).
 """
 
 from __future__ import annotations
@@ -62,10 +51,8 @@ RULE_HALO = "halo-overrun"
 RULE_SPACE = "memory-space"
 RULE_COST = "cost-drift"
 RULE_ALIAS = "alias-hazard"
-RULE_GLOBAL = "global-state"
 
-ALL_RULES = (RULE_RACE, RULE_HALO, RULE_SPACE, RULE_COST, RULE_ALIAS,
-             RULE_GLOBAL)
+ALL_RULES = (RULE_RACE, RULE_HALO, RULE_SPACE, RULE_COST, RULE_ALIAS)
 
 # -- whole-schedule rule families (repro.analysis.graphcheck) ---------------
 # Per-kernel rules above see one body at a time; these see the sealed

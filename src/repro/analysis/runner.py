@@ -5,7 +5,7 @@
 in ``tests/analysis``:
 
 1. import the ocean kernel modules so their ``@kokkos_register_for``
-   decorators populate ``GLOBAL_REGISTRY``;
+   decorators populate the registration table;
 2. build a :class:`~repro.analysis.footprint.KernelFootprint` per
    registered functor (filtered to first-party ``repro.*`` modules so
    ad-hoc test functors never pollute a lint run);
@@ -13,12 +13,7 @@ in ``tests/analysis``:
 4. scan the driver module (``repro.ocean.model``) for host ``.raw``
    accesses to views written by an in-flight launch without an
    intervening ``fence()`` — the cross-kernel half of the memory-space
-   rule that per-kernel analysis cannot see;
-5. scan every first-party library module for direct reads of the
-   process-wide singletons (``GLOBAL_INSTRUMENTATION`` and friends) —
-   the ``global-state`` rule backing the ExecutionContext refactor
-   (only the singletons' home modules and the context shim may name
-   them).
+   rule that per-kernel analysis cannot see.
 
 The fence scan is intra-procedural and assumes self-method calls
 synchronize (the model's halo helpers ``fence()`` at entry, which this
@@ -32,12 +27,11 @@ import ast
 import importlib
 import inspect
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .findings import Baseline, Finding, Report, Severity
 from .footprint import KernelFootprint, build_footprint
-from .rules import ALL_RULES, RULE_GLOBAL, RULE_SPACE, RuleConfig, run_rules
+from .rules import ALL_RULES, RULE_SPACE, RuleConfig, run_rules
 
 #: Modules whose import registers the first-party kernels.
 OCEAN_KERNEL_MODULES = (
@@ -53,27 +47,6 @@ OCEAN_KERNEL_MODULES = (
 #: Driver modules scanned for fence discipline.
 DRIVER_MODULES = ("repro.ocean.model",)
 
-#: Process-wide singletons library code must not name directly; reach
-#: them through an ExecutionContext or the default_context()/
-#: default_registry() shims instead.
-GLOBAL_SINGLETONS = (
-    "GLOBAL_INSTRUMENTATION",
-    "GLOBAL_REGISTRY",
-    "GLOBAL_TIMERS",
-)
-
-#: Modules allowed to name the singletons: where each is defined, the
-#: context shim that wraps them, and the package facade re-exporting
-#: the public API.
-GLOBAL_ALLOWLIST = frozenset({
-    "repro.kokkos.instrument",   # defines GLOBAL_INSTRUMENTATION
-    "repro.kokkos.registry",     # defines GLOBAL_REGISTRY
-    "repro.timing",              # defines GLOBAL_TIMERS
-    "repro.kokkos.context",      # the deprecated compatibility shim
-    "repro.kokkos",              # package __init__ re-exports
-})
-
-
 @dataclass
 class LintConfig:
     """Everything a kernelcheck run can be configured with."""
@@ -83,7 +56,6 @@ class LintConfig:
     baseline: Optional[Baseline] = None
     extra_modules: Sequence[str] = ()
     scan_drivers: bool = True
-    scan_globals: bool = True
 
     def __post_init__(self) -> None:
         try:
@@ -102,12 +74,8 @@ def collect_footprints(cfg: LintConfig,
                        registry=None) -> List[KernelFootprint]:
     """Import kernel modules and footprint every registered functor.
 
-    ``registry`` defaults to the process registry; tests pass a private
-    one.  JIT-generated functors are *derived artifacts*: a registered
-    type carrying ``__kernelcheck_source__`` is linted as its declared
-    source functor (the lowered body is generated from it), so a defect
-    in the source is reported whether or not the compiled tier served
-    the launch.
+    ``registry`` defaults to the process registration table; tests
+    pass a private one.
     """
     from repro.kokkos.registry import default_registry
 
@@ -115,13 +83,9 @@ def collect_footprints(cfg: LintConfig,
         importlib.import_module(mod)
 
     footprints: List[KernelFootprint] = []
-    seen: Set[type] = set()
     reg = registry if registry is not None else default_registry()
     for entry in reg.entries():
-        ft = resolve_lint_target(entry.functor_type)
-        if ft in seen:
-            continue
-        seen.add(ft)
+        ft = entry.functor_type
         if not ft.__module__.startswith(cfg.module_prefix):
             continue
         if getattr(ft, "__kernelcheck_skip__", False):
@@ -132,17 +96,6 @@ def collect_footprints(cfg: LintConfig,
             build_footprint(entry.name, ft, entry.ndim, entry.kind))
     footprints.sort(key=lambda fp: fp.kernel)
     return footprints
-
-
-def resolve_lint_target(functor_type: type) -> type:
-    """Follow ``__kernelcheck_source__`` chains to the declared source."""
-    seen = set()
-    while True:
-        src = getattr(functor_type, "__kernelcheck_source__", None)
-        if src is None or src in seen:
-            return functor_type
-        seen.add(functor_type)
-        functor_type = src
 
 
 # --------------------------------------------------------------------------
@@ -424,75 +377,6 @@ def scan_fence_discipline(
 
 
 # --------------------------------------------------------------------------
-# global-state scan of library modules
-# --------------------------------------------------------------------------
-
-
-def _iter_library_sources() -> List[Tuple[str, Path]]:
-    """(module name, source path) for every module in the repro package."""
-    import repro
-
-    root = Path(repro.__file__).resolve().parent
-    out: List[Tuple[str, Path]] = []
-    for py in sorted(root.rglob("*.py")):
-        parts = ("repro",) + py.relative_to(root).with_suffix("").parts
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        out.append((".".join(parts), py))
-    return out
-
-
-def _singleton_refs(tree: ast.AST) -> List[Tuple[str, int]]:
-    """(singleton name, line) for every direct reference in ``tree``."""
-    refs: List[Tuple[str, int]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name in GLOBAL_SINGLETONS:
-                    refs.append((alias.name, node.lineno))
-        elif isinstance(node, ast.Name) and node.id in GLOBAL_SINGLETONS:
-            refs.append((node.id, node.lineno))
-        elif isinstance(node, ast.Attribute) and node.attr in GLOBAL_SINGLETONS:
-            refs.append((node.attr, node.lineno))
-    return refs
-
-
-def scan_global_state(
-        sources: Optional[Sequence[Tuple[str, Path]]] = None,
-        allowlist: frozenset = GLOBAL_ALLOWLIST) -> List[Finding]:
-    """Flag library-code reads of the process-wide singletons.
-
-    Walks every first-party module's AST for names, attribute accesses
-    or ``from ... import`` of :data:`GLOBAL_SINGLETONS`.  Only the
-    singletons' home modules and the context shim (the allowlist) may
-    name them — everything else must take an ``ExecutionContext`` or go
-    through ``default_context()`` / ``default_registry()``, so per-rank
-    ledgers stay separable.  ``sources`` overrides the scanned file set
-    (tests inject fixtures).
-    """
-    findings: List[Finding] = []
-    for modname, path in (sources if sources is not None
-                          else _iter_library_sources()):
-        if modname in allowlist:
-            continue
-        try:
-            tree = ast.parse(path.read_text())
-        except (OSError, SyntaxError):  # pragma: no cover - sources parse
-            continue
-        for name, line in _singleton_refs(tree):
-            findings.append(Finding(
-                RULE_GLOBAL, Severity.ERROR,
-                modname, name,
-                f"library module {modname} reads the process-wide "
-                f"singleton {name} directly; take an ExecutionContext "
-                "(or the default_context()/default_registry() shim) so "
-                "per-rank ledgers stay separable",
-                file=str(path), line=line,
-            ))
-    return findings
-
-
-# --------------------------------------------------------------------------
 # orchestration
 # --------------------------------------------------------------------------
 
@@ -506,10 +390,7 @@ def run_kernelcheck(cfg: Optional[LintConfig] = None) -> Report:
         findings.extend(run_rules(fp, cfg.rule_config))
     if cfg.scan_drivers:
         findings.extend(scan_fence_discipline(footprints))
-    if cfg.scan_globals:
-        findings.extend(scan_global_state())
     if cfg.baseline is not None:
         cfg.baseline.apply(findings)
-    rules = [r for r in ALL_RULES if cfg.scan_globals or r != RULE_GLOBAL]
     return Report(findings=findings, kernels_checked=len(footprints),
-                  rules_run=rules)
+                  rules_run=list(ALL_RULES))

@@ -161,8 +161,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if baseline is not None:
             baseline.apply(report.findings)
     else:
-        cfg = LintConfig(baseline=baseline, scan_drivers=not args.no_drivers,
-                         scan_globals=not args.no_globals)
+        cfg = LintConfig(baseline=baseline, scan_drivers=not args.no_drivers)
         report = run_kernelcheck(cfg)
     if args.write_baseline:
         Baseline().save(args.write_baseline, report.unsuppressed)
@@ -267,17 +266,17 @@ def _cmd_precision(args: argparse.Namespace) -> int:
     print(report.format())
     if args.project:
         from .ocean.config import PAPER_CONFIGS
-        from .perfmodel import policy_projection, projection_crosscheck
+        from .perfmodel import policy_projection
 
         print()
         for machine, units in (("orise", 16000), ("new_sunway", 590250)):
             d, p, sp = policy_projection(
                 PAPER_CONFIGS["km_1km"], machine, units, args.policy)
-            flat = projection_crosscheck(
-                PAPER_CONFIGS["km_1km"], machine, units)
+            _, _, bound = policy_projection(
+                PAPER_CONFIGS["km_1km"], machine, units, "single")
             print(f"{machine}: fp64 {d:.3f} SYPD -> {args.policy} "
-                  f"{p:.3f} SYPD ({sp:.2f}x; flat fp32 bound "
-                  f"{flat['flat_single_speedup']:.2f}x)")
+                  f"{p:.3f} SYPD ({sp:.2f}x; uniform fp32 bound "
+                  f"{bound:.2f}x)")
     return 0 if report.ok else 1
 
 
@@ -437,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "and exit")
     lint.add_argument("--no-drivers", action="store_true",
                       help="skip the host-side fence-discipline scan")
-    lint.add_argument("--no-globals", action="store_true",
-                      help="skip the global-state singleton scan")
     lint.add_argument("--graph", action="store_true",
                       help="verify sealed launch graphs (graphcheck) instead "
                            "of the per-kernel rules: dataflow hazards, halo "

@@ -16,10 +16,6 @@ class KokkosError(ReproError):
     """Base class for errors raised by the portability layer."""
 
 
-class NotInitializedError(KokkosError):
-    """An operation required ``kokkos.initialize()`` to have been called."""
-
-
 class BackendError(KokkosError):
     """A backend could not execute the requested operation."""
 

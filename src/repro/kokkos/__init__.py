@@ -10,7 +10,7 @@ Typical use::
 
     from repro import kokkos as kk
 
-    kk.initialize("athread")
+    space = kk.make_backend("athread")
     x = kk.View("x", 1000)
     y = kk.View("y", 1000)
 
@@ -26,7 +26,8 @@ Typical use::
             s, = slices
             self.y.data[s] += self.a * self.x.data[s]
 
-    kk.parallel_for("axpy", kk.RangePolicy(0, 1000), AXPY(2.0, x, y))
+    kk.parallel_for("axpy", kk.RangePolicy(0, 1000), AXPY(2.0, x, y), space)
+    print(space.inst.report())
 """
 
 from .spaces import (
@@ -56,7 +57,6 @@ from .functor import (
     register_functor_instance,
 )
 from .registry import (
-    GLOBAL_REGISTRY,
     DictRegistry,
     LinkedListRegistry,
     RegistryEntry,
@@ -83,28 +83,16 @@ from .graph import (
     KernelNode,
     LaunchGraph,
 )
-from .jit import JitCache, numba_available
+from .jit import JitCache
 from .instrument import (
-    GLOBAL_INSTRUMENTATION,
     Instrumentation,
     KernelStats,
     WorkspaceStats,
 )
-from .workspace import Workspace, null_workspace
-from .context import ContextRegistry, ExecutionContext, default_context
+from .workspace import Workspace
+from .context import ExecutionContext
 from .ldm import DMAEngine, LDMAllocator, SW26010_LDM_BYTES, double_buffered_time
-from .parallel import (
-    default_space,
-    fence,
-    finalize,
-    initialize,
-    is_initialized,
-    parallel_for,
-    parallel_reduce,
-    parallel_scan,
-    scoped_space,
-    set_default_space,
-)
+from .parallel import fence, parallel_for, parallel_reduce, parallel_scan
 
 __all__ = [
     # spaces / layout
@@ -118,22 +106,20 @@ __all__ = [
     "TeamPolicy", "TeamMember", "parallel_for_team", "parallel_reduce_team",
     # functors / registry
     "Functor", "kokkos_register_for", "kokkos_register_reduce",
-    "register_functor_instance", "GLOBAL_REGISTRY", "LinkedListRegistry",
+    "register_functor_instance", "LinkedListRegistry",
     "DictRegistry", "RegistryEntry", "default_registry",
     # execution contexts
-    "ExecutionContext", "ContextRegistry", "default_context",
+    "ExecutionContext",
     # backends
     "ExecutionSpace", "SerialBackend", "OpenMPBackend", "AthreadBackend",
     "DeviceBackend", "make_backend", "Reducer", "Sum", "Prod", "Min", "Max",
     # graph capture / workspace arena
     "LaunchGraph", "KernelNode", "HostNode", "HostEffects", "FusedTileFunctor",
-    "FusedStencilFunctor", "JitCache", "numba_available",
-    "Workspace", "null_workspace",
+    "FusedStencilFunctor", "JitCache",
+    "Workspace",
     # instrumentation / ldm
-    "Instrumentation", "KernelStats", "WorkspaceStats", "GLOBAL_INSTRUMENTATION",
+    "Instrumentation", "KernelStats", "WorkspaceStats",
     "LDMAllocator", "DMAEngine", "SW26010_LDM_BYTES", "double_buffered_time",
     # dispatch
-    "initialize", "finalize", "is_initialized", "default_space",
-    "set_default_space", "scoped_space", "parallel_for", "parallel_reduce",
-    "parallel_scan", "fence",
+    "parallel_for", "parallel_reduce", "parallel_scan", "fence",
 ]

@@ -9,7 +9,7 @@ not just the effect:
   ``KOKKOS_REGISTER_FOR_*D`` macro analog in
   :mod:`repro.kokkos.functor`).  Launching an unregistered functor
   raises :class:`~repro.errors.RegistrationError`; registered functors
-  are found through the linked-list registry and executed via their
+  are found through the registration table and executed via their
   preset callbacks.
 * **Tile distribution (Eq. 1–2).**  The iteration space is cut into
   tiles; ``total_tile`` and ``num_tile_per_cpe`` follow the paper's

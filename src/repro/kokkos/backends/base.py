@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ...errors import BackendError
-from ..instrument import Instrumentation, get_instrumentation
+from ..instrument import Instrumentation
 from ..policy import MDRangePolicy, as_md
 from ..spaces import HostSpace, MemorySpace
 from ..view import View
@@ -102,7 +102,9 @@ class ExecutionSpace:
     memory_space: MemorySpace = HostSpace
 
     def __init__(self, inst: Optional[Instrumentation] = None) -> None:
-        self.inst = get_instrumentation(inst)
+        #: The ledger this space records into: the owner's when one is
+        #: passed, otherwise a private one.
+        self.inst = inst if inst is not None else Instrumentation()
         #: Optional :class:`repro.trace.Tracer` wired in by the owning
         #: :class:`~repro.kokkos.context.ExecutionContext`; every launch
         #: becomes a ``kernel`` span while it is enabled.
@@ -229,8 +231,8 @@ class LaunchPlan:
         self.functor = functor
         self._points = policy.size
         self._flops, self._bytes = functor_cost(functor)
-        #: Execution tier serving this plan: ``eager`` (interpreted),
-        #: ``codegen`` or ``njit`` — see :mod:`repro.kokkos.jit`.
+        #: Execution tier serving this plan: ``eager`` (interpreted) or
+        #: ``codegen`` — see :mod:`repro.kokkos.jit`.
         self.tier = "eager"
         self._compiled = None
 

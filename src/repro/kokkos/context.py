@@ -3,22 +3,18 @@
 The paper's measurement story depends on per-rank attribution — its
 job-level performance monitoring toolchain on the new Sunway system
 (§VI-C) and the load-balance analysis only make sense when every rank's
-kernel counts and traffic are separable.  Historically this layer
-funnelled every rank through process-wide singletons
-(``GLOBAL_INSTRUMENTATION``, ``GLOBAL_REGISTRY``, module-level
-workspace state), so concurrent model instances commingled their
-ledgers and SimWorld rank arenas leaked across runs.
+kernel counts and traffic are separable.  So measurement and execution
+state lives on an :class:`ExecutionContext` (or on an object a caller
+built explicitly) and nowhere else: the only process-wide object of the
+package is the import-time functor registration table
+(:func:`~repro.kokkos.registry.default_registry`), which no lookup
+mutates.
 
-An :class:`ExecutionContext` is the explicit session object that owns
-one rank's copy of everything that used to be global:
+An :class:`ExecutionContext` is the session object that owns one rank's:
 
-* the backend instance (``.space``) and its :class:`Instrumentation`
+* backend instance (``.space``) and its :class:`Instrumentation`
   ledger (``.inst``) — kernel launches, H2D/D2H/DMA transfers and
   workspace counters all land in the owning context;
-* a functor registry (``.registry``) — a :class:`ContextRegistry` whose
-  misses fall back to the process-wide registration table, so
-  import-time ``@kokkos_register_for`` decorators keep working while
-  lookup state (LDM cache order, comparison counters) stays per rank;
 * the workspace arenas it handed out (``make_workspace``), released on
   :meth:`close` so rank threads never pin scratch memory after exit;
 * the per-rank traffic ledger (``.traffic``) the simulated MPI endpoint
@@ -31,12 +27,6 @@ Two models on different backends, each with its own context, can step
 concurrently in one process with bitwise-identical results and disjoint
 ledgers; :func:`repro.perfmodel.aggregate.aggregate` merges the
 per-rank ledgers back into the single job-level view.
-
-:func:`default_context` is the deprecated compatibility shim: one
-process-wide context wrapping the old globals, used when code does not
-pass a context explicitly.  Library code should take the context as an
-argument; the ``global-state`` kernelcheck rule flags direct singleton
-reads outside this module and the shim's home modules.
 """
 
 from __future__ import annotations
@@ -49,40 +39,8 @@ from typing import Dict, List, Optional
 from ..timing import TimerRegistry
 from ..trace import Tracer
 from .backends import ExecutionSpace, make_backend
-from .instrument import GLOBAL_INSTRUMENTATION, Instrumentation
-from .registry import GLOBAL_REGISTRY, LinkedListRegistry, RegistryEntry
+from .instrument import Instrumentation
 from .workspace import Workspace
-
-
-class ContextRegistry(LinkedListRegistry):
-    """A per-context functor registry with global fallback.
-
-    Uses the paper's configuration (linked list + LDM hot-entry cache +
-    SIMD matching) like the process-wide table, but owns its own LRU
-    order and ``comparisons`` counter so concurrent contexts neither
-    race on cache mutation nor skew each other's matching statistics.
-    A lookup miss consults the ``base`` table (where import-time
-    registration decorators put entries), caches the entry locally and
-    returns it; an entry missing from both raises the same
-    ``RegistrationError`` a real unregistered Athread launch hits.
-    """
-
-    def __init__(self, base: Optional[LinkedListRegistry] = None,
-                 **kwargs) -> None:
-        kwargs.setdefault("ldm_cache", True)
-        kwargs.setdefault("simd_width", 8)
-        super().__init__(**kwargs)
-        self._base = base if base is not None else GLOBAL_REGISTRY
-
-    def lookup(self, functor_type: type) -> RegistryEntry:
-        from ..errors import RegistrationError
-
-        try:
-            return super().lookup(functor_type)
-        except RegistrationError:
-            entry = self._base.lookup(functor_type)  # raises if truly absent
-            self.register(entry)
-            return entry
 
 
 class ExecutionContext:
@@ -92,11 +50,11 @@ class ExecutionContext:
     ----------
     backend:
         Backend name (``serial``/``openmp``/``athread``/``cuda``/
-        ``hip``), an already-built :class:`ExecutionSpace` (adopted
-        as-is, keeping its instrumentation), or ``None`` — in which
-        case ``.space`` resolves lazily to the process default space
-        (the :func:`default_context` shim configuration).
-    inst / registry / timers / tracer:
+        ``hip``) — the context builds the space, records it into its
+        own ledger and shuts it down on :meth:`close` — or an
+        already-built :class:`ExecutionSpace`, adopted as-is: it keeps
+        its instrumentation and its builder keeps its lifetime.
+    inst / timers / tracer:
         Override the freshly-created per-context instances.
     rank:
         The owning rank (labels ledgers in multi-rank aggregation).
@@ -116,10 +74,9 @@ class ExecutionContext:
 
     def __init__(
         self,
-        backend: Optional[object] = "serial",
+        backend: object = "serial",
         *,
         inst: Optional[Instrumentation] = None,
-        registry: Optional[LinkedListRegistry] = None,
         timers: Optional[TimerRegistry] = None,
         tracer: Optional[Tracer] = None,
         rank: int = 0,
@@ -129,7 +86,6 @@ class ExecutionContext:
     ) -> None:
         self.rank = int(rank)
         self.name = name if name is not None else f"ctx{next(self._ids)}"
-        self.registry = registry if registry is not None else ContextRegistry()
         self.timers = timers if timers is not None else TimerRegistry()
         #: Per-rank span tracer (disabled — and free — until
         #: :meth:`enable_tracing` wires it into the owned recorders).
@@ -141,21 +97,15 @@ class ExecutionContext:
         self._workspaces: List[Workspace] = []
         self._null_ws: Optional[Workspace] = None
         self._traffic = None
-        self._owns_space = False
-        self._space: Optional[ExecutionSpace] = None
-        if backend is None:
+        self._owns_space = not isinstance(backend, ExecutionSpace)
+        if self._owns_space:
             self.inst = inst if inst is not None else Instrumentation()
-        elif isinstance(backend, ExecutionSpace):
-            # adopt: the space keeps its ledger; the context reports it
-            self._space = backend
-            self.inst = inst if inst is not None else backend.inst
+            self.space: ExecutionSpace = make_backend(
+                backend, inst=self.inst, **backend_kwargs)
         else:
-            self.inst = inst if inst is not None else Instrumentation()
-            kwargs = dict(backend_kwargs)
-            if str(backend).lower() == "athread":
-                kwargs.setdefault("registry", self.registry)
-            self._space = make_backend(backend, inst=self.inst, **kwargs)
-            self._owns_space = True
+            # adopt: the space keeps its ledger; the context reports it
+            self.space = backend
+            self.inst = inst if inst is not None else backend.inst
         if trace:
             self.enable_tracing()
         with ExecutionContext._live_lock:
@@ -180,20 +130,15 @@ class ExecutionContext:
         timers (step/phase spans), the host<->device transfer ledger and
         the Athread DMA engine (instant events).  Idempotent; the
         dispatch path keeps its zero-overhead guard while disabled.
-
-        A context built with ``backend=None`` (the default-context shim)
-        wires only its timers and ledger — the process default space is
-        shared and stays untraced.
         """
         tr = self.tracer
         tr.enabled = True
         self.timers.tracer = tr
         self.inst.transfers.tracer = tr
-        if self._space is not None:
-            self._space.tracer = tr
-            dma = getattr(self._space, "dma", None)
-            if dma is not None:
-                dma.tracer = tr
+        self.space.tracer = tr
+        dma = getattr(self.space, "dma", None)
+        if dma is not None:
+            dma.tracer = tr
         return tr
 
     def disable_tracing(self) -> None:
@@ -201,33 +146,6 @@ class ExecutionContext:
         self.tracer.enabled = False
 
     # -- ownership accessors -----------------------------------------------
-
-    @property
-    def space(self) -> ExecutionSpace:
-        """The context's execution space.
-
-        A context built with ``backend=None`` (the default-context shim)
-        delegates to the process default space at access time, so
-        ``initialize()``-style code keeps working unchanged.
-        """
-        if self._space is not None:
-            return self._space
-        from .parallel import default_space
-
-        return default_space()
-
-    @classmethod
-    def adopt(cls, space: ExecutionSpace, *, rank: int = 0,
-              owns_space: bool = False, **kwargs) -> "ExecutionContext":
-        """Wrap an existing backend in a context.
-
-        The backend's instrumentation is preserved, so a default-built
-        backend (recording into the process-wide ledger) behaves exactly
-        as before contexts existed — the single-rank compatibility path.
-        """
-        ctx = cls(backend=space, rank=rank, **kwargs)
-        ctx._owns_space = owns_space
-        return ctx
 
     @property
     def jit_cache(self):
@@ -312,21 +230,11 @@ class ExecutionContext:
         if self._null_ws is not None:
             self._null_ws.release()
         self.graph_cache.clear()
-        space = self._space
-        if space is None:
-            # default-context shim: the process default space (if one
-            # was ever built) carried this context's jit cache — clear
-            # it too, so a fresh context re-warns about degradations
-            # instead of inheriting the once-per-key silence
-            from .parallel import peek_default_space
-
-            space = peek_default_space()
-        if space is not None:
-            cache = getattr(space, "jit_cache", None)
-            if cache is not None:
-                cache.clear()
-        if self._owns_space and self._space is not None:
-            shutdown = getattr(self._space, "shutdown", None)
+        cache = getattr(self.space, "jit_cache", None)
+        if cache is not None:
+            cache.clear()
+        if self._owns_space:
+            shutdown = getattr(self.space, "shutdown", None)
             if shutdown is not None:
                 shutdown()
 
@@ -337,35 +245,5 @@ class ExecutionContext:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        backend = self._space.name if self._space is not None else "<default>"
         return (f"ExecutionContext({self.name!r}, rank={self.rank}, "
-                f"backend={backend}, closed={self.closed})")
-
-
-_default_lock = threading.Lock()
-_default: Optional[ExecutionContext] = None
-
-
-def default_context() -> ExecutionContext:
-    """The deprecated process-wide compatibility shim.
-
-    Wraps the old globals — ``GLOBAL_INSTRUMENTATION``,
-    ``GLOBAL_REGISTRY``, ``GLOBAL_TIMERS`` and the process default
-    execution space — in one shared context, so code predating explicit
-    contexts keeps exactly its old behaviour.  New code should build an
-    :class:`ExecutionContext` per rank and pass it explicitly.
-    """
-    global _default
-    if _default is None:
-        with _default_lock:
-            if _default is None:
-                from ..timing import GLOBAL_TIMERS
-
-                _default = ExecutionContext(
-                    backend=None,
-                    inst=GLOBAL_INSTRUMENTATION,
-                    registry=GLOBAL_REGISTRY,
-                    timers=GLOBAL_TIMERS,
-                    name="default",
-                )
-    return _default
+                f"backend={self.space.name}, closed={self.closed})")

@@ -30,8 +30,9 @@ Cost-model metadata (used by the instrumentation and the machine model):
 The registration decorators mirror the paper's new Kokkos syntax
 (``KOKKOS_REGISTER_FOR_1D(Arg1, Arg2)``): they create a *preset function*
 that reinterprets the (Python) "template" functor and invokes its
-``operator()`` on the CPEs, then insert it into the global linked-list
-registry so the Athread backend can find it at launch time.
+``operator()`` on the CPEs, then insert it into the registration table
+(:func:`~repro.kokkos.registry.default_registry`) so the Athread backend
+can find it at launch time.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The paper gathers floating-point statistics with a "job-level performance
 monitoring and analysis toolchain" on the new Sunway system (§VI-C).  This
 module is the analog: every backend records, per kernel label, the number
 of launches, tiles executed, grid points visited, declared floating-point
-operations and bytes moved, plus a process-wide transfer ledger for
+operations and bytes moved, plus a transfer ledger for
 host<->device copies (heterogeneous daily memory copies are part of the
 timed region in the paper) and Athread DMA traffic.
 
@@ -118,9 +118,8 @@ class Instrumentation:
     transfers: TransferLedger = field(default_factory=TransferLedger)
     workspace: WorkspaceStats = field(default_factory=WorkspaceStats)
     enabled: bool = True
-    # One lock covers every mutating recorder: kernel launches arrive
-    # from concurrently stepping model instances that share a ledger
-    # (the default-context shim), workspace takes from OpenMP tiles.
+    # One lock covers every mutating recorder: OpenMP tiles of one
+    # launch take from the owning context's arena concurrently.
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
@@ -241,25 +240,3 @@ class Instrumentation:
                 f"{k.arithmetic_intensity:>7.3f}"
             )
         return "\n".join(lines)
-
-
-#: Process-wide instrumentation used by default by all backends.
-GLOBAL_INSTRUMENTATION = Instrumentation()
-
-
-def get_instrumentation(inst: Optional[Instrumentation] = None) -> Instrumentation:
-    """Resolve ``inst`` to an :class:`Instrumentation`.
-
-    Accepts ``None`` (the process-wide default), an ``Instrumentation``,
-    or any owner exposing one through an ``inst`` attribute — notably an
-    :class:`~repro.kokkos.context.ExecutionContext`, so context-aware
-    call sites (``deep_copy``, ``DualView``, backends) take either form.
-    """
-    if inst is None:
-        return GLOBAL_INSTRUMENTATION
-    if isinstance(inst, Instrumentation):
-        return inst
-    owner = getattr(inst, "inst", None)
-    if isinstance(owner, Instrumentation):
-        return owner
-    return inst

@@ -6,22 +6,12 @@ What remains on the hot path is Python itself: every replayed launch
 still enters ``plan.run()``, walks per-tile slice lists and bounces
 through ``apply_tile``.  This module lowers each sealed plan into a
 *compiled sweep* — a single specialised callable replacing that
-interpretation — in two tiers:
-
-``njit``
-    When numba is importable **and** the functor class declares a
-    ``jit_spec`` (explicit-loop source over ``View.raw`` ndarrays), the
-    source is compiled with ``numba.njit``.  Elementwise bodies lower
-    bitwise-identically; numba is never a hard dependency — without it
-    the same spec is ignored and the next tier applies.
-
-``codegen``
-    Always available.  Generates (``compile``/``exec``) a driver whose
-    body is the unrolled sequence of the plan's part sweeps over
-    precomputed whole-range slices (or, on the chunked OpenMP backend,
-    a stage-barriered chunk submission per part).  No per-tile Python
-    remains: one replayed launch is one call into N pre-bound
-    vectorised part bodies.
+interpretation.  There is one compiled tier, ``codegen``: it generates
+(``compile``/``exec``) a driver whose body is the unrolled sequence of
+the plan's part sweeps over precomputed whole-range slices (or, on the
+chunked OpenMP backend, a stage-barriered chunk submission per part).
+No per-tile Python remains: one replayed launch is one call into N
+pre-bound vectorised part bodies.
 
 Lowered artifacts are cached per execution space — and the space is
 owned by one :class:`~repro.kokkos.context.ExecutionContext`, so ranks
@@ -34,10 +24,6 @@ Degradation is structural, not exceptional: any failure to lower logs
 one structured warning per cache key and leaves the plan on its eager
 tier; ``LaunchPlan.tier`` records the outcome so ``repro trace
 --graph`` can report coverage.
-
-This module must not hold module-level references to the library's
-``GLOBAL_*`` singletons (kernelcheck's global-state rule); everything
-is reached through the space / functor instances handed in.
 """
 
 from __future__ import annotations
@@ -54,21 +40,6 @@ LOG = logging.getLogger("repro.kokkos.jit")
 #: Tier names recorded on :class:`~repro.kokkos.backends.base.LaunchPlan`.
 TIER_EAGER = "eager"
 TIER_CODEGEN = "codegen"
-TIER_NJIT = "njit"
-
-_NUMBA_OK: Optional[bool] = None
-
-
-def numba_available() -> bool:
-    """True when ``numba`` is importable (probed once per process)."""
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        try:
-            import numba  # noqa: F401
-            _NUMBA_OK = True
-        except Exception:
-            _NUMBA_OK = False
-    return _NUMBA_OK
 
 
 class CompiledSweep:
@@ -87,11 +58,11 @@ class CompiledSweep:
 class JitCache:
     """Per-execution-space cache of lowered kernels.
 
-    Values are *factories* (:class:`_LoweredCodegen` /
-    :class:`_LoweredNjit`), not bound sweeps: re-sealing after a
-    re-capture binds fresh functor instances against the cached
-    artifact (a hit), it never recompiles.  ``ExecutionContext.close``
-    clears the cache with the rest of the per-rank state.
+    Values are *factories* (:class:`_LoweredCodegen`), not bound
+    sweeps: re-sealing after a re-capture binds fresh functor instances
+    against the cached artifact (a hit), it never recompiles.
+    ``ExecutionContext.close`` clears the cache with the rest of the
+    per-rank state.
     """
 
     __slots__ = ("entries", "hits", "misses", "failures", "_warned")
@@ -212,103 +183,7 @@ class _LoweredCodegen:
         return self.make(applies, run_stage)
 
 
-# -- lowering: njit tier ----------------------------------------------------
-
-
-_LOWERED_TYPES: Dict[type, type] = {}
-
-
-def make_lowered_type(source_type: type) -> type:
-    """Derived-artifact class for a lowered kernel.
-
-    kernelcheck lints the *declared source functor*, not the generated
-    body — the artifact advertises its provenance through
-    ``__kernelcheck_source__`` and ``repro.analysis`` follows it.
-    """
-    cached = _LOWERED_TYPES.get(source_type)
-    if cached is None:
-        cached = type(f"Lowered_{source_type.__name__}", (), {
-            "__kernelcheck_source__": source_type,
-            "__module__": source_type.__module__,
-        })
-        _LOWERED_TYPES[source_type] = cached
-    return cached
-
-
-class _LoweredNjit:
-    """A ``jit_spec`` compiled once; ``bind`` closes over live views.
-
-    The bound sweep reads ``View.raw`` at *call* time, so leapfrog
-    rotation (``View.rebind``) keeps working exactly as it does for the
-    interpreted tiers.
-    """
-
-    __slots__ = ("tier", "source", "kernel", "arrays", "scalars", "artifact")
-
-    def __init__(self, source_type: type, spec: dict, label: str,
-                 force_python: bool = False) -> None:
-        self.tier = TIER_NJIT
-        self.source = spec["source"]
-        self.arrays = tuple(spec["arrays"])
-        self.scalars = tuple(spec.get("scalars", ()))
-        self.artifact = make_lowered_type(source_type)
-        ns: dict = {}
-        exec(compile(self.source, f"<repro-jit:{label}>", "exec"), ns)
-        fn = ns["kernel"]
-        if not force_python:
-            import numba
-
-            fn = numba.njit(cache=False)(fn)
-        self.kernel = fn
-
-    def bind(self, space, policy, functor) -> Callable[[], None]:
-        views = tuple(getattr(functor, name) for name in self.arrays)
-        for name, v in zip(self.arrays, views):
-            if not isinstance(v, View):
-                raise TypeError(
-                    f"jit_spec array {type(functor).__name__}.{name} "
-                    "is not a View")
-        scalars = tuple(getattr(functor, name) for name in self.scalars)
-        bounds = tuple(x for r in policy.ranges for x in r)
-        kern = self.kernel
-
-        def _sweep():
-            kern(*(v.raw for v in views), *scalars, *bounds)
-
-        return _sweep
-
-
 # -- lowering entry point ---------------------------------------------------
-
-
-def _all_float64_views(part) -> bool:
-    """True when every View the part binds is float64."""
-    from .backends.base import functor_views
-
-    return all(v.raw.dtype == np.float64 for v in functor_views(part))
-
-
-def _lower(space, label: str, policy, functor, cache: JitCache):
-    """Produce the cached lowering artifact for one plan."""
-    parts = getattr(functor, "parts", None) or [functor]
-    if len(parts) == 1:
-        spec = getattr(type(parts[0]), "jit_spec", None)
-        if spec is not None:
-            if not _all_float64_views(parts[0]):
-                # numba types python-float scalars as float64 inside the
-                # loop, so an fp32 jit_spec body would compute in fp64
-                # and break bitwise tier identity for narrow families —
-                # degrade to the codegen tier, which re-executes the
-                # numpy apply body (bitwise identical at any dtype).
-                cache.warn_once((sweep_key(space, policy, functor), "f32"),
-                                label, "narrow-dtype-views tier=codegen")
-            elif numba_available():
-                return _LoweredNjit(type(parts[0]), spec, label)
-            else:
-                cache.warn_once(("numba",), label,
-                                "numba-not-importable tier=codegen")
-    chunked = space.name == "openmp" and space.concurrency > 1
-    return _LoweredCodegen(len(parts), chunked, label)
 
 
 def compile_sweep(space, label: str, policy, functor,
@@ -323,7 +198,9 @@ def compile_sweep(space, label: str, policy, functor,
     entry = cache.entries.get(key)
     if entry is None:
         try:
-            entry = _lower(space, label, policy, functor, cache)
+            parts = getattr(functor, "parts", None) or [functor]
+            chunked = space.name == "openmp" and space.concurrency > 1
+            entry = _LoweredCodegen(len(parts), chunked, label)
         except Exception as exc:
             cache.warn_once(key, label, f"lowering-failed {exc!r}")
             return None

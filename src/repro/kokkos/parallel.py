@@ -1,96 +1,21 @@
-"""Top-level Kokkos-style API: initialize / parallel_for / parallel_reduce.
+"""Top-level Kokkos-style dispatch: parallel_for / parallel_reduce / scan.
 
-This module owns the process default execution space, mirroring
-``Kokkos::initialize`` / ``Kokkos::DefaultExecutionSpace``.  Application
-code (the ocean model) calls these free functions and never names a
-backend, which is the whole point of performance portability: the same
-LICOMK++ source runs on Serial, OpenMP, Athread and CUDA/HIP by changing
-only the ``initialize`` argument.
+Free-function spellings of the execution-space methods, mirroring
+``Kokkos::parallel_for(label, policy, functor)``.  Every call names the
+:class:`ExecutionSpace` it runs on — there is no process default space —
+so each launch is counted in exactly one owner's ledger.  Application
+code (the ocean model) never names a *backend*: it runs on whatever
+space its :class:`~repro.kokkos.context.ExecutionContext` owns, which is
+the whole point of performance portability.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
-
-from ..errors import NotInitializedError
-from .backends import ExecutionSpace, Reducer, Sum, make_backend
-
-_default_space: Optional[ExecutionSpace] = None
+from .backends import ExecutionSpace, Reducer, Sum
 
 
-def initialize(backend: str = "serial", **kwargs) -> ExecutionSpace:
-    """Initialise the portability layer with a default execution space.
-
-    Idempotent in the sense that calling it again replaces the default
-    space (finalizing the previous one).
-    """
-    global _default_space
-    if _default_space is not None:
-        finalize()
-    _default_space = make_backend(backend, **kwargs)
-    return _default_space
-
-
-def finalize() -> None:
-    """Tear down the default execution space."""
-    global _default_space
-    if _default_space is not None:
-        shutdown = getattr(_default_space, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
-        _default_space = None
-
-
-def is_initialized() -> bool:
-    return _default_space is not None
-
-
-def peek_default_space() -> Optional[ExecutionSpace]:
-    """The default space if one exists, without ever constructing it.
-
-    ``ExecutionContext.close`` uses this to clear per-space caches of
-    the default-context shim (``backend=None``) — building a backend
-    just to clear its empty caches would be absurd.
-    """
-    return _default_space
-
-
-def default_space() -> ExecutionSpace:
-    """The current default execution space.
-
-    Raises
-    ------
-    NotInitializedError
-        When :func:`initialize` has not been called.
-    """
-    if _default_space is None:
-        raise NotInitializedError(
-            "Kokkos layer not initialised; call repro.kokkos.initialize(...)"
-        )
-    return _default_space
-
-
-def set_default_space(space: ExecutionSpace) -> None:
-    """Install an already-constructed backend as the default space."""
-    global _default_space
-    _default_space = space
-
-
-@contextmanager
-def scoped_space(space: ExecutionSpace) -> Iterator[ExecutionSpace]:
-    """Temporarily swap the default execution space (for tests)."""
-    global _default_space
-    previous = _default_space
-    _default_space = space
-    try:
-        yield space
-    finally:
-        _default_space = previous
-
-
-def parallel_for(label: str, policy, functor, space: Optional[ExecutionSpace] = None) -> None:
-    """Execute ``functor`` in parallel over ``policy``.
+def parallel_for(label: str, policy, functor, space: ExecutionSpace) -> None:
+    """Execute ``functor`` in parallel over ``policy`` on ``space``.
 
     Parameters
     ----------
@@ -103,25 +28,18 @@ def parallel_for(label: str, policy, functor, space: Optional[ExecutionSpace] = 
     functor:
         An object following the functor protocol.
     space:
-        Execution space override; defaults to the initialised space.
+        The execution space to run on.
     """
-    target = space if space is not None else default_space()
-    target.parallel_for(label, policy, functor)
+    space.parallel_for(label, policy, functor)
 
 
-def parallel_reduce(
-    label: str,
-    policy,
-    functor,
-    reducer: Reducer = Sum,
-    space: Optional[ExecutionSpace] = None,
-):
+def parallel_reduce(label: str, policy, functor, reducer: Reducer = Sum, *,
+                    space: ExecutionSpace):
     """Reduce ``functor`` contributions over ``policy`` with ``reducer``."""
-    target = space if space is not None else default_space()
-    return target.parallel_reduce(label, policy, functor, reducer)
+    return space.parallel_reduce(label, policy, functor, reducer)
 
 
-def parallel_scan(label: str, n: int, functor, space: Optional[ExecutionSpace] = None):
+def parallel_scan(label: str, n: int, functor, space: ExecutionSpace):
     """Inclusive prefix scan over a 1-D range.
 
     The functor is called as ``functor(i, partial, final)`` like Kokkos:
@@ -135,14 +53,13 @@ def parallel_scan(label: str, n: int, functor, space: Optional[ExecutionSpace] =
     """
     from .backends.base import check_host_views
 
-    target = space if space is not None else default_space()
-    if target.memory_space.host_accessible:
-        check_host_views(functor, target.name)
+    if space.memory_space.host_accessible:
+        check_host_views(functor, space.name)
     if n <= 0:
         return 0.0
     flops = float(getattr(functor, "flops_per_point", 1.0))
     nbytes = float(getattr(functor, "bytes_per_point", 16.0))
-    tr = getattr(target, "tracer", None)
+    tr = getattr(space, "tracer", None)
     sp = (tr.begin(label, cat="kernel", points=n, flops=flops * n,
                    bytes=nbytes * n)
           if tr is not None and tr.enabled else None)
@@ -157,12 +74,11 @@ def parallel_scan(label: str, n: int, functor, space: Optional[ExecutionSpace] =
         if sp is not None:
             tr.end(label)
     # record as one launch (cost model treats scans as bandwidth-bound)
-    target.inst.record_launch(label, points=n, tiles=1,
-                              flops_per_point=flops, bytes_per_point=nbytes)
+    space.inst.record_launch(label, points=n, tiles=1,
+                             flops_per_point=flops, bytes_per_point=nbytes)
     return total
 
 
-def fence(space: Optional[ExecutionSpace] = None) -> None:
-    """Block until the (default) execution space is idle."""
-    target = space if space is not None else default_space()
-    target.fence()
+def fence(space: ExecutionSpace) -> None:
+    """Block until ``space`` is idle."""
+    space.fence()

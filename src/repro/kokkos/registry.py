@@ -8,11 +8,16 @@ every functor class is registered under a preset function name via the
 the Athread backend looks the functor up and invokes the preset, which
 calls the functor's ``operator()``.
 
+The table the backends consult (:func:`default_registry`) is a plain
+hash map: written by the registration decorators at import time, never
+mutated by a lookup, so every rank thread reads it without a lock.
+
 The paper deliberately chose a **linked list** for the registry ("a
 trade-off between the temporal and spatial complexities while
 maintaining robustness", O(n) lookup), then accelerated the matching
-with two Sunway features; we model both, plus a hash map as the
-non-Sunway reference, so the ablation benchmark can compare them:
+with two Sunway features.  Those are modelled here as the objects of
+the A3 ablation, which builds its own instances and compares them with
+the hash map:
 
 * :class:`LinkedListRegistry` — plain O(n) scan (the baseline).
 * ``LinkedListRegistry(ldm_cache=True)`` — a small LRU cache of hot
@@ -23,10 +28,10 @@ non-Sunway reference, so the ablation benchmark can compare them:
   batches against a packed hash array ("SIMD vectorization for
   accelerated kernel matching").  The packed array is rebuilt lazily
   after registrations.
-* :class:`DictRegistry` — hash map (O(1)).
+* :class:`DictRegistry` — hash map (O(1): one probe per lookup).
 
-Both the comparison count (the architectural metric the Sunway
-optimizations target) and wall time are exposed for the benchmarks.
+The linked-list variants expose their comparison count (the
+architectural metric the Sunway optimizations target) for the ablation.
 """
 
 from __future__ import annotations
@@ -114,8 +119,8 @@ class LinkedListRegistry:
         self._hash_array = np.empty(0, dtype=np.int64)
         self._entry_list: List[RegistryEntry] = []
         # register/lookup mutate shared structure (LRU cache order, the
-        # packed hash array, comparison counters); contexts on different
-        # threads may share one registry through the default shim
+        # packed hash array, comparison counters), and one instance may
+        # be handed to backends that launch from different threads
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -238,11 +243,11 @@ class LinkedListRegistry:
 
 
 class DictRegistry:
-    """Hash-map registry (the conventional O(1) alternative)."""
+    """Hash-map registry: one probe per lookup, and a lookup mutates
+    nothing, so concurrent readers need no lock."""
 
     def __init__(self) -> None:
         self._map: dict = {}
-        self.comparisons = 0
 
     def __len__(self) -> int:
         return len(self._map)
@@ -255,7 +260,6 @@ class DictRegistry:
         return list(self._map.values())
 
     def lookup(self, functor_type: type) -> RegistryEntry:
-        self.comparisons += 1
         try:
             return self._map[functor_type]
         except KeyError:
@@ -269,22 +273,17 @@ class DictRegistry:
 
     def clear(self) -> None:
         self._map.clear()
-        self.comparisons = 0
 
 
-#: The process-wide registry consulted by the Athread backend.  Uses the
-#: paper's configuration: linked list + LDM hot-entry cache + SIMD match.
-GLOBAL_REGISTRY = LinkedListRegistry(ldm_cache=True, simd_width=8)
+_REGISTRATIONS = DictRegistry()
 
 
-def default_registry() -> LinkedListRegistry:
-    """The process-wide registration table.
+def default_registry() -> DictRegistry:
+    """The import-time registration table.
 
-    ``@kokkos_register_for`` decorators at import time land here, and a
-    :class:`~repro.kokkos.context.ContextRegistry` falls back to it on a
-    local miss.  Library code should reach the table through this
-    accessor (or a context's ``.registry``) rather than naming the
-    ``GLOBAL_REGISTRY`` singleton — the ``global-state`` kernelcheck
-    rule enforces that.
+    ``@kokkos_register_for`` decorators land here, and every Athread
+    backend built without an explicit ``registry=`` resolves its preset
+    callbacks through it.  It is the one process-wide object of the
+    package: written at import, read-only afterwards.
     """
-    return GLOBAL_REGISTRY
+    return _REGISTRATIONS

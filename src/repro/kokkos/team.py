@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import LDMError
-from .instrument import Instrumentation, get_instrumentation
+from .instrument import Instrumentation
 from .ldm import LDMAllocator, SW26010_LDM_BYTES
 
 
@@ -89,7 +89,6 @@ def parallel_for_team(
             "per-team scratch budget"
         )
     allocator = LDMAllocator(capacity=ldm_bytes)
-    recorder = get_instrumentation(inst)
     for league_rank in range(policy.league_size):
         scratch = None
         if policy.scratch_bytes:
@@ -100,13 +99,14 @@ def parallel_for_team(
         finally:
             if policy.scratch_bytes:
                 allocator.free("team_scratch")
-    recorder.record_launch(
-        label,
-        points=policy.league_size * policy.team_size,
-        tiles=policy.league_size,
-        flops_per_point=float(getattr(functor, "flops_per_point", 0.0)),
-        bytes_per_point=float(getattr(functor, "bytes_per_point", 8.0)),
-    )
+    if inst is not None:
+        inst.record_launch(
+            label,
+            points=policy.league_size * policy.team_size,
+            tiles=policy.league_size,
+            flops_per_point=float(getattr(functor, "flops_per_point", 0.0)),
+            bytes_per_point=float(getattr(functor, "bytes_per_point", 8.0)),
+        )
 
 
 def parallel_reduce_team(
@@ -117,11 +117,11 @@ def parallel_reduce_team(
 ) -> float:
     """Sum one contribution per team (league order, deterministic)."""
     acc = 0.0
-    recorder = get_instrumentation(inst)
     for league_rank in range(policy.league_size):
         acc += float(functor(TeamMember(league_rank, policy, None)))
-    recorder.record_launch(
-        label, points=policy.league_size * policy.team_size,
-        tiles=policy.league_size,
-    )
+    if inst is not None:
+        inst.record_launch(
+            label, points=policy.league_size * policy.team_size,
+            tiles=policy.league_size,
+        )
     return acc

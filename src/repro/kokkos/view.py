@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import MemorySpaceError
-from .instrument import Instrumentation, get_instrumentation
+from .instrument import Instrumentation, TransferLedger
 from .spaces import (
     HostSpace,
     Layout,
@@ -253,10 +253,11 @@ def deep_copy(
 ) -> None:
     """Copy ``src`` into ``dst``, honouring memory spaces.
 
-    Copies that cross the host/device boundary are recorded in the
-    instrumentation transfer ledger as H2D or D2H traffic.
+    Copies that cross the host/device boundary are recorded in
+    ``inst``'s transfer ledger as H2D or D2H traffic (a copy made with
+    no ledger is not counted anywhere).
     """
-    ledger = get_instrumentation(inst).transfers
+    ledger = inst.transfers if inst is not None else TransferLedger()
     if isinstance(src, View):
         if dst.shape != src.shape:
             raise ValueError(

@@ -39,7 +39,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .instrument import Instrumentation, get_instrumentation
+from .instrument import Instrumentation
 
 ShapeLike = Union[int, Tuple[int, ...]]
 
@@ -50,7 +50,7 @@ class Workspace:
     def __init__(self, enabled: bool = True,
                  inst: Optional[Instrumentation] = None) -> None:
         self.enabled = enabled
-        self.inst = get_instrumentation(inst)
+        self.inst = inst if inst is not None else Instrumentation()
         # thread id -> pool.  Kept in a plain dict (not threading.local)
         # so release() can drop buffers owned by threads that no longer
         # exist — SimWorld rank threads die after every run, and
@@ -130,18 +130,3 @@ class Workspace:
         with self._pools_lock:
             return sum(arr.nbytes for pool in self._pools.values()
                        for arr in pool.values())
-
-
-def null_workspace() -> Workspace:
-    """The default context's disabled workspace (deprecated shim).
-
-    Kernels reach their workspace through ``LocalDomain.scratch()``;
-    when no model wired an arena in, this keeps the rewritten ``out=``
-    bodies working with per-call allocations (bitwise identical
-    numerics, counted against the default context's instrumentation).
-    New code should use ``context.null_workspace`` instead so the
-    counts land in the owning rank's ledger.
-    """
-    from .context import default_context
-
-    return default_context().null_workspace

@@ -11,11 +11,11 @@ compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..kokkos.workspace import Workspace, null_workspace
+from ..kokkos.workspace import Workspace
 from ..parallel.decomp import BlockDecomposition
 from .grid import Grid
 from .topography import Topography
@@ -111,8 +111,11 @@ class LocalDomain:
     mask_u: np.ndarray      # (nz, ly, lx) at U corners
     kmt: np.ndarray         # (ly, lx) active levels
     depth_t: np.ndarray     # (ly, lx) column depth [m]
-    # scratch arena the model wires in (None => per-call allocations)
-    workspace: Optional[Workspace] = None
+    # scratch arena kernel bodies draw temporaries from; the model wires
+    # its context's arena in, a stand-alone domain owns a disabled one
+    # (fresh allocation per request, identical numerics)
+    workspace: Workspace = field(
+        default_factory=lambda: Workspace(enabled=False))
     # cached (cos, sin) rotation rows keyed by the Coriolis angle step
     _rot_cache: Dict[float, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False)
@@ -176,14 +179,8 @@ class LocalDomain:
         return clone
 
     def scratch(self) -> Workspace:
-        """The arena kernel bodies draw their temporaries from.
-
-        Falls back to the process-wide disabled workspace (fresh
-        allocation per request, identical numerics) when no model wired
-        an arena into this domain.
-        """
-        ws = self.workspace
-        return ws if ws is not None else null_workspace()
+        """The arena kernel bodies draw their temporaries from."""
+        return self.workspace
 
     @property
     def interior(self) -> Tuple[slice, slice]:

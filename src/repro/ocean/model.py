@@ -38,7 +38,6 @@ from ..kokkos import (
     MDRangePolicy,
     View,
     kokkos_register_for,
-    make_backend,
 )
 from ..parallel.comm import SimComm, SingleComm
 from ..parallel.decomp import BlockDecomposition
@@ -126,10 +125,9 @@ class LICOMKpp:
     context:
         The :class:`ExecutionContext` owning this rank's backend,
         instrumentation, workspace arena, graph cache and timers.  When
-        omitted: a single-rank model adopts a backend recording into the
-        process-wide ledger (exact pre-context behaviour), while a
-        multi-rank model (``comm.size > 1``) gets a private context per
-        rank so SimWorld runs report true per-rank statistics.
+        omitted the model builds a private one for ``backend``, so every
+        model — single-rank or one of many ranks — reports its own
+        statistics (§VI-C).
     comm / decomp:
         Simulated-MPI endpoint and decomposition; default single rank.
     flat_bottom:
@@ -152,22 +150,10 @@ class LICOMKpp:
         self.config = config
         self.params = params or ModelParams()
         self.comm = comm if comm is not None else SingleComm()
-        if context is None and isinstance(backend, ExecutionContext):
-            context = backend
         if context is None:
-            if isinstance(backend, ExecutionSpace):
-                context = ExecutionContext.adopt(backend, rank=self.comm.rank)
-            elif self.comm.size > 1:
-                # one private context per rank: disjoint ledgers, arenas
-                # and graph caches — true per-rank statistics (§VI-C)
-                context = ExecutionContext(backend, rank=self.comm.rank)
-            else:
-                # single rank, named backend: adopt a default-built
-                # space so counters land in the process-wide ledger
-                # exactly as before contexts existed
-                context = ExecutionContext.adopt(
-                    make_backend(backend), rank=self.comm.rank,
-                    owns_space=True)
+            # a name builds a private space, an ExecutionSpace is adopted
+            context = (backend if isinstance(backend, ExecutionContext)
+                       else ExecutionContext(backend, rank=self.comm.rank))
         self.context = context
         if self.params.trace:
             context.enable_tracing()

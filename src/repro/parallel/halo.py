@@ -93,28 +93,11 @@ class _PackFunctor:
 
 _PACK_REGISTERED = False
 _PACK_LOCK = threading.Lock()
-_PACK_BACKEND = None
 
 
-def _pack_backend():
-    """The cached serial backend for kernel packs (one per process).
-
-    Halo exchanges run concurrently on rank threads; constructing a
-    fresh backend per pack call both wastes time on the hottest path and
-    races the global instrumentation registry.
-    """
-    global _PACK_BACKEND
-    if _PACK_BACKEND is None:
-        from ..kokkos import SerialBackend
-
-        with _PACK_LOCK:
-            if _PACK_BACKEND is None:
-                _PACK_BACKEND = SerialBackend()
-    return _PACK_BACKEND
-
-
-def pack_kernel(arr: np.ndarray, rows: slice, cols: slice, space=None) -> np.ndarray:
-    """Pack through the portability layer (the Kokkos-accelerated pack)."""
+def pack_kernel(arr: np.ndarray, rows: slice, cols: slice, space) -> np.ndarray:
+    """Pack through the portability layer (the Kokkos-accelerated pack),
+    as one launch on ``space`` counted in that space's ledger."""
     from ..kokkos import MDRangePolicy, parallel_for
     from ..kokkos.functor import register_functor_instance
 
@@ -130,15 +113,15 @@ def pack_kernel(arr: np.ndarray, rows: slice, cols: slice, space=None) -> np.nda
             if not _PACK_REGISTERED:
                 register_functor_instance(functor, "for", 2, name="halo_pack")
                 _PACK_REGISTERED = True
-    target = space if space is not None else _pack_backend()
-    parallel_for("halo_pack", MDRangePolicy([nrow, ncol]), functor, space=target)
+    parallel_for("halo_pack", MDRangePolicy([nrow, ncol]), functor, space)
     return out
 
 
+#: Packers :func:`exchange2d` can select by name (``pack_kernel`` needs
+#: the caller's execution space, so it is called directly instead).
 PACKERS = {
     "naive": pack_naive,
     "sliced": pack_sliced,
-    "kernel": pack_kernel,
 }
 
 

@@ -40,9 +40,7 @@ from .familycost import (
 from .scaling import (
     CANUTO_IMBALANCE,
     ScalingPoint,
-    mixed_precision_projection,
     policy_projection,
-    projection_crosscheck,
     optimization_speedup,
     portability_sypd,
     predict_step_time,
@@ -62,7 +60,7 @@ __all__ = [
     "predict_sypd", "predict_step_time", "sypd_from_step_time",
     "strong_scaling", "weak_scaling", "ScalingPoint",
     "portability_sypd", "optimization_speedup", "CANUTO_IMBALANCE",
-    "mixed_precision_projection", "policy_projection", "projection_crosscheck",
+    "policy_projection",
     "FamilyShares", "DEFAULT_FAMILY_SHARES", "measure_family_shares",
     "policy_profile", "policy_halo_word",
     "StepBreakdown", "step_breakdown", "format_breakdown_table",

@@ -18,18 +18,17 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from ..kokkos.instrument import Instrumentation, get_instrumentation
+from ..kokkos.instrument import Instrumentation
 
 
 def _resolve(obj) -> Instrumentation:
     if isinstance(obj, Instrumentation):
         return obj
-    for attr in ("inst", "context"):          # context/space, or model
-        owner = getattr(obj, attr, None)
-        if owner is not None:
-            inst = get_instrumentation(owner)
-            if isinstance(inst, Instrumentation):
-                return inst
+    inst = getattr(obj, "inst", None)          # context or space
+    if inst is None:                           # model
+        inst = getattr(getattr(obj, "context", None), "inst", None)
+    if isinstance(inst, Instrumentation):
+        return inst
     raise TypeError(
         f"cannot resolve an Instrumentation from {type(obj).__name__}")
 

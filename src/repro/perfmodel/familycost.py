@@ -1,8 +1,7 @@
 """Per-kernel-family cost shares: pricing a PrecisionPolicy honestly.
 
-The flat §VIII projection (``precision="single"`` in
-:func:`~repro.perfmodel.scaling.predict_step_time`) halves *all* memory
-traffic — the right upper bound, but not what an actual
+The paper's §VIII projection halves *all* memory traffic — the right
+upper bound, but not what an actual
 :class:`~repro.ocean.precision.PrecisionPolicy` does: under the
 ``mixed`` preset only the tracer/momentum/vmix sweeps narrow while the
 barotropic subcycle, the EOS and the depth-integral scans stay fp64.
@@ -14,10 +13,9 @@ and splits the byte/flop totals by kernel family
 share by its policy dtype width then yields a
 :class:`~repro.perfmodel.kernelcost.StepProfile` the existing roofline
 consumes unchanged (:func:`policy_profile`), plus the halo-volume-
-weighted wire word size (:func:`policy_halo_word`).  The flat
-projection is retained only as a cross-check: a uniform ``single``
-policy must reproduce it exactly (see
-:func:`~repro.perfmodel.scaling.projection_crosscheck`).
+weighted wire word size (:func:`policy_halo_word`).  The §VIII bound
+is the uniform ``single`` policy: every share scales by one half and
+the wire word is 4 bytes.
 """
 
 from __future__ import annotations
@@ -142,8 +140,8 @@ def policy_profile(
     launch counts and halo-update counts are unchanged (narrowing does
     not change the arithmetic or the schedule, only the bytes moved —
     the paper's bandwidth-bound premise).  A uniform fp64 policy returns
-    the profile untouched; a uniform fp32 policy reproduces the flat
-    ``precision="single"`` halving exactly.
+    the profile untouched; a uniform fp32 policy halves ``bytes3`` and
+    ``bytes2_sub`` exactly.
     """
     scale3 = fsum(frac * _width(policy, fam)
                   for fam, frac in shares.bytes3.items())

@@ -152,12 +152,10 @@ def measure_graph_savings(size: str = "tiny", steps: int = 3) -> float:
     steady-state graph's captured-vs-replayed launch counts — the same
     introspection the A4 ablation reports.
     """
-    from ..kokkos import Instrumentation, SerialBackend
     from ..ocean import LICOMKpp, demo
     from ..ocean.model import ModelParams
 
-    cfg = demo(size)
-    model = LICOMKpp(cfg, backend=SerialBackend(inst=Instrumentation()),
+    model = LICOMKpp(demo(size), backend="serial",
                      params=ModelParams(graph=True))
     model.run_steps(max(2, steps))
     steady = [g for (startup, _), g in model._graphs.items() if not startup]
@@ -172,12 +170,10 @@ def measure_jit_coverage(size: str = "tiny", steps: int = 3) -> float:
     steps the real model on its production path (``graph=True``)
     and reads the sealed steady-state graph's per-kernel tiers.
     """
-    from ..kokkos import Instrumentation, SerialBackend
     from ..ocean import LICOMKpp, demo
     from ..ocean.model import ModelParams
 
-    cfg = demo(size)
-    model = LICOMKpp(cfg, backend=SerialBackend(inst=Instrumentation()),
+    model = LICOMKpp(demo(size), backend="serial",
                      params=ModelParams(graph=True))
     model.run_steps(max(2, steps))
     steady = [g for (startup, _), g in model._graphs.items() if not startup]

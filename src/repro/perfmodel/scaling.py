@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..ocean.config import ModelConfig
+from ..ocean.precision import resolve_precision
+from .familycost import policy_halo_word, policy_profile
 from .kernelcost import DEFAULT_PROFILE, StepProfile, compute_time_per_step
 from .machines import MachineSpec, get_machine
 from .network import block_extents, comm_time_per_step
@@ -39,21 +41,17 @@ def predict_step_time(
 ) -> float:
     """Wall seconds per baroclinic step on ``units`` ranks (slowest rank).
 
-    ``precision`` prices the run's dtype choice two ways:
-
-    * the flat strings ``"double"`` / ``"single"`` keep the historical
-      SViii bound — ``"single"`` halves *all* memory traffic (compute,
-      halos, polar pack) while flop rate and message counts are
-      unchanged;
-    * anything else (``"mixed"``, a ``{family: dtype}`` mapping, or a
-      :class:`~repro.ocean.precision.PrecisionPolicy`) is resolved with
-      :func:`~repro.ocean.precision.resolve_precision` and priced from
-      the measured per-family byte shares
-      (:mod:`repro.perfmodel.familycost`): each family's share of the
-      traffic scales with its word width, and the halo word becomes the
-      boundary-volume weighted mean.  A uniform fp32 policy reproduces
-      the flat ``"single"`` numbers exactly (see
-      :func:`projection_crosscheck`).
+    ``precision`` (a preset name — ``"double"``, ``"single"``,
+    ``"mixed"`` — a ``{family: dtype}`` mapping, or a
+    :class:`~repro.ocean.precision.PrecisionPolicy`) is resolved with
+    :func:`~repro.ocean.precision.resolve_precision` and priced from the
+    measured per-family byte shares (:mod:`repro.perfmodel.familycost`):
+    each family's share of the traffic scales with its word width, and
+    the halo word becomes the boundary-volume weighted mean.  Flop rate
+    and message counts are unchanged.  The uniform presets are the two
+    ends: ``"double"`` leaves the profile untouched with an 8-byte wire
+    word, ``"single"`` halves *all* memory traffic (compute, halos,
+    polar pack) — the §VIII bound no executable policy can beat.
 
     ``aggregation`` (>1) models the fused multi-field halo fast path:
     the mean number of semantic halo updates sharing one wire message,
@@ -79,21 +77,9 @@ def predict_step_time(
     if rank_imbalance < 1.0:
         raise ValueError(
             f"rank_imbalance is max/mean and must be >= 1, got {rank_imbalance}")
-    if isinstance(precision, str) and precision in ("double", "single"):
-        # flat SViii bound: uniform word, all traffic scales together
-        word = 8.0 if precision == "double" else 4.0
-        if precision == "single":
-            from dataclasses import replace as _replace
-
-            profile = _replace(profile, bytes3=profile.bytes3 * 0.5,
-                               bytes2_sub=profile.bytes2_sub * 0.5)
-    else:
-        from ..ocean.precision import resolve_precision
-        from .familycost import policy_halo_word, policy_profile
-
-        policy = resolve_precision(precision)
-        word = policy_halo_word(policy, cfg, profile)
-        profile = policy_profile(policy, profile)
+    policy = resolve_precision(precision)
+    word = policy_halo_word(policy, cfg, profile)
+    profile = policy_profile(policy, profile)
     n3 = cfg.grid_points / units
     n2 = cfg.horizontal_points / units
     nsub = cfg.barotropic_substeps
@@ -144,24 +130,6 @@ def predict_sypd(
     )
 
 
-def mixed_precision_projection(
-    cfg: ModelConfig,
-    machine: MachineSpec | str,
-    units: int,
-    profile: StepProfile = DEFAULT_PROFILE,
-) -> Tuple[float, float, float]:
-    """(double SYPD, single SYPD, speedup) — the flat SViii bound.
-
-    Retained as the *cross-check* of the per-family policy pricing
-    (:func:`policy_projection`): it halves every byte, so no executable
-    policy can beat it, and a uniform fp32 policy must reproduce it
-    exactly — :func:`projection_crosscheck` asserts both.
-    """
-    d = predict_sypd(cfg, machine, units, profile=profile)
-    s = predict_sypd(cfg, machine, units, profile=profile, precision="single")
-    return d, s, s / d
-
-
 def policy_projection(
     cfg: ModelConfig,
     machine: MachineSpec | str,
@@ -171,47 +139,15 @@ def policy_projection(
 ) -> Tuple[float, float, float]:
     """(double SYPD, policy SYPD, speedup) from per-family byte shares.
 
-    The executable successor of :func:`mixed_precision_projection`:
     ``policy`` is anything :func:`~repro.ocean.precision
     .resolve_precision` accepts, and the throughput gain comes from the
-    *measured* family split of the step's traffic rather than a uniform
-    halving — under the ``mixed`` preset the fp64 barotropic/EOS/scan
-    families keep their full byte cost.
+    *measured* family split of the step's traffic — under the ``mixed``
+    preset the fp64 barotropic/EOS/scan families keep their full byte
+    cost, while ``"single"`` is the §VIII halve-everything bound.
     """
     d = predict_sypd(cfg, machine, units, profile=profile)
     p = predict_sypd(cfg, machine, units, profile=profile, precision=policy)
     return d, p, p / d
-
-
-def projection_crosscheck(
-    cfg: ModelConfig,
-    machine: MachineSpec | str,
-    units: int,
-    profile: StepProfile = DEFAULT_PROFILE,
-    rtol: float = 1.0e-9,
-) -> dict:
-    """Check the policy pricing against the retired flat projection.
-
-    Two invariants tie the new per-family model to the historical SViii
-    numbers: a uniform fp32 policy prices identically to the flat
-    ``"single"`` path (same bytes, same wire word), and the ``mixed``
-    preset — which keeps some families wide — can never project more
-    speedup than the flat halving.  Returns the three speedups and
-    raises :class:`ValueError` if either invariant fails.
-    """
-    d, s_flat, sp_flat = mixed_precision_projection(cfg, machine, units, profile)
-    _, s_uni, sp_uni = policy_projection(cfg, machine, units, "single", profile)
-    _, _, sp_mixed = policy_projection(cfg, machine, units, "mixed", profile)
-    if abs(s_uni - s_flat) > rtol * s_flat:
-        raise ValueError(
-            f"uniform fp32 policy ({s_uni}) disagrees with the flat "
-            f"single projection ({s_flat})")
-    if sp_mixed > sp_flat * (1.0 + rtol):
-        raise ValueError(
-            f"mixed-policy speedup {sp_mixed} exceeds the flat fp32 "
-            f"bound {sp_flat}")
-    return {"double_sypd": d, "flat_single_speedup": sp_flat,
-            "uniform_single_speedup": sp_uni, "mixed_speedup": sp_mixed}
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,3 @@ class TimerRegistry:
         for r in roots:
             emit(r, 0, frozenset())
         return "\n".join(lines)
-
-
-#: Process-wide default registry, mirroring GPTL's global timer table.
-GLOBAL_TIMERS = TimerRegistry()

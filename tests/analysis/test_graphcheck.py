@@ -296,7 +296,7 @@ class TestLintCliGraphMode:
 
         def fake_ns(**kw):
             base = dict(baseline=None, graph=False, no_drivers=False,
-                        no_globals=False, write_baseline=None, format="text",
+                        write_baseline=None, format="text",
                         output=None, verbose=False, strict=False)
             base.update(kw)
             return argparse.Namespace(**base)

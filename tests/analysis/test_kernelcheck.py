@@ -56,56 +56,3 @@ class TestJsonReport:
         assert doc["kernels_checked"] == rep.kernels_checked
         assert doc["findings"] == []
         assert set(doc["rules_run"]) == set(ALL_RULES)
-
-
-class TestDerivedArtifacts:
-    """JIT-lowered functors are linted as their declared source.
-
-    The compiled tier registers generated types; a defect in the source
-    kernel (here: a race-write) must be reported whether the registry
-    holds the source or the lowered artifact (ISSUE satellite).
-    """
-
-    def _registry_with(self, functor_type):
-        from repro.kokkos import DictRegistry
-        from repro.kokkos.functor import kokkos_register_for
-
-        reg = DictRegistry()
-        kokkos_register_for("racy_lowered", ndim=2,
-                            registry=reg)(functor_type)
-        return reg
-
-    def test_race_still_caught_through_lowered_artifact(self):
-        from repro.analysis import RuleConfig, run_rules
-        from repro.kokkos.jit import make_lowered_type
-        from tests.analysis import broken
-
-        artifact = make_lowered_type(broken.ScatterWriteFunctor)
-        reg = self._registry_with(artifact)
-        fps = collect_footprints(LintConfig(module_prefix="tests."),
-                                 registry=reg)
-        assert [fp.functor_type for fp in fps] == [broken.ScatterWriteFunctor]
-        findings = [f for fp in fps for f in run_rules(fp, RuleConfig())]
-        assert [f.rule for f in findings] == ["race-write"]
-
-    def test_resolve_lint_target_follows_chains(self):
-        from repro.analysis.runner import resolve_lint_target
-        from repro.kokkos.jit import make_lowered_type
-        from tests.analysis import broken
-
-        src = broken.CleanFunctor
-        lowered = make_lowered_type(src)
-        assert resolve_lint_target(lowered) is src
-        assert resolve_lint_target(src) is src
-        # artifact types are cached one per source
-        assert make_lowered_type(src) is lowered
-        # a cycle must terminate, not spin
-        class A:
-            pass
-
-        class B:
-            pass
-
-        A.__kernelcheck_source__ = B
-        B.__kernelcheck_source__ = A
-        assert resolve_lint_target(A) in (A, B)

@@ -5,16 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kokkos import GLOBAL_INSTRUMENTATION, SerialBackend
 from repro.ocean import LICOMKpp, demo
-
-
-@pytest.fixture(autouse=True)
-def _reset_instrumentation():
-    """Keep the global kernel counters independent between tests."""
-    GLOBAL_INSTRUMENTATION.reset()
-    yield
-    GLOBAL_INSTRUMENTATION.reset()
 
 
 @pytest.fixture()

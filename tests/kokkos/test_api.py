@@ -3,31 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.errors import LDMError, NotInitializedError
+from repro.errors import LDMError
 from repro.kokkos import (
     DMAEngine,
-    GLOBAL_INSTRUMENTATION,
     Instrumentation,
     LDMAllocator,
     RangePolicy,
     SerialBackend,
     SW26010_LDM_BYTES,
     View,
-    default_space,
     double_buffered_time,
     fence,
-    finalize,
-    initialize,
-    is_initialized,
     kokkos_register_for,
+    make_backend,
     parallel_for,
     parallel_reduce,
     parallel_scan,
-    scoped_space,
-    set_default_space,
 )
 from repro.kokkos.ldm import max_tile_points
-from repro.timing import GLOBAL_TIMERS, TimerRegistry
+from repro.timing import TimerRegistry
 
 
 @kokkos_register_for("api_fill", ndim=1)
@@ -44,60 +38,43 @@ class Fill:
         self.y.data[s] = self.value
 
 
-class TestInitialize:
-    def teardown_method(self):
-        finalize()
+class TestDispatch:
+    """The free functions run on — and count in — the space they are given."""
 
-    def test_not_initialized_raises(self):
-        finalize()
-        with pytest.raises(NotInitializedError):
-            default_space()
-        assert not is_initialized()
-
-    def test_initialize_and_dispatch(self):
-        initialize("serial")
-        assert is_initialized()
+    @pytest.mark.parametrize("backend", ["serial", "athread"])
+    def test_parallel_for_runs_on_given_space(self, backend):
+        space = make_backend(backend)
         y = View("y", 10)
-        parallel_for("fill", RangePolicy(0, 10), Fill(y, 3.0))
+        parallel_for("fill", RangePolicy(0, 10), Fill(y, 3.0), space)
         assert np.all(y.data == 3.0)
+        assert space.inst.kernels["fill"].points == 10
 
-    def test_initialize_replaces_space(self):
-        initialize("serial")
-        first = default_space()
-        initialize("athread")
-        assert default_space() is not first
-        assert default_space().name == "athread"
-
-    def test_scoped_space_restores(self):
-        initialize("serial")
-        outer = default_space()
-        with scoped_space(SerialBackend()) as inner:
-            assert default_space() is inner
-        assert default_space() is outer
-
-    def test_set_default_space(self):
-        be = SerialBackend()
-        set_default_space(be)
-        assert default_space() is be
-
-    def test_explicit_space_overrides_default(self):
-        finalize()
+    def test_space_is_required(self):
         y = View("y", 4)
-        parallel_for("fill", RangePolicy(0, 4), Fill(y, 1.0), space=SerialBackend())
-        assert np.all(y.data == 1.0)
+        with pytest.raises(TypeError):
+            parallel_for("fill", RangePolicy(0, 4), Fill(y, 1.0))
+        with pytest.raises(TypeError):
+            parallel_reduce("fill", RangePolicy(0, 4), Fill(y, 1.0))
+        with pytest.raises(TypeError):
+            fence()
 
-    def test_parallel_reduce_default_space(self):
-        initialize("serial")
+    def test_spaces_do_not_share_a_ledger(self):
+        a, b = SerialBackend(), SerialBackend()
+        y = View("y", 4)
+        parallel_for("fill", RangePolicy(0, 4), Fill(y, 1.0), a)
+        assert a.inst is not b.inst
+        assert a.inst.total_launches == 1
+        assert b.inst.total_launches == 0
 
+    def test_parallel_reduce(self):
         class Count:
             def reduce(self, i):
                 return 1.0
 
-        assert parallel_reduce("count", RangePolicy(0, 7), Count()) == 7.0
+        assert parallel_reduce("count", RangePolicy(0, 7), Count(),
+                               space=SerialBackend()) == 7.0
 
     def test_parallel_scan(self):
-        initialize("serial")
-
         class Prefix:
             def __init__(self):
                 self.out = np.zeros(5)
@@ -109,13 +86,12 @@ class TestInitialize:
                 return partial
 
         f = Prefix()
-        total = parallel_scan("scan", 5, f)
+        total = parallel_scan("scan", 5, f, SerialBackend())
         assert total == 15.0
         assert np.array_equal(f.out, np.array([1.0, 3.0, 6.0, 10.0, 15.0]))
 
     def test_fence_noop(self):
-        initialize("serial")
-        fence()  # must not raise
+        fence(SerialBackend())  # must not raise
 
 
 class TestInstrumentation:
@@ -159,10 +135,15 @@ class TestInstrumentation:
         assert not inst.kernels
         assert inst.transfers.h2d_bytes == 0
 
-    def test_backend_records_into_global(self):
+    def test_backend_records_into_its_own_ledger(self):
         y = View("y", 16)
-        SerialBackend().parallel_for("fill16", RangePolicy(0, 16), Fill(y, 1.0))
-        assert GLOBAL_INSTRUMENTATION.kernels["fill16"].points == 16
+        be = SerialBackend()
+        be.parallel_for("fill16", RangePolicy(0, 16), Fill(y, 1.0))
+        assert be.inst.kernels["fill16"].points == 16
+        inst = Instrumentation()
+        SerialBackend(inst=inst).parallel_for(
+            "fill16", RangePolicy(0, 16), Fill(y, 1.0))
+        assert inst.kernels["fill16"].points == 16
 
 
 class TestLDM:
@@ -315,6 +296,3 @@ class TestTimers:
             pass
         t.reset()
         assert t.names() == []
-
-    def test_global_registry_exists(self):
-        assert isinstance(GLOBAL_TIMERS, TimerRegistry)

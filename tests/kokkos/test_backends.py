@@ -10,7 +10,6 @@ from repro.kokkos import (
     AthreadBackend,
     DeviceBackend,
     DeviceSpace,
-    GLOBAL_REGISTRY,
     Instrumentation,
     LinkedListRegistry,
     Max,

@@ -9,18 +9,15 @@ import pytest
 
 from repro.errors import RegistrationError
 from repro.kokkos import (
-    GLOBAL_INSTRUMENTATION,
-    GLOBAL_REGISTRY,
-    ContextRegistry,
+    DictRegistry,
     ExecutionContext,
     Instrumentation,
+    LaunchGraph,
     RangePolicy,
     SerialBackend,
     View,
-    default_context,
     default_registry,
     kokkos_register_for,
-    null_workspace,
 )
 
 
@@ -39,12 +36,10 @@ class ScaleFunctor:
 class TestExecutionContext:
     def test_owns_fresh_ledger_and_space(self):
         ctx = ExecutionContext("serial")
-        assert ctx.inst is not GLOBAL_INSTRUMENTATION
         assert ctx.space.inst is ctx.inst
         x = View("x", 8)
         ctx.space.parallel_for("scale", RangePolicy(0, 8), ScaleFunctor(2.0, x))
         assert ctx.inst.total_launches == 1
-        assert GLOBAL_INSTRUMENTATION.total_launches == 0
 
     def test_two_contexts_have_disjoint_ledgers(self):
         a = ExecutionContext("serial")
@@ -53,30 +48,19 @@ class TestExecutionContext:
         a.space.parallel_for("scale", RangePolicy(0, 8), ScaleFunctor(2.0, x))
         b.space.parallel_for("scale", RangePolicy(0, 8), ScaleFunctor(2.0, y))
         b.space.parallel_for("scale", RangePolicy(0, 8), ScaleFunctor(2.0, y))
+        assert a.inst is not b.inst
         assert a.inst.kernels["scale"].launches == 1
         assert b.inst.kernels["scale"].launches == 2
-        assert GLOBAL_INSTRUMENTATION.total_launches == 0
 
     def test_adopt_preserves_space_ledger(self):
-        space = SerialBackend()           # records into the global ledger
-        ctx = ExecutionContext.adopt(space)
+        inst = Instrumentation()
+        space = SerialBackend(inst=inst)
+        ctx = ExecutionContext(space)
         assert ctx.space is space
-        assert ctx.inst is GLOBAL_INSTRUMENTATION
+        assert ctx.inst is inst
         x = View("x", 4)
         ctx.space.parallel_for("scale", RangePolicy(0, 4), ScaleFunctor(2.0, x))
-        assert GLOBAL_INSTRUMENTATION.total_launches == 1
-
-    def test_athread_context_uses_its_own_registry(self):
-        ctx = ExecutionContext("athread")
-        assert ctx.space.registry is ctx.registry
-        assert ctx.registry is not GLOBAL_REGISTRY
-        x = View("x", 8)
-        before = GLOBAL_REGISTRY.comparisons
-        ctx.space.parallel_for("scale", RangePolicy(0, 8), ScaleFunctor(2.0, x))
-        ctx.space.parallel_for("scale", RangePolicy(0, 8), ScaleFunctor(2.0, x))
-        assert ctx.registry.comparisons > 0
-        # only the one fallback miss touched the shared table
-        assert GLOBAL_REGISTRY.comparisons - before <= ctx.registry.comparisons
+        assert inst.total_launches == 1
 
     def test_context_manager_closes(self):
         with ExecutionContext("serial") as ctx:
@@ -96,32 +80,16 @@ class TestExecutionContext:
         assert np.array_equal(results[0], results[1])
 
 
-class TestDefaultContextShim:
-    def test_wraps_the_old_globals(self):
-        ctx = default_context()
-        assert ctx.inst is GLOBAL_INSTRUMENTATION
-        assert ctx.registry is GLOBAL_REGISTRY
-        assert default_context() is ctx      # one shared shim
+class TestRegistrationTable:
+    """One import-time table, shared by every context."""
 
-    def test_null_workspace_delegates_to_shim(self):
-        ws = null_workspace()
-        assert ws is default_context().null_workspace
-        assert not ws.enabled
-        assert ws.inst is GLOBAL_INSTRUMENTATION
-
-    def test_default_registry_is_the_global_table(self):
-        assert default_registry() is GLOBAL_REGISTRY
-
-
-class TestContextRegistry:
-    def test_falls_back_to_global_registrations(self):
-        reg = ContextRegistry()
-        entry = reg.lookup(ScaleFunctor)      # registered at import, globally
-        assert entry.name == "ctxtest_scale"
-        # cached locally: the second lookup never touches the base table
-        before = GLOBAL_REGISTRY.comparisons
-        assert reg.lookup(ScaleFunctor).name == "ctxtest_scale"
-        assert GLOBAL_REGISTRY.comparisons == before
+    def test_is_a_hash_map_shared_by_every_athread_context(self):
+        table = default_registry()
+        assert isinstance(table, DictRegistry)
+        a, b = ExecutionContext("athread"), ExecutionContext("athread", rank=1)
+        assert a.space.registry is table
+        assert b.space.registry is table
+        assert table.lookup(ScaleFunctor).name == "ctxtest_scale"
 
     def test_unregistered_still_raises(self):
         class Unregistered:
@@ -129,19 +97,16 @@ class TestContextRegistry:
                 pass
 
         with pytest.raises(RegistrationError):
-            ContextRegistry().lookup(Unregistered)
-
-    def test_local_registrations_stay_local(self):
-        class Local:
-            def __call__(self, i):
-                pass
-
-        from repro.kokkos import RegistryEntry
-
-        reg = ContextRegistry()
-        reg.register(RegistryEntry("local", Local, "for", 1))
-        assert reg.contains(Local)
-        assert not GLOBAL_REGISTRY.contains(Local)
+            default_registry().lookup(Unregistered)
+        ctx = ExecutionContext("athread")
+        x = View("x", 4)
+        with pytest.raises(RegistrationError):         # eager launch
+            ctx.space.parallel_for("u", RangePolicy(0, 4), Unregistered())
+        graph = LaunchGraph(ctx.space)
+        graph.add_kernel("u", RangePolicy(0, 4), Unregistered())
+        with pytest.raises(RegistrationError):         # and at seal()
+            graph.seal()
+        assert np.all(x.data == 0.0)
 
 
 class TestWorkspaceLifetime:
@@ -215,20 +180,6 @@ class TestJitWarnCacheLifecycle:
         with caplog.at_level(logging.WARNING, logger="repro.kokkos.jit"):
             cache.warn_once(("k",), "kern", "probe")
         assert len(caplog.records) == 2
-
-    def test_close_of_shim_context_clears_default_space_cache(self):
-        from repro.kokkos import finalize, initialize
-
-        initialize("serial")
-        try:
-            shim = ExecutionContext(backend=None)
-            cache = shim.jit_cache                     # lives on default space
-            cache.warn_once(("k",), "kern", "probe")
-            assert cache._warned
-            shim.close()
-            assert not cache._warned
-        finally:
-            finalize()
 
 
 class TestInstrumentationThreadSafety:

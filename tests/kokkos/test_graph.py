@@ -296,10 +296,7 @@ class TestWorkspace:
 
 class TestParallelScan:
     def setup_method(self):
-        kk.initialize("serial")
-
-    def teardown_method(self):
-        kk.finalize()
+        self.space = SerialBackend()
 
     def test_inclusive_scan_matches_cumsum(self):
         vals = np.arange(1.0, 9.0)
@@ -311,18 +308,18 @@ class TestParallelScan:
                 out[i] = acc
             return acc
 
-        total = kk.parallel_scan("scan", len(vals), body)
+        total = kk.parallel_scan("scan", len(vals), body, self.space)
         assert total == pytest.approx(vals.sum())
         np.testing.assert_allclose(out, np.cumsum(vals))
 
     def test_empty_scan_returns_identity_without_launch(self):
-        inst = kk.default_space().inst
+        inst = self.space.inst
         before = inst.total_launches
 
         def body(i, acc, final):  # pragma: no cover - must not run
             raise AssertionError("functor invoked for empty range")
 
-        assert kk.parallel_scan("scan", 0, body) == 0.0
+        assert kk.parallel_scan("scan", 0, body, self.space) == 0.0
         assert inst.total_launches == before
 
     def test_scan_refuses_device_views_on_host(self):
@@ -334,7 +331,7 @@ class TestParallelScan:
                 return acc
 
         with pytest.raises(BackendError, match="device views"):
-            kk.parallel_scan("scan", 4, DeviceScan())
+            kk.parallel_scan("scan", 4, DeviceScan(), self.space)
 
 
 class TestOpenMPThreadOverride:

@@ -2,17 +2,14 @@
 
 Covers codegen-tier bitwise identity against the eager plans, the
 per-context cache lifecycle (factories cached, re-seal hits, ``close()``
-clears), structural degradation (one warning, plan stays eager), the
-``jit_spec``/njit lowering path (pure Python when numba is absent,
-compiled when present) and the empty-range short-circuits in the
-reference sweeps.  Model-level identity is in
+clears), structural degradation (one warning, plan stays eager) and
+the empty-range short-circuits in the reference sweeps.  Model-level identity is in
 ``tests/ocean/test_graph_replay.py``.
 """
 
 import logging
 
 import numpy as np
-import pytest
 
 from repro.kokkos import (
     AthreadBackend,
@@ -23,16 +20,9 @@ from repro.kokkos import (
     View,
     kokkos_register_for,
 )
-from repro.kokkos import jit as jit_mod
 from repro.kokkos.functor import _loop_elementwise, _recurse_for
 from repro.kokkos.graph import LaunchGraph
-from repro.kokkos.jit import (
-    JitCache,
-    _LoweredNjit,
-    compile_sweep,
-    numba_available,
-    sweep_key,
-)
+from repro.kokkos.jit import sweep_key
 
 
 @kokkos_register_for("jittest_scale", ndim=2)
@@ -50,38 +40,6 @@ class ScaleFunctor:
 
     def apply(self, slices) -> None:
         self.x.data[tuple(slices)] *= self.a
-
-
-@kokkos_register_for("jittest_axpy", ndim=2)
-class AxpyFunctor:
-    """y += a*x with an njit spec matching ``apply`` term for term."""
-
-    flops_per_point = 2.0
-    bytes_per_point = 24.0
-    stencil_halo = 0
-
-    jit_spec = {
-        "arrays": ("y", "x"),
-        "scalars": ("a",),
-        "source": (
-            "def kernel(y, x, a, j0, j1, i0, i1):\n"
-            "    for j in range(j0, j1):\n"
-            "        for i in range(i0, i1):\n"
-            "            y[j, i] += a * x[j, i]\n"
-        ),
-    }
-
-    def __init__(self, y: View, x: View, a: float) -> None:
-        self.y = y
-        self.x = x
-        self.a = a
-
-    def __call__(self, j: int, i: int) -> None:
-        self.y.data[j, i] += self.a * self.x.data[j, i]
-
-    def apply(self, slices) -> None:
-        idx = tuple(slices)
-        self.y.data[idx] += self.a * self.x.data[idx]
 
 
 class BrokenLowering:
@@ -237,68 +195,6 @@ class TestDegradation:
         # the degraded plan still runs (eager tier)
         g.replay()
         np.testing.assert_array_equal(x.data, np.ones((4, 4)))
-
-
-class TestNjitTier:
-    def _run(self, force_python: bool):
-        rng = np.random.default_rng(13)
-        ystart = rng.normal(size=(5, 6))
-        xdat = rng.normal(size=(5, 6))
-        y = View("y", data=ystart.copy())
-        x = View("x", data=xdat)
-        f = AxpyFunctor(y, x, 1.7)
-        pol = MDRangePolicy([(1, 4), (0, 5)])
-        lowered = _LoweredNjit(AxpyFunctor, AxpyFunctor.jit_spec, "axpy",
-                               force_python=force_python)
-        sweep = lowered.bind(SerialBackend(inst=Instrumentation()), pol, f)
-        sweep()
-        ref = ystart.copy()
-        ref[1:4, 0:5] += 1.7 * xdat[1:4, 0:5]
-        np.testing.assert_array_equal(y.data, ref)
-
-    def test_spec_identity_pure_python(self):
-        self._run(force_python=True)
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_spec_identity_njit(self):
-        self._run(force_python=False)
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_graph_selects_njit_tier(self):
-        be = SerialBackend(inst=Instrumentation())
-        y = View("y", data=np.zeros((4, 4)))
-        x = View("x", data=np.ones((4, 4)))
-        g = LaunchGraph(be, jit=True)
-        g.add_kernel("axpy", MDRangePolicy([(0, 4), (0, 4)]),
-                     AxpyFunctor(y, x, 2.0))
-        g.seal()
-        assert g.kernel_tiers() == [("axpy", "njit")]
-        g.replay()
-        np.testing.assert_array_equal(y.data, np.full((4, 4), 2.0))
-
-    def test_spec_without_numba_degrades_to_codegen(self, monkeypatch):
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
-        be = SerialBackend(inst=Instrumentation())
-        y = View("y", data=np.zeros((4, 4)))
-        x = View("x", data=np.ones((4, 4)))
-        cache = JitCache()
-        sweep = compile_sweep(
-            be, "axpy", MDRangePolicy([(0, 4), (0, 4)]),
-            AxpyFunctor(y, x, 2.0), cache)
-        assert sweep is not None and sweep.tier == "codegen"
-        sweep.fn()
-        np.testing.assert_array_equal(y.data, np.full((4, 4), 2.0))
-
-    def test_bind_rejects_non_view_arrays(self):
-        lowered = _LoweredNjit(AxpyFunctor, AxpyFunctor.jit_spec, "axpy",
-                               force_python=True)
-        f = AxpyFunctor.__new__(AxpyFunctor)
-        f.y = np.zeros((4, 4))  # raw ndarray, not a View
-        f.x = View("x", data=np.ones((4, 4)))
-        f.a = 1.0
-        with pytest.raises(TypeError, match=r"AxpyFunctor\.y"):
-            lowered.bind(SerialBackend(inst=Instrumentation()),
-                         MDRangePolicy([(0, 4), (0, 4)]), f)
 
 
 class TestEmptyRangeShortCircuit:

@@ -29,7 +29,6 @@ class TestErrorHierarchy:
         assert issubclass(exc, errors.ReproError)
 
     @pytest.mark.parametrize("exc,parent", [
-        (errors.NotInitializedError, errors.KokkosError),
         (errors.BackendError, errors.KokkosError),
         (errors.RegistrationError, errors.KokkosError),
         (errors.MemorySpaceError, errors.KokkosError),

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import LDMError
 from repro.kokkos import (
-    GLOBAL_INSTRUMENTATION,
+    Instrumentation,
     TeamMember,
     TeamPolicy,
     parallel_for_team,
@@ -85,9 +85,10 @@ class TestParallelForTeam:
             if m.team_broadcast(42) != 42 else None)
 
     def test_instrumented(self):
-        GLOBAL_INSTRUMENTATION.reset()
-        parallel_for_team("team_kernel", TeamPolicy(4, 16), lambda m: None)
-        stats = GLOBAL_INSTRUMENTATION.kernels["team_kernel"]
+        inst = Instrumentation()
+        parallel_for_team("team_kernel", TeamPolicy(4, 16), lambda m: None,
+                          inst=inst)
+        stats = inst.kernels["team_kernel"]
         assert stats.points == 64
         assert stats.tiles == 4
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from repro.errors import MemorySpaceError
 from repro.kokkos import (
     DeviceSpace,
-    GLOBAL_INSTRUMENTATION,
     HostSpace,
+    Instrumentation,
     LayoutLeft,
     LayoutRight,
     View,
@@ -148,15 +148,17 @@ class TestMirrorsAndCopies:
     def test_h2d_recorded(self):
         h = View("h", 8)
         d = View("d", 8, space=DeviceSpace)
-        deep_copy(d, h)
-        assert GLOBAL_INSTRUMENTATION.transfers.h2d_bytes == 64
-        assert GLOBAL_INSTRUMENTATION.transfers.h2d_count == 1
+        inst = Instrumentation()
+        deep_copy(d, h, inst=inst)
+        assert inst.transfers.h2d_bytes == 64
+        assert inst.transfers.h2d_count == 1
 
     def test_d2h_recorded(self):
         h = View("h", 8)
         d = View("d", 8, space=DeviceSpace)
-        deep_copy(h, d)
-        assert GLOBAL_INSTRUMENTATION.transfers.d2h_bytes == 64
+        inst = Instrumentation()
+        deep_copy(h, d, inst=inst)
+        assert inst.transfers.d2h_bytes == 64
 
     def test_roundtrip_preserves_data(self):
         h = View("h", 16)

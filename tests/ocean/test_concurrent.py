@@ -2,9 +2,9 @@
 
 The ExecutionContext acceptance story: two models on different backends
 step concurrently in one process with bitwise-identical results and
-disjoint ledgers whose merged totals equal the pre-refactor global
-ledger; multi-rank SimWorld runs expose true per-rank statistics that
-never bleed between ranks.
+disjoint ledgers whose merged totals equal the same models stepped one
+after the other; multi-rank SimWorld runs expose true per-rank
+statistics that never bleed between ranks.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 
-from repro.kokkos import ExecutionContext, GLOBAL_INSTRUMENTATION
+from repro.kokkos import ExecutionContext
 from repro.ocean import LICOMKpp, demo
 from repro.parallel import BlockDecomposition, SimWorld
 from repro.perfmodel import aggregate, measured_load_imbalance
@@ -42,16 +42,37 @@ def _ledger_snapshot(inst):
 
 
 class TestConcurrentInstances:
+    def test_back_to_back_models_own_disjoint_ledgers(self):
+        """Every model built from a backend *name* gets a private
+        context, single-rank included: the second model's ledger starts
+        empty and ends equal to the first's, not at the running sum."""
+        first = LICOMKpp(demo("tiny"))
+        second = LICOMKpp(demo("tiny"))
+        assert first.context is not second.context
+        assert first.context.inst is not second.context.inst
+        first.run_steps(3)
+        assert second.context.inst.total_launches == 0
+        second.run_steps(3)
+        assert first.context.inst.total_launches > 0
+        assert (second.context.inst.total_launches
+                == first.context.inst.total_launches)
+        assert (_ledger_snapshot(second.context.inst)
+                == _ledger_snapshot(first.context.inst))
+        first.close()
+        second.close()
+
     def test_parallel_threads_bitwise_equal_sequential_with_disjoint_ledgers(self):
         cfg = demo("tiny")
 
-        # -- pre-refactor workload: default models, one global ledger --
+        # -- reference workload: the two models stepped one after the other --
         seq = {}
+        seq_models = []
         for backend in ("athread", "cuda"):
             m = LICOMKpp(cfg, backend=backend)
             m.run_steps(STEPS)
             seq[backend] = _state_snapshot(m)
-        global_totals = _ledger_snapshot(GLOBAL_INSTRUMENTATION)
+            seq_models.append(m)
+        seq_totals = _ledger_snapshot(aggregate(seq_models))
 
         # -- same workload, one private context per model, two threads --
         contexts = {b: ExecutionContext(b) for b in ("athread", "cuda")}
@@ -81,16 +102,17 @@ class TestConcurrentInstances:
                 assert np.array_equal(par[backend][fld], seq[backend][fld]), \
                     (backend, fld)
 
-        # ledgers are disjoint objects and none leaked into the global
+        # ledgers are disjoint objects, each as large as its sequential twin
         a, c = contexts["athread"].inst, contexts["cuda"].inst
         assert a is not c
         assert a.total_launches > 0 and c.total_launches > 0
-        assert GLOBAL_INSTRUMENTATION.total_launches == \
-            sum(k[0] for k in global_totals[0].values())
+        for m in seq_models:
+            twin = contexts[m.space.name].inst
+            assert _ledger_snapshot(twin) == _ledger_snapshot(m.context.inst)
 
-        # merged per-context totals equal the pre-refactor global ledger
+        # merged per-context totals equal the merged sequential ledgers
         merged = aggregate(contexts.values())
-        assert _ledger_snapshot(merged) == global_totals
+        assert _ledger_snapshot(merged) == seq_totals
 
         # backend-specific traffic landed in the right ledger only: the
         # device model's host<->device copies never touch the athread one
@@ -159,6 +181,27 @@ class TestConcurrentTracing:
 
 
 class TestPerRankLedgers:
+    def test_single_and_multi_rank_athread_share_the_registration_table(self):
+        """One registration table whatever the rank count: a 1-rank and
+        a 2-rank athread model resolve their presets through the same
+        object (no per-rank copy to fall back from)."""
+        from repro.kokkos import default_registry
+
+        cfg = demo("tiny")
+        d = BlockDecomposition(cfg.ny, cfg.nx, 2, 1)
+        solo = LICOMKpp(cfg, backend="athread")
+        solo.run_steps(1)
+
+        def prog(comm):
+            m = LICOMKpp(cfg, backend="athread", comm=comm, decomp=d)
+            m.run_steps(1)
+            m.close()
+            return m.space.registry
+
+        tables = SimWorld.run(prog, d.size) + [solo.space.registry]
+        solo.close()
+        assert all(t is default_registry() for t in tables)
+
     def test_simworld_ranks_never_bleed_counters(self):
         """Regression for the record_launch thread-safety gap: per-rank
         contexts give disjoint ledgers, and their merged totals equal a
@@ -179,7 +222,6 @@ class TestPerRankLedgers:
         insts = [c.inst for c in contexts]
         assert len({id(i) for i in insts}) == d.size
         for inst in insts:
-            assert inst is not GLOBAL_INSTRUMENTATION
             assert inst.total_launches > 0
 
         # identical launch sequences per rank: a bled counter would show

@@ -224,6 +224,28 @@ class TestVerticalDiffusion:
         after = (tr.raw * dom.dz[:, None, None] * dom.mask_t).sum(axis=0)
         assert np.allclose(after, before, rtol=1e-10)
 
+    def test_standalone_domain_counts_scratch_in_its_own_arena(self, dom, rng):
+        """A domain no model wired an arena into owns a disabled
+        workspace: the kernel's temporaries are counted there, and no
+        ExecutionContext is opened behind the caller's back."""
+        from repro.kokkos import ExecutionContext
+
+        before = ExecutionContext.live_count()
+        assert not dom.workspace.enabled
+        assert dom.scratch() is dom.workspace
+        tr = View("t", data=(10 + rng.standard_normal((dom.nz, dom.ly, dom.lx))) * dom.mask_t)
+        kap = View("k", (dom.nz, dom.ly, dom.lx))
+        kap.raw[...] = 1e-3
+        space = SerialBackend()
+        space.parallel_for(
+            "vdiff", _full2(dom),
+            VerticalTracerDiffusionFunctor(tr, kap, np.zeros((dom.ly, dom.lx)),
+                                           0.0, dom, 7200.0))
+        stats = dom.workspace.inst.workspace
+        assert stats.requests > 0 and stats.allocations == stats.requests
+        assert space.inst.workspace.requests == 0
+        assert ExecutionContext.live_count() == before
+
     def test_diffusion_reduces_column_variance(self, dom, rng):
         tr = View("t", data=(10 + rng.standard_normal((dom.nz, dom.ly, dom.lx))) * dom.mask_t)
         kap = View("k", (dom.nz, dom.ly, dom.lx))

@@ -386,15 +386,32 @@ class TestPerfmodelFamilyPricing:
 
         assert policy_profile(resolve_precision("double")) == DEFAULT_PROFILE
 
-    def test_uniform_single_reproduces_flat_projection(self):
-        from repro.ocean.config import PAPER_CONFIGS
-        from repro.perfmodel import projection_crosscheck
+    def test_uniform_single_is_the_explicit_halving(self):
+        """The SViii bound, pinned against an independent statement of
+        it: halve every byte, ship 4-byte halo words — and ``mixed``,
+        which keeps some families wide, lands strictly inside."""
+        from dataclasses import replace
 
+        from repro.ocean.config import PAPER_CONFIGS
+        from repro.perfmodel import (DEFAULT_PROFILE, policy_halo_word,
+                                     policy_profile, policy_projection,
+                                     predict_sypd)
+
+        cfg = PAPER_CONFIGS["km_1km"]
+        single = resolve_precision("single")
+        halved = replace(DEFAULT_PROFILE,
+                         bytes3=DEFAULT_PROFILE.bytes3 * 0.5,
+                         bytes2_sub=DEFAULT_PROFILE.bytes2_sub * 0.5)
+        assert policy_profile(single) == halved
+        assert policy_halo_word(single, cfg) == 4.0
         for machine, units in (("new_sunway", 590250), ("orise", 16000)):
-            out = projection_crosscheck(PAPER_CONFIGS["km_1km"], machine, units)
-            assert out["uniform_single_speedup"] == \
-                pytest.approx(out["flat_single_speedup"], rel=1e-12)
-            assert 1.0 < out["mixed_speedup"] < out["flat_single_speedup"]
+            # preset name and resolved policy price identically
+            assert predict_sypd(cfg, machine, units, precision="single") \
+                == predict_sypd(cfg, machine, units, precision=single)
+            d, s, sp_single = policy_projection(cfg, machine, units, "single")
+            _, m, sp_mixed = policy_projection(cfg, machine, units, "mixed")
+            assert d < m < s
+            assert 1.0 < sp_mixed < sp_single
 
     def test_policy_halo_word_bounds(self):
         from repro.ocean.config import PAPER_CONFIGS

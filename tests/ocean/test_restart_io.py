@@ -133,11 +133,11 @@ class TestMixedPrecision:
 
     def test_perfmodel_projection(self):
         """SViii: mixed precision helps the bandwidth-bound Sunway most."""
-        from repro.perfmodel import mixed_precision_projection
+        from repro.perfmodel import policy_projection
 
         cfg = PAPER_CONFIGS["km_1km"]
-        _, _, sp_sunway = mixed_precision_projection(cfg, "new_sunway", 590250)
-        _, _, sp_orise = mixed_precision_projection(cfg, "orise", 16000)
+        _, _, sp_sunway = policy_projection(cfg, "new_sunway", 590250, "single")
+        _, _, sp_orise = policy_projection(cfg, "orise", 16000, "single")
         assert 1.2 < sp_sunway < 2.0
         assert 1.0 < sp_orise < sp_sunway
 

@@ -168,7 +168,12 @@ class TestPackers:
     def test_pack_kernel_equals_sliced(self, rng):
         arr = rng.standard_normal((10, 12))
         rows, cols = slice(0, 10), slice(8, 10)
-        assert np.array_equal(pack_kernel(arr, rows, cols), pack_sliced(arr, rows, cols))
+        from repro.kokkos import SerialBackend
+
+        space = SerialBackend()
+        assert np.array_equal(pack_kernel(arr, rows, cols, space),
+                              pack_sliced(arr, rows, cols))
+        assert space.inst.kernels["halo_pack"].launches == 1
 
     def test_pack_is_contiguous_copy(self, rng):
         arr = rng.standard_normal((8, 8))

@@ -141,6 +141,33 @@ class TestSharing:
         stats = sched.cache.stats()
         assert stats["engines"] == 2 and stats["hits"] == 0
 
+    def test_concurrent_engines_keep_private_ledgers(self, tmp_path):
+        """Two engines stepped by two workers at once: each engine's
+        launch count equals the same spec served alone — nothing of the
+        neighbour's lands in its ledger."""
+        specs = [JobSpec(name="ser", steps=5),
+                 JobSpec(name="ath", steps=5, backend="athread", seed=7)]
+
+        def served(batch, workers, tag):
+            with ServeScheduler(workers=workers,
+                                artifacts=tmp_path / tag) as s:
+                jobs = s.submit_many(batch)
+                assert s.wait_all(WAIT)
+                assert all(j.status is JobStatus.DONE for j in jobs)
+                ledgers = {sig: eng.model.context.inst
+                           for sig, eng in s.cache._engines.items()}
+                return {sig: inst.total_launches
+                        for sig, inst in ledgers.items()}, ledgers
+
+        solo = {}
+        for spec in specs:
+            counts, _ = served([spec], 1, f"solo-{spec.name}")
+            solo.update(counts)
+        together, ledgers = served(specs, 2, "pair")
+        assert len({id(inst) for inst in ledgers.values()}) == 2
+        assert together == solo
+        assert all(n > 0 for n in together.values())
+
 
 class TestTimeouts:
     def test_deadline_fails_job_not_scheduler(self, sched):

@@ -8,7 +8,7 @@ one stack entry per ``start`` call, which these tests pin down.
 
 import pytest
 
-from repro.timing import GLOBAL_TIMERS, TimerNode, TimerRegistry
+from repro.timing import TimerNode, TimerRegistry
 from repro.trace import Tracer
 
 
@@ -137,8 +137,16 @@ class TestTracerMirroring:
 
 
 class TestCompat:
-    def test_global_registry_exists(self):
-        assert isinstance(GLOBAL_TIMERS, TimerRegistry)
+    def test_every_context_owns_its_registry(self):
+        from repro.kokkos import ExecutionContext
+
+        a, b = ExecutionContext("serial"), ExecutionContext("serial")
+        assert isinstance(a.timers, TimerRegistry)
+        assert a.timers is not b.timers
+        with a.timers.timer("x"):
+            pass
+        assert a.timers.count("x") == 1
+        assert b.timers.names() == []
 
     def test_node_mean(self):
         n = TimerNode(name="x", count=4, total=2.0)
