@@ -28,8 +28,6 @@ from .footprint import (
 )
 from .graphcheck import (
     GraphLintConfig,
-    certify_fusion,
-    check_fusion_legality,
     check_graph,
     run_graphcheck,
 )
@@ -61,8 +59,6 @@ __all__ = [
     "ViewFootprint",
     "analyze_functor",
     "build_footprint",
-    "certify_fusion",
-    "check_fusion_legality",
     "check_graph",
     "collect_footprints",
     "run_graphcheck",

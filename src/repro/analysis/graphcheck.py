@@ -5,18 +5,11 @@ proves properties of the *schedule*: it walks a sealed
 :class:`~repro.kokkos.graph.LaunchGraph` (kernel launches, fused nodes,
 host glue with declared :class:`~repro.kokkos.graph.HostEffects`) and
 assigns every ``View`` an abstract version per launch, derived from the
-kernelcheck footprints of each plan part.  Four rule families fall out
-of the walk (see DESIGN.md §2.13):
+kernelcheck footprints of each plan part.  A fused node is walked part
+by part in capture order — which is how its sweep executes it — so
+fusion needs no rule of its own.  The rule families (see DESIGN.md
+§2.13):
 
-``graph-race``
-    Cross-part read/write hazards inside a fused node that an
-    interpreted *tiled* sweep cannot honour — an independent re-proof of
-    the fusion pass's legality decision that deliberately does **not**
-    reuse :func:`repro.kokkos.jit.parts_independent`.  Shared memory is
-    detected on the resolved buffers (``np.shares_memory``), and the
-    only exemption is the one tiling actually grants: accesses at loop
-    offset 0 on every axis, where per-tile capture order reproduces the
-    eager order exactly.
 ``stale-halo``
     A stencil launch reads a view's boundary ring at a point where the
     schedule has written the interior since the last halo refresh and
@@ -28,7 +21,10 @@ of the walk (see DESIGN.md §2.13):
 ``graph-fence``
     Host glue that reads (or overwrites) a buffer with launches still
     pending and no declared ``fence()`` — correct today on the
-    synchronous interpreted backends, wrong on any asynchronous plan.
+    synchronous backends, wrong on any asynchronous plan.
+``precision-promotion``
+    A launch part binding fp32 and fp64 arrays without declaring a
+    precision boundary, or accumulating at fp32.
 
 The walk runs several passes over the node list so steady-state
 staleness wraps around the step boundary (a captured graph replays in a
@@ -36,27 +32,28 @@ loop); findings are emitted on the final pass only and deduplicated by
 their stable ``rule:kernel:view`` key.
 
 Entry points: :func:`check_graph` (all families, one sealed graph),
-:func:`check_fusion_legality` / :func:`certify_fusion` (the
-``seal(certify=True)`` hook), and :func:`run_graphcheck` (the
-``python -m repro lint --graph`` driver: builds the production-path demo
-model on every backend and verifies each sealed step graph).
+:func:`certify_precision` (its error-severity precision findings, for a
+caller that wants the proof before replaying) and
+:func:`run_graphcheck` (the ``python -m repro lint --graph`` driver:
+builds the production-path demo model on every backend and verifies
+each sealed step graph).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..kokkos.graph import HostNode, KernelNode, LaunchGraph
 from ..kokkos.view import View
 from .findings import Finding, Report, Severity
+from .footprint import build_footprint
 from .rules import (
     GRAPH_RULES,
     RULE_DEAD_STORE,
     RULE_GRAPH_FENCE,
-    RULE_GRAPH_RACE,
     RULE_PRECISION,
     RULE_REDUNDANT_EXCHANGE,
     RULE_STALE_HALO,
@@ -65,9 +62,7 @@ from .rules import (
 __all__ = [
     "GraphLintConfig",
     "PartAccess",
-    "certify_fusion",
     "certify_precision",
-    "check_fusion_legality",
     "check_graph",
     "check_precision",
     "run_graphcheck",
@@ -113,8 +108,7 @@ class PartAccess:
     ``targets`` maps footprint view names to the resolved View/ndarray;
     ``footprints`` holds the per-view :class:`ViewFootprint` records.
     ``unanalyzable`` is set when the body defeated the abstract
-    interpreter or a written view could not be resolved — the legality
-    proof then refuses to vouch for the part.
+    interpreter or a written view could not be resolved.
     """
 
     label: str
@@ -127,9 +121,28 @@ class PartAccess:
     line: Optional[int] = None
 
 
-def _part_access(label: str, functor, ndim: int) -> PartAccess:
-    from ..kokkos.jit import part_footprint
+#: (functor_type, ndim) -> kernelcheck footprint (None on analyzer crash).
+_FP_CACHE: Dict[Tuple[type, int], object] = {}
 
+
+def part_footprint(ftype: type, ndim: int):
+    """Cached kernelcheck footprint of one plan part.
+
+    Returns ``None`` when the static analyzer itself fails (callers
+    must stay conservative); a footprint whose ``error`` is set means
+    the body resisted analysis.
+    """
+    key = (ftype, ndim)
+    if key not in _FP_CACHE:
+        try:
+            _FP_CACHE[key] = build_footprint(
+                ftype.__name__, ftype, ndim=ndim, kind="for")
+        except Exception:
+            _FP_CACHE[key] = None
+    return _FP_CACHE[key]
+
+
+def _part_access(label: str, functor, ndim: int) -> PartAccess:
     pa = PartAccess(label=label, functor=functor, ndim=ndim)
     fp = part_footprint(type(functor), ndim)
     if fp is None or fp.error is not None:
@@ -151,103 +164,6 @@ def _node_parts(node: KernelNode) -> List[PartAccess]:
     ndim = len(node.policy.extents)
     return [_part_access(label, functor, ndim)
             for label, functor in node.parts()]
-
-
-# --------------------------------------------------------------------------
-# fusion legality: independent re-proof of the seal-time decision
-# --------------------------------------------------------------------------
-
-
-def _shares(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
-    if a is None or b is None:
-        return False
-    return a is b or bool(np.shares_memory(a, b))
-
-
-def _hazard_kind(w_i: bool, r_i: bool, w_j: bool, r_j: bool) -> Optional[str]:
-    if w_i and r_j:
-        return "read-after-write"
-    if w_i and w_j:
-        return "write-after-write"
-    if r_i and w_j:
-        return "write-after-read"
-    return None
-
-
-def check_fusion_legality(graph: LaunchGraph) -> List[Finding]:
-    """Re-prove every fused node of a sealed graph tiling-safe.
-
-    Compiled tiers run fused parts whole-range with a stage barrier
-    between parts — the eager sequence exactly — so only *eager-tier*
-    fused nodes carry a tiling obligation.  For those, any cross-part
-    pair of accesses to shared memory is a hazard unless every involved
-    access sits at loop offset 0 on all axes (within one tile the parts
-    then run in capture order over identical points, which is the eager
-    interleaving).  The proof works from the kernelcheck footprints and
-    the *resolved buffers* of the bound functors; it never consults
-    ``parts_independent``, so a bug there cannot hide here.
-    """
-    findings: List[Finding] = []
-    for node in graph.nodes:
-        if not isinstance(node, KernelNode):
-            continue
-        parts = node.parts()
-        if len(parts) < 2:
-            continue
-        tier = getattr(node.plan, "tier", "eager")
-        if tier != "eager":
-            continue  # stage-barrier execution: legal by construction
-        accesses = _node_parts(node)
-        stencil = any(getattr(p, "stencil_halo", 0) for _, p in parts) or \
-            node.halo() > 0
-        for pa in accesses:
-            if pa.unanalyzable and stencil:
-                findings.append(Finding(
-                    rule=RULE_GRAPH_RACE, severity=Severity.WARNING,
-                    kernel=node.label, view=None,
-                    detail=(f"fused part {pa.label!r} is unanalyzable "
-                            f"({pa.unanalyzable}): tiling legality of the "
-                            f"eager fused sweep is unproven"),
-                    file=pa.file, line=pa.line))
-        for i in range(len(accesses)):
-            for j in range(i + 1, len(accesses)):
-                findings.extend(_pair_hazards(node, accesses[i], accesses[j]))
-    return findings
-
-
-def _pair_hazards(node: KernelNode, pi: PartAccess,
-                  pj: PartAccess) -> Iterable[Finding]:
-    for name_i, vf_i in pi.footprints.items():
-        buf_i = _buffer(pi.targets[name_i])
-        for name_j, vf_j in pj.footprints.items():
-            if not _shares(buf_i, _buffer(pj.targets[name_j])):
-                continue
-            kind = _hazard_kind(vf_i.writes > 0, vf_i.reads > 0,
-                                vf_j.writes > 0, vf_j.reads > 0)
-            if kind is None:
-                continue  # read/read sharing is always fine
-            if vf_i.halo_width == 0 and vf_j.halo_width == 0:
-                # offset-0 on every loop axis: per-tile capture order
-                # equals the eager order point by point
-                continue
-            view = _display(pi.targets[name_i], name_i)
-            yield Finding(
-                rule=RULE_GRAPH_RACE, severity=Severity.ERROR,
-                kernel=node.label, view=view,
-                detail=(f"fused parts {pi.label!r} and {pj.label!r} share "
-                        f"{view!r} with a cross-part {kind} at stencil "
-                        f"offsets up to "
-                        f"{max(vf_i.halo_width, vf_j.halo_width)}: a tiled "
-                        f"interpreted sweep diverges from the eager launch "
-                        f"order"),
-                file=pi.file, line=pi.line)
-
-
-def certify_fusion(graph: LaunchGraph) -> List[Finding]:
-    """The ``seal(certify=True)`` hook: error-severity legality findings
-    (warnings — unproven but not disproven — do not refuse the seal)."""
-    return [f for f in check_fusion_legality(graph)
-            if f.severity >= Severity.ERROR]
 
 
 # --------------------------------------------------------------------------
@@ -334,9 +250,9 @@ def check_precision(graph: LaunchGraph) -> List[Finding]:
 
 
 def certify_precision(graph: LaunchGraph) -> List[Finding]:
-    """Seal-time proof that no fp32 sweep silently promotes to fp64:
-    error-severity precision findings refuse the seal (accumulation
-    warnings do not)."""
+    """Proof that no fp32 sweep of a sealed graph silently promotes to
+    fp64: the error-severity precision findings (accumulation warnings
+    are not among them)."""
     return [f for f in check_precision(graph)
             if f.severity >= Severity.ERROR]
 
@@ -611,13 +527,12 @@ class _Walker:
 
 
 def check_graph(graph: LaunchGraph, passes: int = 3) -> List[Finding]:
-    """All graphcheck findings for one sealed graph: the fusion-legality
-    re-proof plus the multi-pass dataflow walk (stale halos, fence
+    """All graphcheck findings for one sealed graph: the precision
+    discipline plus the multi-pass dataflow walk (stale halos, fence
     discipline, redundant exchanges, dead stores)."""
     if not graph.sealed:
         raise ValueError("check_graph needs a sealed LaunchGraph")
-    findings = check_fusion_legality(graph)
-    findings.extend(check_precision(graph))
+    findings = check_precision(graph)
     findings.extend(_Walker(graph).walk(passes=passes))
     return findings
 

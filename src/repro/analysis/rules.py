@@ -56,11 +56,9 @@ ALL_RULES = (RULE_RACE, RULE_HALO, RULE_SPACE, RULE_COST, RULE_ALIAS)
 
 # -- whole-schedule rule families (repro.analysis.graphcheck) ---------------
 # Per-kernel rules above see one body at a time; these see the sealed
-# launch graph: cross-launch hazards a fusion pass introduced, halo
-# freshness across the step's exchange schedule, and fence discipline
-# between async launches and host nodes.
+# launch graph: halo freshness across the step's exchange schedule, dead
+# work, and fence discipline between async launches and host nodes.
 
-RULE_GRAPH_RACE = "graph-race"
 RULE_STALE_HALO = "stale-halo"
 RULE_REDUNDANT_EXCHANGE = "redundant-exchange"
 RULE_DEAD_STORE = "dead-store"
@@ -75,8 +73,8 @@ RULE_GRAPH_FENCE = "graph-fence"
 #: through an explicit fp64 accumulator (``wide_accumulate = True``).
 RULE_PRECISION = "precision-promotion"
 
-GRAPH_RULES = (RULE_GRAPH_RACE, RULE_STALE_HALO, RULE_REDUNDANT_EXCHANGE,
-               RULE_DEAD_STORE, RULE_GRAPH_FENCE, RULE_PRECISION)
+GRAPH_RULES = (RULE_STALE_HALO, RULE_REDUNDANT_EXCHANGE, RULE_DEAD_STORE,
+               RULE_GRAPH_FENCE, RULE_PRECISION)
 
 
 @dataclass

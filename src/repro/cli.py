@@ -236,26 +236,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _report_jit_coverage(model) -> None:
-    """Per-graph compiled-tier coverage (the satellite of `trace --graph`)."""
-    from collections import Counter
-
+    """Shape of each sealed step graph (the satellite of `trace --graph`)."""
     sealed = {key: g for key, g in model._graphs.items() if g.sealed}
     if not sealed:
         print("no sealed graph: the model recorded no launch graph "
               "(graph capture off, or no step has run)")
         return
     for (startup, canuto), graph in sorted(sealed.items()):
-        tiers = Counter(tier for _, tier in graph.kernel_tiers())
-        mix = ", ".join(f"{t}:{n}" for t, n in sorted(tiers.items()))
         variant = ("startup" if startup else "steady") + \
             ("+canuto" if canuto else "")
-        print(f"graph[{variant}]: {graph.compiled_launches}/"
-              f"{graph.launches_per_replay} launches compiled "
-              f"({graph.jit_coverage:.0%}; {mix})")
-        eager = [label for label, tier in graph.kernel_tiers()
-                 if tier == "eager"]
-        if eager and graph.compiled_launches:
-            print(f"  eager launches: {', '.join(eager)}")
+        print(f"graph[{variant}]: {graph.launches_per_replay} launches per "
+              f"replay ({graph.captured_launches} captured, "
+              f"{graph.fused_groups} fused groups)")
+    # one space seals every variant, so the graphs share one tier
+    tiers = {tier for g in sealed.values() for _, tier in g.kernel_tiers()}
+    print(f"tier: {', '.join(sorted(tiers))}")
 
 
 def _cmd_precision(args: argparse.Namespace) -> int:

@@ -32,14 +32,6 @@ class LDMError(KokkosError):
     """Local Data Memory (LDM) capacity or allocation failure."""
 
 
-class GraphCertificationError(KokkosError):
-    """A sealed launch graph failed static certification.
-
-    Raised by ``LaunchGraph.seal(certify=True)`` when the graphcheck
-    dataflow verifier proves a fused node illegal (a cross-part hazard
-    an interpreted tiled sweep cannot honour)."""
-
-
 class OceanError(ReproError):
     """Base class for errors raised by the ocean model."""
 

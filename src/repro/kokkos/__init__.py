@@ -76,14 +76,12 @@ from .backends import (
     make_backend,
 )
 from .graph import (
-    FusedStencilFunctor,
     FusedTileFunctor,
     HostEffects,
     HostNode,
     KernelNode,
     LaunchGraph,
 )
-from .jit import JitCache
 from .instrument import (
     Instrumentation,
     KernelStats,
@@ -115,7 +113,6 @@ __all__ = [
     "DeviceBackend", "make_backend", "Reducer", "Sum", "Prod", "Min", "Max",
     # graph capture / workspace arena
     "LaunchGraph", "KernelNode", "HostNode", "HostEffects", "FusedTileFunctor",
-    "FusedStencilFunctor", "JitCache",
     "Workspace",
     # instrumentation / ldm
     "Instrumentation", "KernelStats", "WorkspaceStats",

@@ -35,6 +35,7 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from ...errors import LDMError
+from .. import jit as _jit
 from ..instrument import Instrumentation
 from ..ldm import (
     DMAEngine,
@@ -45,7 +46,6 @@ from ..ldm import (
 )
 from ..policy import (
     MDRangePolicy,
-    as_md,
     iter_tiles,
     tile_volume,
     tiles_per_cpe,
@@ -60,6 +60,7 @@ from .base import (
     check_host_views,
     functor_cost,
     reduce_tile,
+    staging_split,
 )
 
 #: CPEs per core group on the SW26010 Pro.
@@ -73,36 +74,26 @@ class _AthreadPlan(LaunchPlan):
     LDM alloc / DMA get / DMA put / LDM free cycle per tile.  Sealing a
     plan does all of that once: the fit proof runs at seal time, and
     the per-tile staging sizes are pre-summed into per-launch DMA
-    totals and per-CPE LDM peaks, so a replay is the bare tile sweep
+    totals and per-CPE LDM peaks, so a replay is one whole-range sweep
     followed by one batched ledger update.  The accounting the machine
-    model consumes (DMA byte/descriptor totals, LDM high water) ends
-    each launch identical to the eager path.
+    model consumes (DMA byte/descriptor totals, LDM high water, tile
+    distribution) ends each launch identical to the eager path.
     """
 
-    __slots__ = ("_callback", "_apply", "_tile_slices", "_distribution",
-                 "_get_total", "_put_total", "_ldm_peaks")
-
-    supports_compiled = True
+    __slots__ = ("_distribution", "_get_total", "_put_total", "_ldm_peaks")
 
     def __init__(self, space, label, policy, functor) -> None:
         super().__init__(space, label, policy, functor)
         check_host_views(functor, space.name)
-        self._callback = space._lookup_callback(functor, "for")
-        # When the registered callback is the generated trampoline and the
-        # functor has a vectorised ``apply``, the trampoline reduces to
-        # ``functor.apply(tuple(slices))`` — bind that once so the replay
-        # sweep skips the per-tile indirection.
-        self._apply = None
-        if getattr(self._callback, "generated_trampoline", False):
-            self._apply = getattr(functor, "apply", None)
+        space._lookup_callback(functor, "for")  # unregistered: refuse to seal
+        self._sweep = _jit.compile_sweep(
+            functor, [space._full_slices(policy)])
         tile = space.choose_tile(policy, functor)
         ntiles = total_tiles(policy.extents, tile)
         self._distribution = (ntiles, tiles_per_cpe(ntiles, space.num_cpes))
         halo = max(0, int(getattr(functor, "stencil_halo", 0)))
-        _, bpp = functor_cost(functor)
-        bpp_in = float(getattr(functor, "bytes_in_per_point", bpp * 2.0 / 3.0))
-        bpp_out = float(getattr(functor, "bytes_out_per_point", bpp / 3.0))
-        self._tile_slices = []
+        bpp = self._bytes
+        bpp_in, bpp_out = staging_split(functor)
         get_total = put_total = 0.0
         peaks = {}
         for tidx, slices in enumerate(iter_tiles(policy.ranges, tile)):
@@ -117,7 +108,6 @@ class _AthreadPlan(LaunchPlan):
                     f"{space.ldm[cpe].capacity} B LDM of CPE {cpe}; "
                     "use a smaller MDRangePolicy tile"
                 )
-            self._tile_slices.append(tuple(slices))
             get_total += staged * bpp_in
             put_total += tile_volume(slices) * bpp_out
             if working > peaks.get(cpe, 0):
@@ -127,24 +117,7 @@ class _AthreadPlan(LaunchPlan):
         self._ldm_peaks = [(space.ldm[cpe], w) for cpe, w in peaks.items()]
 
     def run(self) -> None:
-        functor = self.functor
-        apply = self._apply
-        callback = self._callback
-        compiled = self._compiled
-        if compiled is not None:
-            # whole-range compiled sweep; the batched DMA/LDM ledger
-            # below is unchanged, so the machine-model accounting stays
-            # identical to the tiled interpretation
-            compiled()
-        elif apply is not None:
-            for slices in self._tile_slices:
-                apply(slices)
-        elif callback is not None:
-            for slices in self._tile_slices:
-                callback(functor, slices)
-        else:
-            for slices in self._tile_slices:
-                apply_tile(functor, slices)
+        self._sweep()
         space = self.space
         ntiles = self._distribution[0]
         space.dma.get_batch(self._get_total, ntiles)
@@ -230,14 +203,15 @@ class AthreadBackend(ExecutionSpace):
             )
         return entry.callback
 
-    def _stage_tile(self, cpe: int, slices: Sequence[slice], functor) -> Tuple[float, float]:
-        """LDM-allocate and DMA-stage one tile; return (bytes_in, bytes_out)."""
+    def _stage_tile(self, cpe: int, slices: Sequence[slice], functor) -> None:
+        """LDM-allocate one tile and DMA-get its staged inputs.
+
+        The caller frees the LDM block after compute + put.
+        """
         vol = tile_volume(slices)
         halo = max(0, int(getattr(functor, "stencil_halo", 0)))
         staged = haloed_tile_points([s.stop - s.start for s in slices], halo)
         _, bpp = functor_cost(functor)
-        bpp_in = float(getattr(functor, "bytes_in_per_point", bpp * 2.0 / 3.0))
-        bpp_out = float(getattr(functor, "bytes_out_per_point", max(0.0, bpp - bpp_in)))
         working = int(staged * bpp)
         buffers = 2 if self.double_buffer else 1
         ldm = self.ldm[cpe]
@@ -251,11 +225,7 @@ class AthreadBackend(ExecutionSpace):
                 "use a smaller MDRangePolicy tile"
             )
         ldm.alloc("tile", working)
-        try:
-            self.dma.get(staged * bpp_in)
-            return staged * bpp_in, vol * bpp_out
-        finally:
-            pass  # freed by caller after compute + put
+        self.dma.get(staged * staging_split(functor)[0])
 
     # -- execution ---------------------------------------------------------
 
@@ -265,8 +235,7 @@ class AthreadBackend(ExecutionSpace):
         tile = self.choose_tile(policy, functor)
         ntiles = total_tiles(policy.extents, tile)
         self.last_distribution = (ntiles, tiles_per_cpe(ntiles, self.num_cpes))
-        _, bpp = functor_cost(functor)
-        bpp_out = float(getattr(functor, "bytes_out_per_point", bpp / 3.0))
+        _, bpp_out = staging_split(functor)
         for tidx, slices in enumerate(iter_tiles(policy.ranges, tile)):
             cpe = tidx % self.num_cpes
             self._stage_tile(cpe, slices, functor)
@@ -280,10 +249,10 @@ class AthreadBackend(ExecutionSpace):
                 self.ldm[cpe].free("tile")
         self._record(label, policy, functor, tiles=ntiles)
 
-    def prepare_plan(self, label: str, policy, functor) -> LaunchPlan:
+    def plan_type(self) -> type:
         if type(self).run_for is not AthreadBackend.run_for:
-            return super().prepare_plan(label, policy, functor)
-        return _AthreadPlan(self, label, as_md(policy), functor)
+            return super().plan_type()
+        return _AthreadPlan
 
     def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
         check_host_views(functor, self.name)

@@ -71,6 +71,17 @@ def functor_cost(functor) -> Tuple[float, float]:
     return flops, nbytes
 
 
+def staging_split(functor) -> Tuple[float, float]:
+    """(bytes_in_per_point, bytes_out_per_point) a tile stages per point.
+
+    A functor that does not declare the split is taken to read two
+    thirds of its ``bytes_per_point`` and write one third.
+    """
+    _, nbytes = functor_cost(functor)
+    return (float(getattr(functor, "bytes_in_per_point", nbytes * 2.0 / 3.0)),
+            float(getattr(functor, "bytes_out_per_point", nbytes / 3.0)))
+
+
 def functor_dtype(functor) -> str:
     """Dtype tag of the views a launch binds: ``"f8"``, ``"f4"``, ``"f4+f8"``.
 
@@ -109,11 +120,6 @@ class ExecutionSpace:
         #: :class:`~repro.kokkos.context.ExecutionContext`; every launch
         #: becomes a ``kernel`` span while it is enabled.
         self.tracer = None
-        #: Lazily-created :class:`repro.kokkos.jit.JitCache` — lowered
-        #: kernels for sealed graphs on this space.  Per space (and the
-        #: space is per :class:`~repro.kokkos.context.ExecutionContext`),
-        #: so ranks never share compilation state.
-        self.jit_cache = None
 
     # -- required API ------------------------------------------------------
 
@@ -157,17 +163,26 @@ class ExecutionSpace:
 
     # -- cached launch plans (graph replay) --------------------------------
 
+    def plan_type(self) -> type:
+        """The :class:`LaunchPlan` subclass this space seals launches into.
+
+        The concrete backends name their sweeping plan — unless a
+        subclass intercepts ``run_for`` (a differential-testing wrapper,
+        say), which must keep seeing every launch.  Those, and any
+        custom backend, get the generic plan: eager ``run_for`` per
+        replay, so every space stays graph-compatible.
+        """
+        return _GenericPlan
+
     def prepare_plan(self, label: str, policy, functor) -> "LaunchPlan":
         """Front-load a launch's dispatch work into a replayable plan.
 
         A :class:`LaunchPlan` bakes in everything ``parallel_for`` would
         redo on every call — policy normalisation, memory-space checks,
         tiling, registry lookup — so :meth:`run_plan` is near-zero
-        dispatch.  Backends override this with their own plan type; the
-        base implementation falls back to eager ``run_for`` per replay,
-        so any custom backend stays graph-compatible.
+        dispatch.
         """
-        return _GenericPlan(self, label, as_md(policy), functor)
+        return self.plan_type()(self, label, as_md(policy), functor)
 
     def run_plan(self, plan: "LaunchPlan") -> None:
         """Execute a plan produced by :meth:`prepare_plan`."""
@@ -185,7 +200,7 @@ class ExecutionSpace:
             # constituent kernel labels in the payload
             args["fused"] = list(labels)
         if plan.tier != "eager":
-            # compiled vs interpreted launches are distinguishable in
+            # swept vs run_for-dispatched launches are distinguishable in
             # Perfetto (and priced differently by the predicted timeline)
             args["jit"] = plan.tier
         with tr.span(plan.label, cat="kernel", **args):
@@ -213,15 +228,19 @@ class LaunchPlan:
     Plans hold the bound functor *instance*; rebindable views
     (:meth:`View.rebind`) let the same plan see advancing data, which is
     what makes replay survive the leapfrog rotation.
+
+    A concrete backend's plan binds its launch body once, at
+    construction, through :func:`repro.kokkos.jit.compile_sweep`;
+    ``run()`` is that sweep plus the backend's ledger update.
     """
 
     __slots__ = ("space", "label", "policy", "functor",
-                 "_points", "_flops", "_bytes", "tier", "_compiled")
+                 "_points", "_flops", "_bytes", "_sweep")
 
-    #: Whether :mod:`repro.kokkos.jit` may attach a compiled sweep.
-    #: Only the concrete backend plans opt in; the generic fallback
-    #: (and with it every run_for-intercepting subclass) stays eager.
-    supports_compiled = False
+    #: What serves the plan, as reports and traces name it: ``codegen``
+    #: is a sweep bound at seal time, ``eager`` is ``run_for`` dispatch
+    #: on every replay (:class:`_GenericPlan`).
+    tier = "codegen"
 
     def __init__(self, space: ExecutionSpace, label: str,
                  policy: MDRangePolicy, functor) -> None:
@@ -231,15 +250,6 @@ class LaunchPlan:
         self.functor = functor
         self._points = policy.size
         self._flops, self._bytes = functor_cost(functor)
-        #: Execution tier serving this plan: ``eager`` (interpreted) or
-        #: ``codegen`` — see :mod:`repro.kokkos.jit`.
-        self.tier = "eager"
-        self._compiled = None
-
-    def attach_compiled(self, sweep) -> None:
-        """Adopt a :class:`repro.kokkos.jit.CompiledSweep`."""
-        self._compiled = sweep.fn
-        self.tier = sweep.tier
 
     def _record(self, tiles: int) -> None:
         self.space.inst.record_launch(
@@ -258,6 +268,8 @@ class _GenericPlan(LaunchPlan):
     """Fallback plan: eager dispatch on every replay."""
 
     __slots__ = ()
+
+    tier = "eager"
 
     def run(self) -> None:
         self.space.run_for(self.label, self.policy, self.functor)

@@ -28,8 +28,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ...errors import BackendError
+from .. import jit as _jit
 from ..instrument import Instrumentation
-from ..policy import MDRangePolicy, as_md
+from ..policy import MDRangePolicy
 from ..spaces import DeviceSpace
 from ..view import kernel_context
 from .base import (
@@ -50,24 +51,19 @@ class _DevicePlan(LaunchPlan):
     per-launch cost the perfmodel charges) are identical to eager.
     """
 
-    __slots__ = ("_slices", "_blocks")
-
-    supports_compiled = True
+    __slots__ = ("_blocks",)
 
     def __init__(self, space, label, policy, functor) -> None:
         super().__init__(space, label, policy, functor)
         space._check_device_views(functor)
-        self._slices = space._full_slices(policy)
+        self._sweep = _jit.compile_sweep(
+            functor, [space._full_slices(policy)])
         self._blocks = max(1, -(-policy.size // space.threads_per_block))
 
     def run(self) -> None:
         self.space.kernel_launches += 1
-        compiled = self._compiled
         with kernel_context():
-            if compiled is not None:
-                compiled()
-            else:
-                apply_tile(self.functor, self._slices)
+            self._sweep()
         self._record(tiles=self._blocks)
 
 
@@ -115,10 +111,10 @@ class DeviceBackend(ExecutionSpace):
         blocks = -(-policy.size // self.threads_per_block)
         self._record(label, policy, functor, tiles=max(1, blocks))
 
-    def prepare_plan(self, label: str, policy, functor) -> LaunchPlan:
+    def plan_type(self) -> type:
         if type(self).run_for is not DeviceBackend.run_for:
-            return super().prepare_plan(label, policy, functor)
-        return _DevicePlan(self, label, as_md(policy), functor)
+            return super().plan_type()
+        return _DevicePlan
 
     def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
         self._check_device_views(functor)

@@ -16,8 +16,9 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
+from .. import jit as _jit
 from ..instrument import Instrumentation
-from ..policy import MDRangePolicy, as_md
+from ..policy import MDRangePolicy
 from .base import (
     ExecutionSpace,
     LaunchPlan,
@@ -53,31 +54,20 @@ def _default_threads() -> int:
 class _OpenMPPlan(LaunchPlan):
     """Chunk list precomputed; replay only submits and joins."""
 
-    __slots__ = ("_chunk_slices",)
-
-    supports_compiled = True
+    __slots__ = ("_nchunks",)
 
     def __init__(self, space, label, policy, functor) -> None:
         super().__init__(space, label, policy, functor)
         check_host_views(functor, space.name)
-        self._chunk_slices = space._chunks(policy)
+        chunks = space._chunks(policy)
+        self._nchunks = len(chunks)
+        # one stage barrier per fused part across the pool's threads
+        submit = space._executor().submit if self._nchunks > 1 else None
+        self._sweep = _jit.compile_sweep(functor, chunks, submit)
 
     def run(self) -> None:
-        chunks = self._chunk_slices
-        compiled = self._compiled
-        if compiled is not None:
-            # the compiled sweep owns the chunk submission (one stage
-            # barrier per fused part)
-            compiled()
-        elif len(chunks) == 1:
-            apply_tile(self.functor, chunks[0])
-        else:
-            pool = self.space._executor()
-            futures = [pool.submit(apply_tile, self.functor, ch)
-                       for ch in chunks]
-            for f in futures:
-                f.result()
-        self._record(tiles=len(chunks))
+        self._sweep()
+        self._record(tiles=self._nchunks)
 
 
 class OpenMPBackend(ExecutionSpace):
@@ -134,10 +124,10 @@ class OpenMPBackend(ExecutionSpace):
                 f.result()
         self._record(label, policy, functor, tiles=len(chunks))
 
-    def prepare_plan(self, label: str, policy, functor) -> LaunchPlan:
+    def plan_type(self) -> type:
         if type(self).run_for is not OpenMPBackend.run_for:
-            return super().prepare_plan(label, policy, functor)
-        return _OpenMPPlan(self, label, as_md(policy), functor)
+            return super().plan_type()
+        return _OpenMPPlan
 
     def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
         check_host_views(functor, self.name)

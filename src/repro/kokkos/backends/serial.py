@@ -8,7 +8,8 @@ anchors correctness across devices.
 
 from __future__ import annotations
 
-from ..policy import MDRangePolicy, as_md
+from .. import jit as _jit
+from ..policy import MDRangePolicy
 from .base import (
     ExecutionSpace,
     LaunchPlan,
@@ -20,26 +21,18 @@ from .base import (
 
 
 class _SerialPlan(LaunchPlan):
-    """Whole-range tile with slices and checks precomputed."""
+    """Whole-range sweep with slices and checks precomputed."""
 
-    __slots__ = ("_slices", "_apply")
-
-    supports_compiled = True
+    __slots__ = ()
 
     def __init__(self, space, label, policy, functor) -> None:
         super().__init__(space, label, policy, functor)
         check_host_views(functor, space.name)
-        self._slices = space._full_slices(policy)
-        self._apply = getattr(functor, "apply", None)
+        self._sweep = _jit.compile_sweep(
+            functor, [space._full_slices(policy)])
 
     def run(self) -> None:
-        compiled = self._compiled
-        if compiled is not None:
-            compiled()
-        elif self._apply is not None:
-            self._apply(self._slices)
-        else:
-            apply_tile(self.functor, self._slices)
+        self._sweep()
         self._record(tiles=1)
 
 
@@ -55,13 +48,10 @@ class SerialBackend(ExecutionSpace):
         apply_tile(functor, self._full_slices(policy))
         self._record(label, policy, functor, tiles=1)
 
-    def prepare_plan(self, label: str, policy, functor) -> LaunchPlan:
-        # Subclasses that intercept run_for (e.g. differential-testing
-        # wrappers) must keep seeing every launch, so only the unmodified
-        # backend takes the fast path.
+    def plan_type(self) -> type:
         if type(self).run_for is not SerialBackend.run_for:
-            return super().prepare_plan(label, policy, functor)
-        return _SerialPlan(self, label, as_md(policy), functor)
+            return super().plan_type()
+        return _SerialPlan
 
     def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
         check_host_views(functor, self.name)

@@ -148,22 +148,6 @@ class ExecutionContext:
     # -- ownership accessors -----------------------------------------------
 
     @property
-    def jit_cache(self):
-        """Per-context cache of compiled launch sweeps.
-
-        Lives on the owned space (where :meth:`LaunchGraph.seal` looks
-        it up), created lazily; because every context owns its space,
-        ranks never share compilation state.  Cleared on :meth:`close`.
-        """
-        from .jit import JitCache
-
-        space = self.space
-        cache = getattr(space, "jit_cache", None)
-        if cache is None:
-            cache = space.jit_cache = JitCache()
-        return cache
-
-    @property
     def traffic(self):
         """Per-rank message ledger (created lazily; see SimComm.ledger)."""
         if self._traffic is None:
@@ -198,7 +182,7 @@ class ExecutionContext:
         """The context's measurement state as a small picklable dict.
 
         Contexts themselves do not cross process boundaries (they own a
-        live backend, arenas, compiled sweeps); what a process-mode
+        live backend, arenas, sealed plans); what a process-mode
         worker ships home is this bundle — the instrumentation ledger,
         the per-rank traffic ledger (if a comm ever attached) and the
         tracer with its recorded timeline.
@@ -230,9 +214,6 @@ class ExecutionContext:
         if self._null_ws is not None:
             self._null_ws.release()
         self.graph_cache.clear()
-        cache = getattr(self.space, "jit_cache", None)
-        if cache is not None:
-            cache.clear()
         if self._owns_space:
             shutdown = getattr(self.space, "shutdown", None)
             if shutdown is not None:

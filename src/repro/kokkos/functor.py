@@ -81,10 +81,6 @@ def _make_preset(functor_type: type, kind: str) -> Callable:
                 return
             _loop_elementwise(functor, slices)
         preset.__name__ = f"preset_for_{functor_type.__name__}"
-        # Sealed launch plans may call ``functor.apply`` directly when the
-        # registered callback is this generated trampoline (same effect,
-        # one less indirection per tile); custom callbacks lack the mark.
-        preset.generated_trampoline = True
         return preset
 
     def preset_reduce(functor, slices: Sequence[slice], combine):

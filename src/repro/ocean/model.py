@@ -100,7 +100,7 @@ class ModelParams:
     graph: bool = False             # False: eager stepping, the reference
                                     # oracle; True: the production path --
                                     # capture each step variant once, seal
-                                    # it (launch fusion + compiled sweeps)
+                                    # it (launch fusion + bound sweeps)
                                     # and replay; bitwise identical to eager
     trace: bool = False             # span tracing: record kernel launches,
                                     # halo phases, transfers and step/timer

@@ -5,8 +5,8 @@ bandwidth-bound tracer/momentum kernels in single precision while the
 stiff barotropic solver, the equation of state and the depth-integral
 reductions stay in fp64.  This module makes that an *executable* policy
 rather than a flat projection: a frozen map from kernel family to NumPy
-dtype, threaded from state allocation through kernel dispatch, the
-compiled tier, halo wire formats and the performance model.
+dtype, threaded from state allocation through kernel dispatch, sealed
+graphs, halo wire formats and the performance model.
 
 Families
 --------

@@ -10,7 +10,7 @@ get faster.  This module is the real-parallel substrate behind
   (a worker with several ranks runs them as threads, the nengo-mpi
   split of a placement step feeding a dumb worker runtime).  Each rank
   builds its own :class:`~repro.kokkos.context.ExecutionContext` end to
-  end — jit tier, sealed graphs and tracer all live worker-side.
+  end — sealed graphs and tracer live worker-side.
 * **Transport** — one pipe per rank as its inbox, written by the
   *sending thread* itself (a ``multiprocessing.Queue``'s feeder thread
   must first win the sender's GIL from the computing thread, which

@@ -21,12 +21,13 @@ from typing import Optional
 from .machines import MachineSpec
 
 #: Fraction of the per-launch fixed cost still paid when the launch is
-#: served by the compiled tier (repro.kokkos.jit).  Compilation removes
-#: the host-side interpretation of the sweep (slice walks, per-tile
-#: dispatch) but not the launch itself — spawn/join on the CPEs or the
-#: device kernel launch — so a compiled launch is modelled as a
-#: constant fraction of the machine's ``launch_overhead``, calibrated
-#: against the measured interpreted-vs-compiled step wall-clock split.
+#: replayed from a sealed graph.  A sealed plan's bound sweep
+#: (repro.kokkos.jit) removes the host-side dispatch of the launch
+#: (policy normalisation, registry walk, per-tile slice walks) but not
+#: the launch itself — spawn/join on the CPEs or the device kernel
+#: launch — so a replayed launch is modelled as a constant fraction of
+#: the machine's ``launch_overhead``, calibrated against the measured
+#: eager-vs-replayed step wall-clock split.
 JIT_DISPATCH_FRACTION = 0.3
 
 
@@ -57,10 +58,6 @@ class StepProfile:
     #: Launches removed per step by the graph's fusion pass (flops/bytes
     #: are unchanged — fusion only merges launch boundaries).
     launches_fused_saved: float = 0.0
-    #: Replayed launches per step served by the compiled tier
-    #: (``repro.kokkos.jit``); each pays only ``JIT_DISPATCH_FRACTION``
-    #: of the machine launch overhead.
-    launches_compiled: float = 0.0
 
     def launches(self, nsub: int) -> float:
         return self.launches_fixed + self.launches_per_sub * nsub
@@ -69,21 +66,17 @@ class StepProfile:
         """Launches per replayed step when the graph fusion pass is on."""
         return max(0.0, self.launches(nsub) - self.launches_fused_saved)
 
-    def launch_overheads(self, nsub: int, graph: bool = False,
-                         jit: bool = False) -> float:
-        """Equivalent full-cost launches per step for the given knobs.
+    def launch_overheads(self, nsub: int, graph: bool = False) -> float:
+        """Equivalent full-cost launches per step.
 
-        With ``jit`` (compiled tier on, only meaningful under
-        ``graph``), ``launches_compiled`` of the replayed launches are
-        discounted to :data:`JIT_DISPATCH_FRACTION` of a launch each —
-        the ``launches_compiled`` term that keeps predicted timelines
-        honest about what replay actually dispatches.
+        Under ``graph`` every one of the post-fusion launches is
+        replayed from a sealed plan and pays
+        :data:`JIT_DISPATCH_FRACTION` of a launch — the same discount
+        predicted timelines apply to replayed kernel spans.
         """
-        launches = self.launches_graph(nsub) if graph else self.launches(nsub)
-        if not (graph and jit):
-            return launches
-        compiled = min(self.launches_compiled, launches)
-        return launches - (1.0 - JIT_DISPATCH_FRACTION) * compiled
+        if not graph:
+            return self.launches(nsub)
+        return JIT_DISPATCH_FRACTION * self.launches_graph(nsub)
 
 
 #: Frozen measurement (tiny demo config, 4 steps, serial backend); see
@@ -98,10 +91,7 @@ DEFAULT_PROFILE = StepProfile(
     launches_per_sub=2.0,
     halo3_per_step=14,   # 4 momentum + 5 per tracer (diffused field, T*,
     halo2_per_sub=3,     # R+, R-, new) x 2 tracers
-    launches_fused_saved=16.0,  # 10 fused groups (elementwise + halo-aware
-                                # stencil fusion); see measure_graph_savings
-    launches_compiled=30.0,     # full coverage on the tiny steady graph;
-                                # see measure_jit_coverage
+    launches_fused_saved=16.0,  # 10 fused groups; see measure_graph_savings
 )
 
 
@@ -163,24 +153,6 @@ def measure_graph_savings(size: str = "tiny", steps: int = 3) -> float:
     return float(graph.captured_launches - graph.launches_per_replay)
 
 
-def measure_jit_coverage(size: str = "tiny", steps: int = 3) -> float:
-    """Replayed launches per step on the compiled tier, measured live.
-
-    The live counterpart of ``DEFAULT_PROFILE.launches_compiled``:
-    steps the real model on its production path (``graph=True``)
-    and reads the sealed steady-state graph's per-kernel tiers.
-    """
-    from ..ocean import LICOMKpp, demo
-    from ..ocean.model import ModelParams
-
-    model = LICOMKpp(demo(size), backend="serial",
-                     params=ModelParams(graph=True))
-    model.run_steps(max(2, steps))
-    steady = [g for (startup, _), g in model._graphs.items() if not startup]
-    graph = steady[0] if steady else next(iter(model._graphs.values()))
-    return float(graph.compiled_launches)
-
-
 def crosscheck_declared_costs(bytes_lo: float = 0.9, bytes_hi: float = 2.0):
     """Static cross-check of the declared kernel costs feeding this model.
 
@@ -215,7 +187,6 @@ def compute_time_per_step(
     nsub: int,
     fortran: bool = False,
     graph: bool = False,
-    jit: bool = False,
 ) -> float:
     """Roofline time of one rank's computation for one baroclinic step.
 
@@ -224,11 +195,10 @@ def compute_time_per_step(
     ``max(bytes/BW, flops/peak)`` plus kernel-launch overhead.  The
     ``fortran`` flag models the original LICOM3 baseline: host-only
     execution at the machine's host bandwidth and Fortran efficiency.
-    ``graph`` models step-graph replay with fusion: the flop/byte work
-    is unchanged, only ``launches_fused_saved`` fewer launch overheads
-    are paid per step.  ``jit`` additionally discounts the
-    ``launches_compiled`` replayed launches to
-    :data:`JIT_DISPATCH_FRACTION` of a launch overhead each.
+    ``graph`` models step-graph replay: the flop/byte work is
+    unchanged, ``launches_fused_saved`` fewer launches are issued per
+    step and each pays :data:`JIT_DISPATCH_FRACTION` of a launch
+    overhead (:meth:`StepProfile.launch_overheads`).
     """
     if fortran:
         bw = machine.host_bw * machine.host_efficiency
@@ -248,6 +218,5 @@ def compute_time_per_step(
         profile.bytes2_sub * points2_per_unit / bw,
         profile.flops2_sub * points2_per_unit / peak,
     )
-    t_launch = profile.launch_overheads(nsub, graph, jit) \
-        * machine.launch_overhead
+    t_launch = profile.launch_overheads(nsub, graph) * machine.launch_overhead
     return t3 + t2 + t_launch

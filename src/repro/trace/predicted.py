@@ -74,9 +74,9 @@ def _leaf_duration(sp: Span, m) -> float:
         compute = flops / m.peak_flops_unit if flops else 0.0
         overhead = m.launch_overhead
         if args.get("jit"):
-            # compiled-tier launches (args["jit"] tier label) pay only
-            # the dispatch fraction — same discount as the perfmodel's
-            # launches_compiled term
+            # swept launches of a sealed graph (args["jit"] tier label)
+            # pay only the dispatch fraction — same discount as the
+            # perfmodel's graph=True pricing
             from ..perfmodel.kernelcost import JIT_DISPATCH_FRACTION
 
             overhead *= JIT_DISPATCH_FRACTION

@@ -1,18 +1,16 @@
-"""graphcheck: golden broken graphs, seed-model cleanliness, certification.
+"""graphcheck: golden broken graphs and seed-model cleanliness.
 
-Three layers of coverage:
+Two layers of coverage:
 
 * **Golden schedules** — small hand-built launch graphs each violating
-  exactly one graphcheck rule family (cross-launch race, stale-halo
-  read, redundant exchange, dead store, missing fence), asserting the
-  verifier reports exactly the intended finding.
+  exactly one graphcheck rule family (stale-halo read, redundant
+  exchange, dead store, missing fence), asserting the verifier reports
+  exactly the intended finding.  Adjacent launches seal into one fused
+  node, so the goldens also pin that a fused node is walked part by
+  part, under each part's own label.
 * **Seed model** — the tiny demo model's sealed step graphs walk clean
-  on every backend, both fully compiled and with lowering unavailable
-  (the un-fused interpreted fallback, the only schedule whose fusion
-  groups need tiling-safety), and every fusion group the seal pass
-  accepted is independently certified (differential test).
-* **Certification hook** — ``seal(certify=True)`` rejects a
-  deliberately corrupted fusion group and accepts a legal one.
+  on every backend, both swept (the concrete backend) and replayed
+  unfused through ``run_for`` (an intercepting subclass of it).
 """
 
 import pytest
@@ -20,8 +18,6 @@ import pytest
 from repro.analysis import Severity
 from repro.analysis.graphcheck import (
     GraphLintConfig,
-    certify_fusion,
-    check_fusion_legality,
     check_graph,
     run_graphcheck,
 )
@@ -29,20 +25,17 @@ from repro.analysis.rules import (
     GRAPH_RULES,
     RULE_DEAD_STORE,
     RULE_GRAPH_FENCE,
-    RULE_GRAPH_RACE,
     RULE_REDUNDANT_EXCHANGE,
     RULE_STALE_HALO,
 )
-from repro.errors import GraphCertificationError
 from repro.kokkos import (
-    FusedStencilFunctor,
     HostEffects,
     LaunchGraph,
     MDRangePolicy,
     View,
     make_backend,
 )
-from repro.kokkos.graph import KernelNode
+from tests.conftest import intercepting
 from tests.analysis.broken_graph import (
     AccumulateFunctor,
     PointCopyFunctor,
@@ -67,9 +60,8 @@ P_INT = MDRangePolicy([(1, N - 1), (1, N - 1)])
 
 def sealed(space, *records):
     """Build + seal a graph from ('k', label, policy, functor) and
-    ('h', label, effects) records (fusion off: the schedule is the
-    point, not the optimizer)."""
-    graph = LaunchGraph(space, fuse=False, jit=False)
+    ('h', label, effects) records."""
+    graph = LaunchGraph(space)
     for kind, *args in records:
         if kind == "k":
             graph.add_kernel(*args)
@@ -87,11 +79,14 @@ def sink(*vs):
 class TestGoldenSchedules:
     def test_stale_halo_read_fires(self, space, views):
         f, g, out = views["f"], views["g"], views["out"]
-        findings = check_graph(sealed(
+        graph = sealed(
             space,
             ("k", "writer", P_INT, PointCopyFunctor(g, f)),
             ("k", "reader", P_INT, WestReadFunctor(f, out)),
-            sink(out)))
+            sink(out))
+        # one fused node, walked part by part under the parts' labels
+        assert graph.kernel_tiers() == [("fused[writer+reader]", "codegen")]
+        findings = check_graph(graph)
         assert [x.rule for x in findings] == [RULE_STALE_HALO]
         assert findings[0].severity == Severity.ERROR
         assert findings[0].kernel == "reader" and findings[0].view == "f"
@@ -169,69 +164,19 @@ class TestGoldenSchedules:
         assert [x.rule for x in findings if x.rule == RULE_GRAPH_FENCE] == []
 
 
-class TestFusionLegality:
-    def _corrupt_node(self, views):
-        f, g, out = views["f"], views["g"], views["out"]
-        fused = FusedStencilFunctor(
-            [PointCopyFunctor(g, f), WestReadFunctor(f, out)],
-            ["w", "r"], halo=1)
-        return KernelNode("fused[w+r]", P_INT, fused)
-
-    def test_dependent_stencil_parts_refused(self, space, views):
-        graph = LaunchGraph(space, fuse=False, jit=False)
-        graph.nodes.append(self._corrupt_node(views))
-        graph.sealed = True
-        findings = check_fusion_legality(graph)
-        assert [x.rule for x in findings] == [RULE_GRAPH_RACE]
-        assert findings[0].severity == Severity.ERROR
-        assert findings[0].view == "f"
-        assert certify_fusion(graph) == findings
-
-    def test_seal_certify_rejects_corrupted_group(self, space, views):
-        graph = LaunchGraph(space, fuse=False, jit=False)
-        graph.nodes.append(self._corrupt_node(views))
-        with pytest.raises(GraphCertificationError, match="graph-race"):
-            graph.seal(certify=True)
-
-    def test_seal_certify_accepts_legal_fusion(self, space, views):
-        f, g, out = views["f"], views["g"], views["out"]
-        graph = LaunchGraph(space, fuse=True, jit=False)
-        # dependent but point-local: tiling-legal, fuses into one node
-        graph.add_kernel("a", P_INT, PointCopyFunctor(g, f))
-        graph.add_kernel("b", P_INT, PointCopyFunctor(f, out))
-        graph.seal(certify=True)
-        assert graph.fused_groups == 1
-
-    def test_offset_zero_raw_exemption_only(self, space, views):
-        # the same dependent pair with no stencil offsets passes the
-        # independent proof too (per-tile capture order == eager order)
-        f, g, out = views["f"], views["g"], views["out"]
-        from repro.kokkos import FusedTileFunctor
-
-        fused = FusedTileFunctor(
-            [PointCopyFunctor(g, f), PointCopyFunctor(f, out)], ["a", "b"])
-        node = KernelNode("fused[a+b]", P_INT, fused)
-        graph = LaunchGraph(space, fuse=False, jit=False)
-        graph.nodes.append(node)
-        graph.sealed = True
-        assert check_fusion_legality(graph) == []
-
-
 BACKENDS = ("serial", "openmp", "athread", "cuda")
 
 
 class TestSeedModelClean:
     @pytest.mark.parametrize("jit", [False, True], ids=["eager", "jit"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sealed_step_graphs_walk_clean(self, backend, jit, monkeypatch):
-        from repro.kokkos import jit as jit_mod
+    def test_sealed_step_graphs_walk_clean(self, backend, jit):
         from repro.ocean import LICOMKpp, ModelParams, demo
 
-        if not jit:
-            # no plan lowers: every launch stays on its interpreted plan
-            monkeypatch.setattr(jit_mod, "compile_sweep",
-                                lambda *a, **k: None)
-        model = LICOMKpp(demo("tiny"), backend=backend,
+        # jit: the backend's own swept plans; eager: an intercepting
+        # subclass, whose graphs stay unfused on the generic plan
+        model = LICOMKpp(demo("tiny"),
+                         backend=backend if jit else intercepting(backend),
                          params=ModelParams(graph=True, check_every=0))
         try:
             model.run_steps(2)
@@ -240,10 +185,7 @@ class TestSeedModelClean:
             for graph in graphs:
                 assert graph.jit_coverage == float(jit)
                 assert check_graph(graph) == []
-                # differential: every fusion group the seal pass
-                # accepted is certified by the independent prover
-                assert certify_fusion(graph) == []
-                assert graph.fused_groups > 0
+                assert (graph.fused_groups > 0) == jit
         finally:
             model.close()
 

@@ -5,7 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kokkos import make_backend
 from repro.ocean import LICOMKpp, demo
+
+
+def intercepting(backend: str):
+    """The ``backend`` space with ``run_for`` wrapped by a label-logging
+    pass-through (the shape of a differential-testing wrapper): sealed
+    graphs on it replay every captured launch through ``run_for``."""
+    base = type(make_backend(backend))
+
+    class Intercepting(base):
+        def run_for(self, label, policy, functor):
+            self.seen.append(label)
+            super().run_for(label, policy, functor)
+
+    space = Intercepting(kind=backend) if backend == "cuda" else Intercepting()
+    space.seen = []
+    return space
 
 
 @pytest.fixture()

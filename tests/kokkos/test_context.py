@@ -162,26 +162,6 @@ class TestWorkspaceLifetime:
         assert ws.pooled_nbytes() == 8 * 8    # other thread's pool survives
 
 
-class TestJitWarnCacheLifecycle:
-    """``close()`` resets the once-per-key jit degradation warnings."""
-
-    def test_close_clears_owned_space_warn_cache(self, caplog):
-        import logging
-
-        ctx = ExecutionContext("serial")
-        cache = ctx.jit_cache
-        with caplog.at_level(logging.WARNING, logger="repro.kokkos.jit"):
-            cache.warn_once(("k",), "kern", "probe")
-            cache.warn_once(("k",), "kern", "probe")   # suppressed
-        assert len(caplog.records) == 1
-        assert cache.failures == 2
-        ctx.close()
-        assert not cache._warned                       # fresh context re-warns
-        with caplog.at_level(logging.WARNING, logger="repro.kokkos.jit"):
-            cache.warn_once(("k",), "kern", "probe")
-        assert len(caplog.records) == 2
-
-
 class TestInstrumentationThreadSafety:
     def test_record_launch_is_exact_under_contention(self):
         inst = Instrumentation()

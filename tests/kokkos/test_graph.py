@@ -1,8 +1,9 @@
 """LaunchGraph capture/replay, workspace arena and scan/thread utilities.
 
 Unit-level coverage for the step-graph machinery: capture discipline,
-elementwise fusion (bitwise-identical to the eager sequence), the
-athread sealed plan's batched DMA/LDM accounting, the workspace arena's
+launch fusion (bitwise-identical to the eager sequence, dependent
+stencil chains included), the unfused replay on ``run_for``-intercepting
+spaces, the athread sealed plan's batched DMA/LDM accounting, the workspace arena's
 allocation counting, the ``parallel_scan`` entry point and the
 ``REPRO_NUM_THREADS`` override of the OpenMP backend.  Model-level
 bitwise replay tests live in ``tests/ocean/test_graph_replay.py``.
@@ -15,6 +16,7 @@ from repro import kokkos as kk
 from repro.errors import BackendError
 from repro.kokkos import (
     AthreadBackend,
+    DeviceBackend,
     Instrumentation,
     MDRangePolicy,
     OpenMPBackend,
@@ -25,6 +27,7 @@ from repro.kokkos import (
 from repro.kokkos.graph import LaunchGraph
 from repro.kokkos.spaces import DeviceSpace
 from repro.kokkos.workspace import Workspace
+from tests.conftest import intercepting
 
 
 @kokkos_register_for("graphtest_scale", ndim=2)
@@ -69,7 +72,7 @@ class ShiftFunctor:
 
 @kokkos_register_for("graphtest_stencil", ndim=2)
 class StencilFunctor:
-    """out = x shifted east (stencil_halo=1: not fusible)."""
+    """out = x shifted east (stencil_halo=1)."""
 
     flops_per_point = 1.0
     bytes_per_point = 16.0
@@ -94,6 +97,38 @@ def _record_sequence(graph: LaunchGraph, x: View, events: list) -> None:
     graph.add_kernel("scale2", pol, ScaleFunctor(x, 0.5))
 
 
+#: space factories for the dependent-chain fusion matrix
+CHAIN_SPACES = {
+    "serial": lambda: SerialBackend(inst=Instrumentation()),
+    "openmp": lambda: OpenMPBackend(threads=3, inst=Instrumentation()),
+    "athread": lambda: AthreadBackend(inst=Instrumentation()),
+    "cuda": lambda: DeviceBackend("cuda", inst=Instrumentation()),
+}
+
+
+def _chain(space, graph: bool):
+    """scale writes x, the stencil reads x one column east: a dependent
+    chain.  Runs it eagerly or sealed; returns (x, out) host arrays."""
+    mem = space.memory_space
+    start = np.random.default_rng(11).normal(size=(32, 50))
+    x = View("x", data=start.copy(), space=mem)
+    out = View("out", data=np.zeros((32, 50)), space=mem)
+    pol = MDRangePolicy([(0, 32), (0, 48)])
+    launches = [("scale", ScaleFunctor(x, 2.0)),
+                ("stencil", StencilFunctor(x, out))]
+    if graph:
+        g = LaunchGraph(space)
+        for label, functor in launches:
+            g.add_kernel(label, pol, functor)
+        g.seal()
+        g.replay()
+    else:
+        g = None
+        for label, functor in launches:
+            space.parallel_for(label, pol, functor)
+    return g, x.raw.copy(), out.raw.copy()
+
+
 class TestLaunchGraph:
     def test_capture_seal_replay_and_fusion(self):
         be = SerialBackend(inst=Instrumentation())
@@ -107,12 +142,12 @@ class TestLaunchGraph:
 
         x = View("x", data=start.copy())
         events: list = []
-        g = LaunchGraph(be, fuse=True)
+        g = LaunchGraph(be)
         _record_sequence(g, x, events)
         assert g.captured_launches == 3
         g.seal()
-        # the two adjacent elementwise launches fuse; the host node
-        # breaks the run, leaving the third launch on its own
+        # the two adjacent launches fuse; the host node breaks the run,
+        # leaving the third launch on its own
         assert g.fused_groups == 1
         assert g.launches_per_replay == 2
         g.replay()
@@ -121,73 +156,60 @@ class TestLaunchGraph:
         np.testing.assert_array_equal(x.data, ref)
 
     def test_fusion_off_keeps_launches(self):
-        be = SerialBackend(inst=Instrumentation())
-        x = View("x", data=np.ones((4, 4)))
-        g = LaunchGraph(be, fuse=False)
-        _record_sequence(g, x, [])
-        g.seal()
-        assert g.fused_groups == 0
-        assert g.launches_per_replay == 3
-        g.replay()
-        np.testing.assert_array_equal(x.data, (1.5 + 2.0) * 0.5)
+        # no argument turns fusion off; a space that intercepts run_for
+        # does: its graph replays every captured launch under its own
+        # label, so the interceptor never sees a fused[...] composite
+        for backend in ("serial", "athread"):
+            be = intercepting(backend)
+            x = View("x", data=np.ones((4, 4)))
+            g = LaunchGraph(be)
+            _record_sequence(g, x, [])
+            g.seal()
+            assert g.fused_groups == 0
+            assert g.launches_per_replay == 3
+            assert g.jit_coverage == 0.0
+            g.replay()
+            assert be.seen == ["scale", "shift", "scale2"]
+            np.testing.assert_array_equal(x.data, (1.5 + 2.0) * 0.5)
 
     def test_dependent_stencil_chain_not_fused_without_jit(self):
-        # scale writes x, the stencil reads x: a dependent chain, which
-        # the interpreted (tiled) tiers must not fuse
-        be = SerialBackend(inst=Instrumentation())
-        x = View("x", data=np.ones((4, 6)))
-        out = View("out", data=np.zeros((4, 6)))
-        pol = MDRangePolicy([(0, 4), (0, 4)])
-        g = LaunchGraph(be, fuse=True, jit=False)
-        g.add_kernel("scale", pol, ScaleFunctor(x, 2.0))
-        g.add_kernel("stencil", pol, StencilFunctor(x, out))
-        g.seal()
-        assert g.fused_groups == 0
-        assert g.launches_per_replay == 2
+        # a run_for-replaying space has no whole-range sweep (its tier
+        # is eager; athread's run_for is tiled), so the dependent chain
+        # stays two launches — and matches the eager sequence bitwise
+        for backend in ("serial", "athread"):
+            _, ref_x, ref_out = _chain(CHAIN_SPACES[backend](), graph=False)
+            be = intercepting(backend)
+            g, x, out = _chain(be, graph=True)
+            assert g.fused_groups == 0
+            assert g.launches_per_replay == 2
+            assert g.compiled_launches == 0
+            assert be.seen == ["scale", "stencil"]
+            np.testing.assert_array_equal(x, ref_x)
+            np.testing.assert_array_equal(out, ref_out)
 
     def test_dependent_stencil_chain_fuses_with_jit(self):
-        # the compiled sweep runs whole-range with a stage barrier per
-        # part, so the same chain fuses — and stays bitwise identical
-        start = np.random.default_rng(11).normal(size=(4, 6))
-        ref_x = start.copy()
-        ref_x[:, 0:4] *= 2.0  # the policy covers columns 0..3 only
-        ref_out = np.zeros((4, 6))
-        ref_out[:, 0:4] = ref_x[:, 1:5]
-        be = SerialBackend(inst=Instrumentation())
-        x = View("x", data=start.copy())
-        out = View("out", data=np.zeros((4, 6)))
-        pol = MDRangePolicy([(0, 4), (0, 4)])
-        g = LaunchGraph(be, fuse=True, jit=True)
-        g.add_kernel("scale", pol, ScaleFunctor(x, 2.0))
-        g.add_kernel("stencil", pol, StencilFunctor(x, out))
-        g.seal()
-        assert g.fused_groups == 1
-        assert g.launches_per_replay == 1
-        assert g.compiled_launches == 1
-        g.replay()
-        np.testing.assert_array_equal(x.data, ref_x)
-        np.testing.assert_array_equal(out.data, ref_out)
-
-    def test_dependent_stencil_chain_unfuses_when_lowering_fails(
-            self, monkeypatch):
-        # without a compiled sweep nothing guarantees the stage barrier,
-        # so seal falls back to the captured launches
-        from repro.kokkos import jit as jit_mod
-
-        monkeypatch.setattr(jit_mod, "compile_sweep", lambda *a, **k: None)
-        be = SerialBackend(inst=Instrumentation())
-        x = View("x", data=np.ones((4, 6)))
-        out = View("out", data=np.zeros((4, 6)))
-        pol = MDRangePolicy([(0, 4), (0, 4)])
-        g = LaunchGraph(be, fuse=True, jit=True)
-        g.add_kernel("scale", pol, ScaleFunctor(x, 2.0))
-        g.add_kernel("stencil", pol, StencilFunctor(x, out))
-        g.seal()
-        assert g.fused_groups == 0
-        assert g.launches_per_replay == 2
-        assert g.compiled_launches == 0
-        g.replay()
-        np.testing.assert_array_equal(out.data[:, 0:3], 2.0)
+        # the sealed sweep runs each part whole-range (one stage barrier
+        # per part on the threaded pool), so the chain fuses into one
+        # launch and stays bitwise identical to the eager sequence
+        for backend, make in CHAIN_SPACES.items():
+            _, ref_x, ref_out = _chain(make(), graph=False)
+            be = make()
+            g, x, out = _chain(be, graph=True)
+            assert g.fused_groups == 1, backend
+            assert g.launches_per_replay == 1, backend
+            assert g.compiled_launches == 1, backend
+            np.testing.assert_array_equal(x, ref_x, err_msg=backend)
+            np.testing.assert_array_equal(out, ref_out, err_msg=backend)
+            fused = be.inst.kernels["fused[scale+stencil]"]
+            assert fused.launches == 1, backend
+            if backend == "athread":
+                # one fused launch staging the union working set — the
+                # ledger the exec-generated tier recorded for this chain
+                assert be.dma.total_count == 128
+                assert be.dma.total_bytes == 81920.0
+                assert be.ldm_high_water() == 1536
+                assert be.last_distribution == (64, 1)
+                assert fused.tiles == 64
 
     def test_sealed_graph_rejects_recording(self):
         be = SerialBackend(inst=Instrumentation())
@@ -216,8 +238,9 @@ class TestAthreadPlanAccounting:
             be.parallel_for("scale", pol, ScaleFunctor(x, 1.5))
             be.parallel_for("shift", pol, ShiftFunctor(x, 2.0))
             return
-        g = LaunchGraph(be, fuse=False)
+        g = LaunchGraph(be)
         g.add_kernel("scale", pol, ScaleFunctor(x, 1.5))
+        g.add_host(lambda: None)   # keeps the two launches separate
         g.add_kernel("shift", pol, ShiftFunctor(x, 2.0))
         g.seal()
         g.replay()

@@ -1,12 +1,12 @@
 """The production path is bitwise identical to the eager oracle.
 
 The headline contract of ``ModelParams(graph=True)``: capture once,
-seal (launch fusion + compiled sweeps), replay, and produce
+seal (launch fusion + bound sweeps), replay, and produce
 *bit-identical* prognostic fields on every backend — the property the
 paper relies on when validating ports across ORISE and Sunway.  Also
-covered: the compiled-tier coverage gate, the interpreted fallback when
-lowering fails, re-capture on binding invalidation and the arena's
-zero-allocation steady state.
+covered: the sweep coverage gate, the unfused ``run_for`` replay of an
+intercepting space, re-capture on binding invalidation (which generates
+no code) and the arena's zero-allocation steady state.
 """
 
 import hashlib
@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from repro.kokkos import AthreadBackend, Instrumentation
-from repro.kokkos import jit as jit_mod
 from repro.ocean import LICOMKpp, demo
 from repro.ocean.model import ModelParams
+from tests.conftest import intercepting
 
 BACKENDS = ["serial", "openmp", "athread", "cuda"]
 
@@ -31,7 +31,7 @@ def _state_hash(model) -> str:
     return h.hexdigest()
 
 
-def _run(backend: str, steps: int = 3, **params) -> LICOMKpp:
+def _run(backend, steps: int = 3, **params) -> LICOMKpp:
     model = LICOMKpp(demo("tiny"), backend=backend,
                      params=ModelParams(**params))
     model.run_steps(steps)
@@ -57,22 +57,24 @@ class TestReplayBitwise:
         assert _state_hash(graph) == _state_hash(eager)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_compiled_tier_matches_interpreted(self, backend, monkeypatch):
-        """Every steady-state launch is served by the compiled tier,
-        and when lowering fails the un-fused interpreted plans replay
-        bitwise identically (the fallback is error handling)."""
+    def test_compiled_tier_matches_interpreted(self, backend):
+        """Every steady-state launch runs a bound sweep, and the same
+        model on a ``run_for``-intercepting subclass of the backend —
+        whose graphs replay every captured launch unfused through
+        (on athread, tiled) ``run_for`` — is bitwise identical."""
         compiled = _run(backend, graph=True)
         steady = [g for (startup, _), g in compiled._graphs.items()
                   if not startup]
         assert steady and steady[0].jit_coverage == 1.0
-        # no plan lowers: dependent fused chains must un-fuse
-        monkeypatch.setattr(jit_mod, "compile_sweep", lambda *a, **k: None)
-        interp = _run(backend, graph=True)
+        space = intercepting(backend)
+        interp = _run(space, graph=True)
         assert _state_hash(compiled) == _state_hash(interp)
         off = [g for (startup, _), g in interp._graphs.items()
                if not startup]
-        assert off[0].compiled_launches == 0
-        assert off[0].launches_per_replay > steady[0].launches_per_replay
+        assert off[0].replays >= 1 and off[0].compiled_launches == 0
+        assert off[0].launches_per_replay == off[0].captured_launches \
+            > steady[0].launches_per_replay
+        assert not any(label.startswith("fused[") for label in space.seen)
 
 
 class TestRecapture:
@@ -92,6 +94,30 @@ class TestRecapture:
                   if not startup]
         assert steady[0].replays >= 1
 
+    def test_recapture_generates_no_code(self, monkeypatch):
+        # sealing binds closures: neither the first captures nor a
+        # re-capture may reach exec or compile (the generated drivers
+        # and their cache are gone)
+        import builtins
+
+        model = LICOMKpp(demo("tiny"), backend="athread",
+                         params=ModelParams(graph=True))
+
+        generated = []
+        with monkeypatch.context() as patch:
+            for name in ("exec", "compile"):
+                patch.setattr(builtins, name,
+                              lambda *a, _name=name, **k: generated.append(_name))
+            model.run_steps(3)
+            captures = model._graph_captures
+            model.visc *= 1.5
+            model.run_steps(2)
+        assert generated == []
+        assert model._graph_captures == captures + 1
+        steady = [g for (startup, _), g in model._graphs.items()
+                  if not startup]
+        assert steady[0].replays >= 1 and steady[0].jit_coverage == 1.0
+
 
 class TestArenaAllocations:
     def test_steady_state_allocations_zero_and_reduced(self):
@@ -108,7 +134,7 @@ class TestArenaAllocations:
         steps = 2
         for model, inst in ((arena, inst_arena), (eager, inst_eager)):
             # warm the arena: past the Euler step, both graph variants
-            # captured AND replayed once (the first compiled replay
+            # captured AND replayed once (the first swept replay
             # allocates its whole-range scratch buffers)
             model.run_steps(3)
             inst.workspace.requests = 0
@@ -117,7 +143,7 @@ class TestArenaAllocations:
         ws_arena, ws_eager = inst_arena.workspace, inst_eager.workspace
         # warm arena: every request served from the pool
         assert ws_arena.allocations == 0
-        # the compiled tier sweeps whole-range instead of per-tile, so
+        # a sealed plan sweeps whole-range instead of per-tile, so
         # steady-state requests are ~64x fewer than the tiled sweep —
         # but every kernel still takes its scratch each step
         assert ws_arena.requests > 100 * steps

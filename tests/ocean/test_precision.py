@@ -10,7 +10,7 @@ The PrecisionPolicy contract, layer by layer:
 * **halos** — narrow families halve their wire bytes (>= 1.8x on the
   3-D phase), identically on thread- and process-backed ranks;
 * **analysis** — the graphcheck ``precision-promotion`` rule catches a
-  silent fp32->fp64 promotion, ``seal(certify=True)`` refuses it, and
+  silent fp32->fp64 promotion, ``certify_precision`` returns it, and
   the model's own mixed graphs certify clean;
 * **restart** — per-field dtypes round-trip bit-exactly and mismatches
   refuse to load;
@@ -24,7 +24,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, GraphCertificationError, OceanError
+from repro.errors import ConfigurationError, OceanError
 from repro.ocean import LICOMKpp, ModelParams, demo
 from repro.ocean.model import STATE_FIELDS, run_distributed
 from repro.ocean.precision import (
@@ -254,7 +254,7 @@ class TestPrecisionPromotionRule:
     def _sealed(self, records):
         from repro.kokkos import HostEffects, LaunchGraph, make_backend
 
-        graph = LaunchGraph(make_backend("serial"), fuse=False, jit=False)
+        graph = LaunchGraph(make_backend("serial"))
         for kind, *args in records:
             if kind == "k":
                 graph.add_kernel(*args)
@@ -289,18 +289,21 @@ class TestPrecisionPromotionRule:
             self._sealed(self._mixed_copy_records(True))) == []
 
     def test_seal_certify_refuses_silent_promotion(self):
+        from repro.analysis.graphcheck import certify_precision
+        from repro.analysis.rules import RULE_PRECISION
         from repro.kokkos import HostEffects, LaunchGraph, MDRangePolicy, View, make_backend
         from tests.analysis.broken_graph import PointCopyFunctor
 
         src = View("src", (self.N, self.N), dtype=np.float32)
         dst = View("dst", (self.N, self.N), dtype=np.float64)
-        graph = LaunchGraph(make_backend("serial"), fuse=False, jit=False)
+        graph = LaunchGraph(make_backend("serial"))
         graph.add_kernel("copy", MDRangePolicy([(1, self.N - 1), (1, self.N - 1)]),
                          PointCopyFunctor(src, dst))
         graph.add_host(lambda: None, "sink",
                        HostEffects(reads=(dst,), fences=True))
-        with pytest.raises(GraphCertificationError, match="promotion"):
-            graph.seal(certify=True)
+        refused = certify_precision(graph.seal())
+        assert [f.rule for f in refused] == [RULE_PRECISION]
+        assert refused[0].kernel == "copy" and "promotion" in refused[0].detail
 
     def test_fp32_accumulation_is_warning_not_error(self):
         from repro.analysis import Severity

@@ -32,8 +32,8 @@ class TestBreakdown:
             assert b.total == pytest.approx(t, rel=1e-9), (machine, units)
 
     def test_jit_shrinks_only_the_launch_component(self):
-        b = step_breakdown(CFG1, "orise", 16000, graph=True)
-        bj = step_breakdown(CFG1, "orise", 16000, graph=True, jit=True)
+        b = step_breakdown(CFG1, "orise", 16000)
+        bj = step_breakdown(CFG1, "orise", 16000, graph=True)
         assert bj.launches < b.launches
         assert bj.compute3 == b.compute3 and bj.compute2 == b.compute2
         assert bj.total < b.total

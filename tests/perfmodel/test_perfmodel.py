@@ -175,39 +175,47 @@ class TestJitLaunchDiscount:
 
         p = DEFAULT_PROFILE
         base = p.launch_overheads(10)
-        assert base == pytest.approx(p.launches(10))
+        assert base == p.launches(10)
+        # graph=True prices what graph=True runs: every replayed launch
+        # is swept from a sealed plan, at the dispatch fraction
         graph = p.launch_overheads(10, graph=True)
-        assert graph == pytest.approx(p.launches_graph(10))
-        jit = p.launch_overheads(10, graph=True, jit=True)
-        saved = (1.0 - JIT_DISPATCH_FRACTION) * min(p.launches_compiled, graph)
-        assert jit == pytest.approx(graph - saved)
-        assert jit < graph < base
-        # jit without graph is meaningless: no discount
-        assert p.launch_overheads(10, jit=True) == pytest.approx(base)
+        assert graph == JIT_DISPATCH_FRACTION * p.launches_graph(10)
+        assert graph < p.launches_graph(10) < base
 
     def test_compiled_never_exceeds_replayed(self):
         from dataclasses import replace as dc_replace
 
-        from repro.perfmodel.kernelcost import JIT_DISPATCH_FRACTION
-
-        p = dc_replace(DEFAULT_PROFILE, launches_compiled=1e6)
-        jit = p.launch_overheads(10, graph=True, jit=True)
-        assert jit == pytest.approx(
-            JIT_DISPATCH_FRACTION * p.launches_graph(10))
+        # fusion cannot save more launches than the step issues
+        p = dc_replace(DEFAULT_PROFILE, launches_fused_saved=1e6)
+        assert p.launches_graph(10) == 0.0
+        assert p.launch_overheads(10, graph=True) == 0.0
 
     def test_default_profile_has_coverage(self):
-        assert DEFAULT_PROFILE.launches_compiled > 0
+        # coverage is 100% at every size, so the discount reaches every
+        # replayed launch however long the barotropic subcycle is (it
+        # used to stop at the tiny config's 30)
+        from repro.perfmodel.kernelcost import JIT_DISPATCH_FRACTION
+
+        p = DEFAULT_PROFILE
+        for nsub in (6, 60, 600):
+            assert p.launch_overheads(nsub, graph=True) == \
+                JIT_DISPATCH_FRACTION * p.launches_graph(nsub)
 
     def test_measured_coverage_matches_frozen(self):
-        from repro.perfmodel.kernelcost import measure_jit_coverage
+        # the frozen fusion saving the discount is applied on top of,
+        # against the live steady-state graph
+        from repro.perfmodel.kernelcost import measure_graph_savings
 
-        live = measure_jit_coverage("tiny", steps=3)
-        assert live == DEFAULT_PROFILE.launches_compiled
+        live = measure_graph_savings("tiny", steps=3)
+        assert live == DEFAULT_PROFILE.launches_fused_saved
 
     def test_compute_time_jit_cheaper_under_graph(self):
         m = get_machine("new_sunway")
+        from repro.perfmodel.kernelcost import JIT_DISPATCH_FRACTION
+
+        te = compute_time_per_step(DEFAULT_PROFILE, m, 1e6, 1e4, 10)
         tg = compute_time_per_step(DEFAULT_PROFILE, m, 1e6, 1e4, 10,
                                    graph=True)
-        tj = compute_time_per_step(DEFAULT_PROFILE, m, 1e6, 1e4, 10,
-                                   graph=True, jit=True)
-        assert tj < tg
+        saved = DEFAULT_PROFILE.launches(10) - \
+            JIT_DISPATCH_FRACTION * DEFAULT_PROFILE.launches_graph(10)
+        assert te - tg == pytest.approx(saved * m.launch_overhead)
