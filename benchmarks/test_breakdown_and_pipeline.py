@@ -75,14 +75,14 @@ def test_fig3_overview_map(benchmark, save_artifact):
             ("canuto vertical mixing", "repro.ocean.vmix_canuto"),
             ("Kokkos parallel dispatch", "repro.kokkos.parallel"),
             ("KOKKOS_REGISTER_FOR macros", "repro.kokkos.functor"),
-            ("linked-list functor registry", "repro.kokkos.registry"),
+            ("linked-list functor registry", "repro.experiments.variants"),
             ("Athread backend (this work)", "repro.kokkos.backends.athread"),
             ("CUDA / HIP backends", "repro.kokkos.backends.device"),
             ("OpenMP backend", "repro.kokkos.backends.openmp"),
             ("SW26010 Pro: 6 CG x (MPE + 64 CPE)", "repro.perfmodel.machines"),
             ("LDM (256 kB) + DMA", "repro.kokkos.ldm"),
             ("MPI halo exchange + tripolar fold", "repro.parallel.halo"),
-            ("3-D halo transposes (Fig. 5)", "repro.parallel.halo_transpose"),
+            ("3-D halo transposes (Fig. 5)", "repro.experiments.variants"),
             ("canuto load balance (Fig. 4)", "repro.parallel.loadbalance"),
         ]
         width = max(len(a) for a, _ in rows)

@@ -13,6 +13,11 @@ F1       Fig. 1 SST / trench science results             :mod:`.science`
 F6       Fig. 6 Rossby-number resolution comparison      :mod:`.science`
 A1-A3    load-balance / halo / registry ablations        :mod:`.ablations`
 =======  ==============================================  ======================
+
+:mod:`.variants` holds the unoptimized variants the A2/A3 ablations
+measure against (linked-list registry, element-loop packer, the Fig. 5
+transposes); nothing outside this package, ``benchmarks/`` and the tests
+imports it.
 """
 
 from . import ablations, performance, science, tables

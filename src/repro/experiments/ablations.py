@@ -22,14 +22,19 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..kokkos.registry import DictRegistry, LinkedListRegistry, RegistryEntry
+from ..kokkos.registry import DictRegistry, RegistryEntry
 from ..ocean import demo, land_mask, make_grid
 from ..parallel.comm import SimWorld, TrafficLedger
 from ..parallel.decomp import BlockDecomposition, choose_process_grid
-from ..parallel.halo import exchange3d, pack_naive, pack_sliced
-from ..parallel.halo_fused import FusedHaloExchange
-from ..parallel.halo_transpose import GHOST_HALO_TRANSPOSES, REAL_HALO_TRANSPOSES
+from ..parallel.halo import FusedHaloExchange
 from ..parallel.loadbalance import ImbalanceStats, imbalance_stats
+from .variants import (
+    GHOST_HALO_TRANSPOSES,
+    REAL_HALO_TRANSPOSES,
+    LinkedListRegistry,
+    pack_naive,
+    pack_sliced,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +119,12 @@ def fused_halo_study(
     """Measured wire-message shape: per-field vs fused halo updates.
 
     Runs the same ``n_fields``-field 3-D halo update on a real
-    ``npy x npx`` SimWorld twice — once as independent per-field
-    :func:`exchange3d` calls, once through :class:`FusedHaloExchange` —
-    and returns ``(per_field_ledger, fused_ledger, aggregation)`` where
-    ``aggregation`` is the per-field/fused message-count ratio that
-    feeds the network model's ``aggregation`` knob.
+    ``npy x npx`` SimWorld twice through :class:`FusedHaloExchange` —
+    once one field per exchange (the unaggregated K=1 shape), once all
+    fields in one exchange — and returns ``(per_field_ledger,
+    fused_ledger, aggregation)`` where ``aggregation`` is the
+    per-field/fused message-count ratio that feeds the network model's
+    ``aggregation`` knob.
     """
     decomp = BlockDecomposition(ny, nx, npy, npx)
 
@@ -129,16 +135,17 @@ def fused_halo_study(
 
     def per_field(comm) -> TrafficLedger:
         fields = local_fields(comm.rank)
+        fx = FusedHaloExchange(comm, decomp, comm.rank)
         for _ in range(rounds):
             for f in fields:
-                exchange3d(comm, decomp, comm.rank, f, 1.0, 0.0)
+                fx.exchange([f])
         return comm.world.traffic
 
     def fused(comm) -> TrafficLedger:
         fields = local_fields(comm.rank)
         fx = FusedHaloExchange(comm, decomp, comm.rank)
         for _ in range(rounds):
-            fx.exchange([(f, 1.0, 0.0) for f in fields], phase="fused_halo")
+            fx.exchange(fields, phase="fused_halo")
         return comm.world.traffic
 
     lp = SimWorld.run(per_field, npy * npx)[0]

@@ -58,7 +58,6 @@ from .functor import (
 )
 from .registry import (
     DictRegistry,
-    LinkedListRegistry,
     RegistryEntry,
     default_registry,
 )
@@ -104,7 +103,7 @@ __all__ = [
     "TeamPolicy", "TeamMember", "parallel_for_team", "parallel_reduce_team",
     # functors / registry
     "Functor", "kokkos_register_for", "kokkos_register_reduce",
-    "register_functor_instance", "LinkedListRegistry",
+    "register_functor_instance",
     "DictRegistry", "RegistryEntry", "default_registry",
     # execution contexts
     "ExecutionContext",

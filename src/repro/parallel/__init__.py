@@ -1,10 +1,11 @@
 """``repro.parallel`` — the distributed-memory substrate.
 
 Simulated MPI (:mod:`.comm`), 2-D block decomposition with tripolar-fold
-topology (:mod:`.decomp`), 2-D/3-D halo updates with the paper's
-pack/unpack and transpose optimizations (:mod:`.halo`,
-:mod:`.halo_transpose`), Canuto load balancing (:mod:`.loadbalance`) and
-computation/communication overlap (:mod:`.overlap`).
+topology (:mod:`.decomp`), the one halo exchange — fused, persistent,
+post-first; a per-field update is its K=1 case (:mod:`.halo`) — Canuto
+load balancing (:mod:`.loadbalance`) and computation/communication
+overlap (:mod:`.overlap`).  The unoptimized pack and transpose variants
+the paper measures against live in :mod:`repro.experiments.variants`.
 """
 
 from .comm import Request, SimComm, SimWorld, SingleComm, TrafficLedger
@@ -17,24 +18,11 @@ from .decomp import (
     choose_process_grid,
 )
 from .halo import (
-    HaloUpdater,
-    PACKERS,
-    exchange2d,
-    exchange3d,
-    pack_kernel,
-    pack_naive,
-    pack_sliced,
-)
-from .halo_fused import (
     BufferPool,
     FieldSpec,
     FusedHaloExchange,
+    HaloUpdater,
     as_field_specs,
-)
-from .halo_transpose import (
-    GHOST_HALO_TRANSPOSES,
-    REAL_HALO_TRANSPOSES,
-    message_counts_3d,
 )
 from .loadbalance import (
     ImbalanceStats,
@@ -54,7 +42,6 @@ from .overlap import (
     boundary_strip,
     interior_core,
     overlap_time,
-    overlapped_update,
     overlapped_update_fused,
 )
 
@@ -64,12 +51,10 @@ __all__ = [
     "Placement", "Partitioner",
     "ProcComm", "ProcessRunResult", "run_process_world",
     "SharedBufferPool", "list_world_segments", "sweep_world_segments",
-    "exchange2d", "exchange3d", "HaloUpdater", "PACKERS",
-    "pack_naive", "pack_sliced", "pack_kernel",
-    "FusedHaloExchange", "FieldSpec", "BufferPool", "as_field_specs",
-    "REAL_HALO_TRANSPOSES", "GHOST_HALO_TRANSPOSES", "message_counts_3d",
+    "HaloUpdater", "FusedHaloExchange", "FieldSpec", "BufferPool",
+    "as_field_specs",
     "balanced_column_compute", "naive_column_compute", "local_ocean_columns",
     "partition_evenly", "imbalance_stats", "ImbalanceStats",
-    "overlapped_update", "overlapped_update_fused", "overlap_time",
+    "overlapped_update_fused", "overlap_time",
     "interior_core", "boundary_strip",
 ]

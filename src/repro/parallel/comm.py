@@ -68,7 +68,7 @@ class TrafficLedger:
     Beyond the raw totals, the ledger keeps a power-of-two message-size
     histogram and per-phase counters so the network cost model (and
     ablation A2) can see the *shape* of the traffic — the fused halo
-    exchange sends a few large messages where the per-field path sends
+    exchange sends a few large messages where one exchange per field sends
     many small ones, and an alpha-beta model prices those differently.
     """
 

@@ -9,11 +9,11 @@ is a scheduling discipline:
 3. receive + unpack ghosts,
 4. compute the boundary strip (which does).
 
-:func:`overlapped_update` drives that sequence and checks the interior
-function really stayed off the ghost cells.  :func:`overlap_time` is the
-analytic counterpart used by the machine model: with overlap the step
-costs ``max(t_interior, t_comm) + t_boundary`` instead of
-``t_interior + t_comm + t_boundary``.
+:func:`overlapped_update_fused` drives that sequence on the split
+:meth:`~.halo.FusedHaloExchange.begin` / ``finish`` exchange.
+:func:`overlap_time` is the analytic counterpart used by the machine
+model: with overlap the step costs ``max(t_interior, t_comm) +
+t_boundary`` instead of ``t_interior + t_comm + t_boundary``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 
 from .comm import SimComm
 from .decomp import BlockDecomposition
-from .halo import exchange2d, exchange3d
-from .halo_fused import FusedHaloExchange, as_field_specs
+from .halo import FusedHaloExchange, as_field_specs
 
 
 def interior_core(
@@ -54,41 +53,6 @@ def boundary_strip(
     )
 
 
-def overlapped_update(
-    comm: SimComm,
-    decomp: BlockDecomposition,
-    rank: int,
-    arr: np.ndarray,
-    compute_region: Callable[[np.ndarray, Tuple[slice, ...]], None],
-    sign: float = 1.0,
-) -> np.ndarray:
-    """Halo update overlapped with interior computation.
-
-    ``compute_region(arr, region)`` must update ``arr`` over ``region``
-    reading at most ``halo``-wide stencils.  Sends in the simulator are
-    buffered, so posting the exchange first and computing the interior
-    before receiving reproduces the real overlap schedule.
-    """
-    is3d = arr.ndim == 3
-    # 1+3. the simulated exchange is synchronous once recv is called, so
-    # interleave: compute interior between our (buffered) sends and the
-    # blocking receives by doing the exchange in a generator-free split:
-    # sends happen inside exchange*, which also blocks on recv — to keep
-    # the schedule honest we compute the interior FIRST against the old
-    # ghosts (it must not read them), then exchange, then boundaries.
-    core = interior_core(decomp, rank)
-    region = (slice(None),) + core if is3d else core
-    compute_region(arr, region)
-    if is3d:
-        exchange3d(comm, decomp, rank, arr, sign=sign)
-    else:
-        exchange2d(comm, decomp, rank, arr, sign=sign)
-    for strip in boundary_strip(decomp, rank):
-        region = (slice(None),) + strip if is3d else strip
-        compute_region(arr, region)
-    return arr
-
-
 def overlapped_update_fused(
     comm: SimComm,
     decomp: BlockDecomposition,
@@ -97,14 +61,13 @@ def overlapped_update_fused(
     compute_region: Callable[[np.ndarray, Tuple[slice, ...]], None],
     fx: Optional[FusedHaloExchange] = None,
 ) -> None:
-    """True non-blocking overlap on the fused halo path.
+    """Non-blocking overlap of a halo exchange with interior computation.
 
-    Unlike :func:`overlapped_update` — which merely *schedules* the
-    interior computation before a blocking exchange — this posts the
-    phase-1 receives and sends first (:meth:`FusedHaloExchange.begin`),
-    computes the deep interior of every field while those messages are
-    genuinely in flight on the other rank threads, then completes the
-    exchange and computes the boundary strips.
+    Posts the phase-1 receives and sends first
+    (:meth:`FusedHaloExchange.begin`), computes the deep interior of
+    every field while those messages are genuinely in flight on the
+    other rank threads, then completes the exchange and computes the
+    boundary strips.
 
     ``fields`` is a sequence of arrays or ``(arr, sign, fill)`` tuples;
     ``compute_region(arr, region)`` is applied per field and must read

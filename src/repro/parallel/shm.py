@@ -1,7 +1,7 @@
 """Shared-memory buffer pool for zero-copy cross-process halo traffic.
 
 :class:`SharedBufferPool` is the process-mode drop-in for
-:class:`~repro.parallel.halo_fused.BufferPool`: same ``acquire`` /
+:class:`~repro.parallel.halo.BufferPool`: same ``acquire`` /
 ``release`` contract and free-list keying, but every buffer lives in a
 ``multiprocessing.shared_memory`` segment, so a packed halo slab can be
 handed to another rank by *name* — the receiver maps the same physical
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import CommunicationError
-from .halo_fused import BufferPool
+from .halo import BufferPool
 
 #: Prefix of every segment name; the parent sweeps ``/dev/shm`` by it.
 SEGMENT_PREFIX = "rpr"

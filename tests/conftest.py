@@ -7,6 +7,7 @@ import pytest
 
 from repro.kokkos import make_backend
 from repro.ocean import LICOMKpp, demo
+from repro.parallel import HaloUpdater
 
 
 def intercepting(backend: str):
@@ -23,6 +24,11 @@ def intercepting(backend: str):
     space = Intercepting(kind=backend) if backend == "cuda" else Intercepting()
     space.seen = []
     return space
+
+
+def halo_update(comm, decomp, arr, sign=1.0, fill=0.0):
+    """Per-field halo update in place: the K=1 case of the one exchange."""
+    HaloUpdater(comm, decomp).update_many([(arr, sign, fill)])
 
 
 @pytest.fixture()

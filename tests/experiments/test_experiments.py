@@ -137,3 +137,24 @@ class TestAblations:
         assert both_cmp <= simd_cmp
         assert dict_cmp <= both_cmp
         assert "registry" in ablations.format_registry_ablation()
+
+    def test_fused_halo_study_message_rows_pinned(self):
+        """The deterministic rows of ``ablation_a2_halo.txt`` (the rest of
+        that artifact is wall-clock)."""
+        per_field, fused, agg = ablations.fused_halo_study()
+        assert per_field.messages == 168
+        assert f"{per_field.bytes / 1e6:.3f}" == "0.639"
+        assert per_field.size_histogram() == {4096: 96, 8192: 72}
+        assert fused.messages == 28
+        assert fused.bytes == per_field.bytes
+        assert fused.size_histogram() == {32768: 28}
+        assert fused.by_phase["fused_halo"][0] == 28
+        assert agg == 6.0
+
+    def test_registry_study_comparisons_pinned(self):
+        """The deterministic column of ``ablation_a3_registry.txt``."""
+        rows = ablations.registry_study()
+        assert {name: cmp for name, (_, cmp) in rows.items()} == {
+            "linked_list": 115363, "ll_ldm_cache": 33623, "ll_simd": 15295,
+            "ll_ldm_simd": 13371, "dict": 2000,
+        }

@@ -11,7 +11,6 @@ from repro.kokkos import (
     DeviceBackend,
     DeviceSpace,
     Instrumentation,
-    LinkedListRegistry,
     Max,
     MDRangePolicy,
     Min,

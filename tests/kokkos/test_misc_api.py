@@ -7,8 +7,8 @@ import pytest
 from repro import errors
 from repro.kokkos import (
     AthreadBackend,
+    DictRegistry,
     Functor,
-    LinkedListRegistry,
     MDRangePolicy,
     RangePolicy,
     SerialBackend,
@@ -67,7 +67,7 @@ class TestFunctorProtocol:
         assert seen == [(0, 1), (0, 2), (1, 1), (1, 2)]
 
     def test_register_functor_instance(self):
-        reg = LinkedListRegistry()
+        reg = DictRegistry()
 
         class Ad(Functor):
             def __init__(self, y):
@@ -86,7 +86,7 @@ class TestFunctorProtocol:
 
     def test_preset_reduce_without_reduce_apply(self):
         """The generated reduce preset falls back to elementwise."""
-        reg = LinkedListRegistry()
+        reg = DictRegistry()
 
         class Count(Functor):
             def reduce(self, i):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RegistrationError
-from repro.kokkos import DictRegistry, LinkedListRegistry, RegistryEntry
+from repro.experiments.variants import LinkedListRegistry
+from repro.kokkos import DictRegistry, RegistryEntry
 
 
 def _types(n):

@@ -19,7 +19,8 @@ from repro.ocean.kernels_tracer import (
     TracerHDiffusionFunctor,
 )
 from repro.ocean.localdomain import make_local_domain
-from repro.parallel import BlockDecomposition, SingleComm, exchange2d, exchange3d
+from repro.parallel import BlockDecomposition, SingleComm
+from tests.conftest import halo_update
 
 
 def _flat_domain(ny=20, nx=28, nz=4):
@@ -61,9 +62,8 @@ def _solenoidal_velocity(dom, rng, amplitude=0.3):
         a[:, -3:, :] = 0.0
     # make the ghost columns wrap-consistent: flux pairs at the zonal
     # seam must be computed from identical data on both sides
-    from repro.parallel import SingleComm as _SC, exchange3d as _ex3
-    _ex3(_SC(), dom.decomp, 0, u, sign=-1.0)
-    _ex3(_SC(), dom.decomp, 0, v, sign=-1.0)
+    halo_update(SingleComm(), dom.decomp, u, sign=-1.0)
+    halo_update(SingleComm(), dom.decomp, v, sign=-1.0)
     return u, v
 
 
@@ -88,11 +88,11 @@ def _advect_once(dom, decomp, t0, u, v, dt, comm=None):
     be.parallel_for("w", p_int2g, WFunctor(uv, vv, wv, dom))
     be.parallel_for("pred", p_int2,
                     AdvectPredictorFunctor(tv, uv, vv, wv, tstar, dom, dt))
-    exchange3d(comm, decomp, 0, tstar.raw)
+    halo_update(comm, decomp, tstar.raw)
     be.parallel_for("lim", p_int2,
                     FCTLimitFunctor(tv, tstar, uv, vv, wv, rp, rm, dom, dt))
-    exchange3d(comm, decomp, 0, rp.raw, fill=1.0)
-    exchange3d(comm, decomp, 0, rm.raw, fill=1.0)
+    halo_update(comm, decomp, rp.raw, fill=1.0)
+    halo_update(comm, decomp, rm.raw, fill=1.0)
     be.parallel_for("apply", p_int2,
                     FCTApplyFunctor(tstar, uv, vv, wv, rp, rm, tnew, dom, dt))
     return tnew.raw, wv.raw
@@ -128,7 +128,7 @@ class TestAdvectionBasics:
     def test_zero_velocity_is_identity(self, rng):
         grid, topo, decomp, dom = _flat_domain()
         t0 = rng.standard_normal((dom.nz, dom.ly, dom.lx)) * dom.mask_t
-        exchange3d(SingleComm(), decomp, 0, t0)
+        halo_update(SingleComm(), decomp, t0)
         zeros = np.zeros_like(t0)
         tn, _ = _advect_once(dom, decomp, t0, zeros, zeros, dt=3600.0)
         jj, ii = dom.interior
@@ -138,7 +138,7 @@ class TestAdvectionBasics:
         grid, topo, decomp, dom = _flat_domain()
         u, v = _solenoidal_velocity(dom, rng)
         t0 = (10.0 + rng.standard_normal((dom.nz, dom.ly, dom.lx))) * dom.mask_t
-        exchange3d(SingleComm(), decomp, 0, t0)
+        halo_update(SingleComm(), decomp, t0)
         before = _tracer_mass(dom, t0)
         tn, w = _advect_once(dom, decomp, t0, u, v, dt=3600.0)
         after = _tracer_mass(dom, tn) + _surface_exchange(dom, w, t0, 3600.0)
@@ -148,7 +148,7 @@ class TestAdvectionBasics:
         grid, topo, decomp, dom = _flat_domain()
         u, v = _solenoidal_velocity(dom, rng, amplitude=0.5)
         t0 = rng.uniform(0.0, 30.0, (dom.nz, dom.ly, dom.lx)) * dom.mask_t
-        exchange3d(SingleComm(), decomp, 0, t0)
+        halo_update(SingleComm(), decomp, t0)
         tn, _ = _advect_once(dom, decomp, t0, u, v, dt=3600.0)
         jj, ii = dom.interior
         m = dom.mask_t[:, jj, ii] > 0
@@ -167,7 +167,7 @@ class TestAdvectionBasics:
         imid = dom.lx // 2
         t0 = np.zeros((dom.nz, dom.ly, dom.lx))
         t0[:, jmid, imid] = 1.0
-        exchange3d(SingleComm(), decomp, 0, t0)
+        halo_update(SingleComm(), decomp, t0)
         dt = 0.4 * dom.dx_t.min() / 1.0
         tn, _ = _advect_once(dom, decomp, t0, u, v, dt=dt)
         assert tn[0, jmid, imid + 1] > tn[0, jmid, imid - 1]
@@ -181,7 +181,7 @@ class TestAdvectionBasics:
         grid, topo, decomp, dom = _flat_domain()
         u, v = _solenoidal_velocity(dom, rng, amplitude=0.4)
         t0 = rng.uniform(5.0, 25.0, (dom.nz, dom.ly, dom.lx)) * dom.mask_t
-        exchange3d(SingleComm(), decomp, 0, t0)
+        halo_update(SingleComm(), decomp, t0)
         before = _tracer_mass(dom, t0)
         tn, w = _advect_once(dom, decomp, t0, u, v, dt=dt_hours * 3600.0)
         jj, ii = dom.interior
@@ -196,7 +196,7 @@ class TestHorizontalDiffusion:
     def test_conserves_and_smooths(self, rng):
         grid, topo, decomp, dom = _flat_domain()
         t0 = (10.0 + rng.standard_normal((dom.nz, dom.ly, dom.lx))) * dom.mask_t
-        exchange3d(SingleComm(), decomp, 0, t0)
+        halo_update(SingleComm(), decomp, t0)
         tin = View("tin", data=t0.copy())
         tnew = View("tnew", data=t0.copy())
         h = dom.halo

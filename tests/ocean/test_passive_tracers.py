@@ -68,25 +68,3 @@ class TestPassiveTracers:
         res = SimWorld.run(prog, 4)
         g = d.gather_global(res)
         assert np.array_equal(g, ref.state.passive[0].cur.raw[:, 2:-2, 2:-2])
-
-
-class TestPackKernelBackends:
-    def test_pack_kernel_on_athread(self, rng):
-        from repro.kokkos import AthreadBackend
-        from repro.parallel import pack_kernel, pack_sliced
-
-        arr = rng.standard_normal((60, 40))
-        rows, cols = slice(0, 60), slice(36, 38)
-        got = pack_kernel(arr, rows, cols, space=AthreadBackend())
-        assert np.array_equal(got, pack_sliced(arr, rows, cols))
-
-    def test_pack_kernel_on_openmp(self, rng):
-        from repro.kokkos import OpenMPBackend
-        from repro.parallel import pack_kernel, pack_sliced
-
-        arr = rng.standard_normal((60, 40))
-        rows, cols = slice(2, 58), slice(0, 2)
-        be = OpenMPBackend(threads=3)
-        got = pack_kernel(arr, rows, cols, space=be)
-        be.shutdown()
-        assert np.array_equal(got, pack_sliced(arr, rows, cols))

@@ -1,50 +1,38 @@
-"""Halo updates vs the topology oracle; pack strategies; 3-D methods."""
+"""The halo exchange vs the topology oracle, one field (one level) at a
+time: K=1 of the fused exchange, driven through ``update_many``."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CommunicationError
+from repro.errors import CommunicationError, DecompositionError
+from repro.experiments.variants import pack_naive, pack_sliced
 from repro.ocean.localdomain import local_with_halo
 from repro.parallel import (
     BlockDecomposition,
+    FusedHaloExchange,
     HaloUpdater,
-    PACKERS,
     SimWorld,
     SingleComm,
-    exchange2d,
-    exchange3d,
-    pack_kernel,
-    pack_naive,
-    pack_sliced,
 )
 
 
-def _run_exchange2d(g, decomp, sign=1.0, packer="sliced"):
-    """Exchange on every rank; return local arrays."""
+def _run_update(g, decomp, sign=1.0, fill=0.0, per_level=False):
+    """Halo-update ``g``'s block on every rank; return local arrays.
+
+    ``per_level`` updates a 3-D field as one 2-D exchange per level (the
+    unaggregated message shape) instead of one exchange for the slab.
+    """
     def prog(comm):
         loc = decomp.scatter_global(g, comm.rank)
-        exchange2d(comm, decomp, comm.rank, loc, sign=sign, packer=packer)
+        hu = HaloUpdater(comm, decomp)
+        for level in (loc if per_level else [loc]):
+            hu.update_many([(level, sign, fill)])
         return loc
 
     if decomp.size == 1:
-        loc = decomp.scatter_global(g, 0)
-        exchange2d(SingleComm(), decomp, 0, loc, sign=sign, packer=packer)
-        return [loc]
-    return SimWorld.run(prog, decomp.size)
-
-
-def _run_exchange3d(g, decomp, sign=1.0, method="transposed"):
-    def prog(comm):
-        loc = decomp.scatter_global(g, comm.rank)
-        exchange3d(comm, decomp, comm.rank, loc, sign=sign, method=method)
-        return loc
-
-    if decomp.size == 1:
-        loc = decomp.scatter_global(g, 0)
-        exchange3d(SingleComm(), decomp, 0, loc, sign=sign, method=method)
-        return [loc]
+        return [prog(SingleComm())]
     return SimWorld.run(prog, decomp.size)
 
 
@@ -54,7 +42,7 @@ class TestExchange2D:
         ny, nx = 24, 32
         g = rng.standard_normal((ny, nx))
         d = BlockDecomposition(ny, nx, npy, npx)
-        for r, loc in enumerate(_run_exchange2d(g, d)):
+        for r, loc in enumerate(_run_update(g, d)):
             expect = local_with_halo(g, d, r)
             assert np.array_equal(loc, expect), f"rank {r}"
 
@@ -63,44 +51,28 @@ class TestExchange2D:
         ny, nx = 16, 16
         g = rng.standard_normal((ny, nx))
         d = BlockDecomposition(ny, nx, 2, 2)
-        for r, loc in enumerate(_run_exchange2d(g, d, sign=sign)):
+        for r, loc in enumerate(_run_update(g, d, sign=sign)):
             expect = local_with_halo(g, d, r, sign=sign)
             assert np.array_equal(loc, expect)
-
-    @pytest.mark.parametrize("packer", sorted(PACKERS))
-    def test_all_packers_identical(self, packer, rng):
-        ny, nx = 16, 20
-        g = rng.standard_normal((ny, nx))
-        d = BlockDecomposition(ny, nx, 2, 2)
-        ref = _run_exchange2d(g, d, packer="sliced")
-        got = _run_exchange2d(g, d, packer=packer)
-        for a, b in zip(ref, got):
-            assert np.array_equal(a, b)
 
     def test_south_fill_value(self, rng):
         ny, nx = 16, 16
         g = rng.standard_normal((ny, nx))
         d = BlockDecomposition(ny, nx, 2, 2)
-
-        def prog(comm):
-            loc = d.scatter_global(g, comm.rank)
-            exchange2d(comm, d, comm.rank, loc, fill=-7.0)
-            return loc
-
-        locs = SimWorld.run(prog, 4)
+        locs = _run_update(g, d, fill=-7.0)
         # bottom-row ranks get the fill value in their southern ghost rows
         assert np.all(locs[0][:2, 2:-2] == -7.0)
 
     def test_wrong_shape_raises(self):
         d = BlockDecomposition(16, 16, 1, 1)
         with pytest.raises(CommunicationError):
-            exchange2d(SingleComm(), d, 0, np.zeros((5, 5)))
+            HaloUpdater(SingleComm(), d).update_many([np.zeros((5, 5))])
 
     def test_interior_unchanged(self, rng):
         ny, nx = 16, 16
         g = rng.standard_normal((ny, nx))
         d = BlockDecomposition(ny, nx, 2, 2)
-        for r, loc in enumerate(_run_exchange2d(g, d)):
+        for r, loc in enumerate(_run_update(g, d)):
             b = d.block(r)
             assert np.array_equal(loc[2:-2, 2:-2], g[b.j0:b.j1, b.i0:b.i1])
 
@@ -111,7 +83,8 @@ class TestExchange3D:
         ny, nx, nz = 16, 20, 4
         g = rng.standard_normal((nz, ny, nx))
         d = BlockDecomposition(ny, nx, 2, 2)
-        for r, loc in enumerate(_run_exchange3d(g, d, method=method)):
+        locs = _run_update(g, d, per_level=(method == "per_level"))
+        for r, loc in enumerate(locs):
             expect = local_with_halo(g, d, r)
             assert np.array_equal(loc, expect)
 
@@ -119,44 +92,37 @@ class TestExchange3D:
         ny, nx, nz = 12, 16, 5
         g = rng.standard_normal((nz, ny, nx))
         d = BlockDecomposition(ny, nx, 2, 2)
-        a = _run_exchange3d(g, d, method="per_level")
-        b = _run_exchange3d(g, d, method="transposed")
+        a = _run_update(g, d, per_level=True)
+        b = _run_update(g, d)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_transposed_uses_fewer_messages(self, rng):
+        """Per-level message count == nz x the one-message-per-neighbour
+        count, read from the world's traffic ledger."""
         ny, nx, nz = 12, 16, 6
         g = rng.standard_normal((nz, ny, nx))
+        d = BlockDecomposition(ny, nx, 2, 2)
         counts = {}
-        for method in ("per_level", "transposed"):
-            d = BlockDecomposition(ny, nx, 2, 2)
-
+        for per_level in (True, False):
             def prog(comm):
                 loc = d.scatter_global(g, comm.rank)
-                exchange3d(comm, d, comm.rank, loc, method=method)
+                hu = HaloUpdater(comm, d)
+                for level in (loc if per_level else [loc]):
+                    hu.update_many([level])
+                comm.barrier()     # all ranks done before reading the total
+                return comm.world.traffic.messages
 
-            world = SimWorld(4)
-            import threading
-            threads = [
-                threading.Thread(target=prog, args=(world.comm(r),)) for r in range(4)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            counts[method] = world.traffic.messages
-        assert counts["transposed"] * nz == counts["per_level"]
-
-    def test_unknown_method(self):
-        d = BlockDecomposition(16, 16, 1, 1)
-        loc = np.zeros((3,) + d.local_shape(0))
-        with pytest.raises(CommunicationError):
-            exchange3d(SingleComm(), d, 0, loc, method="magic")
+            counts[per_level] = SimWorld.run(prog, 4)[0]
+        assert counts[False] * nz == counts[True]
 
     def test_requires_3d(self):
+        """A field above 3-D is rejected: the exchange takes a 2-D level
+        or a 3-D slab, nothing else."""
         d = BlockDecomposition(16, 16, 1, 1)
         with pytest.raises(CommunicationError):
-            exchange3d(SingleComm(), d, 0, np.zeros(d.local_shape(0)))
+            HaloUpdater(SingleComm(), d).update_many(
+                [np.zeros((2, 3) + d.local_shape(0))])
 
 
 class TestPackers:
@@ -164,16 +130,6 @@ class TestPackers:
         arr = rng.standard_normal((10, 12))
         rows, cols = slice(1, 9), slice(2, 4)
         assert np.array_equal(pack_naive(arr, rows, cols), pack_sliced(arr, rows, cols))
-
-    def test_pack_kernel_equals_sliced(self, rng):
-        arr = rng.standard_normal((10, 12))
-        rows, cols = slice(0, 10), slice(8, 10)
-        from repro.kokkos import SerialBackend
-
-        space = SerialBackend()
-        assert np.array_equal(pack_kernel(arr, rows, cols, space),
-                              pack_sliced(arr, rows, cols))
-        assert space.inst.kernels["halo_pack"].launches == 1
 
     def test_pack_is_contiguous_copy(self, rng):
         arr = rng.standard_normal((8, 8))
@@ -189,53 +145,22 @@ class TestHaloUpdater:
         u = HaloUpdater(SingleComm(), d)
         arr2 = d.scatter_global(rng.standard_normal((16, 16)), 0)
         arr3 = d.scatter_global(rng.standard_normal((3, 16, 16)), 0)
-        u.update2d(arr2)
-        u.update3d(arr3)
-        u.update3d(arr3)
+        u.update_many([arr2])
+        u.update_many([arr3, arr3])
         assert u.updates2d == 1
         assert u.updates3d == 2
+        assert u.fused_exchanges == 2
 
     def test_matches_free_function(self, rng):
+        """The updater adds counting only: same ghosts as driving its
+        exchange object directly."""
         g = rng.standard_normal((16, 16))
         d = BlockDecomposition(16, 16, 1, 1)
         a = d.scatter_global(g, 0)
         b = a.copy()
-        HaloUpdater(SingleComm(), d).update2d(a)
-        exchange2d(SingleComm(), d, 0, b)
+        HaloUpdater(SingleComm(), d).update_many([a])
+        FusedHaloExchange(SingleComm(), d, 0).exchange([b])
         assert np.array_equal(a, b)
-
-
-class TestExchangeEvents:
-    def test_record_events_logs_each_update(self, rng):
-        d = BlockDecomposition(16, 16, 1, 1)
-        u = HaloUpdater(SingleComm(), d)
-        arr2 = d.scatter_global(rng.standard_normal((16, 16)), 0)
-        arr3 = d.scatter_global(rng.standard_normal((3, 16, 16)), 0)
-        u.update2d(arr2)                    # before recording: nothing kept
-        assert u.events is None
-        u.record_events()
-        u.update2d(arr2)
-        u.update3d(arr3)
-        u.update_many([arr2, arr3], phase="tracer")
-        assert [e.kind for e in u.events] == ["2d", "3d", "fused"]
-        fused = u.events[-1]
-        assert fused.fields == 2 and fused.phase == "tracer"
-        assert fused.shapes == (arr2.shape, arr3.shape)
-        assert fused.messages >= 0          # exact diff of the send counter
-        u.record_events(False)
-        u.update2d(arr2)
-        assert u.events is None             # hot path back to zero recording
-
-    def test_event_recording_does_not_change_results(self, rng):
-        g = rng.standard_normal((16, 16))
-        d = BlockDecomposition(16, 16, 1, 1)
-        a, b = d.scatter_global(g, 0), d.scatter_global(g, 0)
-        u = HaloUpdater(SingleComm(), d)
-        u.record_events()
-        u.update2d(a)
-        exchange2d(SingleComm(), d, 0, b)
-        assert np.array_equal(a, b)
-        assert len(u.events) == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -250,13 +175,63 @@ class TestExchangeEvents:
 def test_property_exchange_matches_oracle(ny, nx, npy, npx, sign, seed):
     """For any grid size / 1-2 rank splits / sign, the exchanged halo
     equals the independent topology oracle."""
-    from repro.errors import DecompositionError
-
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((ny, nx))
     try:
         d = BlockDecomposition(ny, nx, npy, npx)
     except DecompositionError:
         return
-    for r, loc in enumerate(_run_exchange2d(g, d, sign=sign)):
+    for r, loc in enumerate(_run_update(g, d, sign=sign)):
         assert np.array_equal(loc, local_with_halo(g, d, r, sign=sign))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ny=st.integers(16, 29),
+    nx=st.integers(16, 33),
+    npy=st.integers(1, 3),
+    npx=st.integers(1, 3),
+    fold=st.booleans(),
+    dtypes=st.sampled_from([("f4",), ("f8",), ("f8", "f4")]),
+    sign=st.sampled_from([1.0, -1.0]),
+    fill=st.sampled_from([0.0, -7.0, 1.25]),
+    rounds=st.integers(1, 3),
+    seed=st.integers(0, 99),
+)
+def test_property_uneven_mixed_exchange_matches_oracle(
+        ny, nx, npy, npx, fold, dtypes, sign, fill, rounds, seed):
+    """Non-divisible and odd decompositions, fold on/off, one or two
+    dtype groups, 2-D and 3-D fields in one exchange, fresh data each
+    round: every rank equals the oracle, and the buffer pool stops
+    allocating after round 1."""
+    try:
+        d = BlockDecomposition(ny, nx, npy, npx, north_fold=fold)
+    except DecompositionError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    shapes = [(ny, nx), (3, ny, nx)]
+    # globals[round][field]; a 2-D and a 3-D field per dtype group, the
+    # 3-D one crossing the fold with the opposite sign
+    globals_ = [[rng.standard_normal(shape).astype(dt)
+                 for dt in dtypes for shape in shapes] for _ in range(rounds)]
+    signs = [sign, -sign] * len(dtypes)
+
+    def prog(comm):
+        hu = HaloUpdater(comm, d)
+        locs = [d.scatter_global(g, comm.rank) for g in globals_[0]]
+        snapshots, allocations = [], []
+        for gs in globals_:
+            for loc, g in zip(locs, gs):
+                loc[...] = d.scatter_global(g, comm.rank)   # ghosts zeroed
+            hu.update_many([(a, s, fill) for a, s in zip(locs, signs)])
+            snapshots.append([a.copy() for a in locs])
+            allocations.append(hu.pool.allocations)
+        return snapshots, allocations
+
+    for r, (snapshots, allocations) in enumerate(SimWorld.run(prog, d.size)):
+        for gs, got in zip(globals_, snapshots):
+            for g, s, a in zip(gs, signs, got):
+                assert a.dtype == g.dtype
+                assert np.array_equal(
+                    a, local_with_halo(g, d, r, sign=s, fill=fill)), f"rank {r}"
+        assert allocations == allocations[:1] * rounds

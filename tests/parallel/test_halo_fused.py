@@ -1,10 +1,10 @@
 """Fused multi-field halo exchange: bitwise identity, pooling, traffic.
 
-The fused fast path must be indistinguishable from running the
-per-field exchange once per field — including tripolar-fold sign flips,
-closed-boundary fills and both 3-D message methods — while sending one
-message per neighbour per phase (per dtype group) and reaching a
-zero-allocation steady state.
+Every rank's fields must equal the message-free topology oracle
+(:func:`local_with_halo`) — including tripolar-fold sign flips and
+closed-boundary fills — while the exchange sends one message per
+neighbour per phase (per dtype group) and reaches a zero-allocation
+steady state.
 """
 
 import dataclasses
@@ -26,8 +26,6 @@ from repro.parallel import (
     HaloUpdater,
     SimWorld,
     as_field_specs,
-    exchange2d,
-    exchange3d,
     overlapped_update_fused,
 )
 
@@ -42,27 +40,32 @@ def _fields(rank, decomp, n2=2, n3=2, dtype=np.float64):
     return out
 
 
-def _run_fused_vs_perfield(decomp, signs, fills, method="transposed",
-                           dtype=np.float64, rounds=1):
-    """Per-rank (fused arrays, per-field arrays) after identical updates."""
+def _globals(decomp, n2=2, n3=2, dtype=np.float64):
+    rng = np.random.default_rng(100)
+    ny, nx = decomp.ny, decomp.nx
+    out = [rng.standard_normal((ny, nx)).astype(dtype) for _ in range(n2)]
+    out += [rng.standard_normal((NZ, ny, nx)).astype(dtype) for _ in range(n3)]
+    return out
+
+
+def _assert_fused_matches_oracle(decomp, globals_, signs, fills, rounds=1):
+    """Fused-exchange the scattered ``globals_`` on every rank and compare
+    each field with the oracle's halo-filled block."""
 
     def prog(comm):
-        rank = comm.rank
-        fused = _fields(rank, decomp, dtype=dtype)
-        ref = [f.copy() for f in fused]
-        fx = FusedHaloExchange(comm, decomp, rank)
+        locs = [decomp.scatter_global(g, comm.rank) for g in globals_]
+        fx = FusedHaloExchange(comm, decomp, comm.rank)
         for _ in range(rounds):
             fx.exchange(
-                [FieldSpec(a, s, f) for a, s, f in zip(fused, signs, fills)]
+                [FieldSpec(a, s, f) for a, s, f in zip(locs, signs, fills)]
             )
-            for a, s, f in zip(ref, signs, fills):
-                if a.ndim == 2:
-                    exchange2d(comm, decomp, rank, a, sign=s, fill=f)
-                else:
-                    exchange3d(comm, decomp, rank, a, s, f, method)
-        return fused, ref
+        return locs
 
-    return SimWorld.run(prog, decomp.size)
+    for r, locs in enumerate(SimWorld.run(prog, decomp.size)):
+        for a, g, s, f in zip(locs, globals_, signs, fills):
+            assert a.dtype == g.dtype
+            assert np.array_equal(a, local_with_halo(g, decomp, r, s, f)), \
+                f"rank {r}"
 
 
 class TestBitwiseIdentity:
@@ -71,9 +74,7 @@ class TestBitwiseIdentity:
     def test_matches_per_field(self, npy, npx, fold):
         d = BlockDecomposition(16, 24, npy, npx, north_fold=fold)
         signs, fills = [1.0, -1.0, 1.0, -1.0], [0.0, 7.5, -2.0, 1.25]
-        for fused, ref in _run_fused_vs_perfield(d, signs, fills, rounds=2):
-            for a, b in zip(fused, ref):
-                assert np.array_equal(a, b)
+        _assert_fused_matches_oracle(d, _globals(d), signs, fills, rounds=2)
 
     def test_matches_topology_oracle(self):
         ny, nx = 16, 24
@@ -97,33 +98,17 @@ class TestBitwiseIdentity:
         npx=st.integers(1, 2),
         sign=st.sampled_from([1.0, -1.0]),
         fill=st.floats(-5.0, 5.0, allow_nan=False),
-        method=st.sampled_from(["transposed", "per_level"]),
     )
-    def test_property_fold_identity(self, npy, npx, sign, fill, method):
-        """Any (grid, sign, fill, 3-D method): fused == per-field."""
+    def test_property_fold_identity(self, npy, npx, sign, fill):
+        """Any (grid, sign, fill): fused == oracle."""
         d = BlockDecomposition(16, 24, npy, npx, north_fold=True)
-        signs, fills = [sign] * 4, [fill] * 4
-        for fused, ref in _run_fused_vs_perfield(d, signs, fills, method):
-            for a, b in zip(fused, ref):
-                assert np.array_equal(a, b)
+        _assert_fused_matches_oracle(d, _globals(d), [sign] * 4, [fill] * 4)
 
     def test_mixed_dtypes_split_into_groups(self):
         d = BlockDecomposition(16, 24, 2, 2)
-
-        def prog(comm):
-            f64 = _fields(comm.rank, d, n2=1, n3=1)
-            f32 = _fields(comm.rank, d, n2=1, n3=1, dtype=np.float32)
-            ref = [a.copy() for a in f64 + f32]
-            fx = FusedHaloExchange(comm, d, comm.rank)
-            fx.exchange(f64 + f32)
-            for a in ref:
-                if a.ndim == 2:
-                    exchange2d(comm, d, comm.rank, a)
-                else:
-                    exchange3d(comm, d, comm.rank, a)
-            return all(np.array_equal(a, b) for a, b in zip(f64 + f32, ref))
-
-        assert all(SimWorld.run(prog, 4))
+        globals_ = (_globals(d, n2=1, n3=1)
+                    + _globals(d, n2=1, n3=1, dtype=np.float32))
+        _assert_fused_matches_oracle(d, globals_, [1.0] * 4, [0.0] * 4)
 
 
 class TestBufferPool:
@@ -216,22 +201,17 @@ class TestOverlappedFused:
 class TestHaloUpdaterFusion:
     def test_update_many_counts_and_matches(self):
         d = BlockDecomposition(16, 24, 2, 2)
+        globals_ = _globals(d)
 
         def prog(comm):
-            fs = _fields(comm.rank, d)
-            ref = [a.copy() for a in fs]
+            fs = [d.scatter_global(g, comm.rank) for g in globals_]
             hu = HaloUpdater(comm, d, comm.rank)
             hu.update_many([(a, 1.0, 0.0) for a in fs], phase="test")
-            for a in ref:
-                if a.ndim == 2:
-                    exchange2d(comm, d, comm.rank, a)
-                else:
-                    exchange3d(comm, d, comm.rank, a)
-            same = all(np.array_equal(a, b) for a, b in zip(fs, ref))
-            return same, hu.updates2d, hu.updates3d, hu.fused_exchanges
+            return fs, hu.updates2d, hu.updates3d, hu.fused_exchanges
 
-        for same, u2, u3, fx in SimWorld.run(prog, 4):
-            assert same
+        for r, (fs, u2, u3, fx) in enumerate(SimWorld.run(prog, 4)):
+            for a, g in zip(fs, globals_):
+                assert np.array_equal(a, local_with_halo(g, d, r))
             assert (u2, u3, fx) == (2, 2, 1)
 
     def test_message_reduction_at_least_3x(self):
@@ -247,7 +227,7 @@ class TestHaloUpdaterFusion:
                     hu.update_many(fs, phase="halo3")
                 else:
                     for a in fs:
-                        hu.update3d(a)
+                        hu.update_many([a], phase="halo3")
                 comm.barrier()     # all ranks done before reading the total
                 return comm.world.traffic.messages
 

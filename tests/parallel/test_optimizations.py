@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.variants import GHOST_HALO_TRANSPOSES, REAL_HALO_TRANSPOSES
 from repro.parallel import (
     BlockDecomposition,
-    GHOST_HALO_TRANSPOSES,
-    REAL_HALO_TRANSPOSES,
     SimWorld,
     SingleComm,
     balanced_column_compute,
@@ -16,13 +15,12 @@ from repro.parallel import (
     imbalance_stats,
     interior_core,
     local_ocean_columns,
-    message_counts_3d,
     naive_column_compute,
     overlap_time,
-    overlapped_update,
+    overlapped_update_fused,
     partition_evenly,
 )
-from repro.parallel.halo import exchange2d
+from tests.conftest import halo_update
 
 
 class TestTransposes:
@@ -52,12 +50,6 @@ class TestTransposes:
         halo = rng.standard_normal((5, 2, 9))
         for fn in REAL_HALO_TRANSPOSES.values():
             assert fn(halo).flags["C_CONTIGUOUS"]
-
-    def test_message_counts(self):
-        assert message_counts_3d(55, "per_level") == 55
-        assert message_counts_3d(55, "transposed") == 1
-        with pytest.raises(ValueError):
-            message_counts_3d(10, "banana")
 
     @settings(max_examples=20, deadline=None)
     @given(nz=st.integers(1, 30), n=st.integers(1, 40), h=st.integers(1, 3))
@@ -164,14 +156,15 @@ class TestOverlap:
 
         # plain: exchange first, then compute everywhere at once
         plain_in = d.scatter_global(g, 0)
-        exchange2d(SingleComm(), d, 0, plain_in)
+        halo_update(SingleComm(), d, plain_in)
         plain_out = np.zeros((ly, lx))
         make_smooth(plain_out)(plain_in, (slice(h, ny + h), slice(h, nx + h)))
 
         over_in = d.scatter_global(g, 0)
-        exchange2d(SingleComm(), d, 0, over_in)  # ghosts valid like a model step
+        halo_update(SingleComm(), d, over_in)  # ghosts valid like a model step
         over_out = np.zeros((ly, lx))
-        overlapped_update(SingleComm(), d, 0, over_in, make_smooth(over_out))
+        overlapped_update_fused(SingleComm(), d, 0, [over_in],
+                                make_smooth(over_out))
         jj, ii = slice(h, ny + h), slice(h, nx + h)
         assert np.allclose(plain_out[jj, ii], over_out[jj, ii])
 

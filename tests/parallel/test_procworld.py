@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from repro.errors import CommunicationError, RemoteRankError
+from repro.ocean.localdomain import local_with_halo
 from repro.parallel import (
     BlockDecomposition,
+    HaloUpdater,
     Partitioner,
     Placement,
     SimWorld,
@@ -172,6 +174,24 @@ def prog_send_until_error(comm, peer_sleeps):
     return ("no error", time.monotonic() - t0)
 
 
+def _uneven_globals():
+    """2-D and 3-D fields in an fp64 and an fp32 group on a 17 x 26 grid
+    (neither extent divides over 2 x 2 ranks)."""
+    rng = np.random.default_rng(5)
+    return [rng.standard_normal(shape).astype(dt)
+            for dt in (np.float64, np.float32)
+            for shape in ((17, 26), (3, 17, 26))]
+
+
+def prog_halo_exchange(comm):
+    d = BlockDecomposition(17, 26, 2, 2)
+    locs = [d.scatter_global(g, comm.rank) for g in _uneven_globals()]
+    hu = HaloUpdater(comm, d)
+    for _ in range(2):
+        hu.update_many([(a, -1.0, 2.5) for a in locs], phase="halo")
+    return locs
+
+
 def _big(rank):
     return (np.arange(1 << 16, dtype=np.float32) * (rank + 1)).reshape(256, -1)
 
@@ -273,6 +293,19 @@ class TestProcessWorld:
     def test_move_send_is_shared_memory(self):
         got = SimWorld.run(prog_move, 3, timeout=TIMEOUT, mode="process")
         assert got == [((4, 25), 2.0), ((4, 25), 0.0), ((4, 25), 1.0)]
+        assert _shm_leaks() == []
+
+    def test_halo_exchange_matches_oracle(self):
+        """The one exchange over the shm buffer pool: uneven blocks, two
+        dtype groups, fold sign and fill, two rounds."""
+        d = BlockDecomposition(17, 26, 2, 2)
+        got = SimWorld.run(prog_halo_exchange, 4, timeout=TIMEOUT,
+                           mode="process")
+        for r, locs in enumerate(got):
+            for a, g in zip(locs, _uneven_globals()):
+                assert a.dtype == g.dtype
+                assert np.array_equal(
+                    a, local_with_halo(g, d, r, sign=-1.0, fill=2.5))
         assert _shm_leaks() == []
 
     def test_collectives_match_thread_mode(self):

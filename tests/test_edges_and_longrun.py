@@ -14,8 +14,9 @@ from repro.kokkos import (
     kokkos_register_for,
 )
 from repro.ocean import LICOMKpp, demo
-from repro.parallel import BlockDecomposition, SimWorld, SingleComm, exchange2d
+from repro.parallel import BlockDecomposition, SimWorld, SingleComm
 from repro.parallel.comm import TrafficLedger
+from tests.conftest import halo_update
 
 
 @kokkos_register_for("edge_fill", ndim=1)
@@ -94,7 +95,7 @@ class TestDecompEdges:
 
         def prog(comm):
             loc = d.scatter_global(g, comm.rank)
-            exchange2d(comm, d, comm.rank, loc)
+            halo_update(comm, d, loc)
             return loc
 
         locs = SimWorld.run(prog, 4)
@@ -110,7 +111,7 @@ class TestDecompEdges:
 
         def prog(comm):
             loc = d.scatter_global(g, comm.rank)
-            exchange2d(comm, d, comm.rank, loc, sign=-1.0)
+            halo_update(comm, d, loc, sign=-1.0)
             return loc
 
         from repro.ocean.localdomain import local_with_halo
