@@ -4,14 +4,21 @@ portability layer.
 Walks every registered functor at the AST level and checks the
 portability contract the paper's correctness story rests on: no
 write-write races, stencil footprints inside the declared halo, strict
-memory-space discipline (fences before host reads of launched results),
-honest ``flops_per_point``/``bytes_per_point`` metadata, and
-``apply``/``__call__`` alias safety.  See DESIGN.md §Static analysis.
+memory-space discipline inside functor classes, honest
+``flops_per_point``/``bytes_per_point`` metadata, and
+``apply``/``__call__`` alias safety.  *graphcheck* verifies the sealed
+schedule those kernels run in — halo freshness, precision boundaries
+and the host's fences before it touches a launched result, the last
+read off what each host node did at capture.  See DESIGN.md §Static
+analysis.
 
 Entry points:
 
-* :func:`run_kernelcheck` — full run, returns a :class:`Report`
-  (used by ``python -m repro lint`` and the CI/pytest checks);
+* :func:`run_kernelcheck` — full per-kernel run, returns a
+  :class:`Report` (used by ``python -m repro lint`` and the CI/pytest
+  checks);
+* :func:`check_graph` / :func:`run_graphcheck` — one sealed graph's
+  findings / the ``lint --graph`` report over the demo model's graphs;
 * :func:`collect_footprints` / :func:`build_footprint` — stencil
   footprint extraction, also consumed by ``repro.perfmodel`` as an
   independent cross-check of the declared kernel costs.
@@ -26,31 +33,17 @@ from .footprint import (
     build_footprint,
     static_cost,
 )
-from .graphcheck import (
-    GraphLintConfig,
-    check_graph,
-    run_graphcheck,
-)
+from .graphcheck import check_graph, run_graphcheck
 from .rules import ALL_RULES, GRAPH_RULES, RuleConfig, run_rules
-from .runner import (
-    DRIVER_MODULES,
-    OCEAN_KERNEL_MODULES,
-    LintConfig,
-    collect_footprints,
-    run_kernelcheck,
-    scan_fence_discipline,
-)
+from .runner import OCEAN_KERNEL_MODULES, collect_footprints, run_kernelcheck
 
 __all__ = [
     "ALL_RULES",
     "Baseline",
-    "DRIVER_MODULES",
     "Finding",
     "GRAPH_RULES",
-    "GraphLintConfig",
     "KernelAnalysis",
     "KernelFootprint",
-    "LintConfig",
     "OCEAN_KERNEL_MODULES",
     "Report",
     "RuleConfig",
@@ -64,6 +57,5 @@ __all__ = [
     "run_graphcheck",
     "run_kernelcheck",
     "run_rules",
-    "scan_fence_discipline",
     "static_cost",
 ]

@@ -3,7 +3,9 @@
 kernelcheck proves properties of one kernel body at a time; this module
 proves properties of the *schedule*: it walks a sealed
 :class:`~repro.kokkos.graph.LaunchGraph` (kernel launches, fused nodes,
-host glue with declared :class:`~repro.kokkos.graph.HostEffects`) and
+host glue with its :class:`~repro.kokkos.graph.HostEffects` — fences and
+halo refreshes as the model saw the closure perform them at capture,
+raw host reads / writes / rotations as declared) and
 assigns every ``View`` an abstract version per launch, derived from the
 kernelcheck footprints of each plan part.  A fused node is walked part
 by part in capture order — which is how its sweep executes it — so
@@ -19,14 +21,16 @@ fusion needs no rule of its own.  The rule families (see DESIGN.md
     since its previous refresh, and a kernel write no later node ever
     reads before the next full overwrite.
 ``graph-fence``
-    Host glue that reads (or overwrites) a buffer with launches still
-    pending and no declared ``fence()`` — correct today on the
-    synchronous backends, wrong on any asynchronous plan.
+    Host glue that reads, packs, overwrites or rotates a buffer with
+    launches still pending and no ``fence()`` in the node — correct
+    today on the synchronous backends, wrong on any asynchronous plan.
+    The only check of the model's fences: ``fence()`` is a no-op here,
+    so no run can miss one.
 ``precision-promotion``
     A launch part binding fp32 and fp64 arrays without declaring a
     precision boundary, or accumulating at fp32.
 
-The walk runs several passes over the node list so steady-state
+The walk runs :data:`PASSES` passes over the node list so steady-state
 staleness wraps around the step boundary (a captured graph replays in a
 loop); findings are emitted on the final pass only and deduplicated by
 their stable ``rule:kernel:view`` key.
@@ -60,7 +64,6 @@ from .rules import (
 )
 
 __all__ = [
-    "GraphLintConfig",
     "PartAccess",
     "certify_precision",
     "check_graph",
@@ -280,6 +283,12 @@ class _VState:
         self.write_read = True        # last write consumed by some read
 
 
+#: Walks over the node list per check.  A captured graph replays in a
+#: loop, so steady-state staleness and pending launches wrap around the
+#: step boundary; findings are emitted on the last pass only.
+PASSES = 3
+
+
 class _Walker:
     """One dataflow walk over a sealed graph's node list."""
 
@@ -368,9 +377,9 @@ class _Walker:
 
     # -- node semantics ----------------------------------------------------
 
-    def walk(self, passes: int = 3) -> List[Finding]:
-        for p in range(passes):
-            self.emit = p == passes - 1
+    def walk(self) -> List[Finding]:
+        for p in range(PASSES):
+            self.emit = p == PASSES - 1
             for node in self.graph.nodes:
                 if isinstance(node, KernelNode):
                     self._kernel(node)
@@ -518,6 +527,16 @@ class _Walker:
             states = [self._state(obj, _display(obj, "rotated"))
                       for obj in triple]
             old, cur, new = (self._key(o) for o in triple)
+            for key in (old, cur, new):
+                pending = self.pending_writes.get(key) or \
+                    self.pending_reads.get(key)
+                if pending is not None:
+                    self._find(
+                        RULE_GRAPH_FENCE, Severity.ERROR, node.label,
+                        self.names[key],
+                        (f"host node rotates a buffer the pending launch "
+                         f"{pending!r} still uses without a fence: "
+                         f"undefined on an asynchronous plan"))
             s_old, s_cur, s_new = (self.states[k] for k in (old, cur, new))
             # View.rebind permutation: old<-cur, cur<-new, new<-old
             self.states[old], self.states[cur], self.states[new] = \
@@ -526,14 +545,14 @@ class _Walker:
                 st.write_read = True   # recycled buffers are not dead
 
 
-def check_graph(graph: LaunchGraph, passes: int = 3) -> List[Finding]:
+def check_graph(graph: LaunchGraph) -> List[Finding]:
     """All graphcheck findings for one sealed graph: the precision
     discipline plus the multi-pass dataflow walk (stale halos, fence
     discipline, redundant exchanges, dead stores)."""
     if not graph.sealed:
         raise ValueError("check_graph needs a sealed LaunchGraph")
     findings = check_precision(graph)
-    findings.extend(_Walker(graph).walk(passes=passes))
+    findings.extend(_Walker(graph).walk())
     return findings
 
 
@@ -542,59 +561,48 @@ def check_graph(graph: LaunchGraph, passes: int = 3) -> List[Finding]:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class GraphLintConfig:
-    """Configuration for :func:`run_graphcheck`.
-
-    The driver builds the demo model on its production path
-    (``graph=True``) for every ``backend``, steps it until both step
-    variants (startup forward step, leapfrog) have sealed, and walks
-    each sealed graph.  Identical findings from different
-    configurations are reported once, tagged with the first
-    configuration that hit them.
-    """
-
-    backends: Sequence[str] = ("serial", "openmp", "athread", "cuda")
-    #: Precision presets to verify; "mixed" exercises the
-    #: precision-promotion rules on a schedule with real cast
-    #: boundaries (first backend only, to bound the matrix).
-    precisions: Sequence[str] = ("double", "mixed")
-    size: str = "tiny"
-    steps: int = 2
-    passes: int = 3
+#: The matrix :func:`run_graphcheck` builds: the demo model of this size
+#: on its production path (``graph=True``), stepped until both step
+#: variants (startup forward step, leapfrog) have sealed, on every
+#: backend at the first precision preset; the other presets once each on
+#: the first backend (the graphs are backend-independent node lists).
+#: "mixed" exercises the precision-promotion rules on a schedule with
+#: real cast boundaries.
+BACKENDS = ("serial", "openmp", "athread", "cuda")
+PRECISIONS = ("double", "mixed")
+SIZE = "tiny"
+STEPS = 2
 
 
-def run_graphcheck(config: Optional[GraphLintConfig] = None) -> Report:
+def run_graphcheck(backends: Sequence[str] = BACKENDS) -> Report:
     """Build, seal and verify the demo model's launch graphs.
 
-    Returns a :class:`Report` with ``tool="graphcheck"``; the CLI's
-    ``lint --graph`` mode renders it exactly like a kernelcheck report.
+    Identical findings from different configurations are reported once,
+    tagged with the first configuration that hit them.  Returns a
+    :class:`Report` with ``tool="graphcheck"``; the CLI's ``lint
+    --graph`` mode renders it exactly like a kernelcheck report.
     """
     from ..ocean.config import demo
     from ..ocean.model import LICOMKpp, ModelParams
 
-    cfg = config if config is not None else GraphLintConfig()
     report = Report(rules_run=list(GRAPH_RULES), tool="graphcheck")
     seen: Dict[str, Finding] = {}
     kernels = 0
-    combos = [(b, cfg.precisions[0] if cfg.precisions else "double")
-              for b in cfg.backends]
-    # non-default presets verified once each on the first backend
-    # (the graphs are backend-independent node lists)
-    combos += [(cfg.backends[0], p) for p in cfg.precisions[1:]]
+    combos = [(b, PRECISIONS[0]) for b in backends]
+    combos += [(backends[0], p) for p in PRECISIONS[1:]]
     for backend, precision in combos:
         tag = f"backend={backend}, precision={precision}"
         model = LICOMKpp(
-            demo(cfg.size), backend=backend,
+            demo(SIZE), backend=backend,
             params=ModelParams(graph=True, check_every=0,
                                precision=precision))
         try:
-            model.run_steps(cfg.steps)
+            model.run_steps(STEPS)
             for graph in model._graphs.values():
                 if not graph.sealed:
                     continue
                 kernels += graph.launches_per_replay
-                for f in check_graph(graph, passes=cfg.passes):
+                for f in check_graph(graph):
                     if f.key not in seen:
                         f.detail += f" [{tag}]"
                         seen[f.key] = f

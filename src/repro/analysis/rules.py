@@ -22,9 +22,9 @@ records:
     Memory-space discipline: ``.raw`` dereferences inside kernel bodies
     (bypasses the :class:`~repro.kokkos.view.View` space policing, so a
     device-space view silently reads stale host memory), view
-    dereferences in functor methods *outside* any kernel body, and —
-    via the module scan in :mod:`repro.analysis.runner` — host ``.raw``
-    reads of views written by an in-flight launch with no ``fence()``.
+    dereferences in functor methods *outside* any kernel body.  (Host
+    accesses that race an in-flight launch are a property of the
+    schedule: graphcheck's ``graph-fence``.)
 
 ``cost-drift``
     Counted arithmetic ops / distinct memory streams vs the declared
@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List
 
+from ..parallel.decomp import DEFAULT_HALO
 from .findings import Finding, Severity
 from .footprint import KernelFootprint, static_cost
 
@@ -81,7 +82,7 @@ GRAPH_RULES = (RULE_STALE_HALO, RULE_REDUNDANT_EXCHANGE, RULE_DEAD_STORE,
 class RuleConfig:
     """Tolerances / environment the rules check against."""
 
-    domain_halo: int = 2            # overwritten from repro.parallel.DEFAULT_HALO
+    domain_halo: int = DEFAULT_HALO  # the ring the MPI exchange supplies
     flops_rtol_hi: float = 4.0      # counted may exceed declared by this factor
     flops_rtol_lo: float = 0.25     # ... or undershoot down to this factor
     bytes_rtol_hi: float = 2.0      # declared <= hi * cold-cache bound

@@ -142,7 +142,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import Baseline, LintConfig, run_kernelcheck
+    from .analysis import Baseline, run_kernelcheck
 
     baseline = None
     if args.baseline:
@@ -161,8 +161,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if baseline is not None:
             baseline.apply(report.findings)
     else:
-        cfg = LintConfig(baseline=baseline, scan_drivers=not args.no_drivers)
-        report = run_kernelcheck(cfg)
+        report = run_kernelcheck(baseline)
     if args.write_baseline:
         Baseline().save(args.write_baseline, report.unsuppressed)
         print(f"baseline with {len(report.unsuppressed)} entries written "
@@ -429,8 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--write-baseline", default=None,
                       help="write current unsuppressed findings as a baseline "
                            "and exit")
-    lint.add_argument("--no-drivers", action="store_true",
-                      help="skip the host-side fence-discipline scan")
     lint.add_argument("--graph", action="store_true",
                       help="verify sealed launch graphs (graphcheck) instead "
                            "of the per-kernel rules: dataflow hazards, halo "

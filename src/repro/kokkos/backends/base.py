@@ -120,6 +120,10 @@ class ExecutionSpace:
         #: :class:`~repro.kokkos.context.ExecutionContext`; every launch
         #: becomes a ``kernel`` span while it is enabled.
         self.tracer = None
+        #: ``fence()`` calls so far.  Graph capture reads it around each
+        #: host closure: whether a host node fences is observed, not
+        #: declared (graphcheck's ``graph-fence`` rule rests on it).
+        self.fences = 0
 
     # -- required API ------------------------------------------------------
 
@@ -130,7 +134,9 @@ class ExecutionSpace:
         raise NotImplementedError
 
     def fence(self) -> None:
-        """Wait for all outstanding work (no-op for synchronous backends)."""
+        """Wait for all outstanding work (the synchronous backends have
+        none to wait for; the call is counted)."""
+        self.fences += 1
 
     # -- shared helpers ----------------------------------------------------
 

@@ -112,11 +112,11 @@ class KernelNode:
 
 
 class HostEffects:
-    """Declared dataflow effects of one host node.
+    """Dataflow effects of one host node.
 
-    Host closures are opaque to static analysis, so the recorder
-    declares what a node does to the views the launches around it
-    touch; the graphcheck verifier walks these between launches.
+    Host closures are opaque to static analysis, so the node carries
+    what its closure does to the views the launches around it touch;
+    the graphcheck verifier walks these between launches.
 
     ``reads`` / ``writes`` are views (or arrays) the closure consumes /
     fully overwrites on the host; ``halo_refresh`` are views whose
@@ -125,6 +125,13 @@ class HostEffects:
     the closure permutes (leapfrog rotation); ``fences`` is True when
     the closure fences the space before touching any data.  A node
     recorded without effects is treated as an opaque barrier.
+
+    This is plain data.  A hand-built graph states all five; the model
+    declares only ``reads`` / ``writes`` / ``rotates`` and fills in
+    ``fences`` and ``halo_refresh`` from what it saw the closure do
+    while capturing (``LICOMKpp._host``), because on backends whose
+    ``fence()`` is a no-op a declared fence could never be caught
+    missing.
     """
 
     __slots__ = ("reads", "writes", "halo_refresh", "rotates", "fences")
@@ -148,7 +155,7 @@ class HostNode:
                  effects: Optional[HostEffects] = None) -> None:
         self.fn = fn
         self.label = label
-        #: Declared dataflow effects (None = opaque barrier).
+        #: Dataflow effects (None = opaque barrier).
         self.effects = effects
 
 

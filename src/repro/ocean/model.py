@@ -309,6 +309,9 @@ class LICOMKpp:
         self._graphs: Dict[tuple, LaunchGraph] = \
             self.context.graph_cache.setdefault(("licomkpp", id(self)), {})
         self._capture: Optional[LaunchGraph] = None
+        #: views the halo helpers were handed while the host closure
+        #: being captured ran (see _host)
+        self._exchanged: List[View] = []
         self._graph_captures = 0
 
         # -- policies ---------------------------------------------------------
@@ -410,6 +413,8 @@ class LICOMKpp:
         ``specs`` is a list of ``(view, sign, fill)`` triples.
         """
         self.space.fence()  # exchange reads results of in-flight launches
+        if self._capture is not None:
+            self._exchanged += [v for v, _, _ in specs]
         d = self.domain
         h = d.halo
         fields = []
@@ -423,6 +428,8 @@ class LICOMKpp:
     def _halo2_group(self, specs) -> None:
         """2-D counterpart of :meth:`_halo3_group`."""
         self.space.fence()  # exchange reads results of in-flight launches
+        if self._capture is not None:
+            self._exchanged += [v for v, _, _ in specs]
         d = self.domain
         h = d.halo
         fields = []
@@ -463,14 +470,27 @@ class LICOMKpp:
               effects: Optional[HostEffects] = None) -> None:
         """Run host-side glue, recording the closure when capturing.
 
-        ``effects`` declares the closure's dataflow (reads, writes, halo
-        refreshes, rotations, fencing) for the graphcheck verifier; an
-        undeclared node is treated as an opaque barrier, which is sound
+        ``effects`` declares the raw host copies the closure makes
+        (reads, writes, rotations) for the graphcheck verifier.  Whether
+        it fences and which views it halo-exchanges is not declared:
+        the capturing run of ``fn`` is watched and what it did is
+        written into the node's effects — closures replay verbatim, so
+        that is what every replay does.  A node that declares nothing
+        and exchanges nothing stays an opaque barrier, which is sound
         but hides schedule bugs from the dataflow walk.
         """
-        if self._capture is not None:
-            self._capture.add_host(fn, label, effects)
+        if self._capture is None:
+            fn()
+            return
+        node = self._capture.add_host(fn, label, effects)
+        fenced = self.space.fences
+        self._exchanged = []
         fn()
+        if node.effects is None and self._exchanged:
+            node.effects = HostEffects()
+        if node.effects is not None:
+            node.effects.fences = self.space.fences != fenced
+            node.effects.halo_refresh = tuple(self._exchanged)
 
     def _binding_signature(self) -> tuple:
         """Identity of everything a captured graph bakes into functors.
@@ -613,14 +633,12 @@ class LICOMKpp:
                            HostEffects(
                                reads=(self.um, self.um_old,
                                       self.vm, self.vm_old),
-                               writes=(self.gx, self.gy), fences=True))
+                               writes=(self.gx, self.gy)))
                 run("coriolis_rotation", self.p_int3,
                     CoriolisRotationFunctor(st.u.new, st.v.new,
                                             st.u.old, st.v.old,
                                             self.dom_momentum, dt2))
-            self._host(self._halo_uv_new, "halo_momentum",
-                       HostEffects(halo_refresh=(st.u.new, st.v.new),
-                                   fences=True))
+            self._host(self._halo_uv_new, "halo_momentum")
 
             # -- split-explicit barotropic mode -----------------------------
             with self.timers.timer("barotropic"):
@@ -641,8 +659,7 @@ class LICOMKpp:
                 self._host(self._rotate_state, "rotate",
                            HostEffects(
                                rotates=[(f.old, f.cur, f.new) for f in
-                                        st.leapfrog_fields().values()],
-                               fences=True))
+                                        st.leapfrog_fields().values()]))
 
     # -- host-side glue (captured as graph host nodes) -------------------
 
@@ -723,7 +740,7 @@ class LICOMKpp:
             DepthMeanFunctor(st.v.new, self.vm, self.dom_scan))
         self._host(self._negate_means, "negate_means",
                    HostEffects(reads=(self.um, self.vm),
-                               writes=(self.negu, self.negv), fences=True))
+                               writes=(self.negu, self.negv)))
         self._cast(self.negu, self.negu_mom)
         self._cast(self.negv, self.negv_mom)
         run("strip_barotropic_u", self.p_full3,
@@ -754,11 +771,9 @@ class LICOMKpp:
                        HostEffects(reads=(self.eta,),
                                    writes=(self.eta_prev,)))
             run("barotropic_continuity", self.p_int2, cont)
-            self._host(self._halo_eta, "halo_eta",
-                       HostEffects(halo_refresh=(self.eta,), fences=True))
+            self._host(self._halo_eta, "halo_eta")
             run("barotropic_momentum", self.p_int2, mom)
-            self._host(self._halo_ubvb, "halo_ubvb",
-                       HostEffects(halo_refresh=(st.ub, st.vb), fences=True))
+            self._host(self._halo_ubvb, "halo_ubvb")
 
         self._host(self._ssh_from_eta, "ssh_store",
                    HostEffects(reads=(self.eta,), writes=(st.ssh.new,)))
@@ -769,9 +784,7 @@ class LICOMKpp:
             AddBarotropicFunctor(st.u.new, self.ub_mom, self.dom_momentum))
         run("add_barotropic_v", self.p_full3,
             AddBarotropicFunctor(st.v.new, self.vb_mom, self.dom_momentum))
-        self._host(self._halo_uv_new, "halo_momentum",
-                   HostEffects(halo_refresh=(st.u.new, st.v.new),
-                               fences=True))
+        self._host(self._halo_uv_new, "halo_momentum")
 
     def _tracer_suite(self, dt2: float) -> None:
         """Advance every tracer (T, S, passives) one step.
@@ -834,22 +847,19 @@ class LICOMKpp:
         for i, (fld, _, _) in enumerate(tracers):
             run("tracer_hdiff", self.p_int2,
                 TracerHDiffusionFunctor(fld.old, work[i], d, dt2, self.tdiff))
-        self._host(halo_work, "halo_tracer",
-                   HostEffects(halo_refresh=work[:n], fences=True))
+        self._host(halo_work, "halo_tracer")
         # stage 2 — low-order predictor
         for i in range(n):
             run("advect_tracer_predictor", self.p_int2,
                 AdvectPredictorFunctor(work[i], self.u_tr, self.v_tr,
                                        self.w_tr, tst[i], d, dt2))
-        self._host(halo_tstar, "halo_tracer",
-                   HostEffects(halo_refresh=tst[:n], fences=True))
+        self._host(halo_tstar, "halo_tracer")
         # stage 3 — FCT limiters: every tracer's R+ and R- in one message
         for i in range(n):
             run("advect_tracer_limits", self.p_int2,
                 FCTLimitFunctor(work[i], tst[i], self.u_tr, self.v_tr,
                                 self.w_tr, rp[i], rm[i], d, dt2))
-        self._host(halo_limits, "halo_tracer",
-                   HostEffects(halo_refresh=rp[:n] + rm[:n], fences=True))
+        self._host(halo_limits, "halo_tracer")
         # stage 4 — limited apply + implicit vertical operator
         for i, (fld, star2d, gamma) in enumerate(tracers):
             run("advect_tracer_apply", self.p_int2,
@@ -858,9 +868,7 @@ class LICOMKpp:
             run("vertical_tracer_diffusion", self.p_int2,
                 VerticalTracerDiffusionFunctor(fld.new, self.kappa_h_tr,
                                                star2d, gamma, d, dt2))
-        self._host(halo_new, "halo_tracer",
-                   HostEffects(halo_refresh=[fld.new for fld, _, _ in tracers],
-                               fences=True))
+        self._host(halo_new, "halo_tracer")
 
     # ------------------------------------------------------------------
     # driving and output

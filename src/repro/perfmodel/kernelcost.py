@@ -165,10 +165,10 @@ def crosscheck_declared_costs(bytes_lo: float = 0.9, bytes_hi: float = 2.0):
     instrumentation totals (and so :data:`DEFAULT_PROFILE`) rest on
     declarations consistent with what the kernel bodies actually touch.
     """
-    from ..analysis import LintConfig, collect_footprints, static_cost
+    from ..analysis import collect_footprints, static_cost
 
     offenders = []
-    for fp in collect_footprints(LintConfig()):
+    for fp in collect_footprints():
         if fp.error is not None:
             continue
         sc = static_cost(fp)

@@ -1,6 +1,7 @@
-"""graphcheck: golden broken graphs and seed-model cleanliness.
+"""graphcheck: golden broken graphs, verifier soundness and seed-model
+cleanliness.
 
-Two layers of coverage:
+Three layers of coverage:
 
 * **Golden schedules** — small hand-built launch graphs each violating
   exactly one graphcheck rule family (stale-halo read, redundant
@@ -8,6 +9,10 @@ Two layers of coverage:
   exactly the intended finding.  Adjacent launches seal into one fused
   node, so the goldens also pin that a fused node is walked part by
   part, under each part's own label.
+* **Verifier soundness** — the production model with one fence or one
+  exchanged field left out: the verifier must name the host node.  The
+  synchronous backends run such a model bit-for-bit like the correct
+  one, so no other test can.
 * **Seed model** — the tiny demo model's sealed step graphs walk clean
   on every backend, both swept (the concrete backend) and replayed
   unfused through ``run_for`` (an intercepting subclass of it).
@@ -15,12 +20,8 @@ Two layers of coverage:
 
 import pytest
 
-from repro.analysis import Severity
-from repro.analysis.graphcheck import (
-    GraphLintConfig,
-    check_graph,
-    run_graphcheck,
-)
+from repro.analysis import Severity, graphcheck
+from repro.analysis.graphcheck import check_graph, run_graphcheck
 from repro.analysis.rules import (
     GRAPH_RULES,
     RULE_DEAD_STORE,
@@ -132,6 +133,54 @@ class TestGoldenSchedules:
             ("h", "peek", HostEffects(reads=(f,), fences=True))))
         assert findings == []
 
+    @pytest.mark.parametrize("target", ["g", "f"], ids=["war", "waw"])
+    def test_unfenced_host_write_fires(self, space, views, target):
+        # the pending launch reads g (write-after-read) and writes f
+        # (write-after-write): overwriting either on the host races it
+        f, g, out = views["f"], views["g"], views["out"]
+        findings = check_graph(sealed(
+            space,
+            ("k", "writer", P_INT, PointCopyFunctor(g, f)),
+            ("k", "reader", P_INT, PointCopyFunctor(f, out)),
+            ("h", "poke", HostEffects(writes=(views[target],))),
+            sink(out)))
+        assert [x.rule for x in findings] == [RULE_GRAPH_FENCE]
+        assert findings[0].kernel == "poke" and findings[0].view == target
+        assert "writer" in findings[0].detail
+
+    def test_unfenced_rotation_fires(self, space, views):
+        # rotation hands the pending launch's buffers to other views
+        f, g, out = views["f"], views["g"], views["out"]
+
+        def rotated(fences):
+            return check_graph(sealed(
+                space,
+                ("k", "writer", P_INT, PointCopyFunctor(g, f)),
+                ("h", "rotate", HostEffects(rotates=[(f, g, out)],
+                                            fences=fences))))
+
+        findings = rotated(fences=False)
+        assert {x.rule for x in findings} == {RULE_GRAPH_FENCE}
+        assert {(x.kernel, x.view) for x in findings} == \
+            {("rotate", "f"), ("rotate", "g")}
+        assert rotated(fences=True) == []
+
+    def test_hazard_across_the_step_boundary_fires(self, space, views,
+                                                   monkeypatch):
+        # a sealed graph replays in a loop: the launch at the tail is
+        # still pending when the next replay's head reads its output
+        f, g = views["f"], views["g"]
+        graph = sealed(
+            space,
+            ("h", "peek", HostEffects(reads=(f,))),
+            ("k", "writer", P_INT, PointCopyFunctor(g, f)))
+        findings = check_graph(graph)
+        assert [x.rule for x in findings] == [RULE_GRAPH_FENCE]
+        assert findings[0].kernel == "peek" and "writer" in findings[0].detail
+        # ... which only the wrap-around passes can see
+        monkeypatch.setattr(graphcheck, "PASSES", 1)
+        assert check_graph(graph) == []
+
     def test_dead_store_fires(self, space, views):
         f, g = views["f"], views["g"]
         findings = check_graph(sealed(
@@ -164,6 +213,109 @@ class TestGoldenSchedules:
         assert [x.rule for x in findings if x.rule == RULE_GRAPH_FENCE] == []
 
 
+def captured_graphs(model_cls):
+    """(model, its two sealed step graphs) on the tiny serial config."""
+    from repro.ocean import ModelParams, demo
+
+    model = model_cls(demo("tiny"), backend="serial",
+                      params=ModelParams(graph=True, check_every=0))
+    model.run_steps(2)
+    graphs = [g for g in model._graphs.values() if g.sealed]
+    assert len(graphs) == 2  # startup + steady variants
+    return model, graphs
+
+
+def errors_of(model_cls):
+    model, graphs = captured_graphs(model_cls)
+    try:
+        return [f for g in graphs for f in check_graph(g)
+                if f.severity >= Severity.ERROR]
+    finally:
+        model.close()
+
+
+def without_fence(method):
+    """The model with the ``space.fence()`` of ``method`` left out."""
+    from repro.ocean import LICOMKpp
+
+    def override(self, *args):
+        self.space.fence = lambda: None
+        try:
+            return getattr(LICOMKpp, method)(self, *args)
+        finally:
+            del self.space.fence
+
+    return type("Unfenced", (LICOMKpp,), {method: override})
+
+
+class TestVerifierSoundness:
+    """``fence()`` is a no-op on every backend, so a model that forgets
+    one runs identically: only the verifier can fail, and it must."""
+
+    #: method that fences -> host nodes that rely on that fence
+    FENCES = {
+        "_update_gforce": {"gforce"},
+        "_negate_means": {"negate_means"},
+        "_halo3_group": {"halo_momentum", "halo_tracer"},
+        "_halo2_group": {"halo_eta", "halo_ubvb", "eta_prev", "ssh_store"},
+        "_rotate_state": {"rotate"},
+    }
+
+    @pytest.mark.parametrize("method", sorted(FENCES))
+    def test_dropped_fence_names_the_host_node(self, method):
+        errors = errors_of(without_fence(method))
+        assert {f.rule for f in errors} == {RULE_GRAPH_FENCE}
+        assert {f.kernel for f in errors} == self.FENCES[method]
+
+    def test_forgotten_exchange_field_is_a_stale_halo(self):
+        from repro.ocean import LICOMKpp
+
+        class ForgetsVb(LICOMKpp):
+            def _halo_ubvb(self):
+                self._halo2_group([(self.state.ub, -1.0, 0.0)])
+
+        errors = errors_of(ForgetsVb)
+        assert errors
+        assert {(f.rule, f.view) for f in errors} == {(RULE_STALE_HALO, "vb")}
+
+    def test_observed_effects_match_an_independent_recount(self):
+        # re-run every captured host closure under spies on the space
+        # and the halo updater: what the node is recorded to do is what
+        # its closure does
+        from repro.kokkos.graph import HostNode
+        from repro.ocean import LICOMKpp
+
+        model, graphs = captured_graphs(LICOMKpp)
+        fences, packed = [], []
+        update_many = model.halo.update_many
+
+        def spy_update(fields, phase=None):
+            packed.extend(arr for arr, _, _ in fields)
+            update_many(fields, phase=phase)
+
+        model.space.fence = lambda: fences.append(1)
+        model.halo.update_many = spy_update
+        exchanges = []
+        try:
+            for graph in graphs:
+                for node in graph.nodes:
+                    if not isinstance(node, HostNode):
+                        continue
+                    del fences[:], packed[:]
+                    node.fn()
+                    assert node.effects is not None, node.label
+                    assert node.effects.fences == bool(fences), node.label
+                    refreshed = node.effects.halo_refresh
+                    assert len(refreshed) == len(packed), node.label
+                    assert all(v.raw is arr
+                               for v, arr in zip(refreshed, packed)), node.label
+                    if packed:
+                        exchanges.append(node.label)
+        finally:
+            model.close()
+        assert exchanges and all(x.startswith("halo_") for x in exchanges)
+
+
 BACKENDS = ("serial", "openmp", "athread", "cuda")
 
 
@@ -190,7 +342,7 @@ class TestSeedModelClean:
             model.close()
 
     def test_run_graphcheck_report(self):
-        report = run_graphcheck(GraphLintConfig(backends=("serial",)))
+        report = run_graphcheck(backends=("serial",))
         assert report.tool == "graphcheck"
         assert report.ok and report.errors == []
         assert report.findings == []
@@ -208,7 +360,7 @@ class TestLintCliGraphMode:
         real = analysis.run_graphcheck
         monkeypatch.setattr(
             analysis, "run_graphcheck",
-            lambda cfg=None: real(GraphLintConfig(backends=("serial",))))
+            lambda: real(backends=("serial",)))
         out = tmp_path / "graph.json"
         rc = main(["lint", "--graph", "--format", "json",
                    "--output", str(out)])
@@ -237,7 +389,7 @@ class TestLintCliGraphMode:
         import argparse
 
         def fake_ns(**kw):
-            base = dict(baseline=None, graph=False, no_drivers=False,
+            base = dict(baseline=None, graph=False,
                         write_baseline=None, format="text",
                         output=None, verbose=False, strict=False)
             base.update(kw)
@@ -250,7 +402,7 @@ class TestLintCliGraphMode:
 
         orig = analysis.run_kernelcheck
         try:
-            analysis.run_kernelcheck = lambda cfg: warn
+            analysis.run_kernelcheck = lambda baseline: warn
             assert _cmd_lint(fake_ns()) == 0
             assert _cmd_lint(fake_ns(strict=True)) == 1
         finally:

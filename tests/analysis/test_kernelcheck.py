@@ -4,7 +4,6 @@ import json
 
 from repro.analysis import (
     ALL_RULES,
-    LintConfig,
     collect_footprints,
     run_kernelcheck,
 )
@@ -21,18 +20,18 @@ class TestSeedTreeClean:
         assert rep.ok
 
     def test_every_kernel_analyzable(self):
-        fps = collect_footprints(LintConfig())
+        fps = collect_footprints()
         assert fps and all(fp.error is None for fp in fps)
 
     def test_extracted_halos_match_declarations(self):
         """Static extraction agrees with every declared ``stencil_halo``."""
-        for fp in collect_footprints(LintConfig()):
+        for fp in collect_footprints():
             declared = int(getattr(fp.functor_type, "stencil_halo", 0))
             assert fp.stencil_halo <= declared <= DEFAULT_HALO, fp.kernel
 
     def test_known_stencils(self):
         halos = {fp.kernel: fp.stencil_halo
-                 for fp in collect_footprints(LintConfig())}
+                 for fp in collect_footprints()}
         assert halos["baroclinic_tendency"] == 2   # biharmonic = Lap o Lap
         assert halos["tracer_hdiff"] == 1          # 5-point Laplacian
         assert halos["eos_density"] == 0           # pointwise

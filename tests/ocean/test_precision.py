@@ -162,6 +162,49 @@ class TestMixedBitwiseAcrossTiers:
             casts = [k for k in inst.kernels if k.startswith("precision_cast")]
             assert bool(casts) == bool(expected), (precision, casts)
 
+    def test_every_bound_shadow_is_cast_first(self):
+        # a dropped _cast leaves its shadow never written while every
+        # dtype still matches, so graphcheck is blind to it -- pin the
+        # schedule itself.  Two dtypes cannot split momentum, vmix and
+        # tracer three ways, so it takes the preset plus two overrides
+        # of it to make each of the 13 shadows a separate buffer once.
+        from repro.kokkos.backends.base import functor_views
+        from repro.kokkos.graph import KernelNode
+
+        names = ("p_mom", "rho_vmix", "u_vmix", "v_vmix", "kappa_m_mom",
+                 "kappa_h_tr", "negu_mom", "negv_mom", "ub_mom", "vb_mom",
+                 "u_tr", "v_tr", "w_tr")
+        covered = set()
+        for precision in ("mixed", {"vmix": np.float64},
+                          {"momentum": np.float64}):
+            m = _run("serial", steps=2, precision=precision, graph=True)
+            st = m.state
+            sources = {id(v) for v in (
+                st.p, st.rho, st.u.cur, st.v.cur, st.w, st.kappa_m,
+                st.kappa_h, st.ub, st.vb, m.negu, m.negv)}
+            shadows = {id(getattr(m, name)): name for name in names
+                       if id(getattr(m, name)) not in sources}  # not aliases
+            assert len(m._graphs) == 2
+            for graph in m._graphs.values():
+                cast, bound = set(), set()
+                parts = [part for node in graph.nodes
+                         if isinstance(node, KernelNode)
+                         for part in node.parts()]
+                for label, functor in parts:
+                    if label.startswith("precision_cast"):
+                        cast.add(id(functor.dst))
+                        continue
+                    for view in functor_views(functor):
+                        name = shadows.get(id(view))
+                        if name is not None:
+                            bound.add(name)
+                            assert id(view) in cast, (
+                                f"{precision}: {label!r} binds {name} "
+                                f"before any cast fills it")
+                assert bound == set(shadows.values())
+            covered |= bound
+        assert covered == set(names)
+
     def test_stability_and_nan_free(self):
         m = _run("serial", steps=8, precision="mixed")
         assert not m.state.has_nan()
