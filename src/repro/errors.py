@@ -94,6 +94,11 @@ class AdmissionError(ServeError):
     the job would have cost against the configured budget.
     """
 
+    def __init__(self, message: str, job: object = None) -> None:
+        super().__init__(message)
+        #: The REJECTED ``Job`` record, when the refusal left one.
+        self.job = job
+
 
 class JobTimeout(ServeError):
     """A running job exceeded its per-job deadline.

@@ -25,9 +25,13 @@ Examples
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -156,12 +160,53 @@ class TrafficLedger:
         self._lock = threading.Lock()
 
 
+class RunToken:
+    """The right to run model code under the one interpreter lock.
+
+    Threads of one interpreter never compute in parallel; left to the
+    GIL they still interleave inside every small numpy call and pay its
+    hand-back latency each time.  A thread holds the token while it
+    computes and gives it up only where it blocks (:meth:`released`),
+    so exactly one holder is runnable at a time.  A thread that does
+    not own the token — a ``SingleComm`` caller, a helper thread inside
+    a rank — passes straight through :meth:`released`.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: ``threading.get_ident()`` of the holder, ``None`` when free.
+        self.owner: Optional[int] = None
+
+    def __enter__(self) -> "RunToken":
+        self._lock.acquire()
+        self.owner = threading.get_ident()
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.owner = None
+        self._lock.release()
+
+    @contextmanager
+    def released(self) -> Iterator[None]:
+        """Give the token up around a blocking wait; re-take it after
+        (also when the wait raised: the holder's release stays balanced)."""
+        if self.owner != threading.get_ident():
+            yield
+            return
+        self.__exit__()
+        try:
+            yield
+        finally:
+            self.__enter__()
+
+
 class _Mailbox:
     """Blocking FIFO for one (src, dst, tag) channel."""
 
-    def __init__(self) -> None:
+    def __init__(self, token: RunToken) -> None:
         self._items: deque = deque()
         self._cond = threading.Condition()
+        self._token = token
 
     def put(self, item: Any) -> None:
         with self._cond:
@@ -169,19 +214,35 @@ class _Mailbox:
             self._cond.notify_all()
 
     def get(self, timeout: float) -> Any:
-        with self._cond:
+        ok, item = self._pop()
+        if ok:
+            return item
+        # Token first, condition second: the token is re-taken only after
+        # the condition is dropped, or a sender holding it would block.
+        with self._token.released(), self._cond:
             if not self._cond.wait_for(lambda: bool(self._items), timeout):
                 raise CommunicationError(
                     f"receive timed out after {timeout}s (deadlock?)"
                 )
             return self._items.popleft()
 
-    def poll(self) -> Tuple[bool, Any]:
-        """Non-blocking probe: (True, item) if one is queued, else (False, None)."""
+    def _pop(self) -> Tuple[bool, Any]:
         with self._cond:
             if self._items:
                 return True, self._items.popleft()
             return False, None
+
+    def poll(self) -> Tuple[bool, Any]:
+        """Non-blocking probe: (True, item) if one is queued, else (False, None).
+
+        A miss by the token owner hands the token round once, so a rank
+        that spin-polls cannot starve the peer it is waiting for.
+        """
+        hit = self._pop()
+        if not hit[0]:
+            with self._token.released():
+                time.sleep(0)
+        return hit
 
 
 class Request:
@@ -251,6 +312,8 @@ class SimWorld:
         #: Per-rank ledgers merged back from workers (process mode only).
         self.rank_traffic: Dict[int, TrafficLedger] = {}
         self._failed = False
+        #: Held by the one runnable rank thread of a thread-mode launch.
+        self._token = RunToken()
         self._boxes: Dict[Tuple[int, int, int], _Mailbox] = {}
         self._boxes_lock = threading.Lock()
         self._barrier = threading.Barrier(size)
@@ -266,11 +329,13 @@ class SimWorld:
 
     def _box(self, src: int, dst: int, tag: int) -> _Mailbox:
         key = (src, dst, tag)
-        with self._boxes_lock:
-            box = self._boxes.get(key)
-            if box is None:
-                box = self._boxes[key] = _Mailbox()
-            return box
+        box = self._boxes.get(key)
+        if box is None:
+            with self._boxes_lock:
+                box = self._boxes.get(key)
+                if box is None:
+                    box = self._boxes[key] = _Mailbox(self._token)
+        return box
 
     # -- collective rendezvous --------------------------------------------
 
@@ -283,7 +348,8 @@ class SimWorld:
         :meth:`run` can keep preferring the root-cause exception.
         """
         try:
-            self._barrier.wait(self.timeout)
+            with self._token.released():
+                self._barrier.wait(self.timeout)
         except threading.BrokenBarrierError:
             if self._failed:
                 raise
@@ -372,7 +438,8 @@ class SimWorld:
 
         def target(rank: int) -> None:
             try:
-                results[rank] = program(self.comm(rank), *args)
+                with self._token:
+                    results[rank] = program(self.comm(rank), *args)
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 errors[rank] = exc
                 # Break barriers so other ranks fail fast instead of

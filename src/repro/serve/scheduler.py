@@ -15,6 +15,11 @@ system" story:
   so same-configuration jobs replay one sealed launch graph
   (hit/miss counters prove it).
 * **Execution** — a bounded pool of worker threads drains the queue.
+  Workers share one interpreter, so they do not step in parallel: a
+  worker holds the scheduler's :class:`~repro.parallel.comm.RunToken`
+  around each ``model.step()`` and nowhere else.  Steps of different
+  jobs interleave one at a time; probes, checkpoints (fsync), final
+  snapshots and engine builds of one worker overlap another's step.
   Multi-rank and isolated jobs run through
   :func:`repro.ocean.model.run_distributed` (``mode="process"`` spawns
   one OS process per rank via SimWorld); generic ``program`` jobs run
@@ -48,7 +53,7 @@ import numpy as np
 from ..errors import AdmissionError, JobTimeout, ReproError
 from ..ocean.model import LICOMKpp, STATE_FIELDS, run_distributed
 from ..ocean.restart import load_restart, save_restart
-from ..parallel.comm import DEFAULT_TIMEOUT, SimWorld
+from ..parallel.comm import DEFAULT_TIMEOUT, RunToken, SimWorld
 from ..parallel.procworld import sweep_stray_worlds
 from ..perfmodel import quote_job
 from ..trace import write_chrome_trace
@@ -65,7 +70,8 @@ class ServeScheduler:
     Parameters
     ----------
     workers:
-        Worker threads draining the queue (>= 1).
+        Worker threads draining the queue (>= 1).  More than one buys
+        I/O overlapped with stepping, not parallel stepping.
     budget:
         Admission budget in unit-seconds of modelled cost
         (``JobQuote.cost_unit_seconds``); ``None`` admits everything.
@@ -91,6 +97,8 @@ class ServeScheduler:
         self.jobs: Dict[int, Job] = {}
         self._queue: "queue.Queue" = queue.Queue()
         self._lock = threading.Lock()
+        #: Held around ``model.step()``: workers step one at a time.
+        self._run = RunToken()
         self._next_id = 0
         self._closed = False
         self._workers = [
@@ -115,11 +123,9 @@ class ServeScheduler:
             raise AdmissionError("scheduler is shut down")
         spec.validate()
         with self._lock:
-            job_id = self._next_id
+            job = Job(self._next_id, spec, self.artifacts / spec.name)
             self._next_id += 1
-        job = Job(job_id, spec, self.artifacts / spec.name)
-        with self._lock:
-            self.jobs[job_id] = job
+            self.jobs[job.id] = job
         if spec.program is None:
             job.quote = quote_job(
                 spec.config(), machine=spec.machine, units=spec.ranks,
@@ -132,7 +138,8 @@ class ServeScheduler:
                     f"({spec.steps} steps on {spec.machine} x {spec.ranks}) "
                     f"exceeds the configured budget {self.budget:.3g}")
                 job.finish(JobStatus.REJECTED)
-                raise AdmissionError(f"job {spec.name!r} {job.error}")
+                raise AdmissionError(f"job {spec.name!r} {job.error}",
+                                     job=job)
         self._queue.put(job)
         return job
 
@@ -142,11 +149,9 @@ class ServeScheduler:
         for spec in specs:
             try:
                 out.append(self.submit(spec))
-            except AdmissionError:
-                rejected = [j for j in self.jobs.values()
-                            if j.spec is spec
-                            and j.status is JobStatus.REJECTED]
-                out.extend(rejected[-1:])
+            except AdmissionError as exc:
+                if exc.job is not None:
+                    out.append(exc.job)
         return out
 
     # -- queries -----------------------------------------------------------
@@ -273,7 +278,8 @@ class ServeScheduler:
                     raise JobTimeout(
                         f"job {spec.name!r} exceeded its {spec.timeout}s "
                         f"deadline at step {model.nstep}/{spec.steps}")
-                model.step()
+                with self._run:
+                    model.step()
                 if probes is not None and model.nstep % spec.probe_every == 0:
                     probes.sample(model)
                 if spec.checkpoint_every and (

@@ -19,8 +19,9 @@ sharing *bitwise safe*:
   (whose binding signatures are made of view identities) stay valid:
   job 2 replays the plans job 1 captured;
 * the engine lock serialises leases — two same-signature jobs run one
-  after the other on the engine while different-signature jobs run
-  concurrently on their own engines.
+  after the other on the engine, while different-signature jobs hold
+  their own engines at once: their steps interleave one at a time under
+  the scheduler's run token and their I/O overlaps.
 
 The :class:`EngineCache` keys engines by
 :meth:`~repro.serve.jobs.JobSpec.share_signature` and counts hits and

@@ -1,5 +1,9 @@
 """Simulated MPI: point-to-point, collectives, traffic, deadlock detection."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,6 +373,128 @@ class TestBarrierTimeout:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown world mode"):
             SimWorld(2, mode="fiber")
+
+
+def _assert_world_at_rest(world):
+    """Every rank thread joined and the run token handed back."""
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("rank")]
+    assert world._token.owner is None
+    assert not world._token._lock.locked()
+
+
+class TestRunToken:
+    """Thread ranks take turns: one holds the world's run token while it
+    computes and gives it up only where it waits on ``comm``."""
+
+    def test_poller_scheduled_before_the_sender_completes(self):
+        """Rank 1 spin-polls while rank 0 is parked and has not sent:
+        every missed poll must hand the token round, or rank 0 never
+        gets to send."""
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.recv(source=1)             # parks until rank 1 polls
+                comm.send(np.arange(3), dest=1, tag=1)
+                return None
+            req = comm.irecv(source=0, tag=1)
+            comm.send("polling", dest=0)
+            deadline = time.monotonic() + 10.0
+            while not req.test():
+                assert time.monotonic() < deadline, "poller starved its peer"
+            return req.wait()
+
+        world = SimWorld(2)
+        assert np.array_equal(world.launch(prog)[1], np.arange(3))
+        _assert_world_at_rest(world)
+
+    def test_mutual_recv_times_out_and_frees_the_token(self):
+        world = SimWorld(2, timeout=0.2)
+        t0 = time.monotonic()
+        with pytest.raises(CommunicationError, match="deadlock"):
+            world.launch(lambda comm: comm.recv(source=1 - comm.rank))
+        assert time.monotonic() - t0 < 5.0
+        _assert_world_at_rest(world)
+
+    def test_rank_raising_while_peer_is_parked_surfaces_root_cause(self):
+        def prog(comm):
+            if comm.rank == 0:
+                comm.recv(source=1)             # rank 1 is on its way to park
+                raise ValueError("the real bug")
+            comm.send("parking", dest=0)
+            comm.recv(source=0)                 # never sent
+
+        world = SimWorld(2, timeout=0.3)
+        with pytest.raises(ValueError, match="the real bug"):
+            world.launch(prog)
+        _assert_world_at_rest(world)
+
+    def test_helper_thread_inside_a_rank_uses_the_ranks_comm(self):
+        """A thread that does not own the token passes straight through
+        the places a rank gives it up — it neither releases a token it
+        does not hold nor queues for one its own rank is holding."""
+
+        def prog(comm):
+            peer = 1 - comm.rank
+            got = []
+
+            def helper():
+                comm.send(("hello", comm.rank), dest=peer, tag=7)
+                got.append(comm.recv(source=comm.rank, tag=9))  # waits
+
+            t = threading.Thread(target=helper)
+            t.start()
+            time.sleep(0.05)                    # helper is parked in recv
+            comm.send("late", dest=comm.rank, tag=9)
+            t.join(10.0)
+            assert not t.is_alive()
+            return got[0], comm.recv(source=peer, tag=7)
+
+        world = SimWorld(2)
+        assert world.launch(prog) == [("late", ("hello", 1)),
+                                      ("late", ("hello", 0))]
+        _assert_world_at_rest(world)
+
+    def test_four_ranks_mixed_program_under_fast_switching(self):
+        """More ranks than cores, GIL switch interval cut to 10 us: a
+        rank owns the token at every point of its program, and the
+        send/recv/collective results are the closed-form ones."""
+        size, rounds = 4, 25
+
+        def prog(comm):
+            token = comm.world._token
+            me = threading.get_ident()
+            right, left = (comm.rank + 1) % size, (comm.rank - 1) % size
+            acc = np.full(3, float(comm.rank))
+            trail = []
+            for i in range(rounds):
+                req = comm.irecv(source=left, tag=i)
+                comm.send(acc + i, dest=right, tag=i)
+                assert token.owner == me
+                acc = req.wait()
+                assert token.owner == me
+                total = comm.allreduce(acc, op="sum")
+                assert token.owner == me
+                trail.append((float(total[0]), comm.bcast(i, root=i % size)))
+                assert token.owner == me
+            return acc, trail, comm.allgather(comm.rank)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            world = SimWorld(size, timeout=30.0)
+            results = world.launch(prog)
+        finally:
+            sys.setswitchinterval(old)
+        _assert_world_at_rest(world)
+        shift = sum(range(rounds))              # every hop added its round
+        for rank, (acc, trail, everyone) in enumerate(results):
+            origin = (rank - rounds) % size
+            assert np.array_equal(acc, np.full(3, float(origin + shift)))
+            assert trail == [
+                (float(sum(range(size)) + size * sum(range(i + 1))), i)
+                for i in range(rounds)]
+            assert everyone == list(range(size))
 
 
 class TestLedgerMerge:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -87,6 +88,22 @@ class TestAdmission:
             assert ok.wait(WAIT) and ok.status is JobStatus.DONE
         finally:
             s.shutdown()
+
+    def test_submit_many_returns_the_rejected_record_in_place(self, sched):
+        """A batch keeps its order: the over-budget job comes back as
+        the REJECTED record the scheduler lists, a malformed spec (no
+        record was made) is left out."""
+        first = sched.submit(JobSpec(name="cheap", steps=1))
+        sched.budget = 2.0 * first.quote.cost_unit_seconds
+        jobs = sched.submit_many([JobSpec(name="cheap2", steps=1),
+                                  JobSpec(name="pricey", steps=400),
+                                  JobSpec(name="bad", ranks=0),
+                                  JobSpec(name="cheap3", steps=1)])
+        assert [j.spec.name for j in jobs] == ["cheap2", "pricey", "cheap3"]
+        assert jobs[1].status is JobStatus.REJECTED
+        assert sched.jobs[jobs[1].id] is jobs[1]
+        assert sorted(sched.jobs) == [0, 1, 2, 3]
+        assert sched.wait_all(WAIT)
 
     def test_malformed_spec_rejected_before_queue(self, sched):
         with pytest.raises(AdmissionError):
@@ -178,6 +195,63 @@ class TestSharing:
         assert len({id(inst) for inst in ledgers.values()}) == 2
         assert together == solo
         assert all(n > 0 for n in together.values())
+
+
+class TestRunToken:
+    def test_workers_step_one_at_a_time_and_write_outside_the_token(
+            self, sched, monkeypatch):
+        """Two workers, four engines: never two workers inside
+        ``step()`` at once (they would only trade the GIL), while the
+        checkpoint and final-state writes run without the token so they
+        overlap the other worker's stepping."""
+        from repro.serve import scheduler as sched_module
+
+        guard = threading.Lock()
+        inside = {"now": 0, "peak": 0, "steps": 0}
+        step = LICOMKpp.step
+
+        def counted_step(model):
+            with guard:
+                inside["now"] += 1
+                inside["steps"] += 1
+                inside["peak"] = max(inside["peak"], inside["now"])
+            try:
+                return step(model)
+            finally:
+                with guard:
+                    inside["now"] -= 1
+
+        writes = []
+
+        def outside_token(fn, label):
+            def wrapped(*args, **kwargs):
+                writes.append(
+                    (label, sched._run.owner == threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(LICOMKpp, "step", counted_step)
+        monkeypatch.setattr(sched_module, "save_restart", outside_token(
+            sched_module.save_restart, "checkpoint"))
+        monkeypatch.setattr(np, "savez_compressed", outside_token(
+            np.savez_compressed, "archive"))
+
+        jobs = sched.submit_many([
+            JobSpec(name=f"sig{i}", steps=6, seed=20 + i,
+                    checkpoint_every=3, save_final=True)
+            for i in range(4)])
+        assert sched.wait_all(WAIT)
+        assert all(j.status is JobStatus.DONE for j in jobs)
+        assert sched.cache.stats()["engines"] == 4
+        assert inside["steps"] == 4 * 6
+        assert inside["peak"] == 1
+        # save_restart compresses through numpy too: 8 checkpoints, and
+        # 8 + 4 archive writes, none of them by the token's holder
+        assert [w for w in writes if w[0] == "checkpoint"] \
+            == [("checkpoint", False)] * 8
+        assert [w for w in writes if w[0] == "archive"] \
+            == [("archive", False)] * 12
+        assert sched._run.owner is None
 
 
 class TestTimeouts:
