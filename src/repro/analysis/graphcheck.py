@@ -5,7 +5,8 @@ proves properties of the *schedule*: it walks a sealed
 :class:`~repro.kokkos.graph.LaunchGraph` (kernel launches, fused nodes,
 host glue with its :class:`~repro.kokkos.graph.HostEffects` — fences and
 halo refreshes as the model saw the closure perform them at capture,
-raw host reads / writes / rotations as declared) and
+buffer rotations as declared; host glue never reads or writes field
+data, every piece of arithmetic is a launch) and
 assigns every ``View`` an abstract version per launch, derived from the
 kernelcheck footprints of each plan part.  A fused node is walked part
 by part in capture order — which is how its sweep executes it — so
@@ -21,11 +22,11 @@ fusion needs no rule of its own.  The rule families (see DESIGN.md
     since its previous refresh, and a kernel write no later node ever
     reads before the next full overwrite.
 ``graph-fence``
-    Host glue that reads, packs, overwrites or rotates a buffer with
-    launches still pending and no ``fence()`` in the node — correct
-    today on the synchronous backends, wrong on any asynchronous plan.
-    The only check of the model's fences: ``fence()`` is a no-op here,
-    so no run can miss one.
+    A halo exchange that packs, or a rotation that permutes, a buffer
+    with launches still pending and no ``fence()`` in the node —
+    correct today on the synchronous backends, wrong on any
+    asynchronous plan.  The only check of the model's fences:
+    ``fence()`` is a no-op here, so no run can miss one.
 ``precision-promotion``
     A launch part binding fp32 and fp64 arrays without declaring a
     precision boundary, or accumulating at fp32.
@@ -269,7 +270,7 @@ class _VState:
     """Abstract per-buffer dataflow state (keyed by View identity)."""
 
     __slots__ = ("version", "refreshed_version", "ever_refreshed",
-                 "stale_inset", "last_write", "last_write_kind", "write_read")
+                 "stale_inset", "last_write", "write_read")
 
     def __init__(self) -> None:
         self.version = 0              # bumped on every write
@@ -278,8 +279,7 @@ class _VState:
         #: Distance from the array edge within which data may be stale
         #: (0 = halo valid everywhere).
         self.stale_inset = 0
-        self.last_write: Optional[str] = None
-        self.last_write_kind: Optional[str] = None  # "kernel" | "host"
+        self.last_write: Optional[str] = None   # launch part label
         self.write_read = True        # last write consumed by some read
 
 
@@ -430,10 +430,10 @@ class _Walker:
                 buf = _buffer(obj)
                 st = self._state(obj, _display(obj, name))
                 reads_self = vf.reads > 0 or vf.aug_writes > 0
-                if (st.last_write_kind == "kernel" and not st.write_read
+                if (st.last_write is not None and not st.write_read
                         and not reads_self):
                     self._find(
-                        RULE_DEAD_STORE, Severity.INFO, st.last_write or "?",
+                        RULE_DEAD_STORE, Severity.INFO, st.last_write,
                         self.names[self._key(obj)],
                         (f"write is never read before {pa.label!r} "
                          f"overwrites the view"),
@@ -451,7 +451,6 @@ class _Walker:
                     # the inputs it was computed from
                     st.stale_inset = input_stale
                 st.last_write = pa.label
-                st.last_write_kind = "kernel"
                 st.write_read = False
                 self.pending_writes[self._key(obj)] = pa.label
 
@@ -466,19 +465,6 @@ class _Walker:
             return
         if e.fences:
             self._fence()
-        input_stale = 0
-        for obj in e.reads:
-            st = self._state(obj, _display(obj, "host-read"))
-            key = self._key(obj)
-            if key in self.pending_writes:
-                self._find(
-                    RULE_GRAPH_FENCE, Severity.ERROR, node.label,
-                    self.names[key],
-                    (f"host node reads the result of pending launch "
-                     f"{self.pending_writes[key]!r} without a fence: "
-                     f"undefined on an asynchronous plan"))
-            st.write_read = True
-            input_stale = max(input_stale, st.stale_inset)
         for obj in e.halo_refresh:
             st = self._state(obj, _display(obj, "halo-field"))
             key = self._key(obj)
@@ -500,29 +486,6 @@ class _Walker:
             st.ever_refreshed = True
             st.refreshed_version = st.version
             st.stale_inset = 0
-        for obj in e.writes:
-            st = self._state(obj, _display(obj, "host-write"))
-            key = self._key(obj)
-            pending = self.pending_writes.get(key) or \
-                self.pending_reads.get(key)
-            if pending is not None:
-                self._find(
-                    RULE_GRAPH_FENCE, Severity.ERROR, node.label,
-                    self.names[key],
-                    (f"host node overwrites a buffer the pending launch "
-                     f"{pending!r} still uses without a fence: undefined "
-                     f"on an asynchronous plan"))
-            if st.last_write_kind == "kernel" and not st.write_read:
-                self._find(
-                    RULE_DEAD_STORE, Severity.INFO, st.last_write or "?",
-                    self.names[key],
-                    f"write is never read before host node {node.label!r} "
-                    f"overwrites the view")
-            st.version += 1
-            st.stale_inset = input_stale   # host writes are full-range
-            st.last_write = node.label
-            st.last_write_kind = "host"
-            st.write_read = False
         for triple in e.rotates:
             states = [self._state(obj, _display(obj, "rotated"))
                       for obj in triple]

@@ -23,8 +23,9 @@ records:
     (bypasses the :class:`~repro.kokkos.view.View` space policing, so a
     device-space view silently reads stale host memory), view
     dereferences in functor methods *outside* any kernel body.  (Host
-    accesses that race an in-flight launch are a property of the
-    schedule: graphcheck's ``graph-fence``.)
+    accesses that race an in-flight launch — an exchange or a rotation
+    without a fence before it — are a property of the schedule:
+    graphcheck's ``graph-fence``.)
 
 ``cost-drift``
     Counted arithmetic ops / distinct memory streams vs the declared
@@ -58,7 +59,8 @@ ALL_RULES = (RULE_RACE, RULE_HALO, RULE_SPACE, RULE_COST, RULE_ALIAS)
 # -- whole-schedule rule families (repro.analysis.graphcheck) ---------------
 # Per-kernel rules above see one body at a time; these see the sealed
 # launch graph: halo freshness across the step's exchange schedule, dead
-# work, and fence discipline between async launches and host nodes.
+# work, and fence discipline between async launches and the host nodes
+# (halo exchanges and the leapfrog rotation) that touch their buffers.
 
 RULE_STALE_HALO = "stale-halo"
 RULE_REDUNDANT_EXCHANGE = "redundant-exchange"

@@ -5,9 +5,11 @@ path: the model records one baroclinic step's launch sequence — labels,
 normalised policies and *bound functor instances* — then subsequent
 steps ``replay()`` through per-backend :class:`~.backends.base.LaunchPlan`
 objects with near-zero dispatch work.  Host-side glue between launches
-(halo exchanges, fences, `.raw` copies) is captured as :class:`HostNode`
-closures and replayed in sequence, so the graph reproduces the eager
-step exactly.
+is captured as :class:`HostNode` closures and replayed in sequence, so
+the graph reproduces the eager step exactly.  In the ocean model that
+glue is only halo exchanges and the leapfrog rotation: every piece of
+step arithmetic is a launch, as in LICOMK++ where only the exchange
+leaves the device.
 
 Two mechanisms keep replay valid across steps:
 
@@ -118,29 +120,25 @@ class HostEffects:
     what its closure does to the views the launches around it touch;
     the graphcheck verifier walks these between launches.
 
-    ``reads`` / ``writes`` are views (or arrays) the closure consumes /
-    fully overwrites on the host; ``halo_refresh`` are views whose
-    ghost cells the closure exchanges (an implicit interior read);
-    ``rotates`` are ``(old, cur, new)`` view triples whose *buffers*
-    the closure permutes (leapfrog rotation); ``fences`` is True when
-    the closure fences the space before touching any data.  A node
-    recorded without effects is treated as an opaque barrier.
+    ``halo_refresh`` are views whose ghost cells the closure exchanges
+    (an implicit interior read); ``rotates`` are ``(old, cur, new)``
+    view triples whose *buffers* the closure permutes (leapfrog
+    rotation); ``fences`` is True when the closure fences the space
+    before touching any data.  A node recorded without effects is
+    treated as an opaque barrier.  There is no host read or write of
+    field data: arithmetic is a launch.
 
-    This is plain data.  A hand-built graph states all five; the model
-    declares only ``reads`` / ``writes`` / ``rotates`` and fills in
-    ``fences`` and ``halo_refresh`` from what it saw the closure do
-    while capturing (``LICOMKpp._host``), because on backends whose
-    ``fence()`` is a no-op a declared fence could never be caught
-    missing.
+    This is plain data.  A hand-built graph states all three; the model
+    declares only ``rotates`` and fills in ``fences`` and
+    ``halo_refresh`` from what it saw the closure do while capturing
+    (``LICOMKpp._host``), because on backends whose ``fence()`` is a
+    no-op a declared fence could never be caught missing.
     """
 
-    __slots__ = ("reads", "writes", "halo_refresh", "rotates", "fences")
+    __slots__ = ("halo_refresh", "rotates", "fences")
 
-    def __init__(self, reads: Sequence = (), writes: Sequence = (),
-                 halo_refresh: Sequence = (), rotates: Sequence = (),
+    def __init__(self, halo_refresh: Sequence = (), rotates: Sequence = (),
                  fences: bool = False) -> None:
-        self.reads = tuple(reads)
-        self.writes = tuple(writes)
         self.halo_refresh = tuple(halo_refresh)
         self.rotates = tuple(tuple(r) for r in rotates)
         self.fences = bool(fences)

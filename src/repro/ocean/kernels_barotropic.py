@@ -155,6 +155,30 @@ class BarotropicMomentumFunctor(TileFunctor):
         )
 
 
+@kokkos_register_for("barotropic_gforce", ndim=2)
+class GForceFunctor(TileFunctor):
+    """G = (depth mean after - before the baroclinic update) / dt2.
+
+    The depth-mean baroclinic forcing the subcycle holds fixed."""
+
+    flops_per_point = 4.0
+    bytes_per_point = 6 * 8.0
+
+    def __init__(self, um: View, um_old: View, vm: View, vm_old: View,
+                 gx: View, gy: View, dt2: float) -> None:
+        self.um, self.um_old = um, um_old
+        self.vm, self.vm_old = vm, vm_old
+        self.gx, self.gy = gx, gy
+        self.dt2 = dt2
+
+    def apply(self, slices) -> None:
+        sj, si = slices
+        self.gx.data[sj, si] = (self.um.data[sj, si]
+                                - self.um_old.data[sj, si]) / self.dt2
+        self.gy.data[sj, si] = (self.vm.data[sj, si]
+                                - self.vm_old.data[sj, si]) / self.dt2
+
+
 @kokkos_register_for("asselin_filter", ndim=3)
 class AsselinFilterFunctor(TileFunctor):
     """Robert-Asselin time filter: cur += alpha (new - 2 cur + old)."""

@@ -316,19 +316,25 @@ class DepthMeanFunctor(TileFunctor):
 
 @kokkos_register_for("add_barotropic", ndim=3)
 class AddBarotropicFunctor(TileFunctor):
-    """u3d += (ub2d - current depth mean): re-attach the barotropic mode."""
+    """u3d = mask * (u3d ± field2d): attach (``sign=1``) the subcycled
+    barotropic mode, or strip (``sign=-1``) the provisional depth mean.
+
+    ``f - d`` is bitwise ``f + (-d)``, so stripping needs no negated
+    copy of the mean."""
 
     flops_per_point = 2.0
     bytes_per_point = 3 * 8.0
 
-    def __init__(self, fld: View, delta2d: View, domain: LocalDomain) -> None:
+    def __init__(self, fld: View, delta2d: View, domain: LocalDomain,
+                 sign: float = 1.0) -> None:
         self.fld = fld
         self.delta2d = delta2d
         self.dom = domain
+        self.sign = sign
 
     def apply(self, slices) -> None:
         sk, sj, si = slices
         m = self.dom.mask_u[sk, sj, si]
-        self.fld.data[sk, sj, si] = m * (
-            self.fld.data[sk, sj, si] + self.delta2d.data[sj, si][None, :, :]
-        )
+        f = self.fld.data[sk, sj, si]
+        d = self.delta2d.data[sj, si][None, :, :]
+        self.fld.data[sk, sj, si] = m * (f - d if self.sign < 0 else f + d)

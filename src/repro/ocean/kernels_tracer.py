@@ -578,8 +578,8 @@ class FCTApplyFunctor(TileFunctor):
 class TracerHDiffusionFunctor(TileFunctor):
     """Conservative explicit horizontal Laplacian diffusion.
 
-    ``T_new += dt/V * div(A_T * open_face * grad T_old)`` — flux form
-    with land faces closed, so the operator conserves the tracer.
+    ``T_new = T_old + dt/V * div(A_T * open_face * grad T_old)`` — flux
+    form with land faces closed, so the operator conserves the tracer.
     """
 
     flops_per_point = 25.0
@@ -654,4 +654,5 @@ class TracerHDiffusionFunctor(TileFunctor):
         np.multiply(div, self.dt, out=div)
         np.divide(div, vol, out=div)
         np.multiply(div, m[:, sj, si], out=div)
-        self.t_new.data[:, sj, si] += div
+        np.add(t[:, sj, si], div, out=div)
+        self.t_new.data[:, sj, si] = div

@@ -49,6 +49,7 @@ from .kernels_barotropic import (
     AsselinFilterFunctor,
     BarotropicContinuityFunctor,
     BarotropicMomentumFunctor,
+    GForceFunctor,
 )
 from .kernels_momentum import (
     AddBarotropicFunctor,
@@ -228,6 +229,8 @@ class LICOMKpp:
         self.tdiff_work = self.tdiff_work_all[0]
         self.rplus = self.rplus_all[0]
         self.rminus = self.rminus_all[0]
+        # the subcycle's intermediate eta levels alternate these two
+        # buffers (see _barotropic_cycle)
         self.eta = View("eta_work", s2, dtype=dt_b, space=sp)
         self.eta_prev = View("eta_prev", s2, dtype=dt_b, space=sp)
         self.um = View("umean", s2, dtype=dt_b, space=sp)
@@ -236,11 +239,6 @@ class LICOMKpp:
         self.vm_old = View("vmean_old", s2, dtype=dt_b, space=sp)
         self.gx = View("gforce_x", s2, dtype=dt_b, space=sp)
         self.gy = View("gforce_y", s2, dtype=dt_b, space=sp)
-        # negated depth means for the barotropic strip: two views (not
-        # one reused buffer) so the strip_u/strip_v launches are adjacent
-        # and the graph fusion pass can merge them
-        self.negu = View("neg_umean", s2, dtype=dt_b, space=sp)
-        self.negv = View("neg_vmean", s2, dtype=dt_b, space=sp)
 
         # -- precision-cast shadows ------------------------------------------
         # When a consumer family is narrower than a producer family, the
@@ -262,8 +260,8 @@ class LICOMKpp:
         self.v_vmix = shadow(st.v.cur, "vmix", "v_cur_vmix")
         self.kappa_m_mom = shadow(st.kappa_m, "momentum", "kappa_m_mom")
         self.kappa_h_tr = shadow(st.kappa_h, "tracer", "kappa_h_tr")
-        self.negu_mom = shadow(self.negu, "momentum", "neg_umean_mom")
-        self.negv_mom = shadow(self.negv, "momentum", "neg_vmean_mom")
+        self.um_mom = shadow(self.um, "momentum", "umean_mom")
+        self.vm_mom = shadow(self.vm, "momentum", "vmean_mom")
         self.ub_mom = shadow(st.ub, "momentum", "ub_mom")
         self.vb_mom = shadow(st.vb, "momentum", "vb_mom")
         self.u_tr = shadow(st.u.cur, "tracer", "u_cur_tr")
@@ -357,13 +355,12 @@ class LICOMKpp:
         views = [st.ub, st.vb, st.rho, st.p, st.w, st.kappa_h, st.kappa_m,
                  self.eta, self.eta_prev, self.um, self.vm,
                  self.um_old, self.vm_old, self.gx, self.gy,
-                 self.negu, self.negv,
                  # cast shadows: alias their source under a uniform
                  # policy (zeroing twice is harmless), separate buffers
                  # under a mixed one (zeroing is then required)
                  self.p_mom, self.rho_vmix, self.u_vmix, self.v_vmix,
-                 self.kappa_m_mom, self.kappa_h_tr, self.negu_mom,
-                 self.negv_mom, self.ub_mom, self.vb_mom,
+                 self.kappa_m_mom, self.kappa_h_tr, self.um_mom,
+                 self.vm_mom, self.ub_mom, self.vb_mom,
                  self.u_tr, self.v_tr, self.w_tr]
         views += self.tstar_all + self.tdiff_work_all
         views += self.rplus_all + self.rminus_all
@@ -470,14 +467,15 @@ class LICOMKpp:
               effects: Optional[HostEffects] = None) -> None:
         """Run host-side glue, recording the closure when capturing.
 
-        ``effects`` declares the raw host copies the closure makes
-        (reads, writes, rotations) for the graphcheck verifier.  Whether
-        it fences and which views it halo-exchanges is not declared:
-        the capturing run of ``fn`` is watched and what it did is
-        written into the node's effects — closures replay verbatim, so
-        that is what every replay does.  A node that declares nothing
-        and exchanges nothing stays an opaque barrier, which is sound
-        but hides schedule bugs from the dataflow walk.
+        Host glue is a halo exchange or the leapfrog ``rotate``; all
+        step arithmetic is launched.  ``effects`` declares the buffer
+        rotations for the graphcheck verifier.  Whether the closure
+        fences and which views it halo-exchanges is not declared: the
+        capturing run of ``fn`` is watched and what it did is written
+        into the node's effects — closures replay verbatim, so that is
+        what every replay does.  A node that declares nothing and
+        exchanges nothing stays an opaque barrier, which is sound but
+        hides schedule bugs from the dataflow walk.
         """
         if self._capture is None:
             fn()
@@ -505,14 +503,14 @@ class LICOMKpp:
         st = self.state
         views = [st.w, st.rho, st.p, st.kappa_m, st.kappa_h, st.ub, st.vb,
                  self.eta, self.eta_prev, self.um, self.vm, self.um_old,
-                 self.vm_old, self.gx, self.gy, self.negu, self.negv]
+                 self.vm_old, self.gx, self.gy]
         for f in (st.u, st.v, st.t, st.s, st.ssh, *st.passive):
             views += [f.old, f.cur, f.new]
         views += (self.tstar_all + self.tdiff_work_all
                   + self.rplus_all + self.rminus_all)
         views += [self.p_mom, self.rho_vmix, self.u_vmix, self.v_vmix,
-                  self.kappa_m_mom, self.kappa_h_tr, self.negu_mom,
-                  self.negv_mom, self.ub_mom, self.vb_mom,
+                  self.kappa_m_mom, self.kappa_h_tr, self.um_mom,
+                  self.vm_mom, self.ub_mom, self.vb_mom,
                   self.u_tr, self.v_tr, self.w_tr]
         nums = (self.policy.signature(),
                 self.visc, self.bivisc, self.tdiff, self.eta_diff,
@@ -629,11 +627,9 @@ class LICOMKpp:
                     DepthMeanFunctor(st.u.new, self.um, self.dom_scan))
                 run("depth_mean_v_new", self.p_full2,
                     DepthMeanFunctor(st.v.new, self.vm, self.dom_scan))
-                self._host(lambda: self._update_gforce(dt2), "gforce",
-                           HostEffects(
-                               reads=(self.um, self.um_old,
-                                      self.vm, self.vm_old),
-                               writes=(self.gx, self.gy)))
+                run("barotropic_gforce", self.p_full2,
+                    GForceFunctor(self.um, self.um_old, self.vm,
+                                  self.vm_old, self.gx, self.gy, dt2))
                 run("coriolis_rotation", self.p_int3,
                     CoriolisRotationFunctor(st.u.new, st.v.new,
                                             st.u.old, st.v.old,
@@ -663,47 +659,20 @@ class LICOMKpp:
 
     # -- host-side glue (captured as graph host nodes) -------------------
 
-    def _update_gforce(self, dt2: float) -> None:
-        self.space.fence()  # the depth means feed this host-side update
-        self.gx.raw[...] = (self.um.raw - self.um_old.raw) / dt2
-        self.gy.raw[...] = (self.vm.raw - self.vm_old.raw) / dt2
-
     def _halo_uv_new(self) -> None:
         st = self.state
         with self.timers.timer("halo_momentum"):
             self._halo3_group([(st.u.new, -1.0, 0.0), (st.v.new, -1.0, 0.0)])
 
-    def _negate_means(self) -> None:
-        self.space.fence()  # um/vm feed the host-side negation
-        self.negu.raw[...] = -self.um.raw
-        self.negv.raw[...] = -self.vm.raw
-
-    def _eta_init(self) -> None:
-        self.eta.raw[...] = self.state.ssh.cur.raw
-
-    def _eta_snapshot(self) -> None:
-        self.eta_prev.raw[...] = self.eta.raw
-
-    def _halo_eta(self) -> None:
-        self._halo2_group([(self.eta, 1.0, 0.0)])
-
     def _halo_ubvb(self) -> None:
         st = self.state
         self._halo2_group([(st.ub, -1.0, 0.0), (st.vb, -1.0, 0.0)])
-
-    def _ssh_from_eta(self) -> None:
-        self.state.ssh.new.raw[...] = self.eta.raw
 
     def _rotate_state(self) -> None:
         # retire all launches before the host-side rotate and the
         # NaN check read the prognostic fields
         self.space.fence()
         self.state.rotate()
-
-    def _substep_mark(self, i: int) -> None:
-        tr = self.context.tracer
-        if tr.enabled:
-            tr.instant("barotropic_substep", cat="model", substep=i)
 
     def _run_canuto(self) -> None:
         st = self.state
@@ -731,52 +700,45 @@ class LICOMKpp:
         steps = max(1, int(round(self.config.dt_baroclinic / dtb)))
 
         # strip the provisional barotropic mode from the 3-D velocity
-        # (the depth-mean force gx/gy was captured pre-rotation in step());
-        # both means are negated in one host node so strip_u/strip_v stay
-        # adjacent (fusible) — strip_u never reads negv, so no fence between
+        # (the depth-mean force gx/gy was captured pre-rotation in step())
         run("depth_mean_u_new", self.p_full2,
             DepthMeanFunctor(st.u.new, self.um, self.dom_scan))
         run("depth_mean_v_new", self.p_full2,
             DepthMeanFunctor(st.v.new, self.vm, self.dom_scan))
-        self._host(self._negate_means, "negate_means",
-                   HostEffects(reads=(self.um, self.vm),
-                               writes=(self.negu, self.negv)))
-        self._cast(self.negu, self.negu_mom)
-        self._cast(self.negv, self.negv_mom)
+        self._cast(self.um, self.um_mom)
+        self._cast(self.vm, self.vm_mom)
         run("strip_barotropic_u", self.p_full3,
-            AddBarotropicFunctor(st.u.new, self.negu_mom, self.dom_momentum))
+            AddBarotropicFunctor(st.u.new, self.um_mom, self.dom_momentum,
+                                 sign=-1.0))
         run("strip_barotropic_v", self.p_full3,
-            AddBarotropicFunctor(st.v.new, self.negv_mom, self.dom_momentum))
+            AddBarotropicFunctor(st.v.new, self.vm_mom, self.dom_momentum,
+                                 sign=-1.0))
 
         # subcycle state: start from (eta, ubar) at the current level
-        self._host(self._eta_init, "eta_init",
-                   HostEffects(reads=(st.ssh.cur,), writes=(self.eta,)))
         run("depth_mean_u_cur", self.p_full2,
             DepthMeanFunctor(st.u.cur, st.ub, self.dom_scan))
         run("depth_mean_v_cur", self.p_full2,
             DepthMeanFunctor(st.v.cur, st.vb, self.dom_scan))
 
-        cont = BarotropicContinuityFunctor(
-            st.ub, st.vb, self.eta_prev, self.eta, self.hu, dom_b, dtb,
-            eta_diff=self.eta_diff,
-        )
-        mom = BarotropicMomentumFunctor(st.ub, st.vb, self.eta, self.gx,
-                                        self.gy, dom_b, dtb)
+        # eta ping-pongs without copies: sub-step i reads level i-1 and
+        # writes level i; level -1 is ssh.cur, the last level is ssh.new
+        # and the levels between alternate the two eta work buffers
+        eta_in = st.ssh.cur
         for i in range(steps):
-            # sub-step boundary marker rides as a host node so replayed
-            # graphs keep it on the timeline (no-op unless tracing)
-            self._host(lambda i=i: self._substep_mark(i), "substep",
-                       HostEffects())  # declared no-op: touches no field
-            self._host(self._eta_snapshot, "eta_prev",
-                       HostEffects(reads=(self.eta,),
-                                   writes=(self.eta_prev,)))
-            run("barotropic_continuity", self.p_int2, cont)
-            self._host(self._halo_eta, "halo_eta")
-            run("barotropic_momentum", self.p_int2, mom)
+            eta = st.ssh.new if i == steps - 1 else \
+                (self.eta, self.eta_prev)[i % 2]
+            run("barotropic_continuity", self.p_int2,
+                BarotropicContinuityFunctor(
+                    st.ub, st.vb, eta_in, eta, self.hu, dom_b, dtb,
+                    eta_diff=self.eta_diff))
+            self._host(lambda eta=eta: self._halo2_group([(eta, 1.0, 0.0)]),
+                       "halo_eta")
+            run("barotropic_momentum", self.p_int2,
+                BarotropicMomentumFunctor(st.ub, st.vb, eta, self.gx,
+                                          self.gy, dom_b, dtb))
             self._host(self._halo_ubvb, "halo_ubvb")
+            eta_in = eta
 
-        self._host(self._ssh_from_eta, "ssh_store",
-                   HostEffects(reads=(self.eta,), writes=(st.ssh.new,)))
         # re-attach the subcycled barotropic mode
         self._cast(st.ub, self.ub_mom)
         self._cast(st.vb, self.vb_mom)
@@ -816,13 +778,6 @@ class LICOMKpp:
         work, tst = self.tdiff_work_all, self.tstar_all
         rp, rm = self.rplus_all, self.rminus_all
 
-        def seed_work() -> None:
-            # Host copies complete before any launch: interleaving a copy
-            # of work[i+1] with the in-flight hdiff of work[i] would race
-            # on an async backend (kernelcheck memory-space rule).
-            for i, (fld, _, _) in enumerate(tracers):
-                work[i].raw[...] = fld.old.raw
-
         def halo_work() -> None:
             with self.timers.timer("halo_tracer"):
                 self._halo3_group([(work[i], 1.0, 0.0) for i in range(n)])
@@ -841,9 +796,6 @@ class LICOMKpp:
                 self._halo3_group([(fld.new, 1.0, 0.0) for fld, _, _ in tracers])
 
         # stage 1 — diffuse-then-advect: work = old + dt * div(k grad old)
-        self._host(seed_work, "tracer_seed",
-                   HostEffects(reads=[fld.old for fld, _, _ in tracers],
-                               writes=work[:n]))
         for i, (fld, _, _) in enumerate(tracers):
             run("tracer_hdiff", self.p_int2,
                 TracerHDiffusionFunctor(fld.old, work[i], d, dt2, self.tdiff))

@@ -70,7 +70,6 @@ FIELD_FAMILIES: Dict[str, str] = {
     "um": "barotropic", "vm": "barotropic",
     "um_old": "barotropic", "vm_old": "barotropic",
     "gx": "barotropic", "gy": "barotropic",
-    "negu": "barotropic", "negv": "barotropic",
     # forcing arrays
     "taux": "momentum", "tauy": "momentum",
     "sst_star": "tracer", "sss_star": "tracer",
@@ -89,6 +88,7 @@ KERNEL_FAMILIES: Dict[str, str] = {
     "depth_mean_u_old": "scan", "depth_mean_v_old": "scan",
     "depth_mean_u_new": "scan", "depth_mean_v_new": "scan",
     "depth_mean_u_cur": "scan", "depth_mean_v_cur": "scan",
+    "barotropic_gforce": "barotropic",
     "strip_barotropic_u": "momentum", "strip_barotropic_v": "momentum",
     "add_barotropic_u": "momentum", "add_barotropic_v": "momentum",
     "barotropic_continuity": "barotropic",

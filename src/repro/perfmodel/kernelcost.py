@@ -91,7 +91,8 @@ DEFAULT_PROFILE = StepProfile(
     launches_per_sub=2.0,
     halo3_per_step=14,   # 4 momentum + 5 per tracer (diffused field, T*,
     halo2_per_sub=3,     # R+, R-, new) x 2 tracers
-    launches_fused_saved=16.0,  # 10 fused groups; see measure_graph_savings
+    launches_fused_saved=16.0,  # launches_graph(6) is the tiny steady
+                                # graph's 30 launches per replay
 )
 
 
@@ -133,24 +134,6 @@ def measure_step_profile(size: str = "tiny", steps: int = 4) -> StepProfile:
         halo3_per_step=round(model.halo.updates3d / steps),
         halo2_per_sub=round(model.halo.updates2d / steps / nsub),
     )
-
-
-def measure_graph_savings(size: str = "tiny", steps: int = 3) -> float:
-    """Launches per step removed by graph fusion, measured live.
-
-    Runs the model with step-graph capture enabled and reads the sealed
-    steady-state graph's captured-vs-replayed launch counts — the same
-    introspection the A4 ablation reports.
-    """
-    from ..ocean import LICOMKpp, demo
-    from ..ocean.model import ModelParams
-
-    model = LICOMKpp(demo(size), backend="serial",
-                     params=ModelParams(graph=True))
-    model.run_steps(max(2, steps))
-    steady = [g for (startup, _), g in model._graphs.items() if not startup]
-    graph = steady[0] if steady else next(iter(model._graphs.values()))
-    return float(graph.captured_launches - graph.launches_per_replay)
 
 
 def crosscheck_declared_costs(bytes_lo: float = 0.9, bytes_hi: float = 2.0):

@@ -77,6 +77,31 @@ class TestReplayBitwise:
         assert not any(label.startswith("fused[") for label in space.seen)
 
 
+class TestHostNodes:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_host_nodes_are_exchanges_and_rotate(self, backend):
+        """A sealed step is launches, exchanges and one rotate: no host
+        node does arithmetic, and each fences exactly once."""
+        from repro.kokkos.graph import HostNode
+
+        model = _run(backend, graph=True)
+        nsub = model.config.barotropic_substeps
+        # u/v twice, (eta, ub/vb) per sub-step, 4 tracer stages, rotate
+        expected = 2 + 2 * nsub + 4 + 1
+        graphs = [g for g in model._graphs.values() if g.sealed]
+        assert len(graphs) == 2  # startup + steady variants
+        for graph in graphs:
+            hosts = [n for n in graph.nodes if isinstance(n, HostNode)]
+            assert len(hosts) == expected == 19
+            for node in hosts:
+                assert node.effects.halo_refresh or node.label == "rotate", \
+                    node.label
+            fences = model.space.fences
+            graph.replay()
+            assert model.space.fences - fences == expected
+        model.close()
+
+
 class TestRecapture:
     def test_recapture_on_binding_invalidation(self):
         model = _run("serial", steps=3, graph=True)

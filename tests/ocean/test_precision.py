@@ -172,7 +172,7 @@ class TestMixedBitwiseAcrossTiers:
         from repro.kokkos.graph import KernelNode
 
         names = ("p_mom", "rho_vmix", "u_vmix", "v_vmix", "kappa_m_mom",
-                 "kappa_h_tr", "negu_mom", "negv_mom", "ub_mom", "vb_mom",
+                 "kappa_h_tr", "um_mom", "vm_mom", "ub_mom", "vb_mom",
                  "u_tr", "v_tr", "w_tr")
         covered = set()
         for precision in ("mixed", {"vmix": np.float64},
@@ -181,7 +181,7 @@ class TestMixedBitwiseAcrossTiers:
             st = m.state
             sources = {id(v) for v in (
                 st.p, st.rho, st.u.cur, st.v.cur, st.w, st.kappa_m,
-                st.kappa_h, st.ub, st.vb, m.negu, m.negv)}
+                st.kappa_h, st.ub, st.vb, m.um, m.vm)}
             shadows = {id(getattr(m, name)): name for name in names
                        if id(getattr(m, name)) not in sources}  # not aliases
             assert len(m._graphs) == 2
@@ -314,7 +314,7 @@ class TestPrecisionPromotionRule:
         functor = (CastLikeCopy if boundary else PointCopyFunctor)(src, dst)
         pol = MDRangePolicy([(1, self.N - 1), (1, self.N - 1)])
         return [("k", "copy", pol, functor),
-                ("h", "sink", HostEffects(reads=(dst,), fences=True))]
+                ("h", "sink", HostEffects(halo_refresh=(dst,), fences=True))]
 
     def test_silent_promotion_is_error(self):
         from repro.analysis.graphcheck import check_precision
@@ -343,7 +343,7 @@ class TestPrecisionPromotionRule:
         graph.add_kernel("copy", MDRangePolicy([(1, self.N - 1), (1, self.N - 1)]),
                          PointCopyFunctor(src, dst))
         graph.add_host(lambda: None, "sink",
-                       HostEffects(reads=(dst,), fences=True))
+                       HostEffects(halo_refresh=(dst,), fences=True))
         refused = certify_precision(graph.seal())
         assert [f.rule for f in refused] == [RULE_PRECISION]
         assert refused[0].kernel == "copy" and "promotion" in refused[0].detail
@@ -362,7 +362,7 @@ class TestPrecisionPromotionRule:
             graph = self._sealed([
                 ("k", "acc", MDRangePolicy([(1, self.N - 1), (1, self.N - 1)]),
                  functor),
-                ("h", "sink", HostEffects(reads=(out,), fences=True))])
+                ("h", "sink", HostEffects(halo_refresh=(out,), fences=True))])
             findings = check_precision(graph)
             assert [f.severity for f in findings] == [Severity.WARNING]
             assert certify_precision(graph) == []

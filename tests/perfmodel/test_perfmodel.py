@@ -202,12 +202,22 @@ class TestJitLaunchDiscount:
                 JIT_DISPATCH_FRACTION * p.launches_graph(nsub)
 
     def test_measured_coverage_matches_frozen(self):
-        # the frozen fusion saving the discount is applied on top of,
-        # against the live steady-state graph
-        from repro.perfmodel.kernelcost import measure_graph_savings
+        # what pricing consumes is the post-fusion launch count the
+        # discount is applied to: the frozen profile's must be the live
+        # steady-state graph's launches per replay
+        from repro.ocean import LICOMKpp, ModelParams, demo
 
-        live = measure_graph_savings("tiny", steps=3)
-        assert live == DEFAULT_PROFILE.launches_fused_saved
+        cfg = demo("tiny")
+        model = LICOMKpp(cfg, params=ModelParams(graph=True, check_every=0))
+        try:
+            model.run_steps(3)
+            steady = [g for (startup, _), g in model._graphs.items()
+                      if not startup]
+            live = steady[0].launches_per_replay
+        finally:
+            model.close()
+        nsub = cfg.barotropic_substeps
+        assert DEFAULT_PROFILE.launches_graph(nsub) == live == 30
 
     def test_compute_time_jit_cheaper_under_graph(self):
         m = get_machine("new_sunway")

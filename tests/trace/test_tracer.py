@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.errors import TraceError
+from repro.ocean import demo
 from repro.perfmodel.machines import get_machine
 from repro.trace import (
     Tracer,
@@ -161,6 +162,15 @@ class TestChromeExport:
         assert validate_chrome_trace(trace) == []
 
 
+#: Barotropic sub-steps per step of the tiny demo config.
+NSUB = demo("tiny").barotropic_substeps
+
+
+def continuity_spans(tr) -> int:
+    return sum(1 for s in tr.closed_spans()
+               if s.cat == "kernel" and s.name == "barotropic_continuity")
+
+
 class TestModelTracing:
     def step_model(self, trace=True, graph=False, steps=2):
         from repro.ocean import LICOMKpp, ModelParams, demo
@@ -195,7 +205,8 @@ class TestModelTracing:
         tr = self.step_model()
         names = {i.name for i in tr.instants}
         assert "step_begin" in names
-        assert "barotropic_substep" in names
+        # a barotropic sub-step is its continuity launch
+        assert continuity_spans(tr) == 2 * NSUB
 
     def test_graph_replay_keeps_fused_span_and_substeps(self):
         tr = self.step_model(graph=True, steps=3)  # step 2 replays leapfrog
@@ -204,9 +215,8 @@ class TestModelTracing:
         fused = [s for s in spans if "fused" in s.args]
         assert fused, "fused sweep should trace as one span"
         assert all(len(s.args["fused"]) >= 2 for s in fused)
-        # sub-step markers must survive replay (they ride as host nodes)
-        substeps = [i for i in tr.instants if i.name == "barotropic_substep"]
-        assert len(substeps) >= 3 * 2  # every step, replayed or not
+        # every step has its sub-steps on the timeline, replayed or not
+        assert continuity_spans(tr) == 3 * NSUB
 
     def test_untraced_model_records_nothing(self):
         tr = self.step_model(trace=False)
