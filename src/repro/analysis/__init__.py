@@ -7,10 +7,9 @@ write-write races, stencil footprints inside the declared halo, strict
 memory-space discipline inside functor classes, honest
 ``flops_per_point``/``bytes_per_point`` metadata, and
 ``apply``/``__call__`` alias safety.  *graphcheck* verifies the sealed
-schedule those kernels run in — halo freshness, precision boundaries
-and the host's fences before it touches a launched result, the last
-read off what each host node did at capture.  See DESIGN.md §Static
-analysis.
+schedule those kernels run in — halo freshness, dead work and
+precision boundaries, read off the typed exchange and rotate nodes
+between the launches.  See DESIGN.md §Static analysis.
 
 Entry points:
 

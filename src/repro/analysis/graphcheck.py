@@ -2,13 +2,14 @@
 
 kernelcheck proves properties of one kernel body at a time; this module
 proves properties of the *schedule*: it walks a sealed
-:class:`~repro.kokkos.graph.LaunchGraph` (kernel launches, fused nodes,
-host glue with its :class:`~repro.kokkos.graph.HostEffects` — fences and
-halo refreshes as the model saw the closure perform them at capture,
-buffer rotations as declared; host glue never reads or writes field
-data, every piece of arithmetic is a launch) and
-assigns every ``View`` an abstract version per launch, derived from the
-kernelcheck footprints of each plan part.  A fused node is walked part
+:class:`~repro.kokkos.graph.LaunchGraph` — kernel launches, fused nodes,
+and the two typed non-kernel nodes, whose ``run()`` does exactly what
+the walk reads from them: an :class:`~repro.kokkos.graph.ExchangeNode`
+refreshes the halos of its ``fields``, a
+:class:`~repro.kokkos.graph.RotateNode` permutes the buffers of its
+``triples`` (every piece of arithmetic is a launch) — and assigns every
+``View`` an abstract version per launch, derived from the kernelcheck
+footprints of each plan part.  A fused node is walked part
 by part in capture order — which is how its sweep executes it — so
 fusion needs no rule of its own.  The rule families (see DESIGN.md
 §2.13):
@@ -21,15 +22,13 @@ fusion needs no rule of its own.  The rule families (see DESIGN.md
     Optimization findings: a halo refresh of a view nothing has written
     since its previous refresh, and a kernel write no later node ever
     reads before the next full overwrite.
-``graph-fence``
-    A halo exchange that packs, or a rotation that permutes, a buffer
-    with launches still pending and no ``fence()`` in the node —
-    correct today on the synchronous backends, wrong on any
-    asynchronous plan.  The only check of the model's fences:
-    ``fence()`` is a no-op here, so no run can miss one.
 ``precision-promotion``
     A launch part binding fp32 and fp64 arrays without declaring a
     precision boundary, or accumulating at fp32.
+
+There is no fence rule: both node types fence in their own ``run()``
+before they touch a buffer, so a fence cannot be missing from a sealed
+schedule (``tests/analysis/test_graphcheck.py::TestNodeFences``).
 
 The walk runs :data:`PASSES` passes over the node list so steady-state
 staleness wraps around the step boundary (a captured graph replays in a
@@ -51,14 +50,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kokkos.graph import HostNode, KernelNode, LaunchGraph
+from ..kokkos.graph import ExchangeNode, KernelNode, LaunchGraph, RotateNode
 from ..kokkos.view import View
 from .findings import Finding, Report, Severity
 from .footprint import build_footprint
 from .rules import (
     GRAPH_RULES,
     RULE_DEAD_STORE,
-    RULE_GRAPH_FENCE,
     RULE_PRECISION,
     RULE_REDUNDANT_EXCHANGE,
     RULE_STALE_HALO,
@@ -262,7 +260,7 @@ def certify_precision(graph: LaunchGraph) -> List[Finding]:
 
 
 # --------------------------------------------------------------------------
-# dataflow walk: abstract versions, halo freshness, fence discipline
+# dataflow walk: abstract versions, halo freshness, dead work
 # --------------------------------------------------------------------------
 
 
@@ -284,8 +282,8 @@ class _VState:
 
 
 #: Walks over the node list per check.  A captured graph replays in a
-#: loop, so steady-state staleness and pending launches wrap around the
-#: step boundary; findings are emitted on the last pass only.
+#: loop, so steady-state staleness wraps around the step boundary;
+#: findings are emitted on the last pass only.
 PASSES = 3
 
 
@@ -296,9 +294,6 @@ class _Walker:
         self.graph = graph
         self.states: Dict[int, _VState] = {}
         self.names: Dict[int, str] = {}
-        #: id -> label of the launch/part with unfenced pending access
-        self.pending_writes: Dict[int, str] = {}
-        self.pending_reads: Dict[int, str] = {}
         self.findings: List[Finding] = []
         self.emit = False
         self._seen: set = set()
@@ -328,10 +323,6 @@ class _Walker:
             return
         self._seen.add(f.key)
         self.findings.append(f)
-
-    def _fence(self) -> None:
-        self.pending_writes.clear()
-        self.pending_reads.clear()
 
     # -- geometry helpers --------------------------------------------------
 
@@ -383,8 +374,12 @@ class _Walker:
             for node in self.graph.nodes:
                 if isinstance(node, KernelNode):
                     self._kernel(node)
-                elif isinstance(node, HostNode):
-                    self._host(node)
+                elif isinstance(node, ExchangeNode):
+                    self._exchange(node)
+                elif isinstance(node, RotateNode):
+                    self._rotate(node)
+                else:
+                    raise TypeError(f"graphcheck cannot walk {node!r}")
         return self.findings
 
     def _parts(self, node: KernelNode) -> List[PartAccess]:
@@ -408,7 +403,6 @@ class _Walker:
                 buf = _buffer(obj)
                 st = self._state(obj, _display(obj, name))
                 st.write_read = True
-                self.pending_reads[self._key(obj)] = pa.label
                 ext = vf.horizontal_halo(ndim)
                 if ext > 0 and buf is not None:
                     reach = self._read_reach(node.policy, buf.shape, vf, ndim)
@@ -452,33 +446,14 @@ class _Walker:
                     st.stale_inset = input_stale
                 st.last_write = pa.label
                 st.write_read = False
-                self.pending_writes[self._key(obj)] = pa.label
 
-    def _host(self, node: HostNode) -> None:
-        e = node.effects
-        if e is None:
-            # opaque host glue: assume the worst that keeps the walk
-            # sound — it may have read and fenced everything
-            self._fence()
-            for st in self.states.values():
-                st.write_read = True
-            return
-        if e.fences:
-            self._fence()
-        for obj in e.halo_refresh:
+    def _exchange(self, node: ExchangeNode) -> None:
+        for obj, _, _ in node.fields:
             st = self._state(obj, _display(obj, "halo-field"))
-            key = self._key(obj)
-            if key in self.pending_writes:
-                self._find(
-                    RULE_GRAPH_FENCE, Severity.ERROR, node.label,
-                    self.names[key],
-                    (f"halo exchange packs the result of pending launch "
-                     f"{self.pending_writes[key]!r} without a fence: "
-                     f"undefined on an asynchronous plan"))
             if st.ever_refreshed and st.refreshed_version == st.version:
                 self._find(
                     RULE_REDUNDANT_EXCHANGE, Severity.INFO, node.label,
-                    self.names[key],
+                    self.names[self._key(obj)],
                     ("halo exchange of a view nothing has written since "
                      "its previous refresh: the messages carry no new "
                      "data"))
@@ -486,32 +461,23 @@ class _Walker:
             st.ever_refreshed = True
             st.refreshed_version = st.version
             st.stale_inset = 0
-        for triple in e.rotates:
+
+    def _rotate(self, node: RotateNode) -> None:
+        for triple in node.triples:
             states = [self._state(obj, _display(obj, "rotated"))
                       for obj in triple]
             old, cur, new = (self._key(o) for o in triple)
-            for key in (old, cur, new):
-                pending = self.pending_writes.get(key) or \
-                    self.pending_reads.get(key)
-                if pending is not None:
-                    self._find(
-                        RULE_GRAPH_FENCE, Severity.ERROR, node.label,
-                        self.names[key],
-                        (f"host node rotates a buffer the pending launch "
-                         f"{pending!r} still uses without a fence: "
-                         f"undefined on an asynchronous plan"))
-            s_old, s_cur, s_new = (self.states[k] for k in (old, cur, new))
             # View.rebind permutation: old<-cur, cur<-new, new<-old
             self.states[old], self.states[cur], self.states[new] = \
-                s_cur, s_new, s_old
+                states[1], states[2], states[0]
             for st in states:
                 st.write_read = True   # recycled buffers are not dead
 
 
 def check_graph(graph: LaunchGraph) -> List[Finding]:
     """All graphcheck findings for one sealed graph: the precision
-    discipline plus the multi-pass dataflow walk (stale halos, fence
-    discipline, redundant exchanges, dead stores)."""
+    discipline plus the multi-pass dataflow walk (stale halos, redundant
+    exchanges, dead stores)."""
     if not graph.sealed:
         raise ValueError("check_graph needs a sealed LaunchGraph")
     findings = check_precision(graph)

@@ -23,9 +23,9 @@ records:
     (bypasses the :class:`~repro.kokkos.view.View` space policing, so a
     device-space view silently reads stale host memory), view
     dereferences in functor methods *outside* any kernel body.  (Host
-    accesses that race an in-flight launch — an exchange or a rotation
-    without a fence before it — are a property of the schedule:
-    graphcheck's ``graph-fence``.)
+    accesses that could race an in-flight launch are the exchange and
+    rotate graph nodes, which fence by type: see
+    :mod:`repro.kokkos.graph`.)
 
 ``cost-drift``
     Counted arithmetic ops / distinct memory streams vs the declared
@@ -58,14 +58,13 @@ ALL_RULES = (RULE_RACE, RULE_HALO, RULE_SPACE, RULE_COST, RULE_ALIAS)
 
 # -- whole-schedule rule families (repro.analysis.graphcheck) ---------------
 # Per-kernel rules above see one body at a time; these see the sealed
-# launch graph: halo freshness across the step's exchange schedule, dead
-# work, and fence discipline between async launches and the host nodes
-# (halo exchanges and the leapfrog rotation) that touch their buffers.
+# launch graph: halo freshness across the step's exchange schedule and
+# dead work.  Fences need no rule: the exchange and rotate nodes fence in
+# their own run() (repro.kokkos.graph).
 
 RULE_STALE_HALO = "stale-halo"
 RULE_REDUNDANT_EXCHANGE = "redundant-exchange"
 RULE_DEAD_STORE = "dead-store"
-RULE_GRAPH_FENCE = "graph-fence"
 #: Mixed-precision discipline over the sealed schedule: a launch that
 #: binds both fp32 and fp64 float arrays without declaring itself a
 #: family boundary (``precision_boundary = True`` or an explicit
@@ -77,7 +76,7 @@ RULE_GRAPH_FENCE = "graph-fence"
 RULE_PRECISION = "precision-promotion"
 
 GRAPH_RULES = (RULE_STALE_HALO, RULE_REDUNDANT_EXCHANGE, RULE_DEAD_STORE,
-               RULE_GRAPH_FENCE, RULE_PRECISION)
+               RULE_PRECISION)
 
 
 @dataclass

@@ -11,9 +11,10 @@ in ``tests/analysis``:
    ad-hoc test functors never pollute a lint run);
 3. run the per-kernel rule families over each footprint.
 
-Nothing here looks at the driver: whether the host fences before it
-touches a launched result is a property of the schedule, checked on the
-sealed graph by :mod:`repro.analysis.graphcheck` (``graph-fence``).
+Nothing here looks at the step code: its exchanges and rotate are
+typed graph nodes that fence before they touch a launched result
+(:mod:`repro.kokkos.graph`), and the schedule they form is checked on
+the sealed graph by :mod:`repro.analysis.graphcheck`.
 """
 
 from __future__ import annotations

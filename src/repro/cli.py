@@ -241,16 +241,17 @@ def _report_jit_coverage(model) -> None:
         print("no sealed graph: the model recorded no launch graph "
               "(graph capture off, or no step has run)")
         return
-    from .kokkos.graph import HostNode
+    from .kokkos.graph import ExchangeNode, RotateNode
 
     for (startup, canuto), graph in sorted(sealed.items()):
         variant = ("startup" if startup else "steady") + \
             ("+canuto" if canuto else "")
-        hosts = sum(isinstance(n, HostNode) for n in graph.nodes)
+        exchanges = sum(isinstance(n, ExchangeNode) for n in graph.nodes)
+        rotates = sum(isinstance(n, RotateNode) for n in graph.nodes)
         print(f"graph[{variant}]: {graph.launches_per_replay} launches per "
               f"replay ({graph.captured_launches} captured, "
-              f"{graph.fused_groups} fused groups), {hosts} host nodes "
-              f"(exchanges + rotate)")
+              f"{graph.fused_groups} fused groups), {exchanges} exchanges "
+              f"+ {rotates} rotate")
     # one space seals every variant, so the graphs share one tier
     tiers = {tier for g in sealed.values() for _, tier in g.kernel_tiers()}
     print(f"tier: {', '.join(sorted(tiers))}")

@@ -75,11 +75,11 @@ from .backends import (
     make_backend,
 )
 from .graph import (
+    ExchangeNode,
     FusedTileFunctor,
-    HostEffects,
-    HostNode,
     KernelNode,
     LaunchGraph,
+    RotateNode,
 )
 from .instrument import (
     Instrumentation,
@@ -111,8 +111,8 @@ __all__ = [
     "ExecutionSpace", "SerialBackend", "OpenMPBackend", "AthreadBackend",
     "DeviceBackend", "make_backend", "Reducer", "Sum", "Prod", "Min", "Max",
     # graph capture / workspace arena
-    "LaunchGraph", "KernelNode", "HostNode", "HostEffects", "FusedTileFunctor",
-    "Workspace",
+    "LaunchGraph", "KernelNode", "ExchangeNode", "RotateNode",
+    "FusedTileFunctor", "Workspace",
     # instrumentation / ldm
     "Instrumentation", "KernelStats", "WorkspaceStats",
     "LDMAllocator", "DMAEngine", "SW26010_LDM_BYTES", "double_buffered_time",

@@ -120,10 +120,6 @@ class ExecutionSpace:
         #: :class:`~repro.kokkos.context.ExecutionContext`; every launch
         #: becomes a ``kernel`` span while it is enabled.
         self.tracer = None
-        #: ``fence()`` calls so far.  Graph capture reads it around each
-        #: host closure: whether a host node fences is observed, not
-        #: declared (graphcheck's ``graph-fence`` rule rests on it).
-        self.fences = 0
 
     # -- required API ------------------------------------------------------
 
@@ -135,8 +131,8 @@ class ExecutionSpace:
 
     def fence(self) -> None:
         """Wait for all outstanding work (the synchronous backends have
-        none to wait for; the call is counted)."""
-        self.fences += 1
+        none to wait for).  Exchange and rotate graph nodes call it
+        before they touch a buffer (:mod:`repro.kokkos.graph`)."""
 
     # -- shared helpers ----------------------------------------------------
 

@@ -4,12 +4,15 @@ The Kokkos-Graphs / CUDA-Graphs idiom, applied to the Python dispatch
 path: the model records one baroclinic step's launch sequence — labels,
 normalised policies and *bound functor instances* — then subsequent
 steps ``replay()`` through per-backend :class:`~.backends.base.LaunchPlan`
-objects with near-zero dispatch work.  Host-side glue between launches
-is captured as :class:`HostNode` closures and replayed in sequence, so
-the graph reproduces the eager step exactly.  In the ocean model that
-glue is only halo exchanges and the leapfrog rotation: every piece of
+objects with near-zero dispatch work.  Between launches a step has only
+two other kinds of node, each typed by what it does: an
+:class:`ExchangeNode` (one fused halo exchange, the paper's §V-D step)
+and a :class:`RotateNode` (the leapfrog buffer rotation).  Every piece of
 step arithmetic is a launch, as in LICOMK++ where only the exchange
-leaves the device.
+leaves the device.  A node's ``run()`` is the one entry point for the
+eager step, the capture and every replay, and it fences the space
+before it touches a buffer — so the graph reproduces the eager step
+exactly and a node cannot forget its fence.
 
 Two mechanisms keep replay valid across steps:
 
@@ -24,8 +27,9 @@ Two mechanisms keep replay valid across steps:
 
 On top of the recording, :meth:`LaunchGraph.seal` fuses every maximal
 run of adjacent untiled ``parallel_for`` launches with identical
-iteration ranges and no host node between them into one launch — one
-spawn/join on the CPEs, one kernel launch on the GPU, instead of N.
+iteration ranges and no exchange or rotate between them into one
+launch — one spawn/join on the CPEs, one kernel launch on the GPU,
+instead of N.
 The fused launch's plan runs each part over the *whole range* before
 the next part starts (:func:`repro.kokkos.jit.compile_sweep`), in
 capture order: that is the eager launch sequence, so the fusion is
@@ -44,7 +48,7 @@ label and a tiled ``run_for`` is never handed a dependent chain.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .backends.base import (
     ExecutionSpace,
@@ -113,48 +117,71 @@ class KernelNode:
         return [(self.label, self.functor)]
 
 
-class HostEffects:
-    """Dataflow effects of one host node.
+class ExchangeNode:
+    """One halo exchange of several fields: a step of the schedule.
 
-    Host closures are opaque to static analysis, so the node carries
-    what its closure does to the views the launches around it touch;
-    the graphcheck verifier walks these between launches.
-
-    ``halo_refresh`` are views whose ghost cells the closure exchanges
-    (an implicit interior read); ``rotates`` are ``(old, cur, new)``
-    view triples whose *buffers* the closure permutes (leapfrog
-    rotation); ``fences`` is True when the closure fences the space
-    before touching any data.  A node recorded without effects is
-    treated as an opaque barrier.  There is no host read or write of
-    field data: arithmetic is a launch.
-
-    This is plain data.  A hand-built graph states all three; the model
-    declares only ``rotates`` and fills in ``fences`` and
-    ``halo_refresh`` from what it saw the closure do while capturing
-    (``LICOMKpp._host``), because on backends whose ``fence()`` is a
-    no-op a declared fence could never be caught missing.
+    ``fields`` are ``(view, sign, fill)`` triples that travel together in
+    one message per neighbour per phase (``halo2`` / ``halo3`` by the
+    fields' rank).  :meth:`run` is all the node does, and all graphcheck
+    reads from it: the fields' ghost cells are refreshed, nothing else.
+    On a space that is not host-accessible each field's ghost ring is
+    staged through the host (the paper's systems lack GPU-aware MPI,
+    §V-D); the per-field byte counts are fixed at construction.
     """
 
-    __slots__ = ("halo_refresh", "rotates", "fences")
+    __slots__ = ("label", "space", "halo", "fields", "phase", "staging")
 
-    def __init__(self, halo_refresh: Sequence = (), rotates: Sequence = (),
-                 fences: bool = False) -> None:
-        self.halo_refresh = tuple(halo_refresh)
-        self.rotates = tuple(tuple(r) for r in rotates)
-        self.fences = bool(fences)
-
-
-class HostNode:
-    """Host-side glue replayed verbatim between launches."""
-
-    __slots__ = ("fn", "label", "effects")
-
-    def __init__(self, fn: Callable[[], None], label: str = "host",
-                 effects: Optional[HostEffects] = None) -> None:
-        self.fn = fn
+    def __init__(self, label: str, space: ExecutionSpace, halo,
+                 fields: Sequence) -> None:
         self.label = label
-        #: Dataflow effects (None = opaque barrier).
-        self.effects = effects
+        self.space = space
+        self.halo = halo
+        self.fields = tuple(fields)
+        self.phase = f"halo{self.fields[0][0].ndim}"
+        h = halo.decomp.halo
+        #: Device staging bytes per field, each way (empty on host spaces).
+        self.staging = () if space.memory_space.host_accessible else tuple(
+            (v.shape[0] if v.ndim == 3 else 1) * 2 * h
+            * (v.shape[-2] + v.shape[-1]) * float(v.raw.itemsize)
+            for v, _, _ in self.fields)
+
+    def run(self) -> None:
+        self.space.fence()   # the exchange packs results of in-flight launches
+        if self.staging:
+            tr = self.space.inst.transfers
+            for nbytes in self.staging:
+                tr.record_d2h(nbytes)
+                tr.record_h2d(nbytes)
+        # looked up per run: an instrumented updater may wrap the method
+        self.halo.update_many([(v.raw, sign, fill)
+                               for v, sign, fill in self.fields],
+                              phase=self.phase)
+
+
+class RotateNode:
+    """The leapfrog rotation: a permutation of buffers beneath views.
+
+    For each ``(old, cur, new)`` triple, :meth:`run` rebinds
+    old <- cur, cur <- new, new <- old (``View.rebind``), so functors
+    bound at capture keep seeing the advancing time levels and the
+    rotation never forces a re-capture.
+    """
+
+    __slots__ = ("space", "triples")
+
+    label = "rotate"
+
+    def __init__(self, space: ExecutionSpace, triples: Sequence) -> None:
+        self.space = space
+        self.triples = tuple(tuple(t) for t in triples)
+
+    def run(self) -> None:
+        self.space.fence()   # launches may still use the buffers that move
+        for old, cur, new in self.triples:
+            a_old = old.raw
+            old.rebind(cur.raw)
+            cur.rebind(new.raw)
+            new.rebind(a_old)
 
 
 class LaunchGraph:
@@ -172,25 +199,23 @@ class LaunchGraph:
 
     # -- capture -----------------------------------------------------------
 
-    def add_kernel(self, label: str, policy, functor) -> None:
+    def add(self, node) -> None:
+        """Record one node: a :class:`KernelNode`, :class:`ExchangeNode`
+        or :class:`RotateNode`."""
         if self.sealed:
             raise RuntimeError("cannot record into a sealed LaunchGraph")
-        self.nodes.append(KernelNode(label, as_md(policy), functor))
-        self.captured_launches += 1
-
-    def add_host(self, fn: Callable[[], None], label: str = "host",
-                 effects: Optional[HostEffects] = None) -> HostNode:
-        if self.sealed:
-            raise RuntimeError("cannot record into a sealed LaunchGraph")
-        node = HostNode(fn, label, effects)
         self.nodes.append(node)
-        return node
+        if isinstance(node, KernelNode):
+            self.captured_launches += 1
+
+    def add_kernel(self, label: str, policy, functor) -> None:
+        self.add(KernelNode(label, as_md(policy), functor))
 
     # -- fusion ------------------------------------------------------------
 
     def _fuse_nodes(self, nodes: List[object]) -> List[object]:
         """Merge each maximal run of adjacent untiled same-range launches
-        (no host node between them) into one fused node."""
+        (no exchange or rotate between them) into one fused node."""
         out: List[object] = []
         run: List[KernelNode] = []
 
@@ -254,7 +279,7 @@ class LaunchGraph:
                 if isinstance(node, KernelNode):
                     run_plan(node.plan)
                 else:
-                    node.fn()
+                    node.run()
         self.replays += 1
 
     # -- introspection -----------------------------------------------------
@@ -299,8 +324,8 @@ class LaunchGraph:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        hosts = sum(1 for n in self.nodes if isinstance(n, HostNode))
+        steps = len(self.nodes) - self.launches_per_replay
         return (f"LaunchGraph(launches={self.launches_per_replay}, "
-                f"hosts={hosts}, captured={self.captured_launches}, "
+                f"exchanges+rotates={steps}, captured={self.captured_launches}, "
                 f"fused_groups={self.fused_groups}, "
                 f"compiled={self.compiled_launches}, sealed={self.sealed})")

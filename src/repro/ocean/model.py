@@ -25,17 +25,18 @@ agree bitwise with the single-rank run (enforced by tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..errors import StabilityError
 from ..kokkos import (
     ExecutionContext,
+    ExchangeNode,
     ExecutionSpace,
-    HostEffects,
     LaunchGraph,
     MDRangePolicy,
+    RotateNode,
     View,
     kokkos_register_for,
 )
@@ -307,9 +308,6 @@ class LICOMKpp:
         self._graphs: Dict[tuple, LaunchGraph] = \
             self.context.graph_cache.setdefault(("licomkpp", id(self)), {})
         self._capture: Optional[LaunchGraph] = None
-        #: views the halo helpers were handed while the host closure
-        #: being captured ran (see _host)
-        self._exchanged: List[View] = []
         self._graph_captures = 0
 
         # -- policies ---------------------------------------------------------
@@ -394,48 +392,6 @@ class LICOMKpp:
         self.state.kappa_h.raw[...] = KAPPA_H_BACKGROUND
 
     # ------------------------------------------------------------------
-    # halo helpers (ledger device copies: no GPU-aware MPI on these systems)
-    # ------------------------------------------------------------------
-
-    def _ledger_halo(self, nbytes: float) -> None:
-        if not self.space.memory_space.host_accessible:
-            tr = self.space.inst.transfers
-            tr.record_d2h(nbytes)
-            tr.record_h2d(nbytes)
-
-    def _halo3_group(self, specs) -> None:
-        """Halo-update several 3-D fields in one fused exchange (one
-        message per neighbour per phase, persistent pack buffers).
-
-        ``specs`` is a list of ``(view, sign, fill)`` triples.
-        """
-        self.space.fence()  # exchange reads results of in-flight launches
-        if self._capture is not None:
-            self._exchanged += [v for v, _, _ in specs]
-        d = self.domain
-        h = d.halo
-        fields = []
-        for v, sign, fill in specs:
-            nz = v.raw.shape[0]
-            self._ledger_halo(nz * 2 * h * (d.ly + d.lx)
-                              * float(v.raw.itemsize))
-            fields.append((v.raw, sign, fill))
-        self.halo.update_many(fields, phase="halo3")
-
-    def _halo2_group(self, specs) -> None:
-        """2-D counterpart of :meth:`_halo3_group`."""
-        self.space.fence()  # exchange reads results of in-flight launches
-        if self._capture is not None:
-            self._exchanged += [v for v, _, _ in specs]
-        d = self.domain
-        h = d.halo
-        fields = []
-        for v, sign, fill in specs:
-            self._ledger_halo(2 * h * (d.ly + d.lx) * float(v.raw.itemsize))
-            fields.append((v.raw, sign, fill))
-        self.halo.update_many(fields, phase="halo2")
-
-    # ------------------------------------------------------------------
     # launch routing (eager / graph capture / graph replay)
     # ------------------------------------------------------------------
 
@@ -463,32 +419,16 @@ class LICOMKpp:
         else:
             self._run("precision_cast", policy, CastFunctor(src, dst))
 
-    def _host(self, fn, label: str = "host",
-              effects: Optional[HostEffects] = None) -> None:
-        """Run host-side glue, recording the closure when capturing.
+    def _node(self, node) -> None:
+        """Run an exchange or rotate node, recording it when capturing."""
+        if self._capture is not None:
+            self._capture.add(node)
+        node.run()
 
-        Host glue is a halo exchange or the leapfrog ``rotate``; all
-        step arithmetic is launched.  ``effects`` declares the buffer
-        rotations for the graphcheck verifier.  Whether the closure
-        fences and which views it halo-exchanges is not declared: the
-        capturing run of ``fn`` is watched and what it did is written
-        into the node's effects — closures replay verbatim, so that is
-        what every replay does.  A node that declares nothing and
-        exchanges nothing stays an opaque barrier, which is sound but
-        hides schedule bugs from the dataflow walk.
-        """
-        if self._capture is None:
-            fn()
-            return
-        node = self._capture.add_host(fn, label, effects)
-        fenced = self.space.fences
-        self._exchanged = []
-        fn()
-        if node.effects is None and self._exchanged:
-            node.effects = HostEffects()
-        if node.effects is not None:
-            node.effects.fences = self.space.fences != fenced
-            node.effects.halo_refresh = tuple(self._exchanged)
+    def _exchange(self, label: str, fields) -> None:
+        """Halo-update ``fields`` — ``(view, sign, fill)`` triples — in
+        one fused exchange (one message per neighbour per phase)."""
+        self._node(ExchangeNode(label, self.space, self.halo, fields))
 
     def _binding_signature(self) -> tuple:
         """Identity of everything a captured graph bakes into functors.
@@ -576,7 +516,8 @@ class LICOMKpp:
             )
 
     def _step_body(self, dt2: float, canuto: bool) -> None:
-        """The step's launch/host sequence (run eagerly, maybe recorded)."""
+        """The step's launches, exchanges and rotate (run eagerly, maybe
+        recorded)."""
         st = self.state
         d = self.domain
         run = self._run
@@ -634,7 +575,8 @@ class LICOMKpp:
                     CoriolisRotationFunctor(st.u.new, st.v.new,
                                             st.u.old, st.v.old,
                                             self.dom_momentum, dt2))
-            self._host(self._halo_uv_new, "halo_momentum")
+            self._exchange("halo_momentum", [(st.u.new, -1.0, 0.0),
+                                             (st.v.new, -1.0, 0.0)])
 
             # -- split-explicit barotropic mode -----------------------------
             with self.timers.timer("barotropic"):
@@ -652,27 +594,9 @@ class LICOMKpp:
                         AsselinFilterFunctor(f.old, f.cur, f.new, a))
                 run("asselin_filter_ssh", self.p_full2,
                     _Asselin2D(st.ssh.old, st.ssh.cur, st.ssh.new, a))
-                self._host(self._rotate_state, "rotate",
-                           HostEffects(
-                               rotates=[(f.old, f.cur, f.new) for f in
-                                        st.leapfrog_fields().values()]))
-
-    # -- host-side glue (captured as graph host nodes) -------------------
-
-    def _halo_uv_new(self) -> None:
-        st = self.state
-        with self.timers.timer("halo_momentum"):
-            self._halo3_group([(st.u.new, -1.0, 0.0), (st.v.new, -1.0, 0.0)])
-
-    def _halo_ubvb(self) -> None:
-        st = self.state
-        self._halo2_group([(st.ub, -1.0, 0.0), (st.vb, -1.0, 0.0)])
-
-    def _rotate_state(self) -> None:
-        # retire all launches before the host-side rotate and the
-        # NaN check read the prognostic fields
-        self.space.fence()
-        self.state.rotate()
+                self._node(RotateNode(
+                    self.space, [(f.old, f.cur, f.new)
+                                 for f in st.leapfrog_fields().values()]))
 
     def _run_canuto(self) -> None:
         st = self.state
@@ -731,12 +655,12 @@ class LICOMKpp:
                 BarotropicContinuityFunctor(
                     st.ub, st.vb, eta_in, eta, self.hu, dom_b, dtb,
                     eta_diff=self.eta_diff))
-            self._host(lambda eta=eta: self._halo2_group([(eta, 1.0, 0.0)]),
-                       "halo_eta")
+            self._exchange("halo_eta", [(eta, 1.0, 0.0)])
             run("barotropic_momentum", self.p_int2,
                 BarotropicMomentumFunctor(st.ub, st.vb, eta, self.gx,
                                           self.gy, dom_b, dtb))
-            self._host(self._halo_ubvb, "halo_ubvb")
+            self._exchange("halo_ubvb", [(st.ub, -1.0, 0.0),
+                                         (st.vb, -1.0, 0.0)])
             eta_in = eta
 
         # re-attach the subcycled barotropic mode
@@ -746,7 +670,8 @@ class LICOMKpp:
             AddBarotropicFunctor(st.u.new, self.ub_mom, self.dom_momentum))
         run("add_barotropic_v", self.p_full3,
             AddBarotropicFunctor(st.v.new, self.vb_mom, self.dom_momentum))
-        self._host(self._halo_uv_new, "halo_momentum")
+        self._exchange("halo_momentum", [(st.u.new, -1.0, 0.0),
+                                         (st.v.new, -1.0, 0.0)])
 
     def _tracer_suite(self, dt2: float) -> None:
         """Advance every tracer (T, S, passives) one step.
@@ -778,40 +703,23 @@ class LICOMKpp:
         work, tst = self.tdiff_work_all, self.tstar_all
         rp, rm = self.rplus_all, self.rminus_all
 
-        def halo_work() -> None:
-            with self.timers.timer("halo_tracer"):
-                self._halo3_group([(work[i], 1.0, 0.0) for i in range(n)])
-
-        def halo_tstar() -> None:
-            with self.timers.timer("halo_tracer"):
-                self._halo3_group([(tst[i], 1.0, 0.0) for i in range(n)])
-
-        def halo_limits() -> None:
-            with self.timers.timer("halo_tracer"):
-                self._halo3_group([(rp[i], 1.0, 1.0) for i in range(n)]
-                                  + [(rm[i], 1.0, 1.0) for i in range(n)])
-
-        def halo_new() -> None:
-            with self.timers.timer("halo_tracer"):
-                self._halo3_group([(fld.new, 1.0, 0.0) for fld, _, _ in tracers])
-
         # stage 1 — diffuse-then-advect: work = old + dt * div(k grad old)
         for i, (fld, _, _) in enumerate(tracers):
             run("tracer_hdiff", self.p_int2,
                 TracerHDiffusionFunctor(fld.old, work[i], d, dt2, self.tdiff))
-        self._host(halo_work, "halo_tracer")
+        self._exchange("halo_tracer", [(w, 1.0, 0.0) for w in work])
         # stage 2 — low-order predictor
         for i in range(n):
             run("advect_tracer_predictor", self.p_int2,
                 AdvectPredictorFunctor(work[i], self.u_tr, self.v_tr,
                                        self.w_tr, tst[i], d, dt2))
-        self._host(halo_tstar, "halo_tracer")
+        self._exchange("halo_tracer", [(t, 1.0, 0.0) for t in tst])
         # stage 3 — FCT limiters: every tracer's R+ and R- in one message
         for i in range(n):
             run("advect_tracer_limits", self.p_int2,
                 FCTLimitFunctor(work[i], tst[i], self.u_tr, self.v_tr,
                                 self.w_tr, rp[i], rm[i], d, dt2))
-        self._host(halo_limits, "halo_tracer")
+        self._exchange("halo_tracer", [(r, 1.0, 1.0) for r in rp + rm])
         # stage 4 — limited apply + implicit vertical operator
         for i, (fld, star2d, gamma) in enumerate(tracers):
             run("advect_tracer_apply", self.p_int2,
@@ -820,7 +728,8 @@ class LICOMKpp:
             run("vertical_tracer_diffusion", self.p_int2,
                 VerticalTracerDiffusionFunctor(fld.new, self.kappa_h_tr,
                                                star2d, gamma, d, dt2))
-        self._host(halo_new, "halo_tracer")
+        self._exchange("halo_tracer",
+                       [(fld.new, 1.0, 0.0) for fld, _, _ in tracers])
 
     # ------------------------------------------------------------------
     # driving and output

@@ -23,7 +23,11 @@ from .precision import PrecisionPolicy, resolve_precision
 
 
 class LeapfrogField:
-    """One prognostic field at three time levels (old / cur / new)."""
+    """One prognostic field at three time levels (old / cur / new).
+
+    The model's :class:`~repro.kokkos.graph.RotateNode` advances it a
+    step by swapping the buffers beneath these three stable views.
+    """
 
     __slots__ = ("name", "old", "cur", "new")
 
@@ -33,20 +37,6 @@ class LeapfrogField:
         self.old = View(f"{name}_old", shape, dtype=dtype, space=space)
         self.cur = View(f"{name}_cur", shape, dtype=dtype, space=space)
         self.new = View(f"{name}_new", shape, dtype=dtype, space=space)
-
-    def rotate(self) -> None:
-        """Advance one step: cur -> old, new -> cur (buffers recycled).
-
-        Rotation swaps the *buffers* beneath stable ``View`` objects
-        (``View.rebind``) rather than reassigning the ``old/cur/new``
-        attributes.  Functor instances bound to these views at graph
-        capture time therefore keep seeing the advancing time levels —
-        leapfrog rotation never invalidates a captured launch graph.
-        """
-        a_old, a_cur, a_new = self.old.raw, self.cur.raw, self.new.raw
-        self.old.rebind(a_cur)
-        self.cur.rebind(a_new)
-        self.new.rebind(a_old)
 
     def set_initial(self, value: np.ndarray) -> None:
         """Initialise both old and cur levels to ``value``."""
@@ -122,11 +112,6 @@ class ModelState:
         for i, p in enumerate(self.passive):
             out[f"ptracer{i}"] = p
         return out
-
-    def rotate(self) -> None:
-        """Advance all leapfrog fields one step."""
-        for f in self.leapfrog_fields().values():
-            f.rotate()
 
     def has_nan(self) -> bool:
         """True when any current-level prognostic field contains NaN/Inf."""

@@ -2,9 +2,9 @@
 
 The graphcheck golden tests (``test_graphcheck.py``) assemble these
 into small :class:`~repro.kokkos.graph.LaunchGraph` schedules that each
-violate exactly one graphcheck rule family — a seeded cross-launch
-race, a stale-halo read, a redundant exchange, a dead store, a missing
-fence — so the tests can assert the verifier reports *exactly* the
+violate exactly one graphcheck rule family — a stale-halo read, a
+redundant exchange, a dead store, a silent precision promotion — so
+the tests can assert the verifier reports *exactly* the
 intended finding.  The bodies themselves are honest (kernelcheck-clean);
 only the *schedules* built from them are broken.
 """

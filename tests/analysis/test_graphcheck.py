@@ -1,18 +1,20 @@
-"""graphcheck: golden broken graphs, verifier soundness and seed-model
-cleanliness.
+"""graphcheck: golden broken graphs, verifier soundness, node fences and
+seed-model cleanliness.
 
-Three layers of coverage:
+Four layers of coverage:
 
 * **Golden schedules** — small hand-built launch graphs each violating
   exactly one graphcheck rule family (stale-halo read, redundant
-  exchange, dead store, missing fence), asserting the verifier reports
-  exactly the intended finding.  Adjacent launches seal into one fused
-  node, so the goldens also pin that a fused node is walked part by
-  part, under each part's own label.
-* **Verifier soundness** — the production model with one fence or one
-  exchanged field left out: the verifier must name the host node.  The
-  synchronous backends run such a model bit-for-bit like the correct
-  one, so no other test can.
+  exchange, dead store), asserting the verifier reports exactly the
+  intended finding.  Adjacent launches seal into one fused node, so the
+  goldens also pin that a fused node is walked part by part, under each
+  part's own label.
+* **Verifier soundness** — the production model with one exchanged
+  field left out: the verifier must name the stale read from the
+  sealed schedule alone.
+* **Node fences** — fences are a property of the node types, checked
+  by spying on each type's ``run()``: ``fence()`` is a no-op on the
+  synchronous backends, so no run can miss one.
 * **Seed model** — the tiny demo model's sealed step graphs walk clean
   on every backend, both swept (the concrete backend) and replayed
   unfused through ``run_for`` (an intercepting subclass of it).
@@ -25,18 +27,18 @@ from repro.analysis.graphcheck import check_graph, run_graphcheck
 from repro.analysis.rules import (
     GRAPH_RULES,
     RULE_DEAD_STORE,
-    RULE_GRAPH_FENCE,
     RULE_REDUNDANT_EXCHANGE,
     RULE_STALE_HALO,
 )
 from repro.kokkos import (
-    HostEffects,
+    ExchangeNode,
     LaunchGraph,
     MDRangePolicy,
+    RotateNode,
     View,
     make_backend,
 )
-from tests.conftest import intercepting
+from tests.conftest import FakeHalo, intercepting
 from tests.analysis.broken_graph import (
     AccumulateFunctor,
     PointCopyFunctor,
@@ -60,21 +62,22 @@ P_INT = MDRangePolicy([(1, N - 1), (1, N - 1)])
 
 
 def sealed(space, *records):
-    """Build + seal a graph from ('k', label, policy, functor) and
-    ('h', label, effects) records."""
+    """Build + seal a graph from ('k', label, policy, functor) launches
+    and ('x', label, *views) exchanges over a fake halo."""
     graph = LaunchGraph(space)
-    for kind, *args in records:
+    for kind, label, *args in records:
         if kind == "k":
-            graph.add_kernel(*args)
+            graph.add_kernel(label, *args)
         else:
-            graph.add_host(lambda: None, args[0], args[1])
+            graph.add(ExchangeNode(label, space, FakeHalo(),
+                                   [(v, 1.0, 0.0) for v in args]))
     return graph.seal()
 
 
 def sink(*vs):
-    """A fenced exchange of ``vs`` — keeps final writes from looking
-    dead when the schedule wraps around."""
-    return ("h", "sink", HostEffects(halo_refresh=vs, fences=True))
+    """An exchange of ``vs`` — keeps final writes from looking dead when
+    the schedule wraps around."""
+    return ("x", "sink", *vs)
 
 
 class TestGoldenSchedules:
@@ -97,7 +100,7 @@ class TestGoldenSchedules:
         findings = check_graph(sealed(
             space,
             ("k", "writer", P_INT, PointCopyFunctor(g, f)),
-            ("h", "halo_f", HostEffects(halo_refresh=(f,), fences=True)),
+            ("x", "halo_f", f),
             ("k", "reader", P_INT, WestReadFunctor(f, out)),
             sink(out)))
         assert findings == []
@@ -107,63 +110,28 @@ class TestGoldenSchedules:
         findings = check_graph(sealed(
             space,
             ("k", "writer", P_INT, PointCopyFunctor(g, f)),
-            ("h", "halo_f", HostEffects(halo_refresh=(f,), fences=True)),
-            ("h", "halo_again", HostEffects(halo_refresh=(f,), fences=True)),
+            ("x", "halo_f", f),
+            ("x", "halo_again", f),
             ("k", "reader", P_INT, WestReadFunctor(f, out)),
             sink(out)))
         assert [x.rule for x in findings] == [RULE_REDUNDANT_EXCHANGE]
         assert findings[0].severity == Severity.INFO
         assert findings[0].kernel == "halo_again"
 
-    def test_missing_fence_before_host_read_fires(self, space, views):
-        # an exchange packs (reads) the interior the launch still writes
-        f, g = views["f"], views["g"]
-        findings = check_graph(sealed(
-            space,
-            ("k", "writer", P_INT, PointCopyFunctor(g, f)),
-            ("h", "peek", HostEffects(halo_refresh=(f,)))))
-        assert [x.rule for x in findings] == [RULE_GRAPH_FENCE]
-        assert findings[0].severity == Severity.ERROR
-        assert "writer" in findings[0].detail
-
-    def test_fenced_host_read_is_clean(self, space, views):
-        f, g = views["f"], views["g"]
-        findings = check_graph(sealed(
-            space,
-            ("k", "writer", P_INT, PointCopyFunctor(g, f)),
-            ("h", "peek", HostEffects(halo_refresh=(f,), fences=True))))
-        assert findings == []
-
-    def test_unfenced_rotation_fires(self, space, views):
-        # rotation hands the pending launch's buffers to other views:
-        # it races both the launch's read (g) and its write (f)
-        f, g, out = views["f"], views["g"], views["out"]
-
-        def rotated(fences):
-            return check_graph(sealed(
-                space,
-                ("k", "writer", P_INT, PointCopyFunctor(g, f)),
-                ("h", "rotate", HostEffects(rotates=[(f, g, out)],
-                                            fences=fences))))
-
-        findings = rotated(fences=False)
-        assert {x.rule for x in findings} == {RULE_GRAPH_FENCE}
-        assert {(x.kernel, x.view) for x in findings} == \
-            {("rotate", "f"), ("rotate", "g")}
-        assert rotated(fences=True) == []
-
     def test_hazard_across_the_step_boundary_fires(self, space, views,
                                                    monkeypatch):
-        # a sealed graph replays in a loop: the launch at the tail is
-        # still pending when the next replay's head reads its output
-        f, g = views["f"], views["g"]
+        # a sealed graph replays in a loop: the interior write at the
+        # tail leaves the ring stale for the next replay's head reader
+        f, g, out = views["f"], views["g"], views["out"]
         graph = sealed(
             space,
-            ("h", "peek", HostEffects(halo_refresh=(f,))),
+            ("k", "reader", P_INT, WestReadFunctor(f, out)),
+            sink(out),
             ("k", "writer", P_INT, PointCopyFunctor(g, f)))
         findings = check_graph(graph)
-        assert [x.rule for x in findings] == [RULE_GRAPH_FENCE]
-        assert findings[0].kernel == "peek" and "writer" in findings[0].detail
+        assert [(x.rule, x.kernel, x.view) for x in findings] == \
+            [(RULE_STALE_HALO, "reader", "f")]
+        assert "'writer'" in findings[0].detail
         # ... which only the wrap-around passes can see
         monkeypatch.setattr(graphcheck, "PASSES", 1)
         assert check_graph(graph) == []
@@ -188,17 +156,6 @@ class TestGoldenSchedules:
             sink(f)))
         assert findings == []
 
-    def test_opaque_host_node_is_a_sound_barrier(self, space, views):
-        # an undeclared host node may have read and fenced everything:
-        # the stale write/read pair around it must not report
-        f, g = views["f"], views["g"]
-        findings = check_graph(sealed(
-            space,
-            ("k", "writer", P_INT, PointCopyFunctor(g, f)),
-            ("h", "mystery", None),
-            ("h", "peek", HostEffects(halo_refresh=(f,)))))
-        assert [x.rule for x in findings if x.rule == RULE_GRAPH_FENCE] == []
-
 
 def captured_graphs(model_cls):
     """(model, its two sealed step graphs) on the tiny serial config."""
@@ -221,84 +178,53 @@ def errors_of(model_cls):
         model.close()
 
 
-def without_fence(method):
-    """The model with the ``space.fence()`` of ``method`` left out."""
-    from repro.ocean import LICOMKpp
-
-    def override(self, *args):
-        self.space.fence = lambda: None
-        try:
-            return getattr(LICOMKpp, method)(self, *args)
-        finally:
-            del self.space.fence
-
-    return type("Unfenced", (LICOMKpp,), {method: override})
-
-
 class TestVerifierSoundness:
-    """``fence()`` is a no-op on every backend, so a model that forgets
-    one runs identically: only the verifier can fail, and it must."""
-
-    #: method that fences -> host nodes that rely on that fence
-    FENCES = {
-        "_halo3_group": {"halo_momentum", "halo_tracer"},
-        "_halo2_group": {"halo_eta", "halo_ubvb"},
-        "_rotate_state": {"rotate"},
-    }
-
-    @pytest.mark.parametrize("method", sorted(FENCES))
-    def test_dropped_fence_names_the_host_node(self, method):
-        errors = errors_of(without_fence(method))
-        assert {f.rule for f in errors} == {RULE_GRAPH_FENCE}
-        assert {f.kernel for f in errors} == self.FENCES[method]
+    """A schedule bug seeded into the production model: the verifier
+    must name it from the sealed graph alone."""
 
     def test_forgotten_exchange_field_is_a_stale_halo(self):
         from repro.ocean import LICOMKpp
 
         class ForgetsVb(LICOMKpp):
-            def _halo_ubvb(self):
-                self._halo2_group([(self.state.ub, -1.0, 0.0)])
+            def _exchange(self, label, fields):
+                if label == "halo_ubvb":
+                    fields = [x for x in fields if x[0] is not self.state.vb]
+                super()._exchange(label, fields)
 
         errors = errors_of(ForgetsVb)
         assert errors
         assert {(f.rule, f.view) for f in errors} == {(RULE_STALE_HALO, "vb")}
 
-    def test_observed_effects_match_an_independent_recount(self):
-        # re-run every captured host closure under spies on the space
-        # and the halo updater: what the node is recorded to do is what
-        # its closure does
-        from repro.kokkos.graph import HostNode
-        from repro.ocean import LICOMKpp
 
-        model, graphs = captured_graphs(LICOMKpp)
-        fences, packed = [], []
-        update_many = model.halo.update_many
+class TestNodeFences:
+    """Each node type fences before it touches a buffer, so no sealed
+    schedule can miss a fence.  ``fence()`` is a no-op on every backend
+    and a node without one runs identically: a spy on the call order is
+    the check."""
 
-        def spy_update(fields, phase=None):
-            packed.extend(arr for arr, _, _ in fields)
-            update_many(fields, phase=phase)
+    @pytest.fixture()
+    def events(self, space):
+        log = []
+        space.fence = lambda: log.append("fence")
+        return log
 
-        model.space.fence = lambda: fences.append(1)
-        model.halo.update_many = spy_update
-        exchanges = []
-        try:
-            for graph in graphs:
-                for node in graph.nodes:
-                    if not isinstance(node, HostNode):
-                        continue
-                    del fences[:], packed[:]
-                    node.fn()
-                    assert node.effects is not None, node.label
-                    assert node.effects.fences == bool(fences), node.label
-                    refreshed = node.effects.halo_refresh
-                    assert len(refreshed) == len(packed), node.label
-                    assert all(v.raw is arr
-                               for v, arr in zip(refreshed, packed)), node.label
-                    if packed:
-                        exchanges.append(node.label)
-        finally:
-            model.close()
-        assert exchanges and all(x.startswith("halo_") for x in exchanges)
+    def test_exchange_node_fences_before_update_many(self, space, views,
+                                                     events):
+        f = views["f"]
+        ExchangeNode("halo_f", space, FakeHalo(events), [(f, 1.0, 0.0)]).run()
+        assert events == ["fence", ("halo2", [(f.raw, 1.0, 0.0)])]
+
+    def test_rotate_node_fences_before_rebind(self, space, views, events,
+                                              monkeypatch):
+        rebind = View.rebind
+
+        def spy(view, array):
+            events.append("rebind")
+            rebind(view, array)
+
+        monkeypatch.setattr(View, "rebind", spy)
+        RotateNode(space, [(views["f"], views["g"], views["out"])]).run()
+        assert events == ["fence"] + ["rebind"] * 3
 
 
 BACKENDS = ("serial", "openmp", "athread", "cuda")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,19 @@ def intercepting(backend: str):
     space = Intercepting(kind=backend) if backend == "cuda" else Intercepting()
     space.seen = []
     return space
+
+
+class FakeHalo:
+    """Stands in for a :class:`HaloUpdater` under an ``ExchangeNode``:
+    each ``update_many`` is logged as ``(phase, fields)`` into ``log``
+    (shared with the caller when given) instead of exchanged."""
+
+    def __init__(self, log=None, halo: int = 1) -> None:
+        self.log = [] if log is None else log
+        self.decomp = SimpleNamespace(halo=halo)
+
+    def update_many(self, fields, phase=None) -> None:
+        self.log.append((phase, list(fields)))
 
 
 def halo_update(comm, decomp, arr, sign=1.0, fill=0.0):

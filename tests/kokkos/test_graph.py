@@ -24,10 +24,10 @@ from repro.kokkos import (
     View,
     kokkos_register_for,
 )
-from repro.kokkos.graph import LaunchGraph
+from repro.kokkos.graph import ExchangeNode, LaunchGraph, RotateNode
 from repro.kokkos.spaces import DeviceSpace
 from repro.kokkos.workspace import Workspace
-from tests.conftest import intercepting
+from tests.conftest import FakeHalo, intercepting
 
 
 @kokkos_register_for("graphtest_scale", ndim=2)
@@ -89,11 +89,13 @@ class StencilFunctor:
 
 
 def _record_sequence(graph: LaunchGraph, x: View, events: list) -> None:
-    """The reference three-launch sequence used by the fusion tests."""
+    """The reference three-launch sequence used by the fusion tests: an
+    exchange of ``x`` (logged into ``events``) separates the last launch."""
     pol = MDRangePolicy([(0, x.shape[0]), (0, x.shape[1])])
     graph.add_kernel("scale", pol, ScaleFunctor(x, 1.5))
     graph.add_kernel("shift", pol, ShiftFunctor(x, 2.0))
-    graph.add_host(lambda: events.append("host"))
+    graph.add(ExchangeNode("halo_x", graph.space, FakeHalo(events),
+                           [(x, 1.0, 0.0)]))
     graph.add_kernel("scale2", pol, ScaleFunctor(x, 0.5))
 
 
@@ -146,12 +148,12 @@ class TestLaunchGraph:
         _record_sequence(g, x, events)
         assert g.captured_launches == 3
         g.seal()
-        # the two adjacent launches fuse; the host node breaks the run,
+        # the two adjacent launches fuse; the exchange breaks the run,
         # leaving the third launch on its own
         assert g.fused_groups == 1
         assert g.launches_per_replay == 2
         g.replay()
-        assert events == ["host"]
+        assert events == [("halo2", [(x.raw, 1.0, 0.0)])]
         assert g.replays == 1
         np.testing.assert_array_equal(x.data, ref)
 
@@ -221,12 +223,32 @@ class TestLaunchGraph:
         with pytest.raises(RuntimeError, match="sealed"):
             g.add_kernel("scale", pol, ScaleFunctor(x, 2.0))
         with pytest.raises(RuntimeError, match="sealed"):
-            g.add_host(lambda: None)
+            g.add(RotateNode(be, ()))
 
     def test_replay_requires_seal(self):
         g = LaunchGraph(SerialBackend(inst=Instrumentation()))
         with pytest.raises(RuntimeError, match="seal"):
             g.replay()
+
+    @pytest.mark.parametrize("backend", ["cuda", "serial"])
+    def test_exchange_node_stages_ghost_rings_on_device(self, backend):
+        # no GPU-aware MPI: each field's ghost ring, levels * 2h(ly+lx)
+        # elements, goes down to the host and back; host spaces copy none
+        space = CHAIN_SPACES[backend]()
+        mem = space.memory_space
+        u = View("u", (3, 6, 5), space=mem)
+        eta = View("eta", (6, 5), dtype=np.float32, space=mem)
+        halo = FakeHalo(halo=2)
+        nodes = [ExchangeNode("halo_u", space, halo, [(u, -1.0, 0.0)]),
+                 ExchangeNode("halo_eta", space, halo, [(eta, 1.0, 0.0)])]
+        for node in nodes:
+            node.run()
+        assert [phase for phase, _ in halo.log] == ["halo3", "halo2"]
+        staged = 3 * 2 * 2 * (6 + 5) * 8 + 2 * 2 * (6 + 5) * 4
+        tr = space.inst.transfers
+        want = (staged, 2) if backend == "cuda" else (0, 0)
+        assert (tr.d2h_bytes, tr.d2h_count) == want
+        assert (tr.h2d_bytes, tr.h2d_count) == want
 
 
 class TestAthreadPlanAccounting:
@@ -240,7 +262,7 @@ class TestAthreadPlanAccounting:
             return
         g = LaunchGraph(be)
         g.add_kernel("scale", pol, ScaleFunctor(x, 1.5))
-        g.add_host(lambda: None)   # keeps the two launches separate
+        g.add(RotateNode(be, ()))   # keeps the two launches separate
         g.add_kernel("shift", pol, ShiftFunctor(x, 2.0))
         g.seal()
         g.replay()

@@ -77,28 +77,49 @@ class TestReplayBitwise:
         assert not any(label.startswith("fused[") for label in space.seen)
 
 
-class TestHostNodes:
+class TestStepNodes:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_host_nodes_are_exchanges_and_rotate(self, backend):
-        """A sealed step is launches, exchanges and one rotate: no host
-        node does arithmetic, and each fences exactly once."""
-        from repro.kokkos.graph import HostNode
+    def test_nodes_do_what_graphcheck_reads(self, backend):
+        """A sealed step is launches, exchanges and one rotate, and each
+        node's ``run()`` does what the graphcheck walk reads from it: an
+        exchange hands ``update_many`` exactly its fields, the rotate
+        leaves the buffers where the walk's permutation says."""
+        from repro.analysis.graphcheck import _Walker
+        from repro.kokkos.graph import ExchangeNode, KernelNode, RotateNode
 
         model = _run(backend, graph=True)
         nsub = model.config.barotropic_substeps
-        # u/v twice, (eta, ub/vb) per sub-step, 4 tracer stages, rotate
-        expected = 2 + 2 * nsub + 4 + 1
+        # u/v twice, (eta, ub/vb) per sub-step, 4 tracer stages
+        expected = 2 + 2 * nsub + 4
+        handed = []
+        model.halo.update_many = \
+            lambda fields, phase=None: handed.append((phase, fields))
         graphs = [g for g in model._graphs.values() if g.sealed]
         assert len(graphs) == 2  # startup + steady variants
         for graph in graphs:
-            hosts = [n for n in graph.nodes if isinstance(n, HostNode)]
-            assert len(hosts) == expected == 19
-            for node in hosts:
-                assert node.effects.halo_refresh or node.label == "rotate", \
-                    node.label
-            fences = model.space.fences
-            graph.replay()
-            assert model.space.fences - fences == expected
+            steps = [n for n in graph.nodes if not isinstance(n, KernelNode)]
+            exchanges = [n for n in steps if isinstance(n, ExchangeNode)]
+            rotates = [n for n in steps if isinstance(n, RotateNode)]
+            assert len(exchanges) == expected == 18
+            assert len(rotates) == 1 and len(steps) == 19
+            for node in exchanges:
+                del handed[:]
+                node.run()
+                (phase, fields), = handed
+                assert phase == node.phase
+                assert [(id(a), sign, fill) for a, sign, fill in fields] == \
+                    [(id(v.raw), sign, fill)
+                     for v, sign, fill in node.fields], node.label
+            rotate, = rotates
+            walker = _Walker(graph)
+            views = [v for triple in rotate.triples for v in triple]
+            buffer_of = {id(walker._state(v, v.label)): v.raw for v in views}
+            before = [v.raw for v in views]
+            walker._rotate(rotate)
+            rotate.run()
+            for v, buf in zip(views, before):
+                assert v.raw is not buf, v.label   # every buffer moved
+                assert buffer_of[id(walker.states[id(v)])] is v.raw, v.label
         model.close()
 
 

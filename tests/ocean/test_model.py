@@ -15,7 +15,7 @@ from repro.ocean import (
     temperature_section,
     kinetic_energy_spectrum,
 )
-from repro.kokkos import HostSpace
+from repro.kokkos import HostSpace, RotateNode, make_backend
 from repro.parallel import BlockDecomposition, SimWorld
 
 
@@ -24,9 +24,12 @@ class TestStateManagement:
         st = ModelState(2, 6, 6)
         st.t.cur.raw[...] = 1.0
         st.t.new.raw[...] = 2.0
-        st.rotate()
+        old = st.t.old.raw
+        RotateNode(make_backend("serial"),
+                   [(st.t.old, st.t.cur, st.t.new)]).run()
         assert np.all(st.t.old.raw == 1.0)
         assert np.all(st.t.cur.raw == 2.0)
+        assert st.t.new.raw is old   # buffers recycled, not copied
 
     def test_set_initial(self):
         st = ModelState(2, 6, 6)

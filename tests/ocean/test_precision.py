@@ -289,32 +289,40 @@ class TestHaloBytes:
             res[0].state["t"], solo.state.t.cur.raw)
 
 
+def _sink(space, view):
+    """An exchange of ``view`` over a fake halo: keeps the graph's final
+    write from looking dead when the schedule wraps around."""
+    from repro.kokkos import ExchangeNode
+    from tests.conftest import FakeHalo
+
+    return ExchangeNode("sink", space, FakeHalo(), [(view, 1.0, 0.0)])
+
+
 class TestPrecisionPromotionRule:
     """Golden graphs for the precision-promotion rule family."""
 
     N = 8
 
     def _sealed(self, records):
-        from repro.kokkos import HostEffects, LaunchGraph, make_backend
+        from repro.kokkos import LaunchGraph, make_backend
 
         graph = LaunchGraph(make_backend("serial"))
         for kind, *args in records:
             if kind == "k":
                 graph.add_kernel(*args)
             else:
-                graph.add_host(lambda: None, args[0], args[1])
+                graph.add(_sink(graph.space, *args))
         return graph.seal()
 
     def _mixed_copy_records(self, boundary: bool):
-        from repro.kokkos import HostEffects, MDRangePolicy, View
+        from repro.kokkos import MDRangePolicy, View
         from tests.analysis.broken_graph import PointCopyFunctor
 
         src = View("src", (self.N, self.N), dtype=np.float32)
         dst = View("dst", (self.N, self.N), dtype=np.float64)
         functor = (CastLikeCopy if boundary else PointCopyFunctor)(src, dst)
         pol = MDRangePolicy([(1, self.N - 1), (1, self.N - 1)])
-        return [("k", "copy", pol, functor),
-                ("h", "sink", HostEffects(halo_refresh=(dst,), fences=True))]
+        return [("k", "copy", pol, functor), ("x", dst)]
 
     def test_silent_promotion_is_error(self):
         from repro.analysis.graphcheck import check_precision
@@ -334,7 +342,7 @@ class TestPrecisionPromotionRule:
     def test_seal_certify_refuses_silent_promotion(self):
         from repro.analysis.graphcheck import certify_precision
         from repro.analysis.rules import RULE_PRECISION
-        from repro.kokkos import HostEffects, LaunchGraph, MDRangePolicy, View, make_backend
+        from repro.kokkos import LaunchGraph, MDRangePolicy, View, make_backend
         from tests.analysis.broken_graph import PointCopyFunctor
 
         src = View("src", (self.N, self.N), dtype=np.float32)
@@ -342,8 +350,7 @@ class TestPrecisionPromotionRule:
         graph = LaunchGraph(make_backend("serial"))
         graph.add_kernel("copy", MDRangePolicy([(1, self.N - 1), (1, self.N - 1)]),
                          PointCopyFunctor(src, dst))
-        graph.add_host(lambda: None, "sink",
-                       HostEffects(halo_refresh=(dst,), fences=True))
+        graph.add(_sink(graph.space, dst))
         refused = certify_precision(graph.seal())
         assert [f.rule for f in refused] == [RULE_PRECISION]
         assert refused[0].kernel == "copy" and "promotion" in refused[0].detail
@@ -351,7 +358,7 @@ class TestPrecisionPromotionRule:
     def test_fp32_accumulation_is_warning_not_error(self):
         from repro.analysis import Severity
         from repro.analysis.graphcheck import certify_precision, check_precision
-        from repro.kokkos import HostEffects, MDRangePolicy, View
+        from repro.kokkos import MDRangePolicy, View
         from tests.analysis.broken_graph import AccumulateFunctor
 
         f = View("f", (self.N, self.N), dtype=np.float32)
@@ -362,7 +369,7 @@ class TestPrecisionPromotionRule:
             graph = self._sealed([
                 ("k", "acc", MDRangePolicy([(1, self.N - 1), (1, self.N - 1)]),
                  functor),
-                ("h", "sink", HostEffects(halo_refresh=(out,), fences=True))])
+                ("x", out)])
             findings = check_precision(graph)
             assert [f.severity for f in findings] == [Severity.WARNING]
             assert certify_precision(graph) == []
