@@ -1,252 +1,220 @@
-"""Stencil footprints and counted costs derived from kernel accesses.
+"""Per-kernel footprints, merged from observed sweeps, and counted flops.
 
-The :class:`~repro.analysis.absint.BodyAnalyzer` produces a flat list of
-:class:`~repro.analysis.absint.Access` records; this module folds them
-into per-view :class:`ViewFootprint` summaries:
+A :class:`KernelFootprint` folds the :class:`~.observe.PartObservation`
+records of every bound launch of one registered functor type into what
+the kernelcheck rules (:mod:`.rules`) read beyond the parts themselves:
+per view, the widest horizontal read reach; per kernel, the distinct
+arrays and ``(array, offsets)`` streams it touched (the bytes half of
+``cost-drift``).
 
-* per-axis offset intervals relative to the canonical tile (the stencil
-  footprint — ``halo_width`` is the widest horizontal excursion),
-* read/write/scatter classification per view,
-* counted cost metrics (distinct memory streams → bytes per point,
-  arithmetic node count → flops per point) that the cost-honesty rule
-  and the perfmodel cross-check consume.
+Flops cannot be observed: arithmetic on ``ws.take`` scratch never
+touches a bound array, and column kernels loop over ``k``.  So the
+flops half keeps its historical definition, counted on the source:
+arithmetic nodes in the kernel body, each helper it calls counted once
+per call site, index arithmetic (subscripts, ``slice``/``range``/``sh``
+arguments, ``s.start`` / ``s.stop`` bounds) excluded.
 
 The convention throughout: horizontal axes are the *last two* loop axes
-(``(j, i)`` for ndim=2, ``(k, j, i)`` for ndim=3 with an un-haloed
-vertical axis 0), matching ``MDRangePolicy`` usage in the ocean model.
+(``(j, i)`` for ndim=2, ``(k, j, i)`` for ndim=3), matching
+``MDRangePolicy`` usage in the ocean model.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import inspect
+import textwrap
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .absint import (
-    Access,
-    FullSlice,
-    KernelAnalysis,
-    LoopIndex,
-    LoopSlice,
-    MultiVal,
-    Unknown,
-    analyze_functor,
-)
-
-
-@dataclass
-class AxisRange:
-    """Inclusive offset interval touched on one loop axis."""
-
-    lo: int = 0
-    hi: int = 0
-
-    def widen(self, lo: int, hi: int) -> None:
-        self.lo = min(self.lo, lo)
-        self.hi = max(self.hi, hi)
-
-    @property
-    def extent(self) -> int:
-        return max(abs(self.lo), abs(self.hi))
-
-
-@dataclass
-class ViewFootprint:
-    """Aggregate access pattern of one view inside one kernel body."""
-
-    name: str
-    kind: str                                  # "view" | "geom" | "attr"
-    reads: int = 0
-    writes: int = 0
-    aug_writes: int = 0
-    raw_reads: int = 0
-    offsets: Dict[int, AxisRange] = field(default_factory=dict)
-    # write axes that are NOT loop-derived at offset 0 → race candidates
-    scatter_writes: List[Access] = field(default_factory=list)
-    shifted_writes: List[Access] = field(default_factory=list)
-    covered_axes_per_write: List[Tuple[Access, frozenset]] = field(
-        default_factory=list)
-    streams: set = field(default_factory=set)
-
-    @property
-    def halo_width(self) -> int:
-        """Widest offset on any axis (vertical axis excluded by caller)."""
-        return max((r.extent for r in self.offsets.values()), default=0)
-
-    def horizontal_halo(self, ndim: int) -> int:
-        """Widest offset over the last two (haloed) loop axes."""
-        h_axes = {ndim - 1, ndim - 2}
-        return max((r.extent for ax, r in self.offsets.items()
-                    if ax in h_axes), default=0)
+from .observe import PartObservation
 
 
 @dataclass
 class KernelFootprint:
-    """Full footprint of one functor's kernel body, ready for the rules."""
+    """Everything observed about one registered functor type."""
 
     kernel: str
     functor_type: type
-    ndim: int
-    kind: str
-    body_method: str
-    views: Dict[str, ViewFootprint] = field(default_factory=dict)
-    counted_flops: float = 0.0
-    counted_streams: int = 0
-    counted_arrays: int = 0
-    error: Optional[str] = None
-    analysis: Optional[KernelAnalysis] = None
+    parts: List[PartObservation] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.counted_flops = count_flops(self.functor_type)
+        #: view -> widest horizontal read excursion over every part
+        self.halo: Dict[str, int] = {}
+        #: distinct (view, loop-axis offsets) streams over every part
+        self.streams: Set[Tuple] = set()
+        for part in self.parts:
+            for name in part.touched:
+                self.halo[name] = max(self.halo.get(name, 0), part.reach(name))
+            self.streams.update((a.name, tuple(sorted(part.offsets(a).items())))
+                                for a in part.accesses)
+
+    @property
+    def observed(self) -> bool:
+        return bool(self.parts)
+
+    @property
+    def stencil_halo(self) -> int:
+        """Widest horizontal read excursion over all views."""
+        return max(self.halo.values(), default=0)
+
+    @property
+    def counted_arrays(self) -> int:
+        return len(self.halo)
+
+    @property
+    def counted_streams(self) -> int:
+        return len(self.streams)
 
     @property
     def counted_bytes(self) -> float:
-        """8 bytes per distinct (array, offset-signature) stream — the
-        cold-cache upper bound on traffic per point."""
+        """8 bytes per distinct (array, offsets) stream — the cold-cache
+        upper bound on traffic per point."""
         return 8.0 * self.counted_streams
 
     @property
     def counted_bytes_min(self) -> float:
-        """8 bytes per distinct array — the perfect-cache lower bound
-        (offset streams of the same array hit cache); this matches the
-        seed kernels' ``bytes_per_point = N * 8`` convention."""
+        """8 bytes per distinct array — the perfect-cache lower bound,
+        the seed kernels' ``bytes_per_point = N * 8`` convention."""
         return 8.0 * self.counted_arrays
 
     @property
-    def stencil_halo(self) -> int:
-        """Widest horizontal stencil excursion over all views."""
-        return max((vf.horizontal_halo(self.ndim)
-                    for vf in self.views.values()), default=0)
-
-    @property
     def file(self) -> Optional[str]:
-        if self.analysis is not None and self.analysis.info is not None:
-            return self.analysis.info.filename
-        return None
+        return source_of(self.functor_type)[0]
 
     @property
     def line(self) -> Optional[int]:
-        if self.analysis is not None and self.analysis.info is not None:
-            return self.analysis.info.firstline
-        return None
+        return source_of(self.functor_type)[1]
 
 
-def _axis_values(val) -> List:
-    if isinstance(val, MultiVal):
-        return list(val.options)
-    return [val]
-
-
-def build_footprint(kernel: str, functor_type: type, ndim: int,
-                    kind: str = "for") -> KernelFootprint:
-    """Analyze ``functor_type`` and fold its accesses into a footprint."""
-    analysis = analyze_functor(functor_type, ndim, kind)
-    fp = KernelFootprint(kernel=kernel, functor_type=functor_type, ndim=ndim,
-                         kind=kind, body_method=analysis.body_method,
-                         analysis=analysis, error=analysis.error)
-    if analysis.error is not None:
-        return fp
-    for acc in analysis.accesses:
-        vf = fp.views.setdefault(acc.array,
-                                 ViewFootprint(acc.array, acc.kind))
-        _fold_access(vf, acc, ndim)
-    fp.counted_flops = analysis.flops
-    # count distinct streams over *view* arrays only (geometry fields are
-    # part of the working set too, but the seed declarations follow the
-    # "each distinct array/offset term is one 8-byte stream" convention
-    # including geometry — so count every array kind uniformly)
-    streams = set()
-    for vf in fp.views.values():
-        streams |= vf.streams
-    fp.counted_streams = len(streams)
-    fp.counted_arrays = len(fp.views)
-    return fp
-
-
-def _fold_access(vf: ViewFootprint, acc: Access, ndim: int) -> None:
-    if acc.write:
-        vf.writes += 1
-        if acc.aug:
-            vf.aug_writes += 1
-    else:
-        vf.reads += 1
-        if acc.raw:
-            vf.raw_reads += 1
-    vf.streams.add(acc.signature())
-
-    # fold offsets + classify write coverage
-    covered: set = set()
-    shifted = False
-    scatter = False
-    loop_axis_count = 0
-    for val in acc.axes:
-        for opt in _axis_values(val):
-            if isinstance(opt, (LoopSlice, LoopIndex)):
-                loop_axis_count += 1
-                vf.offsets.setdefault(opt.axis, AxisRange()).widen(
-                    opt.lo, opt.hi)
-                if opt.lo == 0 and opt.hi == 0:
-                    covered.add(opt.axis)
-                else:
-                    shifted = True
-            elif isinstance(opt, (FullSlice,)):
-                pass
-            elif isinstance(opt, Unknown):
-                if acc.write:
-                    scatter = True
-
-    if acc.write and acc.kind == "view":
-        want = frozenset(range(ndim))
-        got = frozenset(covered)
-        if scatter:
-            vf.scatter_writes.append(acc)
-        elif shifted and not want <= got:
-            # a write through a shifted index with no origin coverage on
-            # that axis: two loop iterations can hit the same cell
-            vf.shifted_writes.append(acc)
-        vf.covered_axes_per_write.append((acc, got))
+@functools.lru_cache(maxsize=None)
+def source_of(functor_type: type) -> Tuple[Optional[str], Optional[int]]:
+    """``(file, first line)`` of a functor class, for finding locations."""
+    try:
+        return (inspect.getsourcefile(functor_type),
+                inspect.getsourcelines(functor_type)[1])
+    except (OSError, TypeError):
+        return None, None
 
 
 # --------------------------------------------------------------------------
-# perfmodel cross-check support
+# counted flops: arithmetic nodes on the source
 # --------------------------------------------------------------------------
 
-
-@dataclass
-class StaticKernelCost:
-    """Analyzer-side estimate of one kernel's per-point cost."""
-
-    kernel: str
-    declared_flops: float
-    declared_bytes: float
-    counted_flops: float
-    counted_bytes: float          # cold-cache bound (8 B x streams)
-    counted_bytes_min: float      # perfect-cache bound (8 B x arrays)
-
-    @property
-    def flops_ratio(self) -> float:
-        if self.declared_flops <= 0:
-            return float("inf") if self.counted_flops > 0 else 1.0
-        return self.counted_flops / self.declared_flops
-
-    @property
-    def bytes_ratio_hi(self) -> float:
-        """Declared relative to the perfect-cache lower bound."""
-        if self.counted_bytes_min <= 0:
-            return 1.0
-        return self.declared_bytes / self.counted_bytes_min
-
-    @property
-    def bytes_ratio_lo(self) -> float:
-        """Declared relative to the cold-cache upper bound."""
-        if self.counted_bytes <= 0:
-            return 1.0
-        return self.declared_bytes / self.counted_bytes
+# flop weights for numpy calls
+_ELEMENTWISE = {
+    "maximum", "minimum", "where", "clip", "abs", "hypot", "sign",
+    "mod", "fmod", "power", "copysign", "diff",
+    "add", "subtract", "multiply", "divide", "true_divide",
+    "floor_divide", "negative", "reciprocal", "copyto",
+    "greater", "greater_equal", "less", "less_equal", "equal",
+    "not_equal", "logical_and", "logical_or", "logical_not",
+}
+_TRANSCENDENTAL = {
+    "cos", "sin", "tan", "exp", "log", "log10", "sqrt", "tanh",
+    "arctan", "arctan2", "arcsin", "arccos", "cbrt", "expm1", "log1p",
+}
+_REDUCTIONS = {"sum", "cumsum", "prod", "cumprod", "max", "min", "mean", "std"}
+TRANSCENDENTAL_FLOPS = 8.0
+#: calls whose arguments are index arithmetic
+_INDEX_CALLS = {"slice", "range", "sh", "grow", "point_slices", "take",
+                "reshape", "len", "int"}
 
 
-def static_cost(fp: KernelFootprint) -> StaticKernelCost:
-    ft = fp.functor_type
-    return StaticKernelCost(
-        kernel=fp.kernel,
-        declared_flops=float(getattr(ft, "flops_per_point", 0.0)),
-        declared_bytes=float(getattr(ft, "bytes_per_point", 0.0)),
-        counted_flops=fp.counted_flops,
-        counted_bytes=fp.counted_bytes,
-        counted_bytes_min=fp.counted_bytes_min,
-    )
+def count_flops(functor_type: type) -> float:
+    """Arithmetic nodes of ``functor_type``'s kernel body (``apply``,
+    else ``__call__``), helpers counted once per call site."""
+    name = "apply" if callable(getattr(functor_type, "apply", None)) \
+        else "__call__"
+    return _Counter(functor_type).function(getattr(functor_type, name))
+
+
+class _Counter:
+    def __init__(self, functor_type: type) -> None:
+        self.cls = functor_type
+        self.scope: Dict[str, object] = {}           # module globals
+        self.local: Dict[str, ast.FunctionDef] = {}  # nested helpers
+        self.active: List[object] = []               # recursion guard
+
+    def function(self, fn, nested: Optional[ast.FunctionDef] = None) -> float:
+        key = nested if nested is not None else getattr(fn, "__code__", None)
+        if key is None or key in self.active:
+            return 0.0
+        if nested is None:
+            try:
+                tree = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+            except (OSError, TypeError):
+                return 0.0
+            scope, local = fn.__globals__, {}
+        else:
+            tree, scope, local = nested, self.scope, dict(self.local)
+        local.update((n.name, n) for n in ast.walk(tree)
+                     if isinstance(n, ast.FunctionDef) and n is not tree)
+        saved = self.scope, self.local
+        self.scope, self.local = scope, local
+        self.active.append(key)
+        try:
+            return sum(self.node(stmt) for stmt in tree.body)
+        finally:
+            self.active.pop()
+            self.scope, self.local = saved
+
+    def node(self, node) -> float:
+        if isinstance(node, ast.FunctionDef):
+            return 0.0                    # counted where it is called
+        if isinstance(node, ast.Subscript):
+            return self.node(node.value)  # the index is index arithmetic
+        if isinstance(node, ast.Call):
+            return self.call(node)
+        own = 0.0
+        if isinstance(node, ast.BinOp) and not _index_arithmetic(node):
+            own = 1.0
+        elif isinstance(node, ast.Compare):
+            own = float(len(node.comparators))
+        elif isinstance(node, ast.AugAssign):
+            own = 1.0
+        return own + sum(self.node(c) for c in ast.iter_child_nodes(node))
+
+    def call(self, node: ast.Call) -> float:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        if name in _INDEX_CALLS and not (
+                isinstance(func, ast.Attribute) and _is_np(func.value)):
+            return self.node(func)
+        args = sum(self.node(a) for a in node.args) + \
+            sum(self.node(k.value) for k in node.keywords)
+        if isinstance(func, ast.Attribute):
+            if _is_np(func.value):
+                return args + (TRANSCENDENTAL_FLOPS if name in _TRANSCENDENTAL
+                               else 1.0 if name in _ELEMENTWISE | _REDUCTIONS
+                               else 0.0)
+            inner = self.node(func.value)
+            if isinstance(func.value, ast.Name) and func.value.id == "self":
+                method = getattr(self.cls, name, None)
+                if inspect.isfunction(method):
+                    return args + self.function(method)
+            return args + inner + (1.0 if name in _REDUCTIONS else 0.0)
+        if name in self.local:
+            return args + self.function(None, nested=self.local[name])
+        target = self.scope.get(name)
+        if inspect.isfunction(target) and \
+                target.__module__.startswith("repro."):
+            return args + self.function(target)
+        return args
+
+
+def _is_np(node) -> bool:
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
+def _index_arithmetic(node: ast.BinOp) -> bool:
+    """Slice-bound arithmetic (``s.start - 1``) and constant folding are
+    not flops."""
+    sides = (node.left, node.right)
+    if any(isinstance(s, ast.Attribute) and s.attr in ("start", "stop")
+           for s in sides):
+        return True
+    return all(isinstance(s, ast.Constant) for s in sides)

@@ -8,8 +8,10 @@ the walk reads from them: an :class:`~repro.kokkos.graph.ExchangeNode`
 refreshes the halos of its ``fields``, a
 :class:`~repro.kokkos.graph.RotateNode` permutes the buffers of its
 ``triples`` (every piece of arithmetic is a launch) — and assigns every
-``View`` an abstract version per launch, derived from the kernelcheck
-footprints of each plan part.  A fused node is walked part
+buffer an abstract version per launch, from what each plan part's
+observed sweep (:mod:`repro.analysis.observe`) read and wrote: state
+is keyed by the buffers a part actually touched, at the boxes it
+touched them.  A fused node is walked part
 by part in capture order — which is how its sweep executes it — so
 fusion needs no rule of its own.  The rule families (see DESIGN.md
 §2.13):
@@ -23,7 +25,7 @@ fusion needs no rule of its own.  The rule families (see DESIGN.md
     since its previous refresh, and a kernel write no later node ever
     reads before the next full overwrite.
 ``precision-promotion``
-    A launch part binding fp32 and fp64 arrays without declaring a
+    A launch part touching fp32 and fp64 arrays without declaring a
     precision boundary, or accumulating at fp32.
 
 There is no fence rule: both node types fence in their own ``run()``
@@ -39,13 +41,12 @@ Entry points: :func:`check_graph` (all families, one sealed graph),
 :func:`certify_precision` (its error-severity precision findings, for a
 caller that wants the proof before replaying) and
 :func:`run_graphcheck` (the ``python -m repro lint --graph`` driver:
-builds the production-path demo model on every backend and verifies
-each sealed step graph).
+verifies every sealed step graph of the lint matrix,
+:func:`~repro.analysis.runner.lint_matrix`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +54,8 @@ import numpy as np
 from ..kokkos.graph import ExchangeNode, KernelNode, LaunchGraph, RotateNode
 from ..kokkos.view import View
 from .findings import Finding, Report, Severity
-from .footprint import build_footprint
+from .footprint import source_of
+from .observe import Box, observe_node
 from .rules import (
     GRAPH_RULES,
     RULE_DEAD_STORE,
@@ -63,7 +65,6 @@ from .rules import (
 )
 
 __all__ = [
-    "PartAccess",
     "certify_precision",
     "check_graph",
     "check_precision",
@@ -71,101 +72,10 @@ __all__ = [
 ]
 
 
-# --------------------------------------------------------------------------
-# footprint resolution: (label, functor) part -> concrete buffers
-# --------------------------------------------------------------------------
-
-
-def _resolve(functor, dotted: str):
-    """Resolve a footprint view name (``w``, ``dom.mask_t``) on the
-    bound functor instance; returns a View, an ndarray, or None."""
-    obj = functor
-    for name in dotted.split("."):
-        obj = getattr(obj, name, None)
-        if obj is None:
-            return None
-    if isinstance(obj, (View, np.ndarray)):
-        return obj
-    return None
-
-
-def _buffer(obj) -> Optional[np.ndarray]:
-    if isinstance(obj, View):
-        return obj.raw
-    if isinstance(obj, np.ndarray):
-        return obj
-    return None
-
-
 def _display(obj, fallback: str) -> str:
     if isinstance(obj, View):
         return obj.label
     return fallback
-
-
-@dataclass
-class PartAccess:
-    """One plan part's accesses, resolved to concrete buffers.
-
-    ``targets`` maps footprint view names to the resolved View/ndarray;
-    ``footprints`` holds the per-view :class:`ViewFootprint` records.
-    ``unanalyzable`` is set when the body defeated the abstract
-    interpreter or a written view could not be resolved.
-    """
-
-    label: str
-    functor: object
-    ndim: int
-    targets: Dict[str, object] = field(default_factory=dict)
-    footprints: Dict[str, object] = field(default_factory=dict)
-    unanalyzable: Optional[str] = None
-    file: Optional[str] = None
-    line: Optional[int] = None
-
-
-#: (functor_type, ndim) -> kernelcheck footprint (None on analyzer crash).
-_FP_CACHE: Dict[Tuple[type, int], object] = {}
-
-
-def part_footprint(ftype: type, ndim: int):
-    """Cached kernelcheck footprint of one plan part.
-
-    Returns ``None`` when the static analyzer itself fails (callers
-    must stay conservative); a footprint whose ``error`` is set means
-    the body resisted analysis.
-    """
-    key = (ftype, ndim)
-    if key not in _FP_CACHE:
-        try:
-            _FP_CACHE[key] = build_footprint(
-                ftype.__name__, ftype, ndim=ndim, kind="for")
-        except Exception:
-            _FP_CACHE[key] = None
-    return _FP_CACHE[key]
-
-
-def _part_access(label: str, functor, ndim: int) -> PartAccess:
-    pa = PartAccess(label=label, functor=functor, ndim=ndim)
-    fp = part_footprint(type(functor), ndim)
-    if fp is None or fp.error is not None:
-        pa.unanalyzable = fp.error if fp is not None else "no footprint"
-        return pa
-    pa.file, pa.line = fp.file, fp.line
-    for name, vf in fp.views.items():
-        obj = _resolve(functor, name)
-        if obj is None:
-            if vf.writes:
-                pa.unanalyzable = f"cannot resolve written view {name!r}"
-            continue
-        pa.targets[name] = obj
-        pa.footprints[name] = vf
-    return pa
-
-
-def _node_parts(node: KernelNode) -> List[PartAccess]:
-    ndim = len(node.policy.extents)
-    return [_part_access(label, functor, ndim)
-            for label, functor in node.parts()]
 
 
 # --------------------------------------------------------------------------
@@ -175,24 +85,15 @@ def _node_parts(node: KernelNode) -> List[PartAccess]:
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def _part_float_dtypes(pa: PartAccess) -> Dict[str, np.dtype]:
-    """Footprint view name -> float dtype for every resolved array."""
-    out: Dict[str, np.dtype] = {}
-    for name, obj in pa.targets.items():
-        buf = _buffer(obj)
-        if buf is not None and buf.dtype in _FLOAT_DTYPES:
-            out[name] = buf.dtype
-    return out
-
-
-def check_precision(graph: LaunchGraph) -> List[Finding]:
+def check_precision(graph: LaunchGraph,
+                    observations: Optional[Dict] = None) -> List[Finding]:
     """The ``precision-promotion`` rule family over one sealed graph.
 
     Every launch part must be *dtype-uniform* across the float arrays it
-    binds (fields, work views, geometry) unless its functor declares
+    touches (fields, work views, geometry) unless its functor declares
     ``precision_boundary = True`` — the marker for sanctioned family
     boundaries: explicit ``precision_cast`` launches and value-exact
-    widening consumers (EOS, depth-mean scans).  Anything else binding
+    widening consumers (EOS, depth-mean scans).  Anything else touching
     fp32 *and* fp64 silently promotes the whole sweep to fp64 arithmetic
     (NumPy result-type rules), defeating the policy — an ERROR.
 
@@ -204,20 +105,23 @@ def check_precision(graph: LaunchGraph) -> List[Finding]:
     A kernel whose running sum is explicitly fp64 internally declares
     ``wide_accumulate = True`` and is exempt: the hazard attaches to
     the accumulator width, not the operand width.
+
+    The dtypes read are those of the arrays each part's observed sweep
+    touched; ``observations`` is an :func:`~.observe.observe_node` cache.
     """
     findings: List[Finding] = []
     for node in graph.nodes:
         if not isinstance(node, KernelNode):
             continue
-        ndim = len(node.policy.extents)
-        for label, functor in node.parts():
-            pa = _part_access(label, functor, ndim)
-            dtypes = _part_float_dtypes(pa)
+        for obs in observe_node(node, observations):
+            label, ftype = obs.label, obs.functor_type
+            file, line = source_of(obs.functor_type)
+            dtypes = {name: b.dtype for name, b in obs.touched.items()
+                      if b.dtype in _FLOAT_DTYPES}
             if not dtypes:
                 continue
             distinct = set(dtypes.values())
-            boundary = bool(getattr(type(functor), "precision_boundary",
-                                    False))
+            boundary = bool(getattr(ftype, "precision_boundary", False))
             if len(distinct) > 1 and not boundary:
                 by_dt: Dict[np.dtype, List[str]] = {}
                 for name, dt in sorted(dtypes.items()):
@@ -234,9 +138,9 @@ def check_precision(graph: LaunchGraph) -> List[Finding]:
                             f"promotion silently runs the fp32 operands "
                             f"at fp64 — insert an explicit precision_cast "
                             f"at the family boundary"),
-                    file=pa.file, line=pa.line))
-            if (getattr(type(functor), "accumulates", False)
-                    and not getattr(type(functor), "wide_accumulate", False)
+                    file=file, line=line))
+            if (getattr(ftype, "accumulates", False)
+                    and not getattr(ftype, "wide_accumulate", False)
                     and distinct == {np.dtype(np.float32)}):
                 findings.append(Finding(
                     rule=RULE_PRECISION, severity=Severity.WARNING,
@@ -247,7 +151,7 @@ def check_precision(graph: LaunchGraph) -> List[Finding]:
                             "assign the scan family fp64 (the 'mixed' "
                             "preset) or sum through an explicit fp64 "
                             "accumulator (wide_accumulate = True)"),
-                    file=pa.file, line=pa.line))
+                    file=file, line=line))
     return findings
 
 
@@ -290,14 +194,15 @@ PASSES = 3
 class _Walker:
     """One dataflow walk over a sealed graph's node list."""
 
-    def __init__(self, graph: LaunchGraph) -> None:
+    def __init__(self, graph: LaunchGraph,
+                 observations: Optional[Dict] = None) -> None:
         self.graph = graph
+        self.observations = {} if observations is None else observations
         self.states: Dict[int, _VState] = {}
         self.names: Dict[int, str] = {}
         self.findings: List[Finding] = []
         self.emit = False
         self._seen: set = set()
-        self._parts_cache: Dict[int, List[PartAccess]] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -327,44 +232,14 @@ class _Walker:
     # -- geometry helpers --------------------------------------------------
 
     @staticmethod
-    def _h_axes(ndim: int) -> Tuple[int, int]:
-        return (ndim - 2, ndim - 1)
-
-    def _margin(self, policy, shape: Tuple[int, ...], ax: int,
-                ndim: int) -> int:
-        """Distance from the loop range's edge to the array edge on one
-        horizontal loop axis (loop axis ``ax`` maps to view dimension
-        ``ax - ndim``, counting from the end).  Arrays with fewer
-        dimensions than the loop (1-D column/row geometry) have no
-        horizontal ring at all: unbounded margin."""
-        idx = ax - ndim
-        if -idx > len(shape):
-            return 10 ** 9
-        begin, end = policy.ranges[ax]
-        dim = shape[idx]
-        return max(0, min(int(begin), int(dim) - int(end)))
-
-    def _read_reach(self, policy, shape, vf, ndim: int) -> int:
-        """How far inside the array edge the read's footprint stays:
-        ``min(margin - extent)`` over the horizontal loop axes the view
-        is offset-indexed by.  A reach below the stale inset touches
-        stale halo cells."""
-        reach = None
-        for ax in self._h_axes(ndim):
-            rng = vf.offsets.get(ax)
-            if rng is None:
-                continue
-            r = self._margin(policy, shape, ax, ndim) - rng.extent
-            reach = r if reach is None else min(reach, r)
-        return reach if reach is not None else 10 ** 9
-
-    def _write_inset(self, policy, shape, ndim: int) -> int:
-        """Distance from the array edge the launch range leaves
-        untouched (0 = the write covers the full horizontal extent)."""
+    def _edge(boxes: Sequence[Box], shape: Tuple[int, ...]) -> int:
+        """How far inside the array edge ``boxes`` stay, over the
+        horizontal (last two) dimensions.  A 1-D array (a metric row or
+        a column profile) has no halo ring, so it never goes stale."""
         if len(shape) < 2:
-            return 0   # no horizontal ring to leave stale
-        return min(self._margin(policy, shape, ax, ndim)
-                   for ax in self._h_axes(ndim))
+            return 0
+        return min(min(box[d][0], shape[d] - 1 - box[d][1])
+                   for box in boxes for d in (-2, -1))
 
     # -- node semantics ----------------------------------------------------
 
@@ -382,59 +257,46 @@ class _Walker:
                     raise TypeError(f"graphcheck cannot walk {node!r}")
         return self.findings
 
-    def _parts(self, node: KernelNode) -> List[PartAccess]:
-        key = id(node)
-        got = self._parts_cache.get(key)
-        if got is None:
-            got = self._parts_cache[key] = _node_parts(node)
-        return got
-
     def _kernel(self, node: KernelNode) -> None:
-        ndim = len(node.policy.extents)
-        for pa in self._parts(node):
-            if pa.unanalyzable and not pa.targets:
-                continue
+        for obs in observe_node(node, self.observations):
+            touched = obs.touched
             input_stale = 0
             # reads first: they see the state before this part's writes
-            for name, vf in pa.footprints.items():
-                if vf.reads == 0 and vf.aug_writes == 0:
+            for name, b in touched.items():
+                reads = [a.box for a in obs.reads(name)]
+                if not reads:
                     continue
-                obj = pa.targets[name]
-                buf = _buffer(obj)
-                st = self._state(obj, _display(obj, name))
+                st = self._state(b.obj, _display(b.obj, name))
                 st.write_read = True
-                ext = vf.horizontal_halo(ndim)
-                if ext > 0 and buf is not None:
-                    reach = self._read_reach(node.policy, buf.shape, vf, ndim)
-                    if reach < st.stale_inset:
-                        self._find(
-                            RULE_STALE_HALO, Severity.ERROR, pa.label,
-                            self.names[self._key(obj)],
-                            (f"stencil read (offsets up to {ext}) reaches "
-                             f"within {max(reach, 0)} of the boundary, but "
-                             f"the halo is stale within {st.stale_inset} "
-                             f"(written by {st.last_write!r} after the "
-                             f"last refresh)"),
-                            file=pa.file, line=pa.line)
+                ext = obs.reach(name)
+                edge = self._edge(reads, b.shape)
+                if ext > 0 and edge < st.stale_inset:
+                    self._find(
+                        RULE_STALE_HALO, Severity.ERROR, obs.label,
+                        self.names[self._key(b.obj)],
+                        (f"stencil read (offsets up to {ext}) reaches "
+                         f"within {edge} of the boundary, but "
+                         f"the halo is stale within {st.stale_inset} "
+                         f"(written by {st.last_write!r} after the "
+                         f"last refresh)"),
+                        *source_of(obs.functor_type))
                 input_stale = max(input_stale, st.stale_inset)
-            for name, vf in pa.footprints.items():
-                if vf.writes == 0:
+            for name, b in touched.items():
+                writes = [a.box for a in obs.writes(name)]
+                if not writes:
                     continue
-                obj = pa.targets[name]
-                buf = _buffer(obj)
-                st = self._state(obj, _display(obj, name))
-                reads_self = vf.reads > 0 or vf.aug_writes > 0
+                st = self._state(b.obj, _display(b.obj, name))
                 if (st.last_write is not None and not st.write_read
-                        and not reads_self):
+                        and not obs.reads(name)):
                     self._find(
                         RULE_DEAD_STORE, Severity.INFO, st.last_write,
-                        self.names[self._key(obj)],
-                        (f"write is never read before {pa.label!r} "
+                        self.names[self._key(b.obj)],
+                        (f"write is never read before {obs.label!r} "
                          f"overwrites the view"),
-                        file=pa.file, line=pa.line)
-                inset = 0
-                if buf is not None:
-                    inset = self._write_inset(node.policy, buf.shape, ndim)
+                        *source_of(obs.functor_type))
+                # distance from the array edge the write leaves untouched
+                # (0 = the write covers the full horizontal extent)
+                inset = self._edge(writes, b.shape)
                 st.version += 1
                 if inset > 0:
                     # interior-only write: the untouched boundary ring
@@ -444,7 +306,7 @@ class _Walker:
                     # full-range point-local write: freshness is that of
                     # the inputs it was computed from
                     st.stale_inset = input_stale
-                st.last_write = pa.label
+                st.last_write = obs.label
                 st.write_read = False
 
     def _exchange(self, node: ExchangeNode) -> None:
@@ -474,69 +336,45 @@ class _Walker:
                 st.write_read = True   # recycled buffers are not dead
 
 
-def check_graph(graph: LaunchGraph) -> List[Finding]:
+def check_graph(graph: LaunchGraph,
+                observations: Optional[Dict] = None) -> List[Finding]:
     """All graphcheck findings for one sealed graph: the precision
     discipline plus the multi-pass dataflow walk (stale halos, redundant
-    exchanges, dead stores)."""
+    exchanges, dead stores).  Each part is observed once;
+    ``observations`` (an :func:`~.observe.observe_node` cache) lets a
+    caller share the sweeps."""
     if not graph.sealed:
         raise ValueError("check_graph needs a sealed LaunchGraph")
-    findings = check_precision(graph)
-    findings.extend(_Walker(graph).walk())
+    observations = {} if observations is None else observations
+    findings = check_precision(graph, observations)
+    findings.extend(_Walker(graph, observations).walk())
     return findings
 
 
-# --------------------------------------------------------------------------
-# lint driver: verify the demo model's step graphs on every backend
-# --------------------------------------------------------------------------
-
-
-#: The matrix :func:`run_graphcheck` builds: the demo model of this size
-#: on its production path (``graph=True``), stepped until both step
-#: variants (startup forward step, leapfrog) have sealed, on every
-#: backend at the first precision preset; the other presets once each on
-#: the first backend (the graphs are backend-independent node lists).
-#: "mixed" exercises the precision-promotion rules on a schedule with
-#: real cast boundaries.
-BACKENDS = ("serial", "openmp", "athread", "cuda")
-PRECISIONS = ("double", "mixed")
-SIZE = "tiny"
-STEPS = 2
-
-
-def run_graphcheck(backends: Sequence[str] = BACKENDS) -> Report:
-    """Build, seal and verify the demo model's launch graphs.
+def run_graphcheck(backends: Optional[Sequence[str]] = None) -> Report:
+    """Verify the lint matrix's sealed graphs
+    (:func:`~repro.analysis.runner.lint_matrix`), optionally only the
+    configurations on ``backends``.
 
     Identical findings from different configurations are reported once,
     tagged with the first configuration that hit them.  Returns a
     :class:`Report` with ``tool="graphcheck"``; the CLI's ``lint
     --graph`` mode renders it exactly like a kernelcheck report.
     """
-    from ..ocean.config import demo
-    from ..ocean.model import LICOMKpp, ModelParams
+    from .runner import lint_matrix
 
     report = Report(rules_run=list(GRAPH_RULES), tool="graphcheck")
     seen: Dict[str, Finding] = {}
     kernels = 0
-    combos = [(b, PRECISIONS[0]) for b in backends]
-    combos += [(backends[0], p) for p in PRECISIONS[1:]]
-    for backend, precision in combos:
-        tag = f"backend={backend}, precision={precision}"
-        model = LICOMKpp(
-            demo(SIZE), backend=backend,
-            params=ModelParams(graph=True, check_every=0,
-                               precision=precision))
-        try:
-            model.run_steps(STEPS)
-            for graph in model._graphs.values():
-                if not graph.sealed:
-                    continue
-                kernels += graph.launches_per_replay
-                for f in check_graph(graph):
-                    if f.key not in seen:
-                        f.detail += f" [{tag}]"
-                        seen[f.key] = f
-                        report.findings.append(f)
-        finally:
-            model.close()
+    for case in lint_matrix():
+        if backends is not None and case.backend not in backends:
+            continue
+        for graph in case.graphs:
+            kernels += graph.launches_per_replay
+            for f in check_graph(graph, case.observations):
+                if f.key not in seen:
+                    f.detail += f" [{case.tag}]"
+                    seen[f.key] = f
+                    report.findings.append(f)
     report.kernels_checked = kernels
     return report

@@ -1,60 +1,74 @@
-"""The kernelcheck rule families.
+"""The kernelcheck rule families, read off observed sweeps.
 
-Each rule takes a :class:`~repro.analysis.footprint.KernelFootprint`
-(plus configuration) and yields :class:`~repro.analysis.findings.Finding`
-records:
+Each rule takes a :class:`~repro.analysis.footprint.KernelFootprint` —
+the merged :class:`~repro.analysis.observe.PartObservation` records of
+every lint-matrix launch that binds the kernel (plus configuration) —
+and yields :class:`~repro.analysis.findings.Finding` records:
 
 ``race-write``
-    Stores to a view at indices not derived injectively from the loop
-    indices — scatter writes through data-dependent indices, or writes
-    at a shifted offset with no origin coverage.  Two loop iterations
-    can hit the same cell, which races under the openmp / device /
-    athread backends even though the serial backend happens to agree.
+    A write through an index array (a scatter), or a write box that
+    leaves the launch range on a loop axis; a ``__call__``-only body is
+    swept point by point, and any write outside the iteration's own
+    point counts.  Two loop iterations can hit the same cell, which
+    races under the openmp / device / athread backends even though the
+    serial backend happens to agree.
 
 ``halo-overrun``
-    The extracted stencil footprint (max ``±k`` horizontal offset) is
-    cross-checked against the functor's declared ``stencil_halo`` and
-    the domain-wide halo width.  Reading beyond the declared halo means
-    the athread backend's LDM tile staging DMAs too small a ring and
-    the MPI halo exchange leaves the outer cells stale.
+    The observed horizontal read reach (max ``±k`` beyond the launch
+    range) is checked against the functor's declared ``stencil_halo``
+    and the domain-wide halo width.  Reading beyond the declared halo
+    means the athread backend's LDM tile staging DMAs too small a ring
+    and the MPI halo exchange leaves the outer cells stale.
 
 ``memory-space``
-    Memory-space discipline: ``.raw`` dereferences inside kernel bodies
-    (bypasses the :class:`~repro.kokkos.view.View` space policing, so a
-    device-space view silently reads stale host memory), view
-    dereferences in functor methods *outside* any kernel body.  (Host
-    accesses that could race an in-flight launch are the exchange and
-    rotate graph nodes, which fence by type: see
+    ``View.raw`` reached during the sweep (it bypasses the
+    :class:`~repro.kokkos.view.View` space policing, so a device-space
+    view silently reads stale host memory), and view dereferences in
+    functor methods the sweep did not run — host code, found by a small
+    AST walk.  (Host accesses that could race an in-flight launch are
+    the exchange and rotate graph nodes, which fence by type: see
     :mod:`repro.kokkos.graph`.)
 
 ``cost-drift``
-    Counted arithmetic ops / distinct memory streams vs the declared
-    ``flops_per_point`` / ``bytes_per_point``.  Dishonest declarations
-    silently skew the roofline model in :mod:`repro.perfmodel`.
+    Counted arithmetic ops vs the declared ``flops_per_point``, and the
+    declared ``bytes_per_point`` vs the observed distinct arrays and
+    ``(array, offsets)`` streams.  Dishonest declarations silently skew
+    the roofline model in :mod:`repro.perfmodel`.
 
 ``alias-hazard``
     A vectorised ``apply`` body that reads a view at a *shifted* offset
-    after writing the same view: the numpy statements see already
-    updated neighbours, so ``apply`` is no longer elementwise-equivalent
-    to ``__call__`` (and both orders are backend-dependent).
+    after writing the same view, in sweep order: the numpy statements
+    see already updated neighbours, so ``apply`` is no longer
+    elementwise-equivalent to ``__call__`` (and both orders are
+    backend-dependent).
+
+``unobserved``
+    A registered kernel no lint-matrix launch binds: nothing above has
+    been checked for it.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
+import textwrap
 from dataclasses import dataclass
 from typing import Iterator, List
 
+from ..kokkos.view import View
 from ..parallel.decomp import DEFAULT_HALO
 from .findings import Finding, Severity
-from .footprint import KernelFootprint, static_cost
+from .footprint import KernelFootprint
 
 RULE_RACE = "race-write"
 RULE_HALO = "halo-overrun"
 RULE_SPACE = "memory-space"
 RULE_COST = "cost-drift"
 RULE_ALIAS = "alias-hazard"
+RULE_UNOBSERVED = "unobserved"
 
-ALL_RULES = (RULE_RACE, RULE_HALO, RULE_SPACE, RULE_COST, RULE_ALIAS)
+ALL_RULES = (RULE_RACE, RULE_HALO, RULE_SPACE, RULE_COST, RULE_ALIAS,
+             RULE_UNOBSERVED)
 
 # -- whole-schedule rule families (repro.analysis.graphcheck) ---------------
 # Per-kernel rules above see one body at a time; these see the sealed
@@ -91,13 +105,10 @@ class RuleConfig:
     cost_abs_floor: float = 4.0     # ignore drift when both sides are tiny
 
 
-def _fmt_offsets(fp: KernelFootprint, view: str) -> str:
-    vf = fp.views[view]
-    parts = []
-    for axis in sorted(vf.offsets):
-        r = vf.offsets[axis]
-        parts.append(f"axis{axis}:[{r.lo:+d},{r.hi:+d}]")
-    return " ".join(parts) or "origin-only"
+def _finding(fp: KernelFootprint, rule: str, severity: Severity,
+             view, detail: str, line=None) -> Finding:
+    return Finding(rule, severity, fp.kernel, view, detail,
+                   file=fp.file, line=line or fp.line)
 
 
 # --------------------------------------------------------------------------
@@ -106,77 +117,72 @@ def _fmt_offsets(fp: KernelFootprint, view: str) -> str:
 
 
 def check_races(fp: KernelFootprint, cfg: RuleConfig) -> Iterator[Finding]:
-    for name, vf in fp.views.items():
-        for acc in vf.scatter_writes:
-            yield Finding(
-                RULE_RACE, Severity.ERROR, fp.kernel, name,
-                "scatter write through a data-dependent index "
-                "(store index not derived from the loop indices); "
-                "iterations may collide under parallel backends",
-                file=fp.file, line=fp.line,
-            )
-        for acc in vf.shifted_writes:
-            yield Finding(
-                RULE_RACE, Severity.ERROR, fp.kernel, name,
-                "write at a shifted loop offset with no origin coverage "
-                f"({_fmt_offsets(fp, name)}); neighbouring iterations "
-                "store to the same cell",
-                file=fp.file, line=fp.line,
-            )
+    for name in fp.halo:
+        detail = _race(fp, name)
+        if detail is not None:
+            yield _finding(fp, RULE_RACE, Severity.ERROR, name, detail)
+
+
+def _race(fp: KernelFootprint, name: str):
+    for part in fp.parts:
+        for acc in part.writes(name):
+            if acc.scatter:
+                return ("scatter write through an index array (store index "
+                        "not derived from the loop indices); iterations may "
+                        "collide under parallel backends")
+            out = {axis: o for axis, o in part.offsets(acc).items()
+                   if o[0] < 0 or o[1] > 0}
+            if out:
+                where = ("its own iteration point" if acc.point is not None
+                         else "the launch range")
+                spans = " ".join(f"axis{axis}:[{lo:+d},{hi:+d}]"
+                                 for axis, (lo, hi) in sorted(out.items()))
+                return (f"write leaves {where} ({spans}); neighbouring "
+                        "iterations store to the same cell")
+    return None
 
 
 # --------------------------------------------------------------------------
-# rule 2: stencil footprint vs declared halo (and LDM tile accounting)
+# rule 2: observed reach vs declared halo (and LDM tile accounting)
 # --------------------------------------------------------------------------
 
 
 def _ldm_detail(fp: KernelFootprint, halo: int) -> str:
-    try:
-        from repro.kokkos.ldm import max_tile_points
-        bpp = float(getattr(fp.functor_type, "bytes_per_point", 8.0)) or 8.0
-        base = max_tile_points(bpp)
-        side = max(int(base ** 0.5), 1)
-        grown = (side + 2 * halo) ** 2
-        return (f" (athread LDM: a {side}x{side} tile grows to "
-                f"{grown} pts with a {halo}-wide ring, "
-                f"{grown / max(base, 1):.2f}x the haloless budget)")
-    except Exception:  # pragma: no cover - defensive
-        return ""
+    from repro.kokkos.ldm import max_tile_points
+
+    bpp = float(getattr(fp.functor_type, "bytes_per_point", 8.0)) or 8.0
+    base = max_tile_points(bpp)
+    side = max(int(base ** 0.5), 1)
+    grown = (side + 2 * halo) ** 2
+    return (f" (athread LDM: a {side}x{side} tile grows to "
+            f"{grown} pts with a {halo}-wide ring, "
+            f"{grown / max(base, 1):.2f}x the haloless budget)")
 
 
 def check_halo(fp: KernelFootprint, cfg: RuleConfig) -> Iterator[Finding]:
-    extracted = fp.stencil_halo
+    observed = fp.stencil_halo
     declared = int(getattr(fp.functor_type, "stencil_halo", 0))
-    if extracted > declared:
-        widest = max(
-            (v for v in fp.views if fp.views[v].horizontal_halo(fp.ndim)
-             == extracted),
-            default=None)
-        yield Finding(
-            RULE_HALO, Severity.ERROR, fp.kernel, widest,
-            f"stencil reaches ±{extracted} horizontally but the functor "
+    if observed > declared:
+        widest = next(v for v, h in fp.halo.items() if h == observed)
+        yield _finding(
+            fp, RULE_HALO, Severity.ERROR, widest,
+            f"stencil reaches ±{observed} horizontally but the functor "
             f"declares stencil_halo={declared}; the athread tile stager "
             "DMAs too small a ring and halo exchange leaves outer cells "
-            "stale" + _ldm_detail(fp, extracted),
-            file=fp.file, line=fp.line,
-        )
+            "stale" + _ldm_detail(fp, observed))
     if declared > cfg.domain_halo:
-        yield Finding(
-            RULE_HALO, Severity.ERROR, fp.kernel, None,
+        yield _finding(
+            fp, RULE_HALO, Severity.ERROR, None,
             f"declared stencil_halo={declared} exceeds the domain halo "
             f"width {cfg.domain_halo} (repro.parallel.DEFAULT_HALO); the "
             "MPI exchange cannot supply that ring"
-            + _ldm_detail(fp, declared),
-            file=fp.file, line=fp.line,
-        )
-    elif declared > extracted and fp.error is None:
-        yield Finding(
-            RULE_HALO, Severity.INFO, fp.kernel, None,
-            f"declared stencil_halo={declared} but the extracted footprint "
-            f"only reaches ±{extracted}; the athread backend stages a "
-            "larger LDM ring than needed",
-            file=fp.file, line=fp.line,
-        )
+            + _ldm_detail(fp, declared))
+    elif declared > observed:
+        yield _finding(
+            fp, RULE_HALO, Severity.INFO, None,
+            f"declared stencil_halo={declared} but the observed reads "
+            f"only reach ±{observed}; the athread backend stages a larger "
+            "LDM ring than needed")
 
 
 # --------------------------------------------------------------------------
@@ -188,58 +194,43 @@ KERNEL_BODY_NAMES = {"apply", "__call__", "reduce", "reduce_apply"}
 
 def check_memory_space(fp: KernelFootprint, cfg: RuleConfig) -> Iterator[Finding]:
     # .raw inside the kernel body bypasses View space policing
-    for name, vf in fp.views.items():
-        if vf.kind == "view" and vf.raw_reads:
-            yield Finding(
-                RULE_SPACE, Severity.WARNING, fp.kernel, name,
-                "kernel body dereferences View.raw; use .data so "
-                "memory-space policing catches device views read on the "
-                "host",
-                file=fp.file, line=fp.line,
-            )
-    # view dereferences in methods not reachable from the kernel body run
-    # on the host, outside kernel_context — a device view there races
-    # with in-flight launches and dodges the runtime guard via .raw
-    yield from _check_outside_kernel_derefs(fp)
+    for name in sorted(set().union(*(p.raw for p in fp.parts))):
+        yield _finding(
+            fp, RULE_SPACE, Severity.WARNING, name,
+            "kernel body dereferences View.raw; use .data so "
+            "memory-space policing catches device views read on the host")
+    # methods the sweep did not run are host code: a view dereference
+    # there races with in-flight launches and dodges the runtime guard
+    yield from _host_derefs(fp)
 
 
-def _check_outside_kernel_derefs(fp: KernelFootprint) -> Iterator[Finding]:
-    import ast
-
-    analysis = fp.analysis
-    if analysis is None or analysis.info is None:
-        return
-    info = analysis.info
-    reachable = set(KERNEL_BODY_NAMES) | {"__init__"}
-    reachable.update(analysis.collector.inlined_methods)
-    view_attrs = {
-        attr for attr, val in info.attr_map.items()
-        if type(val).__name__ == "ViewHandle"
-    }
-    for mname, mnode in info.methods.items():
-        if mname in reachable:
+def _host_derefs(fp: KernelFootprint) -> Iterator[Finding]:
+    ran = set().union(*(p.ran for p in fp.parts))
+    views = {name for p in fp.parts for name, b in p.bound.items()
+             if "." not in name and isinstance(b.obj, View)}
+    for mname, fn in inspect.getmembers(fp.functor_type, inspect.isfunction):
+        if mname in KERNEL_BODY_NAMES | {"__init__"} | ran:
             continue
-        for node in ast.walk(mnode):
-            if not isinstance(node, ast.Subscript):
-                continue
-            base = node.value
+        try:
+            lines, first = inspect.getsourcelines(fn)
+        except (OSError, TypeError):
+            continue
+        for node in ast.walk(ast.parse(textwrap.dedent("".join(lines)))):
+            base = node.value if isinstance(node, ast.Subscript) else None
             if not (isinstance(base, ast.Attribute)
                     and base.attr in ("data", "raw")):
                 continue
             owner = base.value
             if (isinstance(owner, ast.Attribute)
                     and isinstance(owner.value, ast.Name)
-                    and owner.value.id == "self"
-                    and owner.attr in view_attrs):
-                yield Finding(
-                    RULE_SPACE, Severity.WARNING, fp.kernel, owner.attr,
+                    and owner.value.id == "self" and owner.attr in views):
+                yield _finding(
+                    fp, RULE_SPACE, Severity.WARNING, owner.attr,
                     f"method {mname}() dereferences view "
                     f"self.{owner.attr}.{base.attr} outside any kernel "
                     "body; host code must deep_copy or fence before "
                     "touching device views",
-                    file=fp.file,
-                    line=(fp.line or 1) + node.lineno - 1,
-                )
+                    line=first + node.lineno - 1)
                 break  # one finding per method is enough
 
 
@@ -249,53 +240,48 @@ def _check_outside_kernel_derefs(fp: KernelFootprint) -> Iterator[Finding]:
 
 
 def check_cost(fp: KernelFootprint, cfg: RuleConfig) -> Iterator[Finding]:
-    sc = static_cost(fp)
-    if sc.counted_flops >= cfg.cost_abs_floor or \
-            sc.declared_flops >= cfg.cost_abs_floor:
-        if sc.flops_ratio > cfg.flops_rtol_hi:
-            yield Finding(
-                RULE_COST, Severity.WARNING, fp.kernel, None,
-                f"declared flops_per_point={sc.declared_flops:g} but the "
-                f"kernel body counts ~{sc.counted_flops:g} arithmetic ops "
-                f"per point ({sc.flops_ratio:.1f}x); the roofline model "
-                "under-reports this kernel",
-                file=fp.file, line=fp.line,
-            )
-        elif sc.flops_ratio < cfg.flops_rtol_lo:
-            yield Finding(
-                RULE_COST, Severity.WARNING, fp.kernel, None,
-                f"declared flops_per_point={sc.declared_flops:g} but the "
-                f"kernel body only counts ~{sc.counted_flops:g} arithmetic "
-                f"ops per point ({sc.flops_ratio:.2f}x); the roofline "
-                "model over-reports this kernel",
-                file=fp.file, line=fp.line,
-            )
+    ft = fp.functor_type
+    flops = float(getattr(ft, "flops_per_point", 0.0))
+    counted = fp.counted_flops
+    if counted >= cfg.cost_abs_floor or flops >= cfg.cost_abs_floor:
+        ratio = (counted / flops if flops > 0
+                 else float("inf") if counted > 0 else 1.0)
+        if ratio > cfg.flops_rtol_hi:
+            yield _finding(
+                fp, RULE_COST, Severity.WARNING, None,
+                f"declared flops_per_point={flops:g} but the kernel body "
+                f"counts ~{counted:g} arithmetic ops per point "
+                f"({ratio:.1f}x); the roofline model under-reports this "
+                "kernel")
+        elif ratio < cfg.flops_rtol_lo:
+            yield _finding(
+                fp, RULE_COST, Severity.WARNING, None,
+                f"declared flops_per_point={flops:g} but the kernel body "
+                f"only counts ~{counted:g} arithmetic ops per point "
+                f"({ratio:.2f}x); the roofline model over-reports this "
+                "kernel")
     # the declared bytes/pt must land between the perfect-cache bound
     # (8 B x distinct arrays) and the cold-cache bound (8 B x distinct
     # offset streams), with slack on both sides
-    if sc.counted_bytes >= cfg.cost_abs_floor * 8 or \
-            sc.declared_bytes >= cfg.cost_abs_floor * 8:
-        if sc.declared_bytes < cfg.bytes_rtol_lo * sc.counted_bytes_min:
-            yield Finding(
-                RULE_COST, Severity.WARNING, fp.kernel, None,
-                f"declared bytes_per_point={sc.declared_bytes:g} is below "
-                f"even the perfect-cache bound: the kernel touches "
-                f"{fp.counted_arrays} distinct arrays "
-                f"(>= {sc.counted_bytes_min:g} B/pt) across "
-                f"{fp.counted_streams} offset streams "
-                f"(<= {sc.counted_bytes:g} B/pt); memory-bound estimates "
-                "under-report this kernel",
-                file=fp.file, line=fp.line,
-            )
-        elif sc.declared_bytes > cfg.bytes_rtol_hi * sc.counted_bytes:
-            yield Finding(
-                RULE_COST, Severity.WARNING, fp.kernel, None,
-                f"declared bytes_per_point={sc.declared_bytes:g} exceeds "
-                f"the cold-cache bound: the kernel only touches "
+    declared = float(getattr(ft, "bytes_per_point", 0.0))
+    lo, hi = fp.counted_bytes_min, fp.counted_bytes
+    if hi >= cfg.cost_abs_floor * 8 or declared >= cfg.cost_abs_floor * 8:
+        if declared < cfg.bytes_rtol_lo * lo:
+            yield _finding(
+                fp, RULE_COST, Severity.WARNING, None,
+                f"declared bytes_per_point={declared:g} is below even the "
+                f"perfect-cache bound: the kernel touches "
+                f"{fp.counted_arrays} distinct arrays (>= {lo:g} B/pt) "
+                f"across {fp.counted_streams} offset streams "
+                f"(<= {hi:g} B/pt); memory-bound estimates under-report "
+                "this kernel")
+        elif declared > cfg.bytes_rtol_hi * hi:
+            yield _finding(
+                fp, RULE_COST, Severity.WARNING, None,
+                f"declared bytes_per_point={declared:g} exceeds the "
+                f"cold-cache bound: the kernel only touches "
                 f"{fp.counted_streams} distinct 8-byte offset streams "
-                f"(<= {sc.counted_bytes:g} B/pt)",
-                file=fp.file, line=fp.line,
-            )
+                f"(<= {hi:g} B/pt)")
 
 
 # --------------------------------------------------------------------------
@@ -304,40 +290,25 @@ def check_cost(fp: KernelFootprint, cfg: RuleConfig) -> Iterator[Finding]:
 
 
 def check_alias(fp: KernelFootprint, cfg: RuleConfig) -> Iterator[Finding]:
-    if fp.body_method not in ("apply", "reduce_apply"):
-        return
-    for name, vf in fp.views.items():
-        if vf.kind != "view" or not vf.writes:
+    hazards: List[str] = []
+    for part in fp.parts:
+        if part.body != "apply":
             continue
-        first_write = min(
-            (acc.lineno for acc, _ in vf.covered_axes_per_write),
-            default=None)
-        if first_write is None:
-            continue
-        hazard = None
-        for acc in fp.analysis.accesses if fp.analysis else []:
-            if acc.array != name or acc.write:
-                continue
-            if acc.lineno < first_write:
-                continue
-            shifted = any(
-                getattr(opt, "lo", 0) != 0 or getattr(opt, "hi", 0) != 0
-                for val in acc.axes
-                for opt in (val.options if hasattr(val, "options") else (val,))
-            )
-            if shifted:
-                hazard = acc
-                break
-        if hazard is not None:
-            yield Finding(
-                RULE_ALIAS, Severity.ERROR, fp.kernel, name,
-                "vectorised apply() reads a shifted slice of a view after "
-                "writing it in the same tile body; the read sees already "
-                "updated neighbours, so apply() is not elementwise-"
-                "equivalent to __call__ (snapshot the input or write to a "
-                "separate output view)",
-                file=fp.file, line=fp.line,
-            )
+        written = set()
+        for acc in part.accesses:
+            if acc.write:
+                written.add(acc.name)
+            elif acc.name in written and acc.name not in hazards and any(
+                    o != (0, 0) for o in part.offsets(acc).values()):
+                hazards.append(acc.name)
+    for name in hazards:
+        yield _finding(
+            fp, RULE_ALIAS, Severity.ERROR, name,
+            "vectorised apply() reads a shifted slice of a view after "
+            "writing it in the same tile body; the read sees already "
+            "updated neighbours, so apply() is not elementwise-"
+            "equivalent to __call__ (snapshot the input or write to a "
+            "separate output view)")
 
 
 RULE_CHECKS = {
@@ -350,13 +321,13 @@ RULE_CHECKS = {
 
 
 def run_rules(fp: KernelFootprint, cfg: RuleConfig) -> List[Finding]:
+    if not fp.observed:
+        return [_finding(
+            fp, RULE_UNOBSERVED, Severity.ERROR, None,
+            "registered, but no lint-matrix launch binds it, so none of "
+            "its rules could be checked; launch it from the model or "
+            "delete it")]
     out: List[Finding] = []
-    if fp.error is not None:
-        out.append(Finding(
-            RULE_SPACE, Severity.INFO, fp.kernel, None,
-            f"kernel body not analyzable: {fp.error}",
-            file=fp.file, line=fp.line))
-        return out
     for check in RULE_CHECKS.values():
         out.extend(check(fp, cfg))
     return out

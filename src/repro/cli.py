@@ -12,10 +12,11 @@ Commands
 ``info``
     Print the machine registry and the paper configurations.
 ``lint``
-    Static analysis of every registered kernel (kernelcheck):
+    Verify every registered kernel (kernelcheck) against its observed
+    sweeps under the lint matrix:
     ``python -m repro lint [--format json] [--baseline file]``; with
-    ``--graph``, whole-schedule verification of the sealed launch
-    graphs (graphcheck) on every backend.  The exit
+    ``--graph``, whole-schedule verification of the matrix's sealed
+    launch graphs (graphcheck).  The exit
     code fails on error findings only; ``--strict`` fails on warnings.
 ``trace``
     Step a small model with span tracing on and export a Chrome
@@ -153,8 +154,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     if args.graph:
-        # whole-schedule verification: build the production-path demo
-        # model on every backend and walk each sealed launch graph
+        # whole-schedule verification: walk each sealed launch graph of
+        # the lint matrix (the production-path demo model, every backend)
         from .analysis import run_graphcheck
 
         report = run_graphcheck()
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=_cmd_info)
 
     lint = sub.add_parser(
-        "lint", help="static analysis of the registered kernels (kernelcheck)")
+        "lint", help="verify the registered kernels (kernelcheck)")
     lint.add_argument("--format", default="text", choices=["text", "json"],
                       help="output format (json feeds CI annotations)")
     lint.add_argument("--output", default=None,
@@ -435,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "and exit")
     lint.add_argument("--graph", action="store_true",
                       help="verify sealed launch graphs (graphcheck) instead "
-                           "of the per-kernel rules: dataflow hazards, halo "
-                           "freshness, fence discipline of the production "
+                           "of the per-kernel rules: halo freshness, dead "
+                           "work and precision boundaries of the production "
                            "schedule on every backend")
     lint.add_argument("--strict", action="store_true",
                       help="fail on warnings too (default: errors only)")

@@ -55,8 +55,9 @@ class Functor:
     bytes_per_point: float = 8.0
     #: Widest horizontal stencil offset (``±k`` on the last two loop
     #: axes) the kernel body reads.  The athread backend grows its LDM
-    #: tiles by this ring, and ``repro.analysis`` cross-checks it
-    #: against the extracted footprint and the domain halo width.
+    #: tiles by this ring, and ``repro.analysis`` checks it against the
+    #: reach observed when the lint matrix sweeps the kernel, and
+    #: against the domain halo width.
     stencil_halo: int = 0
 
     def __call__(self, *idx: int) -> None:  # pragma: no cover - abstract

@@ -78,7 +78,7 @@ class FusedTileFunctor:
     proof covers) the union working set.
     """
 
-    #: Composite: kernelcheck analyses the parts individually.
+    #: Composite: kernelcheck observes the parts individually.
     __kernelcheck_skip__ = True
 
     def __init__(self, parts: Sequence, labels: Sequence[str]) -> None:
@@ -106,8 +106,8 @@ class KernelNode:
         """Per-plan-part ``(label, functor)`` pairs.
 
         Fused nodes expose their member bodies; a plain launch is its
-        own single part.  This is the unit the graphcheck verifier
-        builds kernelcheck footprints for.
+        own single part.  This is the unit the verifiers observe: one
+        recorded sweep per part (``repro.analysis.observe``).
         """
         inner = getattr(self.functor, "parts", None)
         if inner:

@@ -42,7 +42,7 @@ class TileFunctor:
     bytes_per_point = 64.0
     #: Widest horizontal stencil offset the body reads; origin-only by
     #: default.  Stencil kernels must override it (kernelcheck verifies
-    #: the declaration against the extracted footprint).
+    #: the declaration against the observed footprint).
     stencil_halo = 0
 
     def __call__(self, *idx: int) -> None:

@@ -199,22 +199,3 @@ class AsselinFilterFunctor(TileFunctor):
         n = self.new.data[idx]
         self.cur.data[idx] = c + self.alpha * (n - 2.0 * c + o)
 
-
-@kokkos_register_for("accumulate_mean", ndim=2)
-class Accumulate2DFunctor(TileFunctor):
-    """acc += weight * field (barotropic subcycle time averaging)."""
-
-    flops_per_point = 2.0
-    bytes_per_point = 3 * 8.0
-
-    def __init__(self, acc: View, field: View, weight: float) -> None:
-        self.acc = acc
-        self.field = field
-        self.weight = weight
-
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
-
-    def apply(self, slices) -> None:
-        sj, si = slices
-        self.acc.data[sj, si] += self.weight * self.field.data[sj, si]

@@ -136,32 +136,6 @@ def measure_step_profile(size: str = "tiny", steps: int = 4) -> StepProfile:
     )
 
 
-def crosscheck_declared_costs(bytes_lo: float = 0.9, bytes_hi: float = 2.0):
-    """Static cross-check of the declared kernel costs feeding this model.
-
-    The roofline inputs are only as honest as each kernel's
-    ``bytes_per_point`` declaration.  This asks ``repro.analysis`` for
-    the statically *extracted* footprint of every registered kernel and
-    returns the :class:`~repro.analysis.StaticKernelCost` records whose
-    declaration falls outside the ``[bytes_lo x perfect-cache bound,
-    bytes_hi x cold-cache bound]`` interval — an empty list means the
-    instrumentation totals (and so :data:`DEFAULT_PROFILE`) rest on
-    declarations consistent with what the kernel bodies actually touch.
-    """
-    from ..analysis import collect_footprints, static_cost
-
-    offenders = []
-    for fp in collect_footprints():
-        if fp.error is not None:
-            continue
-        sc = static_cost(fp)
-        hi_bound = bytes_hi * max(sc.counted_bytes, sc.counted_bytes_min)
-        if not (bytes_lo * sc.counted_bytes_min <= sc.declared_bytes
-                <= hi_bound):
-            offenders.append(sc)
-    return offenders
-
-
 def compute_time_per_step(
     profile: StepProfile,
     machine: MachineSpec,

@@ -2,9 +2,10 @@
 
 Each class violates exactly one kernelcheck rule; everything else about
 it (cost declarations, stencil declarations, write patterns) is honest,
-so the golden tests can assert that the analyzer reports *exactly* the
+so the golden tests can assert that the verifier reports *exactly* the
 intended finding and nothing else.  These are never registered with the
-global registry — the tests footprint them directly.
+global registry — the tests bind them to small views and observe one
+sweep directly.
 """
 
 from __future__ import annotations
@@ -100,6 +101,25 @@ class DishonestFlopsFunctor:
     def apply(self, slices) -> None:
         sj, si = slices
         self.out.data[sj, si] = self.a.data[sj, si] + self.b.data[sj, si]
+
+
+class DishonestBytesFunctor:
+    """cost-drift: touches five arrays but declares two arrays' bytes."""
+
+    flops_per_point = 3.0
+    bytes_per_point = 2 * 8.0
+
+    def __init__(self, a: View, b: View, c: View, d: View, out: View) -> None:
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+        self.out = out
+
+    def apply(self, slices) -> None:
+        sj, si = slices
+        self.out.data[sj, si] = (self.a.data[sj, si] + self.b.data[sj, si]
+                                 + self.c.data[sj, si] + self.d.data[sj, si])
 
 
 class AliasHazardFunctor:

@@ -32,6 +32,24 @@ class PointCopyFunctor:
         self.apply((slice(j, j + 1), slice(i, i + 1)))
 
 
+class ColumnCopyFunctor:
+    """Point-local copy of whole columns: ``out[:, j, i] = f[:, j, i]``."""
+
+    flops_per_point = 0.0
+    bytes_per_point = 2 * 8.0
+
+    def __init__(self, f: View, out: View) -> None:
+        self.f = f
+        self.out = out
+
+    def apply(self, slices) -> None:
+        sj, si = slices
+        self.out.data[:, sj, si] = self.f.data[:, sj, si]
+
+    def __call__(self, j: int, i: int) -> None:
+        self.apply((slice(j, j + 1), slice(i, i + 1)))
+
+
 class WestReadFunctor:
     """One-wide stencil: ``out[j, i] = f[j, i-1] + 1`` (reads the ring)."""
 

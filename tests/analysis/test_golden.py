@@ -1,13 +1,22 @@
-"""Golden tests: each broken mini-functor trips exactly its one rule."""
+"""Golden tests: each broken mini-functor trips exactly its one rule.
 
+Every functor is bound to fresh ``N x N`` views and observed over the
+interior range, as a lint-matrix launch would be.
+"""
+
+import inspect
+
+import numpy as np
 import pytest
 
 from repro.analysis import (
+    KernelFootprint,
     RuleConfig,
     Severity,
-    build_footprint,
+    observe_part,
     run_rules,
 )
+from repro.kokkos import View
 from tests.analysis import broken
 
 CASES = [
@@ -16,18 +25,31 @@ CASES = [
     (broken.HostDerefFunctor, "memory-space"),
     (broken.RawInKernelFunctor, "memory-space"),
     (broken.DishonestFlopsFunctor, "cost-drift"),
+    (broken.DishonestBytesFunctor, "cost-drift"),
     (broken.AliasHazardFunctor, "alias-hazard"),
 ]
 
+N = 8
+RANGE = ((2, N - 2), (2, N - 2))
+
+
+def bind(cls):
+    """``cls`` over one float view per parameter; ``idx`` is all zeros,
+    so every iteration of the scatter functor stores to row 0."""
+    rng = np.random.default_rng(0)
+    return cls(*(View(name, (N, N), dtype=np.int64) if name == "idx"
+                 else View(name, data=rng.random((N, N)))
+                 for name in inspect.signature(cls).parameters))
+
 
 def footprint(cls):
-    return build_footprint(cls.__name__, cls, ndim=2, kind="for")
+    return KernelFootprint(cls.__name__, cls, [observe_part(bind(cls), RANGE)])
 
 
 @pytest.mark.parametrize("cls,rule", CASES, ids=[c.__name__ for c, _ in CASES])
 def test_broken_functor_trips_exactly_its_rule(cls, rule):
     fp = footprint(cls)
-    assert fp.error is None
+    assert fp.observed
     findings = run_rules(fp, RuleConfig())
     assert [f.rule for f in findings] == [rule]
     assert findings[0].severity >= Severity.WARNING
@@ -53,3 +75,10 @@ def test_halo_footprint_is_extracted_not_declared():
 def test_dishonest_flops_reports_both_numbers():
     findings = run_rules(footprint(broken.DishonestFlopsFunctor), RuleConfig())
     assert "40" in findings[0].detail and "1" in findings[0].detail
+
+
+def test_unbound_kernel_is_an_error():
+    findings = run_rules(
+        KernelFootprint("clean", broken.CleanFunctor), RuleConfig())
+    assert [(f.rule, f.severity) for f in findings] == \
+        [("unobserved", Severity.ERROR)]

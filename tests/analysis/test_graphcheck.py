@@ -41,6 +41,7 @@ from repro.kokkos import (
 from tests.conftest import FakeHalo, intercepting
 from tests.analysis.broken_graph import (
     AccumulateFunctor,
+    ColumnCopyFunctor,
     PointCopyFunctor,
     WestReadFunctor,
 )
@@ -181,6 +182,33 @@ def errors_of(model_cls):
 class TestVerifierSoundness:
     """A schedule bug seeded into the production model: the verifier
     must name it from the sealed graph alone."""
+
+    def test_stale_old_tracer_ring_reaches_the_fct_limiter(self, space):
+        """An interior-only write to the limiter's ``t_old`` with no
+        exchange before the real ``FCTLimitFunctor``: its Zalesak
+        envelope reads ``t_old`` at ±1, so the ring it reads is stale."""
+        from repro.kokkos.graph import KernelNode
+        from repro.ocean import LICOMKpp
+        from repro.ocean.kernels_tracer import FCTLimitFunctor
+
+        model, graphs = captured_graphs(LICOMKpp)
+        try:
+            node, fct = next(
+                (n, f) for g in graphs for n in g.nodes
+                if isinstance(n, KernelNode)
+                for _, f in n.parts() if isinstance(f, FCTLimitFunctor))
+            t_old = fct.t_old
+            src = View("src", t_old.shape)
+            findings = check_graph(sealed(
+                space,
+                ("k", "writer", node.policy, ColumnCopyFunctor(src, t_old)),
+                ("k", "advect_tracer_limits", node.policy, fct)))
+        finally:
+            model.close()
+        errors = [(f.rule, f.kernel, f.view) for f in findings
+                  if f.severity >= Severity.ERROR]
+        assert errors == [(RULE_STALE_HALO, "advect_tracer_limits",
+                           t_old.label)]
 
     def test_forgotten_exchange_field_is_a_stale_halo(self):
         from repro.ocean import LICOMKpp

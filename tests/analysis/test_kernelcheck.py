@@ -1,14 +1,10 @@
-"""Whole-tree kernelcheck: the seed kernels are clean, and stay checkable."""
+"""Whole-tree kernelcheck: the seed kernels are clean, and every one of
+them is observed under the lint matrix."""
 
 import json
 
-from repro.analysis import (
-    ALL_RULES,
-    collect_footprints,
-    run_kernelcheck,
-)
+from repro.analysis import ALL_RULES, kernel_footprints, run_kernelcheck
 from repro.parallel.decomp import DEFAULT_HALO
-from repro.perfmodel.kernelcost import crosscheck_declared_costs
 
 
 class TestSeedTreeClean:
@@ -20,31 +16,29 @@ class TestSeedTreeClean:
         assert rep.ok
 
     def test_every_kernel_analyzable(self):
-        fps = collect_footprints()
-        assert fps and all(fp.error is None for fp in fps)
+        """Every registered kernel is bound by some lint-matrix launch."""
+        fps = kernel_footprints()
+        assert fps and all(fp.observed for fp in fps)
 
     def test_extracted_halos_match_declarations(self):
-        """Static extraction agrees with every declared ``stencil_halo``."""
-        for fp in collect_footprints():
+        """The observed reach agrees with every declared ``stencil_halo``."""
+        for fp in kernel_footprints():
             declared = int(getattr(fp.functor_type, "stencil_halo", 0))
             assert fp.stencil_halo <= declared <= DEFAULT_HALO, fp.kernel
 
     def test_known_stencils(self):
-        halos = {fp.kernel: fp.stencil_halo
-                 for fp in collect_footprints()}
+        halos = {fp.kernel: fp.stencil_halo for fp in kernel_footprints()}
         assert halos["baroclinic_tendency"] == 2   # biharmonic = Lap o Lap
         assert halos["tracer_hdiff"] == 1          # 5-point Laplacian
         assert halos["eos_density"] == 0           # pointwise
 
-
-class TestPerfmodelCrosscheck:
-    def test_declared_bytes_within_static_interval(self):
-        """Independent check of the roofline inputs (ISSUE satellite)."""
-        assert crosscheck_declared_costs() == []
-
-    def test_crosscheck_catches_dishonesty(self):
-        offenders = crosscheck_declared_costs(bytes_lo=5.0)
-        assert offenders  # an absurd lower bound must flag something
+    def test_fct_limiter_reads_its_old_tracer_ring(self):
+        """The Zalesak envelope reads ``t_old`` and the mask at ±1,
+        through ``_local_bounds``' loop over ``(t_old, t_star)``."""
+        fp, = [fp for fp in kernel_footprints()
+               if fp.kernel == "advect_tracer_limits"]
+        assert fp.halo["t_old"] == 1
+        assert fp.halo["dom.mask_t"] == 1
 
 
 class TestJsonReport:

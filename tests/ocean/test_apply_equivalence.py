@@ -2,8 +2,8 @@
 
 The vectorised tile body ``apply(slices)`` must equal running
 ``__call__`` point by point over the same tile — the contract the
-alias-hazard rule of ``repro.analysis`` checks statically, verified
-here dynamically.  A wrapping backend intercepts every ``parallel_for``
+alias-hazard rule of ``repro.analysis`` checks on one observed sweep
+per launch, verified here on random sub-tiles.  A wrapping backend intercepts every ``parallel_for``
 the real model issues, replays a few random sub-tiles both ways on
 identical input state, and demands bit-identical results before letting
 the launch proceed.

@@ -11,8 +11,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Names that left ``repro.kokkos`` / ``repro.parallel``: moved to
-#: ``repro.experiments.variants`` or deleted with the per-field exchange.
+#: Names that left ``repro``: moved to ``repro.experiments.variants``,
+#: deleted with the per-field exchange, or deleted with the abstract
+#: interpreter the verifiers' observed footprints replaced.
 GONE = {
     "LinkedListRegistry", "_Node", "pack_naive", "pack_sliced",
     "REAL_HALO_TRANSPOSES", "GHOST_HALO_TRANSPOSES",
@@ -23,6 +24,10 @@ GONE = {
     "_PackFunctor", "_PACK_REGISTERED", "_PACK_LOCK", "update2d", "update3d",
     "overlapped_update", "message_counts_3d", "ExchangeEvent",
     "record_events", "messages_sent", "halo_fused", "halo_transpose",
+    "analyze_functor", "KernelAnalysis", "BodyAnalyzer", "LoopSlice",
+    "build_footprint", "collect_footprints", "static_cost",
+    "StaticKernelCost", "crosscheck_declared_costs", "Accumulate2DFunctor",
+    "absint",
 }
 
 
@@ -83,7 +88,9 @@ def test_kokkos_imports_no_higher_layer():
                for src, dst in edges), edges
 
 
-@pytest.mark.parametrize("package", ["repro.kokkos", "repro.parallel"])
+@pytest.mark.parametrize("package", [
+    "repro.kokkos", "repro.parallel", "repro.analysis", "repro.perfmodel",
+    "repro.ocean"])
 def test_variants_left_the_production_packages(package):
     """None of the moved or deleted names is defined, bound, imported or
     exported anywhere under the package, and the retired modules are gone."""
