@@ -75,12 +75,17 @@ class _AthreadPlan(LaunchPlan):
     plan does all of that once: the fit proof runs at seal time, and
     the per-tile staging sizes are pre-summed into per-launch DMA
     totals and per-CPE LDM peaks, so a replay is one whole-range sweep
-    followed by one batched ledger update.  The accounting the machine
-    model consumes (DMA byte/descriptor totals, LDM high water, tile
-    distribution) ends each launch identical to the eager path.
+    followed by one batched ledger update.  A high-water mark only
+    rises, so the peaks are applied once per ledger lifetime: the first
+    replay after :meth:`AthreadBackend.reset_counters` (which bumps the
+    space's ``ldm_epoch``) records them, later replays skip them.  The
+    accounting the machine model consumes (DMA byte/descriptor totals,
+    LDM high water, tile distribution) ends each launch identical to
+    the eager path.
     """
 
-    __slots__ = ("_distribution", "_get_total", "_put_total", "_ldm_peaks")
+    __slots__ = ("_distribution", "_get_total", "_put_total", "_ldm_peaks",
+                 "_ldm_epoch")
 
     def __init__(self, space, label, policy, functor) -> None:
         super().__init__(space, label, policy, functor)
@@ -115,6 +120,7 @@ class _AthreadPlan(LaunchPlan):
         self._get_total = get_total
         self._put_total = put_total
         self._ldm_peaks = [(space.ldm[cpe], w) for cpe, w in peaks.items()]
+        self._ldm_epoch = -1      # peaks not yet applied
 
     def run(self) -> None:
         self._sweep()
@@ -122,8 +128,10 @@ class _AthreadPlan(LaunchPlan):
         ntiles = self._distribution[0]
         space.dma.get_batch(self._get_total, ntiles)
         space.dma.put_batch(self._put_total, ntiles)
-        for ldm, peak in self._ldm_peaks:
-            ldm.record_peak(peak)
+        if self._ldm_epoch != space.ldm_epoch:
+            for ldm, peak in self._ldm_peaks:
+                ldm.record_peak(peak)
+            self._ldm_epoch = space.ldm_epoch
         space.last_distribution = self._distribution
         self._record(tiles=ntiles)
 
@@ -153,6 +161,9 @@ class AthreadBackend(ExecutionSpace):
         self.double_buffer = double_buffer
         self.ldm = [LDMAllocator(ldm_bytes) for _ in range(num_cpes)]
         self.dma = DMAEngine()
+        #: Bumped by :meth:`reset_counters`; a sealed plan re-applies its
+        #: LDM peaks once per epoch.
+        self.ldm_epoch = 0
         #: Work-distribution record of the last launch (for tests/benches):
         #: (total_tiles, tiles_per_cpe).
         self.last_distribution: Tuple[int, int] = (0, 0)
@@ -290,3 +301,4 @@ class AthreadBackend(ExecutionSpace):
         for a in self.ldm:
             a.reset()
             a.high_water = 0
+        self.ldm_epoch += 1

@@ -121,7 +121,8 @@ class ExchangeNode:
     """One halo exchange of several fields: a step of the schedule.
 
     ``fields`` are ``(view, sign, fill)`` triples that travel together in
-    one message per neighbour per phase (``halo2`` / ``halo3`` by the
+    one message per remote neighbour per phase, or one in-place copy
+    where the neighbour is this rank (``halo2`` / ``halo3`` by the
     fields' rank).  :meth:`run` is all the node does, and all graphcheck
     reads from it: the fields' ghost cells are refreshed, nothing else.
     On a space that is not host-accessible each field's ghost ring is

@@ -102,6 +102,26 @@ class TrafficLedger:
                 slot[0] += 1
                 slot[1] += nbytes
 
+    def record_batch(self, src: int, dst: int, messages: int, nbytes: float,
+                     size_hist: Sequence[Tuple[int, int]],
+                     phase: Optional[str] = None) -> None:
+        """Count ``messages`` messages of ``nbytes`` bytes in all from
+        ``src`` to ``dst`` at once; ``size_hist`` holds their ``(size
+        bin, count)`` pairs.  The ledger ends as if each message had
+        been :meth:`record`-ed (byte totals are whole numbers, so the
+        sums are exact in any order)."""
+        with self._lock:
+            self.messages += messages
+            self.bytes += nbytes
+            key = (src, dst)
+            self.by_pair[key] = self.by_pair.get(key, 0.0) + nbytes
+            for b, n in size_hist:
+                self.size_hist[b] = self.size_hist.get(b, 0) + n
+            if phase is not None:
+                slot = self.by_phase.setdefault(phase, [0, 0.0])
+                slot[0] += messages
+                slot[1] += nbytes
+
     def phase_messages(self, phase: str) -> int:
         """Message count recorded under ``phase`` (0 if never seen)."""
         return int(self.by_phase.get(phase, [0, 0.0])[0])

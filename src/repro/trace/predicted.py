@@ -10,7 +10,9 @@ SW26010-Pro or ORISE.  This module re-lays a recorded step using
   ``max(bytes / effective_bw, flops / peak) + launch_overhead``;
 * ``halo`` spans use the alpha-beta model: pack/unpack at the
   machine's calibrated pack bandwidth, waits at
-  ``net_latency + bytes / net_bw``;
+  ``net_latency + bytes / net_bw``; a self-neighbour copy is a local
+  copy — a pack and an unpack's worth of traffic
+  (``2 * bytes / effective_pack_bw``), no latency;
 * container spans (timers, graph replay) become the sum of their
   children, laid back-to-back — the sequential-dispatch assumption the
   perfmodel's kernel-time aggregation already makes.
@@ -84,6 +86,8 @@ def _leaf_duration(sp: Span, m) -> float:
     if sp.cat == "halo":
         if sp.name in ("halo_pack", "halo_unpack"):
             return nbytes / m.effective_pack_bw
+        if sp.name == "halo_copy":
+            return 2.0 * nbytes / m.effective_pack_bw
         if sp.name == "halo_wait":
             return m.net_latency + nbytes / m.net_bw
         return 0.0  # halo_post: posting receives is free in the model

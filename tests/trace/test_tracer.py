@@ -251,6 +251,17 @@ class TestPredictedTimeline:
         assert ev["dur"] == pytest.approx(
             (m.net_latency + 2.0e6 / m.net_bw) * 1e6)
 
+    def test_halo_copy_priced_as_local_copy(self):
+        # a self-neighbour side reads and writes its bytes once each and
+        # pays no network latency
+        tr = Tracer(enabled=True, clock=FakeClock())
+        with tr.span("halo_copy", cat="halo", who="w", bytes=3.0e6):
+            pass
+        m = get_machine("new_sunway")
+        trace = predicted_timeline(tr, m)
+        ev = next(e for e in trace["traceEvents"] if e["name"] == "halo_copy")
+        assert ev["dur"] == pytest.approx(2 * 3.0e6 / m.effective_pack_bw * 1e6)
+
     def test_container_is_sum_of_children(self):
         tr = Tracer(enabled=True, clock=FakeClock())
         with tr.span("step", cat="timer"):
