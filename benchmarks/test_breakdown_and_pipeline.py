@@ -73,7 +73,7 @@ def test_fig3_overview_map(benchmark, save_artifact):
             ("primitive equations", "repro.ocean (grid/baroclinic/barotropic/tracer)"),
             ("two-step shape-preserving advection", "repro.ocean.kernels_tracer"),
             ("canuto vertical mixing", "repro.ocean.vmix_canuto"),
-            ("Kokkos parallel dispatch", "repro.kokkos.parallel"),
+            ("Kokkos parallel dispatch", "repro.kokkos.backends.base"),
             ("KOKKOS_REGISTER_FOR macros", "repro.kokkos.functor"),
             ("linked-list functor registry", "repro.experiments.variants"),
             ("Athread backend (this work)", "repro.kokkos.backends.athread"),

@@ -119,7 +119,7 @@ _TRANSCENDENTAL = {
 _REDUCTIONS = {"sum", "cumsum", "prod", "cumprod", "max", "min", "mean", "std"}
 TRANSCENDENTAL_FLOPS = 8.0
 #: calls whose arguments are index arithmetic
-_INDEX_CALLS = {"slice", "range", "sh", "grow", "point_slices", "take",
+_INDEX_CALLS = {"slice", "range", "sh", "point_slices", "take",
                 "reshape", "len", "int"}
 
 

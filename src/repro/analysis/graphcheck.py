@@ -37,9 +37,7 @@ staleness wraps around the step boundary (a captured graph replays in a
 loop); findings are emitted on the final pass only and deduplicated by
 their stable ``rule:kernel:view`` key.
 
-Entry points: :func:`check_graph` (all families, one sealed graph),
-:func:`certify_precision` (its error-severity precision findings, for a
-caller that wants the proof before replaying) and
+Entry points: :func:`check_graph` (all families, one sealed graph) and
 :func:`run_graphcheck` (the ``python -m repro lint --graph`` driver:
 verifies every sealed step graph of the lint matrix,
 :func:`~repro.analysis.runner.lint_matrix`).
@@ -65,7 +63,6 @@ from .rules import (
 )
 
 __all__ = [
-    "certify_precision",
     "check_graph",
     "check_precision",
     "run_graphcheck",
@@ -153,14 +150,6 @@ def check_precision(graph: LaunchGraph,
                             "accumulator (wide_accumulate = True)"),
                     file=file, line=line))
     return findings
-
-
-def certify_precision(graph: LaunchGraph) -> List[Finding]:
-    """Proof that no fp32 sweep of a sealed graph silently promotes to
-    fp64: the error-severity precision findings (accumulation warnings
-    are not among them)."""
-    return [f for f in check_precision(graph)
-            if f.severity >= Severity.ERROR]
 
 
 # --------------------------------------------------------------------------

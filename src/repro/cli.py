@@ -281,17 +281,23 @@ def _cmd_precision(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .errors import AdmissionError
     from .serve import ServeScheduler, load_jobspecs
 
     if not args.demo and not args.jobs:
         print("serve: pass --jobs FILE or --demo", file=sys.stderr)
         return 2
+    if not args.demo:
+        try:
+            specs = load_jobspecs(args.jobs)
+        except AdmissionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     sched = ServeScheduler(workers=args.workers, budget=args.budget,
                            artifacts=args.artifacts)
     try:
         if args.demo:
             return _serve_demo(sched)
-        specs = load_jobspecs(args.jobs)
         jobs = sched.submit_many(specs)
         sched.wait_all()
         failed = 0

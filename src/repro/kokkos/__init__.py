@@ -1,10 +1,10 @@
 """``repro.kokkos`` — the performance-portability layer.
 
 A Python analog of Kokkos as extended by the paper: views with layouts
-and memory spaces, range/MD-range policies, parallel dispatch, and —
-this work's contribution — an Athread backend for the Sunway SW26010 Pro
-built on functor registration + callback dispatch, LDM tiling (Eq. 1–2)
-and DMA accounting.
+and memory spaces, range/MD-range policies, dispatch on an execution
+space, and — this work's contribution — an Athread backend for the
+Sunway SW26010 Pro built on functor registration + callback dispatch,
+LDM tiling (Eq. 1–2) and DMA accounting.
 
 Typical use::
 
@@ -26,7 +26,7 @@ Typical use::
             s, = slices
             self.y.data[s] += self.a * self.x.data[s]
 
-    kk.parallel_for("axpy", kk.RangePolicy(0, 1000), AXPY(2.0, x, y), space)
+    space.parallel_for("axpy", kk.RangePolicy(0, 1000), AXPY(2.0, x, y))
     print(space.inst.report())
 """
 
@@ -39,17 +39,14 @@ from .spaces import (
     LayoutRight,
     MemorySpace,
 )
-from .dualview import DualView
 from .view import (
     View,
-    create_device_view,
     create_mirror_view,
     deep_copy,
     kernel_context,
     subview,
 )
 from .policy import MDRangePolicy, RangePolicy, iter_tiles, tiles_per_cpe, total_tiles
-from .team import TeamMember, TeamPolicy, parallel_for_team, parallel_reduce_team
 from .functor import (
     Functor,
     kokkos_register_for,
@@ -89,18 +86,16 @@ from .instrument import (
 from .workspace import Workspace
 from .context import ExecutionContext
 from .ldm import DMAEngine, LDMAllocator, SW26010_LDM_BYTES, double_buffered_time
-from .parallel import fence, parallel_for, parallel_reduce, parallel_scan
 
 __all__ = [
     # spaces / layout
     "MemorySpace", "HostSpace", "DeviceSpace", "LDMSpace",
     "Layout", "LayoutLeft", "LayoutRight",
     # views
-    "View", "DualView", "create_mirror_view", "create_device_view", "deep_copy",
+    "View", "create_mirror_view", "deep_copy",
     "subview", "kernel_context",
     # policies
     "RangePolicy", "MDRangePolicy", "iter_tiles", "total_tiles", "tiles_per_cpe",
-    "TeamPolicy", "TeamMember", "parallel_for_team", "parallel_reduce_team",
     # functors / registry
     "Functor", "kokkos_register_for", "kokkos_register_reduce",
     "register_functor_instance",
@@ -116,6 +111,4 @@ __all__ = [
     # instrumentation / ldm
     "Instrumentation", "KernelStats", "WorkspaceStats",
     "LDMAllocator", "DMAEngine", "SW26010_LDM_BYTES", "double_buffered_time",
-    # dispatch
-    "parallel_for", "parallel_reduce", "parallel_scan", "fence",
 ]

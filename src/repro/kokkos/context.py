@@ -25,8 +25,8 @@ An :class:`ExecutionContext` is the session object that owns one rank's:
 
 Two models on different backends, each with its own context, can step
 concurrently in one process with bitwise-identical results and disjoint
-ledgers; :func:`repro.perfmodel.aggregate.aggregate` merges the
-per-rank ledgers back into the single job-level view.
+ledgers; :meth:`~repro.kokkos.instrument.Instrumentation.merge_from`
+folds per-rank ledgers back into the single job-level view.
 """
 
 from __future__ import annotations
@@ -140,10 +140,6 @@ class ExecutionContext:
         if dma is not None:
             dma.tracer = tr
         return tr
-
-    def disable_tracing(self) -> None:
-        """Stop recording (hooks stay wired; re-enable is one flag)."""
-        self.tracer.enabled = False
 
     # -- ownership accessors -----------------------------------------------
 

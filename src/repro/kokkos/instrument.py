@@ -69,13 +69,6 @@ class TransferLedger:
         if tr is not None and tr.enabled:
             tr.instant("D2H", cat="xfer", bytes=float(nbytes))
 
-    def record_dma(self, nbytes: float) -> None:
-        self.dma_bytes += nbytes
-        self.dma_count += 1
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.instant("DMA", cat="xfer", bytes=float(nbytes))
-
     # Ledgers cross process boundaries in worker exit reports; the
     # tracer back-reference is rank-local wiring and does not travel.
     def __getstate__(self) -> Dict[str, object]:
@@ -163,30 +156,13 @@ class Instrumentation:
                 ws.bytes_allocated += nbytes
 
     @property
-    def total_flops(self) -> float:
-        return sum(k.flops for k in self.kernels.values())
-
-    @property
-    def total_bytes(self) -> float:
-        return sum(k.bytes for k in self.kernels.values())
-
-    @property
     def total_launches(self) -> int:
         return sum(k.launches for k in self.kernels.values())
 
-    @property
-    def total_points(self) -> int:
-        """Grid points visited across all kernels — the per-rank load
-        proxy :func:`repro.perfmodel.aggregate.load_imbalance` uses."""
-        return sum(k.points for k in self.kernels.values())
-
     def merge_from(self, other: "Instrumentation") -> "Instrumentation":
-        """Accumulate ``other``'s counters into this ledger.
-
-        Used by :func:`repro.perfmodel.aggregate.aggregate` to fold
-        per-rank ledgers into the job-level view (§VI-C); ``other`` is
-        left untouched.
-        """
+        """Accumulate ``other``'s counters into this ledger: per-rank
+        ledgers fold into the job-level view (§VI-C); ``other`` is left
+        untouched."""
         with self._lock:
             for label, k in other.kernels.items():
                 mine = self.kernel(label)

@@ -77,10 +77,6 @@ class LDMAllocator:
         self.allocations.clear()
         self.used = 0
 
-    def fits(self, nbytes: int) -> bool:
-        """Would a fresh allocation of ``nbytes`` succeed right now?"""
-        return self.used + nbytes <= self.capacity
-
 
 @dataclass
 class DMAEngine:

@@ -106,10 +106,6 @@ class MDRangePolicy:
     def size(self) -> int:
         return math.prod(self.extents)
 
-    def with_tile(self, tile: Sequence[int]) -> "MDRangePolicy":
-        """A copy of this policy with explicit tile lengths."""
-        return MDRangePolicy(self._ranges, tile=tile)
-
 
 def as_md(policy) -> MDRangePolicy:
     """Normalise any policy-like object to an :class:`MDRangePolicy`.

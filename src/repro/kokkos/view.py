@@ -19,7 +19,7 @@ behavioural contract reproduced from Kokkos:
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -235,17 +235,6 @@ def create_mirror_view(view: View, space: MemorySpace = HostSpace) -> View:
     )
 
 
-def create_device_view(view: View, space: MemorySpace) -> View:
-    """Create a device-resident copy target for a host view."""
-    return View(
-        f"{view.label}_dev",
-        shape=view.shape,
-        dtype=view.dtype,
-        layout=view.layout,
-        space=space,
-    )
-
-
 def deep_copy(
     dst: View,
     src: Union[View, np.ndarray, float, int],
@@ -286,8 +275,3 @@ def subview(view: View, *slices) -> View:
     out._host_ok = view.space.host_accessible
     out._array = view.raw[slices if len(slices) != 1 else slices[0]]
     return out
-
-
-def views_nbytes(views: Iterable[View]) -> int:
-    """Total bytes across ``views`` (LDM working-set estimation helper)."""
-    return sum(v.nbytes for v in views)

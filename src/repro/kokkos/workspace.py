@@ -121,10 +121,6 @@ class Workspace:
             self._pools.clear()
             self._released = True
 
-    @property
-    def released(self) -> bool:
-        return self._released
-
     def pooled_nbytes(self) -> int:
         """Total bytes currently held across all thread pools."""
         with self._pools_lock:

@@ -5,29 +5,15 @@ from .config import (
     WEAK_SCALING_CONFIGS,
     ModelConfig,
     demo,
-    get_config,
 )
-from .eos import density_linear, density_unesco, buoyancy_frequency_sq
+from .eos import density_linear
 from .forcing import ForcingParams, SurfaceForcing, make_forcing
 from .grid import EARTH_RADIUS, GRAVITY, OMEGA, Grid, make_grid, make_vertical_grid
-from .idealized import (
-    channel_topography,
-    gravity_wave_speed,
-    impose_geostrophic_state,
-    impose_ssh_bump,
-    make_channel_model,
-    quiesce,
-)
 from .localdomain import LocalDomain, local_with_halo, make_local_domain
 from .diagnostics import (
     RossbyStats,
-    barotropic_streamfunction,
-    meridional_overturning,
     SSTStats,
-    kinetic_energy_joules,
-    kinetic_energy_spectrum,
     relative_vorticity,
-    wind_power_input,
     rossby_number,
     rossby_stats,
     sst_stats,
@@ -42,13 +28,7 @@ from .precision import (
     PrecisionPolicy,
     resolve_precision,
 )
-from .restart import (
-    HistoryAccumulator,
-    io_cost_estimate,
-    load_restart,
-    restart_nbytes,
-    save_restart,
-)
+from .restart import load_restart, save_restart
 from .state import LeapfrogField, ModelState
 from .topography import (
     MARIANA_DEPTH,
@@ -66,7 +46,7 @@ from .vmix_canuto import (
 )
 
 __all__ = [
-    "ModelConfig", "PAPER_CONFIGS", "WEAK_SCALING_CONFIGS", "demo", "get_config",
+    "ModelConfig", "PAPER_CONFIGS", "WEAK_SCALING_CONFIGS", "demo",
     "Grid", "make_grid", "make_vertical_grid", "EARTH_RADIUS", "GRAVITY", "OMEGA",
     "Topography", "make_topography", "land_mask", "bathymetry",
     "levels_from_depth", "MARIANA_DEPTH",
@@ -76,15 +56,10 @@ __all__ = [
     "PrecisionPolicy", "resolve_precision", "PRESETS",
     "FAMILIES", "FIELD_FAMILIES", "KERNEL_FAMILIES",
     "ForcingParams", "SurfaceForcing", "make_forcing",
-    "density_linear", "density_unesco", "buoyancy_frequency_sq",
+    "density_linear",
     "CanutoMixFunctor", "canuto_column_mask", "stability_functions",
     "MIN_CANUTO_LEVELS",
     "relative_vorticity", "rossby_number", "rossby_stats", "RossbyStats",
-    "sst_stats", "SSTStats", "temperature_section", "kinetic_energy_spectrum",
-    "meridional_overturning", "barotropic_streamfunction",
-    "wind_power_input", "kinetic_energy_joules",
-    "save_restart", "load_restart", "HistoryAccumulator",
-    "restart_nbytes", "io_cost_estimate",
-    "make_channel_model", "channel_topography", "quiesce",
-    "impose_ssh_bump", "impose_geostrophic_state", "gravity_wave_speed",
+    "sst_stats", "SSTStats", "temperature_section",
+    "save_restart", "load_restart",
 ]

@@ -5,18 +5,15 @@ barotropic/baroclinic/tracer time steps).  :data:`WEAK_SCALING_CONFIGS`
 reproduces Table IV (the six weak-scaling problem sizes with fixed 80
 levels and 2/20/20 s steps).
 
-The paper's grids are far beyond a laptop, so every configuration can be
-*downscaled*: :meth:`ModelConfig.scaled` divides the horizontal extents
-by an integer factor while stretching the time steps with the grid
-spacing, preserving the numerical character (CFL numbers, step ratios,
-kernel mix).  ``demo()`` returns sizes the test-suite integrates in
-seconds; the instrumented per-gridpoint counts measured there are exact
-at full scale because every kernel is resolution-independent.
+The paper's grids are far beyond a laptop: ``demo()`` returns sizes the
+test-suite integrates in seconds; the instrumented per-gridpoint counts
+measured there are exact at full scale because every kernel is
+resolution-independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -68,33 +65,6 @@ class ModelConfig:
     def steps_per_day(self) -> int:
         return int(round(86400.0 / self.dt_baroclinic))
 
-    def scaled(self, factor: int) -> "ModelConfig":
-        """A laptop-scale version: horizontal extents divided by ``factor``.
-
-        Time steps are multiplied by ``factor`` (grid spacing grows by
-        the same factor, so advective/gravity-wave CFL numbers are
-        preserved).  The vertical is left unchanged.
-        """
-        if factor < 1:
-            raise ConfigurationError("scale factor must be >= 1")
-        if factor == 1:
-            return self
-        nx, ny = self.nx // factor, self.ny // factor
-        if nx < 8 or ny < 8:
-            raise ConfigurationError(
-                f"scaling {self.name} by {factor} leaves a {ny}x{nx} grid; too small"
-            )
-        return replace(
-            self,
-            name=f"{self.name}_div{factor}",
-            resolution_km=self.resolution_km * factor,
-            nx=nx,
-            ny=ny,
-            dt_barotropic=self.dt_barotropic * factor,
-            dt_baroclinic=self.dt_baroclinic * factor,
-            dt_tracer=self.dt_tracer * factor,
-        )
-
 
 #: Table III — the four configurations of the paper.
 PAPER_CONFIGS: Dict[str, ModelConfig] = {
@@ -142,16 +112,6 @@ WEAK_SCALING_CONFIGS: Tuple[Tuple[ModelConfig, int, int], ...] = tuple(
         ("1km", 1.0, 36000, 22018, 15360, 38366250),
     )
 )
-
-
-def get_config(name: str) -> ModelConfig:
-    """Look up a Table III configuration by name."""
-    try:
-        return PAPER_CONFIGS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown config {name!r}; choose from {sorted(PAPER_CONFIGS)}"
-        ) from None
 
 
 def demo(size: str = "small", full_depth: bool = False) -> ModelConfig:

@@ -17,7 +17,7 @@ paper's qualitative claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -77,16 +77,6 @@ class RossbyStats:
     p99: float
     max: float
     submesoscale_fraction: float   # fraction of points with |Ro| > 0.1
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "resolution_km": self.resolution_km,
-            "rms": self.rms,
-            "p90": self.p90,
-            "p99": self.p99,
-            "max": self.max,
-            "submesoscale_fraction": self.submesoscale_fraction,
-        }
 
 
 def rossby_stats(model: LICOMKpp, level: int = 0) -> RossbyStats:
@@ -161,89 +151,3 @@ def temperature_section(
     m = d.mask_t[:, h:d.ly - h, i]
     t[m == 0.0] = np.nan
     return d.lat_t[h:d.ly - h], d.z_t.copy(), t.T
-
-
-def meridional_overturning(model: LICOMKpp) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Meridional overturning streamfunction Psi(lat, z) in Sverdrups.
-
-    ``Psi(j, k) = -sum_{m<=k} sum_i v dz dx / 1e6`` — the standard MOC
-    diagnostic climate studies read off eddy-resolving runs.  Returns
-    ``(lat, z_w[1:], Psi)`` with ``Psi`` of shape (ny, nz).
-    """
-    d = model.domain
-    h = d.halo
-    v = model.state.v.cur.raw[:, h:d.ly - h, h:d.lx - h]
-    m = d.mask_u[:, h:d.ly - h, h:d.lx - h]
-    dx = d.dx_u[h:d.ly - h]
-    transport = (v * m) * dx[None, :, None] * d.dz[:, None, None]  # m^3/s
-    zonal = transport.sum(axis=2)                                  # (nz, ny)
-    psi = -np.cumsum(zonal, axis=0).T / 1.0e6                      # (ny, nz), Sv
-    return d.lat_t[h:d.ly - h].copy(), d.z_w[1:].copy(), psi
-
-
-def barotropic_streamfunction(model: LICOMKpp) -> np.ndarray:
-    """Barotropic streamfunction [Sv] over the local interior.
-
-    Integrates the depth-summed zonal transport northward from the
-    (closed) southern boundary: the classic gyre/ACC picture of Fig. 1's
-    circulation.  Shape (ny, nx), land as NaN.
-    """
-    d = model.domain
-    h = d.halo
-    u = model.state.u.cur.raw[:, h:d.ly - h, h:d.lx - h]
-    m = d.mask_u[:, h:d.ly - h, h:d.lx - h]
-    uz = ((u * m) * d.dz[:, None, None]).sum(axis=0)   # (ny, nx) m^2/s
-    psi = np.cumsum(uz * d.dy, axis=0) / 1.0e6          # Sv
-    land = d.mask_t[0, h:d.ly - h, h:d.lx - h] == 0.0
-    psi = np.where(land, np.nan, psi)
-    return psi
-
-
-def wind_power_input(model: LICOMKpp) -> float:
-    """Wind work on the surface flow, integrated over the domain [W].
-
-    ``P = integral(tau . u_surf) dA`` — the energy source of the
-    wind-driven circulation; at statistical equilibrium it balances the
-    viscous/drag dissipation (the energy-budget test checks the KE
-    tendency is small against it).
-    """
-    d = model.domain
-    h = d.halo
-    u = model.state.u.cur.raw[0, h:d.ly - h, h:d.lx - h]
-    v = model.state.v.cur.raw[0, h:d.ly - h, h:d.lx - h]
-    tx = model.taux[h:d.ly - h, h:d.lx - h]
-    ty = model.tauy[h:d.ly - h, h:d.lx - h]
-    m = d.mask_u[0, h:d.ly - h, h:d.lx - h]
-    area = (d.dx_u[h:d.ly - h] * d.dy)[:, None]
-    return float(np.sum((tx * u + ty * v) * m * area))
-
-
-def kinetic_energy_joules(model: LICOMKpp) -> float:
-    """Total kinetic energy of the resolved flow [J] (Boussinesq rho0)."""
-    from .eos import RHO0
-
-    d = model.domain
-    h = d.halo
-    u = model.state.u.cur.raw[:, h:d.ly - h, h:d.lx - h]
-    v = model.state.v.cur.raw[:, h:d.ly - h, h:d.lx - h]
-    m = d.mask_u[:, h:d.ly - h, h:d.lx - h]
-    vol = (d.dx_u[h:d.ly - h] * d.dy)[None, :, None] * d.dz[:, None, None]
-    return float(np.sum(0.5 * RHO0 * (u * u + v * v) * m * vol))
-
-
-def kinetic_energy_spectrum(model: LICOMKpp, level: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """Zonal-wavenumber KE spectrum at one level, averaged over rows.
-
-    Returns ``(wavenumber, power)``; the resolution comparison of the
-    Fig. 6 analog checks that higher resolution adds small-scale power.
-    """
-    u = model.local_interior(model.state.u.cur.raw[level])
-    v = model.local_interior(model.state.v.cur.raw[level])
-    m = model.local_interior(model.domain.mask_u[level])
-    uu = np.where(m > 0.0, u, 0.0)
-    vv = np.where(m > 0.0, v, 0.0)
-    spec_u = np.abs(np.fft.rfft(uu, axis=1)) ** 2
-    spec_v = np.abs(np.fft.rfft(vv, axis=1)) ** 2
-    power = 0.5 * (spec_u + spec_v).mean(axis=0)
-    k = np.arange(power.size)
-    return k, power

@@ -1,17 +1,8 @@
-"""Equation of state for seawater.
+"""Equation of state for seawater: the linear Boussinesq EOS.
 
-Two variants:
-
-* :func:`density_linear` — the linear Boussinesq EOS used by default in
-  the reproduction (robust, monotone, adequate for the dynamics we
-  exercise).
-* :func:`density_unesco` — a simplified UNESCO-style polynomial in
-  (T, S, p) retaining the leading nonlinearities (thermal expansion
-  growing with temperature, saline contraction, pressure compression),
-  for realism-sensitive diagnostics.
-
-Both accept arrays of any matching shape and return in-situ density
-[kg/m^3].
+The model's EOS kernel evaluates it in place; :func:`density_linear` is
+its array-level reference (arrays of any matching shape, in-situ
+density in kg/m^3), which the kernel tests compare against.
 """
 
 from __future__ import annotations
@@ -37,51 +28,3 @@ def density_linear(
     (Boussinesq pressure effects drop out of the pressure gradient).
     """
     return RHO0 * (1.0 - ALPHA_T * (np.asarray(t) - T0) + BETA_S * (np.asarray(s) - S0))
-
-
-def density_unesco(
-    t: np.ndarray, s: np.ndarray, depth: np.ndarray | float = 0.0
-) -> np.ndarray:
-    """Simplified UNESCO-style polynomial EOS.
-
-    Retains quadratic thermal expansion (alpha increases with T), the
-    T-S cross term, and a linear compressibility in depth.  Coefficients
-    are tuned to track the full UNESCO-83 formula to within ~0.5 kg/m^3
-    over (T in [-2, 32] C, S in [30, 40] psu, z in [0, 11] km).
-    """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(depth, dtype=float)
-    rho_surf = (
-        999.842594
-        + 6.793952e-2 * t
-        - 9.095290e-3 * t * t
-        + 1.001685e-4 * t ** 3
-        + (0.824493 - 4.0899e-3 * t + 7.6438e-5 * t * t) * s
-        - 5.72466e-3 * s * np.sqrt(np.maximum(s, 0.0))
-    )
-    # linearised compression: ~4.5e-3 kg/m^3 per metre near the surface
-    compress = 4.5e-3 * z * (1.0 - 2.0e-5 * z)
-    return rho_surf + compress
-
-
-def buoyancy_frequency_sq(
-    rho: np.ndarray, z_t: np.ndarray, rho0: float = RHO0, g: float = 9.806
-) -> np.ndarray:
-    """Brunt-Vaisala frequency squared N^2 at interior interfaces.
-
-    Parameters
-    ----------
-    rho:
-        (nz, ...) in-situ density.
-    z_t:
-        (nz,) level-center depths (positive down).
-
-    Returns
-    -------
-    (nz-1, ...) array: N^2 between level k and k+1 (positive = stable).
-    """
-    dz = np.diff(z_t)
-    shape = (len(dz),) + (1,) * (rho.ndim - 1)
-    drho = rho[1:] - rho[:-1]
-    return (g / rho0) * drho / dz.reshape(shape)

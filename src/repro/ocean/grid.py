@@ -113,14 +113,6 @@ class Grid:
         return (self.ny, self.nx)
 
     @property
-    def shape3d(self) -> Tuple[int, int, int]:
-        return (self.nz, self.ny, self.nx)
-
-    @property
-    def resolution_deg(self) -> float:
-        return 360.0 / self.nx
-
-    @property
     def resolution_km(self) -> float:
         """Nominal equatorial resolution in kilometres."""
         return float(2 * np.pi * EARTH_RADIUS / self.nx / 1000.0)

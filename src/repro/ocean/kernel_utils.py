@@ -7,13 +7,12 @@ analog) and an elementwise ``operator()`` that runs ``apply`` on a
 one-point tile — guaranteeing the two paths can never diverge.
 
 The helpers here manipulate tile slices for stencil access: ``sh``
-shifts a slice by an offset (neighbour access), ``grow`` expands a
-slice (computing predictor values on a ring around the tile).
+shifts a slice by an offset (neighbour access).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -21,13 +20,6 @@ import numpy as np
 def sh(s: slice, d: int) -> slice:
     """Shift a slice by ``d`` (stencil neighbour access)."""
     return slice(s.start + d, s.stop + d)
-
-
-def grow(s: slice, d: int, lo: Optional[int] = 0, hi: Optional[int] = None) -> slice:
-    """Expand a slice by ``d`` on both ends, clipped to ``[lo, hi]``."""
-    start = s.start - d if lo is None else max(lo, s.start - d)
-    stop = s.stop + d if hi is None else min(hi, s.stop + d)
-    return slice(start, stop)
 
 
 def point_slices(idx: Tuple[int, ...]) -> Tuple[slice, ...]:

@@ -36,17 +36,6 @@ from .localdomain import LocalDomain
 _TINY = 1.0e-30
 
 
-def _pad_k(arr: np.ndarray, lo: int = 1, hi: int = 1) -> np.ndarray:
-    """Pad along axis 0 by edge replication (vertical boundary handling)."""
-    parts = []
-    if lo:
-        parts.append(np.repeat(arr[:1], lo, axis=0))
-    parts.append(arr)
-    if hi:
-        parts.append(np.repeat(arr[-1:], hi, axis=0))
-    return np.concatenate(parts, axis=0)
-
-
 def _face_volumes(
     u: np.ndarray, v: np.ndarray, w: np.ndarray,
     dom: LocalDomain, sj: slice, si: slice,

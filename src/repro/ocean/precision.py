@@ -43,7 +43,7 @@ accident.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -172,20 +172,6 @@ class PrecisionPolicy:
             raise ConfigurationError(
                 f"field {field!r} has no declared kernel family")
         return self._dtypes[fam]
-
-    def kernel_dtype(self, label: str) -> Optional[np.dtype]:
-        """The dtype of the kernel labelled ``label`` (None if unmapped)."""
-        fam = KERNEL_FAMILIES.get(label)
-        return None if fam is None else self._dtypes[fam]
-
-    @property
-    def uniform(self) -> bool:
-        """True when every family shares one dtype (no cast boundaries)."""
-        return len(set(self._dtypes.values())) == 1
-
-    def dtypes(self) -> Dict[str, np.dtype]:
-        """A copy of the family -> dtype map."""
-        return dict(self._dtypes)
 
     def signature(self) -> Tuple[Tuple[str, str], ...]:
         """Hashable identity for binding signatures and cache keys."""

@@ -1,4 +1,4 @@
-"""Restart and history I/O.
+"""Restart I/O.
 
 The paper times "the whole application excluding I/O and initialization"
 (§II) and calls out I/O capability as the next bottleneck at 1 km
@@ -14,11 +14,6 @@ has:
   fields), and loading into a model whose precision policy allocates a
   different width raises :class:`~repro.errors.OceanError` instead of
   silently widening or rounding.
-* **History accumulation** — running time-means of the standard output
-  fields (SST, SSH, surface currents), flushed to ``.npz`` on demand.
-* :func:`io_cost_estimate` — the analytic I/O model: bytes per restart /
-  history write at a given configuration, and the wall-time share at the
-  paper's scales (the §VIII argument that 1-km output needs better I/O).
 """
 
 from __future__ import annotations
@@ -26,13 +21,11 @@ from __future__ import annotations
 import os
 import pathlib
 import tempfile
-from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 import numpy as np
 
 from ..errors import OceanError
-from .config import ModelConfig
 from .model import LICOMKpp
 
 #: Restart format version (checked on load).
@@ -146,78 +139,3 @@ def load_restart(model: LICOMKpp, path: Union[str, pathlib.Path]) -> None:
             dst[...] = data[name]
         model.nstep = int(meta[1])
         model.time_seconds = float(meta[2])
-
-
-@dataclass
-class HistoryAccumulator:
-    """Running time-means of the standard 2-D output fields."""
-
-    model: LICOMKpp
-    samples: int = 0
-    _sums: Optional[Dict[str, np.ndarray]] = None
-
-    def sample(self) -> None:
-        """Accumulate the current surface state."""
-        m = self.model
-        fields = {
-            "sst": m.state.t.cur.raw[0].copy(),
-            "sss": m.state.s.cur.raw[0].copy(),
-            "ssh": m.state.ssh.cur.raw.copy(),
-            "u_surf": m.state.u.cur.raw[0].copy(),
-            "v_surf": m.state.v.cur.raw[0].copy(),
-        }
-        if self._sums is None:
-            self._sums = fields
-        else:
-            for k, v in fields.items():
-                self._sums[k] += v
-        self.samples += 1
-
-    def means(self) -> Dict[str, np.ndarray]:
-        """The accumulated time-means (empty dict before any sample)."""
-        if not self.samples:
-            return {}
-        return {k: v / self.samples for k, v in self._sums.items()}
-
-    def flush(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the means to ``path`` (.npz) and reset the accumulator."""
-        path = pathlib.Path(path)
-        means = self.means()
-        if not means:
-            raise OceanError("history flush with no accumulated samples")
-        np.savez_compressed(path, samples=self.samples, **means)
-        self.samples = 0
-        self._sums = None
-        return path
-
-
-def restart_nbytes(cfg: ModelConfig) -> int:
-    """Size of one (uncompressed) restart write for a configuration."""
-    n3 = cfg.grid_points
-    n2 = cfg.horizontal_points
-    # 4 prognostic 3-D fields x 2 levels + 2 mixing fields + 3 x 2-D x 2 + ub/vb
-    return int((4 * 2 + 2) * n3 * 8 + (1 * 2 + 2) * n2 * 8)
-
-
-def io_cost_estimate(
-    cfg: ModelConfig,
-    filesystem_bw: float = 100.0e9,
-    writes_per_simday: float = 1.0,
-    sypd: float = 1.0,
-) -> Dict[str, float]:
-    """The §VIII I/O argument, quantified.
-
-    Returns the restart volume, the wall seconds per write at
-    ``filesystem_bw``, and the fraction of wall-clock a ``sypd`` run
-    would spend writing ``writes_per_simday`` snapshots per simulated
-    day.
-    """
-    nbytes = restart_nbytes(cfg)
-    write_seconds = nbytes / filesystem_bw
-    wall_per_simday = 86400.0 / (sypd * 365.0)
-    fraction = writes_per_simday * write_seconds / wall_per_simday
-    return {
-        "restart_bytes": float(nbytes),
-        "write_seconds": write_seconds,
-        "wall_fraction": fraction,
-    }

@@ -44,10 +44,6 @@ class LeapfrogField:
         self.cur.raw[...] = value
         self.new.raw[...] = 0.0
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.cur.shape
-
 
 class ModelState:
     """All prognostic and key diagnostic fields of LICOMK++.
@@ -119,12 +115,3 @@ class ModelState:
             if not np.isfinite(f.cur.raw).all():
                 return True
         return False
-
-    def memory_bytes(self) -> int:
-        """Total bytes held by all state views."""
-        total = 0
-        for f in self.leapfrog_fields().values():
-            total += f.old.nbytes + f.cur.nbytes + f.new.nbytes
-        for v in (self.ub, self.vb, self.rho, self.p, self.w, self.kappa_h, self.kappa_m):
-            total += v.nbytes
-        return total

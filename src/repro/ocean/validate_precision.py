@@ -27,7 +27,7 @@ u ~ 0.1 m/s, ssh ~ 1e-3 m).  The harness is wired to the CLI as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -191,14 +191,3 @@ def validate_policy(
         # a blown-up narrow run must not leak two models' arenas
         test.close()
         ref.close()
-
-
-def validate_presets(
-    size: str = "tiny",
-    steps: int = 16,
-    backend: str = "serial",
-    presets: Tuple[str, ...] = ("mixed", "single"),
-) -> List[PrecisionReport]:
-    """Validate each preset against fp64 (the CLI's default sweep)."""
-    return [validate_policy(p, size=size, steps=steps, backend=backend)
-            for p in presets]

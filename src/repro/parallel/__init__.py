@@ -2,10 +2,10 @@
 
 Simulated MPI (:mod:`.comm`), 2-D block decomposition with tripolar-fold
 topology (:mod:`.decomp`), the one halo exchange — fused, persistent,
-post-first; a per-field update is its K=1 case (:mod:`.halo`) — Canuto
-load balancing (:mod:`.loadbalance`) and computation/communication
-overlap (:mod:`.overlap`).  The unoptimized pack and transpose variants
-the paper measures against live in :mod:`repro.experiments.variants`.
+post-first; a per-field update is its K=1 case (:mod:`.halo`) — and
+Canuto load balancing (:mod:`.loadbalance`).  The unoptimized pack and
+transpose variants the paper measures against live in
+:mod:`repro.experiments.variants`.
 """
 
 from .comm import Request, SimComm, SimWorld, SingleComm, TrafficLedger
@@ -13,8 +13,6 @@ from .decomp import (
     DEFAULT_HALO,
     Block,
     BlockDecomposition,
-    Partitioner,
-    Placement,
     choose_process_grid,
 )
 from .halo import (
@@ -38,23 +36,14 @@ from .shm import (
     list_world_segments,
     sweep_world_segments,
 )
-from .overlap import (
-    boundary_strip,
-    interior_core,
-    overlap_time,
-    overlapped_update_fused,
-)
 
 __all__ = [
     "SimWorld", "SimComm", "SingleComm", "Request", "TrafficLedger",
     "BlockDecomposition", "Block", "choose_process_grid", "DEFAULT_HALO",
-    "Placement", "Partitioner",
     "ProcComm", "ProcessRunResult", "run_process_world",
     "SharedBufferPool", "list_world_segments", "sweep_world_segments",
     "HaloUpdater", "FusedHaloExchange", "FieldSpec", "BufferPool",
     "as_field_specs",
     "balanced_column_compute", "naive_column_compute", "local_ocean_columns",
     "partition_evenly", "imbalance_stats", "ImbalanceStats",
-    "overlapped_update_fused", "overlap_time",
-    "interior_core", "boundary_strip",
 ]

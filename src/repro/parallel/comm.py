@@ -15,9 +15,8 @@ exploits: multi-rank runs must agree with single-rank runs bit for bit.
 Examples
 --------
 >>> def program(comm):
-...     right = (comm.rank + 1) % comm.size
-...     left = (comm.rank - 1) % comm.size
-...     return comm.sendrecv(comm.rank, dest=right, source=left)
+...     comm.send(comm.rank, dest=(comm.rank + 1) % comm.size)
+...     return comm.recv(source=(comm.rank - 1) % comm.size)
 >>> SimWorld.run(program, size=3)
 [2, 0, 1]
 """
@@ -121,14 +120,6 @@ class TrafficLedger:
                 slot = self.by_phase.setdefault(phase, [0, 0.0])
                 slot[0] += messages
                 slot[1] += nbytes
-
-    def phase_messages(self, phase: str) -> int:
-        """Message count recorded under ``phase`` (0 if never seen)."""
-        return int(self.by_phase.get(phase, [0, 0.0])[0])
-
-    def phase_bytes(self, phase: str) -> float:
-        """Bytes recorded under ``phase`` (0.0 if never seen)."""
-        return float(self.by_phase.get(phase, [0, 0.0])[1])
 
     def size_histogram(self) -> Dict[int, int]:
         """{upper-bound bytes (power of two): message count}, sorted."""
@@ -280,13 +271,6 @@ class Request:
         self._poll = poll
         self._done = fn is None and poll is None
         self._result: Any = None
-
-    @classmethod
-    def completed(cls, result: Any = None) -> "Request":
-        """An already-finished request (buffered sends)."""
-        req = cls()
-        req._result = result
-        return req
 
     def wait(self) -> Any:
         if not self._done:
@@ -560,11 +544,6 @@ class SimComm:
             raise CommunicationError(f"recv from invalid rank {source}")
         return self.world._box(source, self.rank, tag).get(self.world.timeout)
 
-    def isend(self, obj: Any, dest: int, tag: int = 0, move: bool = False,
-              phase: Optional[str] = None) -> Request:
-        self.send(obj, dest, tag, move=move, phase=phase)  # buffered
-        return Request.completed()
-
     def irecv(self, source: int, tag: int = 0) -> Request:
         """Post a non-blocking receive.
 
@@ -578,12 +557,6 @@ class SimComm:
         timeout = self.world.timeout
         return Request(fn=lambda: box.get(timeout), poll=box.poll)
 
-    def sendrecv(self, sendobj: Any, dest: int, source: int,
-                 sendtag: int = 0, recvtag: int = 0) -> Any:
-        """Combined send+receive (deadlock-free under buffered sends)."""
-        self.send(sendobj, dest, sendtag)
-        return self.recv(source, recvtag)
-
     # -- collectives ---------------------------------------------------------
 
     def barrier(self) -> None:
@@ -596,44 +569,10 @@ class SimComm:
 
         return self._collective(f"allreduce_{op}", value, combine)
 
-    def reduce(self, value: Any, op: str = "sum", root: int = 0) -> Any:
-        result = self.allreduce(value, op)
-        return result if self.rank == root else None
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        def combine(values: List[Any]) -> Any:
-            return _copy_payload(values[root][1])
-
-        return self._collective("bcast", (self.rank == root, obj), combine)
-
     def allgather(self, obj: Any) -> List[Any]:
         return self._collective(
             "allgather", obj, lambda vs: [_copy_payload(v) for v in vs],
         )
-
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        result = self.allgather(obj)
-        return result if self.rank == root else None
-
-    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
-        def combine(values: List[Any]) -> Any:
-            send = values[root]
-            if send is None or len(send) != self.size:
-                raise CommunicationError(
-                    "scatter: root must supply one item per rank"
-                )
-            return [_copy_payload(x) for x in send]
-
-        result = self._collective(
-            "scatter", objs if self.rank == root else None, combine,
-        )
-        return result[self.rank]
-
-    def alltoall(self, objs: Sequence[Any]) -> List[Any]:
-        if len(objs) != self.size:
-            raise CommunicationError("alltoall needs one item per rank")
-        matrix = self.allgather(list(objs))
-        return [matrix[src][self.rank] for src in range(self.size)]
 
 
 def _reduce_values(values: List[Any], op: str) -> Any:

@@ -52,10 +52,6 @@ class Block:
     def nxl(self) -> int:
         return self.i1 - self.i0
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (self.nyl, self.nxl)
-
 
 class BlockDecomposition:
     """Even 2-D split of an ``(ny, nx)`` global grid over ``npy x npx`` ranks.
@@ -123,9 +119,6 @@ class BlockDecomposition:
         """The block owned by ``rank``."""
         return self._blocks[rank]
 
-    def blocks(self) -> List[Block]:
-        return list(self._blocks)
-
     def top_row_blocks(self) -> List[Block]:
         return [b for b in self._blocks if b.py == self.npy - 1]
 
@@ -163,11 +156,6 @@ class BlockDecomposition:
         """Local 2-D array shape including halos."""
         b = self.block(rank)
         return (b.nyl + 2 * self.halo, b.nxl + 2 * self.halo)
-
-    def interior(self, rank: int) -> Tuple[slice, slice]:
-        """Slices selecting the owned region of a local (halo-ed) array."""
-        h = self.halo
-        return (slice(h, -h), slice(h, -h))
 
     def scatter_global(self, global_arr: np.ndarray, rank: int) -> np.ndarray:
         """Extract ``rank``'s local array (with zero-filled halos).
@@ -212,15 +200,7 @@ class BlockDecomposition:
             out[:, b.j0:b.j1, b.i0:b.i1] = loc[:, h:-h, h:-h]
         return out
 
-    # -- land-block analysis (the paper eliminates all-land blocks) ----------
-
-    def land_blocks(self, ocean_mask: np.ndarray) -> List[int]:
-        """Ranks whose blocks contain no ocean points at all."""
-        out = []
-        for b in self._blocks:
-            if not ocean_mask[b.j0:b.j1, b.i0:b.i1].any():
-                out.append(b.rank)
-        return out
+    # -- load (§V-C1) ---------------------------------------------------------
 
     def ocean_points_per_rank(self, ocean_mask: np.ndarray) -> np.ndarray:
         """Ocean-point count per rank (the §V-C1 load-imbalance metric)."""
@@ -228,105 +208,10 @@ class BlockDecomposition:
             [int(ocean_mask[b.j0:b.j1, b.i0:b.i1].sum()) for b in self._blocks]
         )
 
-    def imbalance(self, ocean_mask: np.ndarray) -> float:
-        """max/mean ocean-point load ratio over non-empty ranks."""
-        counts = self.ocean_points_per_rank(ocean_mask)
-        mean = counts.mean()
-        return float(counts.max() / mean) if mean > 0 else 1.0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BlockDecomposition({self.ny}x{self.nx} over {self.npy}x{self.npx}"
             f", halo={self.halo}, fold={self.north_fold})"
-        )
-
-
-# -- rank -> worker placement (process mode) ---------------------------------
-
-
-@dataclass(frozen=True)
-class Placement:
-    """An assignment of ranks onto worker processes.
-
-    ``groups[w]`` lists the ranks worker ``w`` hosts.  A worker hosting
-    several ranks runs them as threads sharing one process (useful when
-    ranks outnumber cores, or to co-locate light all-land blocks).
-    """
-
-    groups: Tuple[Tuple[int, ...], ...]
-    #: per-worker load (sum of its ranks' loads, in ocean points or 1.0
-    #: per rank for uniform placements)
-    loads: Tuple[float, ...] = ()
-
-    @classmethod
-    def one_per_rank(cls, size: int) -> "Placement":
-        """The default placement: one worker process per rank."""
-        return cls(groups=tuple((r,) for r in range(size)),
-                   loads=tuple(1.0 for _ in range(size)))
-
-    @property
-    def n_workers(self) -> int:
-        return len(self.groups)
-
-    def worker_of(self, rank: int) -> int:
-        """The worker hosting ``rank``."""
-        for w, ranks in enumerate(self.groups):
-            if rank in ranks:
-                return w
-        raise DecompositionError(f"rank {rank} not placed on any worker")
-
-    def imbalance(self) -> float:
-        """max/mean worker load (1.0 for empty or uniform placements)."""
-        loads = [ld for ld in self.loads if ld > 0]
-        if not loads:
-            return 1.0
-        mean = sum(loads) / len(loads)
-        return max(loads) / mean if mean > 0 else 1.0
-
-    def validate(self, size: int) -> None:
-        """Check every rank 0..size-1 is placed exactly once."""
-        seen = [r for ranks in self.groups for r in ranks]
-        if sorted(seen) != list(range(size)):
-            raise DecompositionError(
-                f"placement does not cover ranks 0..{size - 1} exactly "
-                f"once (got {sorted(seen)})"
-            )
-
-
-class Partitioner:
-    """Load-driven rank -> worker placement (§V-C1 style).
-
-    Uses the decomposition's per-rank ocean-point counts as loads (all
-    ranks weigh equally without a mask) and assigns ranks to workers
-    with the classic LPT greedy: heaviest rank first, onto the
-    currently lightest worker.  Deterministic — ties break by rank and
-    worker index.
-    """
-
-    def __init__(self, decomp: BlockDecomposition,
-                 ocean_mask: Optional[np.ndarray] = None) -> None:
-        self.decomp = decomp
-        if ocean_mask is not None:
-            self.loads = decomp.ocean_points_per_rank(ocean_mask).astype(float)
-        else:
-            self.loads = np.ones(decomp.size, dtype=float)
-
-    def assign(self, n_workers: int) -> Placement:
-        """Place the decomposition's ranks onto ``n_workers`` workers."""
-        size = self.decomp.size
-        if n_workers < 1:
-            raise DecompositionError("need at least one worker")
-        n_workers = min(n_workers, size)
-        order = sorted(range(size), key=lambda r: (-self.loads[r], r))
-        groups: List[List[int]] = [[] for _ in range(n_workers)]
-        totals = [0.0] * n_workers
-        for rank in order:
-            w = min(range(n_workers), key=lambda i: (totals[i], i))
-            groups[w].append(rank)
-            totals[w] += float(self.loads[rank])
-        return Placement(
-            groups=tuple(tuple(sorted(g)) for g in groups),
-            loads=tuple(totals),
         )
 
 

@@ -46,8 +46,8 @@ The rest of the §V-D discipline applies to message sides:
 * **True non-blocking structure** — receives are posted *first*
   (:meth:`~repro.parallel.comm.SimComm.irecv`), then sends, then waits;
   :meth:`FusedHaloExchange.begin` / :meth:`FusedHaloExchange.finish`
-  split the exchange so interior computation can run while phase-1
-  halos are in flight (see :mod:`.overlap`).  A copy side runs where
+  split the exchange at the point where interior computation could run
+  while phase-1 halos are in flight (§V-D overlap).  A copy side runs where
   its message would have been packed — phase 1 in ``begin``, phase 2
   in ``finish`` — so it reads the interior at the same moment.
 
@@ -184,9 +184,6 @@ class BufferPool:
         self._free[(kind, buf.size, buf.dtype)] = \
             self._free.get((kind, buf.size, buf.dtype), [])
         self._free[(kind, buf.size, buf.dtype)].append(buf)
-
-    def pooled_buffers(self) -> int:
-        return sum(len(v) for v in self._free.values())
 
 
 class _Plan:

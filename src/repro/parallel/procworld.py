@@ -1,16 +1,13 @@
-"""Process-backed SimWorld: one OS process per worker, shm halo payloads.
+"""Process-backed SimWorld: one OS process per rank, shm halo payloads.
 
 Thread-mode :class:`~repro.parallel.comm.SimWorld` proves distributed
 correctness but runs every rank under one GIL, so multi-rank runs never
 get faster.  This module is the real-parallel substrate behind
 ``SimWorld(size, mode="process")``:
 
-* **Workers** — ``multiprocessing`` (spawn) processes, each owning one
-  or more ranks as decided by a :class:`~repro.parallel.decomp.Placement`
-  (a worker with several ranks runs them as threads, the nengo-mpi
-  split of a placement step feeding a dumb worker runtime).  Each rank
-  builds its own :class:`~repro.kokkos.context.ExecutionContext` end to
-  end — sealed graphs and tracer live worker-side.
+* **Workers** — one ``multiprocessing`` (spawn) process per rank.  Each
+  rank builds its own :class:`~repro.kokkos.context.ExecutionContext`
+  end to end — sealed graphs and tracer live worker-side.
 * **Transport** — one pipe per rank as its inbox, written by the
   *sending thread* itself (a ``multiprocessing.Queue``'s feeder thread
   must first win the sender's GIL from the computing thread, which
@@ -75,7 +72,6 @@ from .comm import (
     TrafficLedger,
     _payload_nbytes,
 )
-from .decomp import Placement
 from .shm import SharedBufferPool, sweep_world_segments, unlink_segments
 from .wire import (
     FLAG_MOVE,
@@ -374,8 +370,13 @@ class ProcComm(SimComm):
 # -- worker entry point ------------------------------------------------------
 
 
-def _run_rank(rank: int, size: int, uid: str, timeout: float, inbox,
-              outboxes, program, args) -> Dict[str, Any]:
+def _worker_main(rank: int, size: int, uid: str, timeout: float, inbox,
+                 outboxes, report_q, program, args) -> None:
+    """Spawn target: run one rank and put its report on ``report_q``.
+
+    ``inbox`` is this rank's pipe read end; ``outboxes`` lists every
+    rank's write end.
+    """
     pool = SharedBufferPool(uid, rank)
     world = _RankWorldView(size, timeout, uid)
     comm = ProcComm(world, rank, inbox, outboxes, pool)
@@ -394,49 +395,17 @@ def _run_rank(rank: int, size: int, uid: str, timeout: float, inbox,
     report["segments"] = pool.created_names()
     pool.close()
     inbox.close()  # a later send to this rank fails instead of piling up
-    return report
-
-
-def _worker_main(worker_id: int, ranks: Tuple[int, ...], size: int, uid: str,
-                 timeout: float, inboxes, outboxes, report_q, program,
-                 args) -> None:
-    """Spawn target: run this worker's ranks (threads when several).
-
-    ``inboxes`` maps this worker's own ranks to their pipes' read ends;
-    ``outboxes`` lists every rank's write end.
-    """
-    reports: Dict[int, Dict[str, Any]] = {}
-
-    def run_one(rank: int) -> None:
-        reports[rank] = _run_rank(rank, size, uid, timeout, inboxes[rank],
-                                  outboxes, program, args)
-
-    if len(ranks) == 1:
-        run_one(ranks[0])
-    else:
-        threads = [threading.Thread(target=run_one, args=(r,),
-                                    name=f"rank{r}") for r in ranks]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    for rank in ranks:
-        report = reports.get(rank) or {
-            "status": "error", "rank": rank, "exc_type": "RuntimeError",
-            "message": "rank thread produced no report", "traceback": None,
-            "world_traffic": None, "rank_traffic": None, "segments": [],
+    try:
+        payload = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # result or ledger failed to pickle
+        fallback = {
+            "status": "error", "rank": rank, "exc_type": "PicklingError",
+            "message": f"rank report not picklable: {exc}",
+            "traceback": None, "world_traffic": None,
+            "rank_traffic": None, "segments": report["segments"],
         }
-        try:
-            payload = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # result or ledger failed to pickle
-            fallback = {
-                "status": "error", "rank": rank, "exc_type": "PicklingError",
-                "message": f"rank report not picklable: {exc}",
-                "traceback": None, "world_traffic": None,
-                "rank_traffic": None, "segments": report.get("segments", []),
-            }
-            payload = pickle.dumps(fallback, protocol=pickle.HIGHEST_PROTOCOL)
-        report_q.put(payload)
+        payload = pickle.dumps(fallback, protocol=pickle.HIGHEST_PROTOCOL)
+    report_q.put(payload)
 
 
 # -- parent-side driver ------------------------------------------------------
@@ -463,21 +432,17 @@ def run_process_world(
     size: int,
     timeout: float = DEFAULT_TIMEOUT,
     args: Sequence = (),
-    placement: Optional[Placement] = None,
     check: bool = True,
 ) -> ProcessRunResult:
-    """Run ``program(comm, *args)`` on ``size`` out-of-process ranks.
+    """Run ``program(comm, *args)`` on ``size`` out-of-process ranks,
+    one worker process per rank.
 
     ``program`` must be a picklable module-level callable (spawn
-    semantics).  ``placement`` maps ranks onto worker processes
-    (default: one process per rank); ``check=False`` returns the
-    :class:`ProcessRunResult` with errors recorded instead of raising.
+    semantics); ``check=False`` returns the :class:`ProcessRunResult`
+    with errors recorded instead of raising.
     """
     if size < 1:
         raise ValueError("world size must be >= 1")
-    if placement is None:
-        placement = Placement.one_per_rank(size)
-    placement.validate(size)
     ctx = mp.get_context("spawn")
     uid = uuid.uuid4().hex[:10]
     with _ACTIVE_LOCK:
@@ -488,18 +453,17 @@ def run_process_world(
         # worker inherits it with the descriptor
         os.set_blocking(out.fileno(), False)
     report_q = ctx.Queue()
-    procs: List[Tuple[Any, Tuple[int, ...]]] = []
+    procs: List[Any] = []
     try:
-        for worker_id, ranks in enumerate(placement.groups):
+        for rank in range(size):
             p = ctx.Process(
                 target=_worker_main,
-                args=(worker_id, tuple(ranks), size, uid, timeout,
-                      {r: inboxes[r] for r in ranks}, outboxes,
+                args=(rank, size, uid, timeout, inboxes[rank], outboxes,
                       report_q, program, tuple(args)),
-                name=f"rprworker{worker_id}",
+                name=f"rprworker{rank}",
             )
             p.start()
-            procs.append((p, tuple(ranks)))
+            procs.append(p)
     finally:
         # the workers hold their own copies now; a read end left open
         # here would hide a dead rank from the ranks sending to it
@@ -525,17 +489,15 @@ def run_process_world(
             except queue.Empty:
                 pass
             now = time.monotonic()
-            for idx, (p, ranks) in enumerate(procs):
-                if p.exitcode is None or all(r in reports for r in ranks):
+            for rank, p in enumerate(procs):
+                if p.exitcode is None or rank in reports:
                     continue
                 # dead without a report: give the queue a moment to
                 # surface an already-flushed report, then declare it
-                since = suspect_since.setdefault(idx, now)
+                since = suspect_since.setdefault(rank, now)
                 if now - since >= 1.0:
-                    for r in ranks:
-                        if r not in reports:
-                            note({"status": "died", "rank": r,
-                                  "exitcode": p.exitcode})
+                    note({"status": "died", "rank": rank,
+                          "exitcode": p.exitcode})
             if now >= deadline or (fail_deadline and now >= fail_deadline):
                 break
     finally:
@@ -547,10 +509,10 @@ def run_process_world(
                 break
             if reports.get(rep["rank"], {}).get("status") in (None, "died"):
                 note(rep)
-        for p, _ in procs:
+        for p in procs:
             if p.exitcode is None:
                 p.terminate()
-        for p, _ in procs:
+        for p in procs:
             p.join(5)
             if p.exitcode is None:  # pragma: no cover - last resort
                 p.kill()

@@ -192,10 +192,6 @@ class SharedBufferPool(BufferPool):
             return None
         return self._by_addr.get(addr)
 
-    def segment_names(self) -> List[str]:
-        """Names of all segments this pool currently maps."""
-        return list(self._segments)
-
     def created_names(self) -> List[str]:
         """Names of the segments this pool itself created."""
         return [s.name for s in self._segments.values() if s.created]

@@ -9,15 +9,7 @@ from .network import (
     comm_time_per_step,
     halo_update_cost,
     ledger_message_summary,
-    ledger_wire_time,
     polar_fixed_cost,
-)
-from .aggregate import (
-    aggregate,
-    decomposition_load_imbalance,
-    load_imbalance,
-    measured_load_imbalance,
-    rank_points,
 )
 from .breakdown import StepBreakdown, format_breakdown_table, step_breakdown
 from .cpe_pipeline import PipelineEstimate, cpe_pipeline_time, double_buffer_speedup
@@ -54,9 +46,7 @@ __all__ = [
     "MachineSpec", "MACHINES", "SUPPORT_MATRIX", "get_machine", "support_matrix_rows",
     "StepProfile", "DEFAULT_PROFILE", "measure_step_profile", "compute_time_per_step",
     "HaloCost", "halo_update_cost", "comm_time_per_step", "polar_fixed_cost",
-    "block_extents", "HALO", "ledger_wire_time", "ledger_message_summary",
-    "aggregate", "rank_points", "load_imbalance", "measured_load_imbalance",
-    "decomposition_load_imbalance",
+    "block_extents", "HALO", "ledger_message_summary",
     "predict_sypd", "predict_step_time", "sypd_from_step_time",
     "strong_scaling", "weak_scaling", "ScalingPoint",
     "portability_sypd", "optimization_speedup", "CANUTO_IMBALANCE",

@@ -120,8 +120,8 @@ def measure_step_profile(size: str = "tiny", steps: int = 4) -> StepProfile:
     baro_labels = ("barotropic_continuity", "barotropic_momentum")
     bytes2 = sum(inst.kernels[k].bytes for k in baro_labels if k in inst.kernels)
     flops2 = sum(inst.kernels[k].flops for k in baro_labels if k in inst.kernels)
-    bytes3 = inst.total_bytes - bytes2
-    flops3 = inst.total_flops - flops2
+    bytes3 = sum(k.bytes for k in inst.kernels.values()) - bytes2
+    flops3 = sum(k.flops for k in inst.kernels.values()) - flops2
     launches = inst.total_launches
     launches_per_sub = 2.0
     return StepProfile(

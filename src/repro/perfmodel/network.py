@@ -57,10 +57,6 @@ class HaloCost:
     wire: float
     messages: int
 
-    @property
-    def total(self) -> float:
-        return self.pack + self.staging + self.wire
-
 
 def halo_update_cost(
     machine: MachineSpec,
@@ -97,18 +93,6 @@ def halo_update_cost(
         messages = max(1, round(messages / aggregation))
     wire = messages * machine.net_latency + nbytes / machine.net_bw
     return HaloCost(pack=pack, staging=staging, wire=wire, messages=messages)
-
-
-def ledger_wire_time(machine: MachineSpec, ledger, crowd: float = 1.0) -> float:
-    """Alpha-beta wire time of *measured* traffic (a TrafficLedger).
-
-    Prices the ledger's actual message shape — count x latency plus
-    volume / bandwidth — so predictions made from a fused run
-    automatically reflect its aggregated messages.  ``crowd`` is the
-    network-contention inflation applied to the latency term.
-    """
-    return (ledger.messages * machine.net_latency * crowd
-            + ledger.bytes / machine.net_bw)
 
 
 def ledger_message_summary(ledger) -> str:

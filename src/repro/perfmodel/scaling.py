@@ -59,15 +59,13 @@ def predict_step_time(
     fused messages).  It divides the per-message latency term only;
     volume is unchanged.
 
-    ``rank_imbalance`` (>= 1) is the measured per-rank load imbalance
-    (``max/mean`` grid points, from
-    :func:`repro.perfmodel.aggregate.measured_load_imbalance` on real
-    per-rank ledgers or
-    :func:`~repro.perfmodel.aggregate.decomposition_load_imbalance`
-    from a decomposition's ocean-point counts).  The slowest rank does
-    that much more compute, so it scales the compute term; 1.0 —
-    perfectly balanced ranks — reproduces the balanced prediction
-    exactly.  This is orthogonal to the Canuto-specific ``optimized``
+    ``rank_imbalance`` (>= 1) is the per-rank load imbalance
+    (``max/mean`` grid points, e.g.
+    :func:`repro.parallel.loadbalance.imbalance_stats`'s
+    ``imbalance_factor`` from a decomposition's ocean-point counts).
+    The slowest rank does that much more compute, so it scales the
+    compute term; 1.0 — perfectly balanced ranks — reproduces the
+    balanced prediction exactly.  This is orthogonal to the Canuto-specific ``optimized``
     inflation, which prices the *vertical-mixing* imbalance inside the
     communication model.
     """

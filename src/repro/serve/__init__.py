@@ -8,13 +8,13 @@ atomically so a kill resumes bit-exactly.  See DESIGN.md §2.16.
 """
 
 from .jobs import Job, JobSpec, JobStatus, load_jobspecs, spec_from_dict
-from .probes import ProbeStream, read_probes
+from .probes import ProbeStream
 from .scheduler import ServeScheduler
 from .share import EngineCache, SharedEngine
 
 __all__ = [
     "Job", "JobSpec", "JobStatus", "load_jobspecs", "spec_from_dict",
-    "ProbeStream", "read_probes",
+    "ProbeStream",
     "ServeScheduler",
     "EngineCache", "SharedEngine",
 ]

@@ -23,9 +23,10 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..errors import AdmissionError
+from ..errors import AdmissionError, DecompositionError
 from ..ocean.config import ModelConfig, demo
 from ..ocean.model import ModelParams
+from ..parallel.decomp import BlockDecomposition, choose_process_grid
 
 
 @dataclass
@@ -87,6 +88,15 @@ class JobSpec:
         if self.probe_every < 0 or self.checkpoint_every < 0:
             raise AdmissionError(
                 f"job {self.name!r}: cadences must be >= 0")
+        if self.ranks > 1 and self.program is None:
+            # the decomposition run_distributed will build: a grid the
+            # tripolar fold cannot pair up is refused here, not on a rank
+            cfg = self.config()
+            try:
+                npy, npx = choose_process_grid(cfg.ny, cfg.nx, self.ranks)
+                BlockDecomposition(cfg.ny, cfg.nx, npy, npx)
+            except DecompositionError as exc:
+                raise AdmissionError(f"job {self.name!r}: {exc}") from None
 
     def config(self) -> ModelConfig:
         return demo(self.size)

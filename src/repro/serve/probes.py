@@ -8,15 +8,16 @@ diagnostics are readable up to its last completed sample — the probe
 stream is the job's flight recorder, not a post-hoc report.
 
 Rows carry the standard scalar diagnostics (SST extrema, kinetic
-energy, SSH RMS) plus the step/clock counters; :func:`read_probes`
-loads them back for assertions and plotting.
+energy, SSH RMS) plus the step/clock counters; a reader parses the
+file line by line and stops at a trailing partial line (a write the
+process died inside).
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 import numpy as np
 
@@ -60,22 +61,3 @@ class ProbeStream:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def read_probes(path: Union[str, pathlib.Path]) -> List[Dict[str, Any]]:
-    """Load a ``probes.jsonl`` back into a list of row dicts.
-
-    A trailing partial line (a write the process died inside) is
-    skipped, matching the stream's crash-readable contract.
-    """
-    rows: List[Dict[str, Any]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
-    return rows

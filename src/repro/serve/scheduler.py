@@ -156,10 +156,6 @@ class ServeScheduler:
 
     # -- queries -----------------------------------------------------------
 
-    def job(self, job_id: int) -> Job:
-        with self._lock:
-            return self.jobs[job_id]
-
     def status(self) -> Dict[str, Any]:
         """Scheduler vitals plus one summary row per job."""
         with self._lock:

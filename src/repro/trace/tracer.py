@@ -205,14 +205,6 @@ class Tracer:
 
     # -- control / introspection -------------------------------------------
 
-    def enable(self) -> "Tracer":
-        self.enabled = True
-        return self
-
-    def disable(self) -> "Tracer":
-        self.enabled = False
-        return self
-
     def clear(self) -> None:
         """Drop all recorded events (lane assignments are kept)."""
         with self._lock:

@@ -1,4 +1,4 @@
-"""Top-level dispatch API, instrumentation, LDM/DMA models, timers."""
+"""Dispatch on execution spaces, instrumentation, LDM/DMA models, timers."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,8 @@ from repro.kokkos import (
     SW26010_LDM_BYTES,
     View,
     double_buffered_time,
-    fence,
     kokkos_register_for,
     make_backend,
-    parallel_for,
-    parallel_reduce,
-    parallel_scan,
 )
 from repro.kokkos.ldm import max_tile_points
 from repro.timing import TimerRegistry
@@ -39,29 +35,20 @@ class Fill:
 
 
 class TestDispatch:
-    """The free functions run on — and count in — the space they are given."""
+    """A launch runs on — and counts in — the space it is issued on."""
 
     @pytest.mark.parametrize("backend", ["serial", "athread"])
     def test_parallel_for_runs_on_given_space(self, backend):
         space = make_backend(backend)
         y = View("y", 10)
-        parallel_for("fill", RangePolicy(0, 10), Fill(y, 3.0), space)
+        space.parallel_for("fill", RangePolicy(0, 10), Fill(y, 3.0))
         assert np.all(y.data == 3.0)
         assert space.inst.kernels["fill"].points == 10
-
-    def test_space_is_required(self):
-        y = View("y", 4)
-        with pytest.raises(TypeError):
-            parallel_for("fill", RangePolicy(0, 4), Fill(y, 1.0))
-        with pytest.raises(TypeError):
-            parallel_reduce("fill", RangePolicy(0, 4), Fill(y, 1.0))
-        with pytest.raises(TypeError):
-            fence()
 
     def test_spaces_do_not_share_a_ledger(self):
         a, b = SerialBackend(), SerialBackend()
         y = View("y", 4)
-        parallel_for("fill", RangePolicy(0, 4), Fill(y, 1.0), a)
+        a.parallel_for("fill", RangePolicy(0, 4), Fill(y, 1.0))
         assert a.inst is not b.inst
         assert a.inst.total_launches == 1
         assert b.inst.total_launches == 0
@@ -71,27 +58,11 @@ class TestDispatch:
             def reduce(self, i):
                 return 1.0
 
-        assert parallel_reduce("count", RangePolicy(0, 7), Count(),
-                               space=SerialBackend()) == 7.0
-
-    def test_parallel_scan(self):
-        class Prefix:
-            def __init__(self):
-                self.out = np.zeros(5)
-
-            def __call__(self, i, partial, final):
-                partial += i + 1
-                if final:
-                    self.out[i] = partial
-                return partial
-
-        f = Prefix()
-        total = parallel_scan("scan", 5, f, SerialBackend())
-        assert total == 15.0
-        assert np.array_equal(f.out, np.array([1.0, 3.0, 6.0, 10.0, 15.0]))
+        assert SerialBackend().parallel_reduce(
+            "count", RangePolicy(0, 7), Count()) == 7.0
 
     def test_fence_noop(self):
-        fence(SerialBackend())  # must not raise
+        SerialBackend().fence()  # must not raise
 
 
 class TestInstrumentation:
@@ -112,8 +83,8 @@ class TestInstrumentation:
         inst = Instrumentation()
         inst.record_launch("a", points=10, flops_per_point=1.0, bytes_per_point=2.0)
         inst.record_launch("b", points=10, flops_per_point=3.0, bytes_per_point=4.0)
-        assert inst.total_flops == 40.0
-        assert inst.total_bytes == 60.0
+        assert sum(k.flops for k in inst.kernels.values()) == 40.0
+        assert sum(k.bytes for k in inst.kernels.values()) == 60.0
         assert inst.total_launches == 2
 
     def test_disabled_records_nothing(self):
@@ -178,8 +149,10 @@ class TestLDM:
     def test_fits(self):
         ldm = LDMAllocator(capacity=100)
         ldm.alloc("a", 60)
-        assert ldm.fits(40)
-        assert not ldm.fits(41)
+        with pytest.raises(LDMError):
+            ldm.alloc("b", 41)
+        ldm.alloc("b", 40)
+        assert ldm.used == ldm.capacity
 
     def test_default_capacity_is_sw26010(self):
         assert LDMAllocator().capacity == SW26010_LDM_BYTES == 256 * 1024

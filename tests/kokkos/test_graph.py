@@ -1,19 +1,16 @@
-"""LaunchGraph capture/replay, workspace arena and scan/thread utilities.
+"""LaunchGraph capture/replay, workspace arena and thread utilities.
 
 Unit-level coverage for the step-graph machinery: capture discipline,
 launch fusion (bitwise-identical to the eager sequence, dependent
 stencil chains included), the unfused replay on ``run_for``-intercepting
 spaces, the athread sealed plan's batched DMA/LDM accounting, the workspace arena's
-allocation counting, the ``parallel_scan`` entry point and the
-``REPRO_NUM_THREADS`` override of the OpenMP backend.  Model-level
+allocation counting and the ``REPRO_NUM_THREADS`` override of the OpenMP backend.  Model-level
 bitwise replay tests live in ``tests/ocean/test_graph_replay.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro import kokkos as kk
-from repro.errors import BackendError
 from repro.kokkos import (
     AthreadBackend,
     DeviceBackend,
@@ -25,7 +22,6 @@ from repro.kokkos import (
     kokkos_register_for,
 )
 from repro.kokkos.graph import ExchangeNode, LaunchGraph, RotateNode
-from repro.kokkos.spaces import DeviceSpace
 from repro.kokkos.workspace import Workspace
 from tests.conftest import FakeHalo, intercepting
 
@@ -337,46 +333,6 @@ class TestWorkspace:
         ws = Workspace(enabled=True, inst=Instrumentation())
         assert ws.take("buf", 5).shape == (5,)
         assert ws.take("buf", (5,)) is ws.take("buf", 5)
-
-
-class TestParallelScan:
-    def setup_method(self):
-        self.space = SerialBackend()
-
-    def test_inclusive_scan_matches_cumsum(self):
-        vals = np.arange(1.0, 9.0)
-        out = np.zeros_like(vals)
-
-        def body(i, acc, final):
-            acc = acc + vals[i]
-            if final:
-                out[i] = acc
-            return acc
-
-        total = kk.parallel_scan("scan", len(vals), body, self.space)
-        assert total == pytest.approx(vals.sum())
-        np.testing.assert_allclose(out, np.cumsum(vals))
-
-    def test_empty_scan_returns_identity_without_launch(self):
-        inst = self.space.inst
-        before = inst.total_launches
-
-        def body(i, acc, final):  # pragma: no cover - must not run
-            raise AssertionError("functor invoked for empty range")
-
-        assert kk.parallel_scan("scan", 0, body, self.space) == 0.0
-        assert inst.total_launches == before
-
-    def test_scan_refuses_device_views_on_host(self):
-        class DeviceScan:
-            def __init__(self):
-                self.x = View("d", shape=(4,), space=DeviceSpace)
-
-            def __call__(self, i, acc, final):
-                return acc
-
-        with pytest.raises(BackendError, match="device views"):
-            kk.parallel_scan("scan", 4, DeviceScan(), self.space)
 
 
 class TestOpenMPThreadOverride:

@@ -49,7 +49,7 @@ class TestMDRangePolicy:
             MDRangePolicy([])
 
     def test_with_tile(self):
-        p = MDRangePolicy([8, 8]).with_tile((2, 4))
+        p = MDRangePolicy([8, 8], tile=(2, 4))
         assert p.tile == (2, 4)
 
     def test_as_md_from_int(self):

@@ -13,7 +13,6 @@ from repro.kokkos import (
     LayoutLeft,
     LayoutRight,
     View,
-    create_device_view,
     create_mirror_view,
     deep_copy,
     kernel_context,
@@ -124,12 +123,6 @@ class TestMirrorsAndCopies:
         assert m.space.host_accessible
         assert m.shape == d.shape
 
-    def test_create_device_view(self):
-        h = View("h", (2, 3))
-        d = create_device_view(h, DeviceSpace)
-        assert d.space is DeviceSpace
-        assert d.shape == h.shape
-
     def test_deep_copy_host_to_host(self):
         a, b = View("a", 3), View("b", 3)
         a.fill(7.0)
@@ -163,7 +156,7 @@ class TestMirrorsAndCopies:
     def test_roundtrip_preserves_data(self):
         h = View("h", 16)
         h.raw[:] = np.arange(16.0)
-        d = create_device_view(h, DeviceSpace)
+        d = View("d", h.shape, space=DeviceSpace)
         deep_copy(d, h)
         back = create_mirror_view(d)
         deep_copy(back, d)

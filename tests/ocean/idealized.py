@@ -1,8 +1,8 @@
-"""Idealized configurations: the re-entrant channel (ISOM analog).
+"""Idealized configurations for the physics tests: the re-entrant channel.
 
 The paper's science lineage includes ISOM, the "fully mesoscale-resolving
 idealized Southern Ocean model" (ref. [51]) built by the same group to
-study multiscale eddy interactions.  This module provides the idealized
+study multiscale eddy interactions.  This fixture provides the idealized
 counterpart of the realistic global setup:
 
 * a flat-bottom **re-entrant zonal channel** between two land walls
@@ -23,13 +23,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..parallel.comm import SimComm
-from ..parallel.decomp import BlockDecomposition
-from .config import ModelConfig, demo
-from .forcing import ForcingParams
-from .grid import GRAVITY, Grid, make_grid
-from .model import LICOMKpp, ModelParams
-from .topography import Topography, levels_from_depth
+from repro.parallel.comm import SimComm
+from repro.parallel.decomp import BlockDecomposition
+from repro.ocean.config import ModelConfig, demo
+from repro.ocean.forcing import ForcingParams
+from repro.ocean.grid import GRAVITY, Grid, make_grid
+from repro.ocean.model import LICOMKpp, ModelParams
+from repro.ocean.topography import Topography, levels_from_depth
 
 
 def channel_topography(grid: Grid, lat_south: float = -65.0,
@@ -102,7 +102,7 @@ def impose_ssh_bump(
         lat0 = float(np.mean([grid.lat_t[0], grid.lat_t[-1]]))
     lon = np.mod(grid.lon_t, 360.0)
     dlo = np.minimum(np.abs(lon - lon0), 360.0 - np.abs(lon - lon0))
-    from .localdomain import local_with_halo
+    from repro.ocean.localdomain import local_with_halo
 
     lat2, lon2 = np.meshgrid(grid.lat_t, dlo, indexing="ij")
     bump = amplitude * np.exp(-((lon2 / radius_deg) ** 2
@@ -122,7 +122,7 @@ def impose_geostrophic_state(
     geostrophic balance the state is steady; the validation test checks
     the model holds it to leading order.
     """
-    from .localdomain import local_with_halo
+    from repro.ocean.localdomain import local_with_halo
 
     grid = model.grid
     d = model.domain

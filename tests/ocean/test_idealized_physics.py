@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.kokkos import DualView, MDRangePolicy, SerialBackend
-from repro.errors import MemorySpaceError
+from repro.kokkos import MDRangePolicy, SerialBackend
 from repro.ocean import LICOMKpp, demo
 from repro.ocean.grid import GRAVITY
-from repro.ocean.idealized import (
+from tests.ocean.idealized import (
     channel_topography,
     gravity_wave_speed,
     impose_geostrophic_state,
@@ -138,45 +137,3 @@ class TestGeostrophicBalance:
         unbalanced.run_steps(4)
         v_unbal = np.abs(unbalanced.state.v.cur.raw).max()
         assert v_unbal > 5.0 * v_bal
-
-
-class TestDualView:
-    def test_sync_device_copies_host_writes(self):
-        dv = DualView("x", (4, 4))
-        dv.view_host().fill(3.0)
-        dv.modify_host()
-        assert dv.need_sync_device()
-        assert dv.sync_device()
-        assert not dv.need_sync_device()
-        assert np.all(dv.view_device().raw == 3.0)
-
-    def test_sync_host_copies_device_writes(self):
-        dv = DualView("x", 8)
-        dv.view_device().raw[:] = 7.0
-        dv.modify_device()
-        assert dv.sync_host()
-        assert np.all(dv.view_host().data == 7.0)
-
-    def test_noop_when_clean(self):
-        dv = DualView("x", 4)
-        assert not dv.sync_device()
-        assert not dv.sync_host()
-
-    def test_both_modified_raises(self):
-        dv = DualView("x", 4)
-        dv.modify_host()
-        dv.modify_device()
-        with pytest.raises(MemorySpaceError):
-            dv.sync_device()
-
-    def test_unified_degenerates_to_one_allocation(self):
-        dv = DualView("x", 4, unified=True)
-        dv.view_host().fill(5.0)
-        dv.modify_host()
-        assert not dv.sync_device()  # free on Sunway-style unified memory
-        assert dv.view_device() is dv.view_host()
-
-    def test_device_side_policed(self):
-        dv = DualView("x", 4)
-        with pytest.raises(MemorySpaceError):
-            _ = dv.view_device()[0]

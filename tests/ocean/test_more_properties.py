@@ -173,43 +173,3 @@ class TestCanutoKernelProperties:
             "canuto", pol, CanutoMixFunctor(u, v, rho, km, kh, dom))
         assert np.array_equal(km.raw, km_s)
         assert np.array_equal(kh.raw, kh_s)
-
-
-class TestEnergyBudget:
-    def test_wind_powers_the_circulation(self):
-        """In an unstratified, unforced-otherwise channel the wind is the
-        only energy source: its work is positive and bounds the KE
-        tendency (the remainder is viscous/drag dissipation)."""
-        import numpy as np
-
-        from repro.ocean import kinetic_energy_joules, wind_power_input
-        from repro.ocean.idealized import make_channel_model, quiesce
-
-        m = make_channel_model("small")
-        quiesce(m)
-        # re-apply the channel westerlies that quiesce() removed
-        from repro.ocean.forcing import wind_stress_zonal
-        from repro.ocean.localdomain import local_with_halo
-
-        taux = np.repeat(
-            wind_stress_zonal(m.grid.lat_u)[:, None], m.grid.nx, axis=1)
-        m.taux = local_with_halo(taux, m.decomp, m.rank, sign=-1.0)
-        m.run_days(3.0)
-        power = wind_power_input(m)
-        assert power > 0.0  # the flow aligns with the stress
-
-        ke0 = kinetic_energy_joules(m)
-        dt = m.config.dt_baroclinic
-        m.run_steps(4)
-        ke1 = kinetic_energy_joules(m)
-        dke_dt = (ke1 - ke0) / (4.0 * dt)
-        # the wind input bounds the KE growth (dissipation removes the rest)
-        assert 0.0 < dke_dt < 1.05 * power
-
-    def test_ke_joules_positive_and_consistent(self):
-        from repro.ocean import LICOMKpp, demo, kinetic_energy_joules
-
-        m = LICOMKpp(demo("tiny"))
-        assert kinetic_energy_joules(m) == 0.0  # starts at rest
-        m.run_steps(8)
-        assert kinetic_energy_joules(m) > 0.0

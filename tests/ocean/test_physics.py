@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from repro.ocean import (
     ForcingParams,
-    buoyancy_frequency_sq,
     demo,
     density_linear,
-    density_unesco,
     make_forcing,
     make_grid,
     make_topography,
@@ -43,28 +41,6 @@ class TestEOS:
         rho = density_linear(t, 35.0)
         assert rho.shape == (3,)
         assert np.all(np.diff(rho) < 0)
-
-    def test_unesco_plausible_range(self):
-        rho = density_unesco(10.0, 35.0, 0.0)
-        assert 1020.0 < rho < 1030.0
-
-    def test_unesco_compression_with_depth(self):
-        assert density_unesco(2.0, 35.0, 5000.0) > density_unesco(2.0, 35.0, 0.0)
-
-    def test_unesco_monotone_in_t_above_4c(self):
-        assert density_unesco(20.0, 35.0) < density_unesco(5.0, 35.0)
-
-    def test_n2_positive_for_stable_column(self):
-        z_t = np.array([10.0, 50.0, 200.0])
-        rho = np.array([1024.0, 1025.0, 1026.0])  # denser below: stable
-        n2 = buoyancy_frequency_sq(rho, z_t)
-        assert n2.shape == (2,)
-        assert np.all(n2 > 0)
-
-    def test_n2_negative_for_inverted_column(self):
-        z_t = np.array([10.0, 50.0])
-        n2 = buoyancy_frequency_sq(np.array([1026.0, 1024.0]), z_t)
-        assert n2[0] < 0
 
     @settings(max_examples=30, deadline=None)
     @given(t=st.floats(-2, 32), s=st.floats(30, 40))

@@ -10,8 +10,8 @@ The PrecisionPolicy contract, layer by layer:
 * **halos** — narrow families halve their wire bytes (>= 1.8x on the
   3-D phase), identically on thread- and process-backed ranks;
 * **analysis** — the graphcheck ``precision-promotion`` rule catches a
-  silent fp32->fp64 promotion, ``certify_precision`` returns it, and
-  the model's own mixed graphs certify clean;
+  silent fp32->fp64 promotion as an error, and the model's own mixed
+  graphs have none;
 * **restart** — per-field dtypes round-trip bit-exactly and mismatches
   refuse to load;
 * **perfmodel** — the per-family pricing reproduces the flat fp32
@@ -58,7 +58,7 @@ class TestPolicyResolution:
         for name in ("double", "single", "mixed"):
             pol = resolve_precision(name)
             assert pol.name == name
-            assert set(pol.dtypes()) == set(FAMILIES)
+            assert [fam for fam, _ in pol.signature()] == list(FAMILIES)
 
     def test_mixed_is_the_paper_split(self):
         pol = resolve_precision("mixed")
@@ -99,9 +99,11 @@ class TestPolicyResolution:
         assert a != resolve_precision("double")
 
     def test_uniform(self):
-        assert resolve_precision("double").uniform
-        assert resolve_precision("single").uniform
-        assert not resolve_precision("mixed").uniform
+        def widths(name):
+            return {dt for _, dt in resolve_precision(name).signature()}
+
+        assert len(widths("double")) == len(widths("single")) == 1
+        assert len(widths("mixed")) == 2
 
 
 class TestStateDtypes:
@@ -289,6 +291,15 @@ class TestHaloBytes:
             res[0].state["t"], solo.state.t.cur.raw)
 
 
+def _precision_errors(graph):
+    """The error-severity precision findings of a sealed graph (a
+    promotion; fp32 accumulation is only a warning)."""
+    from repro.analysis import Severity
+    from repro.analysis.graphcheck import check_precision
+
+    return [f for f in check_precision(graph) if f.severity >= Severity.ERROR]
+
+
 def _sink(space, view):
     """An exchange of ``view`` over a fake halo: keeps the graph's final
     write from looking dead when the schedule wraps around."""
@@ -340,7 +351,6 @@ class TestPrecisionPromotionRule:
             self._sealed(self._mixed_copy_records(True))) == []
 
     def test_seal_certify_refuses_silent_promotion(self):
-        from repro.analysis.graphcheck import certify_precision
         from repro.analysis.rules import RULE_PRECISION
         from repro.kokkos import LaunchGraph, MDRangePolicy, View, make_backend
         from tests.analysis.broken_graph import PointCopyFunctor
@@ -351,13 +361,13 @@ class TestPrecisionPromotionRule:
         graph.add_kernel("copy", MDRangePolicy([(1, self.N - 1), (1, self.N - 1)]),
                          PointCopyFunctor(src, dst))
         graph.add(_sink(graph.space, dst))
-        refused = certify_precision(graph.seal())
+        refused = _precision_errors(graph.seal())
         assert [f.rule for f in refused] == [RULE_PRECISION]
         assert refused[0].kernel == "copy" and "promotion" in refused[0].detail
 
     def test_fp32_accumulation_is_warning_not_error(self):
         from repro.analysis import Severity
-        from repro.analysis.graphcheck import certify_precision, check_precision
+        from repro.analysis.graphcheck import check_precision
         from repro.kokkos import MDRangePolicy, View
         from tests.analysis.broken_graph import AccumulateFunctor
 
@@ -372,17 +382,15 @@ class TestPrecisionPromotionRule:
                 ("x", out)])
             findings = check_precision(graph)
             assert [f.severity for f in findings] == [Severity.WARNING]
-            assert certify_precision(graph) == []
+            assert _precision_errors(graph) == []
         finally:
             del type(functor).accumulates
 
     @pytest.mark.parametrize("precision", ["double", "mixed"])
     def test_model_graphs_certify_clean(self, precision):
-        from repro.analysis.graphcheck import certify_precision
-
         m = _run("serial", precision=precision, graph=True)
         for graph in m._graphs.values():
-            assert certify_precision(graph) == []
+            assert _precision_errors(graph) == []
 
 
 class TestMixedRestart:

@@ -58,7 +58,7 @@ def test_process_mode_ships_rank_measurement_state():
         assert r.inst is not None and r.inst.total_launches > 0
         assert r.traffic is not None and r.traffic.messages > 0
         assert r.tracer is not None
-    from repro.perfmodel.aggregate import merge_traffic
+    from tests.ledgers import merge_traffic
 
     merged = merge_traffic(pworld.rank_traffic.values())
     assert merged.messages == pworld.traffic.messages

@@ -1,19 +1,14 @@
-"""Restart/history I/O, mixed precision, MOC/streamfunction diagnostics, CLI."""
+"""Restart I/O, mixed precision, CLI."""
 
 import numpy as np
 import pytest
 
 from repro.errors import OceanError
 from repro.ocean import (
-    HistoryAccumulator,
     LICOMKpp,
     ModelParams,
-    barotropic_streamfunction,
     demo,
-    io_cost_estimate,
     load_restart,
-    meridional_overturning,
-    restart_nbytes,
     save_restart,
 )
 from repro.ocean.config import PAPER_CONFIGS
@@ -60,51 +55,6 @@ class TestRestart:
         with pytest.raises(OceanError, match="grid"):
             load_restart(b, path)
 
-    def test_restart_nbytes_scales(self):
-        small = restart_nbytes(PAPER_CONFIGS["coarse_100km"])
-        big = restart_nbytes(PAPER_CONFIGS["km_1km"])
-        assert big > small * 1000
-        # the 1-km restart is multiple terabytes — the SViii I/O argument
-        assert big > 4e12
-
-    def test_io_cost_estimate(self):
-        est = io_cost_estimate(PAPER_CONFIGS["km_1km"], sypd=1.05)
-        assert est["restart_bytes"] > 4e12
-        assert est["write_seconds"] > 0
-        assert 0.0 < est["wall_fraction"] < 10.0
-
-
-class TestHistory:
-    def test_means_accumulate(self):
-        m = LICOMKpp(demo("tiny"))
-        hist = HistoryAccumulator(m)
-        m.run_steps(2)
-        hist.sample()
-        sst1 = m.state.t.cur.raw[0].copy()
-        m.run_steps(2)
-        hist.sample()
-        sst2 = m.state.t.cur.raw[0]
-        means = hist.means()
-        assert hist.samples == 2
-        assert np.allclose(means["sst"], 0.5 * (sst1 + sst2))
-
-    def test_flush_roundtrip(self, tmp_path):
-        m = LICOMKpp(demo("tiny"))
-        hist = HistoryAccumulator(m)
-        m.run_steps(1)
-        hist.sample()
-        path = tmp_path / "hist.npz"
-        hist.flush(path)
-        with np.load(path) as data:
-            assert int(data["samples"]) == 1
-            assert data["ssh"].shape == m.state.ssh.cur.shape
-        assert hist.samples == 0
-
-    def test_flush_empty_raises(self, tmp_path):
-        hist = HistoryAccumulator(LICOMKpp(demo("tiny")))
-        with pytest.raises(OceanError):
-            hist.flush(tmp_path / "empty.npz")
-
 
 class TestMixedPrecision:
     def test_single_precision_runs_stable(self):
@@ -125,7 +75,11 @@ class TestMixedPrecision:
     def test_memory_halves(self):
         ms = LICOMKpp(demo("tiny"), params=ModelParams(precision="single"))
         md = LICOMKpp(demo("tiny"))
-        assert ms.state.memory_bytes() * 2 == md.state.memory_bytes()
+        def nbytes(state):
+            return sum(v.nbytes for f in state.leapfrog_fields().values()
+                       for v in (f.old, f.cur, f.new))
+
+        assert nbytes(ms.state) * 2 == nbytes(md.state)
 
     def test_invalid_precision(self):
         with pytest.raises(ValueError):
@@ -140,36 +94,6 @@ class TestMixedPrecision:
         _, _, sp_orise = policy_projection(cfg, "orise", 16000, "single")
         assert 1.2 < sp_sunway < 2.0
         assert 1.0 < sp_orise < sp_sunway
-
-
-class TestCirculationDiagnostics:
-    @pytest.fixture(scope="class")
-    def model(self):
-        m = LICOMKpp(demo("small"))
-        m.run_days(2.0)
-        return m
-
-    def test_moc_shape_and_units(self, model):
-        lat, z, psi = meridional_overturning(model)
-        assert psi.shape == (lat.size, z.size)
-        assert np.isfinite(psi).all()
-        # bounded: the demo's coarse cells produce large transient
-        # overturning during geostrophic adjustment, but not unbounded
-        assert 0.0 < np.abs(psi).max() < 5000.0
-
-    def test_moc_vanishes_at_rest(self):
-        m = LICOMKpp(demo("tiny"))
-        _, _, psi = meridional_overturning(m)
-        assert np.allclose(psi, 0.0)
-
-    def test_barotropic_streamfunction(self, model):
-        psi = barotropic_streamfunction(model)
-        cfg = model.config
-        assert psi.shape == (cfg.ny, cfg.nx)
-        vals = psi[np.isfinite(psi)]
-        assert vals.size > 0
-        # the wind-driven gyres produce a nonzero circulation
-        assert np.abs(vals).max() > 0.0
 
 
 class TestCLI:

@@ -18,7 +18,8 @@ class TestPointToPoint:
         def prog(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            return comm.sendrecv(comm.rank, dest=right, source=left)
+            comm.send(comm.rank, dest=right)
+            return comm.recv(source=left)
 
         assert SimWorld.run(prog, 4) == [3, 0, 1, 2]
 
@@ -62,17 +63,6 @@ class TestPointToPoint:
         comm.send(42, dest=0)
         assert comm.recv(source=0) == 42
 
-    def test_isend_irecv(self):
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.isend({"x": 1}, dest=1)
-                req.wait()
-                return None
-            req = comm.irecv(source=0)
-            return req.wait()
-
-        assert SimWorld.run(prog, 2)[1] == {"x": 1}
-
     def test_invalid_rank_raises(self):
         comm = SingleComm()
         with pytest.raises(CommunicationError):
@@ -108,52 +98,9 @@ class TestCollectives:
         with pytest.raises(CommunicationError):
             comm.allreduce(1.0, op="xor")
 
-    def test_bcast_from_nonzero_root(self):
-        def prog(comm):
-            return comm.bcast("payload" if comm.rank == 2 else None, root=2)
-
-        assert SimWorld.run(prog, 4) == ["payload"] * 4
-
-    def test_gather(self):
-        def prog(comm):
-            return comm.gather(comm.rank * 2, root=1)
-
-        results = SimWorld.run(prog, 3)
-        assert results[0] is None
-        assert results[1] == [0, 2, 4]
-
     def test_allgather(self):
         results = SimWorld.run(lambda c: c.allgather(c.rank), 3)
         assert results == [[0, 1, 2]] * 3
-
-    def test_scatter(self):
-        def prog(comm):
-            data = [i * 10 for i in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(data, root=0)
-
-        assert SimWorld.run(prog, 4) == [0, 10, 20, 30]
-
-    def test_scatter_wrong_length(self):
-        def prog(comm):
-            data = [1] if comm.rank == 0 else None
-            return comm.scatter(data, root=0)
-
-        with pytest.raises(CommunicationError):
-            SimWorld.run(prog, 2)
-
-    def test_alltoall(self):
-        def prog(comm):
-            return comm.alltoall([comm.rank * 10 + d for d in range(comm.size)])
-
-        results = SimWorld.run(prog, 3)
-        assert results[0] == [0, 10, 20]
-        assert results[2] == [2, 12, 22]
-
-    def test_reduce_root_only(self):
-        def prog(comm):
-            return comm.reduce(1.0, root=0)
-
-        assert SimWorld.run(prog, 3) == [3.0, None, None]
 
     def test_back_to_back_collectives_do_not_collide(self):
         def prog(comm):
@@ -271,18 +218,6 @@ class TestNonBlocking:
 
         assert np.array_equal(SimWorld.run(prog, 2)[1], np.full(4, 999.0))
 
-    def test_isend_completes_immediately(self):
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.isend(7, dest=1)
-                assert req.test() is True   # buffered send: done at once
-                req.wait()
-                return None
-            return comm.recv(source=0)
-
-        assert SimWorld.run(prog, 2)[1] == 7
-
-
 class TestLedgerShape:
     def test_phase_counters_and_histogram(self):
         def prog(comm):
@@ -296,13 +231,13 @@ class TestLedgerShape:
                     comm.recv(source=0)
             comm.barrier()
             led = comm.world.traffic
-            return (led.phase_messages("halo3"), led.phase_bytes("halo3"),
-                    led.phase_messages("halo2"), led.phase_messages("none"),
+            return (*led.by_phase["halo3"], led.by_phase["halo2"][0],
+                    "none" in led.by_phase,
                     led.size_histogram(), led.mean_message_bytes())
 
         h3n, h3b, h2n, missing, hist, mean = SimWorld.run(prog, 2)[0]
         assert (h3n, h3b) == (2, 256.0)
-        assert h2n == 1 and missing == 0
+        assert h2n == 1 and not missing
         # bins are exclusive upper bounds: 16 B -> <32, 128 B -> <256,
         # 800 B -> <1024
         assert hist == {32: 1, 256: 2, 1024: 1}
@@ -475,7 +410,7 @@ class TestRunToken:
                 assert token.owner == me
                 total = comm.allreduce(acc, op="sum")
                 assert token.owner == me
-                trail.append((float(total[0]), comm.bcast(i, root=i % size)))
+                trail.append((float(total[0]), comm.allgather(i)[i % size]))
                 assert token.owner == me
             return acc, trail, comm.allgather(comm.rank)
 

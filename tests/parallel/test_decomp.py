@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DecompositionError
-from repro.parallel import BlockDecomposition, choose_process_grid
+from repro.parallel import BlockDecomposition, choose_process_grid, imbalance_stats
 
 
 class TestBasics:
     def test_blocks_partition_domain(self):
         d = BlockDecomposition(30, 40, 3, 4)
         seen = np.zeros((30, 40), dtype=int)
-        for b in d.blocks():
+        for b in map(d.block, range(d.size)):
             seen[b.j0:b.j1, b.i0:b.i1] += 1
         assert np.all(seen == 1)
 
@@ -29,9 +29,9 @@ class TestBasics:
 
     def test_interior_slices(self):
         d = BlockDecomposition(20, 24, 1, 1, halo=2)
-        jj, ii = d.interior(0)
+        h = d.halo
         arr = np.zeros(d.local_shape(0))
-        assert arr[jj, ii].shape == (20, 24)
+        assert arr[h:-h, h:-h].shape == (20, 24)
 
     def test_too_many_ranks_rejected(self):
         with pytest.raises(DecompositionError):
@@ -118,7 +118,9 @@ class TestLandAnalysis:
         d = BlockDecomposition(16, 16, 2, 2, north_fold=False)
         mask = np.zeros((16, 16), dtype=bool)
         mask[:8, :8] = True  # ocean only in block 0
-        assert d.land_blocks(mask) == [1, 2, 3]
+        # a land block is a rank without ocean points
+        counts = d.ocean_points_per_rank(mask)
+        assert list(np.flatnonzero(counts == 0)) == [1, 2, 3]
 
     def test_points_per_rank(self):
         d = BlockDecomposition(16, 16, 2, 2, north_fold=False)
@@ -127,7 +129,8 @@ class TestLandAnalysis:
 
     def test_imbalance_uniform_is_one(self):
         d = BlockDecomposition(16, 16, 2, 2, north_fold=False)
-        assert d.imbalance(np.ones((16, 16), dtype=bool)) == pytest.approx(1.0)
+        stats = imbalance_stats(d, np.ones((16, 16), dtype=bool))
+        assert stats.imbalance_factor == pytest.approx(1.0)
 
     def test_imbalance_grows_with_asymmetry(self):
         d = BlockDecomposition(16, 16, 2, 2, north_fold=False)
@@ -135,7 +138,7 @@ class TestLandAnalysis:
         mask[:8, :8] = True
         mask[8:, 8:] = True
         mask[0, 8:] = True  # tiny extra load on one block
-        assert d.imbalance(mask) > 1.5
+        assert imbalance_stats(d, mask).imbalance_factor > 1.5
 
 
 class TestChooseProcessGrid:
@@ -171,7 +174,7 @@ def test_property_partition_and_topology(ny, nx, npy, npx):
     except DecompositionError:
         return  # infeasible sizes are allowed to raise
     seen = np.zeros((ny, nx), dtype=int)
-    for b in d.blocks():
+    for b in map(d.block, range(d.size)):
         seen[b.j0:b.j1, b.i0:b.i1] += 1
     assert np.all(seen == 1)
     for r in range(d.size):

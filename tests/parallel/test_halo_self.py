@@ -90,7 +90,7 @@ def test_mixed_self_and_remote_sides_match_oracle(grid, mode):
     led = world.traffic
     want = 2 * sum(_messages_per_exchange(decomp, r)
                    for r in range(decomp.size))
-    assert led.messages == led.phase_messages("halo_self") == want
+    assert led.messages == led.by_phase["halo_self"][0] == want
     assert sum(led.size_hist.values()) == want
     selfs = {r for r, ranks in SIDES[grid].items() if COPY in ranks}
     assert {src for (src, dst) in led.by_pair if src == dst} == selfs

@@ -1,4 +1,4 @@
-"""Halo transposes (Fig. 5), canuto load balance (Fig. 4), overlap (§V-D)."""
+"""Halo transposes (Fig. 5) and canuto load balance (Fig. 4)."""
 
 import numpy as np
 import pytest
@@ -9,18 +9,12 @@ from repro.experiments.variants import GHOST_HALO_TRANSPOSES, REAL_HALO_TRANSPOS
 from repro.parallel import (
     BlockDecomposition,
     SimWorld,
-    SingleComm,
     balanced_column_compute,
-    boundary_strip,
     imbalance_stats,
-    interior_core,
     local_ocean_columns,
     naive_column_compute,
-    overlap_time,
-    overlapped_update_fused,
     partition_evenly,
 )
-from tests.conftest import halo_update
 
 
 class TestTransposes:
@@ -119,61 +113,3 @@ class TestLoadBalance:
         d = BlockDecomposition(16, 16, 2, 2)
         s = imbalance_stats(d, np.ones((16, 16), dtype=bool))
         assert s.speedup == pytest.approx(1.0)
-
-
-class TestOverlap:
-    def test_interior_plus_boundary_covers_owned_region(self):
-        d = BlockDecomposition(20, 24, 2, 2)
-        ly, lx = d.local_shape(0)
-        seen = np.zeros((ly, lx), dtype=int)
-        seen[interior_core(d, 0)] += 1
-        for strip in boundary_strip(d, 0):
-            seen[strip] += 1
-        h = d.halo
-        assert np.all(seen[h:-h, h:-h] == 1)   # owned cells exactly once
-        assert np.all(seen[:h, :] == 0)        # ghosts untouched
-
-    def test_overlapped_update_equals_plain(self, rng):
-        """Like real kernels, the compute reads one array and writes
-        another, so region-by-region application is order-independent."""
-        ny, nx = 16, 20
-        g = rng.standard_normal((ny, nx))
-        d = BlockDecomposition(ny, nx, 1, 1)
-        h = d.halo
-        ly, lx = d.local_shape(0)
-
-        def make_smooth(out):
-            def smooth(arr, region):
-                jj, ii = region[-2], region[-1]
-                out[jj, ii] = 0.2 * (
-                    arr[jj, ii]
-                    + arr[jj.start - 1:jj.stop - 1, ii]
-                    + arr[jj.start + 1:jj.stop + 1, ii]
-                    + arr[jj, ii.start - 1:ii.stop - 1]
-                    + arr[jj, ii.start + 1:ii.stop + 1]
-                )
-            return smooth
-
-        # plain: exchange first, then compute everywhere at once
-        plain_in = d.scatter_global(g, 0)
-        halo_update(SingleComm(), d, plain_in)
-        plain_out = np.zeros((ly, lx))
-        make_smooth(plain_out)(plain_in, (slice(h, ny + h), slice(h, nx + h)))
-
-        over_in = d.scatter_global(g, 0)
-        halo_update(SingleComm(), d, over_in)  # ghosts valid like a model step
-        over_out = np.zeros((ly, lx))
-        overlapped_update_fused(SingleComm(), d, 0, [over_in],
-                                make_smooth(over_out))
-        jj, ii = slice(h, ny + h), slice(h, nx + h)
-        assert np.allclose(plain_out[jj, ii], over_out[jj, ii])
-
-    def test_overlap_time_model(self):
-        assert overlap_time(10.0, 2.0, 4.0, overlapped=False) == 16.0
-        assert overlap_time(10.0, 2.0, 4.0, overlapped=True) == 12.0
-        # comm-bound case
-        assert overlap_time(3.0, 2.0, 8.0, overlapped=True) == 10.0
-
-    def test_overlap_never_slower(self):
-        for ti, tb, tc in [(1, 1, 1), (5, 0, 3), (0.1, 2, 9)]:
-            assert overlap_time(ti, tb, tc, True) <= overlap_time(ti, tb, tc, False)

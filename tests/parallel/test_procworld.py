@@ -18,8 +18,6 @@ from repro.ocean.localdomain import local_with_halo
 from repro.parallel import (
     BlockDecomposition,
     HaloUpdater,
-    Partitioner,
-    Placement,
     SimWorld,
     TrafficLedger,
 )
@@ -43,7 +41,8 @@ def _shm_leaks():
 def prog_ring(comm):
     right = (comm.rank + 1) % comm.size
     left = (comm.rank - 1) % comm.size
-    return comm.sendrecv(comm.rank, dest=right, source=left)
+    comm.send(comm.rank, right)
+    return comm.recv(left)
 
 
 def prog_move(comm):
@@ -56,21 +55,18 @@ def prog_move(comm):
 
 
 def prog_collectives(comm):
-    root = 1 % comm.size
     total = comm.allreduce(comm.rank)
     gathered = comm.allgather(comm.rank * 2)
-    word = comm.bcast("hello" if comm.rank == root else None, root=root)
+    words = comm.allgather(f"p{comm.rank}")
     comm.barrier()
-    piece = comm.scatter(
-        [f"p{r}" for r in range(comm.size)] if comm.rank == 0 else None)
     arr = comm.allreduce(np.ones(3) * comm.rank, op="max")
-    return (total, gathered, word, piece, float(arr[0]))
+    return (total, gathered, words, float(arr[0]))
 
 
 def prog_mismatch(comm):
     if comm.rank == 0:
         return comm.allreduce(1.0)
-    return comm.bcast(None, root=0)
+    return comm.allgather(None)
 
 
 def prog_raise(comm):
@@ -204,10 +200,9 @@ def prog_repeated_gather(comm):
     pool = comm.make_halo_pool()
     allocations, ok = [], True
     for _ in range(20):
-        got = comm.gather(_big(comm.rank), root=0)
+        got = comm.allgather(_big(comm.rank))
         allocations.append(pool.allocations)
-        if comm.rank == 0:
-            ok = ok and all(_same(g, _big(r)) for r, g in enumerate(got))
+        ok = ok and all(_same(g, _big(r)) for r, g in enumerate(got))
     return allocations, ok
 
 
@@ -222,30 +217,25 @@ def prog_wire_mechanism(comm):
     comm.send(list(range(5000)), right, tag=5)     # oversize non-array
     p2p = _same(comm.recv(left, tag=4), _big(left)) and \
         comm.recv(left, tag=5) == list(range(5000))
-    bcast = _same(comm.bcast(_big(7) if comm.rank == 1 else None, root=1),
-                  _big(7))
-    got = comm.gather(_big(comm.rank), root=0)
-    gather = comm.rank != 0 or all(_same(g, _big(r))
-                                   for r, g in enumerate(got))
-    return threads, small, p2p, bcast, gather
+    reduced = _same(comm.allreduce(_big(comm.rank)),
+                    sum(_big(r) for r in range(comm.size)))
+    got = comm.allgather(_big(comm.rank))
+    gathered = all(_same(g, _big(r)) for r, g in enumerate(got))
+    return threads, small, p2p, reduced, gathered
 
 
 # -- tests -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("program,size,args,groups", [
-    (prog_mutual_big, 2, (), None),
-    (prog_many_small, 2, (5000,), None),
-    (prog_flood_root, 4, (2000,), None),
-    # two rank threads per worker: concurrent writers inside one process
-    (prog_flood_root, 4, (2000,), ((0, 1), (2, 3))),
-], ids=["mutual-2MiB", "5000-small", "flood-rank0", "flood-rank0-threads"])
-def test_send_stays_buffered(program, size, args, groups):
+@pytest.mark.parametrize("program,size,args", [
+    (prog_mutual_big, 2, ()),
+    (prog_many_small, 2, (5000,)),
+    (prog_flood_root, 4, (2000,)),
+], ids=["mutual-2MiB", "5000-small", "flood-rank0"])
+def test_send_stays_buffered(program, size, args):
     """``send`` never waits for the peer to receive (a blocking pipe
     write hangs the first case, a lossy one breaks the others)."""
-    got = run_process_world(
-        program, size, timeout=20.0, args=args,
-        placement=groups and Placement(groups=groups)).results
+    got = run_process_world(program, size, timeout=20.0, args=args).results
     assert got == [True] * size
     assert _shm_leaks() == []
 
@@ -329,7 +319,7 @@ class TestProcessWorld:
     def test_per_rank_ledgers_merge_to_world(self):
         pw = SimWorld(3, timeout=TIMEOUT, mode="process")
         pw.launch(prog_ledgered)
-        from repro.perfmodel.aggregate import merge_traffic
+        from tests.ledgers import merge_traffic
 
         merged = merge_traffic(pw.rank_traffic.values())
         assert merged.messages == pw.traffic.messages
@@ -390,54 +380,3 @@ class TestProcessWorld:
     def test_sweep_catches_unreported_segments(self):
         leftovers = list_world_segments("nonexistent-uid")
         assert leftovers == []
-
-
-class TestPlacement:
-    def test_one_per_rank(self):
-        p = Placement.one_per_rank(4)
-        assert p.n_workers == 4
-        assert p.groups == ((0,), (1,), (2,), (3,))
-        p.validate(4)
-
-    def test_validate_rejects_partial_cover(self):
-        from repro.errors import DecompositionError
-
-        with pytest.raises(DecompositionError):
-            Placement(groups=((0,), (1,))).validate(3)
-        with pytest.raises(DecompositionError):
-            Placement(groups=((0,), (0, 1))).validate(2)
-
-    def test_partitioner_uniform(self):
-        d = BlockDecomposition(16, 24, 2, 2)
-        p = Partitioner(d).assign(2)
-        p.validate(4)
-        assert p.n_workers == 2
-        assert all(len(g) == 2 for g in p.groups)
-
-    def test_partitioner_load_driven(self):
-        d = BlockDecomposition(16, 24, 2, 2)
-        mask = np.zeros((16, 24), dtype=bool)
-        mask[:8, :12] = True      # rank 0 owns all the ocean
-        mask[:8, 12:14] = True    # rank 1 a sliver
-        part = Partitioner(d, ocean_mask=mask)
-        p = part.assign(2)
-        p.validate(4)
-        # the heavy rank 0 must sit alone-ish: LPT puts it on one
-        # worker and packs the three light ranks on the other
-        heavy_worker = p.worker_of(0)
-        assert len(p.groups[heavy_worker]) == 1
-        assert p.imbalance() >= 1.0
-
-    def test_partitioner_more_workers_than_ranks(self):
-        d = BlockDecomposition(16, 24, 2, 1)
-        p = Partitioner(d).assign(8)
-        p.validate(2)
-        assert p.n_workers == 2
-
-    def test_placement_drives_process_world(self):
-        d = BlockDecomposition(16, 24, 2, 2)
-        placement = Partitioner(d).assign(2)
-        outcome = run_process_world(prog_ring, 4, timeout=TIMEOUT,
-                                    placement=placement)
-        assert outcome.results == [3, 0, 1, 2]
-        assert not outcome.errors

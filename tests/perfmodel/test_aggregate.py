@@ -2,22 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.kokkos import ExecutionContext, Instrumentation
 from repro.ocean.config import PAPER_CONFIGS
-from repro.parallel import BlockDecomposition
-from repro.parallel.loadbalance import imbalance_stats
-from repro.perfmodel import (
-    aggregate,
-    decomposition_load_imbalance,
-    load_imbalance,
-    measured_load_imbalance,
-    predict_step_time,
-    predict_sypd,
-    rank_points,
-)
+from repro.perfmodel import predict_step_time, predict_sypd
+from tests.ledgers import aggregate
 
 CFG = PAPER_CONFIGS["coarse_100km"]
 
@@ -55,37 +45,10 @@ class TestAggregate:
         bare.record_launch("step", points=3)
         merged = aggregate([ctx, bare])
         assert merged.kernels["step"].points == 10
-        assert rank_points([ctx, bare]) == [7, 3]
 
     def test_rejects_unresolvable(self):
         with pytest.raises(TypeError):
             aggregate([object()])
-
-
-class TestLoadImbalance:
-    def test_balanced_is_exactly_one(self):
-        assert load_imbalance([100, 100, 100]) == 1.0
-
-    def test_max_over_mean(self):
-        # counts 60/100: mean 80, max 100 -> 1.25
-        assert load_imbalance([60, 100]) == pytest.approx(1.25)
-
-    def test_degenerate_inputs(self):
-        assert load_imbalance([]) == 1.0
-        assert load_imbalance([0, 0]) == 1.0
-
-    def test_measured_from_contexts(self):
-        insts = _ranked_insts((60, 100))
-        assert measured_load_imbalance(insts) == pytest.approx(1.25)
-
-    def test_decomposition_matches_imbalance_stats(self):
-        ny, nx = 32, 48
-        mask = np.ones((ny, nx), dtype=bool)
-        mask[: ny // 2, : nx // 3] = False          # a land corner
-        d = BlockDecomposition(ny, nx, 2, 2)
-        assert decomposition_load_imbalance(d, mask) == pytest.approx(
-            imbalance_stats(d, mask).imbalance_factor)
-        assert decomposition_load_imbalance(d, mask) > 1.0
 
 
 class TestRankImbalanceTerm:

@@ -32,6 +32,29 @@ class TestValidation:
     def test_program_job_needs_no_steps(self):
         JobSpec(name="p", steps=0, program=len).validate()
 
+    def test_undecomposable_rank_count_rejected(self):
+        # choose_process_grid(109, 180, 64) picks 8 x 8, whose top row
+        # the tripolar fold cannot pair up; a worker would fail later
+        with pytest.raises(AdmissionError, match="tripolar-fold partner"):
+            JobSpec(name="big", size="large", ranks=64).validate()
+
+    def test_decomposable_rank_count_admitted(self):
+        JobSpec(name="big", size="large", ranks=60).validate()   # 6 x 10
+
+    def test_demo_jobspec_file_admits_every_job(self):
+        """examples/jobs_demo.json loads whole; its priced-out job is
+        refused by the budget, not by the decomposition."""
+        from pathlib import Path
+
+        from repro.perfmodel import quote_job
+
+        path = Path(__file__).resolve().parents[2] / "examples" / "jobs_demo.json"
+        specs = {s.name: s for s in load_jobspecs(path)}
+        big = specs["priced-out"]
+        quote = quote_job(big.config(), machine=big.machine, units=big.ranks,
+                          steps=big.steps, precision=big.precision)
+        assert quote.cost_unit_seconds > 1e4     # README's --budget 1e4
+
 
 class TestSignature:
     def test_identical_specs_share(self):
@@ -102,3 +125,18 @@ class TestJobspecFile:
 def test_job_status_values():
     assert {s.value for s in JobStatus} == {
         "pending", "running", "done", "failed", "rejected"}
+
+
+class TestServeCli:
+    def test_malformed_jobspec_file_is_one_error_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps([{"name": "zero", "steps": 0}]))
+        code = main(["serve", "--jobs", str(path),
+                     "--artifacts", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: job 'zero': steps must be >= 1\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()   # nothing was served

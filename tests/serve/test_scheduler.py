@@ -14,10 +14,23 @@ from repro.kokkos.context import ExecutionContext
 from repro.ocean import LICOMKpp, demo
 from repro.ocean.model import ModelParams, STATE_FIELDS
 from repro.parallel.shm import SEGMENT_PREFIX, _SHM_DIR
-from repro.serve import JobSpec, JobStatus, ServeScheduler, read_probes
+from repro.serve import JobSpec, JobStatus, ServeScheduler
 from repro.trace import validate_chrome_trace
 
 from .programs import boom, ring, wedge
+
+
+def read_probes(path):
+    """A job's ``probes.jsonl`` as row dicts; a trailing partial line
+    (a write the process died inside) is skipped."""
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError:
+                break
+    return rows
 
 WAIT = 300.0
 

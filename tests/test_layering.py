@@ -12,8 +12,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Names that left ``repro``: moved to ``repro.experiments.variants``,
-#: deleted with the per-field exchange, or deleted with the abstract
-#: interpreter the verifiers' observed footprints replaced.
+#: deleted with the per-field exchange, deleted with the abstract
+#: interpreter the verifiers' observed footprints replaced, or deleted
+#: (moved to ``tests/``) because no production entry point reached them.
 GONE = {
     "LinkedListRegistry", "_Node", "pack_naive", "pack_sliced",
     "REAL_HALO_TRANSPOSES", "GHOST_HALO_TRANSPOSES",
@@ -28,6 +29,23 @@ GONE = {
     "build_footprint", "collect_footprints", "static_cost",
     "StaticKernelCost", "crosscheck_declared_costs", "Accumulate2DFunctor",
     "absint",
+    # surface no production entry point reached (tests/test_reachability.py)
+    "team", "TeamPolicy", "TeamMember", "parallel_for_team",
+    "parallel_reduce_team", "dualview", "DualView", "parallel_scan",
+    "overlapped_update_fused", "overlap_time", "interior_core",
+    "boundary_strip", "Partitioner", "Placement", "placement", "land_blocks",
+    "sendrecv", "isend", "bcast", "alltoall", "HistoryAccumulator",
+    "restart_nbytes", "io_cost_estimate", "density_unesco",
+    "buoyancy_frequency_sq", "meridional_overturning",
+    "barotropic_streamfunction", "wind_power_input", "kinetic_energy_joules",
+    "kinetic_energy_spectrum", "get_config", "ledger_wire_time",
+    "validate_presets", "measured_load_imbalance",
+    "decomposition_load_imbalance", "rank_points", "merge_traffic",
+    "idealized", "make_channel_model", "channel_topography", "quiesce",
+    "impose_ssh_bump", "impose_geostrophic_state", "gravity_wave_speed",
+    "certify_precision", "create_device_view", "views_nbytes",
+    "read_probes", "record_dma", "disable_tracing", "pooled_buffers",
+    "phase_messages", "phase_bytes", "memory_bytes",
 }
 
 
@@ -90,7 +108,7 @@ def test_kokkos_imports_no_higher_layer():
 
 @pytest.mark.parametrize("package", [
     "repro.kokkos", "repro.parallel", "repro.analysis", "repro.perfmodel",
-    "repro.ocean"])
+    "repro.ocean", "repro.serve"])
 def test_variants_left_the_production_packages(package):
     """None of the moved or deleted names is defined, bound, imported or
     exported anywhere under the package, and the retired modules are gone."""
