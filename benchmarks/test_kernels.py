@@ -48,7 +48,8 @@ def test_advection_predictor(benchmark, model, backend_name):
 def test_fct_limiter(benchmark, model):
     st = model.state
     f = FCTLimitFunctor(st.t.cur, model.tstar, st.u.cur, st.v.cur, st.w,
-                        model.rplus, model.rminus, model.domain, 3600.0)
+                        model.rplus, model.rminus, *model.aflux_all[0],
+                        model.domain, 3600.0)
     benchmark(SerialBackend().parallel_for, "fct_limits", _int2(model), f)
 
 
@@ -62,7 +63,7 @@ def test_canuto_kernel(benchmark, model):
 
 def test_eos_kernel(benchmark, model):
     st = model.state
-    f = EOSFunctor(st.t.cur, st.s.cur, st.rho, model.domain.mask_t)
+    f = EOSFunctor(st.t.cur, st.s.cur, st.rho, model.domain)
     benchmark(SerialBackend().parallel_for, "eos", _full3(model), f)
 
 

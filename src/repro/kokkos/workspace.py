@@ -6,9 +6,13 @@ dozens of NumPy temporaries per tile, so small-grid throughput was
 allocator-bound rather than bandwidth-bound — the Python analogue of
 the per-launch spawn/join overhead the paper's registry redesign kills
 on the CPEs (§V-B).  A :class:`Workspace` hands out *preallocated*
-scratch arrays keyed by ``(key, shape, dtype)``; after the first step
-every ``take`` is a dictionary hit and the apply bodies run with zero
-steady-state allocations.
+scratch arrays keyed by ``(key, shape, dtype)`` (or, through
+:meth:`Workspace.take_view`, one flat buffer per ``(key, dtype)`` that
+every shape views); after the first step every ``take`` is a dictionary
+hit.  The apply bodies draw every
+temporary the size of a 3-D field from here (a tier-1 test holds each
+launch of a warm eager step below one field of transient allocation);
+what they still allocate per call is row- or column-sized.
 
 Contract
 --------
@@ -103,6 +107,36 @@ class Workspace:
         if fill is not None:
             arr[...] = fill
         return arr
+
+    def take_view(self, key: str, shape: Tuple[int, ...],
+                  dtype=np.float64) -> np.ndarray:
+        """A C-ordered ``shape`` view of one flat buffer per ``(key, dtype)``.
+
+        Unlike :meth:`take`, every shape shares the buffer: it is
+        replaced by a larger one whenever a request outgrows it, so once
+        warm it holds the largest ``shape`` asked for, and bodies that
+        run one after another over different launch ranges share it.
+        The contract is :meth:`take`'s: contents undefined, valid until
+        the next request of ``key``.
+        """
+        if not self.enabled or self._released:
+            return self.take(key, shape, dtype)
+        n = 1
+        for extent in shape:
+            n *= extent
+        dtype = np.dtype(dtype)
+        pool = self._pool()
+        flat = pool.get((key, dtype))
+        if flat is None or flat.size < n:
+            flat = pool[(key, dtype)] = np.empty(n, dtype)
+            self.inst.record_workspace_take(flat.nbytes, allocated=True)
+        else:
+            inst = self.inst
+            if inst.enabled:
+                ws = inst.workspace
+                ws.requests += 1
+                ws.bytes_served += flat.nbytes
+        return flat[:n].reshape(shape)
 
     def clear(self) -> None:
         """Drop this thread's pooled buffers (tests / memory pressure)."""

@@ -17,6 +17,14 @@ from typing import Tuple
 import numpy as np
 
 
+#: Arena keys (``Workspace.take_view``) the field-sized temporaries of
+#: the elementwise and column bodies (EOS, pressure, w, Coriolis,
+#: add/strip, Asselin, canuto) share.  Bodies run one at a time on a
+#: thread, so one buffer per key and dtype serves every body and launch
+#: shape, and the resident scratch stays a few fields.
+FIELD_TMP = ("field_a", "field_b", "field_c", "field_d", "field_e")
+
+
 def sh(s: slice, d: int) -> slice:
     """Shift a slice by ``d`` (stencil neighbour access)."""
     return slice(s.start + d, s.stop + d)
@@ -44,47 +52,9 @@ class TileFunctor:
         raise NotImplementedError
 
 
-def face_u_east(u: np.ndarray, sk: slice, sj: slice, si: slice) -> np.ndarray:
-    """B-grid zonal velocity on the *east face* of T cells in the tile.
-
-    The east face of T cell (j, i) is bounded by corners (j, i) and
-    (j-1, i); the face-normal velocity is their average.
-    """
-    return 0.5 * (u[sk, sj, si] + u[sk, sh(sj, -1), si])
-
-
-def face_u_west(u: np.ndarray, sk: slice, sj: slice, si: slice) -> np.ndarray:
-    """Zonal velocity on the *west face* of T cells in the tile."""
-    return 0.5 * (u[sk, sj, sh(si, -1)] + u[sk, sh(sj, -1), sh(si, -1)])
-
-
-def face_v_north(v: np.ndarray, sk: slice, sj: slice, si: slice) -> np.ndarray:
-    """Meridional velocity on the *north face* of T cells in the tile.
-
-    The north face of T cell (j, i) is bounded by corners (j, i) and
-    (j, i-1).
-    """
-    return 0.5 * (v[sk, sj, si] + v[sk, sj, sh(si, -1)])
-
-
-def face_v_south(v: np.ndarray, sk: slice, sj: slice, si: slice) -> np.ndarray:
-    """Meridional velocity on the *south face* of T cells in the tile."""
-    return 0.5 * (v[sk, sh(sj, -1), si] + v[sk, sh(sj, -1), sh(si, -1)])
-
-
-def t_at_u(t: np.ndarray, sk: slice, sj: slice, si: slice) -> np.ndarray:
-    """Average a T-point field to U corners over the tile."""
-    return 0.25 * (
-        t[sk, sj, si]
-        + t[sk, sj, sh(si, 1)]
-        + t[sk, sh(sj, 1), si]
-        + t[sk, sh(sj, 1), sh(si, 1)]
-    )
-
-
 def thomas_solve(
     lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray,
-    ws=None, key: str = "thomas",
+    ws, key: str = "thomas",
 ) -> np.ndarray:
     """Vectorised Thomas tridiagonal solve along axis 0.
 
@@ -92,27 +62,11 @@ def thomas_solve(
     ignored.  Column-parallel over the trailing axes, which is exactly
     how the implicit vertical solves parallelise on every backend.
 
-    With a :class:`~repro.kokkos.workspace.Workspace` passed as ``ws``,
-    the sweep arrays and per-level temporaries come from the arena under
-    ``key`` and the elimination runs through ``out=`` ufunc calls — the
-    same operations in the same order, so the solution is bitwise
-    identical to the allocating path.
+    The sweep arrays and per-level temporaries come from the
+    :class:`~repro.kokkos.workspace.Workspace` ``ws`` under ``key``, and
+    the elimination runs through ``out=`` ufunc calls.
     """
     nz = diag.shape[0]
-    if ws is None:
-        cp = np.empty_like(diag)
-        dp = np.empty_like(rhs)
-        x = np.empty_like(rhs)
-        cp[0] = upper[0] / diag[0]
-        dp[0] = rhs[0] / diag[0]
-        for k in range(1, nz):
-            denom = diag[k] - lower[k] * cp[k - 1]
-            cp[k] = upper[k] / denom
-            dp[k] = (rhs[k] - lower[k] * dp[k - 1]) / denom
-        x[-1] = dp[-1]
-        for k in range(nz - 2, -1, -1):
-            x[k] = dp[k] - cp[k] * x[k + 1]
-        return x
     cp = ws.take(f"{key}_cp", diag.shape, diag.dtype)
     dp = ws.take(f"{key}_dp", rhs.shape, rhs.dtype)
     x = ws.take(f"{key}_x", rhs.shape, rhs.dtype)

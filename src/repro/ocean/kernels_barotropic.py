@@ -17,11 +17,14 @@ halo-update cost dominates scalability (§V-D).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..kokkos import View, kokkos_register_for
+from ..kokkos.workspace import Workspace
 from .grid import GRAVITY
-from .kernel_utils import TileFunctor, sh
+from .kernel_utils import FIELD_TMP, TileFunctor, sh
 from .localdomain import LocalDomain
 
 
@@ -77,29 +80,56 @@ class BarotropicContinuityFunctor(TileFunctor):
         np.multiply(vb[gj, gi], hu[gj, gi], out=tv)
         lj, ljm = slice(1, nj + 1), slice(0, nj)
         li, lim = slice(1, ni + 1), slice(0, ni)
-        fe = 0.5 * (tu[lj, li] + tu[ljm, li]) * dy
-        fw = 0.5 * (tu[lj, lim] + tu[ljm, lim]) * dy
         dxu_n = d.dx_u[sj].reshape(-1, 1)
         dxu_s = d.dx_u[sh(sj, -1)].reshape(-1, 1)
-        fn = 0.5 * (tv[lj, li] + tv[lj, lim]) * dxu_n
-        fs = 0.5 * (tv[ljm, li] + tv[ljm, lim]) * dxu_s
-        area = (d.dx_t[sj] * dy).reshape(-1, 1)
-        m = d.mask_t[0, sj, si]
-        tend = -(fe - fw + fn - fs) / area
+        area = d.area_t[sj].reshape(-1, 1)
+        shape = (nj, ni)
+        # tend = -(fe - fw + fn - fs) / area, with each face flux
+        # 0.5 * (corner + corner) * metric, evaluated left to right
+        tend = ws.take("bc_tend", shape, np.result_type(tdt, dxu_n.dtype))
+        f = ws.take("bc_face", shape, tend.dtype)
+        for out, a, b, metric, fold in (
+                (tend, tu[lj, li], tu[ljm, li], dy, None),
+                (f, tu[lj, lim], tu[ljm, lim], dy, np.subtract),
+                (f, tv[lj, li], tv[lj, lim], dxu_n, np.add),
+                (f, tv[ljm, li], tv[ljm, lim], dxu_s, np.subtract)):
+            np.add(a, b, out=out)
+            np.multiply(out, 0.5, out=out)
+            np.multiply(out, metric, out=out)
+            if fold is not None:
+                fold(tend, out, out=tend)
+        np.negative(tend, out=tend)
+        np.divide(tend, area, out=tend)
+        eta_in = self.eta_in.data
         if self.eta_diff:
-            eta = self.eta_in.data
-            mt = d.mask_t[0]
+            # tend += eta_diff * (ge - gw + gn - gs) / area, each
+            # gradient open * (eta_hi - eta_lo) / metric * metric
             dxt = d.dx_t[sj].reshape(-1, 1)
-            open_e = mt[sj, si] * mt[sj, sh(si, 1)]
-            open_w = mt[sj, si] * mt[sj, sh(si, -1)]
-            open_n = mt[sj, si] * mt[sh(sj, 1), si]
-            open_s = mt[sj, si] * mt[sh(sj, -1), si]
-            ge = open_e * (eta[sj, sh(si, 1)] - eta[sj, si]) / dxt * dy
-            gw = open_w * (eta[sj, si] - eta[sj, sh(si, -1)]) / dxt * dy
-            gn = open_n * (eta[sh(sj, 1), si] - eta[sj, si]) / d.dy * dxu_n
-            gs = open_s * (eta[sj, si] - eta[sh(sj, -1), si]) / d.dy * dxu_s
-            tend = tend + self.eta_diff * (ge - gw + gn - gs) / area
-        self.eta.data[sj, si] = self.eta_in.data[sj, si] + self.dtb * tend * m
+            g = ws.take("bc_g", shape, np.result_type(eta_in.dtype,
+                                                      d.open_e.dtype,
+                                                      tend.dtype))
+            gsum = ws.take("bc_gsum", shape, g.dtype)
+            for out, open_, hi, lo, metric_a, metric_b, fold in (
+                    (gsum, d.open_e[0, sj, si], eta_in[sj, sh(si, 1)],
+                     eta_in[sj, si], dxt, dy, None),
+                    (g, d.open_e[0, sj, sh(si, -1)], eta_in[sj, si],
+                     eta_in[sj, sh(si, -1)], dxt, dy, np.subtract),
+                    (g, d.open_n[0, sj, si], eta_in[sh(sj, 1), si],
+                     eta_in[sj, si], dy, dxu_n, np.add),
+                    (g, d.open_n[0, sh(sj, -1), si], eta_in[sj, si],
+                     eta_in[sh(sj, -1), si], dy, dxu_s, np.subtract)):
+                np.subtract(hi, lo, out=out)
+                np.multiply(open_, out, out=out)
+                np.divide(out, metric_a, out=out)
+                np.multiply(out, metric_b, out=out)
+                if fold is not None:
+                    fold(gsum, out, out=gsum)
+            np.multiply(gsum, self.eta_diff, out=gsum)
+            np.divide(gsum, area, out=gsum)
+            np.add(tend, gsum, out=tend)
+        np.multiply(tend, self.dtb, out=tend)
+        np.multiply(tend, d.mask_t[0, sj, si], out=tend)
+        np.add(eta_in[sj, si], tend, out=self.eta.data[sj, si])
 
 
 @kokkos_register_for("barotropic_momentum", ndim=2)
@@ -186,16 +216,33 @@ class AsselinFilterFunctor(TileFunctor):
     flops_per_point = 4.0
     bytes_per_point = 4 * 8.0
 
-    def __init__(self, old: View, cur: View, new: View, alpha: float = 0.1) -> None:
+    def __init__(self, old: View, cur: View, new: View, alpha: float = 0.1,
+                 ws: Optional[Workspace] = None) -> None:
         self.old = old
         self.cur = cur
         self.new = new
         self.alpha = alpha
+        # scratch arena (the model passes its own; stand-alone use
+        # allocates per request, with identical numerics)
+        self.ws = ws if ws is not None else Workspace(enabled=False)
 
     def apply(self, slices) -> None:
-        idx = tuple(slices)
-        o = self.old.data[idx]
-        c = self.cur.data[idx]
-        n = self.new.data[idx]
-        self.cur.data[idx] = c + self.alpha * (n - 2.0 * c + o)
+        asselin_into(self.old.data, self.cur.data, self.new.data,
+                     tuple(slices), self.alpha, self.ws)
+
+
+def asselin_into(old: np.ndarray, cur: np.ndarray, new: np.ndarray,
+                 idx: tuple, alpha: float, ws: Workspace) -> None:
+    """``cur[idx] = c + alpha * (n - 2.0 * c + o)`` in one arena temporary,
+    left to right as written."""
+    c = cur[idx]
+    n = new[idx]
+    o = old[idx]
+    tmp = ws.take_view(FIELD_TMP[0], c.shape,
+                       np.result_type(n.dtype, c.dtype, o.dtype))
+    np.multiply(c, 2.0, out=tmp)
+    np.subtract(n, tmp, out=tmp)
+    np.add(tmp, o, out=tmp)
+    np.multiply(tmp, alpha, out=tmp)
+    np.add(c, tmp, out=c)
 

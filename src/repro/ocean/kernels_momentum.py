@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kokkos import View, kokkos_register_for
-from .kernel_utils import TileFunctor, sh
+from .kernel_utils import FIELD_TMP, TileFunctor, sh
 from .localdomain import LocalDomain
 
 
@@ -245,17 +245,32 @@ class CoriolisRotationFunctor(TileFunctor):
 
     def apply(self, slices) -> None:
         sk, sj, si = slices
-        a = (0.5 * self.dom.f_u[sj] * self.dt2).reshape(1, -1, 1)
-        m = self.dom.mask_u[sk, sj, si]
+        d = self.dom
+        ws = d.scratch()
+        a = (0.5 * d.f_u[sj] * self.dt2).reshape(1, -1, 1)
+        denom = 1.0 + a * a
+        m = d.mask_u[sk, sj, si]
         us = self.u.data[sk, sj, si]
         vs = self.v.data[sk, sj, si]
         uo = self.u_old.data[sk, sj, si]
         vo = self.v_old.data[sk, sj, si]
-        rhs_u = us + a * vo
-        rhs_v = vs - a * uo
-        denom = 1.0 + a * a
-        self.u.data[sk, sj, si] = m * (rhs_u + a * rhs_v) / denom
-        self.v.data[sk, sj, si] = m * (rhs_v - a * rhs_u) / denom
+        shape = us.shape
+        # rhs_u = us + a vo; rhs_v = vs - a uo;
+        # u = m (rhs_u + a rhs_v) / denom; v = m (rhs_v - a rhs_u) / denom
+        rhs_u = ws.take_view(FIELD_TMP[0], shape, np.result_type(us, a, vo))
+        np.multiply(a, vo, out=rhs_u)
+        np.add(us, rhs_u, out=rhs_u)
+        rhs_v = ws.take_view(FIELD_TMP[1], shape, np.result_type(vs, a, uo))
+        np.multiply(a, uo, out=rhs_v)
+        np.subtract(vs, rhs_v, out=rhs_v)
+        tmp = ws.take_view(FIELD_TMP[2], shape,
+                           np.result_type(m, rhs_u, a, rhs_v))
+        for rhs, other, op, dst in ((rhs_u, rhs_v, np.add, us),
+                                    (rhs_v, rhs_u, np.subtract, vs)):
+            np.multiply(a, other, out=tmp)
+            op(rhs, tmp, out=tmp)
+            np.multiply(m, tmp, out=tmp)
+            np.divide(tmp, denom, out=dst)
 
 
 @kokkos_register_for("depth_mean", ndim=2)
@@ -306,11 +321,9 @@ class DepthMeanFunctor(TileFunctor):
         wet = ws.take("dm_wet", shp2, np.bool_)
         np.greater(thick, 0.0, out=wet)
         np.maximum(thick, 1e-30, out=thick)
-        q = ws.take("dm_q", shp2, np.result_type(ftdt, wdt))
-        np.divide(total, thick, out=q, where=wet)
-        mean = ws.take("dm_mean", shp2, q.dtype)
+        mean = ws.take("dm_mean", shp2, np.result_type(ftdt, wdt))
         mean[...] = 0.0
-        np.copyto(mean, q, where=wet)
+        np.divide(total, thick, out=mean, where=wet)
         self.out.data[sj, si] = mean
 
 
@@ -337,4 +350,7 @@ class AddBarotropicFunctor(TileFunctor):
         m = self.dom.mask_u[sk, sj, si]
         f = self.fld.data[sk, sj, si]
         d = self.delta2d.data[sj, si][None, :, :]
-        self.fld.data[sk, sj, si] = m * (f - d if self.sign < 0 else f + d)
+        tmp = self.dom.scratch().take_view(FIELD_TMP[0], f.shape,
+                                           np.result_type(f, d))
+        (np.subtract if self.sign < 0 else np.add)(f, d, out=tmp)
+        np.multiply(m, tmp, out=f)

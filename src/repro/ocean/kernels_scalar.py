@@ -13,7 +13,7 @@ import numpy as np
 from ..kokkos import View, kokkos_register_for
 from .eos import ALPHA_T, BETA_S, RHO0, S0, T0
 from .grid import GRAVITY
-from .kernel_utils import TileFunctor, face_u_east, face_u_west, face_v_north, face_v_south, sh
+from .kernel_utils import FIELD_TMP, TileFunctor, sh
 from .localdomain import LocalDomain
 
 
@@ -28,20 +28,32 @@ class EOSFunctor(TileFunctor):
     #: no explicit cast launch is needed (precision-promotion rule).
     precision_boundary = True
 
-    def __init__(self, t: View, s: View, rho: View, mask_t: np.ndarray) -> None:
+    def __init__(self, t: View, s: View, rho: View,
+                 domain: LocalDomain) -> None:
         self.t = t
         self.s = s
         self.rho = rho
-        self.mask_t = mask_t
+        self.dom = domain
 
     def apply(self, slices) -> None:
         sk, sj, si = slices
+        ws = self.dom.scratch()
         t = self.t.data[sk, sj, si]
         s = self.s.data[sk, sj, si]
-        m = self.mask_t[sk, sj, si]
-        self.rho.data[sk, sj, si] = m * RHO0 * (
-            1.0 - ALPHA_T * (t - T0) + BETA_S * (s - S0)
-        )
+        m = self.dom.mask_t[sk, sj, si]
+        # (m rho0) ((1 - alpha (T - T0)) + beta (S - S0)), left to right
+        # at the historical promotions: the bracket at the tracer dtype
+        a = ws.take_view(FIELD_TMP[0], t.shape, t.dtype)
+        np.subtract(t, T0, out=a)
+        np.multiply(a, ALPHA_T, out=a)
+        np.subtract(1.0, a, out=a)
+        b = ws.take_view(FIELD_TMP[1], s.shape, s.dtype)
+        np.subtract(s, S0, out=b)
+        np.multiply(b, BETA_S, out=b)
+        np.add(a, b, out=a)
+        mr = ws.take_view(FIELD_TMP[2], m.shape, m.dtype)
+        np.multiply(m, RHO0, out=mr)
+        np.multiply(mr, a, out=self.rho.data[sk, sj, si])
 
 
 @kokkos_register_for("baroclinic_pressure", ndim=2)
@@ -58,23 +70,36 @@ class PressureFunctor(TileFunctor):
     #: (precision-promotion WARNING); the mixed preset keeps eos fp64.
     accumulates = True
 
-    def __init__(self, rho: View, p: View, mask_t: np.ndarray, dz: np.ndarray) -> None:
+    def __init__(self, rho: View, p: View, domain: LocalDomain) -> None:
         self.rho = rho
         self.p = p
-        self.mask_t = mask_t
-        self.dz = dz
+        self.dom = domain
 
     def __call__(self, j: int, i: int) -> None:
         self.apply((slice(j, j + 1), slice(i, i + 1)))
 
     def apply(self, slices) -> None:
         sj, si = slices
+        d = self.dom
+        ws = d.scratch()
         rho = self.rho.data[:, sj, si]
-        m = self.mask_t[:, sj, si]
-        dzc = self.dz.reshape(-1, 1, 1)
-        rho_a = (rho - RHO0) * m
-        below = np.cumsum(rho_a * dzc, axis=0) - rho_a * dzc
-        self.p.data[:, sj, si] = (GRAVITY / RHO0) * (below + 0.5 * rho_a * dzc) * m
+        m = d.mask_t[:, sj, si]
+        dzc = d.dz.reshape(-1, 1, 1)
+        # rho_a = (rho - rho0) m;  below = cumsum(rho_a dz) - rho_a dz;
+        # p = (g / rho0) (below + (0.5 rho_a) dz) m
+        rho_a = ws.take_view(FIELD_TMP[0], rho.shape, np.result_type(rho, m))
+        np.subtract(rho, RHO0, out=rho_a)
+        np.multiply(rho_a, m, out=rho_a)
+        rdz = ws.take_view(FIELD_TMP[1], rho.shape, np.result_type(rho_a, dzc))
+        np.multiply(rho_a, dzc, out=rdz)
+        below = ws.take_view(FIELD_TMP[2], rho.shape, rdz.dtype)
+        np.cumsum(rdz, axis=0, out=below)
+        np.subtract(below, rdz, out=below)
+        np.multiply(rho_a, 0.5, out=rho_a)
+        np.multiply(rho_a, dzc, out=rdz)
+        np.add(below, rdz, out=below)
+        np.multiply(below, GRAVITY / RHO0, out=below)
+        np.multiply(below, m, out=self.p.data[:, sj, si])
 
 
 @kokkos_register_for("vertical_velocity", ndim=2)
@@ -108,23 +133,41 @@ class WFunctor(TileFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
+        ws = d.scratch()
         u = self.u.data
         v = self.v.data
-        sk = slice(0, d.nz)
+        nz = d.nz
+        sk = slice(0, nz)
         dy = d.dy
         dxu_n = d.dx_u[sj].reshape(1, -1, 1)
         dxu_s = d.dx_u[sh(sj, -1)].reshape(1, -1, 1)
-        area = (d.dx_t[sj] * dy).reshape(1, -1, 1)
+        area = d.area_t[sj].reshape(1, -1, 1)
         dzc = d.dz.reshape(-1, 1, 1)
-        fe = face_u_east(u, sk, sj, si) * dy
-        fw = face_u_west(u, sk, sj, si) * dy
-        fn = face_v_north(v, sk, sj, si) * dxu_n
-        fs = face_v_south(v, sk, sj, si) * dxu_s
-        divh = (fe - fw + fn - fs) / area * self.dom.mask_t[:, sj, si]
+        shape = (nz, sj.stop - sj.start, si.stop - si.start)
+        sjs, siw = sh(sj, -1), sh(si, -1)
+        # B-grid face velocities 0.5 (corner + corner) times the face
+        # length; divh = (fe - fw + fn - fs) / area * mask, left to right
+        divh = ws.take_view(FIELD_TMP[0], shape,
+                            np.result_type(u.dtype, v.dtype, dxu_n.dtype))
+        face = ws.take_view(FIELD_TMP[1], shape, divh.dtype)
+        for out, a, b, length, fold in (
+                (divh, u[sk, sj, si], u[sk, sjs, si], dy, None),
+                (face, u[sk, sj, siw], u[sk, sjs, siw], dy, np.subtract),
+                (face, v[sk, sj, si], v[sk, sj, siw], dxu_n, np.add),
+                (face, v[sk, sjs, si], v[sk, sjs, siw], dxu_s, np.subtract)):
+            np.add(a, b, out=out)
+            np.multiply(out, 0.5, out=out)
+            np.multiply(out, length, out=out)
+            if fold is not None:
+                fold(divh, out, out=divh)
+        np.divide(divh, area, out=divh)
+        np.multiply(divh, d.mask_t[:, sj, si], out=divh)
+        np.multiply(divh, dzc, out=divh)
         # integrate upward from the floor: w[k] = w[k+1] - dz_k * divh[k];
         # the running sum stays fp64 regardless of the field dtype
-        # (wide_accumulate) and narrows only at the store
-        colsum = np.cumsum((divh * dzc)[::-1], axis=0,
-                           dtype=np.float64)[::-1]
-        self.w.data[: d.nz, sj, si] = -colsum
-        self.w.data[d.nz, sj, si] = 0.0
+        # (wide_accumulate) and narrows only at the store (at fp64 it
+        # reuses the spent face buffer)
+        colsum = ws.take_view(FIELD_TMP[1], shape, np.float64)
+        np.cumsum(divh[::-1], axis=0, dtype=np.float64, out=colsum)
+        np.negative(colsum[::-1], out=self.w.data[:nz, sj, si])
+        self.w.data[nz, sj, si] = 0.0

@@ -35,61 +35,72 @@ from .localdomain import LocalDomain
 
 _TINY = 1.0e-30
 
+#: ``(dj, di, dk)`` of the cells whose {T, T*} bound the FCT envelope:
+#: the cell itself, then east, west, north, south, below and above.
+ZALESAK_NEIGHBOURS = ((0, 0, 0), (0, 1, 0), (0, -1, 0), (1, 0, 0),
+                      (-1, 0, 0), (0, 0, 1), (0, 0, -1))
 
-def _face_volumes(
-    u: np.ndarray, v: np.ndarray, w: np.ndarray,
-    dom: LocalDomain, sj: slice, si: slice,
-):
-    """Arena-backed volume transports through the tile's face sets.
 
-    Returns ``(ue, vn, wt)`` in the arena's shared transport buffers.
-    Each step mirrors the historical eager expression op by op, so the
-    results are bitwise identical to eager allocation.  Geometry comes
-    from the domain the model bound, which the precision policy has
-    already cast to the tracer family's dtype (``LocalDomain.at_dtype``)
-    — so for an fp32 tracer family ``result_type(field, dz)`` collapses
-    to fp32 and the sweep never silently computes in fp64; under fp64
-    policies the promotion is the historical no-op.
+def _east_volumes(
+    u: np.ndarray, dom: LocalDomain, sj: slice, sie: slice,
+) -> np.ndarray:
+    """Volume transports through the east faces of cells ``(sj, sie)``.
+
+    The result lives in the arena's shared transport buffer.  Geometry
+    comes from the domain the model bound, which the precision policy
+    has already cast to the tracer family's dtype
+    (``LocalDomain.at_dtype``) — so for an fp32 tracer family
+    ``result_type(field, dz)`` collapses to fp32 and the sweep never
+    silently computes in fp64.
     """
     nz = dom.nz
-    sk = slice(0, nz)
     ws = dom.scratch()
-    dy = dom.dy
     dz = dom.dz.reshape(-1, 1, 1)
-    nj = sj.stop - sj.start
-    ni = si.stop - si.start
-    vdt = u.dtype
-    tdt = np.result_type(vdt, dz.dtype)
-
-    sie = slice(si.start - 1, si.stop)
-    face = ws.take("adv_face_e", (nz, nj, ni + 1), vdt)
+    shape = (nz, sj.stop - sj.start, sie.stop - sie.start)
+    sk = slice(0, nz)
+    face = ws.take("adv_face_e", shape, u.dtype)
     np.add(u[sk, sj, sie], u[sk, sh(sj, -1), sie], out=face)
     np.multiply(face, 0.5, out=face)
-    np.multiply(face, dy, out=face)
-    ue = ws.take("adv_ue", (nz, nj, ni + 1), tdt)
+    np.multiply(face, dom.dy, out=face)
+    ue = ws.take("adv_ue", shape, np.result_type(u.dtype, dz.dtype))
     np.multiply(face, dz, out=ue)
+    return ue
 
-    sjn = slice(sj.start - 1, sj.stop)
-    dxu = dom.dx_u[sjn].reshape(1, -1, 1)
-    face_n = ws.take("adv_face_n", (nz, nj + 1, ni), vdt)
-    np.add(v[sk, sjn, si], v[sk, sjn, sh(si, -1)], out=face_n)
-    np.multiply(face_n, 0.5, out=face_n)
-    vn = ws.take("adv_vn", (nz, nj + 1, ni), tdt)
-    np.multiply(face_n, dxu, out=vn)
+
+def _north_volumes(
+    v: np.ndarray, dom: LocalDomain, sjn: slice, si: slice,
+) -> np.ndarray:
+    """Volume transports through the north faces of cells ``(sjn, si)``."""
+    nz = dom.nz
+    ws = dom.scratch()
+    dz = dom.dz.reshape(-1, 1, 1)
+    shape = (nz, sjn.stop - sjn.start, si.stop - si.start)
+    sk = slice(0, nz)
+    face = ws.take("adv_face_n", shape, v.dtype)
+    np.add(v[sk, sjn, si], v[sk, sjn, sh(si, -1)], out=face)
+    np.multiply(face, 0.5, out=face)
+    vn = ws.take("adv_vn", shape, np.result_type(v.dtype, dz.dtype))
+    np.multiply(face, dom.dx_u[sjn].reshape(1, -1, 1), out=vn)
     np.multiply(vn, dz, out=vn)
+    return vn
 
-    area = (dom.dx_t[sj] * dy).reshape(1, -1, 1)
-    wt = ws.take("adv_wt", (nz + 1, nj, ni), tdt)
-    np.multiply(w[:, sj, si], area, out=wt)
-    return ue, vn, wt
+
+def _top_volumes(
+    w: np.ndarray, dom: LocalDomain, sj: slice, si: slice,
+) -> np.ndarray:
+    """Volume transports through the top faces of the tile's columns."""
+    ws = dom.scratch()
+    wt = ws.take("adv_wt", (dom.nz + 1, sj.stop - sj.start, si.stop - si.start),
+                 np.result_type(w.dtype, dom.dz.dtype))
+    np.multiply(w[:, sj, si], (dom.dx_t[sj] * dom.dy).reshape(1, -1, 1),
+                out=wt)
+    return wt
 
 
 def _vertical_donors(
     t: np.ndarray, dom: LocalDomain, sj: slice, si: slice,
 ):
-    """(T_below, T_above) interface donor columns in arena buffers.
-
-    Bitwise equal to the historical ``np.concatenate`` construction:
+    """(T_below, T_above) interface donor columns in arena buffers:
     ``T_below[k] = T[min(k, nz-1)]`` and ``T_above[k] = T[max(k-1, 0)]``.
     """
     nz = dom.nz
@@ -106,13 +117,40 @@ def _vertical_donors(
     return t_below, t_above
 
 
+def _donor(vol: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
+           ws, key: str) -> np.ndarray:
+    """Donor-cell flux ``max(vol, 0) * t_lo + min(vol, 0) * t_hi`` through
+    one face set (``t_lo`` / ``t_hi`` on the faces' low / high side)."""
+    pos = ws.take("adv_pos", vol.shape, vol.dtype)
+    np.maximum(vol, 0.0, out=pos)
+    np.multiply(pos, t_lo, out=pos)
+    neg = ws.take("adv_neg", vol.shape, vol.dtype)
+    np.minimum(vol, 0.0, out=neg)
+    np.multiply(neg, t_hi, out=neg)
+    f = ws.take(key, vol.shape, vol.dtype)
+    np.add(pos, neg, out=f)
+    return f
+
+
+def _antidiffusive_faces(vol: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
+                         ws, key: str) -> np.ndarray:
+    """Centred minus donor-cell flux through one face set: ``(0.5 vol)
+    (t_lo + t_hi) - donor``, both read from the one ``vol``."""
+    tsum = ws.take("adv_tsum", vol.shape, t_lo.dtype)
+    np.add(t_lo, t_hi, out=tsum)
+    a = ws.take(key, vol.shape, vol.dtype)
+    np.multiply(vol, 0.5, out=a)
+    np.multiply(a, tsum, out=a)
+    np.subtract(a, _donor(vol, t_lo, t_hi, ws, "adv_donor"), out=a)
+    return a
+
+
 def _upwind_fluxes(
     t: np.ndarray,          # tracer (nz, ly, lx), full array
     u: np.ndarray, v: np.ndarray,
     w: np.ndarray,          # (nz+1, ly, lx) interface velocity, positive up
     dom: LocalDomain,
     sj: slice, si: slice,
-    tag: str = "up",
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Donor-cell fluxes for the faces of the cells in the (sj, si) tile.
 
@@ -121,84 +159,38 @@ def _upwind_fluxes(
     (so ``F_e[:, :, c]`` / ``F_e[:, :, c+1]`` are cell c's west/east faces);
     ``F_n`` (nz, nj+1, ni) likewise in j; ``F_t`` (nz+1, nj, ni) top-face
     fluxes, positive upward, ``F_t[nz] = 0`` at the sea floor.
-
-    The returned arrays live in arena buffers keyed by ``tag`` (so the
-    corrector can hold upwind and central fluxes simultaneously).
     """
-    nz = dom.nz
-    sk = slice(0, nz)
+    sk = slice(0, dom.nz)
     ws = dom.scratch()
-    ue, vn, wt = _face_volumes(u, v, w, dom, sj, si)
     # east faces of cells si.start-1 .. si.stop-1  <=> west+east of the tile
     sie = slice(si.start - 1, si.stop)
-    t_w = t[sk, sj, sie]
-    t_e = t[sk, sj, sh(sie, 1)]
-    pos = ws.take("adv_pos", ue.shape, ue.dtype)
-    np.maximum(ue, 0.0, out=pos)
-    np.multiply(pos, t_w, out=pos)
-    neg = ws.take("adv_neg", ue.shape, ue.dtype)
-    np.minimum(ue, 0.0, out=neg)
-    np.multiply(neg, t_e, out=neg)
-    f_e = ws.take(f"{tag}_fe", ue.shape, ue.dtype)
-    np.add(pos, neg, out=f_e)
-
+    f_e = _donor(_east_volumes(u, dom, sj, sie),
+                 t[sk, sj, sie], t[sk, sj, sh(sie, 1)], ws, "up_fe")
     sjn = slice(sj.start - 1, sj.stop)
-    t_s = t[sk, sjn, si]
-    t_n = t[sk, sh(sjn, 1), si]
-    pos_n = ws.take("adv_pos_n", vn.shape, vn.dtype)
-    np.maximum(vn, 0.0, out=pos_n)
-    np.multiply(pos_n, t_s, out=pos_n)
-    neg_n = ws.take("adv_neg_n", vn.shape, vn.dtype)
-    np.minimum(vn, 0.0, out=neg_n)
-    np.multiply(neg_n, t_n, out=neg_n)
-    f_n = ws.take(f"{tag}_fn", vn.shape, vn.dtype)
-    np.add(pos_n, neg_n, out=f_n)
-
+    f_n = _donor(_north_volumes(v, dom, sjn, si),
+                 t[sk, sjn, si], t[sk, sh(sjn, 1), si], ws, "up_fn")
     t_below, t_above = _vertical_donors(t, dom, sj, si)   # donors by w sign
-    pos_t = ws.take("adv_pos_t", wt.shape, wt.dtype)
-    np.maximum(wt, 0.0, out=pos_t)
-    np.multiply(pos_t, t_below, out=pos_t)
-    neg_t = ws.take("adv_neg_t", wt.shape, wt.dtype)
-    np.minimum(wt, 0.0, out=neg_t)
-    np.multiply(neg_t, t_above, out=neg_t)
-    f_t = ws.take(f"{tag}_ft", wt.shape, wt.dtype)
-    np.add(pos_t, neg_t, out=f_t)
+    f_t = _donor(_top_volumes(w, dom, sj, si), t_below, t_above, ws, "up_ft")
     f_t[-1] = 0.0                                          # sea floor
     return f_e, f_n, f_t
 
 
-def _central_fluxes(
-    t: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
-    dom: LocalDomain, sj: slice, si: slice,
-    tag: str = "ct",
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Second-order centered fluxes on the same face sets as above."""
-    nz = dom.nz
-    sk = slice(0, nz)
-    ws = dom.scratch()
-    ue, vn, wt = _face_volumes(u, v, w, dom, sj, si)
-    sie = slice(si.start - 1, si.stop)
-    tsum = ws.take("adv_tsum", ue.shape, t.dtype)
-    np.add(t[sk, sj, sie], t[sk, sj, sh(sie, 1)], out=tsum)
-    np.multiply(ue, 0.5, out=ue)
-    f_e = ws.take(f"{tag}_fe", ue.shape, ue.dtype)
-    np.multiply(ue, tsum, out=f_e)
+def _antidiffusive_east(t: np.ndarray, u: np.ndarray, dom: LocalDomain,
+                        sj: slice, sie: slice) -> np.ndarray:
+    """A through the east faces of cells ``(sj, sie)``."""
+    sk = slice(0, dom.nz)
+    return _antidiffusive_faces(_east_volumes(u, dom, sj, sie),
+                                t[sk, sj, sie], t[sk, sj, sh(sie, 1)],
+                                dom.scratch(), "fct_ae")
 
-    sjn = slice(sj.start - 1, sj.stop)
-    tsum_n = ws.take("adv_tsum_n", vn.shape, t.dtype)
-    np.add(t[sk, sjn, si], t[sk, sh(sjn, 1), si], out=tsum_n)
-    np.multiply(vn, 0.5, out=vn)
-    f_n = ws.take(f"{tag}_fn", vn.shape, vn.dtype)
-    np.multiply(vn, tsum_n, out=f_n)
 
-    t_below, t_above = _vertical_donors(t, dom, sj, si)
-    tsum_t = ws.take("adv_tsum_t", wt.shape, t.dtype)
-    np.add(t_below, t_above, out=tsum_t)
-    np.multiply(wt, 0.5, out=wt)
-    f_t = ws.take(f"{tag}_ft", wt.shape, wt.dtype)
-    np.multiply(wt, tsum_t, out=f_t)
-    f_t[-1] = 0.0
-    return f_e, f_n, f_t
+def _antidiffusive_north(t: np.ndarray, v: np.ndarray, dom: LocalDomain,
+                         sjn: slice, si: slice) -> np.ndarray:
+    """A through the north faces of cells ``(sjn, si)``."""
+    sk = slice(0, dom.nz)
+    return _antidiffusive_faces(_north_volumes(v, dom, sjn, si),
+                                t[sk, sjn, si], t[sk, sh(sjn, 1), si],
+                                dom.scratch(), "fct_an")
 
 
 def _tile_volume(dom: LocalDomain, sj: slice, si: slice) -> np.ndarray:
@@ -279,70 +271,61 @@ def _antidiffusive(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A = F_central(T*) - F_upwind(T*) on the tile's face sets.
 
-    The surface antidiffusive flux is zeroed: the limiter has no cell
-    above the surface to police, and a zero flux keeps conservation.
+    Each face set's volume transports and donors are built once and
+    feed both fluxes.  The surface antidiffusive flux is zeroed: the
+    limiter has no cell above the surface to police, and a zero flux
+    keeps conservation.
     """
-    fc = _central_fluxes(t_star, u, v, w, dom, sj, si, tag="ct")
-    fu = _upwind_fluxes(t_star, u, v, w, dom, sj, si, tag="up")
-    a_e, a_n, a_t = fc
-    np.subtract(a_e, fu[0], out=a_e)
-    np.subtract(a_n, fu[1], out=a_n)
-    np.subtract(a_t, fu[2], out=a_t)
+    a_e = _antidiffusive_east(t_star, u, dom, sj, slice(si.start - 1, si.stop))
+    a_n = _antidiffusive_north(t_star, v, dom, slice(sj.start - 1, sj.stop), si)
+    t_below, t_above = _vertical_donors(t_star, dom, sj, si)
+    a_t = _antidiffusive_faces(_top_volumes(w, dom, sj, si), t_below, t_above,
+                               dom.scratch(), "fct_at")
+    a_t[-1] = 0.0                                          # sea floor
     a_t[0] = 0.0
     return a_e, a_n, a_t
 
 
 def _local_bounds(
-    t_old: np.ndarray, t_star: np.ndarray, mask: np.ndarray,
+    t_old: np.ndarray, t_star: np.ndarray,
     dom: LocalDomain, sj: slice, si: slice,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Zalesak envelope: extrema of {T, T*} over self + 6 neighbours.
 
     Land neighbours are replaced by the cell's own T* so they cannot
-    corrupt the envelope.
-
-    Arena notes: every candidate is still evaluated in the historical
-    ``np.stack`` order and folded with a running max/min (numpy's own
-    ``maximum.reduce`` is the same sequential left fold, and max/min are
-    selections, not arithmetic), so the results are bitwise identical.
+    corrupt the envelope; which neighbours are wet is static geometry
+    (``LocalDomain.wet_t`` at the neighbour).  Every candidate is folded into a
+    running max/min in :data:`ZALESAK_NEIGHBOURS` order, T before T*
+    (max/min are selections, so the fold order only matters for the
+    sign of zero, and it is fixed).
     """
     ws = dom.scratch()
     own_star = t_star[:, sj, si]
     shape = own_star.shape
     dt = own_star.dtype
-    cand = ws.take("fct_cand", shape, dt)
-    vsh = ws.take("fct_vsh", shape, dt)
-    msh = ws.take("fct_msh", shape, mask.dtype)
-    wet = ws.take("fct_msk", shape, np.bool_)
+    buf = ws.take("fct_cand", shape, dt)
     tmax = ws.take("fct_tmax", shape, dt)
     tmin = ws.take("fct_tmin", shape, dt)
-
-    def nb_into(arr: np.ndarray, dj: int, di: int, dk: int = 0) -> None:
-        """cand[:] = where(mask_nb > 0, arr_nb, own_star)."""
-        ss = si if di == 0 else sh(si, di)
-        vals = arr[:, sh(sj, dj), ss]
-        msk = mask[:, sh(sj, dj), ss]
-        if dk:
-            if dk > 0:
-                vsh[:-dk] = vals[dk:]
-                vsh[-dk:] = vals[-1:]
-                msh[:-dk] = msk[dk:]
-                msh[-dk:] = msk[-1:]
-            else:
-                vsh[:1] = vals[:1]
-                vsh[1:] = vals[:dk]
-                msh[:1] = msk[:1]
-                msh[1:] = msk[:dk]
-            vals, msk = vsh, msh
-        np.greater(msk, 0.0, out=wet)
-        np.copyto(cand, own_star)
-        np.copyto(cand, vals, where=wet)
-
     first = True
-    for arr in (t_old, t_star):
-        for dj, di, dk in ((0, 0, 0), (0, 1, 0), (0, -1, 0), (1, 0, 0),
-                           (-1, 0, 0), (0, 0, 1), (0, 0, -1)):
-            nb_into(arr, dj, di, dk)
+    wet = dom.wet_t
+    wcol = wet[:, sj, si]
+    for star, arr in ((False, t_old), (True, t_star)):
+        col = arr[:, sj, si]
+        for n, (dj, di, dk) in enumerate(ZALESAK_NEIGHBOURS):
+            if star and n == 0:         # T* of the cell itself, wet or not
+                cand = own_star
+            else:
+                cand = buf
+                np.copyto(cand, own_star)
+                if dk > 0:              # the cell below, clamped at the floor
+                    np.copyto(cand[:-1], col[1:], where=wcol[1:])
+                    np.copyto(cand[-1], col[-1], where=wcol[-1])
+                elif dk < 0:            # the cell above, clamped at the top
+                    np.copyto(cand[0], col[0], where=wcol[0])
+                    np.copyto(cand[1:], col[:-1], where=wcol[:-1])
+                else:
+                    nb = (slice(None), sh(sj, dj), sh(si, di))
+                    np.copyto(cand, arr[nb], where=wet[nb])
             if first:
                 np.copyto(tmax, cand)
                 np.copyto(tmin, cand)
@@ -355,7 +338,13 @@ def _local_bounds(
 
 @kokkos_register_for("advect_tracer_limits", ndim=2)
 class FCTLimitFunctor(TileFunctor):
-    """Step 2a: Zalesak limiting factors R+ (inflow) and R- (outflow)."""
+    """Step 2a: Zalesak limiting factors R+ (inflow) and R- (outflow).
+
+    Also stores the antidiffusive flux through each cell's own east,
+    north and top faces into ``a_e`` / ``a_n`` (``(nz, ly, lx)``) and
+    ``a_t`` (``(nz+1, ly, lx)``), so the apply step reads it instead of
+    building it again.
+    """
 
     flops_per_point = 70.0
     bytes_per_point = 14 * 8.0
@@ -366,6 +355,7 @@ class FCTLimitFunctor(TileFunctor):
         t_old: View, t_star: View,
         u: View, v: View, w: View,
         r_plus: View, r_minus: View,
+        a_e: View, a_n: View, a_t: View,
         domain: LocalDomain,
         dt: float,
     ) -> None:
@@ -376,6 +366,9 @@ class FCTLimitFunctor(TileFunctor):
         self.w = w
         self.r_plus = r_plus
         self.r_minus = r_minus
+        self.a_e = a_e
+        self.a_n = a_n
+        self.a_t = a_t
         self.dom = domain
         self.dt = dt
 
@@ -390,39 +383,35 @@ class FCTLimitFunctor(TileFunctor):
         a_e, a_n, a_t = _antidiffusive(
             ts, self.u.data, self.v.data, self.w.data, d, sj, si
         )
-        tmax, tmin = _local_bounds(self.t_old.data, ts, d.mask_t, d, sj, si)
+        self.a_e.data[:, sj, si] = a_e[:, :, 1:]
+        self.a_n.data[:, sj, si] = a_n[:, 1:, :]
+        self.a_t.data[:, sj, si] = a_t
+        tmax, tmin = _local_bounds(self.t_old.data, ts, d, sj, si)
         vol = _tile_volume(d, sj, si)
         own = ts[:, sj, si]
         shape = own.shape
-        # inflow / outflow positive parts (running-sum fold mirrors the
-        # historical left-associated expression term by term)
-        acc = ws.take("fct_pplus", shape, a_e.dtype)
-        tmp = ws.take("fct_ptmp", shape, a_e.dtype)
-        np.maximum(a_e[:, :, :-1], 0.0, out=acc)
-        np.minimum(a_e[:, :, 1:], 0.0, out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        np.maximum(a_n[:, :-1, :], 0.0, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.minimum(a_n[:, 1:, :], 0.0, out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        np.maximum(a_t[1:], 0.0, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.minimum(a_t[:-1], 0.0, out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        p_plus = acc
-        acc = ws.take("fct_pminus", shape, a_e.dtype)
-        np.maximum(a_e[:, :, 1:], 0.0, out=acc)
-        np.minimum(a_e[:, :, :-1], 0.0, out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        np.maximum(a_n[:, 1:, :], 0.0, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.minimum(a_n[:, :-1, :], 0.0, out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        np.maximum(a_t[:-1], 0.0, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.minimum(a_t[1:], 0.0, out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        p_minus = acc
+        # inflow P+ = sum of (positive part of each face flux into the
+        # cell - negative part out of it), P- the reverse; each face
+        # set's parts are built once (the stored flux buffer takes the
+        # positive part) and the sums fold face set by face set, in the
+        # historical left-associated order
+        p_plus = ws.take("fct_pplus", shape, a_e.dtype)
+        p_minus = ws.take("fct_pminus", shape, a_e.dtype)
+        for k, (a, into, out_of) in enumerate((
+                (a_e, np.s_[:, :, :-1], np.s_[:, :, 1:]),
+                (a_n, np.s_[:, :-1], np.s_[:, 1:]),
+                (a_t, np.s_[1:], np.s_[:-1]))):
+            neg = ws.take("adv_neg", a.shape, a.dtype)
+            np.minimum(a, 0.0, out=neg)
+            np.maximum(a, 0.0, out=a)
+            if k == 0:
+                np.subtract(a[into], neg[out_of], out=p_plus)
+                np.subtract(a[out_of], neg[into], out=p_minus)
+            else:
+                np.add(p_plus, a[into], out=p_plus)
+                np.subtract(p_plus, neg[out_of], out=p_plus)
+                np.add(p_minus, a[out_of], out=p_minus)
+                np.subtract(p_minus, neg[into], out=p_minus)
 
         qdiff = ws.take("fct_qdiff", shape, own.dtype)
         q_plus = ws.take("fct_qplus", shape,
@@ -458,7 +447,11 @@ class FCTLimitFunctor(TileFunctor):
 class FCTApplyFunctor(TileFunctor):
     """Step 2b: apply limited antidiffusive fluxes -> T_new.
 
-    Requires valid halos on T*, R+ and R-.
+    Reads the antidiffusive flux the limiter stored for each cell's own
+    faces; the tile's west column and south row of faces belong to the
+    cells just outside it, so it builds those itself with the limiter's
+    own helpers.  Requires valid halos on T*, R+ and R-, and the stored
+    flux over the launch range.
     """
 
     flops_per_point = 80.0
@@ -470,6 +463,7 @@ class FCTApplyFunctor(TileFunctor):
         t_star: View,
         u: View, v: View, w: View,
         r_plus: View, r_minus: View,
+        a_e: View, a_n: View, a_t: View,
         t_new: View,
         domain: LocalDomain,
         dt: float,
@@ -480,6 +474,9 @@ class FCTApplyFunctor(TileFunctor):
         self.w = w
         self.r_plus = r_plus
         self.r_minus = r_minus
+        self.a_e = a_e
+        self.a_n = a_n
+        self.a_t = a_t
         self.t_new = t_new
         self.dom = domain
         self.dt = dt
@@ -494,9 +491,21 @@ class FCTApplyFunctor(TileFunctor):
         ts = self.t_star.data
         rp = self.r_plus.data
         rm = self.r_minus.data
-        a_e, a_n, a_t = _antidiffusive(
-            ts, self.u.data, self.v.data, self.w.data, d, sj, si
-        )
+        nz = d.nz
+        nj = sj.stop - sj.start
+        ni = si.stop - si.start
+        west = _antidiffusive_east(ts, self.u.data, d, sj,
+                                   slice(si.start - 1, si.start))
+        # the tile's face sets, in the buffers the limiter built them in
+        a_e = ws.take("fct_ae", (nz, nj, ni + 1), west.dtype)
+        a_e[:, :, :1] = west
+        a_e[:, :, 1:] = self.a_e.data[:, sj, si]
+        south = _antidiffusive_north(ts, self.v.data, d,
+                                     slice(sj.start - 1, sj.start), si)
+        a_n = ws.take("fct_an", (nz, nj + 1, ni), south.dtype)
+        a_n[:, :1] = south
+        a_n[:, 1:] = self.a_n.data[:, sj, si]
+        a_t = self.a_t.data[:, sj, si]
         # east faces: cells (si.start-1 .. si.stop-1) and their +1 neighbours
         sie = slice(si.start - 1, si.stop)
         rp_w = rp[:, sj, sie]
@@ -524,37 +533,26 @@ class FCTApplyFunctor(TileFunctor):
         np.greater(a_n, 0.0, out=up_n)
         np.copyto(c_n, ctmp_n, where=up_n)
 
+        # a_t[k] is the top face of cell k: positive-up flux leaves cell k
+        # and enters cell k-1 (above); the surface and floor faces carry
+        # no limited flux
         rp_col = rp[:, sj, si]
         rm_col = rm[:, sj, si]
-        nz = d.nz
-        rp_above = ws.take("fct_rpa", a_t.shape, rp.dtype)
-        rp_above[0] = rp_col[0]
-        rp_above[1:] = rp_col
-        rm_above = ws.take("fct_rma", a_t.shape, rp.dtype)
-        rm_above[0] = rm_col[0]
-        rm_above[1:] = rm_col
-        rp_here = ws.take("fct_rph", a_t.shape, rp.dtype)
-        rp_here[:nz] = rp_col
-        rp_here[nz] = rp_col[-1]
-        rm_here = ws.take("fct_rmh", a_t.shape, rp.dtype)
-        rm_here[:nz] = rm_col
-        rm_here[nz] = rm_col[-1]
-        # a_t[k] is the top face of cell k: positive-up flux leaves cell k
-        # and enters cell k-1 (above)
         c_t = ws.take("fct_ct", a_t.shape, rp.dtype)
         ctmp_t = ws.take("fct_cttmp", a_t.shape, rp.dtype)
         up_t = ws.take("fct_upt", a_t.shape, np.bool_)
-        np.minimum(rp_here, rm_above, out=c_t)
-        np.minimum(rp_above, rm_here, out=ctmp_t)
-        np.greater(a_t, 0.0, out=up_t)
-        np.copyto(c_t, ctmp_t, where=up_t)
+        inner = slice(1, nz)
+        np.minimum(rp_col[1:], rm_col[:-1], out=c_t[inner])
+        np.minimum(rp_col[:-1], rm_col[1:], out=ctmp_t[inner])
+        np.greater(a_t[inner], 0.0, out=up_t[inner])
+        np.copyto(c_t[inner], ctmp_t[inner], where=up_t[inner])
         c_t[0] = 0.0
         c_t[-1] = 0.0
 
         np.multiply(a_e, c_e, out=a_e)
         np.multiply(a_n, c_n, out=a_n)
-        np.multiply(a_t, c_t, out=a_t)
-        delta = _apply_divergence(a_e, a_n, a_t, d, sj, si, self.dt)
+        np.multiply(a_t, c_t, out=c_t)
+        delta = _apply_divergence(a_e, a_n, c_t, d, sj, si, self.dt)
         m = d.mask_t[:, sj, si]
         out = ws.take(
             "adv_out", delta.shape, np.result_type(ts.dtype, delta.dtype))
@@ -606,8 +604,7 @@ class TracerHDiffusionFunctor(TileFunctor):
 
         sie = slice(si.start - 1, si.stop)
         dxt_row = d.dx_t[sj].reshape(1, -1, 1)
-        open_e = ws.take("hd_open_e", (nz, nj, ni + 1), m.dtype)
-        np.multiply(m[sk, sj, sie], m[sk, sj, sh(sie, 1)], out=open_e)
+        open_e = d.open_e[:, sj, sie]
         coef = ws.take("hd_coef", (nz, 1, 1), dz.dtype)
         np.multiply(dz, self.kappa * dy, out=coef)
         tdiff = ws.take("hd_tdiff_e", open_e.shape, t.dtype)
@@ -620,8 +617,7 @@ class TracerHDiffusionFunctor(TileFunctor):
 
         sjn = slice(sj.start - 1, sj.stop)
         dxu = d.dx_u[sjn].reshape(1, -1, 1)
-        open_n = ws.take("hd_open_n", (nz, nj + 1, ni), m.dtype)
-        np.multiply(m[sk, sjn, si], m[sk, sh(sjn, 1), si], out=open_n)
+        open_n = d.open_n[:, sjn, si]
         kdxu = ws.take("hd_kdxu", (1, nj + 1, 1), dxu.dtype)
         np.multiply(dxu, self.kappa, out=kdxu)
         coef_n = ws.take("hd_coef_n", (nz, nj + 1, 1),

@@ -28,13 +28,10 @@ def _diffusion_matrix(
     dz: np.ndarray,      # (nz,)
     z_t: np.ndarray,     # (nz,)
     dt: float,
-    ws=None,
+    ws,
 ):
-    """Build (lower, diag, upper) of (I - dt * d/dz(kappa d/dz)).
-
-    The bands come from the workspace arena when one is passed; either
-    path performs the identical operation sequence.
-    """
+    """Build (lower, diag, upper) of (I - dt * d/dz(kappa d/dz)) in the
+    arena."""
     nz = dz.size
     dzc = dz.reshape(-1, 1, 1)
     dzw = np.diff(z_t).reshape(-1, 1, 1)  # (nz-1, 1, 1) center-to-center
@@ -42,39 +39,32 @@ def _diffusion_matrix(
     # bands live at the family dtype (kappa and the domain's mask are
     # both policy-cast), so fp32 columns solve in fp32 end to end
     bdt = np.result_type(kappa.dtype, mask.dtype)
-    if ws is None:
-        lower = np.zeros(shape, dtype=bdt)
-        upper = np.zeros(shape, dtype=bdt)
+    lower = ws.take("vd_lower", shape, bdt)
+    upper = ws.take("vd_upper", shape, bdt)
+    if nz > 1:
         # interface k sits between level k and k+1; open only if both ocean
-        if nz > 1:
-            open_iface = mask[:-1] * mask[1:]
-            kap = kappa[:-1] * open_iface
-            upper[:-1] = -dt * kap / (dzc[:-1] * dzw)  # couples level k to k+1
-            lower[1:] = -dt * kap / (dzc[1:] * dzw)    # couples level k+1 to k
-        diag = 1.0 - lower - upper
-    else:
-        lower = ws.take("vd_lower", shape, bdt, fill=0.0)
-        upper = ws.take("vd_upper", shape, bdt, fill=0.0)
-        if nz > 1:
-            fshape = (nz - 1,) + shape[1:]
-            open_iface = ws.take("vd_open", fshape, mask.dtype)
-            np.multiply(mask[:-1], mask[1:], out=open_iface)
-            kap = ws.take("vd_kap", fshape, bdt)
-            np.multiply(kappa[:-1], open_iface, out=kap)
-            np.multiply(kap, -dt, out=kap)
-            dzp = ws.take("vd_dzp", dzw.shape, dzw.dtype)
-            np.multiply(dzc[:-1], dzw, out=dzp)
-            np.divide(kap, dzp, out=upper[:-1])
-            np.multiply(dzc[1:], dzw, out=dzp)
-            np.divide(kap, dzp, out=lower[1:])
-        diag = ws.take("vd_diag", shape, bdt)
-        np.subtract(1.0, lower, out=diag)
-        np.subtract(diag, upper, out=diag)
+        fshape = (nz - 1,) + shape[1:]
+        open_iface = ws.take("vd_open", fshape, mask.dtype)
+        np.multiply(mask[:-1], mask[1:], out=open_iface)
+        kap = ws.take("vd_kap", fshape, bdt)
+        np.multiply(kappa[:-1], open_iface, out=kap)
+        np.multiply(kap, -dt, out=kap)
+        dzp = ws.take("vd_dzp", dzw.shape, dzw.dtype)
+        np.multiply(dzc[:-1], dzw, out=dzp)
+        np.divide(kap, dzp, out=upper[:-1])     # couples level k to k+1
+        np.multiply(dzc[1:], dzw, out=dzp)
+        np.divide(kap, dzp, out=lower[1:])      # couples level k+1 to k
+    lower[0] = 0.0
+    upper[-1] = 0.0
+    diag = ws.take("vd_diag", shape, bdt)
+    np.subtract(1.0, lower, out=diag)
+    np.subtract(diag, upper, out=diag)
     # land levels: identity rows
-    land = mask == 0.0
-    lower[land] = 0.0
-    upper[land] = 0.0
-    diag[land] = 1.0
+    land = ws.take("vd_land", shape, np.bool_)
+    np.equal(mask, 0.0, out=land)
+    np.copyto(lower, 0.0, where=land)
+    np.copyto(upper, 0.0, where=land)
+    np.copyto(diag, 1.0, where=land)
     return lower, diag, upper
 
 
@@ -113,16 +103,18 @@ class VerticalFrictionFunctor(TileFunctor):
         mu = d.mask_u[:, sj, si]
         kap = self.kappa_m.data[:, sj, si]
         lower, diag, upper = _diffusion_matrix(kap, mu, d.dz, d.z_t, self.dt,
-                                               ws=ws)
-        # linear bottom drag, implicit: add r*dt to the bottom-level diagonal
-        kmt_u = np.sum(mu > 0.0, axis=0).astype(int)   # active levels per column
-        nz = d.nz
-        kb = np.clip(kmt_u - 1, 0, nz - 1)
-        jj, ii = np.meshgrid(
-            np.arange(diag.shape[1]), np.arange(diag.shape[2]), indexing="ij"
-        )
-        has_ocean = kmt_u > 0
-        diag[kb[jj, ii], jj, ii] += np.where(has_ocean, self.bottom_drag * self.dt, 0.0)
+                                               ws)
+        # linear bottom drag, implicit: add r*dt (an fp64 increment,
+        # narrowed at the store) to the diagonal at level (active levels
+        # - 1) of every column with an active level
+        bottom = ws.take("vf_bottom", mu.shape, np.bool_)
+        np.greater(mu, 0.0, out=bottom)
+        kb = ws.take("vf_kb", mu.shape[1:], np.intp)
+        np.sum(bottom, axis=0, out=kb)
+        np.subtract(kb, 1, out=kb)
+        np.equal(np.arange(d.nz).reshape(-1, 1, 1), kb, out=bottom)
+        np.add(diag, np.float64(self.bottom_drag * self.dt), out=diag,
+               where=bottom)
 
         srow = ws.take("vf_srow", mu.shape[1:],
                        np.result_type(self.taux.dtype, mu.dtype))
@@ -178,7 +170,7 @@ class VerticalTracerDiffusionFunctor(TileFunctor):
         m = d.mask_t[:, sj, si]
         kap = self.kappa_h.data[:, sj, si]
         lower, diag, upper = _diffusion_matrix(kap, m, d.dz, d.z_t, self.dt,
-                                               ws=ws)
+                                               ws)
         rhs = ws.take("vt_rhs", m.shape,
                       np.result_type(self.tr.data.dtype, m.dtype))
         np.multiply(self.tr.data[:, sj, si], m, out=rhs)

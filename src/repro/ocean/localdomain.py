@@ -3,7 +3,9 @@
 Each MPI rank owns one 2-D block (paper §V-D).  This module builds the
 rank's view of the world: metric rows, Coriolis rows, land/ocean masks
 and initial conditions — all *with halos already filled according to the
-global topology* (zonal wrap, closed south, tripolar fold).  That makes
+global topology* (zonal wrap, closed south, tripolar fold) — and the
+static geometry the kernel bodies derive from them, built once per
+domain (see :meth:`LocalDomain._derive`).  That makes
 :func:`local_with_halo` the independent oracle the halo-exchange tests
 compare against.
 """
@@ -123,6 +125,60 @@ class LocalDomain:
     # (see :meth:`at_dtype`); shared across the clones themselves
     _cast_cache: Dict[np.dtype, "LocalDomain"] = field(
         default_factory=dict, repr=False)
+    # -- static geometry derived from the arrays above (see _derive) -----
+    # arrays the kernel bodies slice instead of rebuilding per tile; each
+    # domain derives its own from its own (possibly narrowed) metrics and
+    # masks, so the bodies compute bitwise what their historical per-tile
+    # expressions did
+    area_t: np.ndarray = field(init=False, repr=False)     # (ly,) dx_t dy
+    wet_t: np.ndarray = field(init=False, repr=False)      # bool, T cells
+    open_e: np.ndarray = field(init=False, repr=False)     # bool, east faces
+    open_n: np.ndarray = field(init=False, repr=False)     # bool, north faces
+    iface_t: np.ndarray = field(init=False, repr=False)    # bool, (nz-1, ly, lx)
+    dzw: np.ndarray = field(init=False, repr=False)        # (nz-1,)
+    mix_depth: np.ndarray = field(init=False, repr=False)  # (nz-1,)
+    shallow: np.ndarray = field(init=False, repr=False)    # (ly, lx) bool
+
+    def __post_init__(self) -> None:
+        self._derive()
+
+    def _derive(self) -> None:
+        """Build the static geometry the kernel bodies read.
+
+        Everything here depends on the grid alone, never on a kernel
+        parameter such as ``dt`` or a diffusivity, and is computed with
+        the expression (and at the dtype) the bodies used per tile:
+
+        * ``area_t`` — T-cell area rows, ``dx_t * dy``;
+        * ``wet_t`` — ``mask_t > 0``, the FCT envelope's wet test;
+        * ``open_e`` / ``open_n`` — whether the ``mask_t`` product across
+          each T cell's east / north face is non-zero (False past the
+          array edge);
+        * ``iface_t`` — the same across each interface,
+          ``mask_t[:-1] * mask_t[1:]``;
+        * ``dzw`` — centre-to-centre spacing ``diff(z_t)``;
+        * ``mix_depth`` — canuto's ``exp(-z_w / MIXING_DEPTH)`` at the
+          inner interfaces; ``shallow`` — columns canuto excludes.
+
+        The masks are 0 / 1, so a bool "open" multiplies a field exactly
+        as the float product did.  Kernels whose declared
+        ``bytes_per_point`` already counts every array they touch (depth
+        mean, the vertical solves) keep building their geometry from the
+        masks they read.
+        """
+        from .vmix_canuto import MIN_CANUTO_LEVELS, MIXING_DEPTH
+
+        mt = self.mask_t
+        self.area_t = self.dx_t * self.dy
+        self.wet_t = mt > 0.0
+        self.open_e = np.zeros(mt.shape, dtype=bool)
+        self.open_e[:, :, :-1] = mt[:, :, :-1] * mt[:, :, 1:] != 0.0
+        self.open_n = np.zeros(mt.shape, dtype=bool)
+        self.open_n[:, :-1] = mt[:, :-1] * mt[:, 1:] != 0.0
+        self.iface_t = mt[:-1] * mt[1:] != 0.0
+        self.dzw = np.diff(self.z_t)
+        self.mix_depth = np.exp(-self.z_w[1:self.nz] / MIXING_DEPTH)
+        self.shallow = self.kmt < MIN_CANUTO_LEVELS
 
     def coriolis_rotation(self, dtb: float) -> Tuple[np.ndarray, np.ndarray]:
         """Cached ``(cos, sin)`` of the rotation angle ``f_u * dtb``.

@@ -40,6 +40,7 @@ from ..kokkos import (
     View,
     kokkos_register_for,
 )
+from ..kokkos.workspace import Workspace
 from ..parallel.comm import SimComm, SingleComm
 from ..parallel.decomp import BlockDecomposition
 from ..parallel.halo import HaloUpdater
@@ -51,6 +52,7 @@ from .kernels_barotropic import (
     BarotropicContinuityFunctor,
     BarotropicMomentumFunctor,
     GForceFunctor,
+    asselin_into,
 )
 from .kernels_momentum import (
     AddBarotropicFunctor,
@@ -226,6 +228,14 @@ class LICOMKpp:
                           for i in range(n_tr)]
         self.rminus_all = [View(f"rminus{i}", s3, dtype=dt_tr, space=sp)
                            for i in range(n_tr)]
+        # the antidiffusive flux the FCT limiter stores through each
+        # cell's own east / north / top faces, read back by the apply
+        s3w = (d.nz + 1, d.ly, d.lx)
+        self.aflux_all = [tuple(View(f"aflux_{face}{i}", shape, dtype=dt_tr,
+                                     space=sp)
+                                for face, shape in (("e", s3), ("n", s3),
+                                                    ("t", s3w)))
+                          for i in range(n_tr)]
         self.tstar = self.tstar_all[0]
         self.tdiff_work = self.tdiff_work_all[0]
         self.rplus = self.rplus_all[0]
@@ -362,6 +372,7 @@ class LICOMKpp:
                  self.u_tr, self.v_tr, self.w_tr]
         views += self.tstar_all + self.tdiff_work_all
         views += self.rplus_all + self.rminus_all
+        views += [v for faces in self.aflux_all for v in faces]
         for view in views:
             view.raw[...] = 0.0
         self.nstep = 0
@@ -448,6 +459,7 @@ class LICOMKpp:
             views += [f.old, f.cur, f.new]
         views += (self.tstar_all + self.tdiff_work_all
                   + self.rplus_all + self.rminus_all)
+        views += [v for faces in self.aflux_all for v in faces]
         views += [self.p_mom, self.rho_vmix, self.u_vmix, self.v_vmix,
                   self.kappa_m_mom, self.kappa_h_tr, self.um_mom,
                   self.vm_mom, self.ub_mom, self.vb_mom,
@@ -526,11 +538,9 @@ class LICOMKpp:
             # -- density / pressure / mixing coefficients -------------------
             with self.timers.timer("eos_pressure"):
                 run("eos_density", self.p_full3,
-                    EOSFunctor(st.t.cur, st.s.cur, st.rho,
-                               self.dom_eos.mask_t))
+                    EOSFunctor(st.t.cur, st.s.cur, st.rho, self.dom_eos))
                 run("baroclinic_pressure", self.p_full2,
-                    PressureFunctor(st.rho, st.p, self.dom_eos.mask_t,
-                                    self.dom_eos.dz))
+                    PressureFunctor(st.rho, st.p, self.dom_eos))
             if canuto:
                 with self.timers.timer("canuto"):
                     self._run_canuto()
@@ -589,11 +599,12 @@ class LICOMKpp:
             # -- Asselin filter + rotate ------------------------------------
             with self.timers.timer("filter"):
                 a = self.params.asselin
+                ws = d.scratch()
                 for f in (st.u, st.v, st.t, st.s):
                     run("asselin_filter", self.p_full3,
-                        AsselinFilterFunctor(f.old, f.cur, f.new, a))
+                        AsselinFilterFunctor(f.old, f.cur, f.new, a, ws))
                 run("asselin_filter_ssh", self.p_full2,
-                    _Asselin2D(st.ssh.old, st.ssh.cur, st.ssh.new, a))
+                    _Asselin2D(st.ssh.old, st.ssh.cur, st.ssh.new, a, ws))
                 self._node(RotateNode(
                     self.space, [(f.old, f.cur, f.new)
                                  for f in st.leapfrog_fields().values()]))
@@ -718,13 +729,15 @@ class LICOMKpp:
         for i in range(n):
             run("advect_tracer_limits", self.p_int2,
                 FCTLimitFunctor(work[i], tst[i], self.u_tr, self.v_tr,
-                                self.w_tr, rp[i], rm[i], d, dt2))
+                                self.w_tr, rp[i], rm[i], *self.aflux_all[i],
+                                d, dt2))
         self._exchange("halo_tracer", [(r, 1.0, 1.0) for r in rp + rm])
         # stage 4 — limited apply + implicit vertical operator
         for i, (fld, star2d, gamma) in enumerate(tracers):
             run("advect_tracer_apply", self.p_int2,
                 FCTApplyFunctor(tst[i], self.u_tr, self.v_tr, self.w_tr,
-                                rp[i], rm[i], fld.new, d, dt2))
+                                rp[i], rm[i], *self.aflux_all[i], fld.new,
+                                d, dt2))
             run("vertical_tracer_diffusion", self.p_int2,
                 VerticalTracerDiffusionFunctor(fld.new, self.kappa_h_tr,
                                                star2d, gamma, d, dt2))
@@ -904,18 +917,17 @@ class _Asselin2D:
     flops_per_point = 4.0
     bytes_per_point = 4 * 8.0
 
-    def __init__(self, old: View, cur: View, new: View, alpha: float) -> None:
+    def __init__(self, old: View, cur: View, new: View, alpha: float,
+                 ws: Workspace) -> None:
         self.old = old
         self.cur = cur
         self.new = new
         self.alpha = alpha
+        self.ws = ws
 
     def __call__(self, j: int, i: int) -> None:
         self.apply((slice(j, j + 1), slice(i, i + 1)))
 
     def apply(self, slices) -> None:
-        sj, si = slices
-        o = self.old.data[sj, si]
-        c = self.cur.data[sj, si]
-        n = self.new.data[sj, si]
-        self.cur.data[sj, si] = c + self.alpha * (n - 2.0 * c + o)
+        asselin_into(self.old.data, self.cur.data, self.new.data,
+                     tuple(slices), self.alpha, self.ws)

@@ -65,7 +65,7 @@ FIELD_FAMILIES: Dict[str, str] = {
     "kappa_m": "vmix", "kappa_h": "vmix",
     # model work views
     "tstar": "tracer", "tdiff_work": "tracer",
-    "rplus": "tracer", "rminus": "tracer",
+    "rplus": "tracer", "rminus": "tracer", "aflux": "tracer",
     "eta": "barotropic", "eta_prev": "barotropic",
     "um": "barotropic", "vm": "barotropic",
     "um_old": "barotropic", "vm_old": "barotropic",

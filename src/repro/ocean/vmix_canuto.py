@@ -29,7 +29,7 @@ import numpy as np
 from ..kokkos import View, kokkos_register_for
 from .eos import RHO0
 from .grid import GRAVITY
-from .kernel_utils import TileFunctor, t_at_u
+from .kernel_utils import FIELD_TMP, TileFunctor, sh
 from .localdomain import LocalDomain
 
 #: Columns with fewer active levels are excluded from the scheme.
@@ -55,17 +55,26 @@ _B2 = 12.0   # S_h denominator is quadratic: faster heat cutoff
 _C1 = 1.0
 
 
-def stability_functions(ri: np.ndarray):
+def stability_functions(ri: np.ndarray, out=None):
     """(S_m, S_h) rational stability functions of the Richardson number.
 
     ``S_m = 1 / (1 + B1 Ri)`` and ``S_h = 1 / (1 + B1 Ri + B2 Ri^2)``
     for ``Ri >= 0``; both saturate at 1 for unstable ``Ri < 0`` (the
     convective branch is handled separately).  The quadratic term gives
     heat the sharper cutoff the Canuto closure predicts.
+
+    With ``out=(s_m, s_h)`` the functions are written into those
+    arrays (the kernel's arena path); ``ri`` itself is never written.
     """
-    rip = np.maximum(ri, 0.0)
-    s_m = 1.0 / (1.0 + _B1 * rip)
-    s_h = 1.0 / (1.0 + _B1 * rip + _B2 * rip * rip)
+    s_m, s_h = out if out is not None else (np.empty_like(ri), np.empty_like(ri))
+    rip = np.maximum(ri, 0.0, out=s_m)
+    np.multiply(rip, _B2, out=s_h)
+    np.multiply(s_h, rip, out=s_h)          # (B2 Ri) Ri
+    np.multiply(rip, _B1, out=s_m)
+    np.add(s_m, 1.0, out=s_m)               # 1 + B1 Ri
+    np.add(s_m, s_h, out=s_h)
+    np.divide(1.0, s_m, out=s_m)
+    np.divide(1.0, s_h, out=s_h)
     return s_m, s_h
 
 
@@ -111,45 +120,59 @@ class CanutoMixFunctor(TileFunctor):
             self.kappa_m.data[:, sj, si] = KAPPA_M_BACKGROUND
             self.kappa_h.data[:, sj, si] = KAPPA_H_BACKGROUND
             return
-        sk = slice(0, nz)
-        # velocities averaged to T columns (B-grid corner -> center)
-        ut = t_at_u(self.u.data, sk, sh_back(sj), sh_back(si))
-        vt = t_at_u(self.v.data, sk, sh_back(sj), sh_back(si))
+        ws = d.scratch()
+        nzm = nz - 1
+        shape = (nz, sj.stop - sj.start, si.stop - si.start)
+        ishape = (nzm,) + shape[1:]
+        # velocities averaged to T columns: the B-grid corners (j-1..j,
+        # i-1..i) around T cell (j, i), 0.25 * (((sw + se) + nw) + ne)
+        sjs, siw = sh(sj, -1), sh(si, -1)
+        cols = []
+        for key, f in ((FIELD_TMP[0], self.u.data), (FIELD_TMP[1], self.v.data)):
+            c = ws.take_view(key, shape, f.dtype)
+            np.add(f[:, sjs, siw], f[:, sjs, si], out=c)
+            np.add(c, f[:, sj, siw], out=c)
+            np.add(c, f[:, sj, si], out=c)
+            np.multiply(c, 0.25, out=c)
+            cols.append(c)
+        ut, vt = cols
         rho = self.rho.data[:, sj, si]
-        m = d.mask_t[:, sj, si]
-        dzw = np.diff(d.z_t).reshape(-1, 1, 1)
+        dzw = d.dzw.reshape(-1, 1, 1)
 
-        n2 = (GRAVITY / RHO0) * (rho[1:] - rho[:-1]) / dzw
-        du = (ut[:-1] - ut[1:]) / dzw
-        dv = (vt[:-1] - vt[1:]) / dzw
-        s2 = du * du + dv * dv + 1.0e-12
-        ri = n2 / s2
-        s_m, s_h = stability_functions(ri)
-        depth_factor = np.exp(-d.z_w[1:nz] / MIXING_DEPTH).reshape(-1, 1, 1)
+        # N^2 = (g / rho0) (rho[k+1] - rho[k]) / dzw
+        n2 = ws.take_view(FIELD_TMP[2], ishape, np.result_type(rho, dzw))
+        np.subtract(rho[1:], rho[:-1], out=n2)
+        np.multiply(n2, GRAVITY / RHO0, out=n2)
+        np.divide(n2, dzw, out=n2)
+        # S^2 = du du + dv dv + 1e-12;  Ri = N^2 / S^2
+        du = ws.take_view(FIELD_TMP[3], ishape, np.result_type(ut, dzw))
+        np.subtract(ut[:-1], ut[1:], out=du)
+        np.divide(du, dzw, out=du)
+        dv = ws.take_view(FIELD_TMP[4], ishape, np.result_type(vt, dzw))
+        np.subtract(vt[:-1], vt[1:], out=dv)
+        np.divide(dv, dzw, out=dv)
+        np.multiply(du, du, out=du)
+        np.multiply(dv, dv, out=dv)
+        np.add(du, dv, out=du)
+        np.add(du, 1.0e-12, out=du)
+        convective = ws.take("cm_conv", ishape, np.bool_)
+        np.less(n2, 0.0, out=convective)
+        np.divide(n2, du, out=n2)       # Ri, in the spent N^2 buffer
+        s_m, s_h = stability_functions(n2, out=(dv, du))
 
-        kap_m = KAPPA_M_BACKGROUND + NU0_M * s_m * depth_factor
-        kap_h = KAPPA_H_BACKGROUND + NU0_H * s_h * depth_factor
-        convective = n2 < 0.0
-        kap_m = np.where(convective, KAPPA_CONVECTIVE, kap_m)
-        kap_h = np.where(convective, KAPPA_CONVECTIVE, kap_h)
-
-        # exclusions: land interfaces and too-shallow columns
-        open_iface = m[:-1] * m[1:]
-        shallow = (d.kmt[sj, si] < MIN_CANUTO_LEVELS)[None, :, :]
-        kap_m = np.where(shallow, KAPPA_M_BACKGROUND, kap_m) * open_iface
-        kap_h = np.where(shallow, KAPPA_H_BACKGROUND, kap_h) * open_iface
-
-        self.kappa_m.data[:nz - 1, sj, si] = kap_m
-        self.kappa_h.data[:nz - 1, sj, si] = kap_h
-        self.kappa_m.data[nz - 1, sj, si] = 0.0
-        self.kappa_h.data[nz - 1, sj, si] = 0.0
-
-
-def sh_back(s: slice) -> slice:
-    """Shift a tile slice one point back (for corner->center averages).
-
-    ``t_at_u`` averages corners (j, i), (j, i+1), (j+1, i), (j+1, i+1);
-    the T cell (j, i) is surrounded by corners (j-1..j, i-1..i), so the
-    average must start one point back in each direction.
-    """
-    return slice(s.start - 1, s.stop - 1)
+        # kappa = background + (nu0 S) depth_factor, convective where
+        # N^2 < 0, background on too-shallow columns, zero across closed
+        # interfaces
+        depth_factor = d.mix_depth.reshape(-1, 1, 1)
+        shallow = d.shallow[sj, si][None, :, :]
+        iface = d.iface_t[:, sj, si]
+        for kap, stab, nu0, background in (
+                (self.kappa_m, s_m, NU0_M, KAPPA_M_BACKGROUND),
+                (self.kappa_h, s_h, NU0_H, KAPPA_H_BACKGROUND)):
+            np.multiply(stab, nu0, out=stab)
+            np.multiply(stab, depth_factor, out=stab)
+            np.add(stab, background, out=stab)
+            np.copyto(stab, KAPPA_CONVECTIVE, where=convective)
+            np.copyto(stab, background, where=shallow)
+            np.multiply(stab, iface, out=kap.data[:nzm, sj, si])
+            kap.data[nzm, sj, si] = 0.0

@@ -33,12 +33,12 @@ class TestSeedTreeClean:
         assert halos["eos_density"] == 0           # pointwise
 
     def test_fct_limiter_reads_its_old_tracer_ring(self):
-        """The Zalesak envelope reads ``t_old`` and the mask at ±1,
+        """The Zalesak envelope reads ``t_old`` and the wet mask at ±1,
         through ``_local_bounds``' loop over ``(t_old, t_star)``."""
         fp, = [fp for fp in kernel_footprints()
                if fp.kernel == "advect_tracer_limits"]
         assert fp.halo["t_old"] == 1
-        assert fp.halo["dom.mask_t"] == 1
+        assert fp.halo["dom.wet_t"] == 1
 
 
 class TestJsonReport:

@@ -105,11 +105,6 @@ class TestRecorderSound:
 #: Lines the lint matrix does not run, by function and by the guard of
 #: the block they sit in, with the reason each is safe to leave out.
 ALLOWED = {
-    ("thomas_solve", "ws is None"):
-        "the allocating reference path: kernels always pass their arena, "
-        "and tests/ocean/test_kernels.py checks this path against it",
-    ("_diffusion_matrix", "ws is None"):
-        "the allocating reference path, as for thomas_solve",
     ("CanutoMixFunctor.apply", "nz < 2"):
         "one-level columns have no shear; every demo size has nz >= 4",
 }

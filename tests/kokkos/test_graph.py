@@ -334,6 +334,25 @@ class TestWorkspace:
         assert ws.take("buf", 5).shape == (5,)
         assert ws.take("buf", (5,)) is ws.take("buf", 5)
 
+    def test_take_view_shares_one_buffer_across_shapes(self):
+        inst = Instrumentation()
+        ws = Workspace(enabled=True, inst=inst)
+        big = ws.take_view("tmp", (2, 3, 4))
+        small = ws.take_view("tmp", (3, 5), np.dtype(np.float64))
+        assert small.shape == (3, 5) and small.flags.c_contiguous
+        assert np.shares_memory(big, small)
+        # a larger request replaces the buffer; dtypes never share
+        grown = ws.take_view("tmp", (5, 6))
+        assert not np.shares_memory(grown, big)
+        assert ws.take_view("tmp", (2, 3, 4), np.float32).dtype == np.float32
+        assert inst.workspace.allocations == 3
+        assert inst.workspace.requests == 4
+        assert ws.pooled_nbytes() == 30 * 8 + 24 * 4
+        # a disabled arena allocates every view
+        off = Workspace(enabled=False, inst=Instrumentation())
+        assert not np.shares_memory(off.take_view("tmp", (4,)),
+                                    off.take_view("tmp", (4,)))
+
 
 class TestOpenMPThreadOverride:
     def test_env_override_honoured(self, monkeypatch):

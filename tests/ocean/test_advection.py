@@ -82,6 +82,8 @@ def _advect_once(dom, decomp, t0, u, v, dt, comm=None):
     rp = View("rp", (nz, ly, lx))
     rm = View("rm", (nz, ly, lx))
     tnew = View("tnew", (nz, ly, lx))
+    aflux = (View("a_e", (nz, ly, lx)), View("a_n", (nz, ly, lx)),
+             View("a_t", (nz + 1, ly, lx)))
 
     p_int2 = MDRangePolicy([(h, ly - h), (h, lx - h)])
     p_int2g = MDRangePolicy([(h - 1, ly - h + 1), (h - 1, lx - h + 1)])
@@ -90,11 +92,13 @@ def _advect_once(dom, decomp, t0, u, v, dt, comm=None):
                     AdvectPredictorFunctor(tv, uv, vv, wv, tstar, dom, dt))
     halo_update(comm, decomp, tstar.raw)
     be.parallel_for("lim", p_int2,
-                    FCTLimitFunctor(tv, tstar, uv, vv, wv, rp, rm, dom, dt))
+                    FCTLimitFunctor(tv, tstar, uv, vv, wv, rp, rm, *aflux,
+                                    dom, dt))
     halo_update(comm, decomp, rp.raw, fill=1.0)
     halo_update(comm, decomp, rm.raw, fill=1.0)
     be.parallel_for("apply", p_int2,
-                    FCTApplyFunctor(tstar, uv, vv, wv, rp, rm, tnew, dom, dt))
+                    FCTApplyFunctor(tstar, uv, vv, wv, rp, rm, *aflux, tnew,
+                                    dom, dt))
     return tnew.raw, wv.raw
 
 

@@ -5,8 +5,9 @@ The vectorised tile body ``apply(slices)`` must equal running
 alias-hazard rule of ``repro.analysis`` checks on one observed sweep
 per launch, verified here on random sub-tiles.  A wrapping backend intercepts every ``parallel_for``
 the real model issues, replays a few random sub-tiles both ways on
-identical input state, and demands bit-identical results before letting
-the launch proceed.
+identical input state, and demands byte-identical results (so a ``-0.0``
+where the point body gives ``+0.0`` is a mismatch) before letting the
+launch proceed.
 """
 
 import numpy as np
@@ -54,8 +55,7 @@ class ApplyEquivalenceBackend(SerialBackend):
                 for point in np.ndindex(*[b - a for a, b in tile]):
                     functor(*[a + p for (a, _), p in zip(tile, point)])
                 for n, v in views.items():
-                    if not np.array_equal(v.raw, after_apply[n],
-                                          equal_nan=True):
+                    if v.raw.tobytes() != after_apply[n].tobytes():
                         self.mismatches.append((label, n))
                 for n, v in views.items():
                     v.raw[...] = before[n]
@@ -96,3 +96,26 @@ def test_backend_catches_a_planted_alias_hazard():
     backend.parallel_for("bad", MDRangePolicy([(1, 7), (1, 7)]),
                          BadFunctor(f))
     assert backend.mismatches
+
+
+def test_backend_catches_a_planted_sign_of_zero():
+    """A tile body that differs from the point body only in the sign of
+    zero is a mismatch: ``np.array_equal(0.0, -0.0)`` is true, bytes are
+    not."""
+    from repro.kokkos import MDRangePolicy
+
+    class SignFlipFunctor:
+        def __init__(self, f: View) -> None:
+            self.f = f
+
+        def __call__(self, j: int, i: int) -> None:
+            self.f.data[j, i] = 0.0
+
+        def apply(self, slices) -> None:
+            self.f.data[tuple(slices)] = -0.0
+
+    backend = ApplyEquivalenceBackend(np.random.default_rng(7))
+    f = View("f", (8, 8))
+    backend.parallel_for("flip", MDRangePolicy([(1, 7), (1, 7)]),
+                         SignFlipFunctor(f))
+    assert backend.mismatches == [("flip", "f")] * 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kokkos import MDRangePolicy, SerialBackend, View
+from repro.kokkos.workspace import Workspace
 from repro.ocean import demo, density_linear
 from repro.ocean.eos import RHO0
 from repro.ocean.grid import GRAVITY
@@ -49,7 +50,7 @@ class TestEOSKernel:
         s = View("s", data=(35 + 0.1 * rng.standard_normal((dom.nz, dom.ly, dom.lx))))
         rho = View("rho", (dom.nz, dom.ly, dom.lx))
         SerialBackend().parallel_for("eos", _full3(dom),
-                                     EOSFunctor(t, s, rho, dom.mask_t))
+                                     EOSFunctor(t, s, rho, dom))
         ref = density_linear(t.raw, s.raw) * dom.mask_t
         assert np.allclose(rho.raw, ref)
 
@@ -58,7 +59,7 @@ class TestEOSKernel:
         s = View("s", (dom.nz, dom.ly, dom.lx))
         rho = View("rho", (dom.nz, dom.ly, dom.lx))
         SerialBackend().parallel_for("eos", _full3(dom),
-                                     EOSFunctor(t, s, rho, dom.mask_t))
+                                     EOSFunctor(t, s, rho, dom))
         assert np.all(rho.raw[dom.mask_t == 0.0] == 0.0)
 
 
@@ -68,7 +69,7 @@ class TestPressureKernel:
         rho.raw[...] = (RHO0 + 1.0) * dom.mask_t  # uniformly dense
         p = View("p", (dom.nz, dom.ly, dom.lx))
         SerialBackend().parallel_for("p", _full2(dom),
-                                     PressureFunctor(rho, p, dom.mask_t, dom.dz))
+                                     PressureFunctor(rho, p, dom))
         col = p.raw[:, dom.ly // 2, dom.lx // 2]
         assert np.all(np.diff(col) > 0)
 
@@ -78,7 +79,7 @@ class TestPressureKernel:
         rho.raw[...] = (RHO0 + drho) * dom.mask_t
         p = View("p", (dom.nz, dom.ly, dom.lx))
         SerialBackend().parallel_for("p", _full2(dom),
-                                     PressureFunctor(rho, p, dom.mask_t, dom.dz))
+                                     PressureFunctor(rho, p, dom))
         j, i = dom.ly // 2, dom.lx // 2
         expect = (GRAVITY / RHO0) * drho * dom.z_t  # g/rho0 * drho * depth
         assert np.allclose(p.raw[:, j, i], expect, rtol=1e-12)
@@ -88,7 +89,7 @@ class TestPressureKernel:
         rho.raw[...] = RHO0 * dom.mask_t
         p = View("p", (dom.nz, dom.ly, dom.lx))
         SerialBackend().parallel_for("p", _full2(dom),
-                                     PressureFunctor(rho, p, dom.mask_t, dom.dz))
+                                     PressureFunctor(rho, p, dom))
         assert np.allclose(p.raw, 0.0)
 
 
@@ -193,7 +194,7 @@ class TestThomasSolver:
         upper = rng.uniform(-0.3, 0.0, (nz, 1, 1))
         diag = 1.0 - lower - upper
         rhs = rng.standard_normal((nz, 1, 1))
-        x = thomas_solve(lower, diag, upper, rhs)
+        x = thomas_solve(lower, diag, upper, rhs, Workspace())
         a = np.zeros((nz, nz))
         for k in range(nz):
             a[k, k] = diag[k, 0, 0]
@@ -209,7 +210,7 @@ class TestThomasSolver:
         z = np.zeros((nz, 2, 2))
         d = np.ones((nz, 2, 2))
         rhs = rng.standard_normal((nz, 2, 2))
-        assert np.allclose(thomas_solve(z, d, z, rhs), rhs)
+        assert np.allclose(thomas_solve(z, d, z, rhs, Workspace()), rhs)
 
 
 class TestVerticalDiffusion:
@@ -306,7 +307,8 @@ class TestVerticalDiffusion:
         kap = np.full((dom.nz, 2, 2), 1e-3)
         mask = np.ones((dom.nz, 2, 2))
         mask[2:, 0, 0] = 0.0  # column with 2 active levels
-        lower, diag, upper = _diffusion_matrix(kap, mask, dom.dz, dom.z_t, 3600.0)
+        lower, diag, upper = _diffusion_matrix(kap, mask, dom.dz, dom.z_t,
+                                               3600.0, Workspace())
         assert np.all(diag[2:, 0, 0] == 1.0)
         assert np.all(lower[2:, 0, 0] == 0.0)
         assert np.all(upper[2:, 0, 0] == 0.0)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kokkos import AthreadBackend, MDRangePolicy, SerialBackend, View
+from repro.kokkos.workspace import Workspace
 from repro.ocean import demo, make_grid, make_topography
 from repro.ocean.kernel_utils import thomas_solve
 from repro.ocean.kernels_vdiff import VerticalTracerDiffusionFunctor
@@ -42,7 +43,7 @@ def test_property_thomas_solves_dd_systems(nz, seed, cols):
     lower[0] = upper[-1] = 0.0
     diag = 1.0 - lower - upper + rng.uniform(0.0, 0.5, (nz, cols, 1))
     rhs = rng.standard_normal((nz, cols, 1))
-    x = thomas_solve(lower, diag, upper, rhs)
+    x = thomas_solve(lower, diag, upper, rhs, Workspace())
     for c in range(cols):
         a = np.zeros((nz, nz))
         for k in range(nz):

@@ -6,13 +6,17 @@ Athread plans' LDM peaks are applied once per ledger lifetime.  The
 call budget counts Python and C calls over one sealed ``small`` step —
 deterministic, so it only ever goes down.  The ledgers must still read
 exactly what the message-per-side exchange wrote: the network model and
-the machine model consume them.
+the machine model consume them.  The kernel bodies draw their
+temporaries from the arena, so no launch of a warm eager step allocates
+as much as one 3-D field.
 """
 
 import sys
+import tracemalloc
 
 import pytest
 
+from repro.kokkos import SerialBackend
 from repro.ocean import LICOMKpp, demo
 from repro.ocean.model import ModelParams
 
@@ -117,3 +121,44 @@ def test_reset_counters_rearms_ldm_peaks():
     young = _ldm_after_reset_and_replay(WARMUP)
     assert max(old) == 40320
     assert old == young
+
+
+class _PeakBackend(SerialBackend):
+    """Serial backend recording each label's transient allocation peak
+    (tracemalloc, bytes above what was held when the launch began)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.peaks = None
+
+    def run_for(self, label, policy, functor):
+        if self.peaks is None:
+            return super().run_for(label, policy, functor)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return super().run_for(label, policy, functor)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1] - held
+            self.peaks[label] = max(self.peaks.get(label, 0), peak)
+
+
+def test_eager_launches_allocate_no_field_sized_temporary():
+    backend = _PeakBackend()
+    m = LICOMKpp(demo("medium"), backend=backend)
+    try:
+        m.run_steps(2)                  # warm the arena (both step variants)
+        d = m.domain
+        field = d.nz * d.ly * d.lx * 8
+        backend.peaks = {}
+        tracemalloc.start()
+        try:
+            m.step()
+        finally:
+            tracemalloc.stop()
+    finally:
+        m.close()
+    assert len(backend.peaks) >= 20
+    over = {label: round(peak / field, 2)
+            for label, peak in backend.peaks.items() if peak >= field}
+    assert over == {}

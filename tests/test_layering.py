@@ -46,6 +46,9 @@ GONE = {
     "certify_precision", "create_device_view", "views_nbytes",
     "read_probes", "record_dma", "disable_tracing", "pooled_buffers",
     "phase_messages", "phase_bytes", "memory_bytes",
+    # allocating kernel helpers, replaced by arena-backed bodies
+    "face_u_east", "face_u_west", "face_v_north", "face_v_south",
+    "t_at_u", "sh_back", "_face_volumes", "_central_fluxes",
 }
 
 
