@@ -135,7 +135,7 @@ class Workspace:
             if inst.enabled:
                 ws = inst.workspace
                 ws.requests += 1
-                ws.bytes_served += flat.nbytes
+                ws.bytes_served += n * dtype.itemsize
         return flat[:n].reshape(shape)
 
     def clear(self) -> None:

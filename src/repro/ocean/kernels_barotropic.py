@@ -17,7 +17,6 @@ halo-update cost dominates scalability (§V-D).
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 
@@ -216,15 +215,13 @@ class AsselinFilterFunctor(TileFunctor):
     flops_per_point = 4.0
     bytes_per_point = 4 * 8.0
 
-    def __init__(self, old: View, cur: View, new: View, alpha: float = 0.1,
-                 ws: Optional[Workspace] = None) -> None:
+    def __init__(self, old: View, cur: View, new: View, alpha: float,
+                 ws: Workspace) -> None:
         self.old = old
         self.cur = cur
         self.new = new
         self.alpha = alpha
-        # scratch arena (the model passes its own; stand-alone use
-        # allocates per request, with identical numerics)
-        self.ws = ws if ws is not None else Workspace(enabled=False)
+        self.ws = ws
 
     def apply(self, slices) -> None:
         asselin_into(self.old.data, self.cur.data, self.new.data,

@@ -392,9 +392,11 @@ class FCTLimitFunctor(TileFunctor):
         shape = own.shape
         # inflow P+ = sum of (positive part of each face flux into the
         # cell - negative part out of it), P- the reverse; each face
-        # set's parts are built once (the stored flux buffer takes the
-        # positive part) and the sums fold face set by face set, in the
-        # historical left-associated order
+        # set's parts are built once (the arena copy a_e / a_n / a_t
+        # takes the positive part in place; the signed flux was stored
+        # into self.a_* above and must stay signed, the apply reads it)
+        # and the sums fold face set by face set, in the historical
+        # left-associated order
         p_plus = ws.take("fct_pplus", shape, a_e.dtype)
         p_minus = ws.take("fct_pminus", shape, a_e.dtype)
         for k, (a, into, out_of) in enumerate((

@@ -134,10 +134,6 @@ class LocalDomain:
     wet_t: np.ndarray = field(init=False, repr=False)      # bool, T cells
     open_e: np.ndarray = field(init=False, repr=False)     # bool, east faces
     open_n: np.ndarray = field(init=False, repr=False)     # bool, north faces
-    iface_t: np.ndarray = field(init=False, repr=False)    # bool, (nz-1, ly, lx)
-    dzw: np.ndarray = field(init=False, repr=False)        # (nz-1,)
-    mix_depth: np.ndarray = field(init=False, repr=False)  # (nz-1,)
-    shallow: np.ndarray = field(init=False, repr=False)    # (ly, lx) bool
 
     def __post_init__(self) -> None:
         self._derive()
@@ -153,12 +149,7 @@ class LocalDomain:
         * ``wet_t`` — ``mask_t > 0``, the FCT envelope's wet test;
         * ``open_e`` / ``open_n`` — whether the ``mask_t`` product across
           each T cell's east / north face is non-zero (False past the
-          array edge);
-        * ``iface_t`` — the same across each interface,
-          ``mask_t[:-1] * mask_t[1:]``;
-        * ``dzw`` — centre-to-centre spacing ``diff(z_t)``;
-        * ``mix_depth`` — canuto's ``exp(-z_w / MIXING_DEPTH)`` at the
-          inner interfaces; ``shallow`` — columns canuto excludes.
+          array edge).
 
         The masks are 0 / 1, so a bool "open" multiplies a field exactly
         as the float product did.  Kernels whose declared
@@ -166,8 +157,6 @@ class LocalDomain:
         mean, the vertical solves) keep building their geometry from the
         masks they read.
         """
-        from .vmix_canuto import MIN_CANUTO_LEVELS, MIXING_DEPTH
-
         mt = self.mask_t
         self.area_t = self.dx_t * self.dy
         self.wet_t = mt > 0.0
@@ -175,10 +164,6 @@ class LocalDomain:
         self.open_e[:, :, :-1] = mt[:, :, :-1] * mt[:, :, 1:] != 0.0
         self.open_n = np.zeros(mt.shape, dtype=bool)
         self.open_n[:, :-1] = mt[:, :-1] * mt[:, 1:] != 0.0
-        self.iface_t = mt[:-1] * mt[1:] != 0.0
-        self.dzw = np.diff(self.z_t)
-        self.mix_depth = np.exp(-self.z_w[1:self.nz] / MIXING_DEPTH)
-        self.shallow = self.kmt < MIN_CANUTO_LEVELS
 
     def coriolis_rotation(self, dtb: float) -> Tuple[np.ndarray, np.ndarray]:
         """Cached ``(cos, sin)`` of the rotation angle ``f_u * dtb``.

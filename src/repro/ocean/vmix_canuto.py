@@ -55,7 +55,7 @@ _B2 = 12.0   # S_h denominator is quadratic: faster heat cutoff
 _C1 = 1.0
 
 
-def stability_functions(ri: np.ndarray, out=None):
+def stability_functions(ri: np.ndarray, out):
     """(S_m, S_h) rational stability functions of the Richardson number.
 
     ``S_m = 1 / (1 + B1 Ri)`` and ``S_h = 1 / (1 + B1 Ri + B2 Ri^2)``
@@ -63,10 +63,10 @@ def stability_functions(ri: np.ndarray, out=None):
     convective branch is handled separately).  The quadratic term gives
     heat the sharper cutoff the Canuto closure predicts.
 
-    With ``out=(s_m, s_h)`` the functions are written into those
-    arrays (the kernel's arena path); ``ri`` itself is never written.
+    The functions are written into ``out=(s_m, s_h)``, two arrays of
+    ``ri``'s shape; ``ri`` itself is never written.
     """
-    s_m, s_h = out if out is not None else (np.empty_like(ri), np.empty_like(ri))
+    s_m, s_h = out
     rip = np.maximum(ri, 0.0, out=s_m)
     np.multiply(rip, _B2, out=s_h)
     np.multiply(s_h, rip, out=s_h)          # (B2 Ri) Ri
@@ -78,9 +78,11 @@ def stability_functions(ri: np.ndarray, out=None):
     return s_m, s_h
 
 
-def canuto_column_mask(domain: LocalDomain) -> np.ndarray:
-    """(ly, lx) True where the canuto scheme runs (Fig. 4 blue points)."""
-    return domain.kmt >= MIN_CANUTO_LEVELS
+def canuto_column_mask(domain: LocalDomain,
+                       tile=(slice(None), slice(None))) -> np.ndarray:
+    """True where the canuto scheme runs (Fig. 4 blue points), over the
+    ``(sj, si)`` ``tile`` of the domain's (ly, lx) columns."""
+    return domain.kmt[tile] >= MIN_CANUTO_LEVELS
 
 
 @kokkos_register_for("canuto_mixing", ndim=2)
@@ -137,7 +139,7 @@ class CanutoMixFunctor(TileFunctor):
             cols.append(c)
         ut, vt = cols
         rho = self.rho.data[:, sj, si]
-        dzw = d.dzw.reshape(-1, 1, 1)
+        dzw = np.diff(d.z_t).reshape(-1, 1, 1)
 
         # N^2 = (g / rho0) (rho[k+1] - rho[k]) / dzw
         n2 = ws.take_view(FIELD_TMP[2], ishape, np.result_type(rho, dzw))
@@ -162,10 +164,12 @@ class CanutoMixFunctor(TileFunctor):
 
         # kappa = background + (nu0 S) depth_factor, convective where
         # N^2 < 0, background on too-shallow columns, zero across closed
-        # interfaces
-        depth_factor = d.mix_depth.reshape(-1, 1, 1)
-        shallow = d.shallow[sj, si][None, :, :]
-        iface = d.iface_t[:, sj, si]
+        # interfaces (the mask product, in the spent u-column buffer)
+        depth_factor = np.exp(-d.z_w[1:nz] / MIXING_DEPTH).reshape(-1, 1, 1)
+        shallow = ~canuto_column_mask(d, (sj, si))[None, :, :]
+        m = d.mask_t[:, sj, si]
+        iface = ws.take_view(FIELD_TMP[0], ishape, m.dtype)
+        np.multiply(m[:-1], m[1:], out=iface)
         for kap, stab, nu0, background in (
                 (self.kappa_m, s_m, NU0_M, KAPPA_M_BACKGROUND),
                 (self.kappa_h, s_h, NU0_H, KAPPA_H_BACKGROUND)):

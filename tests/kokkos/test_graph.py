@@ -347,6 +347,9 @@ class TestWorkspace:
         assert ws.take_view("tmp", (2, 3, 4), np.float32).dtype == np.float32
         assert inst.workspace.allocations == 3
         assert inst.workspace.requests == 4
+        # each request counts the bytes of the view it hands out, not the
+        # size of the shared buffer behind it
+        assert inst.workspace.bytes_served == (24 + 15 + 30) * 8 + 24 * 4
         assert ws.pooled_nbytes() == 30 * 8 + 24 * 4
         # a disabled arena allocates every view
         off = Workspace(enabled=False, inst=Instrumentation())

@@ -171,7 +171,7 @@ class TestAsselin:
         n = View("n", data=rng.standard_normal(shape))
         c0 = c.raw.copy()
         SerialBackend().parallel_for(
-            "ass", MDRangePolicy([3, 4, 5]), AsselinFilterFunctor(o, c, n, alpha=0.1))
+            "ass", MDRangePolicy([3, 4, 5]), AsselinFilterFunctor(o, c, n, 0.1, Workspace()))
         expect = c0 + 0.1 * (n.raw - 2 * c0 + o.raw)
         assert np.allclose(c.raw, expect)
 
@@ -183,7 +183,7 @@ class TestAsselin:
         for vw in (o, c, n):
             vw.raw[...] = 5.0
         SerialBackend().parallel_for(
-            "ass", MDRangePolicy([2, 3, 3]), AsselinFilterFunctor(o, c, n))
+            "ass", MDRangePolicy([2, 3, 3]), AsselinFilterFunctor(o, c, n, 0.1, Workspace()))
         assert np.allclose(c.raw, 5.0)
 
 

@@ -77,23 +77,27 @@ class TestForcing:
         assert f.gamma_t > f.gamma_s  # SST restores faster than SSS
 
 
+def _stability(ri):
+    return stability_functions(ri, out=(np.empty_like(ri), np.empty_like(ri)))
+
+
 class TestCanutoFunctions:
     def test_neutral_value(self):
-        s_m, s_h = stability_functions(np.array([0.0]))
+        s_m, s_h = _stability(np.array([0.0]))
         assert s_m[0] == 1.0 and s_h[0] == 1.0
 
     def test_monotone_decreasing(self):
         ri = np.linspace(0.0, 10.0, 50)
-        s_m, s_h = stability_functions(ri)
+        s_m, s_h = _stability(ri)
         assert np.all(np.diff(s_m) < 0)
         assert np.all(np.diff(s_h) < 0)
 
     def test_heat_cut_off_faster(self):
-        s_m, s_h = stability_functions(np.array([1.0, 5.0]))
+        s_m, s_h = _stability(np.array([1.0, 5.0]))
         assert np.all(s_h < s_m)
 
     def test_unstable_branch_saturates(self):
-        s_m, s_h = stability_functions(np.array([-2.0]))
+        s_m, s_h = _stability(np.array([-2.0]))
         assert s_m[0] == 1.0 and s_h[0] == 1.0
 
     def test_column_mask_excludes_shallow(self):

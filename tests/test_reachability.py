@@ -257,7 +257,6 @@ ALLOWED: Dict[str, str] = {
            "repro/kokkos/policy.py::RangePolicy.size"),
     **_why("paper §V-C1", "canuto load balance; benchmarks/ regenerates "
            "A1 from imbalance_stats, the model does not balance yet",
-           "repro/ocean/vmix_canuto.py::canuto_column_mask",
            "repro/parallel/comm.py::SimComm.allgather",
            "repro/parallel/loadbalance.py::balanced_column_compute",
            "repro/parallel/loadbalance.py::local_ocean_columns",
