@@ -519,10 +519,9 @@ class SimComm:
         """Buffered send: the payload is copied and enqueued immediately.
 
         ``move=True`` is the zero-copy handoff: ownership of ``obj``
-        transfers to the receiver and the sender must not touch it again
-        (the fused halo path hands over freshly packed buffers this
-        way).  ``phase`` tags the message in the traffic ledger's
-        per-phase counters.
+        transfers to the receiver and the sender must not touch it again.
+        ``phase`` tags the message in the traffic ledger's per-phase
+        counters.
         """
         if not (0 <= dest < self.size):
             raise CommunicationError(f"send to invalid rank {dest}")
@@ -530,13 +529,25 @@ class SimComm:
         self.world.traffic.record(self.rank, dest, nbytes, phase=phase)
         if self.ledger is not None:
             self.ledger.record(self.rank, dest, nbytes, phase=phase)
+        self._transmit(obj, dest, tag, move, phase)
+
+    def _transmit(self, obj: Any, dest: int, tag: int, move: bool = True,
+                  phase: Optional[str] = None) -> None:
+        """Hand ``obj`` to ``dest`` as one physical frame: traced, not
+        ledgered (the halo exchange ledgers its logical messages itself).
+        """
+        self._trace_send(obj, dest, tag, phase)
+        self.world._box(self.rank, dest, tag).put(
+            obj if move else _copy_payload(obj))
+
+    def _trace_send(self, obj: Any, dest: int, tag: int,
+                    phase: Optional[str]) -> None:
+        """The ``send`` instant of one frame, while tracing."""
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.instant("send", cat="comm", dest=dest, tag=tag,
-                       bytes=float(nbytes),
+                       bytes=float(_payload_nbytes(obj)),
                        **({"phase": phase} if phase else {}))
-        payload = obj if move else _copy_payload(obj)
-        self.world._box(self.rank, dest, tag).put(payload)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive from ``source``."""

@@ -17,12 +17,17 @@ Topology:
   sign across the fold.  Top-row blocks therefore exchange their
   northern halos with the *mirror* block in the same row (possibly
   themselves).
+
+:meth:`BlockDecomposition.ghost_moves` turns that topology into the
+halo exchange's schedule: each ghost cell's source is a cell in the
+interior of the rank that owns it (or a fill), grouped into rectangles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +56,46 @@ class Block:
     @property
     def nxl(self) -> int:
         return self.i1 - self.i0
+
+
+class Move(NamedTuple):
+    """One rectangle of a rank's ghost cells and where its values live.
+
+    ``owner`` is the rank whose array holds the source (``None`` for a
+    fill with the field's closed-boundary value); ``dst`` and ``src``
+    are ``(rows, cols)`` slices into the local arrays of the rank and of
+    the owner — a reversed slice walks the tripolar mirror; ``signed``
+    marks fold-crossing data (times the field's sign).
+    """
+
+    owner: Optional[int]
+    dst: Tuple[slice, slice]
+    src: Optional[Tuple[slice, slice]]
+    signed: bool
+
+
+def _runs(keys: Sequence[Tuple[Optional[int], int, int]]) -> List[list]:
+    """Maximal runs ``[start, stop, owner, first source, step]`` over
+    ``keys[i] = (owner, source index, step)``: consecutive positions
+    whose sources are one owner's indices walked by ``step`` (+1, or -1
+    through the mirror; 0 marks a fill)."""
+    runs: List[list] = []
+    for i, (owner, src, step) in enumerate(keys):
+        if runs:
+            run = runs[-1]
+            if (owner, step) == (run[2], run[4]) and \
+                    src == run[3] + step * (i - run[0]):
+                run[1] = i + 1
+                continue
+        runs.append([i, i + 1, owner, src, step])
+    return runs
+
+
+def _walk(start: int, n: int, step: int) -> slice:
+    """``n`` indices from ``start`` on, walking ``step``."""
+    if step > 0:
+        return slice(start, start + n)
+    return slice(start, start - n if start >= n else None, -1)
 
 
 class BlockDecomposition:
@@ -89,6 +134,11 @@ class BlockDecomposition:
         self.north_fold = north_fold
         self.size = self.npy * self.npx
         self._blocks: List[Block] = []
+        #: first global row / column of each block row / column
+        self._row_starts = [(self.ny * py) // self.npy
+                            for py in range(self.npy)]
+        self._col_starts = [(self.nx * px) // self.npx
+                            for px in range(self.npx)]
         for py in range(self.npy):
             j0 = (self.ny * py) // self.npy
             j1 = (self.ny * (py + 1)) // self.npy
@@ -149,6 +199,69 @@ class BlockDecomposition:
             partner = self._fold_partner(b)
             fold = partner.rank if partner is not None else None
         return {"e": east, "w": west, "n": north, "s": south, "fold": fold}
+
+    def ghost_moves(self, rank: int) -> List[Move]:
+        """``rank``'s ghost cells as rectangular :class:`Move`\\ s.
+
+        Each ghost cell's source — by zonal wrap, a fill beyond a closed
+        edge, the tripolar mirror — is a cell of its owner's interior,
+        corners included.  The order is the one to apply: fills, own
+        moves, then other owners' moves grouped by owner.  On a
+        one-column grid the west / east strips of every row whose middle
+        is local are one own move each from the opposite real halo, last
+        (they read only ghosts whose sources are local).
+        """
+        b = self.block(rank)
+        h, ny, nx = self.halo, self.ny, self.nx
+        ly, lx = self.local_shape(rank)
+
+        def at(starts: List[int], g: int, step: int) -> Tuple[int, int, int]:
+            p = bisect_right(starts, g) - 1
+            return p, g - starts[p] + h, step
+
+        rows = []
+        for gj in range(b.j0 - h, b.j1 + h):
+            if gj < 0 or (gj >= ny and not self.north_fold):
+                rows.append((None, 0, 0))
+            elif gj >= ny:      # row ny + m mirrors row ny - 1 - m
+                rows.append(at(self._row_starts, 2 * ny - 1 - gj, -1))
+            else:
+                rows.append(at(self._row_starts, gj, 1))
+        gis = [(b.i0 - h + li) % nx for li in range(lx)]
+        cols = {1: _runs([at(self._col_starts, g, 1) for g in gis]),
+                -1: _runs([at(self._col_starts, nx - 1 - g, -1)
+                           for g in gis])}
+        wrap = self.npx == 1
+        fills: List[Move] = []
+        own: List[Move] = []
+        other: List[Move] = []
+        local_rows: List[int] = []
+        for r0, r1, py, sr, dr in _runs(rows):
+            dst_rows = slice(r0, r1)
+            if dr == 0:
+                fills.append(Move(None, (dst_rows, slice(0, lx)), None,
+                                  False))
+                continue
+            if wrap and py == b.py:
+                local_rows += [r0, r1]
+            for c0, c1, px, sc, dc in cols[dr]:
+                owner = self.rank_of(py, px)
+                if owner == rank and (r0, c0, dr) == (sr, sc, 1):
+                    continue                    # the interior itself
+                if owner == rank and wrap and not h <= c0 < lx - h:
+                    continue                    # the zonal wrap, below
+                move = Move(owner, (dst_rows, slice(c0, c1)),
+                            (_walk(sr, r1 - r0, dr), _walk(sc, c1 - c0, dc)),
+                            dr < 0)
+                (own if owner == rank else other).append(move)
+        if wrap:
+            u = slice(min(local_rows), max(local_rows))
+            own.append(Move(rank, (u, slice(0, h)),
+                            (u, slice(lx - 2 * h, lx - h)), False))
+            own.append(Move(rank, (u, slice(lx - h, lx)),
+                            (u, slice(h, 2 * h)), False))
+        other.sort(key=lambda m: m.owner)
+        return fills + own + other
 
     # -- local array helpers --------------------------------------------------
 

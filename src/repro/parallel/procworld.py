@@ -15,7 +15,7 @@ get faster.  This module is the real-parallel substrate behind
   carry only **bounded frames** (:data:`.wire.MAX_FRAME`: length
   prefix + frame <= ``PIPE_BUF``), so writes from several ranks and
   threads are atomic without a lock and land whole or not at all.
-  Bulk data — the fused halo exchange's ``move=True`` pack buffers —
+  Bulk data — the halo exchange's frames and ``move=True`` buffers —
   crosses as a shared-memory segment name (:mod:`.shm`); the receiver
   maps the same pages and unpacks in place.  Zero copies, zero
   pickling of field data.  An object frame too big for the pipe (a
@@ -70,7 +70,6 @@ from .comm import (
     Request,
     SimComm,
     TrafficLedger,
-    _payload_nbytes,
 )
 from .shm import SharedBufferPool, sweep_world_segments, unlink_segments
 from .wire import (
@@ -84,7 +83,7 @@ from .wire import (
 )
 
 #: Reserved tags for the collective rendezvous protocol (far above the
-#: halo tags 11..15 and anything user programs plausibly pick).
+#: halo tag and anything user programs plausibly pick).
 TAG_COLL = (1 << 30) + 1
 TAG_COLL_RESULT = (1 << 30) + 2
 
@@ -155,6 +154,10 @@ class ProcComm(SimComm):
         self._pool = pool
         #: MPI-style unexpected-message store: (src, tag) -> frames.
         self._pending: Dict[Tuple[int, int], deque] = {}
+        #: The inbox registered once (``Connection.poll`` builds a new
+        #: selector on every call).
+        self._poller = select.poll()
+        self._poller.register(inbox.fileno(), select.POLLIN)
 
     # -- pool plumbing -----------------------------------------------------
 
@@ -164,19 +167,9 @@ class ProcComm(SimComm):
 
     # -- point to point ----------------------------------------------------
 
-    def send(self, obj: Any, dest: int, tag: int = 0, move: bool = False,
-             phase: Optional[str] = None) -> None:
-        if not (0 <= dest < self.size):
-            raise CommunicationError(f"send to invalid rank {dest}")
-        nbytes = _payload_nbytes(obj)
-        self.world.traffic.record(self.rank, dest, nbytes, phase=phase)
-        if self.ledger is not None:
-            self.ledger.record(self.rank, dest, nbytes, phase=phase)
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.instant("send", cat="comm", dest=dest, tag=tag,
-                       bytes=float(nbytes),
-                       **({"phase": phase} if phase else {}))
+    def _transmit(self, obj: Any, dest: int, tag: int, move: bool = True,
+                  phase: Optional[str] = None) -> None:
+        self._trace_send(obj, dest, tag, phase)
         self._post(dest, self._encode(obj, tag, move))
 
     def _post(self, dest: int, frame: bytes) -> None:
@@ -246,42 +239,41 @@ class ProcComm(SimComm):
         # FLAG_MOVE: receiver now owns the slab (keep-it recycling)
         return canon.reshape(fr.shape)
 
+    def _readable(self, timeout: float) -> bool:
+        """Whether the inbox has a frame (or hit EOF) within ``timeout`` s."""
+        return bool(self._poller.poll(timeout * 1000.0))
+
     def _drain_nowait(self) -> None:
-        while self._inbox.poll():
+        """Move every frame already in the inbox to the pending store."""
+        while self._readable(0.0):
             fr = decode(self._inbox.recv_bytes())
             self._pending.setdefault((fr.src, fr.tag), deque()).append(fr)
 
-    def _next_frame(self, deadline: float, timeout: float):
-        """The next frame off the pipe, whoever sent it, by ``deadline``."""
+    def _wait_frames(self, deadline: float, timeout: float) -> None:
+        """Block until the inbox has frames (by ``deadline``), drain them."""
         remaining = deadline - time.monotonic()
-        if remaining <= 0 or not self._inbox.poll(remaining):
+        if remaining <= 0 or not self._readable(remaining):
             raise CommunicationError(
                 f"receive timed out after {timeout}s (deadlock?)")
-        return decode(self._inbox.recv_bytes())
+        self._drain_nowait()
 
     def _take(self, source: int, tag: int, timeout: float) -> Any:
         key = (source, tag)
-        q = self._pending.get(key)
-        if q:
-            return self._deliver(q.popleft())
         deadline = time.monotonic() + timeout
         while True:
-            fr = self._next_frame(deadline, timeout)
-            if (fr.src, fr.tag) == key:
-                return self._deliver(fr)
-            self._pending.setdefault((fr.src, fr.tag), deque()).append(fr)
+            q = self._pending.get(key)
+            if q:
+                return self._deliver(q.popleft())
+            self._wait_frames(deadline, timeout)
 
     def _take_any(self, tag: int, timeout: float) -> Tuple[int, Any]:
         """Any-source receive on ``tag`` (the coordinator's gather)."""
-        for (src, t), q in self._pending.items():
-            if t == tag and q:
-                return src, self._deliver(q.popleft())
         deadline = time.monotonic() + timeout
         while True:
-            fr = self._next_frame(deadline, timeout)
-            if fr.tag == tag:
-                return fr.src, self._deliver(fr)
-            self._pending.setdefault((fr.src, fr.tag), deque()).append(fr)
+            for (src, t), q in self._pending.items():
+                if t == tag and q:
+                    return src, self._deliver(q.popleft())
+            self._wait_frames(deadline, timeout)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         if not (0 <= source < self.size):

@@ -1,12 +1,12 @@
 """What a sealed single-rank step costs the host, and what it ledgers.
 
 A sealed replay should do the arithmetic and little else: on one rank
-every halo side is a fill or a copy (no packing, no mailbox), and the
+every ghost is a fill or an in-place copy (no packing, no mailbox), and the
 Athread plans' LDM peaks are applied once per ledger lifetime.  The
 call budget counts Python and C calls over one sealed ``small`` step —
 deterministic, so it only ever goes down.  The ledgers must still read
-exactly what the message-per-side exchange wrote: the network model and
-the machine model consume them.  The kernel bodies draw their
+exactly what the message-per-side exchange wrote, on one rank and on
+two: the network model and the machine model consume them.  The kernel bodies draw their
 temporaries from the arena, so no launch of a warm eager step allocates
 as much as one 3-D field.
 """
@@ -98,6 +98,39 @@ def test_single_rank_ledgers(precision):
         assert space.ldm_high_water() == 40320
     finally:
         m.close()
+
+
+#: 16 steps of ``small`` athread, sealed, on two thread ranks (1x2): the
+#: one peer is fold partner, east and west neighbour, and the ledgers
+#: count the logical schedule (a fold, an east and a west message per
+#: dtype group per exchange), not the one frame that carries it.
+RANK_LEDGER = dict(
+    messages=1440, bytes=2826240.0,
+    by_phase={"halo2": [1152, 847872.0], "halo3": [288, 1978368.0]},
+    size_hist={9: 192, 10: 576, 11: 384, 13: 240, 14: 48})
+
+
+def test_two_rank_ledgers():
+    from repro.ocean.model import run_distributed
+
+    results, world = run_distributed(demo("small"), 2, 16, backend="athread",
+                                     params=ModelParams(graph=True))
+    want = RANK_LEDGER
+    for r in results:
+        led = r.traffic
+        assert (led.messages, led.bytes) == (want["messages"], want["bytes"])
+        assert led.by_pair == {(r.rank, 1 - r.rank): want["bytes"]}
+        assert led.by_phase == want["by_phase"]
+        assert led.size_hist == want["size_hist"]
+        assert led.collectives == 0
+    led = world.traffic
+    assert (led.messages, led.bytes) == (2 * want["messages"],
+                                         2 * want["bytes"])
+    assert led.by_pair == {(0, 1): want["bytes"], (1, 0): want["bytes"]}
+    assert led.by_phase == {k: [2 * n, 2 * b]
+                            for k, (n, b) in want["by_phase"].items()}
+    assert led.size_hist == {k: 2 * n for k, n in want["size_hist"].items()}
+    assert led.collectives == 0
 
 
 def _ldm_after_reset_and_replay(steps):

@@ -1,13 +1,13 @@
-"""Self-neighbour halo sides: copies that must equal the messages.
+"""Own halo moves: in-place copies that must equal the frames.
 
-A side whose neighbour is the rank itself (the zonal wrap of a
-one-column process grid, or a top-row block that is its own fold
-partner) is copied in place instead of packed, posted and unpacked.
-These tests pin that the copies are bitwise the topology oracle in
-worlds that mix self and remote sides, on thread and process ranks;
-that a copy reads the interior when its message would have been
-packed (phase 1 in ``begin``, phase 2 in ``finish``); and that the
-ledgers still see one message per self side.
+A ghost whose source lies in the rank's own interior (the zonal wrap of
+a one-column process grid, a top-row block that is its own fold
+partner, a fold corner mirrored back onto the rank) is copied in place
+instead of packed, transmitted and unpacked.  These tests pin that the
+own moves are bitwise the topology oracle in worlds that mix own and
+remote moves, on thread and process ranks; that every ghost reads the
+interior as of ``begin``; and that the ledgers still see one message
+per self side of the logical schedule.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.parallel import (
     SimWorld,
     SingleComm,
 )
-from repro.parallel.halo import COPY, FILL, MESSAGE
 
 NZ = 3
 NY, NX = 30, 48
@@ -34,13 +33,17 @@ FIELDS = [
     (1.0, 1.0, np.float32, False),
 ]
 
-#: (npy, npx) -> {rank: (south, north, east_west)}
-SIDES = {
-    # rank 0: e/w self, n remote; rank 1: e/w and fold self, s remote
-    (2, 1): {0: (FILL, MESSAGE, COPY), 1: (MESSAGE, COPY, COPY)},
-    # rank 1 (the middle column) is its own fold partner; e/w remote
-    (1, 3): {0: (FILL, MESSAGE, MESSAGE), 1: (FILL, COPY, MESSAGE),
-             2: (FILL, MESSAGE, MESSAGE)},
+#: (npy, npx) -> {rank: (fills, own moves, {peer: moves in its frame})}
+MOVES = {
+    # rank 0: the zonal wrap (west + east strips) is its own, the north
+    # ghost rows come from rank 1 in three columns runs (corners from
+    # rank 1's interior); rank 1: fold + wrap own, south rows from 0
+    (2, 1): {0: (1, 2, {1: 3}), 1: (0, 3, {0: 3})},
+    # rank 1 (the middle column) is its own fold partner; its fold
+    # corners come from the other two; the outer columns get one fold
+    # corner back from themselves
+    (1, 3): {0: (1, 1, {1: 2, 2: 2}), 1: (1, 1, {0: 2, 2: 2}),
+             2: (1, 1, {0: 2, 1: 2})},
 }
 
 
@@ -61,7 +64,8 @@ def _exchange_program(comm, decomp, globals_):
         fx.exchange([(a, sign, fill)
                      for a, (sign, fill, _, _) in zip(locs, FIELDS)],
                     phase="halo_self")
-    return locs, (fx.south, fx.north, fx.east_west)
+    return locs, (len(fx.fills), len(fx.own),
+                  {peer: len(m) for peer, m in fx.recv_moves.items()})
 
 
 def _messages_per_exchange(decomp, rank):
@@ -74,14 +78,14 @@ def _messages_per_exchange(decomp, rank):
 
 
 @pytest.mark.parametrize("mode", ["thread", "process"])
-@pytest.mark.parametrize("grid", sorted(SIDES))
+@pytest.mark.parametrize("grid", sorted(MOVES))
 def test_mixed_self_and_remote_sides_match_oracle(grid, mode):
     decomp = BlockDecomposition(NY, NX, *grid)
     globals_ = _globals()
     world = SimWorld(decomp.size, mode=mode)
     results = world.launch(_exchange_program, args=(decomp, globals_))
-    for r, (locs, sides) in enumerate(results):
-        assert sides == SIDES[grid][r], f"rank {r}"
+    for r, (locs, moves) in enumerate(results):
+        assert moves == MOVES[grid][r], f"rank {r}"
         for a, g, (sign, fill, _, _) in zip(locs, globals_, FIELDS):
             assert a.dtype == g.dtype
             assert np.array_equal(
@@ -92,27 +96,16 @@ def test_mixed_self_and_remote_sides_match_oracle(grid, mode):
                    for r in range(decomp.size))
     assert led.messages == led.by_phase["halo_self"][0] == want
     assert sum(led.size_hist.values()) == want
-    selfs = {r for r, ranks in SIDES[grid].items() if COPY in ranks}
+    # a self side of the logical schedule: the wrap (npx == 1) or a
+    # top-row block that is its own fold partner
+    selfs = {r for r in range(decomp.size)
+             if decomp.npx == 1 or decomp.neighbors(r)["fold"] == r}
     assert {src for (src, dst) in led.by_pair if src == dst} == selfs
 
 
-def _expected_after_split(a0, a1, h, sign, fill):
-    """The ghost ring a 1x1 world's exchange must leave, by index
-    arithmetic: fold rows from the interior at ``begin`` (``a0``), then
-    e/w columns over full rows from the interior at ``finish`` (``a1``)."""
-    e = a1.copy()
-    ly, lx = e.shape[-2:]
-    e[..., :h, :] = fill
-    for k in range(h):
-        for c in range(h, lx - h):
-            e[..., ly - h + k, c] = sign * a0[..., ly - h - 1 - k, lx - 1 - c]
-    for j in range(h):
-        e[..., :, j] = e[..., :, lx - 2 * h + j]
-        e[..., :, lx - h + j] = e[..., :, h + j]
-    return e
-
-
 def test_split_exchange_copies_read_interior_at_begin_then_finish():
+    # every ghost, wrap corners included, holds the interior as of
+    # begin(); finish() on one rank has nothing left to do
     decomp = BlockDecomposition(12, 16, 1, 1)
     h = decomp.halo
     ly, lx = decomp.local_shape(0)
@@ -120,19 +113,17 @@ def test_split_exchange_copies_read_interior_at_begin_then_finish():
     fields = [rng.standard_normal((ly, lx)),
               rng.standard_normal((NZ, ly, lx)).astype(np.float32)]
     fx = FusedHaloExchange(SingleComm(), decomp, 0)
-    assert (fx.south, fx.north, fx.east_west) == (FILL, COPY, COPY)
-    at_begin = [a.copy() for a in fields]
+    assert (len(fx.fills), len(fx.own), fx.recv_moves) == (1, 3, {})
+    at_begin = [a[..., h:ly - h, h:lx - h].copy() for a in fields]
     pending = fx.begin([(a, -1.0, 2.5) for a in fields])
-    for a in fields:   # the interior moves on while phase 1 is in flight
+    for a in fields:   # the interior moves on while the exchange is open
         a[..., h:ly - h, h:lx - h] += 100.0
     at_finish = [a.copy() for a in fields]
     fx.finish(pending)
     for a, a0, a1 in zip(fields, at_begin, at_finish):
-        want = _expected_after_split(a0, a1, h, -1.0, 2.5)
-        assert np.array_equal(a, want)
-        # interior untouched by the exchange
-        assert np.array_equal(a[..., h:ly - h, h:lx - h],
-                              a1[..., h:ly - h, h:lx - h])
+        want = local_with_halo(a0, decomp, 0, -1.0, 2.5)
+        want[..., h:ly - h, h:lx - h] = a1[..., h:ly - h, h:lx - h]
+        assert a.tobytes() == want.tobytes()
 
 
 def test_self_sides_use_no_buffers_and_ledger_once_per_exchange():

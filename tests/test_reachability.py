@@ -150,9 +150,8 @@ ALLOWED: Dict[str, str] = {
     **_why("error-path", "a rank failed or died",
            "repro/errors.py::RemoteRankError.__init__",
            "repro/parallel/procworld.py::_primary_error"),
-    **_why("error-path", "wire back-pressure and oversize frames: a full "
-           "destination pipe, an object frame larger than PIPE_BUF",
-           "repro/parallel/procworld.py::ProcComm._drain_nowait",
+    **_why("error-path", "oversize frames: an object frame larger than "
+           "PIPE_BUF",
            "repro/parallel/shm.py::SharedBufferPool.acquire_bytes"),
     **_why("protocol", "dunder, abstract or interface method no drive "
            "happens to call",
@@ -196,8 +195,10 @@ ALLOWED: Dict[str, str] = {
            "repro/experiments/variants.py::LinkedListRegistry.contains",
            "repro/kokkos/registry.py::DictRegistry.clear",
            "repro/kokkos/registry.py::DictRegistry.contains"),
-    **_why("protocol", "blocking receive of the communicator interface; "
-           "the halo path posts irecv and waits",
+    **_why("protocol", "ledgered send and blocking receive of the "
+           "communicator interface; the halo path posts irecv, transmits "
+           "un-ledgered frames and waits",
+           "repro/parallel/comm.py::SimComm.send",
            "repro/parallel/comm.py::SimComm.recv",
            "repro/parallel/procworld.py::ProcComm.recv"),
     **_why("bench", "the stop agreement's barrier / allreduce on thread "
