@@ -24,17 +24,19 @@ not just the effect:
   ledger, which the machine model converts to time on the 51.2 GB/s CG
   memory system.
 
-Functionally, tiles execute sequentially in deterministic order, so the
-results are bit-identical to the Serial backend — which is exactly the
-property the paper relies on when validating ports.
+The tiles are bookkeeping around one offloaded loop body: every
+``parallel_for`` charges its cached :class:`TileSchedule` and runs the
+registered callback once over the whole range, so results are
+bit-identical to the Serial backend — the property the paper relies on
+when validating ports.  Reductions stay tiled: the order in which
+per-tile partials combine fixes the float result.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from ...errors import LDMError
+from ...errors import LDMError, RegistrationError
 from .. import jit as _jit
 from ..instrument import Instrumentation
 from ..ldm import (
@@ -67,73 +69,82 @@ from .base import (
 SW26010_CPES_PER_CG = 64
 
 
-class _AthreadPlan(LaunchPlan):
-    """Registry lookup, tiling, LDM fit proof and DMA sizes baked in.
+class TileSchedule:
+    """What one Athread launch charges, fixed by its shape and costs.
 
-    The eager path pays registry walk + tile sizing per launch and an
-    LDM alloc / DMA get / DMA put / LDM free cycle per tile.  Sealing a
-    plan does all of that once: the fit proof runs at seal time, and
-    the per-tile staging sizes are pre-summed into per-launch DMA
-    totals and per-CPE LDM peaks, so a replay is one whole-range sweep
-    followed by one batched ledger update.  A high-water mark only
-    rises, so the peaks are applied once per ledger lifetime: the first
-    replay after :meth:`AthreadBackend.reset_counters` (which bumps the
-    space's ``ldm_epoch``) records them, later replays skip them.  The
-    accounting the machine model consumes (DMA byte/descriptor totals,
-    LDM high water, tile distribution) ends each launch identical to
-    the eager path.
+    Per-tile DMA sizes in tile order (``gets`` / ``puts``: an eager
+    launch adds them one by one) and pre-summed (``get_total`` /
+    ``put_total``: a replay adds them at once); ``peaks`` pair each CPE
+    with its largest tile working set.  Building one proves every tile
+    fits its CPE's LDM.
     """
 
-    __slots__ = ("_distribution", "_get_total", "_put_total", "_ldm_peaks",
-                 "_ldm_epoch")
+    __slots__ = ("tile", "full", "tiles", "distribution", "gets", "puts",
+                 "get_total", "put_total", "peaks")
+
+    def __init__(self, key: tuple, tile: Tuple[int, ...]) -> None:
+        ranges, _, halo, bpp, bpp_in, bpp_out, buffers, num_cpes, capacity = key
+        self.tile = tile
+        self.full = tuple(slice(b, e) for b, e in ranges)
+        self.tiles = total_tiles([e - b for b, e in ranges], tile)
+        self.distribution = (self.tiles, tiles_per_cpe(self.tiles, num_cpes))
+        gets, puts, peaks = [], [], {}
+        self.get_total = self.put_total = 0.0
+        for tidx, slices in enumerate(iter_tiles(ranges, tile)
+                                      if self.tiles else ()):
+            cpe = tidx % num_cpes
+            vol = tile_volume(slices)
+            staged = haloed_tile_points([s.stop - s.start for s in slices], halo)
+            working = int(staged * bpp)
+            if working * buffers > capacity:
+                ring = (f" (stencil ring +-{halo} -> {staged} staged)"
+                        if staged != vol else "")
+                raise LDMError(
+                    f"tile of {vol} points{ring} needs {working} B x {buffers} "
+                    f"buffers which exceeds the {capacity} B LDM of CPE {cpe}; "
+                    "use a smaller MDRangePolicy tile"
+                )
+            gets.append(staged * bpp_in)
+            puts.append(vol * bpp_out)
+            self.get_total += gets[-1]
+            self.put_total += puts[-1]
+            if working > peaks.get(cpe, 0):
+                peaks[cpe] = working
+        self.gets, self.puts = tuple(gets), tuple(puts)
+        self.peaks = tuple(peaks.items())
+
+
+#: Every schedule built in this process (at most 1024), by everything
+#: it depends on; schedules are immutable, so Athread spaces share them.
+_SCHEDULES: Dict[tuple, TileSchedule] = {}
+
+
+class _AthreadPlan(LaunchPlan):
+    """Registry lookup and the launch's :class:`TileSchedule` baked in.
+
+    A replay is the whole-range sweep an eager launch runs, then one
+    batched update of the schedule's DMA totals; LDM peaks, tile
+    distribution and ``inst`` tiles are charged as on the eager path.
+    """
+
+    __slots__ = ("_sched",)
 
     def __init__(self, space, label, policy, functor) -> None:
         super().__init__(space, label, policy, functor)
         check_host_views(functor, space.name)
         space._lookup_callback(functor, "for")  # unregistered: refuse to seal
-        self._sweep = _jit.compile_sweep(
-            functor, [space._full_slices(policy)])
-        tile = space.choose_tile(policy, functor)
-        ntiles = total_tiles(policy.extents, tile)
-        self._distribution = (ntiles, tiles_per_cpe(ntiles, space.num_cpes))
-        halo = max(0, int(getattr(functor, "stencil_halo", 0)))
-        bpp = self._bytes
-        bpp_in, bpp_out = staging_split(functor)
-        get_total = put_total = 0.0
-        peaks = {}
-        for tidx, slices in enumerate(iter_tiles(policy.ranges, tile)):
-            cpe = tidx % space.num_cpes
-            staged = haloed_tile_points([s.stop - s.start for s in slices], halo)
-            working = int(staged * bpp)
-            buffers = 2 if space.double_buffer else 1
-            if working * buffers > space.ldm[cpe].capacity:
-                raise LDMError(
-                    f"tile of {tile_volume(slices)} points needs {working} B "
-                    f"x {buffers} buffers which exceeds the "
-                    f"{space.ldm[cpe].capacity} B LDM of CPE {cpe}; "
-                    "use a smaller MDRangePolicy tile"
-                )
-            get_total += staged * bpp_in
-            put_total += tile_volume(slices) * bpp_out
-            if working > peaks.get(cpe, 0):
-                peaks[cpe] = working
-        self._get_total = get_total
-        self._put_total = put_total
-        self._ldm_peaks = [(space.ldm[cpe], w) for cpe, w in peaks.items()]
-        self._ldm_epoch = -1      # peaks not yet applied
+        self._sched = sched = space.schedule(policy, functor)
+        self._sweep = _jit.compile_sweep(functor, [sched.full])
 
     def run(self) -> None:
         self._sweep()
-        space = self.space
-        ntiles = self._distribution[0]
-        space.dma.get_batch(self._get_total, ntiles)
-        space.dma.put_batch(self._put_total, ntiles)
-        if self._ldm_epoch != space.ldm_epoch:
-            for ldm, peak in self._ldm_peaks:
-                ldm.record_peak(peak)
-            self._ldm_epoch = space.ldm_epoch
-        space.last_distribution = self._distribution
-        self._record(tiles=ntiles)
+        space, sched = self.space, self._sched
+        space.dma.get_batch(sched.get_total, sched.tiles)
+        space.dma.put_batch(sched.put_total, sched.tiles)
+        if sched not in space._peaked:
+            space._record_peaks(sched)
+        space.last_distribution = sched.distribution
+        self._record(tiles=sched.tiles)
 
 
 class AthreadBackend(ExecutionSpace):
@@ -161,9 +172,9 @@ class AthreadBackend(ExecutionSpace):
         self.double_buffer = double_buffer
         self.ldm = [LDMAllocator(ldm_bytes) for _ in range(num_cpes)]
         self.dma = DMAEngine()
-        #: Bumped by :meth:`reset_counters`; a sealed plan re-applies its
-        #: LDM peaks once per epoch.
-        self.ldm_epoch = 0
+        #: Schedules whose LDM peaks this space has recorded since the
+        #: last :meth:`reset_counters`.
+        self._peaked: set = set()
         #: Work-distribution record of the last launch (for tests/benches):
         #: (total_tiles, tiles_per_cpe).
         self.last_distribution: Tuple[int, int] = (0, 0)
@@ -201,64 +212,60 @@ class AthreadBackend(ExecutionSpace):
             tile[i] = max(1, tile[i] // 2)
         return tuple(tile)
 
+    def schedule(self, policy: MDRangePolicy, functor) -> TileSchedule:
+        """The launch's :class:`TileSchedule`, built once per process for
+        everything it depends on; raises :class:`~repro.errors.LDMError`
+        when a tile does not fit."""
+        _, bpp = functor_cost(functor)
+        bpp_in, bpp_out = staging_split(functor)
+        halo = max(0, int(getattr(functor, "stencil_halo", 0)))
+        key = (policy.ranges, policy.tile, halo, bpp, bpp_in, bpp_out,
+               2 if self.double_buffer else 1, self.num_cpes,
+               self.ldm[0].capacity)
+        sched = _SCHEDULES.get(key)
+        if sched is None:
+            sched = TileSchedule(key, self.choose_tile(policy, functor))
+            if len(_SCHEDULES) >= 1024:
+                _SCHEDULES.clear()
+            _SCHEDULES[key] = sched
+        return sched
+
+    def _record_peaks(self, sched: TileSchedule) -> None:
+        """Each CPE allocates its largest tile buffer once, as CPE code
+        holds one LDM buffer across its tiles; ``high_water`` only
+        rises, so a space does so once per schedule per ledger lifetime."""
+        for cpe, peak in sched.peaks:
+            self.ldm[cpe].alloc("tile", peak)
+            self.ldm[cpe].free("tile")
+        self._peaked.add(sched)
+
     def _lookup_callback(self, functor, kind: str):
         if not self.require_registration:
             return None
         entry = self.registry.lookup(type(functor))
         if entry.kind != kind:
-            from ...errors import RegistrationError
-
             raise RegistrationError(
                 f"functor {type(functor).__name__!r} is registered for "
                 f"{entry.kind!r} but launched as {kind!r}"
             )
         return entry.callback
 
-    def _stage_tile(self, cpe: int, slices: Sequence[slice], functor) -> None:
-        """LDM-allocate one tile and DMA-get its staged inputs.
-
-        The caller frees the LDM block after compute + put.
-        """
-        vol = tile_volume(slices)
-        halo = max(0, int(getattr(functor, "stencil_halo", 0)))
-        staged = haloed_tile_points([s.stop - s.start for s in slices], halo)
-        _, bpp = functor_cost(functor)
-        working = int(staged * bpp)
-        buffers = 2 if self.double_buffer else 1
-        ldm = self.ldm[cpe]
-        if working * buffers > ldm.capacity:
-            ring = (
-                f" (stencil ring +-{halo} -> {staged} staged)" if staged != vol else ""
-            )
-            raise LDMError(
-                f"tile of {vol} points{ring} needs {working} B x {buffers} buffers "
-                f"which exceeds the {ldm.capacity} B LDM of CPE {cpe}; "
-                "use a smaller MDRangePolicy tile"
-            )
-        ldm.alloc("tile", working)
-        self.dma.get(staged * staging_split(functor)[0])
-
     # -- execution ---------------------------------------------------------
 
     def run_for(self, label: str, policy: MDRangePolicy, functor) -> None:
         check_host_views(functor, self.name)
         callback = self._lookup_callback(functor, "for")
-        tile = self.choose_tile(policy, functor)
-        ntiles = total_tiles(policy.extents, tile)
-        self.last_distribution = (ntiles, tiles_per_cpe(ntiles, self.num_cpes))
-        _, bpp_out = staging_split(functor)
-        for tidx, slices in enumerate(iter_tiles(policy.ranges, tile)):
-            cpe = tidx % self.num_cpes
-            self._stage_tile(cpe, slices, functor)
-            try:
-                if callback is not None:
-                    callback(functor, slices)
-                else:
-                    apply_tile(functor, slices)
-                self.dma.put(tile_volume(slices) * bpp_out)
-            finally:
-                self.ldm[cpe].free("tile")
-        self._record(label, policy, functor, tiles=ntiles)
+        sched = self.schedule(policy, functor)
+        if callback is not None:
+            callback(functor, sched.full)
+        else:
+            apply_tile(functor, sched.full)
+        self.dma.get(*sched.gets)
+        self.dma.put(*sched.puts)
+        if sched not in self._peaked:
+            self._record_peaks(sched)
+        self.last_distribution = sched.distribution
+        self._record(label, policy, functor, tiles=sched.tiles)
 
     def plan_type(self) -> type:
         if type(self).run_for is not AthreadBackend.run_for:
@@ -266,28 +273,27 @@ class AthreadBackend(ExecutionSpace):
         return _AthreadPlan
 
     def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
+        # tile by tile: the order the per-tile partials combine in fixes
+        # the float result
         check_host_views(functor, self.name)
         callback = self._lookup_callback(functor, "reduce")
-        tile = self.choose_tile(policy, functor)
-        ntiles = total_tiles(policy.extents, tile)
-        self.last_distribution = (ntiles, tiles_per_cpe(ntiles, self.num_cpes))
+        sched = self.schedule(policy, functor)
         acc = reducer.identity
-        _, bpp = functor_cost(functor)
-        bpp_out = float(getattr(functor, "bytes_out_per_point", 8.0))
-        for tidx, slices in enumerate(iter_tiles(policy.ranges, tile)):
-            cpe = tidx % self.num_cpes
-            self._stage_tile(cpe, slices, functor)
-            try:
-                if callback is not None:
-                    partial = callback(functor, slices, reducer.combine)
-                else:
-                    partial = reduce_tile(functor, slices, reducer)
-                self.dma.put(bpp_out)  # one scalar per tile back to MPE
-            finally:
-                self.ldm[cpe].free("tile")
+        for slices in iter_tiles(policy.ranges, sched.tile) if sched.tiles else ():
+            if callback is not None:
+                partial = callback(functor, slices, reducer.combine)
+            else:
+                partial = reduce_tile(functor, slices, reducer)
             if partial is not None:
                 acc = reducer.combine(acc, partial)
-        self._record(label, policy, functor, tiles=ntiles)
+        self.dma.get(*sched.gets)
+        # one scalar per tile back to the MPE
+        self.dma.put(*[float(getattr(functor, "bytes_out_per_point", 8.0))]
+                     * len(sched.gets))
+        if sched not in self._peaked:
+            self._record_peaks(sched)
+        self.last_distribution = sched.distribution
+        self._record(label, policy, functor, tiles=sched.tiles)
         return acc
 
     # -- introspection -----------------------------------------------------
@@ -301,4 +307,4 @@ class AthreadBackend(ExecutionSpace):
         for a in self.ldm:
             a.reset()
             a.high_water = 0
-        self.ldm_epoch += 1
+        self._peaked.clear()

@@ -42,7 +42,7 @@ replay through ``run_for`` (:meth:`ExecutionSpace.plan_type` is the
 generic plan — a custom backend, or a subclass intercepting ``run_for``
 such as a differential-testing wrapper) seals the captured launches
 *unfused*, so the interceptor keeps seeing every launch under its own
-label and a tiled ``run_for`` is never handed a dependent chain.
+label.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .backends.base import (
     staging_split,
 )
 from .functor import kokkos_register_for
+from .jit import _part_stage
 from .policy import MDRangePolicy, as_md
 
 #: Shared no-op context: the traced paths allocate nothing when tracing
@@ -68,14 +69,15 @@ _NO_SPAN = nullcontext()
 class FusedTileFunctor:
     """N adjacent same-range launches sealed into one.
 
-    A composite holds no body of its own: the sealed plan sweeps
-    ``parts`` in capture order, each over the whole range
-    (:func:`repro.kokkos.jit.compile_sweep`).  What it carries is the
-    launch's metadata — ``labels`` for traces and graphcheck, cost
-    declarations summed over the parts so the instrumentation and the
-    Athread LDM sizing stay honest, and ``stencil_halo`` as the widest
-    ring any part reads, so the Athread ledger stages (and the LDM fit
-    proof covers) the union working set.
+    Its body, :meth:`apply`, runs each of ``parts`` over the whole of
+    the slices it is handed, in capture order — the eager launch
+    sequence (the threaded OpenMP plan runs the parts as stages of its
+    own, :func:`repro.kokkos.jit.compile_sweep`).  What it carries
+    besides is the launch's metadata — ``labels`` for traces and
+    graphcheck, cost declarations summed over the parts so the
+    instrumentation and the Athread LDM sizing stay honest, and
+    ``stencil_halo`` as the widest ring any part reads, so the Athread
+    ledger stages (and the LDM fit proof covers) the union working set.
     """
 
     #: Composite: kernelcheck observes the parts individually.
@@ -89,6 +91,11 @@ class FusedTileFunctor:
         (self.flops_per_point, self.bytes_per_point,
          self.bytes_in_per_point, self.bytes_out_per_point) = map(
             sum, zip(*(functor_cost(p) + staging_split(p) for p in parts)))
+        self._stages = [_part_stage(p) for p in self.parts]
+
+    def apply(self, slices) -> None:
+        for stage in self._stages:
+            stage(slices)
 
 
 class KernelNode:

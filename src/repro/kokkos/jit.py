@@ -44,16 +44,16 @@ def compile_sweep(functor, chunks: Sequence[Slices],
     submitted, all joined — before the next part starts, so the stage
     barrier orders dependent parts exactly as separate launches would.
     """
-    stages = [_part_stage(p) for p in getattr(functor, "parts", (functor,))]
     if submit is None:
         (whole,) = chunks
-        bound = [partial(stage, whole) for stage in stages]
-    else:
-        def run_stage(stage) -> None:
-            for future in [submit(stage, ch) for ch in chunks]:
-                future.result()
+        return partial(_part_stage(functor), whole)
 
-        bound = [partial(run_stage, stage) for stage in stages]
+    def run_stage(stage) -> None:
+        for future in [submit(stage, ch) for ch in chunks]:
+            future.result()
+
+    bound = [partial(run_stage, _part_stage(p))
+             for p in getattr(functor, "parts", (functor,))]
     if len(bound) == 1:
         return bound[0]
 

@@ -54,19 +54,6 @@ class LDMAllocator:
         self.used += nbytes
         self.high_water = max(self.high_water, self.used)
 
-    def record_peak(self, nbytes: int) -> None:
-        """Raise ``high_water`` as if ``nbytes`` were live right now.
-
-        Sealed launch plans prove at seal time that every tile fits and
-        that alloc/free strictly bracket each tile, so a replay can
-        record the launch's peak occupancy in one call instead of
-        churning the allocator per tile; ``high_water`` ends identical
-        to the eager path.
-        """
-        peak = self.used + nbytes
-        if peak > self.high_water:
-            self.high_water = peak
-
     def free(self, name: str) -> None:
         nbytes = self.allocations.pop(name, None)
         if nbytes is None:
@@ -98,28 +85,35 @@ class DMAEngine:
     # ExecutionContext assigns it when tracing is enabled.
     tracer = None
 
-    def get(self, nbytes: float) -> None:
-        """Record a main-memory -> LDM transfer."""
-        self.get_bytes += nbytes
-        self.get_count += 1
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.instant("dma_get", cat="xfer", bytes=float(nbytes))
+    def get(self, *nbytes: float) -> None:
+        """Record one main-memory -> LDM transfer per size.
 
-    def put(self, nbytes: float) -> None:
-        """Record an LDM -> main-memory transfer."""
-        self.put_bytes += nbytes
-        self.put_count += 1
+        Summed one by one, in order: an eager launch's per-tile sizes
+        leave the ledger floats one record per tile would.  A trace sees
+        one instant per call.
+        """
+        self.get_bytes = self._tally("dma_get", self.get_bytes, nbytes)
+        self.get_count += len(nbytes)
+
+    def put(self, *nbytes: float) -> None:
+        """Record one LDM -> main-memory transfer per size, in order."""
+        self.put_bytes = self._tally("dma_put", self.put_bytes, nbytes)
+        self.put_count += len(nbytes)
+
+    def _tally(self, name: str, total: float, nbytes) -> float:
+        for b in nbytes:
+            total += b
         tr = self.tracer
         if tr is not None and tr.enabled:
-            tr.instant("dma_put", cat="xfer", bytes=float(nbytes))
+            tr.instant(name, cat="xfer", bytes=float(sum(nbytes)),
+                       descriptors=len(nbytes))
+        return total
 
     def get_batch(self, total_bytes: float, count: int) -> None:
         """Record ``count`` gets totalling ``total_bytes`` in one call.
 
-        Sealed launch plans pre-sum their per-tile staging sizes so a
-        replay updates the ledger once per launch instead of once per
-        tile; the end-of-step totals match the eager path.
+        A sealed replay adds its schedule's pre-summed per-tile sizes;
+        the totals match the eager path's up to float rounding.
         """
         self.get_bytes += total_bytes
         self.get_count += count

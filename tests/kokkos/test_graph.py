@@ -171,8 +171,8 @@ class TestLaunchGraph:
             np.testing.assert_array_equal(x.data, (1.5 + 2.0) * 0.5)
 
     def test_dependent_stencil_chain_not_fused_without_jit(self):
-        # a run_for-replaying space has no whole-range sweep (its tier
-        # is eager; athread's run_for is tiled), so the dependent chain
+        # a run_for-replaying space seals unfused (its tier is eager:
+        # the interceptor sees every launch), so the dependent chain
         # stays two launches — and matches the eager sequence bitwise
         for backend in ("serial", "athread"):
             _, ref_x, ref_out = _chain(CHAIN_SPACES[backend](), graph=False)

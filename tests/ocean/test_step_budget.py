@@ -4,7 +4,8 @@ A sealed replay should do the arithmetic and little else: on one rank
 every ghost is a fill or an in-place copy (no packing, no mailbox), and the
 Athread plans' LDM peaks are applied once per ledger lifetime.  The
 call budget counts Python and C calls over one sealed ``small`` step —
-deterministic, so it only ever goes down.  The ledgers must still read
+deterministic, so it only ever goes down — and holds an eager Athread
+step to twice the calls of an eager serial one.  The ledgers must still read
 exactly what the message-per-side exchange wrote, on one rank and on
 two: the network model and the machine model consume them.  The kernel bodies draw their
 temporaries from the arena, so no launch of a warm eager step allocates
@@ -54,6 +55,21 @@ def test_sealed_small_step_call_budget(backend, precision):
     finally:
         m.close()
     assert calls <= CALL_BUDGET, calls
+
+
+def test_eager_athread_step_costs_what_a_serial_one_does():
+    # an Athread launch is one whole-range callback plus its cached tile
+    # schedule's ledger update, eager as on replay: no per-tile Python
+    calls = {}
+    for backend in ("serial", "athread"):
+        m = LICOMKpp(demo("small"), backend=backend)
+        try:
+            for _ in range(WARMUP):
+                m.step()
+            calls[backend] = _count_calls(m.step)
+        finally:
+            m.close()
+    assert calls["athread"] <= 2 * calls["serial"], calls
 
 
 #: 16 steps of the 1x1 ``small`` athread model: every side is the rank
