@@ -4,9 +4,10 @@ The paper's runs span 16 000 GPUs / 38 366 250 Sunway cores over MPI.
 We replace MPI with :class:`SimWorld`: every rank is a Python thread
 executing the same program against a :class:`SimComm` endpoint, with
 mailbox-based point-to-point messaging and rank-ordered (deterministic)
-collectives.  NumPy payloads are copied on send, so the semantics match
-buffered MPI sends; message volumes are recorded in a traffic ledger the
-network cost model consumes.
+collectives that ride point-to-point through rank 0.  NumPy payloads
+are copied on send, so the semantics match buffered MPI sends; message
+volumes are recorded in a traffic ledger the network cost model
+consumes.
 
 This gives the ocean model a real distributed-memory structure — blocks
 only see their halo-exchanged neighbours' data — which the test suite
@@ -40,6 +41,11 @@ from ..errors import CommunicationError
 
 #: Default seconds a blocking receive waits before declaring deadlock.
 DEFAULT_TIMEOUT = 60.0
+
+#: Reserved tags for the collective rendezvous protocol (far above the
+#: halo tag and anything user programs plausibly pick).
+TAG_COLL = (1 << 30) + 1
+TAG_COLL_RESULT = (1 << 30) + 2
 
 
 def _payload_nbytes(obj: Any) -> int:
@@ -237,16 +243,30 @@ def _world_cpu() -> Optional[int]:
 
 
 class _Mailbox:
-    """Blocking FIFO for one (src, dst, tag) channel."""
+    """Blocking FIFO for one (src, dst, tag) channel.
 
-    def __init__(self, token: RunToken) -> None:
+    ``exited`` is the world's set of ranks that have left their
+    program: once ``src`` is in it, a ``get`` with nothing queued fails
+    at once instead of waiting out the timeout.
+    """
+
+    def __init__(self, token: RunToken, exited: set, src: int,
+                 tag: int) -> None:
         self._items: deque = deque()
         self._cond = threading.Condition()
         self._token = token
+        self._exited = exited
+        self._src = src
+        self._tag = tag
 
     def put(self, item: Any) -> None:
         with self._cond:
             self._items.append(item)
+            self._cond.notify_all()
+
+    def wake(self) -> None:
+        """Wake every waiter to re-check the sender's exit."""
+        with self._cond:
             self._cond.notify_all()
 
     def get(self, timeout: float) -> Any:
@@ -256,10 +276,16 @@ class _Mailbox:
         # Token first, condition second: the token is re-taken only after
         # the condition is dropped, or a sender holding it would block.
         with self._token.released(), self._cond:
-            if not self._cond.wait_for(lambda: bool(self._items), timeout):
+            if not self._cond.wait_for(
+                    lambda: self._items or self._src in self._exited,
+                    timeout):
                 raise CommunicationError(
                     f"receive timed out after {timeout}s (deadlock?)"
                 )
+            if not self._items:
+                raise CommunicationError(
+                    f"receive from rank {self._src} (tag {self._tag}) "
+                    "failed: the rank has exited")
             return self._items.popleft()
 
     def _pop(self) -> Tuple[bool, Any]:
@@ -325,7 +351,7 @@ class SimWorld:
     mailboxes below; ``"process"`` spawns one OS process per rank and
     routes traffic over the shared-memory transport in
     :mod:`repro.parallel.procworld` — same program, same collective
-    semantics, real multi-core parallelism.
+    protocol (:meth:`SimComm._collective`), real multi-core parallelism.
     """
 
     def __init__(self, size: int, timeout: float = DEFAULT_TIMEOUT,
@@ -340,16 +366,12 @@ class SimWorld:
         self.traffic = TrafficLedger()
         #: Per-rank ledgers merged back from workers (process mode only).
         self.rank_traffic: Dict[int, TrafficLedger] = {}
-        self._failed = False
         #: Held by the one runnable rank thread of a thread-mode launch.
         self._token = RunToken()
+        #: Ranks of the current thread-mode launch that left ``program``.
+        self._exited: set = set()
         self._boxes: Dict[Tuple[int, int, int], _Mailbox] = {}
         self._boxes_lock = threading.Lock()
-        self._barrier = threading.Barrier(size)
-        self._coll_lock = threading.Lock()
-        self._coll_slots: Dict[str, List[Any]] = {}
-        self._coll_results: Dict[str, Any] = {}
-        self._coll_seq = 0
 
     def comm(self, rank: int) -> "SimComm":
         if not (0 <= rank < self.size):
@@ -363,61 +385,19 @@ class SimWorld:
             with self._boxes_lock:
                 box = self._boxes.get(key)
                 if box is None:
-                    box = self._boxes[key] = _Mailbox(self._token)
+                    box = self._boxes[key] = _Mailbox(
+                        self._token, self._exited, src, tag)
         return box
 
-    # -- collective rendezvous --------------------------------------------
-
-    def _barrier_wait(self) -> None:
-        """Barrier wait honouring the world ``timeout``.
-
-        A genuine timeout (one wedged rank, nobody failed yet) raises
-        :class:`CommunicationError`; a barrier broken *because* another
-        rank already failed re-raises ``BrokenBarrierError`` so
-        :meth:`run` can keep preferring the root-cause exception.
-        """
-        try:
-            with self._token.released():
-                self._barrier.wait(self.timeout)
-        except threading.BrokenBarrierError:
-            if self._failed:
-                raise
-            raise CommunicationError(
-                f"barrier wait timed out after {self.timeout}s (deadlock?)"
-            ) from None
-
-    def _collective(self, name: str, seq: int, rank: int, value: Any,
-                    combine: Callable[[List[Any]], Any]) -> Any:
-        """Gather one value per rank, apply ``combine`` once, return to all.
-
-        All ranks must call collectives in the same order (standard MPI
-        requirement).  ``seq`` is the caller's collective-call counter;
-        it keys the epoch so back-to-back collectives never collide.
-        """
-        key = (name, seq)
-        with self._coll_lock:
-            slot = self._coll_slots.setdefault(key, [None] * self.size)
-            slot[rank] = (True, value)
-        self._barrier_wait()
-        with self._coll_lock:
-            if key not in self._coll_results:
-                slot = self._coll_slots[key]
-                missing = [i for i, v in enumerate(slot) if v is None]
-                if missing:
-                    raise CommunicationError(
-                        f"collective {name!r} (epoch {seq}): ranks {missing} "
-                        "called a different collective or none at all"
-                    )
-                values = [v[1] for v in slot]
-                self._coll_results[key] = combine(values)
-                self.traffic.collectives += 1
-            result = self._coll_results[key]
-        # Second barrier so cleanup cannot race the next epoch.
-        self._barrier_wait()
-        with self._coll_lock:
-            self._coll_slots.pop(key, None)
-            self._coll_results.pop(key, None)
-        return result
+    def _exit(self, rank: int) -> None:
+        """Mark ``rank`` as having left its program and wake the ranks
+        parked on a message from it."""
+        self._exited.add(rank)
+        with self._boxes_lock:
+            boxes = [b for (src, _, _), b in self._boxes.items()
+                     if src == rank]
+        for box in boxes:
+            box.wake()
 
     # -- program runner ----------------------------------------------------
 
@@ -431,10 +411,10 @@ class SimWorld:
     ) -> List[Any]:
         """Run ``program(comm, *args)`` on ``size`` ranks; return results.
 
-        Exceptions raised on any rank are re-raised on the caller (the
-        first by rank order), after all ranks have stopped.  With
-        ``mode="process"`` the program must be a picklable module-level
-        callable (spawn semantics).
+        Exceptions raised on any rank are re-raised on the caller after
+        all ranks have stopped, the root cause first
+        (:func:`_primary_error`).  With ``mode="process"`` the program
+        must be a picklable module-level callable (spawn semantics).
         """
         world = SimWorld(size, timeout=timeout, mode=mode)
         return world.launch(program, args=args)
@@ -465,6 +445,7 @@ class SimWorld:
         results: List[Any] = [None] * size
         errors: List[Optional[BaseException]] = [None] * size
         cpu = _world_cpu() if hasattr(os, "sched_setaffinity") else None
+        self._exited.clear()
 
         def target(rank: int) -> None:
             if cpu is not None:
@@ -476,11 +457,8 @@ class SimWorld:
                     results[rank] = program(self.comm(rank), *args)
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 errors[rank] = exc
-                # Break barriers so other ranks fail fast instead of
-                # hanging; flag first so their BrokenBarrierError is
-                # recognised as collateral, not a timeout.
-                self._failed = True
-                self._barrier.abort()
+            finally:
+                self._exit(rank)
 
         threads = [
             threading.Thread(target=target, args=(r,), name=f"rank{r}")
@@ -490,20 +468,28 @@ class SimWorld:
             t.start()
         for t in threads:
             t.join()
-        # Prefer the root-cause error: when one rank fails, the others
-        # die with collateral BrokenBarrierError (we abort the barrier so
-        # they fail fast).  Only if *every* failure is a barrier break —
-        # no underlying cause recorded — is one of those raised.
-        primary = next(
-            (e for e in errors
-             if e is not None and not isinstance(e, threading.BrokenBarrierError)),
-            None,
-        )
-        if primary is None:
-            primary = next((e for e in errors if e is not None), None)
-        if primary is not None:
-            raise primary
+        failed = [e for e in errors if e is not None]
+        if failed:
+            raise _primary_error(failed)
         return results
+
+
+def _primary_error(errors: Sequence[BaseException]) -> BaseException:
+    """The root cause among a failed world's errors, for both substrates.
+
+    A program's own exception beats the collateral its peers report
+    (a receive from a rank that failed or exited, a timeout), and an
+    unreported worker death beats those too — the kill is the cause,
+    the wedged peers the symptom.  Else the first error.  Process ranks'
+    errors are classified by the remote ``exc_type``.
+    """
+    kinds = [getattr(e, "exc_type", type(e).__name__) for e in errors]
+    for err, kind in zip(errors, kinds):
+        if kind not in ("CommunicationError", "WorkerDied"):
+            return err
+    if "WorkerDied" in kinds:
+        return errors[kinds.index("WorkerDied")]
+    return errors[0]
 
 
 class SimComm:
@@ -535,12 +521,59 @@ class SimComm:
 
     def _collective(self, name: str, value: Any,
                     combine: Callable[[List[Any]], Any]) -> Any:
-        """Run one collective, counting it in the per-rank ledger too."""
-        result = self.world._collective(name, self._next_seq(), self.rank,
-                                        value, combine)
+        """Run one collective through rank 0, on both substrates.
+
+        Every other rank sends ``(seq, name, value)`` to rank 0 and
+        waits for ``(ok, result)``.  Rank 0 receives the contributions
+        in rank order, checks every rank called the same collective at
+        the same epoch, applies ``combine`` once and sends the result to
+        each rank (a copy each).  All ranks must call collectives in the
+        same order (standard MPI requirement).
+        """
+        seq = self._next_seq()
+
+        def get(source: int, tag: int) -> Any:
+            try:
+                return self._get(source, tag)
+            except CommunicationError as exc:
+                raise CommunicationError(
+                    f"collective {name!r} (epoch {seq}): {exc}") from None
+
+        if self.rank != 0:
+            self._put((seq, name, value), 0, TAG_COLL, False)
+            ok, result = get(0, TAG_COLL_RESULT)
+            if not ok:
+                raise CommunicationError(result)
+        else:
+            try:
+                entries = [(seq, name, value)] + [
+                    get(src, TAG_COLL) for src in range(1, self.size)]
+                mismatched = [r for r, e in enumerate(entries)
+                              if e[:2] != (seq, name)]
+                if mismatched:
+                    raise CommunicationError(
+                        f"collective {name!r} (epoch {seq}): ranks "
+                        f"{mismatched} called a different collective")
+                result = combine([e[2] for e in entries])
+            except Exception as exc:
+                self._broadcast_result(False, str(exc))
+                raise
+            self.world.traffic.collectives += 1
+            self._broadcast_result(True, result)
         if self.ledger is not None:
             self.ledger.collectives += 1
         return result
+
+    def _broadcast_result(self, ok: bool, payload: Any) -> None:
+        """Rank 0 sends ``(ok, payload)`` to every other rank."""
+        undelivered = None
+        for dst in range(1, self.size):
+            try:
+                self._put((ok, payload), dst, TAG_COLL_RESULT, False)
+            except CommunicationError as exc:
+                undelivered = undelivered or exc  # still tell the rest
+        if ok and undelivered is not None:
+            raise undelivered
 
     # -- point to point ----------------------------------------------------
 
@@ -567,8 +600,17 @@ class SimComm:
         ledgered (the halo exchange ledgers its logical messages itself).
         """
         self._trace_send(obj, dest, tag, phase)
+        self._put(obj, dest, tag, move)
+
+    # The substrate's un-ledgered, un-traced frame transport; the
+    # collectives ride it without touching the ledgers or the trace.
+
+    def _put(self, obj: Any, dest: int, tag: int, move: bool) -> None:
         self.world._box(self.rank, dest, tag).put(
             obj if move else _copy_payload(obj))
+
+    def _get(self, source: int, tag: int) -> Any:
+        return self.world._box(source, self.rank, tag).get(self.world.timeout)
 
     def _trace_send(self, obj: Any, dest: int, tag: int,
                     phase: Optional[str]) -> None:
@@ -583,7 +625,7 @@ class SimComm:
         """Blocking receive from ``source``."""
         if not (0 <= source < self.size):
             raise CommunicationError(f"recv from invalid rank {source}")
-        return self.world._box(source, self.rank, tag).get(self.world.timeout)
+        return self._get(source, tag)
 
     def irecv(self, source: int, tag: int = 0) -> Request:
         """Post a non-blocking receive.

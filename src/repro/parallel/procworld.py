@@ -26,12 +26,12 @@ get faster.  This module is the real-parallel substrate behind
   progress — drains its own inbox into the unexpected-message store,
   retries — and raises :class:`~repro.errors.CommunicationError` only
   after the world ``timeout``, or at once if that rank has exited.
-* **Collectives** — rank 0 coordinates: every rank contributes one
-  small object frame, rank 0 applies the *same* rank-ordered combine
-  closure thread mode uses and broadcasts the result, so collective
-  results are bitwise identical across modes.  Mismatched collective
-  calls (one rank allreduces while another bcasts) are detected and
-  reported on every rank.
+* **Collectives** — :meth:`~repro.parallel.comm.SimComm._collective`,
+  the one protocol both substrates run, over this transport: every rank
+  sends rank 0 one small object frame, rank 0 applies the rank-ordered
+  combine and sends the result back, so collective results are bitwise
+  identical across modes.  Mismatched collective calls (one rank
+  allreduces while another allgathers) are reported on every rank.
 * **Failure** — worker exceptions come back as type name + message +
   full traceback *text* (raw exception objects rarely pickle usefully)
   and re-raise in the parent as
@@ -70,6 +70,7 @@ from .comm import (
     Request,
     SimComm,
     TrafficLedger,
+    _primary_error,
 )
 from .shm import SharedBufferPool, sweep_world_segments, unlink_segments
 from .wire import (
@@ -81,11 +82,6 @@ from .wire import (
     encode_obj,
     encode_shm,
 )
-
-#: Reserved tags for the collective rendezvous protocol (far above the
-#: halo tag and anything user programs plausibly pick).
-TAG_COLL = (1 << 30) + 1
-TAG_COLL_RESULT = (1 << 30) + 2
 
 #: Worlds whose parent-side driver is currently between segment
 #: creation and its finally-sweep.  Normally empty the moment
@@ -139,9 +135,10 @@ class _RankWorldView:
 class ProcComm(SimComm):
     """One rank's endpoint into a process-backed world.
 
-    Inherits every collective's combine closure (and ``sendrecv`` /
-    ``isend``) from :class:`SimComm`, so the numeric semantics are the
-    thread-mode ones by construction; only the transport differs.
+    Supplies only the transport (:meth:`_put` / :meth:`_get`, the
+    pipes and the shared-memory pool); ``send``, ``recv`` and every
+    collective are :class:`SimComm`'s, so the numeric semantics are the
+    thread-mode ones by construction.
     """
 
     def __init__(self, world: _RankWorldView, rank: int, inbox,
@@ -167,9 +164,7 @@ class ProcComm(SimComm):
 
     # -- point to point ----------------------------------------------------
 
-    def _transmit(self, obj: Any, dest: int, tag: int, move: bool = True,
-                  phase: Optional[str] = None) -> None:
-        self._trace_send(obj, dest, tag, phase)
+    def _put(self, obj: Any, dest: int, tag: int, move: bool) -> None:
         self._post(dest, self._encode(obj, tag, move))
 
     def _post(self, dest: int, frame: bytes) -> None:
@@ -249,41 +244,21 @@ class ProcComm(SimComm):
             fr = decode(self._inbox.recv_bytes())
             self._pending.setdefault((fr.src, fr.tag), deque()).append(fr)
 
-    def _wait_frames(self, deadline: float, timeout: float) -> None:
-        """Block until the inbox has frames (by ``deadline``), drain them."""
-        remaining = deadline - time.monotonic()
-        if remaining <= 0 or not self._readable(remaining):
-            raise CommunicationError(
-                f"receive timed out after {timeout}s (deadlock?)")
-        self._drain_nowait()
-
-    def _take(self, source: int, tag: int, timeout: float) -> Any:
+    def _get(self, source: int, tag: int) -> Any:
         key = (source, tag)
+        timeout = self.world.timeout
         deadline = time.monotonic() + timeout
-        while True:
-            q = self._pending.get(key)
-            if q:
-                return self._deliver(q.popleft())
-            self._wait_frames(deadline, timeout)
-
-    def _take_any(self, tag: int, timeout: float) -> Tuple[int, Any]:
-        """Any-source receive on ``tag`` (the coordinator's gather)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            for (src, t), q in self._pending.items():
-                if t == tag and q:
-                    return src, self._deliver(q.popleft())
-            self._wait_frames(deadline, timeout)
-
-    def recv(self, source: int, tag: int = 0) -> Any:
-        if not (0 <= source < self.size):
-            raise CommunicationError(f"recv from invalid rank {source}")
-        return self._take(source, tag, self.world.timeout)
+        while not self._pending.get(key):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._readable(remaining):
+                raise CommunicationError(
+                    f"receive timed out after {timeout}s (deadlock?)")
+            self._drain_nowait()
+        return self._deliver(self._pending[key].popleft())
 
     def irecv(self, source: int, tag: int = 0) -> Request:
         if not (0 <= source < self.size):
             raise CommunicationError(f"irecv from invalid rank {source}")
-        timeout = self.world.timeout
         key = (source, tag)
 
         def poll() -> Tuple[bool, Any]:
@@ -295,68 +270,7 @@ class ProcComm(SimComm):
                 return True, self._deliver(q.popleft())
             return False, None
 
-        return Request(fn=lambda: self._take(source, tag, timeout), poll=poll)
-
-    # -- collectives: rank-0 coordinator -----------------------------------
-
-    def _collective(self, name: str, value: Any,
-                    combine: Callable[[List[Any]], Any]) -> Any:
-        seq = self._next_seq()
-        timeout = self.world.timeout
-        if self.rank != 0:
-            self._post(0, self._encode((seq, name, value), TAG_COLL, False))
-            ok, payload = self._take(0, TAG_COLL_RESULT, timeout)
-            if not ok:
-                raise CommunicationError(payload)
-            if self.ledger is not None:
-                self.ledger.collectives += 1
-            return payload
-
-        # rank 0: gather one contribution per rank, combine in rank
-        # order with the same closure thread mode runs, broadcast.
-        entries: List[Optional[Tuple[int, str, Any]]] = [None] * self.size
-        entries[0] = (seq, name, value)
-        outstanding = self.size - 1
-        try:
-            while outstanding:
-                src, body = self._take_any(TAG_COLL, timeout)
-                if entries[src] is None:
-                    outstanding -= 1
-                entries[src] = body
-        except CommunicationError:
-            missing = [i for i, e in enumerate(entries) if e is None]
-            msg = (f"collective {name!r} (epoch {seq}): ranks {missing} "
-                   "called a different collective or none at all")
-            self._broadcast_result(False, msg)
-            raise CommunicationError(msg) from None
-        mismatched = [i for i, e in enumerate(entries)
-                      if e is not None and (e[0], e[1]) != (seq, name)]
-        if mismatched:
-            msg = (f"collective {name!r} (epoch {seq}): ranks {mismatched} "
-                   "called a different collective or none at all")
-            self._broadcast_result(False, msg)
-            raise CommunicationError(msg)
-        try:
-            result = combine([e[2] for e in entries])  # type: ignore[index]
-        except Exception as exc:
-            self._broadcast_result(False, str(exc))
-            raise
-        self._broadcast_result(True, result)
-        self.world.traffic.collectives += 1
-        if self.ledger is not None:
-            self.ledger.collectives += 1
-        return result
-
-    def _broadcast_result(self, ok: bool, payload: Any) -> None:
-        undelivered = None
-        for dst in range(1, self.size):
-            try:
-                self._post(dst, self._encode((ok, payload),
-                                             TAG_COLL_RESULT, False))
-            except CommunicationError as exc:
-                undelivered = undelivered or exc  # still tell the rest
-        if ok and undelivered is not None:
-            raise undelivered
+        return Request(fn=lambda: self._get(source, tag), poll=poll)
 
 
 # -- worker entry point ------------------------------------------------------
@@ -554,18 +468,3 @@ def run_process_world(
         raise _primary_error(errors)
     return outcome
 
-
-def _primary_error(errors: List[RemoteRankError]) -> RemoteRankError:
-    """Root-cause preference, mirroring thread mode: a real program
-    exception beats the collateral errors its peers report (receive
-    timeouts on a dead rank's messages), and an unreported worker death
-    beats those timeouts too — the kill is the cause, the wedged peers
-    the symptom."""
-    collateral = ("CommunicationError", "WorkerDied", "BrokenBarrierError")
-    for err in errors:
-        if err.exc_type not in collateral:
-            return err
-    for err in errors:
-        if err.exc_type == "WorkerDied":
-            return err
-    return errors[0]

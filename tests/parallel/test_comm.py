@@ -281,17 +281,19 @@ def test_property_allreduce_matches_numpy(size, seed):
 class TestBarrierTimeout:
     def test_barrier_wait_honors_world_timeout(self):
         """A rank that never reaches the collective must not hang the
-        others forever: the barrier wait times out at the world timeout
-        and surfaces as a CommunicationError, not a bare
-        BrokenBarrierError."""
+        others: the peer that returned without it fails the barrier at
+        once, well inside the world timeout, as a CommunicationError
+        naming the collective."""
 
         def prog(comm):
             if comm.rank == 1:
                 return "absent"  # never calls the collective
             comm.barrier()
 
-        with pytest.raises(CommunicationError, match="barrier wait timed out"):
-            SimWorld.run(prog, 2, timeout=0.2)
+        t0 = time.monotonic()
+        with pytest.raises(CommunicationError, match="collective 'barrier'"):
+            SimWorld.run(prog, 2, timeout=30.0)
+        assert time.monotonic() - t0 < 1.0
 
     def test_collateral_break_still_prefers_root_cause(self):
         """The timeout conversion must not swallow the root-cause
@@ -309,6 +311,39 @@ class TestBarrierTimeout:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown world mode"):
             SimWorld(2, mode="fiber")
+
+
+class TestExitedPeer:
+    """A thread rank that left its program fails its peers' waits on it
+    at once, well inside the world timeout."""
+
+    def test_recv_on_a_raised_peer_surfaces_its_error_at_once(self):
+        def prog(comm):
+            if comm.rank == 0:
+                comm.recv(source=1)             # rank 1 is on its way to park
+                raise ValueError("the real bug")
+            comm.send("parking", dest=0)
+            comm.recv(source=0)                 # never sent
+
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="the real bug"):
+            SimWorld.run(prog, 2, timeout=30.0)
+        assert time.monotonic() - t0 < 1.0
+
+    @pytest.mark.parametrize("absent", [0, 1])
+    def test_collective_left_by_a_returned_peer_fails_at_once(self, absent):
+        """Either role: the coordinator (rank 0) waiting for a
+        contribution, or a rank waiting for rank 0's result."""
+
+        def prog(comm):
+            if comm.rank == absent:
+                return "absent"
+            comm.barrier()
+
+        t0 = time.monotonic()
+        with pytest.raises(CommunicationError, match="collective 'barrier'"):
+            SimWorld.run(prog, 3, timeout=30.0)
+        assert time.monotonic() - t0 < 1.0
 
 
 def _assert_world_at_rest(world):

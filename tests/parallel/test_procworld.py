@@ -69,6 +69,16 @@ def prog_mismatch(comm):
     return comm.allgather(None)
 
 
+def prog_mutate_results(comm):
+    total = comm.allreduce(np.ones(3))
+    gathered = comm.allgather(np.full(2, float(comm.rank)))
+    if comm.rank == 0:
+        total[:] = -1.0
+        gathered[1][:] = -1.0
+        gathered.append("extra")
+    return total, gathered
+
+
 def prog_raise(comm):
     if comm.rank == 1:
         raise ValueError("boom on rank 1")
@@ -344,6 +354,24 @@ class TestProcessWorld:
         with pytest.raises(CommunicationError):
             SimWorld.run(prog_mismatch, 2, timeout=5.0, mode="process")
         assert _shm_leaks() == []
+
+    def test_collective_mismatch_detected_on_thread_ranks(self):
+        with pytest.raises(CommunicationError, match="different collective"):
+            SimWorld.run(prog_mismatch, 2, timeout=5.0)
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_collective_results_are_per_rank(self, mode):
+        """Rank 0 mutating its collective results in place leaves every
+        other rank's untouched, on both substrates."""
+        size = 3
+        got = SimWorld.run(prog_mutate_results, size, timeout=TIMEOUT,
+                           mode=mode)
+        assert np.array_equal(got[0][0], np.full(3, -1.0))
+        for total, gathered in got[1:]:
+            assert np.array_equal(total, np.full(3, float(size)))
+            assert len(gathered) == size
+            for r, g in enumerate(gathered):
+                assert np.array_equal(g, np.full(2, float(r)))
 
     def test_remote_exception_carries_traceback(self):
         with pytest.raises(RemoteRankError) as ei:

@@ -149,7 +149,7 @@ ALLOWED: Dict[str, str] = {
            "repro/analysis/observe.py::_ObservedView.raw"),
     **_why("error-path", "a rank failed or died",
            "repro/errors.py::RemoteRankError.__init__",
-           "repro/parallel/procworld.py::_primary_error"),
+           "repro/parallel/comm.py::_primary_error"),
     **_why("error-path", "oversize frames: an object frame larger than "
            "PIPE_BUF",
            "repro/parallel/shm.py::SharedBufferPool.acquire_bytes"),
@@ -199,21 +199,17 @@ ALLOWED: Dict[str, str] = {
            "communicator interface; the halo path posts irecv, transmits "
            "un-ledgered frames and waits",
            "repro/parallel/comm.py::SimComm.send",
-           "repro/parallel/comm.py::SimComm.recv",
-           "repro/parallel/procworld.py::ProcComm.recv"),
+           "repro/parallel/comm.py::SimComm.recv"),
     **_why("bench", "the stop agreement's barrier / allreduce on thread "
            "and process ranks",
+           "repro/parallel/comm.py::SimComm._broadcast_result",
            "repro/parallel/comm.py::SimComm._collective",
+           "repro/parallel/comm.py::SimComm._get",
            "repro/parallel/comm.py::SimComm._next_seq",
            "repro/parallel/comm.py::SimComm.allreduce",
            "repro/parallel/comm.py::SimComm.barrier",
-           "repro/parallel/comm.py::SimWorld._barrier_wait",
-           "repro/parallel/comm.py::SimWorld._collective",
            "repro/parallel/comm.py::_copy_payload",
            "repro/parallel/comm.py::_reduce_values",
-           "repro/parallel/procworld.py::ProcComm._broadcast_result",
-           "repro/parallel/procworld.py::ProcComm._collective",
-           "repro/parallel/procworld.py::ProcComm._take_any",
            "repro/parallel/wire.py::ObjFrame.__init__",
            "repro/parallel/wire.py::encode_obj"),
     **_why("bench", "leak checks and layer counters of the workloads",
@@ -266,19 +262,19 @@ ALLOWED: Dict[str, str] = {
     **_why("roadmap 1", "graph-mode launch pricing; item 1 flips the "
            "default to the sealed graph",
            "repro/perfmodel/kernelcost.py::StepProfile.launches_graph"),
-    **_why("roadmap 3", "timer queries item 3 rebuilds on the graph's "
+    **_why("roadmap 2", "timer queries item 2 rebuilds on the graph's "
            "phase attribution",
            "repro/timing.py::TimerRegistry.count",
            "repro/timing.py::TimerRegistry.names",
            "repro/timing.py::TimerRegistry.reset",
            "repro/timing.py::TimerRegistry.total"),
-    **_why("roadmap 8", "the non-blocking probe whose miss hands the run "
-           "token round; item 8's run queue replaces it",
+    **_why("roadmap 12", "the non-blocking probe whose miss hands the run "
+           "token round; item 12's run queue replaces it",
            "repro/parallel/comm.py::Request.test",
            "repro/parallel/comm.py::_Mailbox.poll",
            "repro/parallel/procworld.py::ProcComm.irecv.poll"),
-    **_why("roadmap 12", "per-rank ledger merge and the scheduler status "
-           "export item 12 folds into one metrics spine",
+    **_why("roadmap 13", "per-rank ledger merge and the scheduler status "
+           "export item 13 folds into one metrics spine",
            "repro/kokkos/instrument.py::Instrumentation.merge_from",
            "repro/serve/scheduler.py::ServeScheduler.status",
            "repro/serve/jobs.py::Job.summary",
