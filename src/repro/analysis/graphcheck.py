@@ -3,11 +3,13 @@
 kernelcheck proves properties of one kernel body at a time; this module
 proves properties of the *schedule*: it walks a sealed
 :class:`~repro.kokkos.graph.LaunchGraph` — kernel launches, fused nodes,
-and the two typed non-kernel nodes, whose ``run()`` does exactly what
-the walk reads from them: an :class:`~repro.kokkos.graph.ExchangeNode`
+and the typed non-kernel nodes, whose ``run()`` does exactly what the
+walk reads from them: an :class:`~repro.kokkos.graph.ExchangeNode`
 refreshes the halos of its ``fields``, a
 :class:`~repro.kokkos.graph.RotateNode` permutes the buffers of its
-``triples`` (every piece of arithmetic is a launch) — and assigns every
+``triples`` and a :class:`~repro.kokkos.graph.PhaseNode` touches no
+buffer, so the walk passes it by type (every piece of arithmetic is a
+launch) — and assigns every
 buffer an abstract version per launch, from what each plan part's
 observed sweep (:mod:`repro.analysis.observe`) read and wrote: state
 is keyed by the buffers a part actually touched, at the boxes it
@@ -28,9 +30,9 @@ fusion needs no rule of its own.  The rule families (see DESIGN.md
     A launch part touching fp32 and fp64 arrays without declaring a
     precision boundary, or accumulating at fp32.
 
-There is no fence rule: both node types fence in their own ``run()``
-before they touch a buffer, so a fence cannot be missing from a sealed
-schedule (``tests/analysis/test_graphcheck.py::TestNodeFences``).
+There is no fence rule: both buffer-moving node types fence in their
+own ``run()`` before they touch a buffer, so a fence cannot be missing
+from a sealed schedule (``tests/analysis/test_graphcheck.py::TestNodeFences``).
 
 The walk runs :data:`PASSES` passes over the node list so steady-state
 staleness wraps around the step boundary (a captured graph replays in a
@@ -49,7 +51,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kokkos.graph import ExchangeNode, KernelNode, LaunchGraph, RotateNode
+from ..kokkos.graph import (
+    ExchangeNode,
+    KernelNode,
+    LaunchGraph,
+    PhaseNode,
+    RotateNode,
+)
 from ..kokkos.view import View
 from .findings import Finding, Report, Severity
 from .footprint import source_of
@@ -242,7 +250,7 @@ class _Walker:
                     self._exchange(node)
                 elif isinstance(node, RotateNode):
                     self._rotate(node)
-                else:
+                elif not isinstance(node, PhaseNode):  # touches no buffer
                     raise TypeError(f"graphcheck cannot walk {node!r}")
         return self.findings
 

@@ -1,7 +1,7 @@
 """The lint matrix and the kernelcheck entry point.
 
 :func:`lint_matrix` builds the configurations both verifiers read, once
-per process: the demo model on its production path (``graph=True``),
+per process: the demo model on its production path (the sealed graph),
 stepped until both step variants (startup forward step, leapfrog) have
 sealed, and every part of every sealed graph observed
 (:mod:`repro.analysis.observe`).  graphcheck walks those graphs;
@@ -95,7 +95,7 @@ def lint_matrix() -> Tuple[LintCase, ...]:
     cases = []
     for backend, tag, over in combos:
         model = LICOMKpp(demo(SIZE), backend=backend,
-                         params=ModelParams(graph=True, check_every=0, **over))
+                         params=ModelParams(check_every=0, **over))
         try:
             model.run_steps(STEPS)
             case = LintCase(tag, backend, [g for g in model._graphs.values()

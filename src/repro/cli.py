@@ -19,10 +19,11 @@ Commands
     launch graphs (graphcheck).  The exit
     code fails on error findings only; ``--strict`` fails on warnings.
 ``trace``
-    Step a small model with span tracing on and export a Chrome
-    trace-event JSON timeline (open in Perfetto / ``chrome://tracing``):
-    ``python -m repro trace --size tiny --steps 2 --ranks 2 --out
-    trace.json [--predict new_sunway]``.
+    Step a small model on the production path with span tracing on and
+    export a Chrome trace-event JSON timeline (open in Perfetto /
+    ``chrome://tracing``): ``python -m repro trace --size tiny --steps 2
+    --ranks 2 --out trace.json [--predict new_sunway]``.  One rank also
+    prints the shape of each sealed step graph.
 ``precision``
     Validate a precision policy against the fp64 reference under the
     declared per-field/energy/mass budgets, then print the perfmodel's
@@ -193,15 +194,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
 
     cfg = demo(args.size)
-    params = ModelParams(trace=True, graph=args.graph)
+    params = ModelParams(trace=True)
     tracers = []
     if args.ranks <= 1:
         model = LICOMKpp(cfg, backend=args.backend, params=params)
         try:
             model.run_steps(args.steps)
             tracers.append(model.context.tracer)
-            if args.graph:
-                _report_jit_coverage(model)
+            _report_jit_coverage(model)
         finally:
             model.close()
     else:
@@ -236,14 +236,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _report_jit_coverage(model) -> None:
-    """Shape of each sealed step graph (the satellite of `trace --graph`)."""
-    sealed = {key: g for key, g in model._graphs.items() if g.sealed}
-    if not sealed:
-        print("no sealed graph: the model recorded no launch graph "
-              "(graph capture off, or no step has run)")
-        return
+    """Shape of each sealed step graph of a single-rank trace."""
     from .kokkos.graph import ExchangeNode, RotateNode
 
+    sealed = {key: g for key, g in model._graphs.items() if g.sealed}
     for (startup, canuto), graph in sorted(sealed.items()):
         variant = ("startup" if startup else "steady") + \
             ("+canuto" if canuto else "")
@@ -465,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["thread", "process"],
                     help="rank substrate: in-process threads (default) or "
                          "one OS process per rank with shared-memory halos")
-    tr.add_argument("--graph", action="store_true",
-                    help="capture/replay the step graph while tracing")
     tr.add_argument("--out", default="trace.json",
                     help="output path for the Chrome trace-event JSON")
     tr.add_argument("--predict", default=None,

@@ -291,8 +291,8 @@ def graph_study(size: str = "tiny", steps: int = 6) -> GraphStudy:
         dt = time.perf_counter() - t0
         return model, inst, steps / dt
 
-    eager_model, eager_inst, eager_sps = run(ModelParams())
-    graph_model, _, graph_sps = run(ModelParams(graph=True))
+    eager_model, eager_inst, eager_sps = run(ModelParams(graph=False))
+    graph_model, _, graph_sps = run(ModelParams())
     steady = [g for (startup, _), g in graph_model._graphs.items()
               if not startup]
     graph = steady[0] if steady else next(iter(graph_model._graphs.values()))

@@ -76,6 +76,7 @@ from .graph import (
     FusedTileFunctor,
     KernelNode,
     LaunchGraph,
+    PhaseNode,
     RotateNode,
 )
 from .instrument import (
@@ -107,7 +108,7 @@ __all__ = [
     "DeviceBackend", "make_backend", "Reducer", "Sum", "Prod", "Min", "Max",
     # graph capture / workspace arena
     "LaunchGraph", "KernelNode", "ExchangeNode", "RotateNode",
-    "FusedTileFunctor", "Workspace",
+    "PhaseNode", "FusedTileFunctor", "Workspace",
     # instrumentation / ldm
     "Instrumentation", "KernelStats", "WorkspaceStats",
     "LDMAllocator", "DMAEngine", "SW26010_LDM_BYTES", "double_buffered_time",

@@ -5,14 +5,15 @@ path: the model records one baroclinic step's launch sequence — labels,
 normalised policies and *bound functor instances* — then subsequent
 steps ``replay()`` through per-backend :class:`~.backends.base.LaunchPlan`
 objects with near-zero dispatch work.  Between launches a step has only
-two other kinds of node, each typed by what it does: an
-:class:`ExchangeNode` (one fused halo exchange, the paper's §V-D step)
-and a :class:`RotateNode` (the leapfrog buffer rotation).  Every piece of
-step arithmetic is a launch, as in LICOMK++ where only the exchange
+three other kinds of node, each typed by what it does: an
+:class:`ExchangeNode` (one fused halo exchange, the paper's §V-D step),
+a :class:`RotateNode` (the leapfrog buffer rotation) and a
+:class:`PhaseNode` (entering or leaving one timer region).  Every piece
+of step arithmetic is a launch, as in LICOMK++ where only the exchange
 leaves the device.  A node's ``run()`` is the one entry point for the
-eager step, the capture and every replay, and it fences the space
-before it touches a buffer — so the graph reproduces the eager step
-exactly and a node cannot forget its fence.
+eager step, the capture and every replay, and a node that touches a
+buffer fences the space first — so the graph reproduces the eager step
+exactly, times it the same way, and a node cannot forget its fence.
 
 Two mechanisms keep replay valid across steps:
 
@@ -27,7 +28,7 @@ Two mechanisms keep replay valid across steps:
 
 On top of the recording, :meth:`LaunchGraph.seal` fuses every maximal
 run of adjacent untiled ``parallel_for`` launches with identical
-iteration ranges and no exchange or rotate between them into one
+iteration ranges and no other node between them into one
 launch — one spawn/join on the CPEs, one kernel launch on the GPU,
 instead of N.
 The fused launch's plan runs each part over the *whole range* before
@@ -192,6 +193,30 @@ class RotateNode:
             new.rebind(a_old)
 
 
+class PhaseNode:
+    """Enter or leave one timer region: a phase mark of the step.
+
+    The model brackets each phase of its step with an entering and a
+    leaving mark, so the eager step, the capture and every replay run
+    the same ``TimerRegistry.start`` / ``stop`` calls — one attribution
+    for ``timers.report()`` and the trace's ``timer`` spans.  A mark
+    touches no buffer: it needs no fence, and graphcheck walks past it.
+    """
+
+    __slots__ = ("timers", "label", "enter")
+
+    def __init__(self, timers, label: str, enter: bool) -> None:
+        self.timers = timers
+        self.label = label
+        self.enter = enter
+
+    def run(self) -> None:
+        if self.enter:
+            self.timers.start(self.label)
+        else:
+            self.timers.stop(self.label)
+
+
 class LaunchGraph:
     """A captured launch sequence, sealable into a replayable plan list."""
 
@@ -208,8 +233,8 @@ class LaunchGraph:
     # -- capture -----------------------------------------------------------
 
     def add(self, node) -> None:
-        """Record one node: a :class:`KernelNode`, :class:`ExchangeNode`
-        or :class:`RotateNode`."""
+        """Record one node: a :class:`KernelNode`, :class:`ExchangeNode`,
+        :class:`RotateNode` or :class:`PhaseNode`."""
         if self.sealed:
             raise RuntimeError("cannot record into a sealed LaunchGraph")
         self.nodes.append(node)
@@ -223,7 +248,7 @@ class LaunchGraph:
 
     def _fuse_nodes(self, nodes: List[object]) -> List[object]:
         """Merge each maximal run of adjacent untiled same-range launches
-        (no exchange or rotate between them) into one fused node."""
+        (no other node between them) into one fused node."""
         out: List[object] = []
         run: List[KernelNode] = []
 
@@ -283,11 +308,27 @@ class LaunchGraph:
         with self._span("graph_replay", launches=self.launches_per_replay,
                         fused_groups=self.fused_groups):
             run_plan = self.space.run_plan
-            for node in self.nodes:
-                if isinstance(node, KernelNode):
-                    run_plan(node.plan)
-                else:
-                    node.run()
+            nodes = self.nodes
+            try:
+                for i, node in enumerate(nodes):
+                    if isinstance(node, KernelNode):
+                        run_plan(node.plan)
+                    else:
+                        node.run()
+            except BaseException:
+                # leave, innermost first, each phase this replay entered
+                # and did not leave, as an eager ``with`` does: the timer
+                # stack and the open spans stay balanced
+                entered: List[PhaseNode] = []
+                for node in nodes[:i]:
+                    if isinstance(node, PhaseNode):
+                        if node.enter:
+                            entered.append(node)
+                        else:
+                            entered.pop()
+                for node in reversed(entered):
+                    node.timers.stop(node.label)
+                raise
         self.replays += 1
 
     # -- introspection -----------------------------------------------------

@@ -24,8 +24,9 @@ agree bitwise with the single-rank run (enforced by tests).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from ..kokkos import (
     ExecutionSpace,
     LaunchGraph,
     MDRangePolicy,
+    PhaseNode,
     RotateNode,
     View,
     kokkos_register_for,
@@ -101,11 +103,11 @@ class ModelParams:
                                     # PrecisionPolicy: per-kernel-family
                                     # dtypes (SViii mixed precision)
     n_passive: int = 0              # extra passive (dye/age) tracers
-    graph: bool = False             # False: eager stepping, the reference
-                                    # oracle; True: the production path --
-                                    # capture each step variant once, seal
-                                    # it (launch fusion + bound sweeps)
-                                    # and replay; bitwise identical to eager
+    graph: bool = True              # the production path: capture each
+                                    # step variant once, seal it (launch
+                                    # fusion + bound sweeps) and replay;
+                                    # False steps eagerly, the reference
+                                    # oracle it is bitwise identical to
     trace: bool = False             # span tracing: record kernel launches,
                                     # halo phases, transfers and step/timer
                                     # regions on the context's Tracer for
@@ -431,10 +433,25 @@ class LICOMKpp:
             self._run("precision_cast", policy, CastFunctor(src, dst))
 
     def _node(self, node) -> None:
-        """Run an exchange or rotate node, recording it when capturing."""
+        """Run an exchange, rotate or phase node, recording it when
+        capturing."""
         if self._capture is not None:
             self._capture.add(node)
         node.run()
+
+    @contextmanager
+    def _phase(self, name: str) -> Iterator[None]:
+        """Time the enclosed part of the step as timer region ``name``.
+
+        Its entry and exit are :class:`PhaseNode` s on the node route, so
+        every replay times its phases through the same registry calls as
+        the eager step.
+        """
+        self._node(PhaseNode(self.timers, name, True))
+        try:
+            yield
+        finally:
+            self._node(PhaseNode(self.timers, name, False))
 
     def _exchange(self, label: str, fields) -> None:
         """Halo-update ``fields`` — ``(view, sign, fill)`` triples — in
@@ -480,11 +497,12 @@ class LICOMKpp:
     def step(self) -> None:
         """Advance the model one baroclinic time step.
 
-        With ``params.graph`` the first step of each variant (startup
-        forward step / canuto on or off) runs eagerly while recording
-        into a :class:`~repro.kokkos.graph.LaunchGraph`; later steps
-        replay the sealed graph through cached launch plans — bitwise
-        identical, near-zero dispatch.
+        The first step of each variant (startup forward step / canuto on
+        or off) runs eagerly while recording into a
+        :class:`~repro.kokkos.graph.LaunchGraph`; later steps replay the
+        sealed graph through cached launch plans — bitwise identical,
+        near-zero dispatch, the same phase timers.  ``params.graph=False``
+        steps eagerly every time: the reference oracle.
         """
         dt = self.config.dt_baroclinic
         dt2 = dt if self.nstep == 0 else 2.0 * dt
@@ -516,8 +534,7 @@ class LICOMKpp:
                 self._graphs[key] = graph.seal()
                 self._graph_captures += 1
             else:
-                with self.timers.timer("step"):
-                    graph.replay()
+                graph.replay()
         self.nstep += 1
         self.time_seconds += dt
         ce = self.params.check_every
@@ -528,30 +545,30 @@ class LICOMKpp:
             )
 
     def _step_body(self, dt2: float, canuto: bool) -> None:
-        """The step's launches, exchanges and rotate (run eagerly, maybe
-        recorded)."""
+        """The step's launches, exchanges, rotate and phase marks (run
+        eagerly, maybe recorded)."""
         st = self.state
         d = self.domain
         run = self._run
 
-        with self.timers.timer("step"):
+        with self._phase("step"):
             # -- density / pressure / mixing coefficients -------------------
-            with self.timers.timer("eos_pressure"):
+            with self._phase("eos_pressure"):
                 run("eos_density", self.p_full3,
                     EOSFunctor(st.t.cur, st.s.cur, st.rho, self.dom_eos))
                 run("baroclinic_pressure", self.p_full2,
                     PressureFunctor(st.rho, st.p, self.dom_eos))
             if canuto:
-                with self.timers.timer("canuto"):
+                with self._phase("canuto"):
                     self._run_canuto()
 
             # -- vertical velocity from current (time-centered) flow --------
-            with self.timers.timer("w_diag"):
+            with self._phase("w_diag"):
                 run("vertical_velocity", self.p_int2g,
                     WFunctor(st.u.cur, st.v.cur, st.w, self.dom_momentum))
 
             # -- baroclinic momentum ----------------------------------------
-            with self.timers.timer("momentum"):
+            with self._phase("momentum"):
                 self._cast(st.p, self.p_mom)
                 self._cast(st.kappa_m, self.kappa_m_mom)
                 run("baroclinic_tendency", self.p_int3,
@@ -589,15 +606,15 @@ class LICOMKpp:
                                              (st.v.new, -1.0, 0.0)])
 
             # -- split-explicit barotropic mode -----------------------------
-            with self.timers.timer("barotropic"):
+            with self._phase("barotropic"):
                 self._barotropic_cycle(dt2)
 
             # -- tracers (transported with the time-centered velocities) -----
-            with self.timers.timer("tracer"):
+            with self._phase("tracer"):
                 self._tracer_suite(dt2)
 
             # -- Asselin filter + rotate ------------------------------------
-            with self.timers.timer("filter"):
+            with self._phase("filter"):
                 a = self.params.asselin
                 ws = d.scratch()
                 for f in (st.u, st.v, st.t, st.s):

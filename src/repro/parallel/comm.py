@@ -532,22 +532,23 @@ class SimComm:
         """
         seq = self._next_seq()
 
-        def get(source: int, tag: int) -> Any:
+        def named(transport: Callable[..., Any], *args: Any) -> Any:
             try:
-                return self._get(source, tag)
+                return transport(*args)
             except CommunicationError as exc:
                 raise CommunicationError(
                     f"collective {name!r} (epoch {seq}): {exc}") from None
 
         if self.rank != 0:
-            self._put((seq, name, value), 0, TAG_COLL, False)
-            ok, result = get(0, TAG_COLL_RESULT)
+            named(self._put, (seq, name, value), 0, TAG_COLL, False)
+            ok, result = named(self._get, 0, TAG_COLL_RESULT)
             if not ok:
                 raise CommunicationError(result)
         else:
             try:
                 entries = [(seq, name, value)] + [
-                    get(src, TAG_COLL) for src in range(1, self.size)]
+                    named(self._get, src, TAG_COLL)
+                    for src in range(1, self.size)]
                 mismatched = [r for r, e in enumerate(entries)
                               if e[:2] != (seq, name)]
                 if mismatched:

@@ -32,6 +32,11 @@ get faster.  This module is the real-parallel substrate behind
   combine and sends the result back, so collective results are bitwise
   identical across modes.  Mismatched collective calls (one rank
   allreduces while another allgathers) are reported on every rank.
+* **Exit rule** — a worker leaving its program, returned or raised,
+  posts one exit frame to each peer; a receive from a rank whose exit
+  frame has arrived, with nothing pending, raises
+  :class:`~repro.errors.CommunicationError` at once (the thread-mode
+  rule), instead of waiting out the world ``timeout``.
 * **Failure** — worker exceptions come back as type name + message +
   full traceback *text* (raw exception objects rarely pickle usefully)
   and re-raise in the parent as
@@ -59,6 +64,7 @@ import time
 import traceback
 import uuid
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -72,6 +78,9 @@ from .comm import (
     TrafficLedger,
     _primary_error,
 )
+
+#: Tag of the frame a worker leaving its program posts to every peer.
+TAG_EXIT = (1 << 30) + 3
 from .shm import SharedBufferPool, sweep_world_segments, unlink_segments
 from .wire import (
     FLAG_MOVE,
@@ -151,6 +160,8 @@ class ProcComm(SimComm):
         self._pool = pool
         #: MPI-style unexpected-message store: (src, tag) -> frames.
         self._pending: Dict[Tuple[int, int], deque] = {}
+        #: Peers whose exit frame has arrived: nothing more will come.
+        self._exited: set = set()
         #: The inbox registered once (``Connection.poll`` builds a new
         #: selector on every call).
         self._poller = select.poll()
@@ -242,19 +253,37 @@ class ProcComm(SimComm):
         """Move every frame already in the inbox to the pending store."""
         while self._readable(0.0):
             fr = decode(self._inbox.recv_bytes())
-            self._pending.setdefault((fr.src, fr.tag), deque()).append(fr)
+            if fr.tag == TAG_EXIT:
+                self._exited.add(fr.src)
+            else:
+                self._pending.setdefault((fr.src, fr.tag), deque()).append(fr)
 
     def _get(self, source: int, tag: int) -> Any:
         key = (source, tag)
         timeout = self.world.timeout
         deadline = time.monotonic() + timeout
         while not self._pending.get(key):
+            # a peer's frames precede its exit frame in the pipe, so an
+            # exited source with nothing pending will send nothing more
+            if source in self._exited:
+                raise CommunicationError(
+                    f"receive from rank {source} (tag {tag}) failed: "
+                    "the rank has exited")
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not self._readable(remaining):
                 raise CommunicationError(
                     f"receive timed out after {timeout}s (deadlock?)")
             self._drain_nowait()
         return self._deliver(self._pending[key].popleft())
+
+    def _post_exit(self) -> None:
+        """Tell every peer this rank has left its program (best effort:
+        a peer that has already gone is skipped)."""
+        frame = encode_obj(self.rank, TAG_EXIT, None)
+        for dest in range(self.size):
+            if dest != self.rank:
+                with suppress(CommunicationError):
+                    self._post(dest, frame)
 
     def irecv(self, source: int, tag: int = 0) -> Request:
         if not (0 <= source < self.size):
@@ -296,6 +325,7 @@ def _worker_main(rank: int, size: int, uid: str, timeout: float, inbox,
             "exc_type": type(exc).__name__, "message": str(exc),
             "traceback": traceback.format_exc(),
         }
+    comm._post_exit()
     report["world_traffic"] = world.traffic
     report["rank_traffic"] = comm.ledger
     report["segments"] = pool.created_names()

@@ -99,11 +99,13 @@ def measure_family_shares(size: str = "tiny", steps: int = 4) -> FamilyShares:
     shares; unmapped labels fall back to :data:`FALLBACK_FAMILY`.
     """
     from ..kokkos import Instrumentation, SerialBackend
-    from ..ocean import LICOMKpp, demo
+    from ..ocean import LICOMKpp, ModelParams, demo
     from ..ocean.precision import FAMILIES, KERNEL_FAMILIES
 
     inst = Instrumentation()
-    model = LICOMKpp(demo(size), backend=SerialBackend(inst=inst))
+    # eager: each launch keeps its own label, which fusion would merge
+    model = LICOMKpp(demo(size), backend=SerialBackend(inst=inst),
+                     params=ModelParams(graph=False))
     model.run_steps(2)
     inst.reset()
     model.run_steps(steps)

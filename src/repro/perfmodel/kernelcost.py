@@ -103,11 +103,14 @@ def measure_step_profile(size: str = "tiny", steps: int = 4) -> StepProfile:
     ``steps`` leapfrog steps, and normalises the counters.
     """
     from ..kokkos import Instrumentation, SerialBackend
-    from ..ocean import LICOMKpp, demo
+    from ..ocean import LICOMKpp, ModelParams, demo
 
     cfg = demo(size)
     inst = Instrumentation()
-    model = LICOMKpp(cfg, backend=SerialBackend(inst=inst))
+    # eager: the profile counts every kernel's own launch, which a
+    # sealed graph would fuse
+    model = LICOMKpp(cfg, backend=SerialBackend(inst=inst),
+                     params=ModelParams(graph=False))
     model.run_steps(2)
     inst.reset()
     model.halo.updates2d = 0

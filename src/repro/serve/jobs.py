@@ -10,7 +10,7 @@ the job streamed probes / traces / checkpoints into.
 
 Sharing is keyed on :meth:`JobSpec.share_signature`: two specs with the
 same signature produce bitwise-identical engines (same config, backend,
-precision, eager or production path, tracer count and seed), so the
+precision, tracer count and seed), so the
 scheduler can lease one :class:`~repro.serve.share.SharedEngine` to both.
 """
 
@@ -49,7 +49,6 @@ class JobSpec:
     #: Execution substrate for multi-rank / isolated jobs.
     mode: str = "thread"
     precision: str = "double"
-    graph: bool = True
     n_passive: int = 0
     seed: int = 2024
     #: Probe-row cadence in steps (0 disables streaming diagnostics).
@@ -104,7 +103,6 @@ class JobSpec:
     def params(self) -> ModelParams:
         return ModelParams(
             precision=self.precision,
-            graph=self.graph,
             n_passive=self.n_passive,
             trace=self.trace,
         )
@@ -127,8 +125,8 @@ class JobSpec:
         same engine; steps / cadences / timeouts are per-job and
         deliberately excluded.
         """
-        return (self.size, self.backend, self.precision, self.graph,
-                self.n_passive, self.seed, self.trace)
+        return (self.size, self.backend, self.precision, self.n_passive,
+                self.seed, self.trace)
 
 
 class JobStatus(Enum):

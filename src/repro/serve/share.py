@@ -1,8 +1,8 @@
 """Signature-keyed engine sharing: one sealed graph, many jobs.
 
 Building a model is the expensive part of a tiny serving job — grid and
-topography construction, view allocation, and (with ``graph=True``) the
-first-step capture/seal/compile of the launch graphs.  MALI-style
+topography construction, view allocation, and the first-step
+capture/seal/compile of the launch graphs.  MALI-style
 campaigns run *many* configurations over one portable core, and within
 a campaign most jobs share a configuration signature; re-paying
 capture per job would waste exactly the cost graph replay exists to

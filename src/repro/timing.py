@@ -12,12 +12,19 @@ call — not on the node, so re-entrant and recursive use of the same
 name nests and accumulates correctly (``start("a"); start("a")`` opens
 two independent intervals).
 
+The model opens the step's regions through phase marks
+(:class:`repro.kokkos.graph.PhaseNode`), nodes of its step like the
+launches and exchanges, so the eager step, the capture and every
+replay of a sealed graph drive this same registry's ``start`` /
+``stop``: a sealed run reports each phase once per step, exactly as an
+eager one does.
+
 A registry can mirror every interval into a
 :class:`repro.trace.Tracer` (set ``registry.tracer``): each start/stop
 pair becomes a ``timer`` span on the tracer's timeline, which is how
-the model's ``with timers.timer("step")`` blocks show up as the
-step/phase containers of the exported Chrome trace.  With no tracer
-attached (or a disabled one) the cost is a single attribute check.
+the step's phases show up as the step/phase containers of the exported
+Chrome trace.  With no tracer attached (or a disabled one) the cost is
+a single attribute check.
 
 Examples
 --------
@@ -142,10 +149,6 @@ class TimerRegistry:
         children = sum(self._nodes[c].total for c in node.child_names
                        if c != name and c in self._nodes)
         return node.total - children
-
-    def names(self) -> List[str]:
-        """All timer names, in first-start order."""
-        return list(self._nodes)
 
     def reset(self) -> None:
         """Forget all timers.  Active timers are discarded."""

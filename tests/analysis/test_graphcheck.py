@@ -163,7 +163,7 @@ def captured_graphs(model_cls):
     from repro.ocean import ModelParams, demo
 
     model = model_cls(demo("tiny"), backend="serial",
-                      params=ModelParams(graph=True, check_every=0))
+                      params=ModelParams(check_every=0))
     model.run_steps(2)
     graphs = [g for g in model._graphs.values() if g.sealed]
     assert len(graphs) == 2  # startup + steady variants
@@ -268,7 +268,7 @@ class TestSeedModelClean:
         # subclass, whose graphs stay unfused on the generic plan
         model = LICOMKpp(demo("tiny"),
                          backend=backend if jit else intercepting(backend),
-                         params=ModelParams(graph=True, check_every=0))
+                         params=ModelParams(check_every=0))
         try:
             model.run_steps(2)
             graphs = [g for g in model._graphs.values() if g.sealed]
@@ -308,18 +308,6 @@ class TestLintCliGraphMode:
 
         doc = json.loads(out.read_text())
         assert doc["tool"] == "graphcheck" and doc["ok"] is True
-
-    def test_trace_graph_reports_missing_graph_explicitly(self, capsys):
-        # `repro trace --graph` on a model that captured nothing must
-        # explain itself instead of crashing on an empty graph table
-        from repro.cli import _report_jit_coverage
-
-        class GraphlessModel:
-            _graphs = {}
-
-        _report_jit_coverage(GraphlessModel())
-        out = capsys.readouterr().out
-        assert "no sealed graph" in out
 
     def test_exit_gate_errors_only_unless_strict(self, capsys):
         # a warning-severity report exits 0 by default, 1 with --strict

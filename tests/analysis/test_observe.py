@@ -226,7 +226,7 @@ def test_verifying_a_live_model_leaves_its_buffers_unchanged():
     from repro.ocean import LICOMKpp, ModelParams, demo
 
     model = LICOMKpp(demo("tiny"), backend="serial",
-                     params=ModelParams(graph=True, check_every=0))
+                     params=ModelParams(check_every=0))
     try:
         model.run_steps(2)
         graphs = [g for g in model._graphs.values() if g.sealed]

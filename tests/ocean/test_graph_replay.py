@@ -1,6 +1,6 @@
 """The production path is bitwise identical to the eager oracle.
 
-The headline contract of ``ModelParams(graph=True)``: capture once,
+The headline contract of the default ``ModelParams()``: capture once,
 seal (launch fusion + bound sweeps), replay, and produce
 *bit-identical* prognostic fields on every backend — the property the
 paper relies on when validating ports across ORISE and Sunway.  Also
@@ -20,6 +20,9 @@ from repro.ocean.model import ModelParams
 from tests.conftest import intercepting
 
 BACKENDS = ["serial", "openmp", "athread", "cuda"]
+#: The step's timer regions, in entry order.
+PHASES = ["step", "eos_pressure", "canuto", "w_diag", "momentum",
+          "barotropic", "tracer", "filter"]
 
 
 def _state_hash(model) -> str:
@@ -80,12 +83,18 @@ class TestReplayBitwise:
 class TestStepNodes:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_nodes_do_what_graphcheck_reads(self, backend):
-        """A sealed step is launches, exchanges and one rotate, and each
-        node's ``run()`` does what the graphcheck walk reads from it: an
-        exchange hands ``update_many`` exactly its fields, the rotate
-        leaves the buffers where the walk's permutation says."""
+        """A sealed step is launches, exchanges, one rotate and balanced
+        phase marks, and each node's ``run()`` does what the graphcheck
+        walk reads from it: an exchange hands ``update_many`` exactly its
+        fields, the rotate leaves the buffers where the walk's
+        permutation says, a phase mark enters or leaves its timer."""
         from repro.analysis.graphcheck import _Walker
-        from repro.kokkos.graph import ExchangeNode, KernelNode, RotateNode
+        from repro.kokkos.graph import (
+            ExchangeNode,
+            KernelNode,
+            PhaseNode,
+            RotateNode,
+        )
 
         model = _run(backend, graph=True)
         nsub = model.config.barotropic_substeps
@@ -100,8 +109,22 @@ class TestStepNodes:
             steps = [n for n in graph.nodes if not isinstance(n, KernelNode)]
             exchanges = [n for n in steps if isinstance(n, ExchangeNode)]
             rotates = [n for n in steps if isinstance(n, RotateNode)]
+            marks = [n for n in steps if isinstance(n, PhaseNode)]
             assert len(exchanges) == expected == 18
-            assert len(rotates) == 1 and len(steps) == 19
+            assert len(rotates) == 1 and len(steps) == 19 + len(marks)
+            # tiny mixes every step: canuto is in both variants
+            assert [m.label for m in marks if m.enter] == PHASES
+            open_ = []
+            for mark in marks:
+                if mark.enter:
+                    open_.append(mark.label)
+                else:
+                    assert open_.pop() == mark.label
+            assert open_ == []
+            before = model.timers.count("step")
+            for mark in marks:
+                mark.run()
+            assert model.timers.count("step") == before + 1
             for node in exchanges:
                 del handed[:]
                 node.run()
@@ -146,8 +169,7 @@ class TestRecapture:
         # and their cache are gone)
         import builtins
 
-        model = LICOMKpp(demo("tiny"), backend="athread",
-                         params=ModelParams(graph=True))
+        model = LICOMKpp(demo("tiny"), backend="athread")
 
         generated = []
         with monkeypatch.context() as patch:
@@ -169,8 +191,7 @@ class TestArenaAllocations:
     def test_steady_state_allocations_zero_and_reduced(self):
         inst_arena = Instrumentation()
         arena = LICOMKpp(demo("tiny"),
-                         backend=AthreadBackend(inst=inst_arena),
-                         params=ModelParams(graph=True))
+                         backend=AthreadBackend(inst=inst_arena))
         inst_eager = Instrumentation()
         eager = LICOMKpp(demo("tiny"),
                          backend=AthreadBackend(inst=inst_eager))

@@ -47,7 +47,7 @@ def _count_calls(fn) -> int:
     ("athread", "double"), ("athread", "mixed"), ("serial", "double")])
 def test_sealed_small_step_call_budget(backend, precision):
     m = LICOMKpp(demo("small"), backend=backend,
-                 params=ModelParams(graph=True, precision=precision))
+                 params=ModelParams(precision=precision))
     try:
         for _ in range(WARMUP):
             m.step()
@@ -62,7 +62,8 @@ def test_eager_athread_step_costs_what_a_serial_one_does():
     # schedule's ledger update, eager as on replay: no per-tile Python
     calls = {}
     for backend in ("serial", "athread"):
-        m = LICOMKpp(demo("small"), backend=backend)
+        m = LICOMKpp(demo("small"), backend=backend,
+                     params=ModelParams(graph=False))
         try:
             for _ in range(WARMUP):
                 m.step()
@@ -92,7 +93,7 @@ LEDGER = {
 def test_single_rank_ledgers(precision):
     want = LEDGER[precision]
     m = LICOMKpp(demo("small"), backend="athread",
-                 params=ModelParams(graph=True, precision=precision))
+                 params=ModelParams(precision=precision))
     try:
         m.run_steps(16)
         for led in (m.comm.world.traffic, m.context.traffic):
@@ -129,8 +130,7 @@ RANK_LEDGER = dict(
 def test_two_rank_ledgers():
     from repro.ocean.model import run_distributed
 
-    results, world = run_distributed(demo("small"), 2, 16, backend="athread",
-                                     params=ModelParams(graph=True))
+    results, world = run_distributed(demo("small"), 2, 16, backend="athread")
     want = RANK_LEDGER
     for r in results:
         led = r.traffic
@@ -150,8 +150,7 @@ def test_two_rank_ledgers():
 
 
 def _ldm_after_reset_and_replay(steps):
-    m = LICOMKpp(demo("small"), backend="athread",
-                 params=ModelParams(graph=True))
+    m = LICOMKpp(demo("small"), backend="athread")
     try:
         m.run_steps(steps)
         space = m.context.space
@@ -194,7 +193,8 @@ class _PeakBackend(SerialBackend):
 
 def test_eager_launches_allocate_no_field_sized_temporary():
     backend = _PeakBackend()
-    m = LICOMKpp(demo("medium"), backend=backend)
+    m = LICOMKpp(demo("medium"), backend=backend,
+                 params=ModelParams(graph=False))
     try:
         m.run_steps(2)                  # warm the arena (both step variants)
         d = m.domain

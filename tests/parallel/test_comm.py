@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CommunicationError
+from repro.errors import CommunicationError, RemoteRankError
 from repro.parallel import SimComm, SimWorld, SingleComm
 
 
@@ -313,37 +313,56 @@ class TestBarrierTimeout:
             SimWorld(2, mode="fiber")
 
 
+def _raise_after_parking(comm):
+    if comm.rank == 0:
+        comm.recv(source=1)             # rank 1 is on its way to park
+        raise ValueError("the real bug")
+    comm.send("parking", dest=0)
+    comm.recv(source=0)                 # never sent
+
+
+def _barrier_unless(comm, absent):
+    if comm.rank == absent:
+        return "absent"
+    comm.barrier()
+
+
 class TestExitedPeer:
     """A thread rank that left its program fails its peers' waits on it
-    at once, well inside the world timeout."""
+    at once, well inside the world timeout.  The programs live at module
+    level so process ranks can pickle them."""
+
+    MODE = "thread"
+    ERROR = ValueError
+    #: Seconds the failing world may take, end to end.
+    LIMIT = 1.0
 
     def test_recv_on_a_raised_peer_surfaces_its_error_at_once(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.recv(source=1)             # rank 1 is on its way to park
-                raise ValueError("the real bug")
-            comm.send("parking", dest=0)
-            comm.recv(source=0)                 # never sent
-
         t0 = time.monotonic()
-        with pytest.raises(ValueError, match="the real bug"):
-            SimWorld.run(prog, 2, timeout=30.0)
-        assert time.monotonic() - t0 < 1.0
+        with pytest.raises(self.ERROR, match="the real bug"):
+            SimWorld.run(_raise_after_parking, 2, timeout=30.0,
+                         mode=self.MODE)
+        assert time.monotonic() - t0 < self.LIMIT
 
     @pytest.mark.parametrize("absent", [0, 1])
     def test_collective_left_by_a_returned_peer_fails_at_once(self, absent):
         """Either role: the coordinator (rank 0) waiting for a
         contribution, or a rank waiting for rank 0's result."""
-
-        def prog(comm):
-            if comm.rank == absent:
-                return "absent"
-            comm.barrier()
-
         t0 = time.monotonic()
         with pytest.raises(CommunicationError, match="collective 'barrier'"):
-            SimWorld.run(prog, 3, timeout=30.0)
-        assert time.monotonic() - t0 < 1.0
+            SimWorld.run(_barrier_unless, 3, timeout=30.0, args=(absent,),
+                         mode=self.MODE)
+        assert time.monotonic() - t0 < self.LIMIT
+
+
+class TestExitedProcessPeer(TestExitedPeer):
+    """The same on process ranks: a worker leaving its program posts an
+    exit frame to each peer, so the waits fail at once there too, spawn
+    included."""
+
+    MODE = "process"
+    ERROR = RemoteRankError
+    LIMIT = 2.0
 
 
 def _assert_world_at_rest(world):

@@ -208,7 +208,7 @@ class TestJitLaunchDiscount:
         from repro.ocean import LICOMKpp, ModelParams, demo
 
         cfg = demo("tiny")
-        model = LICOMKpp(cfg, params=ModelParams(graph=True, check_every=0))
+        model = LICOMKpp(cfg, params=ModelParams(check_every=0))
         try:
             model.run_steps(3)
             steady = [g for (startup, _), g in model._graphs.items()

@@ -13,7 +13,7 @@ import pytest
 
 import repro.ocean.restart as restart_mod
 from repro.ocean import LICOMKpp, demo
-from repro.ocean.model import ModelParams, STATE_FIELDS
+from repro.ocean.model import STATE_FIELDS
 from repro.ocean.restart import load_restart, save_restart
 from repro.serve import JobSpec, JobStatus, ServeScheduler
 
@@ -110,7 +110,7 @@ class TestAtomicSave:
 
 class TestKillAndResume:
     def _solo_state(self, steps):
-        model = LICOMKpp(demo("tiny"), params=ModelParams(graph=True))
+        model = LICOMKpp(demo("tiny"))
         try:
             model.run_steps(steps)
             return {f: getattr(model.state, f).cur.raw.copy()

@@ -67,7 +67,7 @@ class TestSignature:
         {"size": "small"},
         {"backend": "openmp"},
         {"precision": "single"},
-        {"graph": False},
+        {"backend": "athread"},
         {"n_passive": 1},
         {"seed": 7},
         {"trace": True},
@@ -107,9 +107,14 @@ class TestJobspecFile:
             spec_from_dict({"name": "x", "stepz": 4})
 
     def test_retired_jit_key_rejected(self):
-        # the compiled tier is part of graph=True, not a spec field
+        # the compiled tier is part of the sealed graph, not a spec field
         with pytest.raises(AdmissionError, match=r"unknown keys \['jit'\]"):
             spec_from_dict({"name": "x", "jit": True})
+
+    def test_retired_graph_key_rejected(self):
+        # every job steps the sealed graph; there is no path to choose
+        with pytest.raises(AdmissionError, match=r"unknown keys \['graph'\]"):
+            spec_from_dict({"name": "x", "graph": True})
 
     def test_nameless_rejected(self):
         with pytest.raises(AdmissionError, match="without a name"):

@@ -12,7 +12,7 @@ import pytest
 from repro.errors import AdmissionError
 from repro.kokkos.context import ExecutionContext
 from repro.ocean import LICOMKpp, demo
-from repro.ocean.model import ModelParams, STATE_FIELDS
+from repro.ocean.model import STATE_FIELDS
 from repro.parallel.shm import SEGMENT_PREFIX, _SHM_DIR
 from repro.serve import JobSpec, JobStatus, ServeScheduler
 from repro.trace import validate_chrome_trace
@@ -143,7 +143,7 @@ class TestSharing:
         assert stats["engines"] == 1
         assert _bitwise(a.result, b.result)
 
-        solo = LICOMKpp(demo("tiny"), params=ModelParams(graph=True))
+        solo = LICOMKpp(demo("tiny"))
         try:
             solo.run_steps(4)
             for f in STATE_FIELDS:

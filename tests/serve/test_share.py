@@ -7,7 +7,7 @@ import threading
 import numpy as np
 
 from repro.ocean import LICOMKpp, demo
-from repro.ocean.model import ModelParams, STATE_FIELDS
+from repro.ocean.model import STATE_FIELDS
 from repro.serve import EngineCache, JobSpec
 from repro.serve.share import SharedEngine
 
@@ -20,14 +20,13 @@ class TestReset:
     def test_reset_matches_fresh_model_bitwise(self):
         """A stepped-then-reset model re-runs bitwise like a fresh one."""
         cfg = demo("tiny")
-        params = ModelParams(graph=True)
-        reused = LICOMKpp(cfg, params=params)
+        reused = LICOMKpp(cfg)
         reused.run_steps(3)
         reused.reset()
         assert reused.nstep == 0 and reused.time_seconds == 0.0
         reused.run_steps(3)
 
-        fresh = LICOMKpp(cfg, params=params)
+        fresh = LICOMKpp(cfg)
         fresh.run_steps(3)
         for f in STATE_FIELDS:
             np.testing.assert_array_equal(
@@ -38,7 +37,7 @@ class TestReset:
 
     def test_reset_keeps_sealed_graphs(self):
         """Reset preserves view identity, so sealed graphs replay."""
-        model = LICOMKpp(demo("tiny"), params=ModelParams(graph=True))
+        model = LICOMKpp(demo("tiny"))
         model.run_steps(2)
         sealed_before = {k: id(g) for k, g in model._graphs.items()}
         replays_before = sum(g.replays for g in model._graphs.values())
@@ -103,16 +102,6 @@ class TestEngineCache:
         assert len(cache) == 2
         cache.close_all()
         assert len(cache) == 0
-
-    def test_default_and_explicit_production_specs_share(self):
-        # graph=True is the default and the compiled tier is part of
-        # it: spelling the production path out must not split engines
-        cache = EngineCache()
-        a = cache.acquire(JobSpec(name="a"))
-        b = cache.acquire(JobSpec(name="b", graph=True))
-        assert a is b
-        assert (cache.hits, cache.misses) == (1, 1)
-        cache.close_all()
 
     def test_concurrent_same_signature_single_build(self):
         """N simultaneous acquires -> one build, N-1 hits."""

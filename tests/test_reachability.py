@@ -59,9 +59,9 @@ CLI_DRIVE: List[Tuple[List[str], int]] = [
       "--output", "{tmp}/lint.json"], 0),
     (["lint", "--graph", "--strict"], 0),
     # four steps: two capture the startup and steady graphs, two replay
-    (["trace", "--ranks", "1", "--graph", "--steps", "4", "--backend",
+    (["trace", "--ranks", "1", "--steps", "4", "--backend",
       "athread", "--predict", "new_sunway", "--out", "{tmp}/trace1.json"], 0),
-    *((["trace", "--ranks", "1", "--graph", "--steps", "4", "--backend", b,
+    *((["trace", "--ranks", "1", "--steps", "4", "--backend", b,
         "--out", "{tmp}/trace1-%s.json" % b], 0) for b in ("openmp", "cuda")),
     (["trace", "--ranks", "2", "--out", "{tmp}/trace2.json"], 0),
     (["trace", "--ranks", "2", "--mode", "process",
@@ -130,6 +130,13 @@ ALLOWED: Dict[str, str] = {
            "repro/parallel/halo.py::HaloUpdater.pool"),
     **_why("seam", "tests check spans stay balanced per thread",
            "repro/trace/tracer.py::Tracer.open_depth"),
+    **_why("seam", "tests time ad-hoc regions, read one region's count "
+           "and total, and clear a registry; production opens the step's "
+           "regions through phase nodes and prints report()",
+           "repro/timing.py::TimerRegistry.count",
+           "repro/timing.py::TimerRegistry.reset",
+           "repro/timing.py::TimerRegistry.timer",
+           "repro/timing.py::TimerRegistry.total"),
     **_why("seam", "a JobSpec program stands in for the ocean step so "
            "the timeout, kill and failure tests can wedge a job",
            "repro/serve/scheduler.py::ServeScheduler._run_program_job"),
@@ -210,8 +217,7 @@ ALLOWED: Dict[str, str] = {
            "repro/parallel/comm.py::SimComm.barrier",
            "repro/parallel/comm.py::_copy_payload",
            "repro/parallel/comm.py::_reduce_values",
-           "repro/parallel/wire.py::ObjFrame.__init__",
-           "repro/parallel/wire.py::encode_obj"),
+           "repro/parallel/wire.py::ObjFrame.__init__"),
     **_why("bench", "leak checks and layer counters of the workloads",
            "repro/kokkos/context.py::ExecutionContext.live_contexts",
            "repro/kokkos/context.py::ExecutionContext.live_count",
@@ -259,15 +265,9 @@ ALLOWED: Dict[str, str] = {
            "repro/parallel/loadbalance.py::local_ocean_columns",
            "repro/parallel/loadbalance.py::naive_column_compute",
            "repro/parallel/loadbalance.py::partition_evenly"),
-    **_why("roadmap 1", "graph-mode launch pricing; item 1 flips the "
-           "default to the sealed graph",
+    **_why("roadmap 11", "graph-mode launch pricing; item 11 prices the "
+           "sealed graph every run now steps",
            "repro/perfmodel/kernelcost.py::StepProfile.launches_graph"),
-    **_why("roadmap 2", "timer queries item 2 rebuilds on the graph's "
-           "phase attribution",
-           "repro/timing.py::TimerRegistry.count",
-           "repro/timing.py::TimerRegistry.names",
-           "repro/timing.py::TimerRegistry.reset",
-           "repro/timing.py::TimerRegistry.total"),
     **_why("roadmap 12", "the non-blocking probe whose miss hands the run "
            "token round; item 12's run queue replaces it",
            "repro/parallel/comm.py::Request.test",

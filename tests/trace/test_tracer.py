@@ -172,11 +172,10 @@ def continuity_spans(tr) -> int:
 
 
 class TestModelTracing:
-    def step_model(self, trace=True, graph=False, steps=2):
+    def step_model(self, trace=True, steps=2):
         from repro.ocean import LICOMKpp, ModelParams, demo
 
-        m = LICOMKpp(demo("tiny"),
-                     params=ModelParams(trace=trace, graph=graph))
+        m = LICOMKpp(demo("tiny"), params=ModelParams(trace=trace))
         m.run_steps(steps)
         tr = m.context.tracer
         m.close()
@@ -209,7 +208,7 @@ class TestModelTracing:
         assert continuity_spans(tr) == 2 * NSUB
 
     def test_graph_replay_keeps_fused_span_and_substeps(self):
-        tr = self.step_model(graph=True, steps=3)  # step 2 replays leapfrog
+        tr = self.step_model(steps=3)  # step 2 replays leapfrog
         spans = tr.closed_spans()
         assert any(s.name == "graph_replay" for s in spans)
         fused = [s for s in spans if "fused" in s.args]
