@@ -201,7 +201,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         try:
             model.run_steps(args.steps)
             tracers.append(model.context.tracer)
-            _report_jit_coverage(model)
+            _report_graphs(model)
         finally:
             model.close()
     else:
@@ -235,7 +235,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_jit_coverage(model) -> None:
+def _report_graphs(model) -> None:
     """Shape of each sealed step graph of a single-rank trace."""
     from .kokkos.graph import ExchangeNode, RotateNode
 
@@ -249,9 +249,6 @@ def _report_jit_coverage(model) -> None:
               f"replay ({graph.captured_launches} captured, "
               f"{graph.fused_groups} fused groups), {exchanges} exchanges "
               f"+ {rotates} rotate")
-    # one space seals every variant, so the graphs share one tier
-    tiers = {tier for g in sealed.values() for _, tier in g.kernel_tiers()}
-    print(f"tier: {', '.join(sorted(tiers))}")
 
 
 def _cmd_precision(args: argparse.Namespace) -> int:

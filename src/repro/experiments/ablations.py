@@ -133,23 +133,25 @@ def fused_halo_study(
         rng = np.random.default_rng(100 + rank)
         return [rng.standard_normal((nz, ly, lx)) for _ in range(n_fields)]
 
-    def per_field(comm) -> TrafficLedger:
+    def per_field(comm) -> SimWorld:
         fields = local_fields(comm.rank)
         fx = FusedHaloExchange(comm, decomp, comm.rank)
         for _ in range(rounds):
             for f in fields:
                 fx.exchange([f])
-        return comm.world.traffic
+        return comm.world
 
-    def fused(comm) -> TrafficLedger:
+    def fused(comm) -> SimWorld:
         fields = local_fields(comm.rank)
         fx = FusedHaloExchange(comm, decomp, comm.rank)
         for _ in range(rounds):
             fx.exchange(fields, phase="fused_halo")
-        return comm.world.traffic
+        return comm.world
 
-    lp = SimWorld.run(per_field, npy * npx)[0]
-    lf = SimWorld.run(fused, npy * npx)[0]
+    # the world's traffic sums its ranks' ledgers: read it once every
+    # rank has returned
+    lp = SimWorld.run(per_field, npy * npx)[0].traffic
+    lf = SimWorld.run(fused, npy * npx)[0].traffic
     return lp, lf, lp.messages / max(1, lf.messages)
 
 

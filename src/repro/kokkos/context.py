@@ -17,16 +17,18 @@ An :class:`ExecutionContext` is the session object that owns one rank's:
   workspace counters all land in the owning context;
 * the workspace arenas it handed out (``make_workspace``), released on
   :meth:`close` so rank threads never pin scratch memory after exit;
-* the per-rank traffic ledger (``.traffic``) the simulated MPI endpoint
-  records into, giving true per-rank message statistics alongside the
-  world's shared ledger;
+* its rank's traffic ledger (``.traffic``), which it reports but does
+  not own: the ledger of the comm it is attached to
+  (:meth:`attach_comm`), the only one that rank's messages are counted
+  in;
 * a graph / launch-plan cache (``.graph_cache``) and a
   :class:`~repro.timing.TimerRegistry`.
 
 Two models on different backends, each with its own context, can step
 concurrently in one process with bitwise-identical results and disjoint
 ledgers; :meth:`~repro.kokkos.instrument.Instrumentation.merge_from`
-folds per-rank ledgers back into the single job-level view.
+folds per-rank ledgers back into the single job-level view, as
+``SimWorld.traffic`` does for the ranks' traffic.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ class ExecutionContext:
         self.closed = False
         self._workspaces: List[Workspace] = []
         self._null_ws: Optional[Workspace] = None
-        self._traffic = None
+        #: The attached comm's traffic ledger (:meth:`attach_comm`);
+        #: ``None`` until a comm is attached.
+        self.traffic = None
         self._owns_space = not isinstance(backend, ExecutionSpace)
         if self._owns_space:
             self.inst = inst if inst is not None else Instrumentation()
@@ -143,15 +147,6 @@ class ExecutionContext:
 
     # -- ownership accessors -----------------------------------------------
 
-    @property
-    def traffic(self):
-        """Per-rank message ledger (created lazily; see SimComm.ledger)."""
-        if self._traffic is None:
-            from ..parallel.comm import TrafficLedger
-
-            self._traffic = TrafficLedger()
-        return self._traffic
-
     def make_workspace(self) -> Workspace:
         """A scratch arena counted in this context's ledger and released
         when the context closes."""
@@ -167,10 +162,9 @@ class ExecutionContext:
         return self._null_ws
 
     def attach_comm(self, comm) -> None:
-        """Point ``comm``'s per-rank ledger at this context's traffic
-        and its tracer at this context's timeline."""
-        if getattr(comm, "ledger", None) is None:
-            comm.ledger = self.traffic
+        """Report ``comm``'s traffic ledger as this context's and point
+        its tracer at this context's timeline."""
+        self.traffic = comm.traffic
         if getattr(comm, "tracer", None) is None:
             comm.tracer = self.tracer
 
@@ -180,14 +174,14 @@ class ExecutionContext:
         Contexts themselves do not cross process boundaries (they own a
         live backend, arenas, sealed plans); what a process-mode
         worker ships home is this bundle — the instrumentation ledger,
-        the per-rank traffic ledger (if a comm ever attached) and the
-        tracer with its recorded timeline.
+        the attached comm's traffic ledger and the tracer with its
+        recorded timeline.
         """
         return {
             "rank": self.rank,
             "name": self.name,
             "inst": self.inst,
-            "traffic": self._traffic,
+            "traffic": self.traffic,
             "tracer": self.tracer,
         }
 

@@ -55,9 +55,6 @@ class BarotropicContinuityFunctor(TileFunctor):
         self.dtb = dtb
         self.eta_diff = eta_diff   # [m^2/s]
 
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
-
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
@@ -151,9 +148,6 @@ class BarotropicMomentumFunctor(TileFunctor):
         self.gy = gy
         self.dom = domain
         self.dtb = dtb
-
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
 
     def apply(self, slices) -> None:
         sj, si = slices

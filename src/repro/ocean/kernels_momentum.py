@@ -290,9 +290,6 @@ class DepthMeanFunctor(TileFunctor):
         self.out = out
         self.dom = domain
 
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
-
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom

@@ -75,9 +75,6 @@ class PressureFunctor(TileFunctor):
         self.p = p
         self.dom = domain
 
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
-
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
@@ -126,9 +123,6 @@ class WFunctor(TileFunctor):
         self.v = v
         self.w = w
         self.dom = domain
-
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
 
     def apply(self, slices) -> None:
         sj, si = slices

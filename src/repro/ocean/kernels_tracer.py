@@ -246,9 +246,6 @@ class AdvectPredictorFunctor(TileFunctor):
         self.dom = domain
         self.dt = dt
 
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
-
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
@@ -372,9 +369,6 @@ class FCTLimitFunctor(TileFunctor):
         self.dom = domain
         self.dt = dt
 
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
-
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
@@ -483,9 +477,6 @@ class FCTApplyFunctor(TileFunctor):
         self.dom = domain
         self.dt = dt
 
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
-
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
@@ -587,9 +578,6 @@ class TracerHDiffusionFunctor(TileFunctor):
         self.dom = domain
         self.dt = dt
         self.kappa = diffusivity
-
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
 
     def apply(self, slices) -> None:
         sj, si = slices

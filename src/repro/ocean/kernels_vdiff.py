@@ -93,9 +93,6 @@ class VerticalFrictionFunctor(TileFunctor):
         self.dt = dt
         self.bottom_drag = bottom_drag
 
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
-
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
@@ -159,9 +156,6 @@ class VerticalTracerDiffusionFunctor(TileFunctor):
         self.gamma = gamma
         self.dom = domain
         self.dt = dt
-
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
 
     def apply(self, slices) -> None:
         sj, si = slices

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from ..parallel.halo import HaloUpdater
 from .config import ModelConfig
 from .forcing import ForcingParams, make_forcing
 from .grid import Grid, make_grid
+from .kernel_utils import TileFunctor
 from .kernels_barotropic import (
     AsselinFilterFunctor,
     BarotropicContinuityFunctor,
@@ -357,25 +358,7 @@ class LICOMKpp:
         construction or re-capture.
         """
         self.space.fence()
-        st = self.state
-        for fld in st.leapfrog_fields().values():
-            fld.old.raw[...] = 0.0
-            fld.cur.raw[...] = 0.0
-            fld.new.raw[...] = 0.0
-        views = [st.ub, st.vb, st.rho, st.p, st.w, st.kappa_h, st.kappa_m,
-                 self.eta, self.eta_prev, self.um, self.vm,
-                 self.um_old, self.vm_old, self.gx, self.gy,
-                 # cast shadows: alias their source under a uniform
-                 # policy (zeroing twice is harmless), separate buffers
-                 # under a mixed one (zeroing is then required)
-                 self.p_mom, self.rho_vmix, self.u_vmix, self.v_vmix,
-                 self.kappa_m_mom, self.kappa_h_tr, self.um_mom,
-                 self.vm_mom, self.ub_mom, self.vb_mom,
-                 self.u_tr, self.v_tr, self.w_tr]
-        views += self.tstar_all + self.tdiff_work_all
-        views += self.rplus_all + self.rminus_all
-        views += [v for faces in self.aflux_all for v in faces]
-        for view in views:
+        for view in self._bound_views():
             view.raw[...] = 0.0
         self.nstep = 0
         self.time_seconds = 0.0
@@ -458,6 +441,30 @@ class LICOMKpp:
         one fused exchange (one message per neighbour per phase)."""
         self._node(ExchangeNode(label, self.space, self.halo, fields))
 
+    def _bound_views(self) -> List[View]:
+        """Every view the step's functors bind: the state's, the work
+        views and the cast shadows.
+
+        :meth:`reset` zeroes exactly these and
+        :meth:`_binding_signature` is made of their identities.  A cast
+        shadow aliases its source under a uniform policy (listed, and
+        zeroed, twice: harmless) and is its own buffer under a mixed one.
+        """
+        st = self.state
+        views = [st.ub, st.vb, st.rho, st.p, st.w, st.kappa_h, st.kappa_m,
+                 self.eta, self.eta_prev, self.um, self.vm,
+                 self.um_old, self.vm_old, self.gx, self.gy,
+                 self.p_mom, self.rho_vmix, self.u_vmix, self.v_vmix,
+                 self.kappa_m_mom, self.kappa_h_tr, self.um_mom,
+                 self.vm_mom, self.ub_mom, self.vb_mom,
+                 self.u_tr, self.v_tr, self.w_tr]
+        for f in st.leapfrog_fields().values():
+            views += [f.old, f.cur, f.new]
+        views += (self.tstar_all + self.tdiff_work_all
+                  + self.rplus_all + self.rminus_all)
+        views += [v for faces in self.aflux_all for v in faces]
+        return views
+
     def _binding_signature(self) -> tuple:
         """Identity of everything a captured graph bakes into functors.
 
@@ -468,19 +475,6 @@ class LICOMKpp:
         functor constructors copy, changes the signature and forces a
         re-capture.
         """
-        st = self.state
-        views = [st.w, st.rho, st.p, st.kappa_m, st.kappa_h, st.ub, st.vb,
-                 self.eta, self.eta_prev, self.um, self.vm, self.um_old,
-                 self.vm_old, self.gx, self.gy]
-        for f in (st.u, st.v, st.t, st.s, st.ssh, *st.passive):
-            views += [f.old, f.cur, f.new]
-        views += (self.tstar_all + self.tdiff_work_all
-                  + self.rplus_all + self.rminus_all)
-        views += [v for faces in self.aflux_all for v in faces]
-        views += [self.p_mom, self.rho_vmix, self.u_vmix, self.v_vmix,
-                  self.kappa_m_mom, self.kappa_h_tr, self.um_mom,
-                  self.vm_mom, self.ub_mom, self.vb_mom,
-                  self.u_tr, self.v_tr, self.w_tr]
         nums = (self.policy.signature(),
                 self.visc, self.bivisc, self.tdiff, self.eta_diff,
                 self.params.asselin, self.params.bottom_drag,
@@ -488,7 +482,7 @@ class LICOMKpp:
                 self.params.canuto_every,
                 self.config.dt_baroclinic, self.config.dt_barotropic,
                 self.gamma_t, self.gamma_s)
-        return (tuple(id(v) for v in views), nums)
+        return (tuple(id(v) for v in self._bound_views()), nums)
 
     # ------------------------------------------------------------------
     # one baroclinic step
@@ -851,8 +845,9 @@ class RankResult:
 
     Everything here is picklable (process mode sends it through a
     worker exit report): final prognostic fields as plain arrays, the
-    step count, and the rank's measurement state — per-rank traffic
-    ledger, instrumentation and tracer.
+    step count, and the rank's measurement state — instrumentation,
+    tracer and ``traffic``, the rank's comm ledger for this launch (the
+    one object the exit report carries home, pickled once).
     """
 
     rank: int
@@ -906,8 +901,9 @@ def run_distributed(
     identical fields, real multi-core parallelism.
 
     Returns ``(results, world)``: the rank-ordered
-    :class:`RankResult` list and the finished :class:`SimWorld` (its
-    ``traffic`` ledger holds the whole run's message statistics).
+    :class:`RankResult` list and the finished :class:`SimWorld`, whose
+    ``traffic`` sums the ranks' ledgers into the whole run's message
+    statistics.
     """
     from ..parallel.comm import DEFAULT_TIMEOUT, SimWorld
     from ..parallel.decomp import choose_process_grid
@@ -928,7 +924,7 @@ def run_distributed(
 
 
 @kokkos_register_for("asselin_filter_2d", ndim=2)
-class _Asselin2D:
+class _Asselin2D(TileFunctor):
     """2-D Asselin filter body (ssh), sharing the 3-D functor's contract."""
 
     flops_per_point = 4.0
@@ -941,9 +937,6 @@ class _Asselin2D:
         self.new = new
         self.alpha = alpha
         self.ws = ws
-
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
 
     def apply(self, slices) -> None:
         asselin_into(self.old.data, self.cur.data, self.new.data,

@@ -111,9 +111,6 @@ class CanutoMixFunctor(TileFunctor):
         self.kappa_h = kappa_h
         self.dom = domain
 
-    def __call__(self, j: int, i: int) -> None:
-        self.apply((slice(j, j + 1), slice(i, i + 1)))
-
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom

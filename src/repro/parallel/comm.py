@@ -5,9 +5,11 @@ We replace MPI with :class:`SimWorld`: every rank is a Python thread
 executing the same program against a :class:`SimComm` endpoint, with
 mailbox-based point-to-point messaging and rank-ordered (deterministic)
 collectives that ride point-to-point through rank 0.  NumPy payloads
-are copied on send, so the semantics match buffered MPI sends; message
-volumes are recorded in a traffic ledger the network cost model
-consumes.
+are copied on send, so the semantics match buffered MPI sends.  Each
+rank's comm owns the one :class:`TrafficLedger` its messages are
+counted in, on the sender, once (§VI-C's per-rank monitoring);
+``SimWorld.traffic`` is their sum, taken when it is read, which the
+network cost model consumes.
 
 This gives the ocean model a real distributed-memory structure — blocks
 only see their halo-exchanged neighbours' data — which the test suite
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from collections import deque
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -149,9 +150,10 @@ class TrafficLedger:
     def merge_from(self, other: "TrafficLedger") -> "TrafficLedger":
         """Fold another ledger's counters into this one (in place).
 
-        Process mode uses this to merge each worker's per-rank ledger
-        back into the world ledger on exit, so load-imbalance terms and
-        the ``by_phase``/``size_hist`` shape counters stay exact.
+        ``SimWorld.traffic`` sums the per-rank ledgers with it, and a
+        process world folds each worker's ledger into its rank's, so
+        load-imbalance terms and the ``by_phase``/``size_hist`` shape
+        counters stay exact.
         """
         with self._lock:
             self.messages += other.messages
@@ -167,8 +169,8 @@ class TrafficLedger:
                 self.size_hist[b] = self.size_hist.get(b, 0) + n
         return self
 
-    # Ledgers cross process boundaries (worker -> parent merge); the
-    # lock is process-local state and is rebuilt on unpickle.
+    # Ledgers cross process boundaries (in the worker's exit report);
+    # the lock is process-local state and is rebuilt on unpickle.
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
         state.pop("_lock", None)
@@ -270,9 +272,9 @@ class _Mailbox:
             self._cond.notify_all()
 
     def get(self, timeout: float) -> Any:
-        ok, item = self._pop()
-        if ok:
-            return item
+        with self._cond:
+            if self._items:
+                return self._items.popleft()
         # Token first, condition second: the token is re-taken only after
         # the condition is dropped, or a sender holding it would block.
         with self._token.released(), self._cond:
@@ -288,59 +290,24 @@ class _Mailbox:
                     "failed: the rank has exited")
             return self._items.popleft()
 
-    def _pop(self) -> Tuple[bool, Any]:
-        with self._cond:
-            if self._items:
-                return True, self._items.popleft()
-            return False, None
-
-    def poll(self) -> Tuple[bool, Any]:
-        """Non-blocking probe: (True, item) if one is queued, else (False, None).
-
-        A miss by the token owner hands the token round once, so a rank
-        that spin-polls cannot starve the peer it is waiting for.
-        """
-        hit = self._pop()
-        if not hit[0]:
-            with self._token.released():
-                time.sleep(0)
-        return hit
-
 
 class Request:
-    """Handle for a non-blocking operation.
+    """Handle for a posted receive.
 
-    ``wait()`` blocks until the operation completes and returns its
-    result.  ``test()`` is a genuine non-blocking probe: it consults the
-    mailbox without waiting and returns whether the operation has
-    completed (caching the result for a later ``wait()``).
+    ``wait()`` blocks until the message has arrived and returns it; a
+    second ``wait()`` returns the same message.
     """
 
-    def __init__(self, fn: Optional[Callable[[], Any]] = None,
-                 poll: Optional[Callable[[], Tuple[bool, Any]]] = None) -> None:
+    def __init__(self, fn: Callable[[], Any]) -> None:
         self._fn = fn
-        self._poll = poll
-        self._done = fn is None and poll is None
+        self._done = False
         self._result: Any = None
 
     def wait(self) -> Any:
         if not self._done:
-            if self._fn is not None:
-                self._result = self._fn()
+            self._result = self._fn()
             self._done = True
         return self._result
-
-    def test(self) -> bool:
-        """Non-blocking completion probe: never waits on the mailbox."""
-        if self._done:
-            return True
-        if self._poll is not None:
-            ok, value = self._poll()
-            if ok:
-                self._result = value
-                self._done = True
-            return ok
-        return False
 
 
 class SimWorld:
@@ -363,9 +330,10 @@ class SimWorld:
         self.size = size
         self.timeout = timeout
         self.mode = mode
-        self.traffic = TrafficLedger()
-        #: Per-rank ledgers merged back from workers (process mode only).
-        self.rank_traffic: Dict[int, TrafficLedger] = {}
+        #: Rank ``r``'s traffic, over every launch: the ledger of each
+        #: comm this world hands rank ``r`` (thread mode), or the sum of
+        #: the ledgers rank ``r``'s workers carried home (process mode).
+        self.rank_traffic = [TrafficLedger() for _ in range(size)]
         #: Held by the one runnable rank thread of a thread-mode launch.
         self._token = RunToken()
         #: Ranks of the current thread-mode launch that left ``program``.
@@ -377,6 +345,21 @@ class SimWorld:
         if not (0 <= rank < self.size):
             raise ValueError(f"rank {rank} out of range for size {self.size}")
         return SimComm(self, rank)
+
+    @property
+    def traffic(self) -> TrafficLedger:
+        """The whole world's traffic: a fresh sum of :attr:`rank_traffic`.
+
+        Every rank counts each collective it took part in, so the sum
+        counts each one once, as rank 0 (which runs every collective's
+        combine) saw it.  Read it after the launch returns: read from
+        inside a program it misses what the other ranks have yet to send.
+        """
+        merged = TrafficLedger()
+        for ledger in self.rank_traffic:
+            merged.merge_from(ledger)
+        merged.collectives = self.rank_traffic[0].collectives
+        return merged
 
     def _box(self, src: int, dst: int, tag: int) -> _Mailbox:
         key = (src, dst, tag)
@@ -431,8 +414,8 @@ class SimWorld:
             outcome = run_process_world(
                 program, self.size, timeout=self.timeout, args=args,
             )
-            self.traffic.merge_from(outcome.traffic)
-            self.rank_traffic.update(outcome.rank_traffic)
+            for rank, ledger in outcome.rank_traffic.items():
+                self.rank_traffic[rank].merge_from(ledger)
             return outcome.results
         return self._launch_threads(program, args)
 
@@ -499,14 +482,12 @@ class SimComm:
         self.world = world
         self.rank = rank
         self._coll_seq = 0
-        #: Optional per-rank traffic ledger.  The world's shared ledger
-        #: always records every message; when an
-        #: :class:`~repro.kokkos.context.ExecutionContext` attaches one
-        #: here (``context.attach_comm``), this rank's sends and
-        #: collective participations are *also* recorded per rank — the
-        #: separable per-rank statistics the paper's job-level
-        #: monitoring provides (§VI-C).
-        self.ledger: Optional[TrafficLedger] = None
+        #: This rank's traffic ledger, the only one its sends and
+        #: collective participations are counted in — the separable
+        #: per-rank statistics of the paper's job-level monitoring
+        #: (§VI-C).  It is the world's ``rank_traffic[rank]``; a process
+        #: worker carries it home in its exit report.
+        self.traffic: TrafficLedger = world.rank_traffic[rank]
         #: Optional per-rank span tracer (``context.attach_comm``): while
         #: enabled, every send lands on the timeline as an instant event.
         self.tracer = None
@@ -559,10 +540,8 @@ class SimComm:
             except Exception as exc:
                 self._broadcast_result(False, str(exc))
                 raise
-            self.world.traffic.collectives += 1
             self._broadcast_result(True, result)
-        if self.ledger is not None:
-            self.ledger.collectives += 1
+        self.traffic.collectives += 1
         return result
 
     def _broadcast_result(self, ok: bool, payload: Any) -> None:
@@ -589,10 +568,8 @@ class SimComm:
         """
         if not (0 <= dest < self.size):
             raise CommunicationError(f"send to invalid rank {dest}")
-        nbytes = _payload_nbytes(obj)
-        self.world.traffic.record(self.rank, dest, nbytes, phase=phase)
-        if self.ledger is not None:
-            self.ledger.record(self.rank, dest, nbytes, phase=phase)
+        self.traffic.record(self.rank, dest, _payload_nbytes(obj),
+                            phase=phase)
         self._transmit(obj, dest, tag, move, phase)
 
     def _transmit(self, obj: Any, dest: int, tag: int, move: bool = True,
@@ -629,17 +606,10 @@ class SimComm:
         return self._get(source, tag)
 
     def irecv(self, source: int, tag: int = 0) -> Request:
-        """Post a non-blocking receive.
-
-        The mailbox is materialised eagerly (the MPI "posted receive"),
-        so ``test()`` is a real O(1) probe and ``wait()`` blocks only
-        for in-flight data.
-        """
+        """Post a non-blocking receive; its ``wait()`` is the receive."""
         if not (0 <= source < self.size):
             raise CommunicationError(f"irecv from invalid rank {source}")
-        box = self.world._box(source, self.rank, tag)
-        timeout = self.world.timeout
-        return Request(fn=lambda: box.get(timeout), poll=box.poll)
+        return Request(lambda: self._get(source, tag))
 
     # -- collectives ---------------------------------------------------------
 

@@ -28,12 +28,13 @@ world, where one peer is fold partner, east and west neighbour at
 once, an exchange is one frame each way; on one rank it is three
 copies and a fill.
 
-**Logical ledgers, physical frames.**  The traffic ledgers keep the
-paper's message schedule, which the network model and the A2 ablation
-price: one message per dtype group for each south, north or fold side
-and for each of east and west — ``h`` rows of interior columns, or
-``h`` columns of full rows — whoever owns the neighbour.  A plan fixes
-that per-peer delta once and each exchange records it with one
+**Logical ledgers, physical frames.**  The sender's comm ledger keeps
+the paper's message schedule, which the network model and the A2
+ablation price: one message per dtype group for each south, north or
+fold side and for each of east and west — ``h`` rows of interior
+columns, or ``h`` columns of full rows — whoever owns the neighbour.
+A plan fixes that per-peer delta once and each exchange records it
+into ``comm.traffic`` with one
 :meth:`~repro.parallel.comm.TrafficLedger.record_batch` per peer, self
 or remote.  The frames themselves go through the communicator's
 un-ledgered ``_transmit`` (ownership moves with the buffer: no copy);
@@ -326,12 +327,10 @@ class FusedHaloExchange:
                      len(fields) - n3d, n3d)
 
     def _account(self, plan: _Plan, phase: Optional[str]) -> None:
-        """Ledger the logical messages: one batch per peer and ledger."""
-        me, comm = self.rank, self.comm
+        """Ledger the logical messages: one batch per peer."""
+        me, ledger = self.rank, self.comm.traffic
         for peer, *batch in plan.traffic:
-            comm.world.traffic.record_batch(me, peer, *batch, phase=phase)
-            if comm.ledger is not None:
-                comm.ledger.record_batch(me, peer, *batch, phase=phase)
+            ledger.record_batch(me, peer, *batch, phase=phase)
 
     def _span(self, name: str, **args):
         """A tracer span when tracing is live, the shared no-op otherwise."""

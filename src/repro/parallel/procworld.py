@@ -46,10 +46,11 @@ get faster.  This module is the real-parallel substrate behind
   it removes every segment the world created — including those of
   killed workers, via a ``/dev/shm`` prefix sweep.
 
-Per-rank :class:`~repro.parallel.comm.TrafficLedger`\\ s ride home in
-each worker's exit report and merge into the world ledger, so perfmodel
-load-imbalance terms and the ``by_phase``/``size_hist`` counters are as
-exact as in thread mode.
+Each worker's comm ledger (:class:`~repro.parallel.comm.TrafficLedger`)
+rides home once, in its exit report, and the parent folds it into its
+rank's ``SimWorld.rank_traffic`` entry, so perfmodel load-imbalance
+terms and the ``by_phase``/``size_hist`` counters are as exact as in
+thread mode.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ import numpy as np
 from ..errors import CommunicationError, RemoteRankError
 from .comm import (
     DEFAULT_TIMEOUT,
-    Request,
     SimComm,
     TrafficLedger,
     _primary_error,
@@ -128,17 +128,18 @@ class _RankWorldView:
     """The worker-side stand-in for a :class:`SimWorld`.
 
     Quacks enough like the real thing for :class:`SimComm` subclass
-    code and callers reading ``comm.world.size`` / ``.timeout`` /
-    ``.traffic``; its ledger records only this rank's sends and is
-    merged into the parent's world ledger on exit.
+    code and callers reading ``comm.world.size`` / ``.timeout``; it
+    holds a ledger for its own rank only (the whole world's traffic is
+    the parent's to sum, after the launch).
     """
 
-    def __init__(self, size: int, timeout: float, uid: str) -> None:
+    def __init__(self, size: int, timeout: float, uid: str,
+                 rank: int) -> None:
         self.size = size
         self.timeout = timeout
         self.uid = uid
         self.mode = "process"
-        self.traffic = TrafficLedger()
+        self.rank_traffic = {rank: TrafficLedger()}
 
 
 class ProcComm(SimComm):
@@ -285,22 +286,6 @@ class ProcComm(SimComm):
                 with suppress(CommunicationError):
                     self._post(dest, frame)
 
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        if not (0 <= source < self.size):
-            raise CommunicationError(f"irecv from invalid rank {source}")
-        key = (source, tag)
-
-        def poll() -> Tuple[bool, Any]:
-            q = self._pending.get(key)
-            if not q:
-                self._drain_nowait()
-                q = self._pending.get(key)
-            if q:
-                return True, self._deliver(q.popleft())
-            return False, None
-
-        return Request(fn=lambda: self._get(source, tag), poll=poll)
-
 
 # -- worker entry point ------------------------------------------------------
 
@@ -313,7 +298,7 @@ def _worker_main(rank: int, size: int, uid: str, timeout: float, inbox,
     rank's write end.
     """
     pool = SharedBufferPool(uid, rank)
-    world = _RankWorldView(size, timeout, uid)
+    world = _RankWorldView(size, timeout, uid, rank)
     comm = ProcComm(world, rank, inbox, outboxes, pool)
     try:
         result = program(comm, *args)
@@ -326,8 +311,8 @@ def _worker_main(rank: int, size: int, uid: str, timeout: float, inbox,
             "traceback": traceback.format_exc(),
         }
     comm._post_exit()
-    report["world_traffic"] = world.traffic
-    report["rank_traffic"] = comm.ledger
+    # a RankResult carrying this same ledger pickles it once, with this
+    report["traffic"] = comm.traffic
     report["segments"] = pool.created_names()
     pool.close()
     inbox.close()  # a later send to this rank fails instead of piling up
@@ -337,8 +322,8 @@ def _worker_main(rank: int, size: int, uid: str, timeout: float, inbox,
         fallback = {
             "status": "error", "rank": rank, "exc_type": "PicklingError",
             "message": f"rank report not picklable: {exc}",
-            "traceback": None, "world_traffic": None,
-            "rank_traffic": None, "segments": report["segments"],
+            "traceback": None, "traffic": None,
+            "segments": report["segments"],
         }
         payload = pickle.dumps(fallback, protocol=pickle.HIGHEST_PROTOCOL)
     report_q.put(payload)
@@ -352,9 +337,7 @@ class ProcessRunResult:
     """What a process world hands back to the parent."""
 
     results: List[Any]
-    #: Merged world ledger (sum of the per-rank world-view ledgers).
-    traffic: TrafficLedger
-    #: rank -> per-rank ledger (context-attached), for ranks that had one.
+    #: rank -> the ledger its worker carried home (ranks that reported).
     rank_traffic: Dict[int, TrafficLedger] = field(default_factory=dict)
     #: Per-rank error reports (empty on success).
     errors: List[RemoteRankError] = field(default_factory=list)
@@ -467,17 +450,12 @@ def run_process_world(
             _ACTIVE_UIDS.discard(uid)
 
     results: List[Any] = [None] * size
-    traffic = TrafficLedger()
     rank_traffic: Dict[int, TrafficLedger] = {}
     errors: List[RemoteRankError] = []
     for rank in range(size):
         rep = reports[rank]
-        wl = rep.get("world_traffic")
-        if wl is not None:
-            traffic.merge_from(wl)
-        rl = rep.get("rank_traffic")
-        if rl is not None:
-            rank_traffic[rank] = rl
+        if rep.get("traffic") is not None:
+            rank_traffic[rank] = rep["traffic"]
         if rep["status"] == "ok":
             results[rank] = rep["result"]
         elif rep["status"] == "error":
@@ -491,9 +469,8 @@ def run_process_world(
                       "worker produced no report before the deadline")
             errors.append(RemoteRankError(rank, "WorkerDied", detail, None))
 
-    outcome = ProcessRunResult(results=results, traffic=traffic,
-                               rank_traffic=rank_traffic, errors=errors,
-                               swept_segments=swept)
+    outcome = ProcessRunResult(results=results, rank_traffic=rank_traffic,
+                               errors=errors, swept_segments=swept)
     if check and errors:
         raise _primary_error(errors)
     return outcome

@@ -149,6 +149,53 @@ def test_two_rank_ledgers():
     assert led.collectives == 0
 
 
+#: Halo exchanges per ``small`` step, each one ``record_batch`` per peer.
+EXCHANGES = 30
+
+
+def _counting_batches(monkeypatch):
+    """Patch ``TrafficLedger.record_batch`` to log the ledger of each call."""
+    from repro.parallel import TrafficLedger
+
+    calls = []
+    record_batch = TrafficLedger.record_batch
+
+    def counted(self, *args, **kwargs):
+        calls.append(id(self))
+        record_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrafficLedger, "record_batch", counted)
+    return calls
+
+
+def test_a_sealed_step_ledgers_each_exchange_once(monkeypatch):
+    calls = _counting_batches(monkeypatch)
+    m = LICOMKpp(demo("small"))
+    try:
+        m.run_steps(2)                # capture the startup and steady graphs
+        del calls[:]
+        m.step()                      # one replay
+        assert m.context.traffic is m.comm.traffic
+        assert m.comm.traffic is m.comm.world.rank_traffic[0]
+        assert calls == [id(m.comm.traffic)] * EXCHANGES
+    finally:
+        m.close()
+
+
+def test_two_thread_ranks_ledger_each_exchange_once(monkeypatch):
+    from repro.ocean.model import run_distributed
+
+    calls = _counting_batches(monkeypatch)
+    steps = 3
+    results, world = run_distributed(demo("small"), 2, steps)
+    # one peer per rank (1x2): a batch per exchange, into its own ledger
+    assert len(calls) == 2 * EXCHANGES * steps
+    for r in results:
+        assert calls.count(id(world.rank_traffic[r.rank])) == \
+            EXCHANGES * steps
+        assert r.traffic is world.rank_traffic[r.rank]
+
+
 def _ldm_after_reset_and_replay(steps):
     m = LICOMKpp(demo("small"), backend="athread")
     try:

@@ -111,7 +111,7 @@ def _frames_program(comm, decomp):
     comm.barrier()
     waits = [sp.args for sp in tracer.spans if sp.name == "halo_wait"]
     sends = [ev.args["dest"] for ev in tracer.instants if ev.name == "send"]
-    return frames, waits, sends, comm.world.traffic.by_phase["frames"][0]
+    return frames, waits, sends, comm.traffic.by_phase["frames"][0]
 
 
 @pytest.mark.parametrize("mode", ["thread", "process"])
@@ -129,6 +129,5 @@ def test_one_frame_per_peer_per_group(mode):
         assert len(waits) == len(frames)
         assert all((w["src"], w["tag"], w["who"]) == (peer, TAG_HALO, peer)
                    for w in waits)
-        # the ledger is per rank on process ranks, shared on thread ranks
-        assert logical == 3 * groups * EXCHANGES * (
-            1 if mode == "process" else 2)
+        # the rank's own ledger, on both substrates
+        assert logical == 3 * groups * EXCHANGES

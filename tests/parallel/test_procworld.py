@@ -15,14 +15,10 @@ import pytest
 
 from repro.errors import CommunicationError, RemoteRankError
 from repro.ocean.localdomain import local_with_halo
-from repro.parallel import (
-    BlockDecomposition,
-    HaloUpdater,
-    SimWorld,
-    TrafficLedger,
-)
+from repro.parallel import BlockDecomposition, HaloUpdater, SimWorld
 from repro.parallel.procworld import run_process_world
 from repro.parallel.shm import SEGMENT_PREFIX, list_world_segments
+from tests.ledgers import assert_same_ledger, merge_traffic
 
 TIMEOUT = 30.0
 
@@ -113,18 +109,15 @@ def prog_tagged_order(comm):
 
 def prog_irecv(comm):
     if comm.rank == 0:
-        req = comm.irecv(1, tag=2)
-        polled = req.test()  # may be False: nothing sent yet is fine
+        req = comm.irecv(1, tag=2)  # posted before the reply is sent
         comm.send("ping", 1, tag=1)
-        value = req.wait()
-        return (isinstance(polled, bool), value)
+        return req.wait()
     got = comm.recv(0, tag=1)
     comm.send(got + "/pong", 0, tag=2)
     return None
 
 
 def prog_ledgered(comm):
-    comm.ledger = TrafficLedger()
     right = (comm.rank + 1) % comm.size
     left = (comm.rank - 1) % comm.size
     comm.send(np.ones(10), right, tag=1, move=True, phase="x")
@@ -319,19 +312,18 @@ class TestProcessWorld:
         tw.launch(prog_ledgered)
         pw = SimWorld(3, timeout=TIMEOUT, mode="process")
         pw.launch(prog_ledgered)
-        t, p = tw.traffic, pw.traffic
-        assert (t.messages, t.bytes, t.collectives) == \
-            (p.messages, p.bytes, p.collectives)
-        assert t.by_pair == p.by_pair
-        assert t.by_phase == p.by_phase
-        assert t.size_hist == p.size_hist
+        # per rank: each rank's sends and its one collective participation
+        for r in range(3):
+            assert_same_ledger(tw.rank_traffic[r], pw.rank_traffic[r])
+            assert tw.rank_traffic[r].collectives == 1
+        # the world counts the one allreduce once
+        assert_same_ledger(tw.traffic, pw.traffic)
+        assert pw.traffic.collectives == 1
 
     def test_per_rank_ledgers_merge_to_world(self):
         pw = SimWorld(3, timeout=TIMEOUT, mode="process")
         pw.launch(prog_ledgered)
-        from tests.ledgers import merge_traffic
-
-        merged = merge_traffic(pw.rank_traffic.values())
+        merged = merge_traffic(pw.rank_traffic)
         assert merged.messages == pw.traffic.messages
         assert merged.bytes == pw.traffic.bytes
         assert merged.by_pair == pw.traffic.by_pair
@@ -341,6 +333,27 @@ class TestProcessWorld:
         assert pw.traffic.collectives == 1
         assert merged.collectives == 3
 
+    def test_launched_twice_accumulates_as_thread_mode(self):
+        once = SimWorld(3, timeout=TIMEOUT)
+        once.launch(prog_ledgered)
+        worlds = [SimWorld(3, timeout=TIMEOUT, mode=mode)
+                  for mode in ("thread", "process")]
+        for world in worlds:
+            world.launch(prog_ledgered)
+            world.launch(prog_ledgered)
+        for r in range(3):
+            one = once.rank_traffic[r]
+            for world in worlds:
+                led = world.rank_traffic[r]
+                assert (led.messages, led.bytes, led.collectives) == \
+                    (2 * one.messages, 2 * one.bytes, 2 * one.collectives)
+                assert led.by_phase == {k: [2 * n, 2 * b]
+                                        for k, (n, b) in one.by_phase.items()}
+                assert led.size_hist == {k: 2 * n
+                                         for k, n in one.size_hist.items()}
+        assert_same_ledger(*(w.traffic for w in worlds))
+        assert worlds[1].traffic.collectives == 2
+
     def test_unexpected_message_queue_preserves_tag_order(self):
         got = SimWorld.run(prog_tagged_order, 2, timeout=TIMEOUT,
                            mode="process")
@@ -348,7 +361,7 @@ class TestProcessWorld:
 
     def test_irecv_roundtrip(self):
         got = SimWorld.run(prog_irecv, 2, timeout=TIMEOUT, mode="process")
-        assert got[0] == (True, "ping/pong")
+        assert got[0] == "ping/pong"
 
     def test_collective_mismatch_detected_across_processes(self):
         with pytest.raises(CommunicationError):

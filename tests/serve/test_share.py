@@ -6,8 +6,10 @@ import threading
 
 import numpy as np
 
-from repro.ocean import LICOMKpp, demo
+from repro.kokkos import View
+from repro.ocean import LICOMKpp, ModelParams, demo
 from repro.ocean.model import STATE_FIELDS
+from repro.ocean.state import LeapfrogField
 from repro.serve import EngineCache, JobSpec
 from repro.serve.share import SharedEngine
 
@@ -47,6 +49,31 @@ class TestReset:
         assert sum(g.replays for g in model._graphs.values()) \
             > replays_before
         model.close()
+
+
+    def test_every_held_view_is_a_bound_view(self):
+        """reset() zeroes, and the binding signature is made of, one
+        list: a view the model holds but leaves off it would lease a
+        dirty engine.  Mixed precision and a passive tracer, so the
+        cast shadows and the per-tracer views are buffers of their own."""
+        model = LICOMKpp(demo("tiny"),
+                         params=ModelParams(precision="mixed", n_passive=1))
+        bound = {id(v) for v in model._bound_views()}
+        held = []
+        for owner in (model, model.state):
+            for name, value in vars(owner).items():
+                stack = [value]
+                while stack:
+                    item = stack.pop()
+                    if isinstance(item, LeapfrogField):
+                        stack.extend((item.old, item.cur, item.new))
+                    elif isinstance(item, (list, tuple)):
+                        stack.extend(item)
+                    elif isinstance(item, View):
+                        held.append((name, item.label, id(item)))
+        model.close()
+        assert len(held) > 50
+        assert [h[:2] for h in held if h[2] not in bound] == []
 
 
 class TestSharedEngine:

@@ -14,7 +14,7 @@ from repro.kokkos import (
     kokkos_register_for,
 )
 from repro.ocean import LICOMKpp, demo
-from repro.parallel import BlockDecomposition, SimWorld, SingleComm
+from repro.parallel import BlockDecomposition, SimWorld
 from repro.parallel.comm import TrafficLedger
 from tests.conftest import halo_update
 
@@ -58,13 +58,6 @@ class TestOpenMPEdges:
 
 
 class TestCommEdges:
-    def test_request_test_after_completion(self):
-        comm = SingleComm()
-        comm.send("x", dest=0)
-        req = comm.irecv(source=0)
-        assert req.test()
-        assert req.wait() == "x"
-
     def test_traffic_ledger_reset(self):
         ledger = TrafficLedger()
         ledger.record(0, 1, 100.0)

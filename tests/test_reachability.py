@@ -85,21 +85,8 @@ ALLOWED: Dict[str, str] = {
            "tested against; production sweeps run apply()",
            "repro/ocean/kernel_utils.py::TileFunctor.__call__",
            "repro/ocean/kernel_utils.py::point_slices",
-           "repro/ocean/kernels_barotropic.py::BarotropicContinuityFunctor.__call__",
-           "repro/ocean/kernels_barotropic.py::BarotropicMomentumFunctor.__call__",
-           "repro/ocean/kernels_momentum.py::DepthMeanFunctor.__call__",
-           "repro/ocean/kernels_scalar.py::PressureFunctor.__call__",
-           "repro/ocean/kernels_scalar.py::WFunctor.__call__",
-           "repro/ocean/kernels_tracer.py::AdvectPredictorFunctor.__call__",
-           "repro/ocean/kernels_tracer.py::FCTApplyFunctor.__call__",
-           "repro/ocean/kernels_tracer.py::FCTLimitFunctor.__call__",
-           "repro/ocean/kernels_tracer.py::TracerHDiffusionFunctor.__call__",
-           "repro/ocean/kernels_vdiff.py::VerticalFrictionFunctor.__call__",
-           "repro/ocean/kernels_vdiff.py::VerticalTracerDiffusionFunctor.__call__",
-           "repro/ocean/model.py::_Asselin2D.__call__",
            "repro/ocean/precision.py::CastFunctor.__call__",
-           "repro/ocean/precision.py::CastFunctor2D.__call__",
-           "repro/ocean/vmix_canuto.py::CanutoMixFunctor.__call__"),
+           "repro/ocean/precision.py::CastFunctor2D.__call__"),
     **_why("oracle", "row-major reference sweep for a functor without "
            "apply(); every production functor has one",
            "repro/kokkos/functor.py::_loop_elementwise",
@@ -211,7 +198,6 @@ ALLOWED: Dict[str, str] = {
            "and process ranks",
            "repro/parallel/comm.py::SimComm._broadcast_result",
            "repro/parallel/comm.py::SimComm._collective",
-           "repro/parallel/comm.py::SimComm._get",
            "repro/parallel/comm.py::SimComm._next_seq",
            "repro/parallel/comm.py::SimComm.allreduce",
            "repro/parallel/comm.py::SimComm.barrier",
@@ -268,11 +254,6 @@ ALLOWED: Dict[str, str] = {
     **_why("roadmap 11", "graph-mode launch pricing; item 11 prices the "
            "sealed graph every run now steps",
            "repro/perfmodel/kernelcost.py::StepProfile.launches_graph"),
-    **_why("roadmap 12", "the non-blocking probe whose miss hands the run "
-           "token round; item 12's run queue replaces it",
-           "repro/parallel/comm.py::Request.test",
-           "repro/parallel/comm.py::_Mailbox.poll",
-           "repro/parallel/procworld.py::ProcComm.irecv.poll"),
     **_why("roadmap 13", "per-rank ledger merge and the scheduler status "
            "export item 13 folds into one metrics spine",
            "repro/kokkos/instrument.py::Instrumentation.merge_from",

@@ -335,6 +335,25 @@ class TestTraceCLI:
         assert pids == {0, 1}
         assert "perfetto" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("steps,variants", [
+        (0, []), (3, ["startup", "steady"])])
+    def test_single_rank_trace_reports_its_sealed_graphs(
+            self, tmp_path, capsys, steps, variants):
+        """One ``graph[variant]`` line per sealed graph (``tiny`` runs
+        canuto every step, so its variants read ``startup+canuto`` and
+        ``steady+canuto``), and no other report line."""
+        from repro.cli import main
+
+        rc = main(["trace", "--size", "tiny", "--steps", str(steps),
+                   "--ranks", "1", "--out", str(tmp_path / "trace.json")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        graphs = [l for l in lines if l.startswith("graph[")]
+        assert sorted(l[len("graph["):].split("+")[0].split("]")[0]
+                      for l in graphs) == variants
+        assert len(lines) == len(graphs) + 1        # + the trace file line
+        assert not [l for l in lines if l.startswith("tier")]
+
     def test_trace_command_predict(self, tmp_path):
         from repro.cli import main
 
