@@ -20,20 +20,23 @@ not just the effect:
   two DMA buffers fit (double buffering), and raises
   :class:`~repro.errors.LDMError` when an explicit tile does not fit.
 * **DMA accounting.**  Every tile performs a ``get`` (inputs) and a
-  ``put`` (outputs) recorded in the :class:`~repro.kokkos.ldm.DMAEngine`
-  ledger, which the machine model converts to time on the 51.2 GB/s CG
-  memory system.
+  ``put`` (outputs); a launch charges its schedule's tile-order totals
+  to the :class:`~repro.kokkos.ldm.DMAEngine` ledger, one call per
+  direction, which the machine model converts to time on the 51.2 GB/s
+  CG memory system.
 
-The tiles are bookkeeping around one offloaded loop body: every
-``parallel_for`` charges its cached :class:`TileSchedule` and runs the
-registered callback once over the whole range, so results are
-bit-identical to the Serial backend — the property the paper relies on
-when validating ports.  Reductions stay tiled: the order in which
+The tiles are bookkeeping around one offloaded loop body: a launch is
+:class:`_AthreadPlan`, run once by an eager ``parallel_for`` or replayed
+by a sealed graph, which runs the registered callback once over the
+whole range and charges its cached :class:`TileSchedule`, so results
+are bit-identical to the Serial backend — the property the paper relies
+on when validating ports.  Reductions stay tiled: the order in which
 per-tile partials combine fixes the float result.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from ...errors import LDMError, RegistrationError
@@ -58,7 +61,6 @@ from .base import (
     ExecutionSpace,
     LaunchPlan,
     Reducer,
-    apply_tile,
     check_host_views,
     functor_cost,
     reduce_tile,
@@ -72,14 +74,13 @@ SW26010_CPES_PER_CG = 64
 class TileSchedule:
     """What one Athread launch charges, fixed by its shape and costs.
 
-    Per-tile DMA sizes in tile order (``gets`` / ``puts``: an eager
-    launch adds them one by one) and pre-summed (``get_total`` /
-    ``put_total``: a replay adds them at once); ``peaks`` pair each CPE
-    with its largest tile working set.  Building one proves every tile
-    fits its CPE's LDM.
+    ``get_total`` / ``put_total`` are the per-tile DMA sizes summed in
+    tile order, which every launch adds to the ledger at once; ``peaks``
+    pair each CPE with its largest tile working set.  Building one
+    proves every tile fits its CPE's LDM.
     """
 
-    __slots__ = ("tile", "full", "tiles", "distribution", "gets", "puts",
+    __slots__ = ("tile", "full", "tiles", "distribution",
                  "get_total", "put_total", "peaks")
 
     def __init__(self, key: tuple, tile: Tuple[int, ...]) -> None:
@@ -88,7 +89,7 @@ class TileSchedule:
         self.full = tuple(slice(b, e) for b, e in ranges)
         self.tiles = total_tiles([e - b for b, e in ranges], tile)
         self.distribution = (self.tiles, tiles_per_cpe(self.tiles, num_cpes))
-        gets, puts, peaks = [], [], {}
+        peaks = {}
         self.get_total = self.put_total = 0.0
         for tidx, slices in enumerate(iter_tiles(ranges, tile)
                                       if self.tiles else ()):
@@ -104,13 +105,10 @@ class TileSchedule:
                     f"buffers which exceeds the {capacity} B LDM of CPE {cpe}; "
                     "use a smaller MDRangePolicy tile"
                 )
-            gets.append(staged * bpp_in)
-            puts.append(vol * bpp_out)
-            self.get_total += gets[-1]
-            self.put_total += puts[-1]
+            self.get_total += staged * bpp_in
+            self.put_total += vol * bpp_out
             if working > peaks.get(cpe, 0):
                 peaks[cpe] = working
-        self.gets, self.puts = tuple(gets), tuple(puts)
         self.peaks = tuple(peaks.items())
 
 
@@ -122,9 +120,11 @@ _SCHEDULES: Dict[tuple, TileSchedule] = {}
 class _AthreadPlan(LaunchPlan):
     """Registry lookup and the launch's :class:`TileSchedule` baked in.
 
-    A replay is the whole-range sweep an eager launch runs, then one
-    batched update of the schedule's DMA totals; LDM peaks, tile
-    distribution and ``inst`` tiles are charged as on the eager path.
+    The body is the registered preset callback bound to the whole range
+    (the §V-B dispatch), or the sweep on a space that does not require
+    registration.  A run calls it once, then charges the schedule: its
+    DMA totals one call per direction, its LDM peaks, its tile
+    distribution and ``inst`` tiles — all after the body returns.
     """
 
     __slots__ = ("_sched",)
@@ -132,15 +132,17 @@ class _AthreadPlan(LaunchPlan):
     def __init__(self, space, label, policy, functor) -> None:
         super().__init__(space, label, policy, functor)
         check_host_views(functor, space.name)
-        space._lookup_callback(functor, "for")  # unregistered: refuse to seal
+        callback = space._lookup_callback(functor, "for")
         self._sched = sched = space.schedule(policy, functor)
-        self._sweep = _jit.compile_sweep(functor, [sched.full])
+        self._sweep = (partial(callback, functor, sched.full)
+                       if callback is not None
+                       else _jit.compile_sweep(functor, [sched.full]))
 
     def run(self) -> None:
         self._sweep()
         space, sched = self.space, self._sched
-        space.dma.get_batch(sched.get_total, sched.tiles)
-        space.dma.put_batch(sched.put_total, sched.tiles)
+        space.dma.get(sched.get_total, sched.tiles)
+        space.dma.put(sched.put_total, sched.tiles)
         if sched not in space._peaked:
             space._record_peaks(sched)
         space.last_distribution = sched.distribution
@@ -152,6 +154,7 @@ class AthreadBackend(ExecutionSpace):
 
     name = "athread"
     programming_model = "Athread"
+    plan_class = _AthreadPlan
 
     def __init__(
         self,
@@ -252,26 +255,6 @@ class AthreadBackend(ExecutionSpace):
 
     # -- execution ---------------------------------------------------------
 
-    def run_for(self, label: str, policy: MDRangePolicy, functor) -> None:
-        check_host_views(functor, self.name)
-        callback = self._lookup_callback(functor, "for")
-        sched = self.schedule(policy, functor)
-        if callback is not None:
-            callback(functor, sched.full)
-        else:
-            apply_tile(functor, sched.full)
-        self.dma.get(*sched.gets)
-        self.dma.put(*sched.puts)
-        if sched not in self._peaked:
-            self._record_peaks(sched)
-        self.last_distribution = sched.distribution
-        self._record(label, policy, functor, tiles=sched.tiles)
-
-    def plan_type(self) -> type:
-        if type(self).run_for is not AthreadBackend.run_for:
-            return super().plan_type()
-        return _AthreadPlan
-
     def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
         # tile by tile: the order the per-tile partials combine in fixes
         # the float result
@@ -281,19 +264,21 @@ class AthreadBackend(ExecutionSpace):
         acc = reducer.identity
         for slices in iter_tiles(policy.ranges, sched.tile) if sched.tiles else ():
             if callback is not None:
-                partial = callback(functor, slices, reducer.combine)
+                part = callback(functor, slices, reducer.combine)
             else:
-                partial = reduce_tile(functor, slices, reducer)
-            if partial is not None:
-                acc = reducer.combine(acc, partial)
-        self.dma.get(*sched.gets)
+                part = reduce_tile(functor, slices, reducer)
+            if part is not None:
+                acc = reducer.combine(acc, part)
+        self.dma.get(sched.get_total, sched.tiles)
         # one scalar per tile back to the MPE
-        self.dma.put(*[float(getattr(functor, "bytes_out_per_point", 8.0))]
-                     * len(sched.gets))
+        self.dma.put(float(getattr(functor, "bytes_out_per_point", 8.0))
+                     * sched.tiles, sched.tiles)
         if sched not in self._peaked:
             self._record_peaks(sched)
         self.last_distribution = sched.distribution
-        self._record(label, policy, functor, tiles=sched.tiles)
+        flops, nbytes = functor_cost(functor)
+        self.inst.record_launch(label, points=policy.size, tiles=sched.tiles,
+                                flops_per_point=flops, bytes_per_point=nbytes)
         return acc
 
     # -- introspection -----------------------------------------------------

@@ -12,6 +12,11 @@ Backend             Paper programming model  Module
 ``athread``         Athread (Sunway CPEs)    :mod:`.athread` (this work)
 ``cuda`` / ``hip``  CUDA / HIP (GPUs)        :mod:`.device`
 ==================  =======================  =============================
+
+A launch has one implementation per backend, its :class:`LaunchPlan`:
+an eager ``parallel_for`` builds the plan and runs it once, a sealed
+:class:`~repro.kokkos.graph.LaunchGraph` builds it at seal and replays
+it, so both paths run the same body and charge the same ledgers.
 """
 
 from __future__ import annotations
@@ -100,151 +105,31 @@ def functor_dtype(functor) -> str:
     return "+".join(sorted(kinds)) if kinds else "f8"
 
 
-class ExecutionSpace:
-    """Base class for execution spaces (backends)."""
-
-    #: Backend identifier, e.g. ``"athread"``.
-    name: str = "abstract"
-    #: Intranode programming model the backend stands in for.
-    programming_model: str = "n/a"
-    #: Degree of parallelism the backend models.
-    concurrency: int = 1
-    #: Where this space wants its views allocated.
-    memory_space: MemorySpace = HostSpace
-
-    def __init__(self, inst: Optional[Instrumentation] = None) -> None:
-        #: The ledger this space records into: the owner's when one is
-        #: passed, otherwise a private one.
-        self.inst = inst if inst is not None else Instrumentation()
-        #: Optional :class:`repro.trace.Tracer` wired in by the owning
-        #: :class:`~repro.kokkos.context.ExecutionContext`; every launch
-        #: becomes a ``kernel`` span while it is enabled.
-        self.tracer = None
-
-    # -- required API ------------------------------------------------------
-
-    def run_for(self, label: str, policy: MDRangePolicy, functor) -> None:
-        raise NotImplementedError
-
-    def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
-        raise NotImplementedError
-
-    def fence(self) -> None:
-        """Wait for all outstanding work (the synchronous backends have
-        none to wait for).  Exchange and rotate graph nodes call it
-        before they touch a buffer (:mod:`repro.kokkos.graph`)."""
-
-    # -- shared helpers ----------------------------------------------------
-
-    def _record(self, label: str, policy: MDRangePolicy, functor, tiles: int = 1) -> None:
-        flops, nbytes = functor_cost(functor)
-        self.inst.record_launch(
-            label,
-            points=policy.size,
-            tiles=tiles,
-            flops_per_point=flops,
-            bytes_per_point=nbytes,
-        )
-
-    @staticmethod
-    def _full_slices(policy: MDRangePolicy) -> Tuple[slice, ...]:
-        return tuple(slice(b, e) for b, e in policy.ranges)
-
-    def parallel_for(self, label: str, policy, functor) -> None:
-        """Execute ``functor`` over ``policy`` (normalised)."""
-        md = as_md(policy)
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            flops, nbytes = functor_cost(functor)
-            with tr.span(label, cat="kernel", points=md.size,
-                         flops=flops * md.size, bytes=nbytes * md.size,
-                         dtype=functor_dtype(functor)):
-                self.run_for(label, md, functor)
-        else:
-            self.run_for(label, md, functor)
-
-    # -- cached launch plans (graph replay) --------------------------------
-
-    def plan_type(self) -> type:
-        """The :class:`LaunchPlan` subclass this space seals launches into.
-
-        The concrete backends name their sweeping plan — unless a
-        subclass intercepts ``run_for`` (a differential-testing wrapper,
-        say), which must keep seeing every launch.  Those, and any
-        custom backend, get the generic plan: eager ``run_for`` per
-        replay, so every space stays graph-compatible.
-        """
-        return _GenericPlan
-
-    def prepare_plan(self, label: str, policy, functor) -> "LaunchPlan":
-        """Front-load a launch's dispatch work into a replayable plan.
-
-        A :class:`LaunchPlan` bakes in everything ``parallel_for`` would
-        redo on every call — policy normalisation, memory-space checks,
-        tiling, registry lookup — so :meth:`run_plan` is near-zero
-        dispatch.
-        """
-        return self.plan_type()(self, label, as_md(policy), functor)
-
-    def run_plan(self, plan: "LaunchPlan") -> None:
-        """Execute a plan produced by :meth:`prepare_plan`."""
-        tr = self.tracer
-        if tr is None or not tr.enabled:
-            plan.run()
-            return
-        args = {"points": plan._points,
-                "flops": plan._flops * plan._points,
-                "bytes": plan._bytes * plan._points,
-                "dtype": functor_dtype(plan.functor)}
-        labels = getattr(plan.functor, "labels", None)
-        if labels:
-            # a fused sweep replays as ONE launch: one span, with the
-            # constituent kernel labels in the payload
-            args["fused"] = list(labels)
-        if plan.tier != "eager":
-            # swept vs run_for-dispatched launches are distinguishable in
-            # Perfetto (and priced differently by the predicted timeline)
-            args["jit"] = plan.tier
-        with tr.span(plan.label, cat="kernel", **args):
-            plan.run()
-
-    def parallel_reduce(self, label: str, policy, functor, reducer: Reducer = Sum):
-        """Reduce ``functor`` contributions over ``policy``."""
-        md = as_md(policy)
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            flops, nbytes = functor_cost(functor)
-            with tr.span(label, cat="kernel", points=md.size,
-                         flops=flops * md.size, bytes=nbytes * md.size,
-                         dtype=functor_dtype(functor)):
-                return self.run_reduce(label, md, functor, reducer)
-        return self.run_reduce(label, md, functor, reducer)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(concurrency={self.concurrency})"
-
-
 class LaunchPlan:
-    """One launch with its dispatch work done once, ready for replay.
+    """One launch with its dispatch work done once, ready to run.
 
-    Plans hold the bound functor *instance*; rebindable views
-    (:meth:`View.rebind`) let the same plan see advancing data, which is
-    what makes replay survive the leapfrog rotation.
+    A plan is both launch paths of a backend: an eager ``parallel_for``
+    builds one and runs it once (:meth:`ExecutionSpace.run_for`), a
+    sealed graph builds one per node and replays it.  Plans hold the
+    bound functor *instance*; rebindable views (:meth:`View.rebind`) let
+    the same plan see advancing data, which is what makes replay survive
+    the leapfrog rotation.
 
     A concrete backend's plan binds its launch body once, at
-    construction, through :func:`repro.kokkos.jit.compile_sweep`;
-    ``run()`` is that sweep plus the backend's ledger update.
+    construction (:func:`repro.kokkos.jit.compile_sweep`, or the
+    registered callback on Athread); ``run()`` is that body plus the
+    backend's ledger update.
     """
 
     __slots__ = ("space", "label", "policy", "functor",
                  "_points", "_flops", "_bytes", "_sweep")
 
     #: What serves the plan, as reports and traces name it: ``codegen``
-    #: is a sweep bound at seal time, ``eager`` is ``run_for`` dispatch
-    #: on every replay (:class:`_GenericPlan`).
+    #: is a body bound at construction, ``eager`` is ``run_for``
+    #: dispatch on every replay (:class:`_GenericPlan`).
     tier = "codegen"
 
-    def __init__(self, space: ExecutionSpace, label: str,
+    def __init__(self, space: "ExecutionSpace", label: str,
                  policy: MDRangePolicy, functor) -> None:
         self.space = space
         self.label = label
@@ -267,7 +152,7 @@ class LaunchPlan:
 
 
 class _GenericPlan(LaunchPlan):
-    """Fallback plan: eager dispatch on every replay."""
+    """Replay through the space's own ``run_for`` (an interceptor's)."""
 
     __slots__ = ()
 
@@ -277,15 +162,125 @@ class _GenericPlan(LaunchPlan):
         self.space.run_for(self.label, self.policy, self.functor)
 
 
-def apply_tile(functor, slices: Sequence[slice]) -> None:
-    """Run a functor over one tile, preferring the vectorised body."""
-    apply = getattr(functor, "apply", None)
-    if apply is not None:
-        apply(tuple(slices))
-        return
-    from ..functor import _loop_elementwise
+def _kernel_span(tr, label: str, policy: MDRangePolicy, functor, **extra):
+    """The ``kernel`` span of one launch: its size, cost and dtype, plus
+    whatever a sealed plan adds (``fused``, ``jit``)."""
+    flops, nbytes = functor_cost(functor)
+    points = policy.size
+    return tr.span(label, cat="kernel", points=points, flops=flops * points,
+                   bytes=nbytes * points, dtype=functor_dtype(functor),
+                   **extra)
 
-    _loop_elementwise(functor, slices)
+
+class ExecutionSpace:
+    """Base class for execution spaces (backends).
+
+    A backend names its :class:`LaunchPlan` subclass in
+    :attr:`plan_class`; that plan is the space's one launch, run once by
+    an eager ``parallel_for`` and replayed by a sealed graph.
+    """
+
+    #: Backend identifier, e.g. ``"athread"``.
+    name: str = "abstract"
+    #: Intranode programming model the backend stands in for.
+    programming_model: str = "n/a"
+    #: Degree of parallelism the backend models.
+    concurrency: int = 1
+    #: Where this space wants its views allocated.
+    memory_space: MemorySpace = HostSpace
+    #: The plan every launch on this space builds.
+    plan_class: type = LaunchPlan
+
+    def __init__(self, inst: Optional[Instrumentation] = None) -> None:
+        #: The ledger this space records into: the owner's when one is
+        #: passed, otherwise a private one.
+        self.inst = inst if inst is not None else Instrumentation()
+        #: Optional :class:`repro.trace.Tracer` wired in by the owning
+        #: :class:`~repro.kokkos.context.ExecutionContext`; every launch
+        #: becomes a ``kernel`` span while it is enabled.
+        self.tracer = None
+
+    # -- launches ----------------------------------------------------------
+
+    def run_for(self, label: str, policy: MDRangePolicy, functor) -> None:
+        """The one eager launch: build the space's plan and run it once."""
+        self.plan_class(self, label, policy, functor).run()
+
+    def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
+        raise NotImplementedError
+
+    def fence(self) -> None:
+        """Wait for all outstanding work (the synchronous backends have
+        none to wait for).  Exchange and rotate graph nodes call it
+        before they touch a buffer (:mod:`repro.kokkos.graph`)."""
+
+    @staticmethod
+    def _full_slices(policy: MDRangePolicy) -> Tuple[slice, ...]:
+        return tuple(slice(b, e) for b, e in policy.ranges)
+
+    def parallel_for(self, label: str, policy, functor) -> None:
+        """Execute ``functor`` over ``policy`` (normalised)."""
+        md = as_md(policy)
+        tr = self.tracer
+        if tr is None or not tr.enabled:
+            self.run_for(label, md, functor)
+            return
+        with _kernel_span(tr, label, md, functor):
+            self.run_for(label, md, functor)
+
+    def parallel_reduce(self, label: str, policy, functor, reducer: Reducer = Sum):
+        """Reduce ``functor`` contributions over ``policy``."""
+        md = as_md(policy)
+        tr = self.tracer
+        if tr is None or not tr.enabled:
+            return self.run_reduce(label, md, functor, reducer)
+        with _kernel_span(tr, label, md, functor):
+            return self.run_reduce(label, md, functor, reducer)
+
+    # -- sealed launch plans (graph replay) --------------------------------
+
+    def plan_type(self) -> type:
+        """The :class:`LaunchPlan` subclass this space seals launches into.
+
+        :attr:`plan_class` — unless a subclass overrides ``run_for`` (a
+        differential-testing wrapper, say), which must keep seeing every
+        launch: that space gets the generic plan, ``run_for`` per replay.
+        """
+        if type(self).run_for is not ExecutionSpace.run_for:
+            return _GenericPlan
+        return self.plan_class
+
+    def prepare_plan(self, label: str, policy, functor) -> LaunchPlan:
+        """Front-load a launch's dispatch work into a replayable plan.
+
+        A :class:`LaunchPlan` bakes in everything ``parallel_for`` does
+        besides the body — policy normalisation, memory-space checks,
+        tiling, registry lookup — so :meth:`run_plan` is near-zero
+        dispatch.
+        """
+        return self.plan_type()(self, label, as_md(policy), functor)
+
+    def run_plan(self, plan: LaunchPlan) -> None:
+        """Execute a plan produced by :meth:`prepare_plan`."""
+        tr = self.tracer
+        if tr is None or not tr.enabled:
+            plan.run()
+            return
+        extra = {}
+        labels = getattr(plan.functor, "labels", None)
+        if labels:
+            # a fused sweep replays as ONE launch: one span, with the
+            # constituent kernel labels in the payload
+            extra["fused"] = list(labels)
+        if plan.tier != "eager":
+            # swept vs run_for-dispatched launches are distinguishable in
+            # Perfetto (and priced differently by the predicted timeline)
+            extra["jit"] = plan.tier
+        with _kernel_span(tr, plan.label, plan.policy, plan.functor, **extra):
+            plan.run()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}(concurrency={self.concurrency})"
 
 
 def reduce_tile(functor, slices: Sequence[slice], reducer: Reducer):

@@ -19,7 +19,8 @@ simulation enforces the two behaviours that shape real ports:
 
 Execution itself is a single whole-range tile evaluated inside a
 :class:`~repro.kokkos.view.kernel_context`, so results are identical to
-Serial.  Thread-block geometry only affects the cost model
+Serial.  A launch is :class:`_DevicePlan`, run once eagerly or replayed
+by a sealed graph; both count one kernel launch.  Thread-block geometry only affects the cost model
 (:mod:`repro.perfmodel.kernelcost`), not functional results.
 """
 
@@ -37,7 +38,7 @@ from .base import (
     ExecutionSpace,
     LaunchPlan,
     Reducer,
-    apply_tile,
+    functor_cost,
     functor_views,
     reduce_tile,
 )
@@ -46,9 +47,9 @@ from .base import (
 class _DevicePlan(LaunchPlan):
     """Memory-space proof and block geometry precomputed.
 
-    Replay still counts a kernel launch and executes inside a
-    ``kernel_context`` — the simulated device semantics (and the
-    per-launch cost the perfmodel charges) are identical to eager.
+    Every run counts a kernel launch and executes inside a
+    ``kernel_context`` — the simulated device semantics and the
+    per-launch cost the perfmodel charges.
     """
 
     __slots__ = ("_blocks",)
@@ -72,6 +73,7 @@ class DeviceBackend(ExecutionSpace):
 
     name = "device"
     programming_model = "CUDA"
+    plan_class = _DevicePlan
 
     def __init__(
         self,
@@ -103,26 +105,16 @@ class DeviceBackend(ExecutionSpace):
                 "Allocate with space=DeviceSpace and deep_copy from mirrors."
             )
 
-    def run_for(self, label: str, policy: MDRangePolicy, functor) -> None:
-        self._check_device_views(functor)
-        self.kernel_launches += 1
-        with kernel_context():
-            apply_tile(functor, self._full_slices(policy))
-        blocks = -(-policy.size // self.threads_per_block)
-        self._record(label, policy, functor, tiles=max(1, blocks))
-
-    def plan_type(self) -> type:
-        if type(self).run_for is not DeviceBackend.run_for:
-            return super().plan_type()
-        return _DevicePlan
-
     def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
         self._check_device_views(functor)
         self.kernel_launches += 1
         with kernel_context():
             result = reduce_tile(functor, self._full_slices(policy), reducer)
-        blocks = -(-policy.size // self.threads_per_block)
-        self._record(label, policy, functor, tiles=max(1, blocks))
+        flops, nbytes = functor_cost(functor)
+        self.inst.record_launch(
+            label, points=policy.size,
+            tiles=max(1, -(-policy.size // self.threads_per_block)),
+            flops_per_point=flops, bytes_per_point=nbytes)
         if result is None:
             result = reducer.identity
         return result

@@ -4,7 +4,10 @@ Stands in for the OpenMP intranode model used on the ARM Taishan server
 (and the Fortran LICOM3 baseline's threading).  The outermost policy
 dimension is split into ``threads`` contiguous chunks executed
 concurrently; NumPy array operations release the GIL for large tiles, so
-real concurrency is obtained for the vectorised kernel bodies.
+real concurrency is obtained for the vectorised kernel bodies.  A
+launch is :class:`_OpenMPPlan`, run once eagerly or replayed by a sealed
+graph: each part of the launch is one stage — its chunks submitted to
+the pool and joined — before the next part starts.
 
 Reductions combine per-chunk partials in fixed chunk order, keeping
 results deterministic run-to-run (unlike a racing atomic reduction).
@@ -23,8 +26,8 @@ from .base import (
     ExecutionSpace,
     LaunchPlan,
     Reducer,
-    apply_tile,
     check_host_views,
+    functor_cost,
     reduce_tile,
 )
 
@@ -52,7 +55,7 @@ def _default_threads() -> int:
 
 
 class _OpenMPPlan(LaunchPlan):
-    """Chunk list precomputed; replay only submits and joins."""
+    """Chunk list and pool stages bound once; a run only submits and joins."""
 
     __slots__ = ("_nchunks",)
 
@@ -75,6 +78,7 @@ class OpenMPBackend(ExecutionSpace):
 
     name = "openmp"
     programming_model = "OpenMP"
+    plan_class = _OpenMPPlan
 
     def __init__(
         self,
@@ -112,23 +116,6 @@ class OpenMPBackend(ExecutionSpace):
             out.append((slice(lo, hi),) + tail)
         return out
 
-    def run_for(self, label: str, policy: MDRangePolicy, functor) -> None:
-        check_host_views(functor, self.name)
-        chunks = self._chunks(policy)
-        if len(chunks) == 1:
-            apply_tile(functor, chunks[0])
-        else:
-            pool = self._executor()
-            futures = [pool.submit(apply_tile, functor, ch) for ch in chunks]
-            for f in futures:
-                f.result()
-        self._record(label, policy, functor, tiles=len(chunks))
-
-    def plan_type(self) -> type:
-        if type(self).run_for is not OpenMPBackend.run_for:
-            return super().plan_type()
-        return _OpenMPPlan
-
     def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
         check_host_views(functor, self.name)
         chunks = self._chunks(policy)
@@ -140,7 +127,9 @@ class OpenMPBackend(ExecutionSpace):
                 pool.submit(reduce_tile, functor, ch, reducer) for ch in chunks
             ]
             partials = [f.result() for f in futures]
-        self._record(label, policy, functor, tiles=len(chunks))
+        flops, nbytes = functor_cost(functor)
+        self.inst.record_launch(label, points=policy.size, tiles=len(chunks),
+                                flops_per_point=flops, bytes_per_point=nbytes)
         acc = reducer.identity
         for p in partials:
             if p is not None:

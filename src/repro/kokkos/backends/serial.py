@@ -3,7 +3,8 @@
 Executes every kernel as one tile covering the whole range.  It is the
 semantics oracle: every other backend must produce results identical to
 Serial (the test suite enforces this), mirroring how Kokkos' Serial space
-anchors correctness across devices.
+anchors correctness across devices.  A launch is :class:`_SerialPlan`,
+run once eagerly or replayed by a sealed graph.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from .base import (
     ExecutionSpace,
     LaunchPlan,
     Reducer,
-    apply_tile,
     check_host_views,
+    functor_cost,
     reduce_tile,
 )
 
@@ -42,21 +43,14 @@ class SerialBackend(ExecutionSpace):
     name = "serial"
     programming_model = "none"
     concurrency = 1
-
-    def run_for(self, label: str, policy: MDRangePolicy, functor) -> None:
-        check_host_views(functor, self.name)
-        apply_tile(functor, self._full_slices(policy))
-        self._record(label, policy, functor, tiles=1)
-
-    def plan_type(self) -> type:
-        if type(self).run_for is not SerialBackend.run_for:
-            return super().plan_type()
-        return _SerialPlan
+    plan_class = _SerialPlan
 
     def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
         check_host_views(functor, self.name)
         result = reduce_tile(functor, self._full_slices(policy), reducer)
-        self._record(label, policy, functor, tiles=1)
+        flops, nbytes = functor_cost(functor)
+        self.inst.record_launch(label, points=policy.size, tiles=1,
+                                flops_per_point=flops, bytes_per_point=nbytes)
         if result is None:
             result = reducer.identity
         return result

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
+from .jit import _part_stage
 from .registry import RegistryEntry, default_registry
 
 
@@ -71,16 +72,14 @@ def _make_preset(functor_type: type, kind: str) -> Callable:
 
     The preset is what the registration macro generates in C++: a plain
     function the Athread runtime can call, which internally invokes the
-    functor's overloaded ``operator()`` over the tile it is handed.
+    functor's overloaded ``operator()`` over the tile it is handed — its
+    vectorised ``apply`` when it has one
+    (:func:`repro.kokkos.jit._part_stage`).
     """
 
     if kind == "for":
         def preset(functor, slices: Sequence[slice]) -> None:
-            apply = getattr(functor, "apply", None)
-            if apply is not None:
-                apply(tuple(slices))
-                return
-            _loop_elementwise(functor, slices)
+            _part_stage(functor)(tuple(slices))
         preset.__name__ = f"preset_for_{functor_type.__name__}"
         return preset
 

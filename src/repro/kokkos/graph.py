@@ -345,13 +345,13 @@ class LaunchGraph:
 
     @property
     def compiled_launches(self) -> int:
-        """Launches per replay that run a bound sweep (every launch on
-        the concrete backends, none on a ``run_for``-replaying space)."""
+        """Launches per replay that run a body bound at seal (every launch
+        on the concrete backends, none on a ``run_for``-replaying space)."""
         return sum(1 for _, tier in self.kernel_tiers() if tier != "eager")
 
     @property
     def jit_coverage(self) -> float:
-        """Fraction of replayed launches that run a bound sweep."""
+        """Fraction of replayed launches that run a body bound at seal."""
         launches = self.launches_per_replay
         return self.compiled_launches / launches if launches else 0.0
 

@@ -1,18 +1,21 @@
-"""``repro.kokkos.jit`` — the sweep every sealed launch plan runs.
+"""``repro.kokkos.jit`` — the sweep a launch plan runs.
 
-A sealed :class:`~repro.kokkos.graph.LaunchGraph` front-loads a
-launch's dispatch work (policy normalisation, registry walks, tiling,
-ledger sizes) into a :class:`~repro.kokkos.backends.base.LaunchPlan`.
-What the plan then *executes* is its sweep: the vectorised body of each
-of its parts, bound once to precomputed slices and run in capture
-order.  A fused plan's parts each cover the whole range before the next
-part starts, which is exactly the eager launch sequence — so fusing a
-dependent chain is legal by construction, with no per-tile Python left
-on the replay path.
+Every launch, eager or sealed, is a
+:class:`~repro.kokkos.backends.base.LaunchPlan` that front-loads the
+dispatch work (policy normalisation, registry walks, tiling, ledger
+sizes).  What the plan then *executes* is its sweep: the vectorised
+body of each of its parts, bound once to precomputed slices and run in
+capture order.  A fused plan's parts each cover the whole range before
+the next part starts, which is exactly the eager launch sequence — so
+fusing a dependent chain is legal by construction, with no per-tile
+Python left on the replay path.  (An Athread plan binds the registered
+preset callback instead, which runs the same body.)
 
 :func:`compile_sweep` is that binding step.  It is plain closure
-construction: nothing is generated, cached or keyed, and nothing can
-fail that eager dispatch of the same functor would not also fail on.
+construction: nothing is generated, cached or keyed.  :func:`_part_stage`
+is the one place that picks a part's body — ``apply``, or the reference
+loop over ``operator()`` — for the sweep, the fused composite and the
+registered ``for`` preset alike.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ def compile_sweep(functor, chunks: Sequence[Slices],
     """Bind one plan's launch body to its iteration range.
 
     ``chunks`` are the slice tuples every part covers: one whole-range
-    tuple on the serial, device and athread plans.  The threaded OpenMP
+    tuple on the serial and device plans (and the athread plan of a
+    space that does not require registration).  The threaded OpenMP
     plan passes its per-thread split together with its pool's
     ``submit``; each part then runs as one *stage* — all chunks
     submitted, all joined — before the next part starts, so the stage

@@ -5,7 +5,8 @@ between software-managed LDM and a local data cache, fed by DMA from main
 memory (§VI-A).  The Athread backend uses these models to
 
 * size tiles so a tile's working set fits in LDM,
-* account DMA traffic per kernel (get before compute, put after), and
+* account DMA traffic per launch (its tiles' gets and puts, one ledger
+  call per direction), and
 * model the double-buffered pipeline the paper uses for
   ``advection_tracer`` ("a double-buffered technique that leverages the
   asynchronous mechanism ... between the CPE workload execution and DMA
@@ -85,50 +86,24 @@ class DMAEngine:
     # ExecutionContext assigns it when tracing is enabled.
     tracer = None
 
-    def get(self, *nbytes: float) -> None:
-        """Record one main-memory -> LDM transfer per size.
-
-        Summed one by one, in order: an eager launch's per-tile sizes
-        leave the ledger floats one record per tile would.  A trace sees
-        one instant per call.
-        """
-        self.get_bytes = self._tally("dma_get", self.get_bytes, nbytes)
-        self.get_count += len(nbytes)
-
-    def put(self, *nbytes: float) -> None:
-        """Record one LDM -> main-memory transfer per size, in order."""
-        self.put_bytes = self._tally("dma_put", self.put_bytes, nbytes)
-        self.put_count += len(nbytes)
-
-    def _tally(self, name: str, total: float, nbytes) -> float:
-        for b in nbytes:
-            total += b
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.instant(name, cat="xfer", bytes=float(sum(nbytes)),
-                       descriptors=len(nbytes))
-        return total
-
-    def get_batch(self, total_bytes: float, count: int) -> None:
-        """Record ``count`` gets totalling ``total_bytes`` in one call.
-
-        A sealed replay adds its schedule's pre-summed per-tile sizes;
-        the totals match the eager path's up to float rounding.
-        """
-        self.get_bytes += total_bytes
+    def get(self, nbytes: float, count: int = 1) -> None:
+        """Record ``count`` main-memory -> LDM transfers totalling
+        ``nbytes``: a launch charges its tile schedule's total in one
+        call.  A trace sees one instant per call."""
+        self.get_bytes += nbytes
         self.get_count += count
         tr = self.tracer
         if tr is not None and tr.enabled:
-            tr.instant("dma_get", cat="xfer", bytes=float(total_bytes),
+            tr.instant("dma_get", cat="xfer", bytes=float(nbytes),
                        descriptors=int(count))
 
-    def put_batch(self, total_bytes: float, count: int) -> None:
-        """Record ``count`` puts totalling ``total_bytes`` in one call."""
-        self.put_bytes += total_bytes
+    def put(self, nbytes: float, count: int = 1) -> None:
+        """Record ``count`` LDM -> main-memory transfers totalling ``nbytes``."""
+        self.put_bytes += nbytes
         self.put_count += count
         tr = self.tracer
         if tr is not None and tr.enabled:
-            tr.instant("dma_put", cat="xfer", bytes=float(total_bytes),
+            tr.instant("dma_put", cat="xfer", bytes=float(nbytes),
                        descriptors=int(count))
 
     @property

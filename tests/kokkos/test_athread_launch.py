@@ -1,13 +1,14 @@
 """One Athread launch: one callback over the whole range, one tile ledger.
 
-An eager ``parallel_for`` on the Athread backend calls the functor's
-registered callback exactly once, with the full range, and charges the
-launch's tile schedule.  The ledger it leaves — DMA get/put bytes and
-descriptor counts, per-CPE LDM high water, the Eq. 1–2 distribution and
-``KernelStats.tiles`` — must equal a per-tile reference written out here
-tile by tile, in tile order, so the DMA floats match bit for bit.  A
-launch that fails (a tile that does not fit, a body that raises) ledgers
-nothing, eager or replayed.
+A ``parallel_for`` on the Athread backend, eager or replayed from a
+sealed graph, calls the functor's registered callback exactly once,
+with the full range, and charges the launch's tile schedule.  The
+ledger it leaves — DMA get/put bytes and descriptor counts, per-CPE LDM
+high water, the Eq. 1–2 distribution and ``KernelStats.tiles`` — must
+equal a reference written out here tile by tile: each launch adds its
+tiles' sizes summed in tile order, so the DMA floats match bit for bit.
+A launch that fails (a tile that does not fit, a body that raises)
+ledgers nothing, eager or replayed.
 """
 
 import math
@@ -111,7 +112,8 @@ def _registry():
 
 def _reference(be: AthreadBackend, policy: MDRangePolicy, functor, tile,
                launches: int = 1):
-    """The ledger ``launches`` launches leave, tile by tile in tile order."""
+    """The ledger ``launches`` launches leave: per launch, its tiles'
+    sizes summed in tile order, added once."""
     halo = functor.stencil_halo
     _, bpp = functor_cost(functor)
     bpp_in, bpp_out = staging_split(functor)
@@ -119,14 +121,17 @@ def _reference(be: AthreadBackend, policy: MDRangePolicy, functor, tile,
     count = 0
     peaks = [0] * be.num_cpes
     for _ in range(launches):
+        launch_get = launch_put = 0.0
         for tidx, slices in enumerate(iter_tiles(policy.ranges, tile)):
             lens = [s.stop - s.start for s in slices]
             staged = haloed_tile_points(lens, halo)
-            get_bytes += staged * bpp_in
-            put_bytes += math.prod(lens) * bpp_out
+            launch_get += staged * bpp_in
+            launch_put += math.prod(lens) * bpp_out
             count += 1
             cpe = tidx % be.num_cpes
             peaks[cpe] = max(peaks[cpe], int(staged * bpp))
+        get_bytes += launch_get
+        put_bytes += launch_put
     ntiles = total_tiles(policy.extents, tile)
     assert ntiles * launches == count
     return dict(dma=(get_bytes, put_bytes, count, count), peaks=peaks,
@@ -160,12 +165,17 @@ def _case(ndim: int, halo: int):
 TILES = {2: (8, 12), 3: (2, 5, 7)}
 
 
-@pytest.mark.parametrize("double_buffer", [True, False])
-@pytest.mark.parametrize("explicit", [False, True])
-@pytest.mark.parametrize("halo", [0, 1, 2])
-@pytest.mark.parametrize("ndim", [2, 3])
-def test_eager_launch_is_one_callback_and_the_tile_ledger(
-        ndim, halo, explicit, double_buffer):
+def _every_shape(test):
+    """Parametrize over 2-D/3-D, halo 0-2, chosen/explicit tile and
+    double/single buffering."""
+    for name, values in (("ndim", [2, 3]), ("halo", [0, 1, 2]),
+                         ("explicit", [False, True]),
+                         ("double_buffer", [True, False])):
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
+
+
+def _launch_twice(ndim, halo, explicit, double_buffer, graph):
     x, ranges, make = _case(ndim, halo)
     policy = MDRangePolicy(ranges, tile=TILES[ndim] if explicit else None)
     reg, calls = _registry()
@@ -178,15 +188,36 @@ def test_eager_launch_is_one_callback_and_the_tile_ledger(
         assert tile == TILES[ndim]
     else:
         assert total_tiles(policy.extents, tile) > 1
+    if graph:
+        g = LaunchGraph(be)
+        g.add_kernel("k", policy, functor)
+        g.seal()
+    assert calls == []
     for launch in (1, 2):
-        # the second launch adds its tiles one by one onto the first's
-        be.parallel_for("k", policy, functor)
+        # the second launch adds its schedule's totals onto the first's
+        if graph:
+            g.replay()
+        else:
+            be.parallel_for("k", policy, functor)
         assert calls == [(type(functor).__name__,
                           tuple(slice(b, e) for b, e in ranges))] * launch
         assert _ledger(be, "k") == _reference(be, policy, functor, tile, launch)
     expect = np.zeros_like(x.data)
     SerialBackend().parallel_for("k", policy, make(x, View("r", data=expect)))
     assert out.data.tobytes() == expect.tobytes()
+
+
+@_every_shape
+def test_eager_launch_is_one_callback_and_the_tile_ledger(
+        ndim, halo, explicit, double_buffer):
+    _launch_twice(ndim, halo, explicit, double_buffer, graph=False)
+
+
+@_every_shape
+def test_replayed_launch_is_one_callback_and_the_tile_ledger(
+        ndim, halo, explicit, double_buffer):
+    # a sealed plan binds the registered callback: the §V-B dispatch
+    _launch_twice(ndim, halo, explicit, double_buffer, graph=True)
 
 
 def test_fused_composite_is_one_callback_over_its_parts():

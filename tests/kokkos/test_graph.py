@@ -3,7 +3,7 @@
 Unit-level coverage for the step-graph machinery: capture discipline,
 launch fusion (bitwise-identical to the eager sequence, dependent
 stencil chains included), the unfused replay on ``run_for``-intercepting
-spaces, the athread sealed plan's batched DMA/LDM accounting, the workspace arena's
+spaces, the athread plan's DMA/LDM accounting (eager and replayed alike), the workspace arena's
 allocation counting and the ``REPRO_NUM_THREADS`` override of the OpenMP backend.  Model-level
 bitwise replay tests live in ``tests/ocean/test_graph_replay.py``.
 """
@@ -248,7 +248,7 @@ class TestLaunchGraph:
 
 
 class TestAthreadPlanAccounting:
-    """A sealed plan's batched ledger matches the eager path exactly."""
+    """A replayed launch ledgers what an eager one does, float for float."""
 
     def _sweep(self, be: AthreadBackend, x: View, graph: bool) -> None:
         pol = MDRangePolicy([(0, x.shape[0]), (0, x.shape[1])])
@@ -279,8 +279,8 @@ class TestAthreadPlanAccounting:
         np.testing.assert_array_equal(eager[0], replay[0])
         assert eager[1] == replay[1]          # DMA descriptor counts
         assert eager[2] == replay[2]
-        assert eager[3] == pytest.approx(replay[3])   # DMA volumes
-        assert eager[4] == pytest.approx(replay[4])
+        assert eager[3] == replay[3]          # DMA volumes
+        assert eager[4] == replay[4]
         assert eager[5] == replay[5]          # LDM high water
         assert eager[6] == replay[6]          # tile distribution
 
@@ -290,8 +290,8 @@ class TestAthreadPlanAccounting:
         self._sweep(be, x, graph=True)
         ntiles = be.last_distribution[0]
         assert ntiles > 1
-        # batched accounting: one descriptor per tile is still recorded,
-        # per launch in a single call; counts equal tiles exactly
+        # one descriptor per tile is still recorded, per launch in a
+        # single call; counts equal tiles exactly
         assert be.dma.get_count == 2 * ntiles
 
 

@@ -100,7 +100,6 @@ ALLOWED: Dict[str, str] = {
            "swaps in", "repro/kokkos/context.py::ExecutionContext.null_workspace"),
     **_why("seam", "run_for-intercepting spaces get the eager generic "
            "plan, so a differential-testing wrapper sees every launch",
-           "repro/kokkos/backends/base.py::ExecutionSpace.plan_type",
            "repro/kokkos/backends/base.py::_GenericPlan.run"),
     **_why("seam", "tests reset counters between measured windows "
            "(the step-call budget, the ledger pins)",
@@ -152,7 +151,6 @@ ALLOWED: Dict[str, str] = {
            "repro/analysis/findings.py::Severity.__str__",
            "repro/experiments/variants.py::LinkedListRegistry.__len__",
            "repro/kokkos/backends/base.py::ExecutionSpace.__repr__",
-           "repro/kokkos/backends/base.py::ExecutionSpace.run_for",
            "repro/kokkos/backends/base.py::ExecutionSpace.run_reduce",
            "repro/kokkos/backends/base.py::LaunchPlan.run",
            "repro/kokkos/backends/base.py::Reducer.__repr__",
