@@ -54,15 +54,17 @@ def main() -> None:
           f"{backend.num_cpes} CPEs")
     print(f"  LDM high water: {backend.ldm_high_water()} / "
           f"{backend.ldm[0].capacity} bytes")
-    print(f"  DMA traffic: {backend.dma.get_bytes / 1e6:.1f} MB in, "
-          f"{backend.dma.put_bytes / 1e6:.1f} MB out "
-          f"({backend.dma.total_count} transfers)")
+    tr = backend.inst.transfers
+    print(f"  DMA traffic: {tr.dma_get_bytes / 1e6:.1f} MB in, "
+          f"{tr.dma_put_bytes / 1e6:.1f} MB out, "
+          f"{tr.dma_bytes / 1e6:.1f} MB total ({tr.dma_count} transfers)")
+    print(f"  transfer ledger: {tr}")
 
     # -- device internals -----------------------------------------------------
     model, backend, _ = run_on("cuda")
     tr = backend.inst.transfers
     print("\nCUDA backend internals (no GPU-aware MPI: halos cross PCIe):")
-    print(f"  kernel launches: {backend.kernel_launches}")
+    print(f"  kernel launches: {backend.inst.total_launches}")
     print(f"  H2D {tr.h2d_bytes / 1e6:.1f} MB / D2H {tr.d2h_bytes / 1e6:.1f} MB "
           "per run (the paper's 'daily memory copies')")
 

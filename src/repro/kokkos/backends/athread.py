@@ -21,9 +21,11 @@ not just the effect:
   :class:`~repro.errors.LDMError` when an explicit tile does not fit.
 * **DMA accounting.**  Every tile performs a ``get`` (inputs) and a
   ``put`` (outputs); a launch charges its schedule's tile-order totals
-  to the :class:`~repro.kokkos.ldm.DMAEngine` ledger, one call per
-  direction, which the machine model converts to time on the 51.2 GB/s
-  CG memory system.
+  to the rank's transfer ledger in one
+  :meth:`~repro.kokkos.instrument.TransferLedger.record_launch_dma`
+  call, which the machine model converts to time on the 51.2 GB/s CG
+  memory system.  The space itself keeps only the LDM model (per-CPE
+  high water, the last tile distribution).
 
 The tiles are bookkeeping around one offloaded loop body: a launch is
 :class:`_AthreadPlan`, run once by an eager ``parallel_for`` or replayed
@@ -40,10 +42,8 @@ from functools import partial
 from typing import Dict, Optional, Tuple
 
 from ...errors import LDMError, RegistrationError
-from .. import jit as _jit
 from ..instrument import Instrumentation
 from ..ldm import (
-    DMAEngine,
     LDMAllocator,
     SW26010_LDM_BYTES,
     haloed_tile_points,
@@ -63,7 +63,6 @@ from .base import (
     Reducer,
     check_host_views,
     functor_cost,
-    reduce_tile,
     staging_split,
 )
 
@@ -121,10 +120,11 @@ class _AthreadPlan(LaunchPlan):
     """Registry lookup and the launch's :class:`TileSchedule` baked in.
 
     The body is the registered preset callback bound to the whole range
-    (the §V-B dispatch), or the sweep on a space that does not require
-    registration.  A run calls it once, then charges the schedule: its
-    DMA totals one call per direction, its LDM peaks, its tile
-    distribution and ``inst`` tiles — all after the body returns.
+    (the §V-B dispatch).  A run calls it once, then charges the
+    schedule: its DMA totals in one ledger call, its LDM peaks, its
+    tile distribution and ``inst`` tiles — all after the body returns.
+    The ledger is looked up on every run, as ``inst.reset()`` replaces
+    it.
     """
 
     __slots__ = ("_sched",)
@@ -134,15 +134,13 @@ class _AthreadPlan(LaunchPlan):
         check_host_views(functor, space.name)
         callback = space._lookup_callback(functor, "for")
         self._sched = sched = space.schedule(policy, functor)
-        self._sweep = (partial(callback, functor, sched.full)
-                       if callback is not None
-                       else _jit.compile_sweep(functor, [sched.full]))
+        self._sweep = partial(callback, functor, sched.full)
 
     def run(self) -> None:
         self._sweep()
         space, sched = self.space, self._sched
-        space.dma.get(sched.get_total, sched.tiles)
-        space.dma.put(sched.put_total, sched.tiles)
+        space.inst.transfers.record_launch_dma(
+            sched.get_total, sched.put_total, sched.tiles)
         if sched not in space._peaked:
             space._record_peaks(sched)
         space.last_distribution = sched.distribution
@@ -161,7 +159,6 @@ class AthreadBackend(ExecutionSpace):
         num_cpes: int = SW26010_CPES_PER_CG,
         ldm_bytes: int = SW26010_LDM_BYTES,
         registry=None,
-        require_registration: bool = True,
         double_buffer: bool = True,
         inst: Optional[Instrumentation] = None,
     ) -> None:
@@ -171,10 +168,8 @@ class AthreadBackend(ExecutionSpace):
         self.concurrency = num_cpes
         self.num_cpes = num_cpes
         self.registry = registry if registry is not None else default_registry()
-        self.require_registration = require_registration
         self.double_buffer = double_buffer
         self.ldm = [LDMAllocator(ldm_bytes) for _ in range(num_cpes)]
-        self.dma = DMAEngine()
         #: Schedules whose LDM peaks this space has recorded since the
         #: last :meth:`reset_counters`.
         self._peaked: set = set()
@@ -243,8 +238,6 @@ class AthreadBackend(ExecutionSpace):
         self._peaked.add(sched)
 
     def _lookup_callback(self, functor, kind: str):
-        if not self.require_registration:
-            return None
         entry = self.registry.lookup(type(functor))
         if entry.kind != kind:
             raise RegistrationError(
@@ -263,16 +256,14 @@ class AthreadBackend(ExecutionSpace):
         sched = self.schedule(policy, functor)
         acc = reducer.identity
         for slices in iter_tiles(policy.ranges, sched.tile) if sched.tiles else ():
-            if callback is not None:
-                part = callback(functor, slices, reducer.combine)
-            else:
-                part = reduce_tile(functor, slices, reducer)
+            part = callback(functor, slices, reducer.combine)
             if part is not None:
                 acc = reducer.combine(acc, part)
-        self.dma.get(sched.get_total, sched.tiles)
         # one scalar per tile back to the MPE
-        self.dma.put(float(getattr(functor, "bytes_out_per_point", 8.0))
-                     * sched.tiles, sched.tiles)
+        self.inst.transfers.record_launch_dma(
+            sched.get_total,
+            float(getattr(functor, "bytes_out_per_point", 8.0)) * sched.tiles,
+            sched.tiles)
         if sched not in self._peaked:
             self._record_peaks(sched)
         self.last_distribution = sched.distribution
@@ -288,7 +279,7 @@ class AthreadBackend(ExecutionSpace):
         return max(a.high_water for a in self.ldm)
 
     def reset_counters(self) -> None:
-        self.dma.reset()
+        """Reset the LDM peaks (the DMA counts live in ``inst``)."""
         for a in self.ldm:
             a.reset()
             a.high_water = 0

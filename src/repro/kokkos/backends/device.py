@@ -20,7 +20,9 @@ simulation enforces the two behaviours that shape real ports:
 Execution itself is a single whole-range tile evaluated inside a
 :class:`~repro.kokkos.view.kernel_context`, so results are identical to
 Serial.  A launch is :class:`_DevicePlan`, run once eagerly or replayed
-by a sealed graph; both count one kernel launch.  Thread-block geometry only affects the cost model
+by a sealed graph; both count one kernel launch, in the rank's
+:class:`~repro.kokkos.instrument.Instrumentation` (the space keeps no
+counter of its own).  Thread-block geometry only affects the cost model
 (:mod:`repro.perfmodel.kernelcost`), not functional results.
 """
 
@@ -47,8 +49,8 @@ from .base import (
 class _DevicePlan(LaunchPlan):
     """Memory-space proof and block geometry precomputed.
 
-    Every run counts a kernel launch and executes inside a
-    ``kernel_context`` — the simulated device semantics and the
+    Every run executes inside a ``kernel_context`` and records one
+    launch in ``inst`` — the simulated device semantics and the
     per-launch cost the perfmodel charges.
     """
 
@@ -62,7 +64,6 @@ class _DevicePlan(LaunchPlan):
         self._blocks = max(1, -(-policy.size // space.threads_per_block))
 
     def run(self) -> None:
-        self.space.kernel_launches += 1
         with kernel_context():
             self._sweep()
         self._record(tiles=self._blocks)
@@ -92,7 +93,6 @@ class DeviceBackend(ExecutionSpace):
         # "very parallel", so expose a representative concurrency.
         self.concurrency = 163840
         self.memory_space = DeviceSpace
-        self.kernel_launches = 0
 
     def _check_device_views(self, functor) -> None:
         bad = [
@@ -107,7 +107,6 @@ class DeviceBackend(ExecutionSpace):
 
     def run_reduce(self, label: str, policy: MDRangePolicy, functor, reducer: Reducer):
         self._check_device_views(functor)
-        self.kernel_launches += 1
         with kernel_context():
             result = reduce_tile(functor, self._full_slices(policy), reducer)
         flops, nbytes = functor_cost(functor)

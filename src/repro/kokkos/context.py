@@ -14,7 +14,8 @@ An :class:`ExecutionContext` is the session object that owns one rank's:
 
 * backend instance (``.space``) and its :class:`Instrumentation`
   ledger (``.inst``) — kernel launches, H2D/D2H/DMA transfers and
-  workspace counters all land in the owning context;
+  workspace counters all land there, once, and nowhere else (the space
+  keeps only model state, such as the Athread LDM peaks);
 * the workspace arenas it handed out (``make_workspace``), released on
   :meth:`close` so rank threads never pin scratch memory after exit;
 * its rank's traffic ledger (``.traffic``), which it reports but does
@@ -28,7 +29,10 @@ Two models on different backends, each with its own context, can step
 concurrently in one process with bitwise-identical results and disjoint
 ledgers; :meth:`~repro.kokkos.instrument.Instrumentation.merge_from`
 folds per-rank ledgers back into the single job-level view, as
-``SimWorld.traffic`` does for the ranks' traffic.
+``SimWorld.traffic`` does for the ranks' traffic.  Contexts themselves
+do not cross process boundaries (they own a live backend, arenas and
+sealed plans): a distributed rank ships ``inst`` and ``tracer`` home on
+its :class:`~repro.ocean.model.RankResult`.
 """
 
 from __future__ import annotations
@@ -56,8 +60,6 @@ class ExecutionContext:
         own ledger and shuts it down on :meth:`close` — or an
         already-built :class:`ExecutionSpace`, adopted as-is: it keeps
         its instrumentation and its builder keeps its lifetime.
-    inst / timers / tracer:
-        Override the freshly-created per-context instances.
     rank:
         The owning rank (labels ledgers in multi-rank aggregation).
     trace:
@@ -78,21 +80,17 @@ class ExecutionContext:
         self,
         backend: object = "serial",
         *,
-        inst: Optional[Instrumentation] = None,
-        timers: Optional[TimerRegistry] = None,
-        tracer: Optional[Tracer] = None,
         rank: int = 0,
-        name: Optional[str] = None,
         trace: bool = False,
         **backend_kwargs,
     ) -> None:
         self.rank = int(rank)
-        self.name = name if name is not None else f"ctx{next(self._ids)}"
-        self.timers = timers if timers is not None else TimerRegistry()
+        self.name = f"ctx{next(self._ids)}"
+        self.timers = TimerRegistry()
         #: Per-rank span tracer (disabled — and free — until
         #: :meth:`enable_tracing` wires it into the owned recorders).
-        self.tracer = tracer if tracer is not None else Tracer(
-            rank=self.rank, name=f"{self.name} (rank {self.rank})")
+        self.tracer = Tracer(rank=self.rank,
+                             name=f"{self.name} (rank {self.rank})")
         #: graph/launch-plan cache: scope key -> {variant key -> graph}
         self.graph_cache: Dict[object, dict] = {}
         self.closed = False
@@ -103,13 +101,13 @@ class ExecutionContext:
         self.traffic = None
         self._owns_space = not isinstance(backend, ExecutionSpace)
         if self._owns_space:
-            self.inst = inst if inst is not None else Instrumentation()
+            self.inst = Instrumentation()
             self.space: ExecutionSpace = make_backend(
                 backend, inst=self.inst, **backend_kwargs)
         else:
             # adopt: the space keeps its ledger; the context reports it
             self.space = backend
-            self.inst = inst if inst is not None else backend.inst
+            self.inst = backend.inst
         if trace:
             self.enable_tracing()
         with ExecutionContext._live_lock:
@@ -131,18 +129,15 @@ class ExecutionContext:
     def enable_tracing(self) -> Tracer:
         """Switch span tracing on and wire the tracer into every owned
         recorder: the backend dispatch path (kernel spans), the GPTL
-        timers (step/phase spans), the host<->device transfer ledger and
-        the Athread DMA engine (instant events).  Idempotent; the
-        dispatch path keeps its zero-overhead guard while disabled.
+        timers (step/phase spans) and the transfer ledger (host<->device
+        and DMA instant events).  Idempotent; the dispatch path keeps
+        its zero-overhead guard while disabled.
         """
         tr = self.tracer
         tr.enabled = True
         self.timers.tracer = tr
         self.inst.transfers.tracer = tr
         self.space.tracer = tr
-        dma = getattr(self.space, "dma", None)
-        if dma is not None:
-            dma.tracer = tr
         return tr
 
     # -- ownership accessors -----------------------------------------------
@@ -167,23 +162,6 @@ class ExecutionContext:
         self.traffic = comm.traffic
         if getattr(comm, "tracer", None) is None:
             comm.tracer = self.tracer
-
-    def export_rank_data(self) -> Dict[str, object]:
-        """The context's measurement state as a small picklable dict.
-
-        Contexts themselves do not cross process boundaries (they own a
-        live backend, arenas, sealed plans); what a process-mode
-        worker ships home is this bundle — the instrumentation ledger,
-        the attached comm's traffic ledger and the tracer with its
-        recorded timeline.
-        """
-        return {
-            "rank": self.rank,
-            "name": self.name,
-            "inst": self.inst,
-            "traffic": self.traffic,
-            "tracer": self.tracer,
-        }
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Per-kernel instrumentation counters.
+"""Per-rank instrumentation counters.
 
 The paper gathers floating-point statistics with a "job-level performance
 monitoring and analysis toolchain" on the new Sunway system (§VI-C).  This
@@ -6,7 +6,10 @@ module is the analog: every backend records, per kernel label, the number
 of launches, tiles executed, grid points visited, declared floating-point
 operations and bytes moved, plus a transfer ledger for
 host<->device copies (heterogeneous daily memory copies are part of the
-timed region in the paper) and Athread DMA traffic.
+timed region in the paper) and Athread DMA traffic.  An
+:class:`Instrumentation` is the one place a rank counts: its backend,
+arenas and transfers record into it and nowhere else, and a distributed
+run carries it home once per rank.
 
 These measured counts are what the machine performance model
 (:mod:`repro.perfmodel`) multiplies by hardware specs to predict kernel
@@ -41,18 +44,23 @@ class KernelStats:
 class TransferLedger:
     """Bytes moved across memory-space boundaries.
 
-    ``tracer`` is an optional :class:`repro.trace.Tracer` (wired in by
-    the owning :class:`~repro.kokkos.context.ExecutionContext`); while
-    it is enabled, every recorded transfer also lands on the timeline
-    as an instant event carrying its byte count.
+    Host<->device copies (``h2d`` / ``d2h``) and Athread DMA between
+    main memory and the CPEs' LDM, split into gets (main memory -> LDM)
+    and puts (LDM -> main memory).  ``tracer`` is an optional
+    :class:`repro.trace.Tracer` (wired in by the owning
+    :class:`~repro.kokkos.context.ExecutionContext`); while it is
+    enabled, every recorded transfer also lands on the timeline as an
+    instant event carrying its byte count.
     """
 
     h2d_bytes: float = 0.0
     h2d_count: int = 0
     d2h_bytes: float = 0.0
     d2h_count: int = 0
-    dma_bytes: float = 0.0
-    dma_count: int = 0
+    dma_get_bytes: float = 0.0
+    dma_get_count: int = 0
+    dma_put_bytes: float = 0.0
+    dma_put_count: int = 0
     tracer: Optional[object] = field(default=None, repr=False, compare=False)
 
     def record_h2d(self, nbytes: float) -> None:
@@ -68,6 +76,33 @@ class TransferLedger:
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.instant("D2H", cat="xfer", bytes=float(nbytes))
+
+    def record_launch_dma(self, get_bytes: float, put_bytes: float,
+                          count: int) -> None:
+        """Record one Athread launch's DMA: ``count`` gets totalling
+        ``get_bytes`` and ``count`` puts totalling ``put_bytes`` (one
+        descriptor per tile and direction).  A trace sees one instant
+        per direction."""
+        self.dma_get_bytes += get_bytes
+        self.dma_get_count += count
+        self.dma_put_bytes += put_bytes
+        self.dma_put_count += count
+        tr = self.tracer
+        if tr is not None and tr.enabled:
+            tr.instant("dma_get", cat="xfer", bytes=float(get_bytes),
+                       descriptors=int(count))
+            tr.instant("dma_put", cat="xfer", bytes=float(put_bytes),
+                       descriptors=int(count))
+
+    @property
+    def dma_bytes(self) -> float:
+        """DMA bytes both ways."""
+        return self.dma_get_bytes + self.dma_put_bytes
+
+    @property
+    def dma_count(self) -> int:
+        """DMA descriptors both ways."""
+        return self.dma_get_count + self.dma_put_count
 
     # Ledgers cross process boundaries in worker exit reports; the
     # tracer back-reference is rank-local wiring and does not travel.
@@ -105,12 +140,12 @@ class WorkspaceStats:
 
 @dataclass
 class Instrumentation:
-    """A container of kernel statistics and the transfer ledger."""
+    """One rank's counters: kernel statistics, the transfer ledger
+    (host<->device copies and Athread DMA) and workspace traffic."""
 
     kernels: Dict[str, KernelStats] = field(default_factory=dict)
     transfers: TransferLedger = field(default_factory=TransferLedger)
     workspace: WorkspaceStats = field(default_factory=WorkspaceStats)
-    enabled: bool = True
     # One lock covers every mutating recorder: OpenMP tiles of one
     # launch take from the owning context's arena concurrently.
     _lock: threading.Lock = field(default_factory=threading.Lock,
@@ -133,8 +168,6 @@ class Instrumentation:
         bytes_per_point: float = 0.0,
     ) -> None:
         """Record one kernel launch touching ``points`` grid points."""
-        if not self.enabled:
-            return
         with self._lock:
             stats = self.kernel(label)
             stats.launches += 1
@@ -145,8 +178,6 @@ class Instrumentation:
 
     def record_workspace_take(self, nbytes: float, allocated: bool) -> None:
         """Record one scratch-arena request (thread-safe: OpenMP tiles)."""
-        if not self.enabled:
-            return
         with self._lock:
             ws = self.workspace
             ws.requests += 1
@@ -176,8 +207,10 @@ class Instrumentation:
             mt.h2d_count += t.h2d_count
             mt.d2h_bytes += t.d2h_bytes
             mt.d2h_count += t.d2h_count
-            mt.dma_bytes += t.dma_bytes
-            mt.dma_count += t.dma_count
+            mt.dma_get_bytes += t.dma_get_bytes
+            mt.dma_get_count += t.dma_get_count
+            mt.dma_put_bytes += t.dma_put_bytes
+            mt.dma_put_count += t.dma_put_count
             w, mw = other.workspace, self.workspace
             mw.requests += w.requests
             mw.allocations += w.allocations

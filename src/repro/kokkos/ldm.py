@@ -1,12 +1,13 @@
-"""Local Data Memory (LDM) and DMA models for the Sunway CPE.
+"""Local Data Memory (LDM) and DMA cost models for the Sunway CPE.
 
 Each CPE of the SW26010 Pro owns 256 kB of low-latency scratchpad shared
 between software-managed LDM and a local data cache, fed by DMA from main
-memory (§VI-A).  The Athread backend uses these models to
+memory (§VI-A).  These models
 
-* size tiles so a tile's working set fits in LDM,
-* account DMA traffic per launch (its tiles' gets and puts, one ledger
-  call per direction), and
+* size tiles so a tile's working set fits in LDM (the Athread backend),
+* price DMA transfers (:class:`DMAEngine`, for the CPE pipeline model;
+  the traffic a launch moves is counted in its rank's transfer ledger),
+  and
 * model the double-buffered pipeline the paper uses for
   ``advection_tracer`` ("a double-buffered technique that leverages the
   asynchronous mechanism ... between the CPE workload execution and DMA
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..errors import LDMError
 
@@ -68,59 +69,20 @@ class LDMAllocator:
 
 @dataclass
 class DMAEngine:
-    """Ledger of DMA transfers between main memory and LDM.
+    """Cost model of DMA between main memory and LDM.
 
-    ``bandwidth`` and ``latency`` are used only by the analytic cost
-    helpers; functional execution just records volumes.
+    What a launch moves is counted in its rank's
+    :class:`~repro.kokkos.instrument.TransferLedger`
+    (:meth:`~repro.kokkos.instrument.TransferLedger.record_launch_dma`);
+    this class only prices a transfer for the CPE pipeline model.
     """
 
     bandwidth: float = 51.2e9  # bytes/s, SW26010 Pro CG memory bandwidth
     latency: float = 1.0e-6    # seconds per DMA descriptor
-    get_bytes: float = 0.0
-    put_bytes: float = 0.0
-    get_count: int = 0
-    put_count: int = 0
-
-    # Optional repro.trace.Tracer (class attribute, not a dataclass
-    # field, so ledger equality and repr are unchanged); the owning
-    # ExecutionContext assigns it when tracing is enabled.
-    tracer = None
-
-    def get(self, nbytes: float, count: int = 1) -> None:
-        """Record ``count`` main-memory -> LDM transfers totalling
-        ``nbytes``: a launch charges its tile schedule's total in one
-        call.  A trace sees one instant per call."""
-        self.get_bytes += nbytes
-        self.get_count += count
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.instant("dma_get", cat="xfer", bytes=float(nbytes),
-                       descriptors=int(count))
-
-    def put(self, nbytes: float, count: int = 1) -> None:
-        """Record ``count`` LDM -> main-memory transfers totalling ``nbytes``."""
-        self.put_bytes += nbytes
-        self.put_count += count
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.instant("dma_put", cat="xfer", bytes=float(nbytes),
-                       descriptors=int(count))
-
-    @property
-    def total_bytes(self) -> float:
-        return self.get_bytes + self.put_bytes
-
-    @property
-    def total_count(self) -> int:
-        return self.get_count + self.put_count
 
     def transfer_time(self, nbytes: float) -> float:
         """Analytic time for one transfer of ``nbytes``."""
         return self.latency + nbytes / self.bandwidth
-
-    def reset(self) -> None:
-        self.get_bytes = self.put_bytes = 0.0
-        self.get_count = self.put_count = 0
 
 
 def double_buffered_time(

@@ -99,11 +99,9 @@ class Workspace:
                                                            np.dtype(dtype))
                 self.inst.record_workspace_take(arr.nbytes, allocated=True)
             else:
-                inst = self.inst
-                if inst.enabled:
-                    ws = inst.workspace
-                    ws.requests += 1
-                    ws.bytes_served += arr.nbytes
+                ws = self.inst.workspace
+                ws.requests += 1
+                ws.bytes_served += arr.nbytes
         if fill is not None:
             arr[...] = fill
         return arr
@@ -131,11 +129,9 @@ class Workspace:
             flat = pool[(key, dtype)] = np.empty(n, dtype)
             self.inst.record_workspace_take(flat.nbytes, allocated=True)
         else:
-            inst = self.inst
-            if inst.enabled:
-                ws = inst.workspace
-                ws.requests += 1
-                ws.bytes_served += n * dtype.itemsize
+            ws = self.inst.workspace
+            ws.requests += 1
+            ws.bytes_served += n * dtype.itemsize
         return flat[:n].reshape(shape)
 
     def clear(self) -> None:

@@ -845,15 +845,16 @@ class RankResult:
 
     Everything here is picklable (process mode sends it through a
     worker exit report): final prognostic fields as plain arrays, the
-    step count, and the rank's measurement state — instrumentation,
-    tracer and ``traffic``, the rank's comm ledger for this launch (the
-    one object the exit report carries home, pickled once).
+    step count, and the rank's measurement state — its context's
+    :class:`~repro.kokkos.instrument.Instrumentation` (kernels,
+    transfers including Athread DMA, workspace) and its tracer.  The
+    rank's traffic ledger is not here: it is the world's
+    ``rank_traffic[rank]``, which the exit report carries home.
     """
 
     rank: int
     state: Dict[str, np.ndarray]
     nstep: int
-    traffic: object = None
     inst: object = None
     tracer: object = None
 
@@ -875,10 +876,9 @@ def _distributed_rank_program(comm, config, backend, params, decomp,
         model.run_steps(steps)
         state = {f: getattr(model.state, f).cur.raw.copy()
                  for f in STATE_FIELDS}
-        data = model.context.export_rank_data()
         return RankResult(rank=comm.rank, state=state, nstep=model.nstep,
-                          traffic=data["traffic"], inst=data["inst"],
-                          tracer=data["tracer"])
+                          inst=model.context.inst,
+                          tracer=model.context.tracer)
     finally:
         model.close()
 

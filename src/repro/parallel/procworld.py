@@ -50,7 +50,8 @@ Each worker's comm ledger (:class:`~repro.parallel.comm.TrafficLedger`)
 rides home once, in its exit report, and the parent folds it into its
 rank's ``SimWorld.rank_traffic`` entry, so perfmodel load-imbalance
 terms and the ``by_phase``/``size_hist`` counters are as exact as in
-thread mode.
+thread mode.  The rank's instrumentation and tracer ride home once too,
+on the program's result (:class:`~repro.ocean.model.RankResult`).
 """
 
 from __future__ import annotations
@@ -311,7 +312,8 @@ def _worker_main(rank: int, size: int, uid: str, timeout: float, inbox,
             "traceback": traceback.format_exc(),
         }
     comm._post_exit()
-    # a RankResult carrying this same ledger pickles it once, with this
+    # the rank's traffic crosses home here, once; a RankResult result
+    # carries the rank's instrumentation and tracer, not this ledger
     report["traffic"] = comm.traffic
     report["segments"] = pool.created_names()
     pool.close()

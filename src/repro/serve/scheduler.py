@@ -10,10 +10,10 @@ system" story:
   configurable budget turns the quote into a gate: an over-budget job
   is refused with :class:`~repro.errors.AdmissionError` carrying the
   numbers, and recorded as REJECTED for status listings.
-* **Sharing** — shareable jobs (single-rank, thread substrate) lease
-  engines from a signature-keyed :class:`~repro.serve.share.EngineCache`
-  so same-configuration jobs replay one sealed launch graph
-  (hit/miss counters prove it).
+* **Sharing** — every shareable job (single-rank, thread substrate)
+  leases an engine from a signature-keyed
+  :class:`~repro.serve.share.EngineCache`, so same-configuration jobs
+  replay one sealed launch graph (hit/miss counters prove it).
 * **Execution** — a bounded pool of worker threads drains the queue.
   Workers share one interpreter, so they do not step in parallel: a
   worker holds the scheduler's :class:`~repro.parallel.comm.RunToken`
@@ -77,8 +77,6 @@ class ServeScheduler:
         (``JobQuote.cost_unit_seconds``); ``None`` admits everything.
     artifacts:
         Root directory; each job streams into ``<artifacts>/<name>/``.
-    share:
-        Lease signature-shared engines to shareable jobs (default).
     """
 
     def __init__(
@@ -86,13 +84,11 @@ class ServeScheduler:
         workers: int = 2,
         budget: Optional[float] = None,
         artifacts: Union[str, pathlib.Path] = "serve_artifacts",
-        share: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.budget = budget
         self.artifacts = pathlib.Path(artifacts)
-        self.share = share
         self.cache = EngineCache()
         self.jobs: Dict[int, Job] = {}
         self._queue: "queue.Queue" = queue.Queue()
@@ -205,9 +201,9 @@ class ServeScheduler:
         job.artifacts.mkdir(parents=True, exist_ok=True)
         if spec.program is not None:
             return self._run_program_job(job)
-        if spec.ranks > 1 or spec.mode == "process":
-            return self._run_world_job(job)
-        return self._run_engine_job(job)
+        if spec.shareable:
+            return self._run_engine_job(job)
+        return self._run_world_job(job)
 
     def _run_program_job(self, job: Job) -> Dict[str, Any]:
         """A generic SimWorld program on its own world.
@@ -238,23 +234,15 @@ class ServeScheduler:
         }
 
     def _run_engine_job(self, job: Job) -> Dict[str, Any]:
-        """A single-rank model job, on a shared engine when possible."""
+        """A shareable job, on a leased signature-shared engine."""
         spec = job.spec
-        if self.share and spec.shareable:
-            engine = self.cache.acquire(spec)
-            job.shared_engine = True
-            with engine.lease(spec.name) as model:
-                return self._step_model(job, model,
-                                        graph_stats=engine.graph_stats)
-        model = LICOMKpp(spec.config(), backend=spec.backend,
-                         params=spec.params(), seed=spec.seed)
-        try:
-            return self._step_model(job, model)
-        finally:
-            model.close()
+        engine = self.cache.acquire(spec)
+        job.shared_engine = True
+        with engine.lease(spec.name) as model:
+            return self._step_model(job, model, engine.graph_stats)
 
     def _step_model(self, job: Job, model: LICOMKpp,
-                    graph_stats=None) -> Dict[str, Any]:
+                    graph_stats) -> Dict[str, Any]:
         """The per-step serving loop: probes, checkpoints, deadline."""
         spec = job.spec
         ckpt = job.artifacts / "checkpoint.npz"
@@ -292,15 +280,13 @@ class ServeScheduler:
         if spec.trace:
             write_chrome_trace(job.artifacts / "trace.json",
                                model.context.tracer)
-        result: Dict[str, Any] = {
+        return {
             "nstep": model.nstep,
             "state": state,
             "resumed_from": resumed_from,
             "probe_rows": probes.rows_written if probes is not None else 0,
+            "graphs": graph_stats(),
         }
-        if graph_stats is not None:
-            result["graphs"] = graph_stats()
-        return result
 
     # -- lifecycle -----------------------------------------------------------
 

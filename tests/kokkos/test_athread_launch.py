@@ -140,9 +140,10 @@ def _reference(be: AthreadBackend, policy: MDRangePolicy, functor, tile,
 
 
 def _ledger(be: AthreadBackend, label: str):
-    d = be.dma
+    d = be.inst.transfers
     stats = be.inst.kernels.get(label)
-    return dict(dma=(d.get_bytes, d.put_bytes, d.get_count, d.put_count),
+    return dict(dma=(d.dma_get_bytes, d.dma_put_bytes, d.dma_get_count,
+                     d.dma_put_count),
                 peaks=[a.high_water for a in be.ldm],
                 distribution=be.last_distribution,
                 tiles=stats.tiles if stats else 0)
@@ -303,7 +304,7 @@ def test_a_body_that_raises_ledgers_nothing(graph):
 def test_a_traced_launch_emits_one_batched_instant_per_direction(graph):
     be = AthreadBackend(registry=_registry()[0], inst=Instrumentation())
     tr = Tracer(enabled=True)
-    be.dma.tracer = tr
+    be.inst.transfers.tracer = tr
     x = View("x", data=np.ones((5, 20, 36)))
     policy = MDRangePolicy([(0, 5), (0, 20), (0, 36)])
     f = Scale3D(x, 2.0)
@@ -318,4 +319,5 @@ def test_a_traced_launch_emits_one_batched_instant_per_direction(graph):
     assert ntiles > 1
     got = [(i.name, i.args["descriptors"]) for i in tr.instants]
     assert got == [("dma_get", ntiles), ("dma_put", ntiles)]
-    assert tr.instants[0].args["bytes"] == pytest.approx(be.dma.get_bytes)
+    assert tr.instants[0].args["bytes"] == pytest.approx(
+        be.inst.transfers.dma_get_bytes)

@@ -211,20 +211,6 @@ class TestAthreadSpecifics:
         with pytest.raises(RegistrationError):
             be.parallel_reduce("axpy_as_reduce", RangePolicy(0, 8), AXPY(1.0, x, x), Sum)
 
-    def test_unregistered_ok_when_not_required(self):
-        class Unregistered:
-            def __init__(self, y):
-                self.y = y
-
-            def apply(self, slices):
-                (s,) = slices
-                self.y.data[s] = 1.0
-
-        be = AthreadBackend(require_registration=False)
-        y = View("y", 16)
-        be.parallel_for("free", RangePolicy(0, 16), Unregistered(y))
-        assert np.all(y.data == 1.0)
-
     def test_work_distribution_follows_equations(self):
         from repro.kokkos import tiles_per_cpe, total_tiles
 
@@ -242,9 +228,10 @@ class TestAthreadSpecifics:
         x = View("x", 128)
         y = View("y", 128)
         be.parallel_for("axpy", RangePolicy(0, 128), AXPY(1.0, x, y))
-        assert be.dma.get_bytes > 0
-        assert be.dma.put_bytes > 0
-        assert be.dma.total_count == be.dma.get_count + be.dma.put_count
+        t = be.inst.transfers
+        assert t.dma_get_bytes > 0
+        assert t.dma_put_bytes > 0
+        assert t.dma_count == t.dma_get_count + t.dma_put_count
 
     def test_ldm_high_water_positive_and_bounded(self):
         be = AthreadBackend()
@@ -277,7 +264,8 @@ class TestAthreadSpecifics:
         x = View("x", 64)
         be.parallel_for("axpy", RangePolicy(0, 64), AXPY(1.0, x, x))
         be.reset_counters()
-        assert be.dma.total_bytes == 0
+        be.inst.reset()
+        assert be.inst.transfers.dma_bytes == 0
         assert be.ldm_high_water() == 0
 
     def test_rejects_device_views(self):
@@ -325,7 +313,7 @@ class TestDeviceBackend:
         _, _, xd, yd = self._device_views(8, rng)
         be.parallel_for("axpy", RangePolicy(0, 8), AXPY(1.0, xd, yd))
         be.parallel_for("axpy", RangePolicy(0, 8), AXPY(1.0, xd, yd))
-        assert be.kernel_launches == 2
+        assert be.inst.total_launches == 2
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -188,7 +188,9 @@ class TestInstrumentationThreadSafety:
         b.record_launch("k", points=7, flops_per_point=2.0)
         b.record_launch("other", points=1)
         a.transfers.record_h2d(100.0)
-        b.transfers.dma_bytes, b.transfers.dma_count = 50.0, 1
+        t = b.transfers
+        t.dma_get_bytes, t.dma_get_count = 30.0, 1
+        t.dma_put_bytes, t.dma_put_count = 20.0, 0
         a.record_workspace_take(64.0, allocated=True)
         merged = Instrumentation().merge_from(a).merge_from(b)
         assert merged.kernels["k"].points == 12
@@ -197,6 +199,10 @@ class TestInstrumentationThreadSafety:
         assert sum(k.points for k in merged.kernels.values()) == 13
         assert merged.transfers.h2d_bytes == 100.0
         assert merged.transfers.dma_count == 1
+        assert merged.transfers.dma_bytes == 50.0
+        assert (merged.transfers.dma_get_bytes, merged.transfers.dma_get_count,
+                merged.transfers.dma_put_bytes,
+                merged.transfers.dma_put_count) == (30.0, 1, 20.0, 0)
         assert merged.workspace.allocations == 1
         # inputs untouched
         assert a.kernels["k"].points == 5

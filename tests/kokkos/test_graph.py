@@ -203,8 +203,8 @@ class TestLaunchGraph:
             if backend == "athread":
                 # one fused launch staging the union working set — the
                 # ledger the exec-generated tier recorded for this chain
-                assert be.dma.total_count == 128
-                assert be.dma.total_bytes == 81920.0
+                assert be.inst.transfers.dma_count == 128
+                assert be.inst.transfers.dma_bytes == 81920.0
                 assert be.ldm_high_water() == 1536
                 assert be.last_distribution == (64, 1)
                 assert fused.tiles == 64
@@ -270,9 +270,10 @@ class TestAthreadPlanAccounting:
             be = AthreadBackend(inst=Instrumentation())
             x = View("x", data=start.copy())
             self._sweep(be, x, graph)
+            t = be.inst.transfers
             results[graph] = (
-                x.data.copy(), be.dma.get_count, be.dma.put_count,
-                be.dma.get_bytes, be.dma.put_bytes, be.ldm_high_water(),
+                x.data.copy(), t.dma_get_count, t.dma_put_count,
+                t.dma_get_bytes, t.dma_put_bytes, be.ldm_high_water(),
                 be.last_distribution,
             )
         eager, replay = results[False], results[True]
@@ -292,7 +293,7 @@ class TestAthreadPlanAccounting:
         assert ntiles > 1
         # one descriptor per tile is still recorded, per launch in a
         # single call; counts equal tiles exactly
-        assert be.dma.get_count == 2 * ntiles
+        assert be.inst.transfers.dma_get_count == 2 * ntiles
 
 
 class TestWorkspace:

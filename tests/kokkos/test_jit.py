@@ -68,9 +68,10 @@ class TestCodegenTier:
                 g.replay()
             else:
                 be.parallel_for("scale", pol, ScaleFunctor(x, 1.5))
+            t = be.inst.transfers
             results[sealed] = (
-                x.data.copy(), be.dma.get_count, be.dma.put_count,
-                be.dma.get_bytes, be.dma.put_bytes, be.ldm_high_water(),
+                x.data.copy(), t.dma_get_count, t.dma_put_count,
+                t.dma_get_bytes, t.dma_put_bytes, be.ldm_high_water(),
                 be.last_distribution,
             )
         eager, swept = results[False], results[True]

@@ -81,10 +81,11 @@ def _run(backend: str, graph: bool):
     ledger = {"kernel": (stats.launches, stats.tiles, stats.points,
                          stats.flops, stats.bytes)}
     if backend == "cuda":
-        ledger["kernel_launches"] = space.kernel_launches
+        ledger["kernel_launches"] = space.inst.total_launches
     if backend == "athread":
-        d = space.dma
-        ledger["dma"] = (d.get_bytes, d.put_bytes, d.get_count, d.put_count)
+        d = space.inst.transfers
+        ledger["dma"] = (d.dma_get_bytes, d.dma_put_bytes, d.dma_get_count,
+                         d.dma_put_count)
         ledger["ldm"] = [a.high_water for a in space.ldm]
         ledger["distribution"] = space.last_distribution
     with kernel_context():

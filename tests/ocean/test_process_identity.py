@@ -4,7 +4,9 @@ The whole point of ``mode="process"`` is that it changes *where* ranks
 run, not *what* they compute: multi-step tiny-grid integrations must
 produce bit-for-bit identical prognostic fields on both substrates, on
 the serial and the openmp backend, and the per-rank and world traffic
-ledgers must agree exactly.
+ledgers must agree exactly, as must each rank's instrumentation (kernel
+counts, transfers including Athread DMA, workspace traffic), which its
+:class:`~repro.ocean.model.RankResult` carries home.
 """
 
 import os
@@ -41,27 +43,44 @@ def test_process_mode_bitwise_identical(backend):
     pres, pworld = run_distributed(cfg, RANKS, STEPS, backend=backend,
                                    mode="process")
     _assert_identical(tres, pres)
-    # each rank's ledger, as its RankResult carries it and as its world
-    # keeps it, then the world's sum; every rank takes part in every
-    # collective the world counts once
+    # each rank's ledger as its world keeps it, then the world's sum;
+    # every rank takes part in every collective the world counts once
     for tr, pr in zip(tres, pres):
-        assert tr.traffic.messages > 0
-        assert_same_ledger(tr.traffic, pr.traffic)
-        assert_same_ledger(tworld.rank_traffic[tr.rank],
-                           pworld.rank_traffic[pr.rank])
-        assert tr.traffic.collectives == tworld.traffic.collectives
+        tled = tworld.rank_traffic[tr.rank]
+        assert tled.messages > 0
+        assert_same_ledger(tled, pworld.rank_traffic[pr.rank])
+        assert tled.collectives == tworld.traffic.collectives
     assert_same_ledger(tworld.traffic, pworld.traffic)
+
+
+def test_rank_instrumentation_is_the_same_on_both_substrates():
+    # the Athread DMA a rank charges lands in its context's ledger and
+    # crosses home on its RankResult, from a thread or a worker process
+    cfg = demo("tiny")
+    tres, _ = run_distributed(cfg, RANKS, STEPS, backend="athread",
+                              mode="thread")
+    pres, _ = run_distributed(cfg, RANKS, STEPS, backend="athread",
+                              mode="process")
+    _assert_identical(tres, pres)
+    for tr, pr in zip(tres, pres):
+        t, p = tr.inst, pr.inst
+        assert t.kernels == p.kernels
+        # every field: h2d / d2h and the DMA get / put split
+        assert t.transfers == p.transfers
+        assert t.transfers.dma_get_bytes > 0
+        assert t.transfers.dma_put_bytes > 0
+        assert t.workspace == p.workspace
 
 
 def test_process_mode_ships_rank_measurement_state():
     cfg = demo("tiny")
     pres, pworld = run_distributed(cfg, RANKS, STEPS, backend="serial",
                                    mode="process")
-    # instrumentation, per-rank traffic and tracers crossed the process
-    # boundary intact
+    # instrumentation and tracers crossed the process boundary on the
+    # results, each rank's traffic in its exit report
     for r in pres:
         assert r.inst is not None and r.inst.total_launches > 0
-        assert r.traffic is not None and r.traffic.messages > 0
+        assert pworld.rank_traffic[r.rank].messages > 0
         assert r.tracer is not None
 
 

@@ -110,11 +110,10 @@ def test_single_rank_ledgers(precision):
             (576, 224, 480)
         # self sides need no message buffers
         assert (halo.pool.allocations, halo.pool.reuses) == (0, 0)
-        space = m.context.space
-        dma = space.dma
-        assert (dma.get_bytes, dma.put_bytes, dma.get_count,
-                dma.put_count) == want["dma"]
-        assert space.ldm_high_water() == 40320
+        t = m.context.inst.transfers
+        assert (t.dma_get_bytes, t.dma_put_bytes, t.dma_get_count,
+                t.dma_put_count) == want["dma"]
+        assert m.context.space.ldm_high_water() == 40320
     finally:
         m.close()
 
@@ -135,7 +134,7 @@ def test_two_rank_ledgers():
     results, world = run_distributed(demo("small"), 2, 16, backend="athread")
     want = RANK_LEDGER
     for r in results:
-        led = r.traffic
+        led = world.rank_traffic[r.rank]
         assert (led.messages, led.bytes) == (want["messages"], want["bytes"])
         assert led.by_pair == {(r.rank, 1 - r.rank): want["bytes"]}
         assert led.by_phase == want["by_phase"]
@@ -195,7 +194,6 @@ def test_two_thread_ranks_ledger_each_exchange_once(monkeypatch):
     for r in results:
         assert calls.count(id(world.rank_traffic[r.rank])) == \
             EXCHANGES * steps
-        assert r.traffic is world.rank_traffic[r.rank]
 
 
 def _ldm_after_reset_and_replay(steps):

@@ -162,19 +162,6 @@ class TestSharing:
         assert any(g["replays"] >= 1 for g in graphs)
         assert all(g["sealed"] for g in graphs)
 
-    def test_share_disabled_builds_private_models(self, tmp_path):
-        s = ServeScheduler(workers=2, share=False,
-                           artifacts=tmp_path / "a")
-        try:
-            a = s.submit(JobSpec(name="a", steps=2))
-            b = s.submit(JobSpec(name="b", steps=2))
-            assert s.wait_all(WAIT)
-            assert not a.shared_engine and not b.shared_engine
-            assert s.cache.stats()["engines"] == 0
-            assert _bitwise(a.result, b.result)
-        finally:
-            s.shutdown()
-
     def test_different_signatures_get_different_engines(self, sched):
         a = sched.submit(JobSpec(name="dbl", steps=2))
         b = sched.submit(JobSpec(name="sgl", steps=2, precision="single"))

@@ -104,7 +104,6 @@ ALLOWED: Dict[str, str] = {
     **_why("seam", "tests reset counters between measured windows "
            "(the step-call budget, the ledger pins)",
            "repro/kokkos/backends/athread.py::AthreadBackend.reset_counters",
-           "repro/kokkos/ldm.py::DMAEngine.reset",
            "repro/kokkos/ldm.py::LDMAllocator.reset",
            "repro/parallel/comm.py::TrafficLedger.reset"),
     **_why("seam", "tests observe the arena's per-thread pools and drop "
@@ -206,7 +205,6 @@ ALLOWED: Dict[str, str] = {
            "repro/kokkos/context.py::ExecutionContext.live_contexts",
            "repro/kokkos/context.py::ExecutionContext.live_count",
            "repro/kokkos/instrument.py::WorkspaceStats.hit_rate",
-           "repro/kokkos/ldm.py::DMAEngine.total_bytes",
            "repro/serve/jobs.py::Job.finished"),
     **_why("regenerates", "benchmarks/ re-measures the frozen step and "
            "family profiles it asserts",
