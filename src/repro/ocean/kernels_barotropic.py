@@ -10,9 +10,12 @@ standard forward-backward pair:
 
 where ``G`` is the (fixed over the subcycle) depth-mean baroclinic
 forcing and ``R`` the exact Coriolis rotation.  Each substep needs a
-fresh ``eta`` halo (and periodically a ``u_b`` halo) — the external
-mode is the model's most communication-intensive phase, which is why
-halo-update cost dominates scalability (§V-D).
+fresh ``eta`` halo — the external mode is the model's most
+communication-intensive phase, which is why halo-update cost dominates
+scalability (§V-D).  The ``u_b`` halo is exchanged once per step, after
+the last substep: continuity reads ``u_b`` only on its tiles' south /
+west ring, and momentum computes that ring itself (from an exchanged
+``G``), bitwise as its owner does.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ class BarotropicContinuityFunctor(TileFunctor):
     4-point averages in grad/div annihilate it), so the continuity step
     includes a weak flux-form Laplacian on eta — land faces closed, so
     total volume is conserved exactly — that damps the mode without
-    touching resolved gravity waves.  Needs valid (u_b, eta) halos.
+    touching resolved gravity waves.  Needs a valid eta halo, and
+    (u_b, v_b) valid on the tile's south / west ring.
     """
 
     flops_per_point = 24.0
@@ -54,14 +58,20 @@ class BarotropicContinuityFunctor(TileFunctor):
         self.dom = domain
         self.dtb = dtb
         self.eta_diff = eta_diff   # [m^2/s]
+        # dtypes of the corner transports, the face fluxes and the
+        # smoothing gradients (views keep their dtype when rebound)
+        tdt = np.result_type(ub.dtype, hu.dtype)
+        fdt = np.result_type(tdt, domain.dx_u.dtype)
+        self.dtypes = (tdt, fdt, np.result_type(eta_in.dtype,
+                                                domain.open_e.dtype, fdt))
 
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ub = self.ub.data
-        vb = self.vb.data
         hu = self.hu
-        dy = d.dy
+        dxu_sn, area, dxt, open_e, open_n, mask = d.range_geometry(
+            _continuity_rows, sj, si)
+        tdt, fdt, gdt = self.dtypes
         # volume transports at corners, on the tile plus its south/west
         # ring only (the four face averages below read offsets 0 and -1)
         ws = d.scratch()
@@ -69,68 +79,76 @@ class BarotropicContinuityFunctor(TileFunctor):
         ni = si.stop - si.start
         gj = slice(sj.start - 1, sj.stop)
         gi = slice(si.start - 1, si.stop)
-        tdt = np.result_type(ub.dtype, hu.dtype)
-        tu = ws.take("bc_tu", (nj + 1, ni + 1), tdt)
-        np.multiply(ub[gj, gi], hu[gj, gi], out=tu)
-        tv = ws.take("bc_tv", (nj + 1, ni + 1), tdt)
-        np.multiply(vb[gj, gi], hu[gj, gi], out=tv)
-        lj, ljm = slice(1, nj + 1), slice(0, nj)
-        li, lim = slice(1, ni + 1), slice(0, ni)
-        dxu_n = d.dx_u[sj].reshape(-1, 1)
-        dxu_s = d.dx_u[sh(sj, -1)].reshape(-1, 1)
-        area = d.area_t[sj].reshape(-1, 1)
+        tu, tv = ws.take("bc_t", (2, nj + 1, ni + 1), tdt)
+        np.multiply(self.ub.data[gj, gi], hu[gj, gi], out=tu)
+        np.multiply(self.vb.data[gj, gi], hu[gj, gi], out=tv)
         shape = (nj, ni)
-        # tend = -(fe - fw + fn - fs) / area, with each face flux
-        # 0.5 * (corner + corner) * metric, evaluated left to right
-        tend = ws.take("bc_tend", shape, np.result_type(tdt, dxu_n.dtype))
-        f = ws.take("bc_face", shape, tend.dtype)
-        for out, a, b, metric, fold in (
-                (tend, tu[lj, li], tu[ljm, li], dy, None),
-                (f, tu[lj, lim], tu[ljm, lim], dy, np.subtract),
-                (f, tv[lj, li], tv[lj, lim], dxu_n, np.add),
-                (f, tv[ljm, li], tv[ljm, lim], dxu_s, np.subtract)):
-            np.add(a, b, out=out)
-            np.multiply(out, 0.5, out=out)
-            np.multiply(out, metric, out=out)
-            if fold is not None:
-                fold(tend, out, out=tend)
+        # tend = -(fe - fw + fn - fs) / area, each face flux
+        # 0.5 * (corner + corner) * metric, left to right.  The east and
+        # west faces share one pass over the tile's nj x (ni + 1) u-faces
+        # (fe = fu[:, 1:], fw = fu[:, :-1]), the north and south faces
+        # one over its (nj + 1) x ni v-faces (metric dx_u of the face row)
+        tend = ws.take("bc_tend", shape, fdt)
+        fu = ws.take("bc_fu", (nj, ni + 1), fdt)
+        np.add(tu[1:], tu[:-1], out=fu)
+        np.multiply(fu, 0.5, out=fu)
+        np.multiply(fu, d.dy, out=fu)
+        fv = ws.take("bc_fv", (nj + 1, ni), fdt)
+        np.add(tv[:, 1:], tv[:, :-1], out=fv)
+        np.multiply(fv, 0.5, out=fv)
+        np.multiply(fv, dxu_sn, out=fv)
+        np.subtract(fu[:, 1:], fu[:, :-1], out=tend)
+        np.add(tend, fv[1:], out=tend)
+        np.subtract(tend, fv[:-1], out=tend)
         np.negative(tend, out=tend)
         np.divide(tend, area, out=tend)
         eta_in = self.eta_in.data
         if self.eta_diff:
             # tend += eta_diff * (ge - gw + gn - gs) / area, each
-            # gradient open * (eta_hi - eta_lo) / metric * metric
-            dxt = d.dx_t[sj].reshape(-1, 1)
-            g = ws.take("bc_g", shape, np.result_type(eta_in.dtype,
-                                                      d.open_e.dtype,
-                                                      tend.dtype))
-            gsum = ws.take("bc_gsum", shape, g.dtype)
-            for out, open_, hi, lo, metric_a, metric_b, fold in (
-                    (gsum, d.open_e[0, sj, si], eta_in[sj, sh(si, 1)],
-                     eta_in[sj, si], dxt, dy, None),
-                    (g, d.open_e[0, sj, sh(si, -1)], eta_in[sj, si],
-                     eta_in[sj, sh(si, -1)], dxt, dy, np.subtract),
-                    (g, d.open_n[0, sj, si], eta_in[sh(sj, 1), si],
-                     eta_in[sj, si], dy, dxu_n, np.add),
-                    (g, d.open_n[0, sh(sj, -1), si], eta_in[sj, si],
-                     eta_in[sh(sj, -1), si], dy, dxu_s, np.subtract)):
-                np.subtract(hi, lo, out=out)
-                np.multiply(open_, out, out=out)
-                np.divide(out, metric_a, out=out)
-                np.multiply(out, metric_b, out=out)
-                if fold is not None:
-                    fold(gsum, out, out=gsum)
+            # gradient open * (eta_hi - eta_lo) / metric * metric; one
+            # pass per direction, over the faces both gradients share
+            ge = ws.take("bc_ge", (nj, ni + 1), gdt)
+            np.subtract(eta_in[sj, sh(gi, 1)], eta_in[sj, gi], out=ge)
+            np.multiply(open_e, ge, out=ge)
+            np.divide(ge, dxt, out=ge)
+            np.multiply(ge, d.dy, out=ge)
+            gn = ws.take("bc_gn", (nj + 1, ni), gdt)
+            np.subtract(eta_in[sh(gj, 1), si], eta_in[gj, si], out=gn)
+            np.multiply(open_n, gn, out=gn)
+            np.divide(gn, d.dy, out=gn)
+            np.multiply(gn, dxu_sn, out=gn)
+            gsum = ws.take("bc_gsum", shape, gdt)
+            np.subtract(ge[:, 1:], ge[:, :-1], out=gsum)
+            np.add(gsum, gn[1:], out=gsum)
+            np.subtract(gsum, gn[:-1], out=gsum)
             np.multiply(gsum, self.eta_diff, out=gsum)
             np.divide(gsum, area, out=gsum)
             np.add(tend, gsum, out=tend)
         np.multiply(tend, self.dtb, out=tend)
-        np.multiply(tend, d.mask_t[0, sj, si], out=tend)
+        np.multiply(tend, mask, out=tend)
         np.add(eta_in[sj, si], tend, out=self.eta.data[sj, si])
+
+
+def _continuity_rows(d: LocalDomain, sj: slice, si: slice) -> tuple:
+    """Continuity's geometry over one launch range: ``dx_u`` of the face
+    rows ``sj.start - 1 .. sj.stop - 1`` and ``area_t`` / ``dx_t`` of
+    the tile rows (columns), the open east / north faces the smoothing
+    reads (one ring west / south included) and the T mask."""
+    ey = slice(sj.start - 1, sj.stop)
+    ex = slice(si.start - 1, si.stop)
+    return (d.dx_u[ey].reshape(-1, 1), d.area_t[sj].reshape(-1, 1),
+            d.dx_t[sj].reshape(-1, 1), d.open_e[0, sj, ex],
+            d.open_n[0, ey, si], d.mask_t[0, sj, si])
 
 
 @kokkos_register_for("barotropic_momentum", ndim=2)
 class BarotropicMomentumFunctor(TileFunctor):
-    """Rotate (u_b, v_b) by f dt_b then add -g grad(eta) + G (needs eta halo)."""
+    """Rotate (u_b, v_b) by f dt_b then add -g grad(eta) + G.
+
+    Reads eta at +1 and everything else on the launch range only, so
+    run over the interior grown by one south / west ring (with valid
+    eta and G there) it computes continuity's ring as the owner does.
+    """
 
     flops_per_point = 24.0
     bytes_per_point = 10 * 8.0
@@ -153,29 +171,54 @@ class BarotropicMomentumFunctor(TileFunctor):
         sj, si = slices
         d = self.dom
         eta = self.eta.data
-        mu = d.mask_u[0, sj, si]
-        dxu = d.dx_u[sj].reshape(-1, 1)
-        detadx = 0.5 * (
-            (eta[sj, sh(si, 1)] - eta[sj, si])
-            + (eta[sh(sj, 1), sh(si, 1)] - eta[sh(sj, 1), si])
-        ) / dxu
-        detady = 0.5 * (
-            (eta[sh(sj, 1), si] - eta[sj, si])
-            + (eta[sh(sj, 1), sh(si, 1)] - eta[sj, sh(si, 1)])
-        ) / d.dy
-        cf, sf = d.coriolis_rotation(self.dtb)
-        c = cf[sj].reshape(-1, 1)
-        s = sf[sj].reshape(-1, 1)
-        u = self.ub.data[sj, si]
-        v = self.vb.data[sj, si]
-        ur = u * c + v * s
-        vr = v * c - u * s
-        self.ub.data[sj, si] = mu * (
-            ur + self.dtb * (-GRAVITY * detadx + self.gx.data[sj, si])
-        )
-        self.vb.data[sj, si] = mu * (
-            vr + self.dtb * (-GRAVITY * detady + self.gy.data[sj, si])
-        )
+        mu, metric, cs = d.range_geometry(_momentum_rows, sj, si, self.dtb)
+        ws = d.scratch()
+        nj = sj.stop - sj.start
+        ni = si.stop - si.start
+        dt = eta.dtype
+        grad, uc, vc = ws.take("bm_w", (3, 2, nj, ni), dt)
+        # grad[0] = 0.5 * ((e[j, i+1] - e[j, i]) + (e[j+1, i+1] - e[j+1, i]))
+        #           / dx_u,
+        # grad[1] = 0.5 * ((e[j+1, i] - e[j, i]) + (e[j+1, i+1] - e[j, i+1]))
+        #           / dy:
+        # one difference pass per direction feeds both of its terms
+        ex = ws.take("bm_ex", (nj + 1, ni), dt)
+        rj = slice(sj.start, sj.stop + 1)
+        np.subtract(eta[rj, sh(si, 1)], eta[rj, si], out=ex)
+        ey = ws.take("bm_ey", (nj, ni + 1), dt)
+        ri = slice(si.start, si.stop + 1)
+        np.subtract(eta[sh(sj, 1), ri], eta[sj, ri], out=ey)
+        np.add(ex[:-1], ex[1:], out=grad[0])
+        np.add(ey[:, :-1], ey[:, 1:], out=grad[1])
+        np.multiply(grad, 0.5, out=grad)
+        np.divide(grad, metric, out=grad)
+        # dtb * (-g grad + G)
+        np.multiply(grad, -GRAVITY, out=grad)
+        np.add(grad[0], self.gx.data[sj, si], out=grad[0])
+        np.add(grad[1], self.gy.data[sj, si], out=grad[1])
+        np.multiply(grad, self.dtb, out=grad)
+        # (u c + v s, v c - u s): u and v each times (c, s) in one pass
+        np.multiply(self.ub.data[sj, si], cs, out=uc)
+        np.multiply(self.vb.data[sj, si], cs, out=vc)
+        np.add(uc[0], vc[1], out=uc[0])
+        np.subtract(vc[0], uc[1], out=uc[1])
+        np.add(uc, grad, out=uc)
+        np.multiply(mu, uc[0], out=self.ub.data[sj, si])
+        np.multiply(mu, uc[1], out=self.vb.data[sj, si])
+
+
+def _momentum_rows(d: LocalDomain, sj: slice, si: slice, dtb: float) -> tuple:
+    """Momentum's geometry over one launch range: the U mask, the
+    gradient metrics ``(dx_u, dy)`` and the rotation rows ``(cos, sin)``,
+    each pair stacked as ``(2, nj, 1)``."""
+    metric = np.empty((2, sj.stop - sj.start, 1), d.dx_u.dtype)
+    metric[0] = d.dx_u[sj].reshape(-1, 1)
+    metric[1] = d.dy
+    cf, sf = d.coriolis_rotation(dtb)
+    cs = np.empty((2, sj.stop - sj.start, 1), cf.dtype)
+    cs[0] = cf[sj].reshape(-1, 1)
+    cs[1] = sf[sj].reshape(-1, 1)
+    return d.mask_u[0, sj, si], metric, cs
 
 
 @kokkos_register_for("barotropic_gforce", ndim=2)

@@ -121,6 +121,9 @@ class LocalDomain:
     # cached (cos, sin) rotation rows keyed by the Coriolis angle step
     _rot_cache: Dict[float, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False)
+    # geometry sliced for one launch range, keyed by builder and range
+    # (see :meth:`range_geometry`)
+    _range_cache: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
     # cached narrow-precision clones of this domain, keyed by dtype
     # (see :meth:`at_dtype`); shared across the clones themselves
     _cast_cache: Dict[np.dtype, "LocalDomain"] = field(
@@ -180,6 +183,22 @@ class LocalDomain:
             th = self.f_u * np.asarray(dtb, dtype=self.f_u.dtype)
             rot = self._rot_cache[dtb] = (np.cos(th), np.sin(th))
         return rot
+
+    def range_geometry(self, build, sj: slice, si: slice, *args):
+        """``build(self, sj, si, *args)``, built on the first launch over
+        the horizontal range ``(sj, si)`` and reused by every later one.
+
+        A launch range is fixed once a graph is sealed, so the rows and
+        masks a body slices out of this domain can be sliced once instead
+        of per call.  An entry remembers the domain that built it: a
+        copied domain (an observed sweep binds one over recorded arrays)
+        builds its own from its own arrays.
+        """
+        key = (build, sj.start, sj.stop, si.start, si.stop, args)
+        got = self._range_cache.get(key)
+        if got is None or got[0] is not self:
+            got = self._range_cache[key] = (self, build(self, sj, si, *args))
+        return got[1]
 
     def at_dtype(self, dtype) -> "LocalDomain":
         """This domain with every float geometry array cast to ``dtype``.

@@ -333,6 +333,10 @@ class LICOMKpp:
         # kernel, and the (u, v) halos are 2 wide, so the ring can be
         # computed locally instead of exchanged (saves one 3-D halo).
         self.p_int2g = MDRangePolicy([(h - 1, d.ly - h + 1), (h - 1, d.lx - h + 1)])
+        # interior grown by one ring to the south and west only: the ring
+        # the barotropic continuity reads (u_b, v_b) on, on every rank
+        # (closed edge included, so balanced ranks launch equal points)
+        self.p_int2sw = MDRangePolicy([(h - 1, d.ly - h), (h - 1, d.lx - h)])
 
         self._initialize_state()
 
@@ -596,8 +600,12 @@ class LICOMKpp:
                     CoriolisRotationFunctor(st.u.new, st.v.new,
                                             st.u.old, st.v.old,
                                             self.dom_momentum, dt2))
+            # the depth-mean force rides along: the sub-cycle's momentum
+            # reads its south / west ghost ring (see _barotropic_cycle)
             self._exchange("halo_momentum", [(st.u.new, -1.0, 0.0),
-                                             (st.v.new, -1.0, 0.0)])
+                                             (st.v.new, -1.0, 0.0),
+                                             (self.gx, -1.0, 0.0),
+                                             (self.gy, -1.0, 0.0)])
 
             # -- split-explicit barotropic mode -----------------------------
             with self._phase("barotropic"):
@@ -668,7 +676,12 @@ class LICOMKpp:
 
         # eta ping-pongs without copies: sub-step i reads level i-1 and
         # writes level i; level -1 is ssh.cur, the last level is ssh.new
-        # and the levels between alternate the two eta work buffers
+        # and the levels between alternate the two eta work buffers.
+        # Continuity reads (ub, vb) on its tiles and their south / west
+        # ring only, so momentum computes that ring itself, from the same
+        # operands its owner uses (fresh eta, exchanged gx / gy), instead
+        # of exchanging (ub, vb) every sub-step.  eta's fold ring cannot
+        # be recomputed bitwise, so eta is still exchanged every sub-step.
         eta_in = st.ssh.cur
         for i in range(steps):
             eta = st.ssh.new if i == steps - 1 else \
@@ -678,12 +691,14 @@ class LICOMKpp:
                     st.ub, st.vb, eta_in, eta, self.hu, dom_b, dtb,
                     eta_diff=self.eta_diff))
             self._exchange("halo_eta", [(eta, 1.0, 0.0)])
-            run("barotropic_momentum", self.p_int2,
+            run("barotropic_momentum", self.p_int2sw,
                 BarotropicMomentumFunctor(st.ub, st.vb, eta, self.gx,
                                           self.gy, dom_b, dtb))
-            self._exchange("halo_ubvb", [(st.ub, -1.0, 0.0),
-                                         (st.vb, -1.0, 0.0)])
             eta_in = eta
+        # one (ub, vb) refresh per step, so every ghost the step leaves
+        # behind (restart files, digests) is its owner's value
+        self._exchange("halo_ubvb", [(st.ub, -1.0, 0.0),
+                                     (st.vb, -1.0, 0.0)])
 
         # re-attach the subcycled barotropic mode
         self._cast(st.ub, self.ub_mom)

@@ -87,10 +87,10 @@ def step_breakdown(
 
     wire3 = profile.halo3_per_step * (h3.wire * crowd + h3.staging)
     wire3 = max(0.0, wire3 - OVERLAP_HIDE * min(wire3, t3 + t2 + t_launch))
-    pack = profile.halo3_per_step * h3.pack \
-        + nsub * profile.halo2_per_sub * h2.pack
-    staging = nsub * profile.halo2_per_sub * h2.staging
-    wire = wire3 + nsub * profile.halo2_per_sub * h2.wire * crowd
+    n2 = profile.halo2(nsub)
+    pack = profile.halo3_per_step * h3.pack + n2 * h2.pack
+    staging = n2 * h2.staging
+    wire = wire3 + n2 * h2.wire * crowd
     polar = polar_fixed_cost(m, cfg, profile.halo3_per_step, optimized=True)
     total = t3 + t2 + t_launch + pack + staging + wire + polar
     return StepBreakdown(t3, t2, t_launch, pack, staging, wire, polar, total)

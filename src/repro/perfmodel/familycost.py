@@ -165,11 +165,11 @@ def policy_halo_word(
     under a mixed policy the 3-D tracer/momentum exchanges ship fp32
     while the 2-D barotropic subcycle stays fp64, so the effective word
     is the per-update boundary-volume weighted mean: each 3-D update
-    moves ``nz`` points per boundary column, each of the
-    ``nsub * halo2_per_sub`` 2-D updates moves one.
+    moves ``nz`` points per boundary column, each of the step's
+    ``profile.halo2(nsub)`` 2-D (barotropic) updates moves one.
     """
     vol3 = {fam: n * cfg.nz for fam, n in shares.halo3.items()}
-    vol2 = cfg.barotropic_substeps * profile.halo2_per_sub
+    vol2 = profile.halo2(cfg.barotropic_substeps)
     weighted = fsum(v * policy.family_dtype(fam).itemsize
                     for fam, v in vol3.items())
     weighted += vol2 * policy.family_dtype("barotropic").itemsize

@@ -44,7 +44,10 @@ class StepProfile:
       post-barotropic x2, and 5 per tracer for the diffuse-then-advect
       two-step shape-preserving scheme).
     * ``halo2_per_sub`` — 2-D halo updates per barotropic substep
-      (eta, ub, vb).
+      (eta).
+    * ``halo2_per_step`` — 2-D halo updates once per step: the
+      depth-mean force (gx, gy) riding on the momentum exchange, and
+      (ub, vb) after the last substep.
     """
 
     bytes3: float
@@ -55,12 +58,17 @@ class StepProfile:
     launches_per_sub: float
     halo3_per_step: int
     halo2_per_sub: int
+    halo2_per_step: int
     #: Launches removed per step by the graph's fusion pass (flops/bytes
     #: are unchanged — fusion only merges launch boundaries).
     launches_fused_saved: float = 0.0
 
     def launches(self, nsub: int) -> float:
         return self.launches_fixed + self.launches_per_sub * nsub
+
+    def halo2(self, nsub: int) -> int:
+        """2-D halo updates per step."""
+        return self.halo2_per_sub * nsub + self.halo2_per_step
 
     def launches_graph(self, nsub: int) -> float:
         """Launches per replayed step when the graph fusion pass is on."""
@@ -85,12 +93,14 @@ class StepProfile:
 DEFAULT_PROFILE = StepProfile(
     bytes3=903.0,
     flops3=284.0,
-    bytes2_sub=160.0,
-    flops2_sub=48.0,
+    bytes2_sub=168.5,    # momentum runs on the interior grown by its
+    flops2_sub=50.6,     # south / west ring
     launches_fixed=34.0,
     launches_per_sub=2.0,
     halo3_per_step=14,   # 4 momentum + 5 per tracer (diffused field, T*,
-    halo2_per_sub=3,     # R+, R-, new) x 2 tracers
+                         # R+, R-, new) x 2 tracers
+    halo2_per_sub=1,     # eta
+    halo2_per_step=4,    # gx, gy, ub, vb
     launches_fused_saved=16.0,  # launches_graph(6) is the tiny steady
                                 # graph's 30 launches per replay
 )
@@ -127,6 +137,11 @@ def measure_step_profile(size: str = "tiny", steps: int = 4) -> StepProfile:
     flops3 = sum(k.flops for k in inst.kernels.values()) - flops2
     launches = inst.total_launches
     launches_per_sub = 2.0
+    # every substep exchanges the same 2-D fields; the updates a step
+    # makes beyond a whole number per substep (fewer than nsub) are the
+    # once-per-step ones
+    halo2_per_sub, halo2_per_step = divmod(
+        round(model.halo.updates2d / steps), nsub)
     return StepProfile(
         bytes3=bytes3 / steps / n3,
         flops3=flops3 / steps / n3,
@@ -135,7 +150,8 @@ def measure_step_profile(size: str = "tiny", steps: int = 4) -> StepProfile:
         launches_fixed=launches / steps - launches_per_sub * nsub,
         launches_per_sub=launches_per_sub,
         halo3_per_step=round(model.halo.updates3d / steps),
-        halo2_per_sub=round(model.halo.updates2d / steps / nsub),
+        halo2_per_sub=halo2_per_sub,
+        halo2_per_step=halo2_per_step,
     )
 
 

@@ -138,6 +138,7 @@ def comm_time_per_step(
     ranks: int,
     halo3_per_step: int,
     halo2_per_sub: int,
+    halo2_per_step: int = 0,
     compute3_time: float = 0.0,
     optimized: bool = True,
     loadbalance_factor: float = 1.0,
@@ -145,6 +146,10 @@ def comm_time_per_step(
     aggregation: float = 1.0,
 ) -> float:
     """Total per-step communication time for one rank.
+
+    A step makes ``halo3_per_step`` 3-D updates and ``nsub *
+    halo2_per_sub + halo2_per_step`` 2-D ones (the barotropic sub-cycle's
+    per-substep updates, plus those made once per step).
 
     ``compute3_time`` enables the overlap model: when optimized, the
     3-D halo wire+staging time partially hides behind the interior
@@ -174,7 +179,8 @@ def comm_time_per_step(
     if optimized:
         wire3 = max(0.0, wire3 - OVERLAP_HIDE * min(wire3, compute3_time))
     pack3 = halo3_per_step * h3.pack
-    t2 = nsub * halo2_per_sub * (h2.pack + h2.staging + h2.wire * crowd)
+    t2 = (nsub * halo2_per_sub + halo2_per_step) \
+        * (h2.pack + h2.staging + h2.wire * crowd)
     fixed = polar_fixed_cost(machine, cfg, halo3_per_step, optimized,
                              word_bytes)
     return (wire3 + pack3 + t2 + fixed) * loadbalance_factor

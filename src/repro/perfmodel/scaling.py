@@ -90,6 +90,7 @@ def predict_step_time(
         units,
         profile.halo3_per_step,
         profile.halo2_per_sub,
+        profile.halo2_per_step,
         compute3_time=t_comp,
         optimized=optimized,
         loadbalance_factor=lb,

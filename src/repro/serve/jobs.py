@@ -153,8 +153,6 @@ class Job:
         self.error: Optional[str] = None
         #: Per-job artifact directory (probes, trace, checkpoints).
         self.artifacts = artifacts
-        #: True when this job leased a cached engine (cache hit or miss).
-        self.shared_engine = False
         self._done = threading.Event()
 
     def finish(self, status: JobStatus) -> None:

@@ -237,7 +237,6 @@ class ServeScheduler:
         """A shareable job, on a leased signature-shared engine."""
         spec = job.spec
         engine = self.cache.acquire(spec)
-        job.shared_engine = True
         with engine.lease(spec.name) as model:
             return self._step_model(job, model, engine.graph_stats)
 

@@ -210,18 +210,32 @@ class TestVerifierSoundness:
         assert errors == [(RULE_STALE_HALO, "advect_tracer_limits",
                            t_old.label)]
 
-    def test_forgotten_exchange_field_is_a_stale_halo(self):
+    def test_forgotten_exchange_field_is_a_stale_halo(self, monkeypatch):
+        """The barotropic momentum computes the (ub, vb) ring continuity
+        reads from the depth-mean force's ghosts: drop (gx, gy) from
+        ``halo_momentum`` and that ring is computed from stale data.
+        graphcheck names it on continuity's reads, and a rank world's
+        state moves off its pin."""
         from repro.ocean import LICOMKpp
+        from tests.ocean.test_world_digests import PINS, world_digest
 
-        class ForgetsVb(LICOMKpp):
-            def _exchange(self, label, fields):
-                if label == "halo_ubvb":
-                    fields = [x for x in fields if x[0] is not self.state.vb]
-                super()._exchange(label, fields)
+        exchange = LICOMKpp._exchange
 
-        errors = errors_of(ForgetsVb)
-        assert errors
-        assert {(f.rule, f.view) for f in errors} == {(RULE_STALE_HALO, "vb")}
+        def forgets_gforce(self, label, fields):
+            if label == "halo_momentum":
+                fields = [x for x in fields
+                          if x[0] is not self.gx and x[0] is not self.gy]
+            exchange(self, label, fields)
+
+        class ForgetsGForce(LICOMKpp):
+            _exchange = forgets_gforce
+
+        errors = errors_of(ForgetsGForce)
+        assert {(f.rule, f.kernel, f.view) for f in errors} == {
+            (RULE_STALE_HALO, "barotropic_continuity", "ub"),
+            (RULE_STALE_HALO, "barotropic_continuity", "vb")}
+        monkeypatch.setattr(LICOMKpp, "_exchange", forgets_gforce)
+        assert world_digest(1, 2) != PINS[(1, 2)]["double"]
 
 
 class TestNodeFences:

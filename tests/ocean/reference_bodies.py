@@ -22,6 +22,7 @@ from repro.ocean.kernel_utils import sh
 from repro.ocean.kernels_barotropic import (
     AsselinFilterFunctor,
     BarotropicContinuityFunctor,
+    BarotropicMomentumFunctor,
 )
 from repro.ocean.kernels_momentum import (
     AddBarotropicFunctor,
@@ -678,6 +679,36 @@ class RefContinuity(BarotropicContinuityFunctor):
         self.eta.data[sj, si] = self.eta_in.data[sj, si] + self.dtb * tend * m
 
 
+class RefMomentum(BarotropicMomentumFunctor):
+    def apply(self, slices) -> None:
+        sj, si = slices
+        d = self.dom
+        eta = self.eta.data
+        mu = d.mask_u[0, sj, si]
+        dxu = d.dx_u[sj].reshape(-1, 1)
+        detadx = 0.5 * (
+            (eta[sj, sh(si, 1)] - eta[sj, si])
+            + (eta[sh(sj, 1), sh(si, 1)] - eta[sh(sj, 1), si])
+        ) / dxu
+        detady = 0.5 * (
+            (eta[sh(sj, 1), si] - eta[sj, si])
+            + (eta[sh(sj, 1), sh(si, 1)] - eta[sj, sh(si, 1)])
+        ) / d.dy
+        cf, sf = d.coriolis_rotation(self.dtb)
+        c = cf[sj].reshape(-1, 1)
+        s = sf[sj].reshape(-1, 1)
+        u = self.ub.data[sj, si]
+        v = self.vb.data[sj, si]
+        ur = u * c + v * s
+        vr = v * c - u * s
+        self.ub.data[sj, si] = mu * (
+            ur + self.dtb * (-GRAVITY * detadx + self.gx.data[sj, si])
+        )
+        self.vb.data[sj, si] = mu * (
+            vr + self.dtb * (-GRAVITY * detady + self.gy.data[sj, si])
+        )
+
+
 class RefAsselin(AsselinFilterFunctor):
     def apply(self, slices) -> None:
         idx = tuple(slices)
@@ -1031,6 +1062,7 @@ REFERENCES = {cls.__mro__[1]: cls for cls in (
     RefDepthMean,
     RefAddBarotropic,
     RefContinuity,
+    RefMomentum,
     RefAsselin,
     RefAsselin2D,
     RefCanuto,

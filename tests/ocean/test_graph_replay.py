@@ -98,8 +98,8 @@ class TestStepNodes:
 
         model = _run(backend, graph=True)
         nsub = model.config.barotropic_substeps
-        # u/v twice, (eta, ub/vb) per sub-step, 4 tracer stages
-        expected = 2 + 2 * nsub + 4
+        # u/v twice, eta per sub-step, ub/vb once, 4 tracer stages
+        expected = 2 + nsub + 1 + 4
         handed = []
         model.halo.update_many = \
             lambda fields, phase=None: handed.append((phase, fields))
@@ -110,8 +110,8 @@ class TestStepNodes:
             exchanges = [n for n in steps if isinstance(n, ExchangeNode)]
             rotates = [n for n in steps if isinstance(n, RotateNode)]
             marks = [n for n in steps if isinstance(n, PhaseNode)]
-            assert len(exchanges) == expected == 18
-            assert len(rotates) == 1 and len(steps) == 19 + len(marks)
+            assert len(exchanges) == expected == 13
+            assert len(rotates) == 1 and len(steps) == 14 + len(marks)
             # tiny mixes every step: canuto is in both variants
             assert [m.label for m in marks if m.enter] == PHASES
             open_ = []

@@ -111,7 +111,8 @@ class TestModelStep:
         tiny_model.step()  # second step: regular leapfrog
         assert tiny_model.halo.updates3d - before3 == 28  # 14 per step
         nsub = tiny_model.config.barotropic_substeps
-        assert tiny_model.halo.updates2d - before2 == 2 * 3 * nsub
+        # eta per sub-step; gx, gy, ub and vb once per step
+        assert tiny_model.halo.updates2d - before2 == 2 * (nsub + 4) == 20
 
 
 class TestPortability:

@@ -63,7 +63,8 @@ class TestStepProfile:
         """The frozen DEFAULT_PROFILE must match a live measurement."""
         live = measure_step_profile("tiny", steps=2)
         assert live.halo3_per_step == DEFAULT_PROFILE.halo3_per_step == 14
-        assert live.halo2_per_sub == DEFAULT_PROFILE.halo2_per_sub == 3
+        assert live.halo2_per_sub == DEFAULT_PROFILE.halo2_per_sub == 1
+        assert live.halo2_per_step == DEFAULT_PROFILE.halo2_per_step == 4
         assert live.bytes3 == pytest.approx(DEFAULT_PROFILE.bytes3, rel=0.02)
         assert live.flops3 == pytest.approx(DEFAULT_PROFILE.flops3, rel=0.02)
         assert live.bytes2_sub == pytest.approx(DEFAULT_PROFILE.bytes2_sub, rel=0.02)

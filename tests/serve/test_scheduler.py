@@ -137,7 +137,7 @@ class TestSharing:
         b = sched.submit(JobSpec(name="pair1", steps=4))
         assert sched.wait_all(WAIT)
         assert a.status is JobStatus.DONE and b.status is JobStatus.DONE
-        assert a.shared_engine and b.shared_engine
+        assert a.spec.shareable and b.spec.shareable
         stats = sched.cache.stats()
         assert stats["hits"] >= 1
         assert stats["engines"] == 1
