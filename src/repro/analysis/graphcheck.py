@@ -1,22 +1,21 @@
 """graphcheck — whole-schedule dataflow verifier for sealed launch graphs.
 
 kernelcheck proves properties of one kernel body at a time; this module
-proves properties of the *schedule*: it walks a sealed
-:class:`~repro.kokkos.graph.LaunchGraph` — kernel launches, fused nodes,
-and the typed non-kernel nodes, whose ``run()`` does exactly what the
-walk reads from them: an :class:`~repro.kokkos.graph.ExchangeNode`
-refreshes the halos of its ``fields``, a
-:class:`~repro.kokkos.graph.RotateNode` permutes the buffers of its
-``triples`` and a :class:`~repro.kokkos.graph.PhaseNode` touches no
+proves properties of the *schedule*: it walks sealed
+:class:`~repro.kokkos.graph.LaunchGraph` s in the order a model replays
+them — kernel launches, fused nodes, and the typed non-kernel nodes,
+whose ``run()`` does exactly what the walk reads from them: an
+:class:`~repro.kokkos.graph.ExchangeNode` refreshes the halos of its
+``fields`` and a :class:`~repro.kokkos.graph.PhaseNode` touches no
 buffer, so the walk passes it by type (every piece of arithmetic is a
-launch) — and assigns every
-buffer an abstract version per launch, from what each plan part's
-observed sweep (:mod:`repro.analysis.observe`) read and wrote: state
-is keyed by the buffers a part actually touched, at the boxes it
-touched them.  A fused node is walked part
-by part in capture order — which is how its sweep executes it — so
-fusion needs no rule of its own.  The rule families (see DESIGN.md
-§2.13):
+launch) — and assigns every view an abstract version per launch, from
+what each plan part's observed sweep (:mod:`repro.analysis.observe`)
+read and wrote: state is keyed by the views a part actually touched, at
+the boxes it touched them.  A view keeps its buffer for life, so the
+state of a view carries over from one graph into the next unchanged.
+A fused node is walked part by part in capture order — which is how its
+sweep executes it — so fusion needs no rule of its own.  The rule
+families (see DESIGN.md §2.13):
 
 ``stale-halo``
     A stencil launch reads a view's boundary ring at a point where the
@@ -30,19 +29,22 @@ fusion needs no rule of its own.  The rule families (see DESIGN.md
     A launch part touching fp32 and fp64 arrays without declaring a
     precision boundary, or accumulating at fp32.
 
-There is no fence rule: both buffer-moving node types fence in their
-own ``run()`` before they touch a buffer, so a fence cannot be missing
-from a sealed schedule (``tests/analysis/test_graphcheck.py::TestNodeFences``).
+There is no fence rule: the exchange node fences in its own ``run()``
+before it touches a buffer, so a fence cannot be missing from a sealed
+schedule (``tests/analysis/test_graphcheck.py::TestNodeFences``).
 
-The walk runs :data:`PASSES` passes over the node list so steady-state
-staleness wraps around the step boundary (a captured graph replays in a
-loop); findings are emitted on the final pass only and deduplicated by
-their stable ``rule:kernel:view`` key.
+A model replays its startup graph once and then the graphs of one
+leapfrog period in a loop; the walk does the same, from the initial
+state (every halo fresh), with :data:`PASSES` passes over the period so
+steady-state staleness wraps around the period's end.  Every node the
+walk visits is one a replaying model runs, so findings are emitted
+wherever they arise, deduplicated by their stable ``rule:kernel:view``
+key.
 
-Entry points: :func:`check_graph` (all families, one sealed graph) and
-:func:`run_graphcheck` (the ``python -m repro lint --graph`` driver:
-verifies every sealed step graph of the lint matrix,
-:func:`~repro.analysis.runner.lint_matrix`).
+Entry points: :func:`check_graph` (all families, one sealed graph or a
+model's replay sequence) and :func:`run_graphcheck` (the ``python -m
+repro lint --graph`` driver: verifies every lint-matrix model's sealed
+step graphs, :func:`~repro.analysis.runner.lint_matrix`).
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from ..kokkos.graph import (
     KernelNode,
     LaunchGraph,
     PhaseNode,
-    RotateNode,
 )
 from ..kokkos.view import View
 from .findings import Finding, Report, Severity
@@ -166,7 +167,7 @@ def check_precision(graph: LaunchGraph,
 
 
 class _VState:
-    """Abstract per-buffer dataflow state (keyed by View identity)."""
+    """Abstract per-view dataflow state (keyed by View identity)."""
 
     __slots__ = ("version", "refreshed_version", "ever_refreshed",
                  "stale_inset", "last_write", "write_read")
@@ -182,23 +183,22 @@ class _VState:
         self.write_read = True        # last write consumed by some read
 
 
-#: Walks over the node list per check.  A captured graph replays in a
-#: loop, so steady-state staleness wraps around the step boundary;
-#: findings are emitted on the last pass only.
+#: Walks over the replayed period per check.  Sealed graphs replay in a
+#: loop, so steady-state staleness wraps around the period's end.
 PASSES = 3
 
 
 class _Walker:
-    """One dataflow walk over a sealed graph's node list."""
+    """One dataflow walk over ``graphs`` in order, carrying every view's
+    state from graph to graph."""
 
-    def __init__(self, graph: LaunchGraph,
+    def __init__(self, graphs: Sequence[LaunchGraph],
                  observations: Optional[Dict] = None) -> None:
-        self.graph = graph
+        self.graphs = graphs
         self.observations = {} if observations is None else observations
         self.states: Dict[int, _VState] = {}
         self.names: Dict[int, str] = {}
         self.findings: List[Finding] = []
-        self.emit = False
         self._seen: set = set()
 
     # -- bookkeeping -------------------------------------------------------
@@ -217,8 +217,6 @@ class _Walker:
     def _find(self, rule: str, severity: Severity, kernel: str,
               view: Optional[str], detail: str,
               file: Optional[str] = None, line: Optional[int] = None) -> None:
-        if not self.emit:
-            return
         f = Finding(rule=rule, severity=severity, kernel=kernel, view=view,
                     detail=detail, file=file, line=line)
         if f.key in self._seen:
@@ -241,15 +239,12 @@ class _Walker:
     # -- node semantics ----------------------------------------------------
 
     def walk(self) -> List[Finding]:
-        for p in range(PASSES):
-            self.emit = p == PASSES - 1
-            for node in self.graph.nodes:
+        for graph in self.graphs:
+            for node in graph.nodes:
                 if isinstance(node, KernelNode):
                     self._kernel(node)
                 elif isinstance(node, ExchangeNode):
                     self._exchange(node)
-                elif isinstance(node, RotateNode):
-                    self._rotate(node)
                 elif not isinstance(node, PhaseNode):  # touches no buffer
                     raise TypeError(f"graphcheck cannot walk {node!r}")
         return self.findings
@@ -321,37 +316,35 @@ class _Walker:
             st.refreshed_version = st.version
             st.stale_inset = 0
 
-    def _rotate(self, node: RotateNode) -> None:
-        for triple in node.triples:
-            states = [self._state(obj, _display(obj, "rotated"))
-                      for obj in triple]
-            old, cur, new = (self._key(o) for o in triple)
-            # View.rebind permutation: old<-cur, cur<-new, new<-old
-            self.states[old], self.states[cur], self.states[new] = \
-                states[1], states[2], states[0]
-            for st in states:
-                st.write_read = True   # recycled buffers are not dead
 
+def check_graph(graphs, observations: Optional[Dict] = None) -> List[Finding]:
+    """All graphcheck findings for what a model replays: the precision
+    discipline of every graph plus the dataflow walk (stale halos,
+    redundant exchanges, dead stores).
 
-def check_graph(graph: LaunchGraph,
-                observations: Optional[Dict] = None) -> List[Finding]:
-    """All graphcheck findings for one sealed graph: the precision
-    discipline plus the multi-pass dataflow walk (stale halos, redundant
-    exchanges, dead stores).  Each part is observed once;
-    ``observations`` (an :func:`~.observe.observe_node` cache) lets a
-    caller share the sweeps."""
-    if not graph.sealed:
-        raise ValueError("check_graph needs a sealed LaunchGraph")
+    ``graphs`` is one sealed graph, replayed in a loop, or a model's
+    sealed graphs in replay order: the startup graph, which runs once,
+    then the graphs of one leapfrog period, which loop.  Each part is
+    observed once; ``observations`` (an :func:`~.observe.observe_node`
+    cache) lets a caller share the sweeps."""
+    head: List[LaunchGraph] = []
+    period: List[LaunchGraph] = [graphs]
+    if not isinstance(graphs, LaunchGraph):
+        head, period = list(graphs[:1]), list(graphs[1:])
     observations = {} if observations is None else observations
-    findings = check_precision(graph, observations)
-    findings.extend(_Walker(graph, observations).walk())
+    findings: List[Finding] = []
+    for graph in head + period:
+        if not graph.sealed:
+            raise ValueError("check_graph needs sealed LaunchGraphs")
+        findings.extend(check_precision(graph, observations))
+    findings.extend(_Walker(head + period * PASSES, observations).walk())
     return findings
 
 
 def run_graphcheck(backends: Optional[Sequence[str]] = None) -> Report:
-    """Verify the lint matrix's sealed graphs
-    (:func:`~repro.analysis.runner.lint_matrix`), optionally only the
-    configurations on ``backends``.
+    """Verify the lint matrix's sealed graphs, each configuration's in
+    replay order (:func:`~repro.analysis.runner.lint_matrix`), optionally
+    only the configurations on ``backends``.
 
     Identical findings from different configurations are reported once,
     tagged with the first configuration that hit them.  Returns a
@@ -366,12 +359,11 @@ def run_graphcheck(backends: Optional[Sequence[str]] = None) -> Report:
     for case in lint_matrix():
         if backends is not None and case.backend not in backends:
             continue
-        for graph in case.graphs:
-            kernels += graph.launches_per_replay
-            for f in check_graph(graph, case.observations):
-                if f.key not in seen:
-                    f.detail += f" [{case.tag}]"
-                    seen[f.key] = f
-                    report.findings.append(f)
+        kernels += sum(g.launches_per_replay for g in case.graphs)
+        for f in check_graph(case.graphs, case.observations):
+            if f.key not in seen:
+                f.detail += f" [{case.tag}]"
+                seen[f.key] = f
+                report.findings.append(f)
     report.kernels_checked = kernels
     return report

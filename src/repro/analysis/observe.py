@@ -389,7 +389,7 @@ def _bind_copies(functor, sweep: _Sweep):
         elif isinstance(val, Workspace):
             new = Workspace()
         elif isinstance(val, dict):
-            new = dict(val)
+            new = {}
         elif top and dataclasses.is_dataclass(val) and not isinstance(val, type):
             new = copy.copy(val)
             for f in dataclasses.fields(val):

@@ -26,7 +26,7 @@ and yields :class:`~repro.analysis.findings.Finding` records:
     view silently reads stale host memory), and view dereferences in
     functor methods the sweep did not run — host code, found by a small
     AST walk.  (Host accesses that could race an in-flight launch are
-    the exchange and rotate graph nodes, which fence by type: see
+    the exchange graph nodes, which fence by type: see
     :mod:`repro.kokkos.graph`.)
 
 ``cost-drift``
@@ -73,8 +73,8 @@ ALL_RULES = (RULE_RACE, RULE_HALO, RULE_SPACE, RULE_COST, RULE_ALIAS,
 # -- whole-schedule rule families (repro.analysis.graphcheck) ---------------
 # Per-kernel rules above see one body at a time; these see the sealed
 # launch graph: halo freshness across the step's exchange schedule and
-# dead work.  Fences need no rule: the exchange and rotate nodes fence in
-# their own run() (repro.kokkos.graph).
+# dead work.  Fences need no rule: the exchange node fences in its own
+# run() (repro.kokkos.graph).
 
 RULE_STALE_HALO = "stale-halo"
 RULE_REDUNDANT_EXCHANGE = "redundant-exchange"

@@ -2,8 +2,8 @@
 
 :func:`lint_matrix` builds the configurations both verifiers read, once
 per process: the demo model on its production path (the sealed graph),
-stepped until both step variants (startup forward step, leapfrog) have
-sealed, and every part of every sealed graph observed
+stepped until every step variant (the startup forward step, then each
+leapfrog phase) has sealed, and every part of every sealed graph observed
 (:mod:`repro.analysis.observe`).  graphcheck walks those graphs;
 :func:`run_kernelcheck` merges the observations per registered functor
 type and runs the rule families over each:
@@ -47,9 +47,10 @@ FIRST_PARTY = "repro."
 
 # -- the lint matrix --------------------------------------------------------
 #: The demo model of this size on every backend at its default
-#: parameters, stepped this often (both step variants seal) ...
+#: parameters, stepped this often (the startup graph and the three
+#: leapfrog phase graphs seal) ...
 SIZE = "tiny"
-STEPS = 2
+STEPS = 4
 BACKENDS = ("serial", "openmp", "athread", "cuda")
 #: ... plus these ``ModelParams`` variants on the first backend (the
 #: graphs are backend-independent node lists).  "mixed" puts real cast
@@ -66,8 +67,9 @@ VARIANTS = (
 
 @dataclass
 class LintCase:
-    """One matrix configuration: its sealed graphs and their observed
-    parts (keyed as :func:`~repro.analysis.observe.observe_node` keys)."""
+    """One matrix configuration: its sealed graphs in replay order (the
+    startup graph, then one leapfrog period) and their observed parts
+    (keyed as :func:`~repro.analysis.observe.observe_node` keys)."""
 
     tag: str
     backend: str

@@ -236,19 +236,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _report_graphs(model) -> None:
-    """Shape of each sealed step graph of a single-rank trace."""
-    from .kokkos.graph import ExchangeNode, RotateNode
+    """Shape of each sealed step graph of a single-rank trace, per
+    variant and leapfrog phase, in replay order."""
+    from .kokkos.graph import ExchangeNode
 
-    sealed = {key: g for key, g in model._graphs.items() if g.sealed}
-    for (startup, canuto), graph in sorted(sealed.items()):
+    for (startup, canuto, phase), graph in model._graphs.items():
+        if not graph.sealed:
+            continue
         variant = ("startup" if startup else "steady") + \
             ("+canuto" if canuto else "")
         exchanges = sum(isinstance(n, ExchangeNode) for n in graph.nodes)
-        rotates = sum(isinstance(n, RotateNode) for n in graph.nodes)
-        print(f"graph[{variant}]: {graph.launches_per_replay} launches per "
-              f"replay ({graph.captured_launches} captured, "
-              f"{graph.fused_groups} fused groups), {exchanges} exchanges "
-              f"+ {rotates} rotate")
+        print(f"graph[{variant}, phase {phase}]: "
+              f"{graph.launches_per_replay} launches per replay "
+              f"({graph.captured_launches} captured, "
+              f"{graph.fused_groups} fused groups), {exchanges} exchanges")
 
 
 def _cmd_precision(args: argparse.Namespace) -> int:

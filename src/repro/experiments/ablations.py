@@ -273,9 +273,10 @@ class GraphStudy:
 def graph_study(size: str = "tiny", steps: int = 6) -> GraphStudy:
     """A4 — measure the launch-count and wall-clock effect of replay.
 
-    Both runs warm up past the Euler start step before timing, so the
-    graph run times pure replay (capture happened during warmup) and the
-    eager run times the same steady-state step sequence.
+    Both runs warm up past the Euler start step and one leapfrog period
+    before timing, so the graph run times pure replay (every capture
+    happened during warmup) and the eager run times the same
+    steady-state step sequence.
     """
     from ..kokkos import Instrumentation, SerialBackend
     from ..ocean import LICOMKpp, demo
@@ -286,7 +287,7 @@ def graph_study(size: str = "tiny", steps: int = 6) -> GraphStudy:
     def run(params: ModelParams):
         inst = Instrumentation()
         model = LICOMKpp(cfg, backend=SerialBackend(inst=inst), params=params)
-        model.run_steps(2)          # past the Euler start (and graph capture)
+        model.run_steps(4)          # past the Euler start and every capture
         inst.reset()
         t0 = time.perf_counter()
         model.run_steps(steps)
@@ -295,7 +296,7 @@ def graph_study(size: str = "tiny", steps: int = 6) -> GraphStudy:
 
     eager_model, eager_inst, eager_sps = run(ModelParams(graph=False))
     graph_model, _, graph_sps = run(ModelParams())
-    steady = [g for (startup, _), g in graph_model._graphs.items()
+    steady = [g for (startup, _, _), g in graph_model._graphs.items()
               if not startup]
     graph = steady[0] if steady else next(iter(graph_model._graphs.values()))
     return GraphStudy(

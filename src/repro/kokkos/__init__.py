@@ -77,7 +77,6 @@ from .graph import (
     KernelNode,
     LaunchGraph,
     PhaseNode,
-    RotateNode,
 )
 from .instrument import (
     Instrumentation,
@@ -107,7 +106,7 @@ __all__ = [
     "ExecutionSpace", "SerialBackend", "OpenMPBackend", "AthreadBackend",
     "DeviceBackend", "make_backend", "Reducer", "Sum", "Prod", "Min", "Max",
     # graph capture / workspace arena
-    "LaunchGraph", "KernelNode", "ExchangeNode", "RotateNode",
+    "LaunchGraph", "KernelNode", "ExchangeNode",
     "PhaseNode", "FusedTileFunctor", "Workspace",
     # instrumentation / ldm
     "Instrumentation", "KernelStats", "WorkspaceStats",

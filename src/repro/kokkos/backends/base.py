@@ -111,9 +111,8 @@ class LaunchPlan:
     A plan is both launch paths of a backend: an eager ``parallel_for``
     builds one and runs it once (:meth:`ExecutionSpace.run_for`), a
     sealed graph builds one per node and replays it.  Plans hold the
-    bound functor *instance*; rebindable views (:meth:`View.rebind`) let
-    the same plan see advancing data, which is what makes replay survive
-    the leapfrog rotation.
+    bound functor *instance*, whose views each keep one buffer for life:
+    a replayed plan runs on the same arrays every time.
 
     A concrete backend's plan binds its launch body once, at
     construction (:func:`repro.kokkos.jit.compile_sweep`, or the
@@ -211,8 +210,8 @@ class ExecutionSpace:
 
     def fence(self) -> None:
         """Wait for all outstanding work (the synchronous backends have
-        none to wait for).  Exchange and rotate graph nodes call it
-        before they touch a buffer (:mod:`repro.kokkos.graph`)."""
+        none to wait for).  An exchange node calls it before it
+        touches a buffer (:mod:`repro.kokkos.graph`)."""
 
     @staticmethod
     def _full_slices(policy: MDRangePolicy) -> Tuple[slice, ...]:

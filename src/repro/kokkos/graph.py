@@ -5,26 +5,23 @@ path: the model records one baroclinic step's launch sequence — labels,
 normalised policies and *bound functor instances* — then subsequent
 steps ``replay()`` through per-backend :class:`~.backends.base.LaunchPlan`
 objects with near-zero dispatch work.  Between launches a step has only
-three other kinds of node, each typed by what it does: an
-:class:`ExchangeNode` (one fused halo exchange, the paper's §V-D step),
-a :class:`RotateNode` (the leapfrog buffer rotation) and a
-:class:`PhaseNode` (entering or leaving one timer region).  Every piece
-of step arithmetic is a launch, as in LICOMK++ where only the exchange
-leaves the device.  A node's ``run()`` is the one entry point for the
-eager step, the capture and every replay, and a node that touches a
-buffer fences the space first — so the graph reproduces the eager step
-exactly, times it the same way, and a node cannot forget its fence.
+two other kinds of node, each typed by what it does: an
+:class:`ExchangeNode` (one fused halo exchange, the paper's §V-D step)
+and a :class:`PhaseNode` (entering or leaving one timer region).  Every
+piece of step arithmetic is a launch, as in LICOMK++ where only the
+exchange leaves the device.  A node's ``run()`` is the one entry point
+for the eager step, the capture and every replay, and a node that
+touches a buffer fences the space first — so the graph reproduces the
+eager step exactly, times it the same way, and a node cannot forget its
+fence.
 
-Two mechanisms keep replay valid across steps:
-
-* **Rebindable view slots** — leapfrog old/cur/new rotation swaps the
-  buffers *beneath* stable ``View`` objects (``View.rebind``), so the
-  functor instances captured once keep seeing the advancing time
-  levels.  Rotation therefore never forces a re-capture.
-* **Signature invalidation** — the owner stores a binding signature
-  (view identities + numeric parameters baked into functor instances)
-  on the sealed graph; when it no longer matches, the model drops the
-  graph and re-captures.
+A graph's views and their buffers are fixed: every replay runs the same
+launches on the same arrays.  A step whose views differ (another
+leapfrog phase binds the time levels to other roles) is another graph;
+the owner keys its graphs by step variant, and stores a binding
+signature (view identities + numeric parameters baked into functor
+instances) on each sealed graph — when it no longer matches, the owner
+drops the graph and re-captures.
 
 On top of the recording, :meth:`LaunchGraph.seal` fuses every maximal
 run of adjacent untiled ``parallel_for`` launches with identical
@@ -135,10 +132,12 @@ class ExchangeNode:
     reads from it: the fields' ghost cells are refreshed, nothing else.
     On a space that is not host-accessible each field's ghost ring is
     staged through the host (the paper's systems lack GPU-aware MPI,
-    §V-D); the per-field byte counts are fixed at construction.
+    §V-D); the per-field byte counts are fixed at construction, and so
+    is the ``(buffer, sign, fill)`` list handed to the halo updater.
     """
 
-    __slots__ = ("label", "space", "halo", "fields", "phase", "staging")
+    __slots__ = ("label", "space", "halo", "fields", "phase", "staging",
+                 "_buffers")
 
     def __init__(self, label: str, space: ExecutionSpace, halo,
                  fields: Sequence) -> None:
@@ -153,6 +152,7 @@ class ExchangeNode:
             (v.shape[0] if v.ndim == 3 else 1) * 2 * h
             * (v.shape[-2] + v.shape[-1]) * float(v.raw.itemsize)
             for v, _, _ in self.fields)
+        self._buffers = [(v.raw, sign, fill) for v, sign, fill in self.fields]
 
     def run(self) -> None:
         self.space.fence()   # the exchange packs results of in-flight launches
@@ -162,35 +162,7 @@ class ExchangeNode:
                 tr.record_d2h(nbytes)
                 tr.record_h2d(nbytes)
         # looked up per run: an instrumented updater may wrap the method
-        self.halo.update_many([(v.raw, sign, fill)
-                               for v, sign, fill in self.fields],
-                              phase=self.phase)
-
-
-class RotateNode:
-    """The leapfrog rotation: a permutation of buffers beneath views.
-
-    For each ``(old, cur, new)`` triple, :meth:`run` rebinds
-    old <- cur, cur <- new, new <- old (``View.rebind``), so functors
-    bound at capture keep seeing the advancing time levels and the
-    rotation never forces a re-capture.
-    """
-
-    __slots__ = ("space", "triples")
-
-    label = "rotate"
-
-    def __init__(self, space: ExecutionSpace, triples: Sequence) -> None:
-        self.space = space
-        self.triples = tuple(tuple(t) for t in triples)
-
-    def run(self) -> None:
-        self.space.fence()   # launches may still use the buffers that move
-        for old, cur, new in self.triples:
-            a_old = old.raw
-            old.rebind(cur.raw)
-            cur.rebind(new.raw)
-            new.rebind(a_old)
+        self.halo.update_many(self._buffers, phase=self.phase)
 
 
 class PhaseNode:
@@ -233,8 +205,8 @@ class LaunchGraph:
     # -- capture -----------------------------------------------------------
 
     def add(self, node) -> None:
-        """Record one node: a :class:`KernelNode`, :class:`ExchangeNode`,
-        :class:`RotateNode` or :class:`PhaseNode`."""
+        """Record one node: a :class:`KernelNode`, :class:`ExchangeNode`
+        or :class:`PhaseNode`."""
         if self.sealed:
             raise RuntimeError("cannot record into a sealed LaunchGraph")
         self.nodes.append(node)
@@ -375,6 +347,6 @@ class LaunchGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         steps = len(self.nodes) - self.launches_per_replay
         return (f"LaunchGraph(launches={self.launches_per_replay}, "
-                f"exchanges+rotates={steps}, captured={self.captured_launches}, "
+                f"other_nodes={steps}, captured={self.captured_launches}, "
                 f"fused_groups={self.fused_groups}, "
                 f"compiled={self.compiled_launches}, sealed={self.sealed})")

@@ -13,7 +13,8 @@ behavioural contract reproduced from Kokkos:
   instrumentation ledger; these are the "daily memory copies" the paper
   includes in its timed region (§VI-C).
 * The raw buffer is reachable via :attr:`View.data` — the paper's
-  ``View.data`` interface that Athread DMA helpers use (§V-B).
+  ``View.data`` interface that Athread DMA helpers use (§V-B).  As in
+  Kokkos, a view stays bound to its one allocation for its whole life.
 """
 
 from __future__ import annotations
@@ -164,23 +165,6 @@ class View:
     def raw(self) -> np.ndarray:
         """Unpoliced buffer access, for backends and deep_copy only."""
         return self._array
-
-    def rebind(self, array: np.ndarray) -> None:
-        """Point this view at a different buffer of identical geometry.
-
-        This is the "rebindable view slot" that lets a captured
-        :class:`~repro.kokkos.graph.LaunchGraph` survive leapfrog
-        old/cur/new rotation: the functors bound at capture time keep
-        referencing the *same* ``View`` objects while the rotation swaps
-        the underlying arrays beneath them, so no re-capture is needed.
-        """
-        if array.shape != self._array.shape or array.dtype != self._array.dtype:
-            raise ValueError(
-                f"View {self.label!r}: rebind requires identical geometry, "
-                f"got {array.shape}/{array.dtype} for "
-                f"{self._array.shape}/{self._array.dtype}"
-            )
-        self._array = array
 
     def __getitem__(self, idx):
         self._check_access()

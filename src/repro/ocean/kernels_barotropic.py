@@ -74,7 +74,7 @@ class BarotropicContinuityFunctor(TileFunctor):
         tdt, fdt, gdt = self.dtypes
         # volume transports at corners, on the tile plus its south/west
         # ring only (the four face averages below read offsets 0 and -1)
-        ws = d.scratch()
+        ws = d.workspace
         nj = sj.stop - sj.start
         ni = si.stop - si.start
         gj = slice(sj.start - 1, sj.stop)
@@ -172,7 +172,7 @@ class BarotropicMomentumFunctor(TileFunctor):
         d = self.dom
         eta = self.eta.data
         mu, metric, cs = d.range_geometry(_momentum_rows, sj, si, self.dtb)
-        ws = d.scratch()
+        ws = d.workspace
         nj = sj.stop - sj.start
         ni = si.stop - si.start
         dt = eta.dtype
@@ -209,15 +209,17 @@ class BarotropicMomentumFunctor(TileFunctor):
 
 def _momentum_rows(d: LocalDomain, sj: slice, si: slice, dtb: float) -> tuple:
     """Momentum's geometry over one launch range: the U mask, the
-    gradient metrics ``(dx_u, dy)`` and the rotation rows ``(cos, sin)``,
-    each pair stacked as ``(2, nj, 1)``."""
+    gradient metrics ``(dx_u, dy)`` and the rotation rows ``(cos, sin)``
+    of the angle ``f_u * dtb`` (at ``f_u``'s dtype, so a narrowed domain
+    rotates at its family's precision), each pair stacked as
+    ``(2, nj, 1)``."""
     metric = np.empty((2, sj.stop - sj.start, 1), d.dx_u.dtype)
     metric[0] = d.dx_u[sj].reshape(-1, 1)
     metric[1] = d.dy
-    cf, sf = d.coriolis_rotation(dtb)
-    cs = np.empty((2, sj.stop - sj.start, 1), cf.dtype)
-    cs[0] = cf[sj].reshape(-1, 1)
-    cs[1] = sf[sj].reshape(-1, 1)
+    th = d.f_u[sj] * np.asarray(dtb, dtype=d.f_u.dtype)
+    cs = np.empty((2, sj.stop - sj.start, 1), th.dtype)
+    cs[0] = np.cos(th).reshape(-1, 1)
+    cs[1] = np.sin(th).reshape(-1, 1)
     return d.mask_u[0, sj, si], metric, cs
 
 

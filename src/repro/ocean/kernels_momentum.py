@@ -62,7 +62,7 @@ class BaroclinicTendencyFunctor(TileFunctor):
     def apply(self, slices) -> None:
         sk, sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         uo = self.u_old.data
         vo = self.v_old.data
         u = self.u_cur.data
@@ -246,7 +246,7 @@ class CoriolisRotationFunctor(TileFunctor):
     def apply(self, slices) -> None:
         sk, sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         a = (0.5 * d.f_u[sj] * self.dt2).reshape(1, -1, 1)
         denom = 1.0 + a * a
         m = d.mask_u[sk, sj, si]
@@ -293,7 +293,7 @@ class DepthMeanFunctor(TileFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         mu = d.mask_u[:, sj, si]
         dzc = d.dz.reshape(-1, 1, 1)
         # arena-backed (fld * mu) * dzc, same promotion and op order as
@@ -347,7 +347,7 @@ class AddBarotropicFunctor(TileFunctor):
         m = self.dom.mask_u[sk, sj, si]
         f = self.fld.data[sk, sj, si]
         d = self.delta2d.data[sj, si][None, :, :]
-        tmp = self.dom.scratch().take_view(FIELD_TMP[0], f.shape,
+        tmp = self.dom.workspace.take_view(FIELD_TMP[0], f.shape,
                                            np.result_type(f, d))
         (np.subtract if self.sign < 0 else np.add)(f, d, out=tmp)
         np.multiply(m, tmp, out=f)

@@ -37,7 +37,7 @@ class EOSFunctor(TileFunctor):
 
     def apply(self, slices) -> None:
         sk, sj, si = slices
-        ws = self.dom.scratch()
+        ws = self.dom.workspace
         t = self.t.data[sk, sj, si]
         s = self.s.data[sk, sj, si]
         m = self.dom.mask_t[sk, sj, si]
@@ -78,7 +78,7 @@ class PressureFunctor(TileFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         rho = self.rho.data[:, sj, si]
         m = d.mask_t[:, sj, si]
         dzc = d.dz.reshape(-1, 1, 1)
@@ -127,7 +127,7 @@ class WFunctor(TileFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         u = self.u.data
         v = self.v.data
         nz = d.nz

@@ -54,7 +54,7 @@ def _east_volumes(
     silently computes in fp64.
     """
     nz = dom.nz
-    ws = dom.scratch()
+    ws = dom.workspace
     dz = dom.dz.reshape(-1, 1, 1)
     shape = (nz, sj.stop - sj.start, sie.stop - sie.start)
     sk = slice(0, nz)
@@ -72,7 +72,7 @@ def _north_volumes(
 ) -> np.ndarray:
     """Volume transports through the north faces of cells ``(sjn, si)``."""
     nz = dom.nz
-    ws = dom.scratch()
+    ws = dom.workspace
     dz = dom.dz.reshape(-1, 1, 1)
     shape = (nz, sjn.stop - sjn.start, si.stop - si.start)
     sk = slice(0, nz)
@@ -89,7 +89,7 @@ def _top_volumes(
     w: np.ndarray, dom: LocalDomain, sj: slice, si: slice,
 ) -> np.ndarray:
     """Volume transports through the top faces of the tile's columns."""
-    ws = dom.scratch()
+    ws = dom.workspace
     wt = ws.take("adv_wt", (dom.nz + 1, sj.stop - sj.start, si.stop - si.start),
                  np.result_type(w.dtype, dom.dz.dtype))
     np.multiply(w[:, sj, si], (dom.dx_t[sj] * dom.dy).reshape(1, -1, 1),
@@ -104,7 +104,7 @@ def _vertical_donors(
     ``T_below[k] = T[min(k, nz-1)]`` and ``T_above[k] = T[max(k-1, 0)]``.
     """
     nz = dom.nz
-    ws = dom.scratch()
+    ws = dom.workspace
     nj = sj.stop - sj.start
     ni = si.stop - si.start
     tcol = t[:, sj, si]
@@ -161,7 +161,7 @@ def _upwind_fluxes(
     fluxes, positive upward, ``F_t[nz] = 0`` at the sea floor.
     """
     sk = slice(0, dom.nz)
-    ws = dom.scratch()
+    ws = dom.workspace
     # east faces of cells si.start-1 .. si.stop-1  <=> west+east of the tile
     sie = slice(si.start - 1, si.stop)
     f_e = _donor(_east_volumes(u, dom, sj, sie),
@@ -181,7 +181,7 @@ def _antidiffusive_east(t: np.ndarray, u: np.ndarray, dom: LocalDomain,
     sk = slice(0, dom.nz)
     return _antidiffusive_faces(_east_volumes(u, dom, sj, sie),
                                 t[sk, sj, sie], t[sk, sj, sh(sie, 1)],
-                                dom.scratch(), "fct_ae")
+                                dom.workspace, "fct_ae")
 
 
 def _antidiffusive_north(t: np.ndarray, v: np.ndarray, dom: LocalDomain,
@@ -190,14 +190,14 @@ def _antidiffusive_north(t: np.ndarray, v: np.ndarray, dom: LocalDomain,
     sk = slice(0, dom.nz)
     return _antidiffusive_faces(_north_volumes(v, dom, sjn, si),
                                 t[sk, sjn, si], t[sk, sh(sjn, 1), si],
-                                dom.scratch(), "fct_an")
+                                dom.workspace, "fct_an")
 
 
 def _tile_volume(dom: LocalDomain, sj: slice, si: slice) -> np.ndarray:
     """(nz, nj, 1) cell volumes in the shared arena buffer."""
     dz = dom.dz.reshape(-1, 1, 1)
     area = (dom.dx_t[sj] * dom.dy).reshape(1, -1, 1)
-    ws = dom.scratch()
+    ws = dom.workspace
     vol = ws.take("adv_vol", (dom.nz, sj.stop - sj.start, 1),
                   np.result_type(area.dtype, dz.dtype))
     np.multiply(area, dz, out=vol)
@@ -210,7 +210,7 @@ def _apply_divergence(
 ) -> np.ndarray:
     """-dt/V * flux divergence for the tile's cells (arena buffer)."""
     vol = _tile_volume(dom, sj, si)
-    ws = dom.scratch()
+    ws = dom.workspace
     div = ws.take("adv_div", (f_e.shape[0], f_e.shape[1], f_e.shape[2] - 1),
                   f_e.dtype)
     np.subtract(f_e[:, :, 1:], f_e[:, :, :-1], out=div)
@@ -255,7 +255,7 @@ class AdvectPredictorFunctor(TileFunctor):
         )
         m = d.mask_t[:, sj, si]
         delta = _apply_divergence(f_e, f_n, f_t, d, sj, si, self.dt)
-        out = d.scratch().take(
+        out = d.workspace.take(
             "adv_out", delta.shape, np.result_type(t.dtype, delta.dtype))
         np.add(t[:, sj, si], delta, out=out)
         np.multiply(out, m, out=out)
@@ -277,7 +277,7 @@ def _antidiffusive(
     a_n = _antidiffusive_north(t_star, v, dom, slice(sj.start - 1, sj.stop), si)
     t_below, t_above = _vertical_donors(t_star, dom, sj, si)
     a_t = _antidiffusive_faces(_top_volumes(w, dom, sj, si), t_below, t_above,
-                               dom.scratch(), "fct_at")
+                               dom.workspace, "fct_at")
     a_t[-1] = 0.0                                          # sea floor
     a_t[0] = 0.0
     return a_e, a_n, a_t
@@ -296,7 +296,7 @@ def _local_bounds(
     (max/min are selections, so the fold order only matters for the
     sign of zero, and it is fixed).
     """
-    ws = dom.scratch()
+    ws = dom.workspace
     own_star = t_star[:, sj, si]
     shape = own_star.shape
     dt = own_star.dtype
@@ -372,7 +372,7 @@ class FCTLimitFunctor(TileFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         ts = self.t_star.data
         a_e, a_n, a_t = _antidiffusive(
             ts, self.u.data, self.v.data, self.w.data, d, sj, si
@@ -480,7 +480,7 @@ class FCTApplyFunctor(TileFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         ts = self.t_star.data
         rp = self.r_plus.data
         rm = self.r_minus.data
@@ -582,7 +582,7 @@ class TracerHDiffusionFunctor(TileFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         t = self.t_in.data
         m = d.mask_t
         dz = d.dz.reshape(-1, 1, 1)

@@ -96,7 +96,7 @@ class VerticalFrictionFunctor(TileFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         mu = d.mask_u[:, sj, si]
         kap = self.kappa_m.data[:, sj, si]
         lower, diag, upper = _diffusion_matrix(kap, mu, d.dz, d.z_t, self.dt,
@@ -160,7 +160,7 @@ class VerticalTracerDiffusionFunctor(TileFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         m = d.mask_t[:, sj, si]
         kap = self.kappa_h.data[:, sj, si]
         lower, diag, upper = _diffusion_matrix(kap, m, d.dz, d.z_t, self.dt,

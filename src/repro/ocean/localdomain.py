@@ -118,9 +118,6 @@ class LocalDomain:
     # (fresh allocation per request, identical numerics)
     workspace: Workspace = field(
         default_factory=lambda: Workspace(enabled=False))
-    # cached (cos, sin) rotation rows keyed by the Coriolis angle step
-    _rot_cache: Dict[float, Tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False)
     # geometry sliced for one launch range, keyed by builder and range
     # (see :meth:`range_geometry`)
     _range_cache: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
@@ -168,37 +165,21 @@ class LocalDomain:
         self.open_n = np.zeros(mt.shape, dtype=bool)
         self.open_n[:, :-1] = mt[:, :-1] * mt[:, 1:] != 0.0
 
-    def coriolis_rotation(self, dtb: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(cos, sin)`` of the rotation angle ``f_u * dtb``.
-
-        The angle is static geometry times a constant substep length, so
-        the trig is paid once per run instead of per tile per substep;
-        slicing the cached rows gives bitwise the same values a tile
-        would compute itself.  On a narrowed domain (:meth:`at_dtype`)
-        ``f_u`` is already the narrow dtype, so the rotation rows come
-        out at the kernel family's precision.
-        """
-        rot = self._rot_cache.get(dtb)
-        if rot is None:
-            th = self.f_u * np.asarray(dtb, dtype=self.f_u.dtype)
-            rot = self._rot_cache[dtb] = (np.cos(th), np.sin(th))
-        return rot
-
     def range_geometry(self, build, sj: slice, si: slice, *args):
         """``build(self, sj, si, *args)``, built on the first launch over
         the horizontal range ``(sj, si)`` and reused by every later one.
 
         A launch range is fixed once a graph is sealed, so the rows and
         masks a body slices out of this domain can be sliced once instead
-        of per call.  An entry remembers the domain that built it: a
-        copied domain (an observed sweep binds one over recorded arrays)
-        builds its own from its own arrays.
+        of per call.  A copied domain (an observed sweep binds one over
+        recorded arrays) starts with an empty cache and builds its own
+        from its own arrays.
         """
         key = (build, sj.start, sj.stop, si.start, si.stop, args)
         got = self._range_cache.get(key)
-        if got is None or got[0] is not self:
-            got = self._range_cache[key] = (self, build(self, sj, si, *args))
-        return got[1]
+        if got is None:
+            got = self._range_cache[key] = build(self, sj, si, *args)
+        return got
 
     def at_dtype(self, dtype) -> "LocalDomain":
         """This domain with every float geometry array cast to ``dtype``.
@@ -237,10 +218,6 @@ class LocalDomain:
         elif clone.workspace is not self.workspace:
             clone.workspace = self.workspace
         return clone
-
-    def scratch(self) -> Workspace:
-        """The arena kernel bodies draw their temporaries from."""
-        return self.workspace
 
     @property
     def interior(self) -> Tuple[slice, slice]:

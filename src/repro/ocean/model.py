@@ -38,7 +38,6 @@ from ..kokkos import (
     LaunchGraph,
     MDRangePolicy,
     PhaseNode,
-    RotateNode,
     View,
     kokkos_register_for,
 )
@@ -259,13 +258,14 @@ class LICOMKpp:
         # consumer reads an explicitly cast shadow view instead of the
         # wide original; the casts are their own launches
         # (``precision_cast``), so they show up in graphs, lint and
-        # traces.  Under a uniform policy every shadow aliases its
-        # source and zero cast launches are emitted.
+        # traces.  Where the families share a dtype there is no shadow
+        # (None): the consumer reads the source itself (see _cast), and
+        # under a uniform policy zero cast launches are emitted.
         st = self.state
 
-        def shadow(src: View, family: str, name: str) -> View:
+        def shadow(src: View, family: str, name: str) -> Optional[View]:
             if src.dtype == famdt(family):
-                return src
+                return None
             return View(name, src.shape, dtype=famdt(family), space=sp)
 
         self.p_mom = shadow(st.p, "momentum", "p_mom")
@@ -318,6 +318,8 @@ class LICOMKpp:
         # carries the binding signature it captured under and is dropped
         # when the signature no longer matches (re-capture).  The dict
         # lives in the context's graph cache so close() drops the plans.
+        # Insertion order is replay order: the startup graph, then one
+        # leapfrog period (graphcheck walks them in this order).
         self._graphs: Dict[tuple, LaunchGraph] = \
             self.context.graph_cache.setdefault(("licomkpp", id(self)), {})
         self._capture: Optional[LaunchGraph] = None
@@ -356,14 +358,16 @@ class LICOMKpp:
         are re-applied, so a reset model is *bitwise identical* to a
         freshly constructed one — while every ``View`` object (and with
         it every sealed launch graph, whose binding signature is made of
-        view identities) stays valid.  This is what lets ``repro.serve``
-        lease one engine to many jobs with the same configuration
-        signature: each job gets a pristine model without paying
-        construction or re-capture.
+        view identities) stays valid, and the leapfrog returns to phase
+        0, where each phase replays the graph sealed for it.  This is
+        what lets ``repro.serve`` lease one engine to many jobs with the
+        same configuration signature: each job gets a pristine model
+        without paying construction or re-capture.
         """
         self.space.fence()
         for view in self._bound_views():
             view.raw[...] = 0.0
+        self.state.rotate(phase=0)
         self.nstep = 0
         self.time_seconds = 0.0
         self._initialize_state()
@@ -401,27 +405,29 @@ class LICOMKpp:
             self._capture.add_kernel(label, policy, functor)
         self.space.parallel_for(label, policy, functor)
 
-    def _cast(self, src: View, dst: View) -> None:
-        """Emit an explicit family-boundary cast launch (no-op on alias).
+    def _cast(self, src: View, dst: Optional[View]) -> View:
+        """The view a consumer reads ``src`` through: its shadow ``dst``,
+        filled by an explicit family-boundary cast launch, or ``src``
+        itself when there is no shadow.
 
         The only place a value changes precision: when ``dst`` is a
         shadow view of a different dtype, a ``precision_cast`` sweep
         copies (and converts) the full range, halos included, so the
         narrow consumer's stencils read converted ghosts.  Under a
-        uniform policy every shadow aliases its source and nothing is
-        launched — double-precision schedules are unchanged.
+        uniform policy there are no shadows and nothing is launched —
+        double-precision schedules are unchanged.
         """
-        if dst is src:
-            return
+        if dst is None:
+            return src
         policy = MDRangePolicy([(0, n) for n in dst.shape])
         if dst.ndim == 2:
             self._run("precision_cast_2d", policy, CastFunctor2D(src, dst))
         else:
             self._run("precision_cast", policy, CastFunctor(src, dst))
+        return dst
 
     def _node(self, node) -> None:
-        """Run an exchange, rotate or phase node, recording it when
-        capturing."""
+        """Run an exchange or phase node, recording it when capturing."""
         if self._capture is not None:
             self._capture.add(node)
         node.run()
@@ -450,20 +456,21 @@ class LICOMKpp:
         views and the cast shadows.
 
         :meth:`reset` zeroes exactly these and
-        :meth:`_binding_signature` is made of their identities.  A cast
-        shadow aliases its source under a uniform policy (listed, and
-        zeroed, twice: harmless) and is its own buffer under a mixed one.
+        :meth:`_binding_signature` is made of their identities.  The
+        leapfrog levels are listed by level, not by role, so the list
+        (and the signature) is the same at every phase.
         """
         st = self.state
         views = [st.ub, st.vb, st.rho, st.p, st.w, st.kappa_h, st.kappa_m,
                  self.eta, self.eta_prev, self.um, self.vm,
-                 self.um_old, self.vm_old, self.gx, self.gy,
-                 self.p_mom, self.rho_vmix, self.u_vmix, self.v_vmix,
-                 self.kappa_m_mom, self.kappa_h_tr, self.um_mom,
-                 self.vm_mom, self.ub_mom, self.vb_mom,
-                 self.u_tr, self.v_tr, self.w_tr]
+                 self.um_old, self.vm_old, self.gx, self.gy]
+        views += [v for v in (
+            self.p_mom, self.rho_vmix, self.u_vmix, self.v_vmix,
+            self.kappa_m_mom, self.kappa_h_tr, self.um_mom, self.vm_mom,
+            self.ub_mom, self.vb_mom, self.u_tr, self.v_tr, self.w_tr)
+            if v is not None]
         for f in st.leapfrog_fields().values():
-            views += [f.old, f.cur, f.new]
+            views += f.levels
         views += (self.tstar_all + self.tdiff_work_all
                   + self.rplus_all + self.rminus_all)
         views += [v for faces in self.aflux_all for v in faces]
@@ -472,12 +479,11 @@ class LICOMKpp:
     def _binding_signature(self) -> tuple:
         """Identity of everything a captured graph bakes into functors.
 
-        Leapfrog rotation swaps buffers beneath stable views
-        (:meth:`~repro.kokkos.view.View.rebind`), so view *object*
-        identities survive rotation and the signature stays valid step
-        to step.  Replacing a view, or changing a numeric parameter that
-        functor constructors copy, changes the signature and forces a
-        re-capture.
+        Leapfrog rotation changes which level plays which role, not the
+        views themselves (the phase is part of the graph key instead),
+        so the signature stays valid step to step.  Replacing a view, or
+        changing a numeric parameter that functor constructors copy,
+        changes the signature and forces a re-capture.
         """
         nums = (self.policy.signature(),
                 self.visc, self.bivisc, self.tdiff, self.eta_diff,
@@ -496,11 +502,15 @@ class LICOMKpp:
         """Advance the model one baroclinic time step.
 
         The first step of each variant (startup forward step / canuto on
-        or off) runs eagerly while recording into a
+        or off / leapfrog phase) runs eagerly while recording into a
         :class:`~repro.kokkos.graph.LaunchGraph`; later steps replay the
         sealed graph through cached launch plans — bitwise identical,
         near-zero dispatch, the same phase timers.  ``params.graph=False``
-        steps eagerly every time: the reference oracle.
+        steps eagerly every time: the reference oracle.  Either way the
+        step ends by rotating the leapfrog roles
+        (:meth:`~repro.ocean.state.ModelState.rotate`); a graph sealed at
+        one phase is bound to that phase's roles, so graphs are keyed by
+        phase too and one leapfrog period of them replays in turn.
         """
         dt = self.config.dt_baroclinic
         dt2 = dt if self.nstep == 0 else 2.0 * dt
@@ -514,7 +524,7 @@ class LICOMKpp:
         if not self.params.graph:
             self._step_body(dt2, canuto)
         else:
-            key = (self.nstep == 0, canuto)
+            key = (self.nstep == 0, canuto, self.state.phase)
             sig = self._binding_signature()
             graph = self._graphs.get(key)
             if graph is not None and graph.signature != sig:
@@ -533,6 +543,7 @@ class LICOMKpp:
                 self._graph_captures += 1
             else:
                 graph.replay()
+        self.state.rotate()
         self.nstep += 1
         self.time_seconds += dt
         ce = self.params.check_every
@@ -543,8 +554,8 @@ class LICOMKpp:
             )
 
     def _step_body(self, dt2: float, canuto: bool) -> None:
-        """The step's launches, exchanges, rotate and phase marks (run
-        eagerly, maybe recorded)."""
+        """The step's launches, exchanges and phase marks (run eagerly,
+        maybe recorded)."""
         st = self.state
         d = self.domain
         run = self._run
@@ -567,18 +578,18 @@ class LICOMKpp:
 
             # -- baroclinic momentum ----------------------------------------
             with self._phase("momentum"):
-                self._cast(st.p, self.p_mom)
-                self._cast(st.kappa_m, self.kappa_m_mom)
+                p_mom = self._cast(st.p, self.p_mom)
+                kappa_m = self._cast(st.kappa_m, self.kappa_m_mom)
                 run("baroclinic_tendency", self.p_int3,
                     BaroclinicTendencyFunctor(
                         st.u.old, st.v.old, st.u.cur, st.v.cur, st.w,
-                        self.p_mom, st.u.new, st.v.new, self.dom_momentum,
+                        p_mom, st.u.new, st.v.new, self.dom_momentum,
                         dt2, self.visc,
                         advect=self.params.advect_momentum,
                         biharmonic=self.bivisc))
                 run("vertical_friction", self.p_int2,
                     VerticalFrictionFunctor(
-                        st.u.new, st.v.new, self.kappa_m_mom, self.taux,
+                        st.u.new, st.v.new, kappa_m, self.taux,
                         self.tauy, self.dom_momentum, dt2,
                         self.params.bottom_drag))
                 # Capture the depth-mean force for the barotropic solver
@@ -615,28 +626,24 @@ class LICOMKpp:
             with self._phase("tracer"):
                 self._tracer_suite(dt2)
 
-            # -- Asselin filter + rotate ------------------------------------
+            # -- Asselin filter ---------------------------------------------
             with self._phase("filter"):
                 a = self.params.asselin
-                ws = d.scratch()
+                ws = d.workspace
                 for f in (st.u, st.v, st.t, st.s):
                     run("asselin_filter", self.p_full3,
                         AsselinFilterFunctor(f.old, f.cur, f.new, a, ws))
                 run("asselin_filter_ssh", self.p_full2,
                     _Asselin2D(st.ssh.old, st.ssh.cur, st.ssh.new, a, ws))
-                self._node(RotateNode(
-                    self.space, [(f.old, f.cur, f.new)
-                                 for f in st.leapfrog_fields().values()]))
 
     def _run_canuto(self) -> None:
         st = self.state
-        self._cast(st.u.cur, self.u_vmix)
-        self._cast(st.v.cur, self.v_vmix)
-        self._cast(st.rho, self.rho_vmix)
-        self._run(
-            "canuto_mixing", self.p_int2,
-            CanutoMixFunctor(self.u_vmix, self.v_vmix, self.rho_vmix,
-                             st.kappa_m, st.kappa_h, self.dom_vmix))
+        u = self._cast(st.u.cur, self.u_vmix)
+        v = self._cast(st.v.cur, self.v_vmix)
+        rho = self._cast(st.rho, self.rho_vmix)
+        self._run("canuto_mixing", self.p_int2,
+                  CanutoMixFunctor(u, v, rho, st.kappa_m, st.kappa_h,
+                                   self.dom_vmix))
 
     def _barotropic_cycle(self, dt2: float) -> None:
         """Forward-backward subcycle over ``nsub`` barotropic steps.
@@ -659,14 +666,12 @@ class LICOMKpp:
             DepthMeanFunctor(st.u.new, self.um, self.dom_scan))
         run("depth_mean_v_new", self.p_full2,
             DepthMeanFunctor(st.v.new, self.vm, self.dom_scan))
-        self._cast(self.um, self.um_mom)
-        self._cast(self.vm, self.vm_mom)
+        um = self._cast(self.um, self.um_mom)
+        vm = self._cast(self.vm, self.vm_mom)
         run("strip_barotropic_u", self.p_full3,
-            AddBarotropicFunctor(st.u.new, self.um_mom, self.dom_momentum,
-                                 sign=-1.0))
+            AddBarotropicFunctor(st.u.new, um, self.dom_momentum, sign=-1.0))
         run("strip_barotropic_v", self.p_full3,
-            AddBarotropicFunctor(st.v.new, self.vm_mom, self.dom_momentum,
-                                 sign=-1.0))
+            AddBarotropicFunctor(st.v.new, vm, self.dom_momentum, sign=-1.0))
 
         # subcycle state: start from (eta, ubar) at the current level
         run("depth_mean_u_cur", self.p_full2,
@@ -701,12 +706,12 @@ class LICOMKpp:
                                      (st.vb, -1.0, 0.0)])
 
         # re-attach the subcycled barotropic mode
-        self._cast(st.ub, self.ub_mom)
-        self._cast(st.vb, self.vb_mom)
+        ub = self._cast(st.ub, self.ub_mom)
+        vb = self._cast(st.vb, self.vb_mom)
         run("add_barotropic_u", self.p_full3,
-            AddBarotropicFunctor(st.u.new, self.ub_mom, self.dom_momentum))
+            AddBarotropicFunctor(st.u.new, ub, self.dom_momentum))
         run("add_barotropic_v", self.p_full3,
-            AddBarotropicFunctor(st.v.new, self.vb_mom, self.dom_momentum))
+            AddBarotropicFunctor(st.v.new, vb, self.dom_momentum))
         self._exchange("halo_momentum", [(st.u.new, -1.0, 0.0),
                                          (st.v.new, -1.0, 0.0)])
 
@@ -730,10 +735,10 @@ class LICOMKpp:
         tracers += [(p, self._zero2d, 0.0) for p in st.passive]
         # tracer-family shadows of the advecting velocities and the
         # mixing coefficient (aliases when families share a dtype)
-        self._cast(st.u.cur, self.u_tr)
-        self._cast(st.v.cur, self.v_tr)
-        self._cast(st.w, self.w_tr)
-        self._cast(st.kappa_h, self.kappa_h_tr)
+        u = self._cast(st.u.cur, self.u_tr)
+        v = self._cast(st.v.cur, self.v_tr)
+        w = self._cast(st.w, self.w_tr)
+        kappa_h = self._cast(st.kappa_h, self.kappa_h_tr)
         d = self.dom_tracer
         run = self._run
         n = len(tracers)
@@ -748,25 +753,22 @@ class LICOMKpp:
         # stage 2 — low-order predictor
         for i in range(n):
             run("advect_tracer_predictor", self.p_int2,
-                AdvectPredictorFunctor(work[i], self.u_tr, self.v_tr,
-                                       self.w_tr, tst[i], d, dt2))
+                AdvectPredictorFunctor(work[i], u, v, w, tst[i], d, dt2))
         self._exchange("halo_tracer", [(t, 1.0, 0.0) for t in tst])
         # stage 3 — FCT limiters: every tracer's R+ and R- in one message
         for i in range(n):
             run("advect_tracer_limits", self.p_int2,
-                FCTLimitFunctor(work[i], tst[i], self.u_tr, self.v_tr,
-                                self.w_tr, rp[i], rm[i], *self.aflux_all[i],
-                                d, dt2))
+                FCTLimitFunctor(work[i], tst[i], u, v, w, rp[i], rm[i],
+                                *self.aflux_all[i], d, dt2))
         self._exchange("halo_tracer", [(r, 1.0, 1.0) for r in rp + rm])
         # stage 4 — limited apply + implicit vertical operator
         for i, (fld, star2d, gamma) in enumerate(tracers):
             run("advect_tracer_apply", self.p_int2,
-                FCTApplyFunctor(tst[i], self.u_tr, self.v_tr, self.w_tr,
-                                rp[i], rm[i], *self.aflux_all[i], fld.new,
-                                d, dt2))
+                FCTApplyFunctor(tst[i], u, v, w, rp[i], rm[i],
+                                *self.aflux_all[i], fld.new, d, dt2))
             run("vertical_tracer_diffusion", self.p_int2,
-                VerticalTracerDiffusionFunctor(fld.new, self.kappa_h_tr,
-                                               star2d, gamma, d, dt2))
+                VerticalTracerDiffusionFunctor(fld.new, kappa_h, star2d,
+                                               gamma, d, dt2))
         self._exchange("halo_tracer",
                        [(fld.new, 1.0, 0.0) for fld, _, _ in tracers])
 

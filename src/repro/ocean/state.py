@@ -25,18 +25,26 @@ from .precision import PrecisionPolicy, resolve_precision
 class LeapfrogField:
     """One prognostic field at three time levels (old / cur / new).
 
-    The model's :class:`~repro.kokkos.graph.RotateNode` advances it a
-    step by swapping the buffers beneath these three stable views.
+    ``levels`` are the field's three views, each bound to one buffer for
+    life; which level plays which role is the model-wide leapfrog phase
+    (:meth:`ModelState.rotate`): at phase ``p`` old, cur and new are
+    ``levels[p]``, ``levels[p + 1]`` and ``levels[p + 2]`` (mod 3).
     """
 
-    __slots__ = ("name", "old", "cur", "new")
+    __slots__ = ("name", "levels", "old", "cur", "new")
 
     def __init__(self, name: str, shape: Tuple[int, ...], space: MemorySpace,
                  dtype=np.float64) -> None:
         self.name = name
-        self.old = View(f"{name}_old", shape, dtype=dtype, space=space)
-        self.cur = View(f"{name}_cur", shape, dtype=dtype, space=space)
-        self.new = View(f"{name}_new", shape, dtype=dtype, space=space)
+        self.levels = tuple(View(f"{name}_{i}", shape, dtype=dtype, space=space)
+                            for i in range(3))
+        self.set_phase(0)
+
+    def set_phase(self, phase: int) -> None:
+        """Give the three levels their roles at leapfrog ``phase``."""
+        lv = self.levels
+        self.old, self.cur, self.new = \
+            lv[phase % 3], lv[(phase + 1) % 3], lv[(phase + 2) % 3]
 
     def set_initial(self, value: np.ndarray) -> None:
         """Initialise both old and cur levels to ``value``."""
@@ -102,12 +110,25 @@ class ModelState:
             LeapfrogField(f"ptracer{i}", s3, space, fd("passive"))
             for i in range(n_passive)
         ]
+        #: Leapfrog phase: which level of each field plays old / cur / new.
+        self.phase = 0
 
     def leapfrog_fields(self) -> Dict[str, LeapfrogField]:
         out = {"u": self.u, "v": self.v, "t": self.t, "s": self.s, "ssh": self.ssh}
         for i, p in enumerate(self.passive):
             out[f"ptracer{i}"] = p
         return out
+
+    def rotate(self, phase: Optional[int] = None) -> None:
+        """Advance the leapfrog one step — old <- cur, cur <- new,
+        new <- old on every field — or go to ``phase``.
+
+        Only the roles move: every level keeps its buffer, so a launch
+        graph sealed at one phase stays bound to the same views.
+        """
+        self.phase = (self.phase + 1) % 3 if phase is None else phase
+        for f in self.leapfrog_fields().values():
+            f.set_phase(self.phase)
 
     def has_nan(self) -> bool:
         """True when any current-level prognostic field contains NaN/Inf."""

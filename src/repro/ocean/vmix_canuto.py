@@ -119,7 +119,7 @@ class CanutoMixFunctor(TileFunctor):
             self.kappa_m.data[:, sj, si] = KAPPA_M_BACKGROUND
             self.kappa_h.data[:, sj, si] = KAPPA_H_BACKGROUND
             return
-        ws = d.scratch()
+        ws = d.workspace
         nzm = nz - 1
         shape = (nz, sj.stop - sj.start, si.stop - si.start)
         ishape = (nzm,) + shape[1:]

@@ -67,7 +67,8 @@ class SharedEngine:
             yield self.model
 
     def graph_stats(self) -> List[Dict[str, object]]:
-        """Stats of every sealed step-graph variant this engine holds."""
+        """Stats of every sealed step graph this engine holds: the
+        startup graph and one per leapfrog phase (and canuto variant)."""
         return [g.stats() for g in self.model._graphs.values() if g.sealed]
 
     def close(self) -> None:

@@ -11,13 +11,15 @@ Four layers of coverage:
   part's own label.
 * **Verifier soundness** — the production model with one exchanged
   field left out: the verifier must name the stale read from the
-  sealed schedule alone.
-* **Node fences** — fences are a property of the node types, checked
-  by spying on each type's ``run()``: ``fence()`` is a no-op on the
-  synchronous backends, so no run can miss one.
-* **Seed model** — the tiny demo model's sealed step graphs walk clean
-  on every backend, both swept (the concrete backend) and replayed
-  unfused through ``run_for`` (an intercepting subclass of it).
+  sealed schedule alone, including a read one leapfrog phase graph
+  inherits from another.
+* **Node fences** — fences are a property of the node type, checked
+  by spying on the exchange node's ``run()``: ``fence()`` is a no-op
+  on the synchronous backends, so no run can miss one.
+* **Seed model** — the tiny demo model's sealed step graphs, walked in
+  replay order, are clean on every backend, both swept (the concrete
+  backend) and replayed unfused through ``run_for`` (an intercepting
+  subclass of it).
 """
 
 import pytest
@@ -34,7 +36,6 @@ from repro.kokkos import (
     ExchangeNode,
     LaunchGraph,
     MDRangePolicy,
-    RotateNode,
     View,
     make_backend,
 )
@@ -159,21 +160,22 @@ class TestGoldenSchedules:
 
 
 def captured_graphs(model_cls):
-    """(model, its two sealed step graphs) on the tiny serial config."""
+    """(model, its sealed step graphs in replay order) on the tiny
+    serial config: the startup graph and the three leapfrog phases."""
     from repro.ocean import ModelParams, demo
 
     model = model_cls(demo("tiny"), backend="serial",
                       params=ModelParams(check_every=0))
-    model.run_steps(2)
+    model.run_steps(4)
     graphs = [g for g in model._graphs.values() if g.sealed]
-    assert len(graphs) == 2  # startup + steady variants
+    assert len(graphs) == 4
     return model, graphs
 
 
 def errors_of(model_cls):
     model, graphs = captured_graphs(model_cls)
     try:
-        return [f for g in graphs for f in check_graph(g)
+        return [f for f in check_graph(graphs)
                 if f.severity >= Severity.ERROR]
     finally:
         model.close()
@@ -237,9 +239,46 @@ class TestVerifierSoundness:
         monkeypatch.setattr(LICOMKpp, "_exchange", forgets_gforce)
         assert world_digest(1, 2) != PINS[(1, 2)]["double"]
 
+    def test_forgotten_new_tracer_exchange_is_stale_two_phases_on(
+            self, monkeypatch):
+        """Drop the last ``halo_tracer`` exchange (the new tracer
+        levels): two phases later that level is ``old``, and the
+        horizontal diffusion reads its ring.  Walked alone, a phase
+        graph never writes its ``old`` level; only the walk that carries
+        each view from one phase graph into the next names the read."""
+        from repro.ocean import LICOMKpp
+        from tests.ocean.test_world_digests import PINS, world_digest
+
+        exchange = LICOMKpp._exchange
+
+        def forgets_new_tracers(self, label, fields):
+            if label == "halo_tracer" and fields[0][0] is self.state.t.new:
+                return
+            exchange(self, label, fields)
+
+        class ForgetsNewTracers(LICOMKpp):
+            _exchange = forgets_new_tracers
+
+        model, graphs = captured_graphs(ForgetsNewTracers)
+        try:
+            stale = {f.view for f in check_graph(graphs)
+                     if (f.rule, f.kernel) == (RULE_STALE_HALO,
+                                               "tracer_hdiff")}
+            alone = [f for g in graphs[1:] for f in check_graph(g)
+                     if f.kernel == "tracer_hdiff"]
+            levels = {fld: {v.label for v in fld.levels}
+                      for fld in (model.state.t, model.state.s)}
+        finally:
+            model.close()
+        assert alone == []
+        for fld, labels in levels.items():
+            assert stale & labels, (fld.name, stale)
+        monkeypatch.setattr(LICOMKpp, "_exchange", forgets_new_tracers)
+        assert world_digest(1, 2) != PINS[(1, 2)]["double"]
+
 
 class TestNodeFences:
-    """Each node type fences before it touches a buffer, so no sealed
+    """The exchange node fences before it touches a buffer, so no sealed
     schedule can miss a fence.  ``fence()`` is a no-op on every backend
     and a node without one runs identically: a spy on the call order is
     the check."""
@@ -255,18 +294,6 @@ class TestNodeFences:
         f = views["f"]
         ExchangeNode("halo_f", space, FakeHalo(events), [(f, 1.0, 0.0)]).run()
         assert events == ["fence", ("halo2", [(f.raw, 1.0, 0.0)])]
-
-    def test_rotate_node_fences_before_rebind(self, space, views, events,
-                                              monkeypatch):
-        rebind = View.rebind
-
-        def spy(view, array):
-            events.append("rebind")
-            rebind(view, array)
-
-        monkeypatch.setattr(View, "rebind", spy)
-        RotateNode(space, [(views["f"], views["g"], views["out"])]).run()
-        assert events == ["fence"] + ["rebind"] * 3
 
 
 BACKENDS = ("serial", "openmp", "athread", "cuda")
@@ -284,12 +311,12 @@ class TestSeedModelClean:
                          backend=backend if jit else intercepting(backend),
                          params=ModelParams(check_every=0))
         try:
-            model.run_steps(2)
+            model.run_steps(4)
             graphs = [g for g in model._graphs.values() if g.sealed]
-            assert len(graphs) == 2  # startup + steady variants
+            assert len(graphs) == 4  # startup + three leapfrog phases
+            assert check_graph(graphs) == []
             for graph in graphs:
                 assert graph.jit_coverage == float(jit)
-                assert check_graph(graph) == []
                 assert (graph.fused_groups > 0) == jit
         finally:
             model.close()

@@ -32,7 +32,9 @@ from repro.analysis import (
     lint_matrix,
     observe_part,
 )
+from repro.analysis.observe import observe_node
 from repro.kokkos import View
+from repro.kokkos.graph import KernelNode
 
 
 def _union(boxes):
@@ -50,10 +52,14 @@ def _inside(shape, box):
 
 
 def _matrix_parts():
-    """``(functor, observation)`` for every distinct part the lint
-    matrix sealed."""
-    return [hit for case in lint_matrix()
-            for hit in case.observations.values()]
+    """``(functor, observation)`` for every part of each lint-matrix
+    configuration's startup graph and first leapfrog phase graph (the
+    other two phase graphs run the same launches on other time levels)."""
+    return [(functor, obs) for case in lint_matrix()
+            for graph in case.graphs[:2] for node in graph.nodes
+            if isinstance(node, KernelNode)
+            for (_, functor), obs in zip(
+                node.parts(), observe_node(node, case.observations))]
 
 
 def _sweep(functor, obs, poison_boxes=None, poison=None):
@@ -222,7 +228,6 @@ def _bound_arrays(functor):
 
 
 def test_verifying_a_live_model_leaves_its_buffers_unchanged():
-    from repro.kokkos.graph import KernelNode
     from repro.ocean import LICOMKpp, ModelParams, demo
 
     model = LICOMKpp(demo("tiny"), backend="serial",
@@ -240,6 +245,15 @@ def test_verifying_a_live_model_leaves_its_buffers_unchanged():
         assert {key: arr.tobytes() for key, arr in arrays.items()} == before
     finally:
         model.close()
+
+
+def test_a_copied_domain_starts_with_empty_caches():
+    """The observed sweep binds a copy of the domain whose caches are
+    empty, so barotropic momentum builds its rotation rows from the
+    recorded ``f_u`` and the footprint lists that read."""
+    touched = [sorted(obs.touched) for _, obs in _matrix_parts()
+               if obs.label == "barotropic_momentum"]
+    assert touched and all("dom.f_u" in names for names in touched)
 
 
 # --------------------------------------------------------------------------

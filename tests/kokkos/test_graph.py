@@ -21,8 +21,9 @@ from repro.kokkos import (
     View,
     kokkos_register_for,
 )
-from repro.kokkos.graph import ExchangeNode, LaunchGraph, RotateNode
+from repro.kokkos.graph import ExchangeNode, LaunchGraph, PhaseNode
 from repro.kokkos.workspace import Workspace
+from repro.timing import TimerRegistry
 from tests.conftest import FakeHalo, intercepting
 
 
@@ -219,7 +220,7 @@ class TestLaunchGraph:
         with pytest.raises(RuntimeError, match="sealed"):
             g.add_kernel("scale", pol, ScaleFunctor(x, 2.0))
         with pytest.raises(RuntimeError, match="sealed"):
-            g.add(RotateNode(be, ()))
+            g.add(PhaseNode(TimerRegistry(), "mark", True))
 
     def test_replay_requires_seal(self):
         g = LaunchGraph(SerialBackend(inst=Instrumentation()))
@@ -258,7 +259,9 @@ class TestAthreadPlanAccounting:
             return
         g = LaunchGraph(be)
         g.add_kernel("scale", pol, ScaleFunctor(x, 1.5))
-        g.add(RotateNode(be, ()))   # keeps the two launches separate
+        timers = TimerRegistry()    # a phase keeps the launches separate
+        g.add(PhaseNode(timers, "split", True))
+        g.add(PhaseNode(timers, "split", False))
         g.add_kernel("shift", pol, ShiftFunctor(x, 2.0))
         g.seal()
         g.replay()

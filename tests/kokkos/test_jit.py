@@ -1,8 +1,7 @@
 """The sweep behind sealed launch plans (``repro.kokkos.jit``).
 
 Covers the bound sweep's bitwise identity against eager dispatch, the
-unchanged athread ledger, ``View.rebind`` visibility through a bound
-sweep, and the empty-range short-circuits in the reference sweeps.
+unchanged athread ledger, and the empty-range short-circuits in the reference sweeps.
 Model-level identity is in ``tests/ocean/test_graph_replay.py``.
 """
 
@@ -77,23 +76,6 @@ class TestCodegenTier:
         eager, swept = results[False], results[True]
         np.testing.assert_array_equal(eager[0], swept[0])
         assert eager[1:] == swept[1:]
-
-    def test_rebind_survives_compilation(self):
-        # the sweep closes over Views, not buffers: leapfrog rotation
-        # via View.rebind must be visible to the bound sweep
-        be = SerialBackend(inst=Instrumentation())
-        a = np.ones((4, 4))
-        b = np.full((4, 4), 2.0)
-        x = View("x", data=a)
-        g = LaunchGraph(be)
-        g.add_kernel("scale", MDRangePolicy([(0, 4), (0, 4)]),
-                     ScaleFunctor(x, 10.0))
-        g.seal()
-        g.replay()
-        np.testing.assert_array_equal(a, np.full((4, 4), 10.0))
-        x.rebind(b)
-        g.replay()
-        np.testing.assert_array_equal(b, np.full((4, 4), 20.0))
 
 
 class TestEmptyRangeShortCircuit:

@@ -228,7 +228,7 @@ def _face_volumes(
     """
     nz = dom.nz
     sk = slice(0, nz)
-    ws = dom.scratch()
+    ws = dom.workspace
     dy = dom.dy
     dz = dom.dz.reshape(-1, 1, 1)
     nj = sj.stop - sj.start
@@ -268,7 +268,7 @@ def _vertical_donors(
     ``T_below[k] = T[min(k, nz-1)]`` and ``T_above[k] = T[max(k-1, 0)]``.
     """
     nz = dom.nz
-    ws = dom.scratch()
+    ws = dom.workspace
     nj = sj.stop - sj.start
     ni = si.stop - si.start
     tcol = t[:, sj, si]
@@ -302,7 +302,7 @@ def _upwind_fluxes(
     """
     nz = dom.nz
     sk = slice(0, nz)
-    ws = dom.scratch()
+    ws = dom.workspace
     ue, vn, wt = _face_volumes(u, v, w, dom, sj, si)
     # east faces of cells si.start-1 .. si.stop-1  <=> west+east of the tile
     sie = slice(si.start - 1, si.stop)
@@ -350,7 +350,7 @@ def _central_fluxes(
     """Second-order centered fluxes on the same face sets as above."""
     nz = dom.nz
     sk = slice(0, nz)
-    ws = dom.scratch()
+    ws = dom.workspace
     ue, vn, wt = _face_volumes(u, v, w, dom, sj, si)
     sie = slice(si.start - 1, si.stop)
     tsum = ws.take("adv_tsum", ue.shape, t.dtype)
@@ -380,7 +380,7 @@ def _tile_volume(dom: LocalDomain, sj: slice, si: slice) -> np.ndarray:
     """(nz, nj, 1) cell volumes in the shared arena buffer."""
     dz = dom.dz.reshape(-1, 1, 1)
     area = (dom.dx_t[sj] * dom.dy).reshape(1, -1, 1)
-    ws = dom.scratch()
+    ws = dom.workspace
     vol = ws.take("adv_vol", (dom.nz, sj.stop - sj.start, 1),
                   np.result_type(area.dtype, dz.dtype))
     np.multiply(area, dz, out=vol)
@@ -393,7 +393,7 @@ def _apply_divergence(
 ) -> np.ndarray:
     """-dt/V * flux divergence for the tile's cells (arena buffer)."""
     vol = _tile_volume(dom, sj, si)
-    ws = dom.scratch()
+    ws = dom.workspace
     div = ws.take("adv_div", (f_e.shape[0], f_e.shape[1], f_e.shape[2] - 1),
                   f_e.dtype)
     np.subtract(f_e[:, :, 1:], f_e[:, :, :-1], out=div)
@@ -439,7 +439,7 @@ def _local_bounds(
     ``maximum.reduce`` is the same sequential left fold, and max/min are
     selections, not arithmetic), so the results are bitwise identical.
     """
-    ws = dom.scratch()
+    ws = dom.workspace
     own_star = t_star[:, sj, si]
     shape = own_star.shape
     dt = own_star.dtype
@@ -590,7 +590,7 @@ class RefDepthMean(DepthMeanFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         mu = d.mask_u[:, sj, si]
         dzc = d.dz.reshape(-1, 1, 1)
         # arena-backed (fld * mu) * dzc, same promotion and op order as
@@ -642,7 +642,7 @@ class RefContinuity(BarotropicContinuityFunctor):
         dy = d.dy
         # volume transports at corners, on the tile plus its south/west
         # ring only (the four face averages below read offsets 0 and -1)
-        ws = d.scratch()
+        ws = d.workspace
         nj = sj.stop - sj.start
         ni = si.stop - si.start
         gj = slice(sj.start - 1, sj.stop)
@@ -694,9 +694,9 @@ class RefMomentum(BarotropicMomentumFunctor):
             (eta[sh(sj, 1), si] - eta[sj, si])
             + (eta[sh(sj, 1), sh(si, 1)] - eta[sj, sh(si, 1)])
         ) / d.dy
-        cf, sf = d.coriolis_rotation(self.dtb)
-        c = cf[sj].reshape(-1, 1)
-        s = sf[sj].reshape(-1, 1)
+        th = d.f_u * np.asarray(self.dtb, dtype=d.f_u.dtype)
+        c = np.cos(th)[sj].reshape(-1, 1)
+        s = np.sin(th)[sj].reshape(-1, 1)
         u = self.ub.data[sj, si]
         v = self.vb.data[sj, si]
         ur = u * c + v * s
@@ -774,7 +774,7 @@ class RefHDiff(TracerHDiffusionFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         t = self.t_in.data
         m = d.mask_t
         dz = d.dz.reshape(-1, 1, 1)
@@ -837,7 +837,7 @@ class RefPredictor(AdvectPredictorFunctor):
         )
         m = d.mask_t[:, sj, si]
         delta = _apply_divergence(f_e, f_n, f_t, d, sj, si, self.dt)
-        out = d.scratch().take(
+        out = d.workspace.take(
             "adv_out", delta.shape, np.result_type(t.dtype, delta.dtype))
         np.add(t[:, sj, si], delta, out=out)
         np.multiply(out, m, out=out)
@@ -848,7 +848,7 @@ class RefLimit(FCTLimitFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         ts = self.t_star.data
         a_e, a_n, a_t = _antidiffusive(
             ts, self.u.data, self.v.data, self.w.data, d, sj, si
@@ -921,7 +921,7 @@ class RefApply(FCTApplyFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         ts = self.t_star.data
         rp = self.r_plus.data
         rm = self.r_minus.data
@@ -998,7 +998,7 @@ class RefFriction(VerticalFrictionFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         mu = d.mask_u[:, sj, si]
         kap = self.kappa_m.data[:, sj, si]
         lower, diag, upper = _diffusion_matrix(kap, mu, d.dz, d.z_t, self.dt,
@@ -1033,7 +1033,7 @@ class RefVerticalDiffusion(VerticalTracerDiffusionFunctor):
     def apply(self, slices) -> None:
         sj, si = slices
         d = self.dom
-        ws = d.scratch()
+        ws = d.workspace
         m = d.mask_t[:, sj, si]
         kap = self.kappa_h.data[:, sj, si]
         lower, diag, upper = _diffusion_matrix(kap, m, d.dz, d.z_t, self.dt,

@@ -237,7 +237,6 @@ class TestVerticalDiffusion:
         # collected between two live_count() readings
         before = ExecutionContext.live_contexts()
         assert not dom.workspace.enabled
-        assert dom.scratch() is dom.workspace
         tr = View("t", data=(10 + rng.standard_normal((dom.nz, dom.ly, dom.lx))) * dom.mask_t)
         kap = View("k", (dom.nz, dom.ly, dom.lx))
         kap.raw[...] = 1e-3

@@ -14,7 +14,6 @@ from repro.ocean import (
     sst_stats,
     temperature_section,
 )
-from repro.kokkos import HostSpace, RotateNode, make_backend
 from repro.parallel import BlockDecomposition, SimWorld
 
 
@@ -23,12 +22,19 @@ class TestStateManagement:
         st = ModelState(2, 6, 6)
         st.t.cur.raw[...] = 1.0
         st.t.new.raw[...] = 2.0
-        old = st.t.old.raw
-        RotateNode(make_backend("serial"),
-                   [(st.t.old, st.t.cur, st.t.new)]).run()
+        old, cur, new = st.t.old, st.t.cur, st.t.new
+        buffers = [v.raw for v in st.t.levels]
+        st.rotate()
+        assert st.phase == 1
         assert np.all(st.t.old.raw == 1.0)
         assert np.all(st.t.cur.raw == 2.0)
-        assert st.t.new.raw is old   # buffers recycled, not copied
+        # roles move, views keep their buffers: recycled, not copied
+        assert (st.t.old, st.t.cur, st.t.new) == (cur, new, old)
+        assert all(v.raw is b for v, b in zip(st.t.levels, buffers))
+        st.rotate()
+        st.rotate()
+        assert st.phase == 0 and (st.t.old, st.t.cur, st.t.new) == \
+            (old, cur, new)
 
     def test_set_initial(self):
         st = ModelState(2, 6, 6)

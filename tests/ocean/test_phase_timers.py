@@ -30,7 +30,8 @@ def test_every_step_reports_its_phases(backend, graph):
     try:
         m.run_steps(steps)
         if graph:
-            assert sum(g.replays for g in m._graphs.values()) == steps - 3
+            # the startup graph and six leapfrog (phase, canuto) graphs
+            assert sum(g.replays for g in m._graphs.values()) == steps - 7
     finally:
         m.close()
     t = m.timers
@@ -45,7 +46,7 @@ def test_every_step_reports_its_phases(backend, graph):
 def test_traced_replay_nests_one_span_per_phase():
     m = LICOMKpp(demo("tiny"), params=ModelParams(trace=True))
     try:
-        m.run_steps(3)      # two captures, then one replay
+        m.run_steps(5)      # four captures, then one replay
         spans = m.context.tracer.closed_spans()
     finally:
         m.close()
@@ -62,8 +63,8 @@ def test_traced_replay_nests_one_span_per_phase():
 def test_a_replay_that_raises_leaves_no_region_open():
     m = LICOMKpp(demo("tiny"), params=ModelParams(trace=True))
     try:
-        m.run_steps(2)      # both variants sealed: the next step replays
-        assert len(m._graphs) == 2
+        m.run_steps(4)      # every variant sealed: the next step replays
+        assert len(m._graphs) == 4
         real = m.halo.update_many
 
         def broken(fields, phase=None):
@@ -80,10 +81,10 @@ def test_a_replay_that_raises_leaves_no_region_open():
     t = m.timers
     # the failed replay entered and left every phase before the first
     # exchange (halo_momentum, after momentum); the rest only in the
-    # three good steps
-    assert t.count("step") == 4
+    # five good steps
+    assert t.count("step") == 6
     assert {p: t.count(p) for p in PHASES} == {
-        p: 4 if PHASES.index(p) <= PHASES.index("momentum") else 3
+        p: 6 if PHASES.index(p) <= PHASES.index("momentum") else 5
         for p in PHASES}
 
 
@@ -92,8 +93,9 @@ def test_run_timers_counts_every_step(capsys, monkeypatch):
     replay = LaunchGraph.replay
     monkeypatch.setattr(LaunchGraph, "replay",
                         lambda g: (replays.append(g), replay(g)))
-    assert main(["run", "--size", "tiny", "--days", "0.25", "--timers"]) == 0
+    # half a day is six steps: four captures, then two replays
+    assert main(["run", "--size", "tiny", "--days", "0.5", "--timers"]) == 0
     counts = dict(re.findall(r"^\s*(\w+)\s+(\d+)\s+\d",
                              capsys.readouterr().out, re.M))
-    assert int(counts["step"]) == 2 + len(replays) > 2
+    assert int(counts["step"]) == 4 + len(replays) > 4
     assert {p: counts[p] for p in PHASES} == {p: counts["step"] for p in PHASES}

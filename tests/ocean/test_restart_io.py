@@ -32,6 +32,26 @@ class TestRestart:
                 getattr(a.state, fld).cur.raw, getattr(b.state, fld).cur.raw
             ), fld
 
+    def test_restart_at_an_odd_phase_resumes_sealed(self, tmp_path):
+        """Step 7 is leapfrog phase 1; a fresh model starts at phase 0
+        and seals its own graphs, and resumes bit-exact."""
+        cfg = demo("small")
+        a = LICOMKpp(cfg)
+        a.run_steps(7)
+        assert a.state.phase == 1
+        path = save_restart(a, tmp_path / "rst.npz")
+        a.run_steps(5)
+
+        b = LICOMKpp(cfg)
+        load_restart(b, path)
+        b.run_steps(5)
+        assert b._graph_captures == 3 and b.nstep == a.nstep
+        for fld, lf in a.state.leapfrog_fields().items():
+            other = b.state.leapfrog_fields()[fld]
+            for role in ("old", "cur", "new"):
+                assert np.array_equal(getattr(lf, role).raw,
+                                      getattr(other, role).raw), (fld, role)
+
     def test_clock_restored(self, tmp_path):
         cfg = demo("tiny")
         a = LICOMKpp(cfg)

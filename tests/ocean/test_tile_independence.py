@@ -50,7 +50,9 @@ def test_every_matrix_part_sweeps_the_same_tiled_and_whole():
     # stored); the matrix's buffers are restored afterwards
     seen, tiled, bad = set(), 0, []
     for case in lint_matrix():
-        for graph in case.graphs:
+        # the startup graph and the first leapfrog phase: the other two
+        # phase graphs run the same launches on other time levels
+        for graph in case.graphs[:2]:
             parts = [(functor, case.observations[
                         (id(functor), tuple(map(tuple, node.policy.ranges)),
                          label)][1])

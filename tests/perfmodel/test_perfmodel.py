@@ -212,7 +212,7 @@ class TestJitLaunchDiscount:
         model = LICOMKpp(cfg, params=ModelParams(check_every=0))
         try:
             model.run_steps(3)
-            steady = [g for (startup, _), g in model._graphs.items()
+            steady = [g for (startup, _, _), g in model._graphs.items()
                       if not startup]
             live = steady[0].launches_per_replay
         finally:

@@ -93,6 +93,23 @@ class TestSharedEngine:
         assert engine.leases == 2
         engine.close()
 
+    def test_second_job_on_a_leased_engine_captures_nothing(self):
+        """A job of the default length seals the startup graph and the
+        three leapfrog phases; reset returns to phase 0, so the next
+        job replays them all."""
+        spec = JobSpec(name="base")
+        engine = SharedEngine(spec.share_signature(), spec)
+        captures = []
+        for job in ("job-a", "job-b"):
+            with engine.lease(job) as model:
+                before = model._graph_captures
+                model.run_steps(spec.steps)
+                captures.append(model._graph_captures - before)
+        stats = engine.graph_stats()
+        engine.close()
+        assert captures == [4, 0]
+        assert [g["replays"] for g in stats] == [1, 1, 1, 1]
+
     def test_lease_is_exclusive(self):
         spec = JobSpec(name="base", steps=1)
         engine = SharedEngine(spec.share_signature(), spec)

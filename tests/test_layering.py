@@ -49,6 +49,8 @@ GONE = {
     # allocating kernel helpers, replaced by arena-backed bodies
     "face_u_east", "face_u_west", "face_v_north", "face_v_south",
     "t_at_u", "sh_back", "_face_volumes", "_central_fluxes",
+    # a view keeps its buffer for life: the leapfrog rotates roles
+    "RotateNode", "rebind", "_rot_cache", "scratch",
 }
 
 
@@ -126,3 +128,12 @@ def test_variants_left_the_production_packages(package):
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 seen.add(node.value)        # __all__ entries
     assert seen & GONE == set()
+
+
+def test_domain_rotation_rows_are_not_cached():
+    """``coriolis_rotation`` stays the Coriolis kernel's label (a string
+    constant GONE would catch), so the deleted ``LocalDomain`` method of
+    that name is checked here."""
+    from repro.ocean.localdomain import LocalDomain
+
+    assert not hasattr(LocalDomain, "coriolis_rotation")

@@ -58,10 +58,11 @@ CLI_DRIVE: List[Tuple[List[str], int]] = [
     (["lint", "--baseline", "{tmp}/baseline.txt", "--format", "json",
       "--output", "{tmp}/lint.json"], 0),
     (["lint", "--graph", "--strict"], 0),
-    # four steps: two capture the startup and steady graphs, two replay
-    (["trace", "--ranks", "1", "--steps", "4", "--backend",
+    # five steps: four capture the startup graph and the three leapfrog
+    # phases, one replays
+    (["trace", "--ranks", "1", "--steps", "5", "--backend",
       "athread", "--predict", "new_sunway", "--out", "{tmp}/trace1.json"], 0),
-    *((["trace", "--ranks", "1", "--steps", "4", "--backend", b,
+    *((["trace", "--ranks", "1", "--steps", "5", "--backend", b,
         "--out", "{tmp}/trace1-%s.json" % b], 0) for b in ("openmp", "cuda")),
     (["trace", "--ranks", "2", "--out", "{tmp}/trace2.json"], 0),
     (["trace", "--ranks", "2", "--mode", "process",

@@ -208,14 +208,14 @@ class TestModelTracing:
         assert continuity_spans(tr) == 2 * NSUB
 
     def test_graph_replay_keeps_fused_span_and_substeps(self):
-        tr = self.step_model(steps=3)  # step 2 replays leapfrog
+        tr = self.step_model(steps=5)  # step 4 replays leapfrog phase 1
         spans = tr.closed_spans()
         assert any(s.name == "graph_replay" for s in spans)
         fused = [s for s in spans if "fused" in s.args]
         assert fused, "fused sweep should trace as one span"
         assert all(len(s.args["fused"]) >= 2 for s in fused)
         # every step has its sub-steps on the timeline, replayed or not
-        assert continuity_spans(tr) == 3 * NSUB
+        assert continuity_spans(tr) == 5 * NSUB
 
     def test_untraced_model_records_nothing(self):
         tr = self.step_model(trace=False)
@@ -336,12 +336,14 @@ class TestTraceCLI:
         assert "perfetto" in capsys.readouterr().out
 
     @pytest.mark.parametrize("steps,variants", [
-        (0, []), (3, ["startup", "steady"])])
+        (0, []), (3, ["startup+canuto, phase 0", "steady+canuto, phase 1",
+                      "steady+canuto, phase 2"])])
     def test_single_rank_trace_reports_its_sealed_graphs(
             self, tmp_path, capsys, steps, variants):
-        """One ``graph[variant]`` line per sealed graph (``tiny`` runs
-        canuto every step, so its variants read ``startup+canuto`` and
-        ``steady+canuto``), and no other report line."""
+        """One ``graph[variant, phase]`` line per sealed graph, in replay
+        order (``tiny`` runs canuto every step, so its variants read
+        ``startup+canuto`` and ``steady+canuto``), and no other report
+        line."""
         from repro.cli import main
 
         rc = main(["trace", "--size", "tiny", "--steps", str(steps),
@@ -349,8 +351,7 @@ class TestTraceCLI:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         graphs = [l for l in lines if l.startswith("graph[")]
-        assert sorted(l[len("graph["):].split("+")[0].split("]")[0]
-                      for l in graphs) == variants
+        assert [l[len("graph["):].split("]")[0] for l in graphs] == variants
         assert len(lines) == len(graphs) + 1        # + the trace file line
         assert not [l for l in lines if l.startswith("tier")]
 
