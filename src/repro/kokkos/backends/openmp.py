@@ -7,7 +7,8 @@ concurrently; NumPy array operations release the GIL for large tiles, so
 real concurrency is obtained for the vectorised kernel bodies.  A
 launch is :class:`_OpenMPPlan`, run once eagerly or replayed by a sealed
 graph: each part of the launch is one stage — its chunks submitted to
-the pool and joined — before the next part starts.
+the pool and joined — before the next part starts.  Each chunk runs on
+its own scratch arena (:func:`~repro.kokkos.jit.bind_chunk`).
 
 Reductions combine per-chunk partials in fixed chunk order, keeping
 results deterministic run-to-run (unlike a racing atomic reduction).
@@ -124,7 +125,9 @@ class OpenMPBackend(ExecutionSpace):
         else:
             pool = self._executor()
             futures = [
-                pool.submit(reduce_tile, functor, ch, reducer) for ch in chunks
+                pool.submit(reduce_tile, _jit.bind_chunk(functor, c), ch,
+                            reducer)
+                for c, ch in enumerate(chunks)
             ]
             partials = [f.result() for f in futures]
         flops, nbytes = functor_cost(functor)

@@ -16,8 +16,10 @@ An :class:`ExecutionContext` is the session object that owns one rank's:
   ledger (``.inst``) — kernel launches, H2D/D2H/DMA transfers and
   workspace counters all land there, once, and nowhere else (the space
   keeps only model state, such as the Athread LDM peaks);
-* the workspace arenas it handed out (``make_workspace``), released on
-  :meth:`close` so rank threads never pin scratch memory after exit;
+* the workspace arenas it handed out (``make_workspace``, one per
+  model, each used by one thread at a time, plus one chunk arena per
+  concurrent OpenMP chunk), released on :meth:`close` so rank threads
+  never pin scratch memory after exit;
 * its rank's traffic ledger (``.traffic``), which it reports but does
   not own: the ledger of the comm it is attached to
   (:meth:`attach_comm`), the only one that rank's messages are counted

@@ -20,8 +20,12 @@ registered ``for`` preset alike.
 
 from __future__ import annotations
 
+import copy
+from dataclasses import fields, is_dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
+
+from .workspace import Workspace
 
 Slices = Tuple[slice, ...]
 
@@ -36,6 +40,26 @@ def _part_stage(part) -> Callable[[Slices], None]:
     return partial(_loop_elementwise, part)
 
 
+def bind_chunk(part, c: int):
+    """``part`` as concurrent chunk ``c`` runs it: itself for chunk 0, else
+    a shallow copy whose arenas, bound directly (the Asselin functors'
+    ``ws``) or as a field of a bound dataclass (a ``LocalDomain``), are
+    ``ws.chunk(c)``."""
+    if c == 0:
+        return part
+    clone = copy.copy(part)
+    for name, val in getattr(part, "__dict__", {}).items():
+        if isinstance(val, Workspace):
+            setattr(clone, name, val.chunk(c))
+        elif is_dataclass(val) and not isinstance(val, type):
+            arenas = {f.name: getattr(val, f.name).chunk(c) for f in fields(val)
+                      if isinstance(getattr(val, f.name), Workspace)}
+            if arenas:
+                setattr(clone, name, copy.copy(val))
+                vars(getattr(clone, name)).update(arenas)
+    return clone
+
+
 def compile_sweep(functor, chunks: Sequence[Slices],
                   submit: Optional[Callable] = None) -> Callable[[], None]:
     """Bind one plan's launch body to its iteration range.
@@ -43,8 +67,9 @@ def compile_sweep(functor, chunks: Sequence[Slices],
     ``chunks`` are the slice tuples every part covers: one whole-range
     tuple on the serial and device plans (and the athread plan of a
     space that does not require registration).  The threaded OpenMP
-    plan passes its per-thread split together with its pool's
-    ``submit``; each part then runs as one *stage* — all chunks
+    plan passes its concurrent chunks together with its pool's
+    ``submit``; each part is then bound once per chunk, on that chunk's
+    arena (:func:`bind_chunk`), and runs as one *stage* — all chunks
     submitted, all joined — before the next part starts, so the stage
     barrier orders dependent parts exactly as separate launches would.
     """
@@ -53,10 +78,11 @@ def compile_sweep(functor, chunks: Sequence[Slices],
         return partial(_part_stage(functor), whole)
 
     def run_stage(stage) -> None:
-        for future in [submit(stage, ch) for ch in chunks]:
+        for future in [submit(body, ch) for body, ch in stage]:
             future.result()
 
-    bound = [partial(run_stage, _part_stage(p))
+    bound = [partial(run_stage, [(_part_stage(bind_chunk(p, c)), ch)
+                                 for c, ch in enumerate(chunks)])
              for p in getattr(functor, "parts", (functor,))]
     if len(bound) == 1:
         return bound[0]

@@ -21,11 +21,13 @@ Contract
   through ``out=``-style ufunc calls.
 * Buffers are only valid until the next ``take`` with the same key —
   within one apply body use distinct keys for live temporaries.
-* Pools are **per thread**, so concurrent tiles of the same functor on
-  the OpenMP backend never share a buffer.  Unlike the historical
-  ``threading.local`` pools, the per-thread pools are held in an
-  ordinary dict keyed by thread id so the *owner* can enumerate and
-  drop them: :meth:`release` frees every pool at once, and an
+* An arena is used by **one thread at a time**, as a Sunway CPE owns its
+  LDM: a model steps on one thread (each thread rank has its own
+  context, and serve leases an engine to one job at a time), whichever
+  thread that is.  The only concurrent bodies, an OpenMP launch's
+  chunks, each run on their own arena: :meth:`chunk` ``c``, bound once
+  when the plan is built (:func:`~repro.kokkos.jit.bind_chunk`).
+  :meth:`release` frees the arena and its chunk arenas at once, and an
   :class:`~repro.kokkos.context.ExecutionContext` calls it from
   ``close()`` so SimWorld rank arenas never outlive their rank.
 
@@ -38,7 +40,6 @@ eager-allocation baseline with identical numerics.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -55,53 +56,45 @@ class Workspace:
                  inst: Optional[Instrumentation] = None) -> None:
         self.enabled = enabled
         self.inst = inst if inst is not None else Instrumentation()
-        # thread id -> pool.  Kept in a plain dict (not threading.local)
-        # so release() can drop buffers owned by threads that no longer
-        # exist — SimWorld rank threads die after every run, and
-        # thread-local pools used to pin their arenas until the
-        # Workspace itself was collected.
-        self._pools: Dict[int, Dict[tuple, np.ndarray]] = {}
-        self._pools_lock = threading.Lock()
-        self._released = False
+        self._pool: Dict[tuple, np.ndarray] = {}
+        self._chunks: Dict[int, Workspace] = {}
 
-    def _pool(self) -> Dict[tuple, np.ndarray]:
-        ident = threading.get_ident()
-        pool = self._pools.get(ident)
-        if pool is None:
-            with self._pools_lock:
-                pool = self._pools.setdefault(ident, {})
-        return pool
+    def chunk(self, c: int) -> "Workspace":
+        """The arena of concurrent chunk ``c``: this one for chunk 0, a
+        child (same ``enabled`` and ledger) made on first use otherwise."""
+        if c == 0:
+            return self
+        arena = self._chunks.get(c)
+        if arena is None:
+            arena = self._chunks[c] = Workspace(self.enabled, self.inst)
+        return arena
 
     def take(self, key: str, shape: ShapeLike, dtype=np.float64,
              fill=None) -> np.ndarray:
         """Return a scratch array for ``key`` with the requested geometry.
 
-        The same ``(key, shape, dtype)`` on the same thread returns the
-        same buffer every time once the arena is warm.  The warm path is
-        deliberately skinny — tiled backends issue tens of thousands of
-        takes per step, so it keys on the caller's ``shape``/``dtype``
-        objects verbatim (each call site passes a consistent form) and
-        bumps the request counters without taking the stats lock; only
-        the rare allocation goes through the locked recorder, so the
-        ``allocations`` counter the tests pin stays exact.
+        The same ``(key, shape, dtype)`` returns the same buffer every
+        time once the arena is warm.  The warm path is deliberately
+        skinny — a sealed ``small`` step makes 448 workspace requests — so
+        it keys on the caller's ``shape``/``dtype`` objects verbatim
+        (each call site passes a consistent form) and bumps the request
+        counters without taking the stats lock; only the rare allocation
+        goes through the locked recorder, so the ``allocations`` counter
+        the tests pin stays exact.
         """
         if type(shape) is not tuple:
             shape = (int(shape),) if isinstance(shape, (int, np.integer)) \
                 else tuple(shape)
-        if not self.enabled or self._released:
+        arr = self._pool.get((key, shape, dtype)) if self.enabled else None
+        if arr is None:
             arr = np.empty(shape, np.dtype(dtype))
+            if self.enabled:
+                self._pool[(key, shape, dtype)] = arr
             self.inst.record_workspace_take(arr.nbytes, allocated=True)
         else:
-            pool = self._pool()
-            arr = pool.get((key, shape, dtype))
-            if arr is None:
-                arr = pool[(key, shape, dtype)] = np.empty(shape,
-                                                           np.dtype(dtype))
-                self.inst.record_workspace_take(arr.nbytes, allocated=True)
-            else:
-                ws = self.inst.workspace
-                ws.requests += 1
-                ws.bytes_served += arr.nbytes
+            ws = self.inst.workspace
+            ws.requests += 1
+            ws.bytes_served += arr.nbytes
         if fill is not None:
             arr[...] = fill
         return arr
@@ -117,16 +110,15 @@ class Workspace:
         The contract is :meth:`take`'s: contents undefined, valid until
         the next request of ``key``.
         """
-        if not self.enabled or self._released:
+        if not self.enabled:
             return self.take(key, shape, dtype)
         n = 1
         for extent in shape:
             n *= extent
         dtype = np.dtype(dtype)
-        pool = self._pool()
-        flat = pool.get((key, dtype))
+        flat = self._pool.get((key, dtype))
         if flat is None or flat.size < n:
-            flat = pool[(key, dtype)] = np.empty(n, dtype)
+            flat = self._pool[(key, dtype)] = np.empty(n, dtype)
             self.inst.record_workspace_take(flat.nbytes, allocated=True)
         else:
             ws = self.inst.workspace
@@ -134,25 +126,20 @@ class Workspace:
             ws.bytes_served += n * dtype.itemsize
         return flat[:n].reshape(shape)
 
-    def clear(self) -> None:
-        """Drop this thread's pooled buffers (tests / memory pressure)."""
-        with self._pools_lock:
-            self._pools.pop(threading.get_ident(), None)
-
     def release(self) -> None:
-        """Drop *every* thread's pooled buffers and stop pooling.
+        """Drop this arena's and its chunk arenas' buffers and stop pooling.
 
         Called by the owning context's ``close()``.  Subsequent takes
         still work (eager allocation, identical numerics) so teardown
         order between a context and stragglers using its domain never
         matters; they just stop being cached.
         """
-        with self._pools_lock:
-            self._pools.clear()
-            self._released = True
+        self.enabled = False
+        self._pool.clear()
+        for arena in self._chunks.values():
+            arena.release()
 
     def pooled_nbytes(self) -> int:
-        """Total bytes currently held across all thread pools."""
-        with self._pools_lock:
-            return sum(arr.nbytes for pool in self._pools.values()
-                       for arr in pool.values())
+        """Total bytes held by this arena and its chunk arenas."""
+        return (sum(arr.nbytes for arr in self._pool.values())
+                + sum(a.pooled_nbytes() for a in self._chunks.values()))

@@ -263,22 +263,23 @@ class AsselinFilterFunctor(TileFunctor):
         self.ws = ws
 
     def apply(self, slices) -> None:
-        asselin_into(self.old.data, self.cur.data, self.new.data,
-                     tuple(slices), self.alpha, self.ws)
+        """``cur[idx] = c + alpha * (n - 2.0 * c + o)`` in one arena
+        temporary, left to right as written."""
+        idx = tuple(slices)
+        c = self.cur.data[idx]
+        n = self.new.data[idx]
+        o = self.old.data[idx]
+        tmp = self.ws.take_view(FIELD_TMP[0], c.shape,
+                                np.result_type(n.dtype, c.dtype, o.dtype))
+        np.multiply(c, 2.0, out=tmp)
+        np.subtract(n, tmp, out=tmp)
+        np.add(tmp, o, out=tmp)
+        np.multiply(tmp, self.alpha, out=tmp)
+        np.add(c, tmp, out=c)
 
 
-def asselin_into(old: np.ndarray, cur: np.ndarray, new: np.ndarray,
-                 idx: tuple, alpha: float, ws: Workspace) -> None:
-    """``cur[idx] = c + alpha * (n - 2.0 * c + o)`` in one arena temporary,
-    left to right as written."""
-    c = cur[idx]
-    n = new[idx]
-    o = old[idx]
-    tmp = ws.take_view(FIELD_TMP[0], c.shape,
-                       np.result_type(n.dtype, c.dtype, o.dtype))
-    np.multiply(c, 2.0, out=tmp)
-    np.subtract(n, tmp, out=tmp)
-    np.add(tmp, o, out=tmp)
-    np.multiply(tmp, alpha, out=tmp)
-    np.add(c, tmp, out=c)
+@kokkos_register_for("asselin_filter_2d", ndim=2)
+class AsselinFilter2DFunctor(AsselinFilterFunctor):
+    """The Asselin filter of a 2-D field (ssh): the 3-D functor's body and
+    costs, registered for a 2-D range."""
 

@@ -39,22 +39,19 @@ from ..kokkos import (
     MDRangePolicy,
     PhaseNode,
     View,
-    kokkos_register_for,
 )
-from ..kokkos.workspace import Workspace
 from ..parallel.comm import SimComm, SingleComm
 from ..parallel.decomp import BlockDecomposition
 from ..parallel.halo import HaloUpdater
 from .config import ModelConfig
 from .forcing import ForcingParams, make_forcing
 from .grid import Grid, make_grid
-from .kernel_utils import TileFunctor
 from .kernels_barotropic import (
+    AsselinFilter2DFunctor,
     AsselinFilterFunctor,
     BarotropicContinuityFunctor,
     BarotropicMomentumFunctor,
     GForceFunctor,
-    asselin_into,
 )
 from .kernels_momentum import (
     AddBarotropicFunctor,
@@ -187,7 +184,7 @@ class LICOMKpp:
         )
         d = self.domain
         # scratch arena the kernel apply bodies draw temporaries from.
-        # Owned by the context: released (all threads' pools) on close.
+        # Owned by the context: released (chunk arenas too) on close.
         d.workspace = self.context.make_workspace()
         #: Per-kernel-family precision policy (presets "double"/"single"/
         #: "mixed" or per-family overrides; see repro.ocean.precision).
@@ -634,7 +631,7 @@ class LICOMKpp:
                     run("asselin_filter", self.p_full3,
                         AsselinFilterFunctor(f.old, f.cur, f.new, a, ws))
                 run("asselin_filter_ssh", self.p_full2,
-                    _Asselin2D(st.ssh.old, st.ssh.cur, st.ssh.new, a, ws))
+                    AsselinFilter2DFunctor(st.ssh.old, st.ssh.cur, st.ssh.new, a, ws))
 
     def _run_canuto(self) -> None:
         st = self.state
@@ -938,23 +935,3 @@ def run_distributed(
         args=(config, backend, params, decomp, steps),
     )
     return results, world
-
-
-@kokkos_register_for("asselin_filter_2d", ndim=2)
-class _Asselin2D(TileFunctor):
-    """2-D Asselin filter body (ssh), sharing the 3-D functor's contract."""
-
-    flops_per_point = 4.0
-    bytes_per_point = 4 * 8.0
-
-    def __init__(self, old: View, cur: View, new: View, alpha: float,
-                 ws: Workspace) -> None:
-        self.old = old
-        self.cur = cur
-        self.new = new
-        self.alpha = alpha
-        self.ws = ws
-
-    def apply(self, slices) -> None:
-        asselin_into(self.old.data, self.cur.data, self.new.data,
-                     tuple(slices), self.alpha, self.ws)

@@ -110,27 +110,20 @@ class TestRegistrationTable:
 
 
 class TestWorkspaceLifetime:
-    def test_context_releases_all_thread_pools_on_close(self):
+    def test_context_releases_chunk_arenas_on_close(self):
         ctx = ExecutionContext("serial")
         ws = ctx.make_workspace()
-        took = threading.Barrier(5)
-        hold = threading.Event()
-
-        def worker():
-            ws.take("scratch", (64,))
-            took.wait()         # live threads => distinct thread ids
-            hold.wait()
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        ws.take("scratch", (64,))
-        took.wait()
-        assert ws.pooled_nbytes() == 5 * 64 * 8   # one pool per thread
-        hold.set()
-        for t in threads:
-            t.join()
+        assert ws.chunk(0) is ws
+        arenas = [ws.chunk(c) for c in range(5)]
+        assert len({id(a) for a in arenas}) == 5
+        assert ws.chunk(3) is arenas[3]           # made once, then kept
+        for a in arenas:
+            a.take("scratch", (64,))
+        assert ws.pooled_nbytes() == 5 * 64 * 8   # one pool per chunk
         ctx.close()
+        assert ws.pooled_nbytes() == 0
+        arenas[2].take("scratch", (64,))          # eager allocation now
+        ws.chunk(7).take("scratch", (64,))        # a new chunk too
         assert ws.pooled_nbytes() == 0
 
     def test_take_after_release_still_works(self):
@@ -142,23 +135,6 @@ class TestWorkspaceLifetime:
         assert b is not a
         assert np.all(b == 2.0)
         assert ws.pooled_nbytes() == 0        # nothing re-pooled
-
-    def test_clear_drops_only_current_thread(self):
-        ws = ExecutionContext("serial").make_workspace()
-        ws.take("k", (8,))
-        done = threading.Event()
-
-        def worker():
-            ws.take("k", (8,))
-            done.set()
-
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-        assert done.is_set()
-        assert ws.pooled_nbytes() == 2 * 8 * 8
-        ws.clear()
-        assert ws.pooled_nbytes() == 8 * 8    # other thread's pool survives
 
 
 class TestInstrumentationThreadSafety:

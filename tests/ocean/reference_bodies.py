@@ -20,6 +20,7 @@ from repro.ocean.eos import ALPHA_T, BETA_S, RHO0, S0, T0
 from repro.ocean.grid import GRAVITY
 from repro.ocean.kernel_utils import sh
 from repro.ocean.kernels_barotropic import (
+    AsselinFilter2DFunctor,
     AsselinFilterFunctor,
     BarotropicContinuityFunctor,
     BarotropicMomentumFunctor,
@@ -41,7 +42,6 @@ from repro.ocean.kernels_vdiff import (
     VerticalTracerDiffusionFunctor,
 )
 from repro.ocean.localdomain import LocalDomain
-from repro.ocean.model import _Asselin2D
 from repro.ocean.vmix_canuto import (
     _B1,
     _B2,
@@ -718,13 +718,8 @@ class RefAsselin(AsselinFilterFunctor):
         self.cur.data[idx] = c + self.alpha * (n - 2.0 * c + o)
 
 
-class RefAsselin2D(_Asselin2D):
-    def apply(self, slices) -> None:
-        sj, si = slices
-        o = self.old.data[sj, si]
-        c = self.cur.data[sj, si]
-        n = self.new.data[sj, si]
-        self.cur.data[sj, si] = c + self.alpha * (n - 2.0 * c + o)
+class RefAsselin2D(AsselinFilter2DFunctor):
+    apply = RefAsselin.apply
 
 
 class RefCanuto(CanutoMixFunctor):

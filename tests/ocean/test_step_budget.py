@@ -23,9 +23,9 @@ from repro.ocean.model import ModelParams
 
 #: Python + C calls per sealed ``small`` step (sys.setprofile ``call``
 #: and ``c_call`` events) after the warm-up: the startup and the three
-#: leapfrog phase captures, then the first replay, which fills the
-#: arena's whole-range scratch.
-CALL_BUDGET = 6500
+#: leapfrog phase captures (the startup step fills the model's one
+#: arena; no later step allocates scratch), then the first replay.
+CALL_BUDGET = 3500
 WARMUP = 5
 
 

@@ -51,6 +51,9 @@ GONE = {
     "t_at_u", "sh_back", "_face_volumes", "_central_fluxes",
     # a view keeps its buffer for life: the leapfrog rotates roles
     "RotateNode", "rebind", "_rot_cache", "scratch",
+    # scratch belongs to an arena (one per model, one per OpenMP chunk),
+    # not to the thread that takes it
+    "_pools", "_pools_lock",
 }
 
 

@@ -107,9 +107,8 @@ ALLOWED: Dict[str, str] = {
            "repro/kokkos/backends/athread.py::AthreadBackend.reset_counters",
            "repro/kokkos/ldm.py::LDMAllocator.reset",
            "repro/parallel/comm.py::TrafficLedger.reset"),
-    **_why("seam", "tests observe the arena's per-thread pools and drop "
-           "one thread's pool",
-           "repro/kokkos/workspace.py::Workspace.clear",
+    **_why("seam", "tests observe the scratch an arena and its chunk "
+           "arenas hold",
            "repro/kokkos/workspace.py::Workspace.pooled_nbytes"),
     **_why("seam", "tests read the exchange's persistent pool to pin the "
            "zero-allocation steady state",
